@@ -140,7 +140,9 @@ func main() {
 	dogs.SetLogger(logger)
 
 	// Chaos plane (see cmd/monitord): deterministic seeded fault
-	// injection on every dial, accept, and I/O this process performs.
+	// injection on every dial, accept, and I/O this process performs. The
+	// injector is handed to each client (mopts.Dial, the push channels)
+	// and to the listener below; a nil injector is plain TCP.
 	var inj *fault.Injector
 	if *faultSchedule != "" {
 		if !*debugHooks {
@@ -152,8 +154,6 @@ func main() {
 		}
 		inj = fault.Activate(sched, *faultTarget)
 		inj.SetFlightRecorder(fr)
-		transport.SetDialHook(inj.Dial)
-		transport.SetListenerWrap(inj.Listener)
 		logger.Info("chaos plane armed", "schedule", *faultSchedule,
 			"target", *faultTarget, "seed", sched.Seed, "rules", len(sched.Rules))
 	}
@@ -164,6 +164,7 @@ func main() {
 	mopts := transport.ManagedOptions{
 		ConnectTimeout: *rpcTimeout,
 		CallTimeout:    *rpcTimeout,
+		Dial:           inj.Dial,
 		OnRetry: func(kind string, attempt int, err error) {
 			logger.Warn("rpc retry", "kind", kind, "attempt", attempt, "err", err)
 		},
@@ -239,7 +240,7 @@ func main() {
 	var peerConns []*gossip.Peer
 	if *peers != "" {
 		for _, addr := range strings.Split(*peers, ",") {
-			p := gossip.NewPeer(transport.DialManaged(strings.TrimSpace(addr), mopts))
+			p := gossip.DialPeer(strings.TrimSpace(addr), mopts)
 			info, err := p.Info()
 			if err != nil {
 				fatal("fetching peer identity", "peer", addr, "err", err)
@@ -341,7 +342,7 @@ func main() {
 	if err != nil {
 		fatal("listen", "addr", *listen, "err", err)
 	}
-	srv.Serve(ln)
+	srv.Serve(inj.Listener(ln))
 	kb := w.PublicKey().Bytes()
 	logger.Info("serving", "addr", ln.Addr().String(), "sources", len(srcs),
 		"peers", len(peerConns), "subscribed", *subscribe,

@@ -90,10 +90,7 @@ func main() {
 	if err := dom.Install(1, mb, dev.SignUpdate(1, mb)); err != nil {
 		log.Fatalf("benchtable3: %v", err)
 	}
-	client, err := transport.Dial(dom.Addr())
-	if err != nil {
-		log.Fatalf("benchtable3: %v", err)
-	}
+	client := transport.DialManaged(dom.Addr(), transport.ManagedOptions{})
 	defer client.Close()
 	teeSandbox := measure(*warmup, *iters, func() {
 		var resp domain.InvokeResponse

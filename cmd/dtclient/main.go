@@ -43,6 +43,7 @@
 package main
 
 import (
+	"context"
 	"encoding/hex"
 	"errors"
 	"flag"
@@ -129,16 +130,19 @@ func main() {
 	}
 }
 
-// dialRPC opens one plain client with the tool's trace context and
-// timeouts applied.
-func dialRPC(addr string) (*transport.Client, error) {
-	c, err := transport.DialTimeout(addr, callTimeout)
-	if err != nil {
-		return nil, err
-	}
-	c.SetTrace(rootTrace)
-	c.SetTimeout(callTimeout)
-	return c, nil
+// dialRPC returns a managed client for addr with the tool's timeouts
+// applied. Nothing is dialed until the first call.
+func dialRPC(addr string) *transport.ManagedClient {
+	return transport.DialManaged(addr, transport.ManagedOptions{
+		ConnectTimeout: callTimeout,
+		CallTimeout:    callTimeout,
+	})
+}
+
+// rpcCtx is the context of every RPC made on a dialRPC client: it
+// carries the tool's trace, when -trace minted one.
+func rpcCtx() context.Context {
+	return obsv.ContextWithTrace(context.Background(), rootTrace)
 }
 
 // newAuditClient builds an audit client with the tool's trace context
@@ -212,7 +216,7 @@ func runRefresh(paramsPath string, file *deployfile.File, params audit.Params) e
 		return err
 	}
 
-	inv := &rpcInvoker{params: params}
+	inv := newRPCInvoker(params)
 	defer inv.close()
 	if err := blsapp.RunRefreshCeremony(inv, ref, signer); err != nil {
 		return fmt.Errorf("%w\n(the ceremony is safe to re-run: dtclient refresh)", err)
@@ -255,16 +259,13 @@ func runWitnessAudit(params audit.Params, args []string) error {
 	}
 
 	// The head this client saw directly from the monitor.
-	mon, err := dialRPC(*monitorAddr)
-	if err != nil {
-		return fmt.Errorf("dialing monitor: %w", err)
-	}
+	mon := dialRPC(*monitorAddr)
 	defer mon.Close()
 	var info struct {
 		Name   string `json:"name"`
 		BLSKey []byte `json:"bls_key"`
 	}
-	if err := mon.Call("info", struct{}{}, &info); err != nil {
+	if err := mon.CallCtx(rpcCtx(), "info", struct{}{}, &info); err != nil {
 		return fmt.Errorf("monitor identity: %w", err)
 	}
 	srcPK := new(bls.PublicKey)
@@ -272,7 +273,7 @@ func runWitnessAudit(params audit.Params, args []string) error {
 		return fmt.Errorf("monitor BLS key: %w", err)
 	}
 	var head aolog.BLSSignedHead
-	if err := mon.Call("headbls", struct{}{}, &head); err != nil {
+	if err := mon.CallCtx(rpcCtx(), "headbls", struct{}{}, &head); err != nil {
 		return fmt.Errorf("monitor head: %w", err)
 	}
 
@@ -281,12 +282,9 @@ func runWitnessAudit(params audit.Params, args []string) error {
 	ws := &audit.WitnessSet{Quorum: *quorum}
 	for _, addr := range strings.Split(*witnesses, ",") {
 		addr = strings.TrimSpace(addr)
-		wc, err := dialRPC(addr)
-		if err != nil {
-			return fmt.Errorf("dialing witness %s: %w", addr, err)
-		}
+		wc := dialRPC(addr)
 		var wi gossip.WitnessInfo
-		err = wc.Call(gossip.KindWitnessInfo, struct{}{}, &wi)
+		err := wc.CallCtx(rpcCtx(), gossip.KindWitnessInfo, struct{}{}, &wi)
 		wc.Close()
 		if err != nil {
 			return fmt.Errorf("witness %s identity: %w", addr, err)
@@ -402,7 +400,7 @@ func runSign(paramsPath string, file *deployfile.File, params audit.Params, args
 	if *msg == "" {
 		return errors.New("sign needs -msg")
 	}
-	inv := &rpcInvoker{params: params}
+	inv := newRPCInvoker(params)
 	defer inv.close()
 	sig, tk, err := keyWithStaleReload(paramsPath, file, func(tk *bls.ThresholdKey) (*bls.Signature, error) {
 		return blsapp.ThresholdSign(inv, tk, []byte(*msg))
@@ -428,7 +426,7 @@ func runSignBatch(paramsPath string, file *deployfile.File, params audit.Params,
 	for i, m := range msgs {
 		batch[i] = []byte(m)
 	}
-	inv := &rpcInvoker{params: params}
+	inv := newRPCInvoker(params)
 	defer inv.close()
 	sigs, tk, err := keyWithStaleReload(paramsPath, file, func(tk *bls.ThresholdKey) ([]*bls.Signature, error) {
 		return blsapp.ThresholdSignBatch(inv, tk, batch)
@@ -480,36 +478,25 @@ func runStatus(params audit.Params, args []string) error {
 	return nil
 }
 
-// rpcInvoker adapts the deployment's domain list to blsapp.Invoker.
+// rpcInvoker adapts the deployment's domain list to blsapp.Invoker:
+// conns[i] reaches domain i.
 type rpcInvoker struct {
-	params audit.Params
-	conns  []*transport.Client
+	conns []*transport.ManagedClient
 }
 
-func (r *rpcInvoker) NumDomains() int { return len(r.params.Domains) }
-
-// conn lazily dials and caches the connection to domain i.
-func (r *rpcInvoker) conn(i int) (*transport.Client, error) {
-	for len(r.conns) < len(r.params.Domains) {
-		r.conns = append(r.conns, nil)
+func newRPCInvoker(params audit.Params) *rpcInvoker {
+	r := &rpcInvoker{}
+	for _, d := range params.Domains {
+		r.conns = append(r.conns, dialRPC(d.Addr))
 	}
-	if r.conns[i] == nil {
-		c, err := dialRPC(r.params.Domains[i].Addr)
-		if err != nil {
-			return nil, err
-		}
-		r.conns[i] = c
-	}
-	return r.conns[i], nil
+	return r
 }
+
+func (r *rpcInvoker) NumDomains() int { return len(r.conns) }
 
 func (r *rpcInvoker) Invoke(i int, request []byte) ([]byte, error) {
-	c, err := r.conn(i)
-	if err != nil {
-		return nil, err
-	}
 	var resp domain.InvokeResponse
-	if err := c.Call("invoke", domain.InvokeRequest{Request: request}, &resp); err != nil {
+	if err := r.conns[i].CallCtx(rpcCtx(), "invoke", domain.InvokeRequest{Request: request}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Response, nil
@@ -518,12 +505,8 @@ func (r *rpcInvoker) Invoke(i int, request []byte) ([]byte, error) {
 // InvokeBatch ships all requests to domain i in one "invokebatch" RPC
 // frame, making rpcInvoker a blsapp.BatchInvoker.
 func (r *rpcInvoker) InvokeBatch(i int, requests [][]byte) ([][]byte, []string, error) {
-	c, err := r.conn(i)
-	if err != nil {
-		return nil, nil, err
-	}
 	var resp domain.InvokeBatchResponse
-	if err := c.Call("invokebatch", domain.InvokeBatchRequest{Requests: requests}, &resp); err != nil {
+	if err := r.conns[i].CallCtx(rpcCtx(), "invokebatch", domain.InvokeBatchRequest{Requests: requests}, &resp); err != nil {
 		return nil, nil, err
 	}
 	if len(resp.Responses) != len(requests) {
@@ -535,8 +518,6 @@ func (r *rpcInvoker) InvokeBatch(i int, requests [][]byte) ([][]byte, []string, 
 
 func (r *rpcInvoker) close() {
 	for _, c := range r.conns {
-		if c != nil {
-			c.Close()
-		}
+		c.Close()
 	}
 }

@@ -148,8 +148,9 @@ func main() {
 	}
 	// Chaos plane: a seeded schedule makes faults deterministic, so a CI
 	// failure replays locally from the schedule file alone. The injector
-	// hooks every outbound dial, every accepted connection, and the WAL
-	// fsync path; each injection lands on /debug/flight tagged "injected".
+	// wraps the RPC listener (every accepted connection and its I/O) and
+	// the WAL fsync path; each injection lands on /debug/flight tagged
+	// "injected". A nil injector passes everything through.
 	var inj *fault.Injector
 	if *faultSchedule != "" {
 		if !*debugHooks {
@@ -161,8 +162,6 @@ func main() {
 		}
 		inj = fault.Activate(sched, *faultTarget)
 		inj.SetFlightRecorder(fr)
-		transport.SetDialHook(inj.Dial)
-		transport.SetListenerWrap(inj.Listener)
 		logger.Info("chaos plane armed", "schedule", *faultSchedule,
 			"target", *faultTarget, "seed", sched.Seed, "rules", len(sched.Rules))
 	}
@@ -395,7 +394,7 @@ func main() {
 	if err != nil {
 		fatal("listen", "addr", *listen, "err", err)
 	}
-	srv.Serve(ln)
+	srv.Serve(inj.Listener(ln))
 	logger.Info("serving", "addr", ln.Addr().String(), "domains", len(params.Domains),
 		"shards", *shards, "serve_tier", tier != nil, "size", mon.Len())
 	logger.Info("tree-head identity", "ed25519", fmt.Sprintf("%x", mon.PublicKey()),

@@ -57,7 +57,6 @@ import (
 	"repro/internal/sandbox"
 	"repro/internal/store"
 	"repro/internal/tee"
-	"repro/internal/transport"
 )
 
 // logger is the daemon-wide structured logger (component=trustdomaind).
@@ -119,9 +118,12 @@ func main() {
 	dogs := obsv.NewWatchdogSet("trustdomaind", diagDir, fr)
 	dogs.SetLogger(logger)
 
-	// Chaos plane (see cmd/monitord): the process-wide listener wrap
-	// covers every per-domain RPC server core.Deploy starts below, so a
-	// seeded schedule can reset or partition the domains' public surface.
+	// Chaos plane (see cmd/monitord): the injector is handed to
+	// core.Deploy below, which wraps every per-domain RPC listener and
+	// dials its own domain connections through it, so a seeded schedule
+	// can reset or partition the domains' public surface. A nil injector
+	// is plain TCP.
+	var inj *fault.Injector
 	if *faultSchedule != "" {
 		if !*debugHooks {
 			fatal("-fault-schedule requires -debug-hooks")
@@ -130,10 +132,8 @@ func main() {
 		if err != nil {
 			fatal("loading fault schedule", "err", err)
 		}
-		inj := fault.Activate(sched, *faultTarget)
+		inj = fault.Activate(sched, *faultTarget)
 		inj.SetFlightRecorder(fr)
-		transport.SetDialHook(inj.Dial)
-		transport.SetListenerWrap(inj.Listener)
 		logger.Info("chaos plane armed", "schedule", *faultSchedule,
 			"target", *faultTarget, "seed", sched.Seed, "rules", len(sched.Rules))
 	}
@@ -178,7 +178,9 @@ func main() {
 		HostsFor: func(i int) map[string]*sandbox.HostFunc {
 			return blsapp.Hosts(states[i])
 		},
-		Frozen: *frozen,
+		Frozen:       *frozen,
+		Dial:         inj.Dial,
+		WrapListener: inj.Listener,
 	})
 	if err != nil {
 		fatal("deploy", "err", err)

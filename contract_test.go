@@ -1,0 +1,124 @@
+package repro
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The package contracts DESIGN.md states in prose, enforced on the
+// source: who may import whom, and that there is one way to connect.
+
+const internalPrefix = "repro/internal/"
+
+// allowedInternalImports lists, for the packages whose contract bounds
+// them, every repro/internal package their non-test files may import.
+var allowedInternalImports = map[string][]string{
+	"obsv":      nil,
+	"ff":        nil,
+	"sandbox":   nil,
+	"shamir":    nil,
+	"tee":       nil,
+	"transport": {"obsv"},
+	"store":     {"obsv"},
+	"fault":     {"obsv"},
+}
+
+// rawDialers are the transport entry points reserved to the transport
+// package itself and to tests: everything else rides DialManaged.
+var rawDialers = map[string]bool{"Dial": true, "DialTimeout": true, "NewClient": true}
+
+// removedIdents must not come back under any spelling of a declaration
+// or use. They are assembled from halves so this file does not itself
+// trip a text search for them.
+var removedIdents = map[string]bool{
+	"Set" + "DialHook":       true,
+	"Set" + "ListenerWrap":   true,
+	"Dial" + "Context":       true,
+	"Hed" + "ge":             true,
+	"MonitorHead" + "Hedged": true,
+	"Dial" + "Addr":          true,
+}
+
+func TestPackageContracts(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// bench/ is its own module (it may dial raw: that is what it
+			// measures); dot-directories hold no source of ours.
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		checkFile(t, filepath.ToSlash(path), file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func checkFile(t *testing.T, path string, file *ast.File) {
+	isTest := strings.HasSuffix(path, "_test.go")
+	pkg := "" // the internal package this file belongs to, if any
+	if rest, ok := strings.CutPrefix(path, "internal/"); ok {
+		pkg, _, _ = strings.Cut(rest, "/")
+	}
+
+	transportName := "" // local name of the transport import, if any
+	for _, imp := range file.Imports {
+		ipath, _ := strconv.Unquote(imp.Path.Value)
+		target, ok := strings.CutPrefix(ipath, internalPrefix)
+		if !ok {
+			continue
+		}
+		if target == "transport" {
+			transportName = "transport"
+			if imp.Name != nil {
+				transportName = imp.Name.Name
+			}
+		}
+		if isTest {
+			continue
+		}
+		if target == "fault" && pkg != "" {
+			t.Errorf("%s: imports %s; only daemons (cmd/) and tests may — libraries take the injector's Dial/Listener as plain values", path, ipath)
+		}
+		if allowed, bounded := allowedInternalImports[pkg]; bounded && !slices.Contains(allowed, target) {
+			t.Errorf("%s: package %s must not import %s (allowed: %v)", path, pkg, ipath, allowed)
+		}
+	}
+
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if removedIdents[n.Name] {
+				t.Errorf("%s: identifier %s was removed; there is one way to connect (transport.DialManaged)", path, n.Name)
+			}
+		case *ast.SelectorExpr:
+			x, ok := n.X.(*ast.Ident)
+			if ok && !isTest && pkg != "transport" && transportName != "" &&
+				x.Name == transportName && rawDialers[n.Sel.Name] {
+				t.Errorf("%s: uses transport.%s; non-test code outside internal/transport holds a transport.ManagedClient", path, n.Sel.Name)
+			}
+		}
+		return true
+	})
+}

@@ -9,6 +9,7 @@ package audit
 
 import (
 	"bytes"
+	"context"
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/hex"
@@ -189,27 +190,28 @@ type historyCache struct {
 // domain across audits so it can detect equivocation (a domain signing
 // two different heads for the same log length) and rollbacks, and
 // caches each domain's verified history so repeat audits fetch only the
-// delta plus proof material.
+// delta plus proof material. Every domain and witness it talks to is
+// reached through a transport.ManagedClient, which owns the connection
+// (lazy dial, eviction on transport failure, idempotent-only retry,
+// breaker); the Client itself keeps no connection state.
 type Client struct {
 	params Params
 
-	mu      sync.Mutex
-	trace   obsv.TraceContext
-	timeout time.Duration
-	conns   map[string]*transport.Client
-	wconns  map[string]*transport.Client // witness connections, by address
-	last    map[string]AttestedStatusEnvelope
-	hist    map[string]*historyCache
+	mu        sync.Mutex
+	trace     obsv.TraceContext
+	timeout   time.Duration
+	endpoints map[string]*transport.ManagedClient // domains and witnesses, by address
+	last      map[string]AttestedStatusEnvelope
+	hist      map[string]*historyCache
 }
 
 // NewClient creates an audit client for a deployment.
 func NewClient(params Params) *Client {
 	return &Client{
-		params: params,
-		conns:  make(map[string]*transport.Client),
-		wconns: make(map[string]*transport.Client),
-		last:   make(map[string]AttestedStatusEnvelope),
-		hist:   make(map[string]*historyCache),
+		params:    params,
+		endpoints: make(map[string]*transport.ManagedClient),
+		last:      make(map[string]AttestedStatusEnvelope),
+		hist:      make(map[string]*historyCache),
 	}
 }
 
@@ -217,86 +219,52 @@ func NewClient(params Params) *Client {
 func (c *Client) Params() Params { return c.params }
 
 // SetTrace makes every RPC this client issues carry tc (each call gets
-// a fresh child span id). Connections already cached pick it up too, so
-// one sampled audit is followable across every daemon it touches.
+// a fresh child span id), so one sampled audit is followable across
+// every daemon it touches.
 func (c *Client) SetTrace(tc obsv.TraceContext) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.trace = tc
-	for _, conn := range c.conns {
-		conn.SetTrace(tc)
-	}
-	for _, conn := range c.wconns {
-		conn.SetTrace(tc)
-	}
 }
 
-// SetCallTimeout bounds every RPC this client issues with a per-call
-// deadline (0 restores context-only deadlines). Cached connections pick
-// it up too.
+// SetCallTimeout bounds every RPC this client issues — connect, send,
+// and any retries together — with a per-call deadline (0 restores the
+// transport's connect timeout alone).
 func (c *Client) SetCallTimeout(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.timeout = d
-	for _, conn := range c.conns {
-		conn.SetTimeout(d)
-	}
-	for _, conn := range c.wconns {
-		conn.SetTimeout(d)
-	}
 }
 
-// Close closes all cached connections.
+// Close releases every connection. The client stays usable: a later
+// call dials afresh.
 func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, conn := range c.conns {
-		conn.Close()
+	for _, m := range c.endpoints {
+		m.Close()
 	}
-	c.conns = make(map[string]*transport.Client)
-	for _, conn := range c.wconns {
-		conn.Close()
-	}
-	c.wconns = make(map[string]*transport.Client)
+	c.endpoints = make(map[string]*transport.ManagedClient)
 }
 
-func (c *Client) conn(info *DomainInfo) (*transport.Client, error) {
+// call issues one RPC to the endpoint at addr under the client's trace
+// and per-call deadline.
+func (c *Client) call(addr, kind string, in, out any) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if conn, ok := c.conns[info.Name]; ok {
-		return conn, nil
+	m := c.endpoints[addr]
+	if m == nil {
+		m = transport.DialManaged(addr, transport.ManagedOptions{})
+		c.endpoints[addr] = m
 	}
-	conn, err := transport.Dial(info.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("audit: dialing domain %s: %w", info.Name, err)
-	}
-	conn.SetTrace(c.trace)
-	conn.SetTimeout(c.timeout)
-	c.conns[info.Name] = conn
-	return conn, nil
-}
-
-// dropConn evicts and closes a cached domain connection after a
-// transport-level failure. Without eviction a single reset poisons the
-// cache entry forever: every later audit of that domain reuses the dead
-// (possibly mid-frame) connection and fails, and the half-open socket
-// leaks until Close. Evicting lets the next call redial. The identity
-// check keeps a concurrent caller's fresh replacement alive.
-func (c *Client) dropConn(name string, conn *transport.Client) {
-	c.mu.Lock()
-	if c.conns[name] == conn {
-		delete(c.conns, name)
-	}
+	ctx := obsv.ContextWithTrace(context.Background(), c.trace)
+	timeout := c.timeout
 	c.mu.Unlock()
-	conn.Close()
-}
-
-// isTransportErr distinguishes connection-level failures (the conn is
-// broken or desynchronized and must be dropped) from server-answered
-// errors (the conn is healthy; the request failed).
-func isTransportErr(err error) bool {
-	var remote *transport.ErrRemote
-	return err != nil && !errors.As(err, &remote)
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	return m.CallCtx(ctx, kind, in, out)
 }
 
 func newNonce() ([]byte, error) {
@@ -313,19 +281,12 @@ func (c *Client) FetchStatus(name string) (*AttestedStatusEnvelope, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn, err := c.conn(info)
-	if err != nil {
-		return nil, err
-	}
 	nonce, err := newNonce()
 	if err != nil {
 		return nil, err
 	}
 	var resp domain.StatusResponse
-	if err := conn.Call("status", domain.StatusRequest{Nonce: nonce}, &resp); err != nil {
-		if isTransportErr(err) {
-			c.dropConn(name, conn)
-		}
+	if err := c.call(info.Addr, "status", domain.StatusRequest{Nonce: nonce}, &resp); err != nil {
 		return nil, fmt.Errorf("audit: status from %s: %w", name, err)
 	}
 	env := &AttestedStatusEnvelope{Nonce: nonce, Resp: resp}
@@ -349,19 +310,12 @@ func (c *Client) FetchHistoryFrom(name string, from int) (*AttestedHistoryEnvelo
 	if err != nil {
 		return nil, err
 	}
-	conn, err := c.conn(info)
-	if err != nil {
-		return nil, err
-	}
 	nonce, err := newNonce()
 	if err != nil {
 		return nil, err
 	}
 	var resp domain.HistoryResponse
-	if err := conn.Call("history", domain.HistoryRequest{Nonce: nonce, From: from}, &resp); err != nil {
-		if isTransportErr(err) {
-			c.dropConn(name, conn)
-		}
+	if err := c.call(info.Addr, "history", domain.HistoryRequest{Nonce: nonce, From: from}, &resp); err != nil {
 		return nil, fmt.Errorf("audit: history from %s: %w", name, err)
 	}
 	env := &AttestedHistoryEnvelope{Nonce: nonce, Resp: resp}

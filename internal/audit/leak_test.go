@@ -23,6 +23,7 @@ type dropThenErrServer struct {
 
 	mu    sync.Mutex
 	conns int
+	kinds []string // kind of every request read, in order
 	wg    sync.WaitGroup
 }
 
@@ -48,6 +49,12 @@ func (s *dropThenErrServer) dials() int {
 	return s.conns
 }
 
+func (s *dropThenErrServer) seenKinds() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.kinds...)
+}
+
 func (s *dropThenErrServer) loop() {
 	defer s.wg.Done()
 	for {
@@ -68,12 +75,15 @@ func (s *dropThenErrServer) loop() {
 				if err != nil {
 					return
 				}
-				if dropIt {
-					return // close mid-call: transport failure
-				}
 				var req transport.Request
 				if err := json.Unmarshal(frame, &req); err != nil {
 					return
+				}
+				s.mu.Lock()
+				s.kinds = append(s.kinds, req.Kind)
+				s.mu.Unlock()
+				if dropIt {
+					return // close mid-call: transport failure
 				}
 				out, _ := json.Marshal(&transport.Response{ID: req.ID, OK: false, Error: "always refused"})
 				if err := transport.WriteFrame(c, out); err != nil {
@@ -85,42 +95,37 @@ func (s *dropThenErrServer) loop() {
 }
 
 // TestClientEvictsBrokenConns is the connection-hygiene test for
-// audit.Client: a transport failure evicts the cached connection (so the
-// next call redials instead of reusing a dead socket), while a
-// server-answered error keeps the healthy connection cached.
+// audit.Client: a transport failure evicts the connection (the managed
+// endpoint redials instead of reusing a dead socket — for the idempotent
+// status read, inside the same call), while a server-answered error
+// keeps the healthy connection.
 func TestClientEvictsBrokenConns(t *testing.T) {
 	srv := startDropThenErrServer(t)
-	params := Params{Domains: []DomainInfo{{Name: "d", Addr: srv.ln.Addr().String()}}}
+	addr := srv.ln.Addr().String()
+	params := Params{Domains: []DomainInfo{{Name: "d", Addr: addr}}}
 	c := NewClient(params)
 	defer c.Close()
 
-	// Call 1: the server kills the connection mid-call.
-	if _, err := c.FetchStatus("d"); err == nil {
-		t.Fatal("FetchStatus over a dropped connection returned nil")
-	}
-	c.mu.Lock()
-	cached := len(c.conns)
-	c.mu.Unlock()
-	if cached != 0 {
-		t.Fatalf("%d broken connection(s) still cached after a transport failure", cached)
-	}
-
-	// Call 2: the client must redial; this connection answers with a
-	// remote error, which must NOT evict.
+	// Call 1: the server kills the connection mid-call. The broken
+	// connection must be evicted and the read retried on a fresh one,
+	// which answers with the remote refusal.
 	_, err := c.FetchStatus("d")
 	if err == nil || !strings.Contains(err.Error(), "always refused") {
-		t.Fatalf("second FetchStatus = %v, want the remote refusal (proving a redial happened)", err)
+		t.Fatalf("FetchStatus over a dropped connection = %v, want the remote refusal (proving a redial happened)", err)
 	}
 	c.mu.Lock()
-	cached = len(c.conns)
+	m := c.endpoints[addr]
 	c.mu.Unlock()
-	if cached != 1 {
-		t.Fatalf("healthy connection not kept cached after a remote error (cached=%d)", cached)
+	if dials, retries, _ := m.Stats(); dials != 2 || retries != 1 {
+		t.Fatalf("dials=%d retries=%d after one reset, want 2 and 1", dials, retries)
 	}
 
-	// Call 3 rides the cached connection: no third dial.
-	if _, err := c.FetchStatus("d"); err == nil {
-		t.Fatal("third FetchStatus returned nil")
+	// Calls 2 and 3: remote errors must NOT evict — both ride the
+	// connection call 1 ended on.
+	for i := 2; i <= 3; i++ {
+		if _, err := c.FetchStatus("d"); err == nil || !strings.Contains(err.Error(), "always refused") {
+			t.Fatalf("FetchStatus #%d = %v, want the remote refusal", i, err)
+		}
 	}
 	if d := srv.dials(); d != 2 {
 		t.Fatalf("server saw %d connections, want 2 (evict+redial once, then reuse)", d)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bls"
 	"repro/internal/gossip"
-	"repro/internal/transport"
 )
 
 // WitnessEndpoint is one pinned witness an audit client pollinates with.
@@ -36,34 +35,6 @@ func (ws *WitnessSet) Keys() []*bls.PublicKey {
 	return keys
 }
 
-// wconn lazily dials and caches a witness connection.
-func (c *Client) wconn(addr string) (*transport.Client, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if conn, ok := c.wconns[addr]; ok {
-		return conn, nil
-	}
-	conn, err := transport.Dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("audit: dialing witness %s: %w", addr, err)
-	}
-	conn.SetTrace(c.trace)
-	conn.SetTimeout(c.timeout)
-	c.wconns[addr] = conn
-	return conn, nil
-}
-
-// dropWconn evicts and closes a cached witness connection after a
-// transport failure, mirroring dropConn for domain connections.
-func (c *Client) dropWconn(addr string, conn *transport.Client) {
-	c.mu.Lock()
-	if c.wconns[addr] == conn {
-		delete(c.wconns, addr)
-	}
-	c.mu.Unlock()
-	conn.Close()
-}
-
 // Pollinate submits the heads this client has seen to every configured
 // witness and returns each witness's response (its cosigned frontier and
 // any equivocation proofs). Unreachable witnesses are skipped; an error
@@ -76,18 +47,8 @@ func (c *Client) Pollinate(ws *WitnessSet, seen []gossip.GossipHead) ([]*gossip.
 	var resps []*gossip.HeadsResponse
 	var firstErr error
 	for i := range ws.Witnesses {
-		conn, err := c.wconn(ws.Witnesses[i].Addr)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
 		var resp gossip.HeadsResponse
-		if err := conn.Call(gossip.KindPollinate, msg, &resp); err != nil {
-			if isTransportErr(err) {
-				c.dropWconn(ws.Witnesses[i].Addr, conn)
-			}
+		if err := c.call(ws.Witnesses[i].Addr, gossip.KindPollinate, msg, &resp); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("audit: pollinating %s: %w", ws.Witnesses[i].Name, err)
 			}

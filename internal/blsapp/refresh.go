@@ -10,6 +10,7 @@ import (
 	"repro/internal/bls"
 	"repro/internal/bls12381"
 	"repro/internal/ff"
+	"repro/internal/transport"
 )
 
 // Refresh ceremony wire format. The coordinator (the dealer of the
@@ -214,7 +215,11 @@ func RunRefreshCeremony(inv Invoker, ref *bls.Refresh, signer RefreshSigner) (er
 			var lastErr error
 			for a := 0; a < ceremonyRetries; a++ {
 				resp, lastErr = inv.Invoke(i, reqs[i])
-				if lastErr == nil {
+				// Only a failure the domain answered is retried here. A
+				// broken link is not: the frame may have been applied, and
+				// re-sending is the durable re-drive's job, not this call's.
+				var answered *transport.ErrRemote
+				if lastErr == nil || !errors.As(lastErr, &answered) {
 					break
 				}
 			}

@@ -15,6 +15,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"net"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/domain"
@@ -47,16 +49,18 @@ type Config struct {
 	HostsFor func(i int) map[string]*sandbox.HostFunc
 	// Frozen disables updates on every domain (§3.3's hardening option).
 	Frozen bool
+	// Dial opens the deployment's own connections to its domains and
+	// WrapListener wraps every domain's RPC listener; nil means plain
+	// TCP. The chaos plane passes fault.Injector's Dial and Listener.
+	Dial         func(addr string, timeout time.Duration) (net.Conn, error)
+	WrapListener func(net.Listener) net.Listener
 }
 
 // Deployment is a running distributed-trust deployment.
 type Deployment struct {
-	cfg     Config
 	domains []*domain.Domain
+	conns   []*transport.ManagedClient // conns[i] reaches domains[i]
 	params  audit.Params
-
-	mu    chan struct{} // semaphore-style guard for conns map
-	conns map[string]*transport.Client
 }
 
 // Deploy bootstraps a deployment: provisions TEEs, starts every trust
@@ -75,11 +79,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 		return nil, errors.New("core: initial application module required")
 	}
 
-	d := &Deployment{
-		cfg:   cfg,
-		mu:    make(chan struct{}, 1),
-		conns: make(map[string]*transport.Client),
-	}
+	d := &Deployment{}
 	d.params = audit.Params{
 		Roots:       cfg.Roots,
 		Measurement: framework.Measure(cfg.Developer.PublicKey()),
@@ -107,6 +107,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 			DeveloperKey:     cfg.Developer.PublicKey(),
 			Hosts:            hosts,
 			FrameworkOptions: fwOpts,
+			WrapListener:     cfg.WrapListener,
 		})
 		if err != nil {
 			d.Close()
@@ -118,6 +119,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 			return nil, fmt.Errorf("core: installing app on %s: %w", name, err)
 		}
 		d.domains = append(d.domains, dom)
+		d.conns = append(d.conns, transport.DialManaged(dom.Addr(), transport.ManagedOptions{Dial: cfg.Dial}))
 		d.params.Domains = append(d.params.Domains, audit.DomainInfo{
 			Name:    dom.Name(),
 			Addr:    dom.Addr(),
@@ -142,33 +144,14 @@ func (d *Deployment) AuditClient() *audit.Client {
 	return audit.NewClient(d.params)
 }
 
-func (d *Deployment) conn(i int) (*transport.Client, error) {
-	name := d.domains[i].Name()
-	d.mu <- struct{}{}
-	defer func() { <-d.mu }()
-	if c, ok := d.conns[name]; ok {
-		return c, nil
-	}
-	c, err := transport.Dial(d.domains[i].Addr())
-	if err != nil {
-		return nil, fmt.Errorf("core: dialing %s: %w", name, err)
-	}
-	d.conns[name] = c
-	return c, nil
-}
-
 // Invoke sends an application request to domain i over the network path
 // (through the host proxy and in-enclave socket for TEE domains).
 func (d *Deployment) Invoke(i int, request []byte) ([]byte, error) {
 	if i < 0 || i >= len(d.domains) {
 		return nil, fmt.Errorf("core: domain index %d out of range", i)
 	}
-	c, err := d.conn(i)
-	if err != nil {
-		return nil, err
-	}
 	var resp domain.InvokeResponse
-	if err := c.Call("invoke", domain.InvokeRequest{Request: request}, &resp); err != nil {
+	if err := d.conns[i].Call("invoke", domain.InvokeRequest{Request: request}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Response, nil
@@ -181,12 +164,8 @@ func (d *Deployment) InvokeBatch(i int, requests [][]byte) ([][]byte, []string, 
 	if i < 0 || i >= len(d.domains) {
 		return nil, nil, fmt.Errorf("core: domain index %d out of range", i)
 	}
-	c, err := d.conn(i)
-	if err != nil {
-		return nil, nil, err
-	}
 	var resp domain.InvokeBatchResponse
-	if err := c.Call("invokebatch", domain.InvokeBatchRequest{Requests: requests}, &resp); err != nil {
+	if err := d.conns[i].Call("invokebatch", domain.InvokeBatchRequest{Requests: requests}, &resp); err != nil {
 		return nil, nil, err
 	}
 	if len(resp.Responses) != len(requests) {
@@ -198,10 +177,13 @@ func (d *Deployment) InvokeBatch(i int, requests [][]byte) ([][]byte, []string, 
 // InvokeAll sends requests[i] to domain i for every domain in one
 // ceremony round: unlike threshold signing, where any t of n answers
 // suffice, a multi-party state transition (e.g. a proactive share
-// refresh) needs EVERY domain, so per-domain failures are retried up to
-// retries extra times and the first domain that still fails aborts the
-// call. Partial progress is expected to be safe: ceremony payloads must
-// be idempotent so an aborted round can simply be re-driven.
+// refresh) needs EVERY domain, so a failure the domain ANSWERED is
+// retried up to retries extra times and the first domain that still
+// fails aborts the call. A transport failure aborts at once: the managed
+// connection already retried what was safe (dials), and an invoke whose
+// response was lost is never re-sent within the call. Partial progress
+// is expected to be safe: ceremony payloads must be idempotent so an
+// aborted round can simply be re-driven.
 func (d *Deployment) InvokeAll(requests [][]byte, retries int) ([][]byte, error) {
 	if len(requests) != len(d.domains) {
 		return nil, fmt.Errorf("core: %d ceremony requests for %d domains", len(requests), len(d.domains))
@@ -212,7 +194,8 @@ func (d *Deployment) InvokeAll(requests [][]byte, retries int) ([][]byte, error)
 		var err error
 		for attempt := 0; attempt <= retries; attempt++ {
 			resp, err = d.Invoke(i, requests[i])
-			if err == nil {
+			var answered *transport.ErrRemote
+			if err == nil || !errors.As(err, &answered) {
 				break
 			}
 		}
@@ -245,17 +228,13 @@ func (d *Deployment) PushUpdateTo(i int, su framework.SignedUpdate, stageOnly bo
 }
 
 func (d *Deployment) pushUpdateTo(i int, su framework.SignedUpdate, stageOnly bool) error {
-	c, err := d.conn(i)
-	if err != nil {
-		return err
-	}
 	req := domain.UpdateRequest{
 		Version:     su.Version,
 		ModuleBytes: su.ModuleBytes,
 		DevSig:      su.DevSig,
 		StageOnly:   stageOnly,
 	}
-	if err := c.Call("update", req, nil); err != nil {
+	if err := d.conns[i].Call("update", req, nil); err != nil {
 		return fmt.Errorf("core: updating %s: %w", d.domains[i].Name(), err)
 	}
 	return nil
@@ -263,24 +242,17 @@ func (d *Deployment) pushUpdateTo(i int, su framework.SignedUpdate, stageOnly bo
 
 // Activate activates a previously staged update on domain i.
 func (d *Deployment) Activate(i int) error {
-	c, err := d.conn(i)
-	if err != nil {
-		return err
-	}
-	if err := c.Call("activate", struct{}{}, nil); err != nil {
+	if err := d.conns[i].Call("activate", struct{}{}, nil); err != nil {
 		return fmt.Errorf("core: activating on %s: %w", d.domains[i].Name(), err)
 	}
 	return nil
 }
 
-// Close shuts down every domain and cached connection.
+// Close shuts down every domain and the deployment's connections.
 func (d *Deployment) Close() {
-	d.mu <- struct{}{}
 	for _, c := range d.conns {
 		c.Close()
 	}
-	d.conns = map[string]*transport.Client{}
-	<-d.mu
 	for _, dom := range d.domains {
 		dom.Close()
 	}

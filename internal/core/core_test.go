@@ -1,6 +1,7 @@
 package core
 
 import (
+	"net"
 	"testing"
 
 	"repro/internal/audit"
@@ -15,6 +16,13 @@ import (
 // without TEE), heterogeneous vendors, the BLS threshold app with a 2-of-3
 // key split.
 func deployBLS(t *testing.T, frozen bool) (*Deployment, *bls.ThresholdKey, *framework.Developer) {
+	t.Helper()
+	return deployBLSWrapped(t, frozen, nil)
+}
+
+// deployBLSWrapped is deployBLS with every domain's RPC listener passed
+// through wrap (nil = plain TCP).
+func deployBLSWrapped(t *testing.T, frozen bool, wrap func(net.Listener) net.Listener) (*Deployment, *bls.ThresholdKey, *framework.Developer) {
 	t.Helper()
 	dev, err := framework.NewDeveloper()
 	if err != nil {
@@ -42,7 +50,8 @@ func deployBLS(t *testing.T, frozen bool) (*Deployment, *bls.ThresholdKey, *fram
 		HostsFor: func(i int) map[string]*sandbox.HostFunc {
 			return blsapp.Hosts(blsapp.NewShareStateWithKey(shares[i], tk, dev.PublicKey()))
 		},
-		Frozen: frozen,
+		Frozen:       frozen,
+		WrapListener: wrap,
 	})
 	if err != nil {
 		t.Fatal(err)

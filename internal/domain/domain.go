@@ -171,6 +171,9 @@ type Config struct {
 	Hosts map[string]*sandbox.HostFunc
 	// FrameworkOptions are passed through to framework.New.
 	FrameworkOptions []framework.Option
+	// WrapListener, when set, wraps the domain's RPC listener (the chaos
+	// plane passes fault.Injector.Listener); nil serves plain TCP.
+	WrapListener func(net.Listener) net.Listener
 }
 
 // Domain is a running trust domain.
@@ -236,10 +239,15 @@ func Start(cfg Config) (*Domain, error) {
 
 	d.enclaveServer = transport.NewServer()
 	d.registerHandlers()
-	enclaveAddr, err := d.enclaveServer.ListenAndServe()
+	enclaveLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("domain %s: enclave server: %w", cfg.Name, err)
 	}
+	enclaveAddr := enclaveLn.Addr().String()
+	if cfg.WrapListener != nil {
+		enclaveLn = cfg.WrapListener(enclaveLn)
+	}
+	d.enclaveServer.Serve(enclaveLn)
 
 	if d.hasTEE {
 		// Host-side proxy: the first additional socket hop.

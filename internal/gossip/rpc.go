@@ -134,34 +134,19 @@ func (w *Witness) Register(srv *transport.Server) {
 	})
 }
 
-// Caller is the minimal client surface a Peer needs: one blocking RPC
-// plus Close. Both *transport.Client (a single fragile connection) and
-// *transport.ManagedClient (self-healing: reconnect, retry/backoff,
-// circuit breaker) satisfy it, so a deployment chooses its resilience
-// per peer without touching the gossip layer. Every Peer RPC kind is
-// idempotent (gossip merges are monotone), so the managed client's
-// retry policy is safe here by construction.
-type Caller interface {
-	Call(kind string, args, reply any) error
-	Close() error
-}
-
-// Peer is the client side of another witness's RPC surface.
+// Peer is the client side of another witness's RPC surface. It rides a
+// managed client (reconnect, retry/backoff, circuit breaker): every
+// Peer RPC kind is idempotent — gossip merges are monotone — so the
+// managed retry policy is safe here by construction.
 type Peer struct {
-	c Caller
+	c *transport.ManagedClient
 }
 
-// DialPeer connects to a witness at addr over a single plain connection.
-func DialPeer(addr string) (*Peer, error) {
-	c, err := transport.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Peer{c: c}, nil
+// DialPeer returns a Peer for the witness at addr. No connection is
+// made until the first call.
+func DialPeer(addr string, opts transport.ManagedOptions) *Peer {
+	return &Peer{c: transport.DialManaged(addr, opts)}
 }
-
-// NewPeer wraps an existing client (plain or managed).
-func NewPeer(c Caller) *Peer { return &Peer{c: c} }
 
 // Close closes the connection.
 func (p *Peer) Close() error { return p.c.Close() }

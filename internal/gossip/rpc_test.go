@@ -1,6 +1,9 @@
 package gossip
 
 import (
+	"bytes"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/bls"
@@ -23,10 +26,7 @@ func startWitness(t *testing.T, w *Witness) string {
 
 func dialPeer(t *testing.T, addr string) *Peer {
 	t.Helper()
-	p, err := DialPeer(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := DialPeer(addr, transport.ManagedOptions{})
 	t.Cleanup(func() { p.Close() })
 	return p
 }
@@ -101,5 +101,66 @@ func TestCosignRPC(t *testing.T) {
 		t.Fatal(err)
 	} else if resp2.Error == "" || resp2.Accepted {
 		t.Fatalf("unknown source cosigned: %+v", resp2)
+	}
+}
+
+// sortCosigs puts each head's cosignatures (served in map order) into
+// witness-key order so two responses compare by content.
+func sortCosigs(r *HeadsResponse) {
+	for i := range r.Heads {
+		cos := r.Heads[i].Cosigs
+		sort.Slice(cos, func(a, b int) bool { return bytes.Compare(cos[a].Witness, cos[b].Witness) < 0 })
+	}
+}
+
+// TestManagedPeerMatchesRawClient is the differential check for the
+// witness-to-witness path: on a fault-free link a gossip Round over
+// managed peers costs one dial per peer and no retries, and once the
+// round has converged a peer answers a managed exchange exactly as it
+// answers the same frame over a raw single connection.
+func TestManagedPeerMatchesRawClient(t *testing.T) {
+	src := newSourceLog(t, "mon", 4, 8)
+	w1 := newTestWitness(t, "w1", []*sourceLog{src})
+	w2 := newTestWitness(t, "w2", []*sourceLog{src}, w1)
+	w3 := newTestWitness(t, "w3", []*sourceLog{src}, w1, w2)
+	head := src.head()
+	for _, w := range []*Witness{w1, w2, w3} {
+		if res := w.Ingest("mon", head, nil); !res.Accepted {
+			t.Fatalf("%s rejected the honest head: %+v", w.Name(), res)
+		}
+	}
+	addrs := []string{startWitness(t, w2), startWitness(t, w3)}
+	peers := []*Peer{dialPeer(t, addrs[0]), dialPeer(t, addrs[1])}
+
+	sum, err := w1.Round(peers)
+	if err != nil || sum.Peers != 2 || sum.NewProofs != 0 {
+		t.Fatalf("round: %+v, %v", sum, err)
+	}
+	// Gossip merges are monotone, so replaying w1's frontier is a no-op
+	// on the peers and their answers are a fixpoint.
+	msg := &HeadsMessage{From: w1.Name(), Heads: w1.FrontierHeads()}
+	for i, p := range peers {
+		got, err := p.GossipHeads(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := transport.Dial(addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want HeadsResponse
+		err = raw.Call(KindGossipHeads, msg, &want)
+		raw.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortCosigs(got)
+		sortCosigs(&want)
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("peer %d: managed exchange differs from the raw client's", i)
+		}
+		if dials, retries, rejected := p.c.Stats(); dials != 1 || retries != 0 || rejected != 0 {
+			t.Fatalf("peer %d: dials=%d retries=%d rejected=%d, want 1/0/0", i, dials, retries, rejected)
+		}
 	}
 }

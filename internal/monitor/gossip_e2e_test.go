@@ -165,10 +165,7 @@ func TestGossipConvictsForkedMonitor(t *testing.T) {
 	}
 	var peers []*gossip.Peer
 	for _, w := range []*gossip.Witness{w2, w3} {
-		p, err := gossip.DialPeer(srvAddrs[w])
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := gossip.DialPeer(srvAddrs[w], transport.ManagedOptions{})
 		defer p.Close()
 		peers = append(peers, p)
 	}

@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// This file is the self-healing client layer. A raw Client is a single
-// fragile connection: one reset, timeout, or mid-frame failure and it is
-// dead forever. ManagedClient wraps one endpoint with the full
+// This file is the self-healing client layer, and the one way non-test
+// code outside this package talks to a fixed endpoint. A raw Client is a
+// single fragile connection: one reset, timeout, or mid-frame failure
+// and it is dead forever. ManagedClient wraps one endpoint with the full
 // reliability kit — lazy (re)connect with a connect timeout, per-call
 // deadlines, exponential backoff with full jitter, a circuit breaker,
 // and an idempotency table so only safe RPC kinds are ever re-sent.
@@ -27,69 +30,32 @@ import (
 // breaker is open and the call was not attempted.
 var ErrCircuitOpen = errors.New("transport: circuit open")
 
-// ManagedOptions tunes a ManagedClient. The zero value is usable: see
-// the field comments for defaults.
+// ManagedOptions is what a caller may choose per endpoint. The zero
+// value is usable. Everything else about the policy — attempts, backoff,
+// breaker, idempotency table — is fixed (see the constants below): no
+// caller has needed a second value.
 type ManagedOptions struct {
 	// ConnectTimeout bounds each dial (default DefaultDialTimeout).
 	ConnectTimeout time.Duration
-	// CallTimeout is the default per-call deadline applied to every call
+	// CallTimeout is the per-attempt deadline applied to every call
 	// without an earlier context deadline (default 0: context only).
 	CallTimeout time.Duration
-	// MaxAttempts caps tries per call, dial and send together
-	// (default 4; 1 disables retry).
-	MaxAttempts int
-	// BaseDelay seeds the exponential backoff (default 25ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 1s).
-	MaxDelay time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens the
-	// circuit (default 5; negative disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit waits before allowing
-	// a half-open probe (default 1s).
-	BreakerCooldown time.Duration
-	// Idempotent lists the RPC kinds safe to re-send after a
-	// post-send transport failure (default DefaultIdempotent()).
-	Idempotent map[string]bool
-	// Rand supplies backoff jitter in [0,1) (default math/rand; tests
-	// pin it for determinism).
-	Rand func() float64
 	// OnRetry, when set, observes every retry: attempt is the 1-based
 	// attempt that failed, err is its failure.
 	OnRetry func(kind string, attempt int, err error)
-	// Configure, when set, runs on every freshly dialed Client before
-	// use (install tracer/trace, etc).
-	Configure func(*Client)
+	// Dial opens the connection (default net.DialTimeout over TCP). The
+	// chaos plane passes fault.Injector.Dial here.
+	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
-func (o *ManagedOptions) withDefaults() ManagedOptions {
-	out := *o
-	if out.ConnectTimeout <= 0 {
-		out.ConnectTimeout = DefaultDialTimeout
-	}
-	if out.MaxAttempts <= 0 {
-		out.MaxAttempts = 4
-	}
-	if out.BaseDelay <= 0 {
-		out.BaseDelay = 25 * time.Millisecond
-	}
-	if out.MaxDelay <= 0 {
-		out.MaxDelay = time.Second
-	}
-	if out.BreakerThreshold == 0 {
-		out.BreakerThreshold = 5
-	}
-	if out.BreakerCooldown <= 0 {
-		out.BreakerCooldown = time.Second
-	}
-	if out.Idempotent == nil {
-		out.Idempotent = DefaultIdempotent()
-	}
-	if out.Rand == nil {
-		out.Rand = rand.Float64
-	}
-	return out
-}
+// The retry and breaker policy every ManagedClient runs.
+const (
+	maxAttempts      = 4                     // tries per call, dial and send together
+	baseDelay        = 25 * time.Millisecond // seeds the exponential backoff
+	maxDelay         = time.Second           // caps the backoff
+	breakerThreshold = 5                     // consecutive failures that open the circuit
+	breakerCooldown  = time.Second           // open time before a half-open probe
+)
 
 // DefaultIdempotent is the repo-wide idempotency table: read-only RPC
 // kinds across transport, serve, gossip, domain, and blsapp surfaces.
@@ -112,12 +78,12 @@ func DefaultIdempotent() map[string]bool {
 	}
 }
 
-// Breaker is a per-endpoint circuit breaker:
-// Closed (normal) → Open after BreakerThreshold consecutive failures
-// (calls fail fast with ErrCircuitOpen, shedding load from a dead
-// endpoint) → HalfOpen after the cooldown (exactly one probe call is
-// allowed through) → Closed on probe success, back to Open on failure.
-type Breaker struct {
+// breaker is a per-endpoint circuit breaker:
+// Closed (normal) → Open after threshold consecutive failures (calls
+// fail fast with ErrCircuitOpen, shedding load from a dead endpoint) →
+// HalfOpen after the cooldown (exactly one probe call is allowed
+// through) → Closed on probe success, back to Open on failure.
+type breaker struct {
 	mu        sync.Mutex
 	threshold int
 	cooldown  time.Duration
@@ -126,33 +92,13 @@ type Breaker struct {
 	probing   bool
 }
 
-// NewBreaker creates a breaker; threshold < 0 disables it (always
-// allows).
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	return &Breaker{threshold: threshold, cooldown: cooldown}
-}
-
-// State reports the breaker state as a string ("closed", "open",
-// "half-open") for health surfaces.
-func (b *Breaker) State() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.failures < b.threshold || b.threshold < 0 {
-		return "closed"
-	}
-	if time.Now().Before(b.openUntil) {
-		return "open"
-	}
-	return "half-open"
-}
-
-// Allow reports whether a call may proceed. In half-open state only one
+// allow reports whether a call may proceed. In half-open state only one
 // caller at a time gets true; the rest fail fast until the probe
 // resolves.
-func (b *Breaker) Allow() bool {
+func (b *breaker) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.threshold < 0 || b.failures < b.threshold {
+	if b.failures < b.threshold {
 		return true
 	}
 	if time.Now().Before(b.openUntil) {
@@ -165,22 +111,22 @@ func (b *Breaker) Allow() bool {
 	return true
 }
 
-// Success records a successful call and closes the circuit.
-func (b *Breaker) Success() {
+// success records a successful call and closes the circuit.
+func (b *breaker) success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.failures = 0
 	b.probing = false
 }
 
-// Failure records a failed call; at the threshold the circuit opens for
+// failure records a failed call; at the threshold the circuit opens for
 // the cooldown.
-func (b *Breaker) Failure() {
+func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.failures++
 	b.probing = false
-	if b.threshold >= 0 && b.failures >= b.threshold {
+	if b.failures >= b.threshold {
 		b.openUntil = time.Now().Add(b.cooldown)
 	}
 }
@@ -191,45 +137,59 @@ func (b *Breaker) Failure() {
 type ManagedClient struct {
 	addr string
 	opts ManagedOptions
-	brk  *Breaker
+	brk  breaker
+
+	// Policy, fixed at construction; in-package tests shorten it.
+	maxAttempts int
+	baseDelay   time.Duration
+	maxDelay    time.Duration
+	idempotent  map[string]bool
+	jitter      func() float64 // in [0,1)
 
 	mu       sync.Mutex
 	conn     *Client
 	isClosed bool
 
-	statsMu  sync.Mutex
-	dials    uint64
-	retries  uint64
-	rejected uint64 // calls shed by the open breaker
+	dials    atomic.Uint64
+	retries  atomic.Uint64
+	rejected atomic.Uint64 // calls shed by the open breaker
 }
+
+var errManagedClosed = errors.New("transport: managed client closed")
+
+// idempotentKinds is the table every ManagedClient consults; it is
+// never written after init.
+var idempotentKinds = DefaultIdempotent()
 
 // DialManaged creates a managed client for addr. No connection is made
 // until the first call, so construction never fails — a down endpoint
 // costs its callers a retried error, not a startup crash.
 func DialManaged(addr string, opts ManagedOptions) *ManagedClient {
-	o := opts.withDefaults()
+	if opts.ConnectTimeout <= 0 {
+		opts.ConnectTimeout = DefaultDialTimeout
+	}
+	if opts.Dial == nil {
+		opts.Dial = dialTCP
+	}
 	return &ManagedClient{
-		addr: addr,
-		opts: o,
-		brk:  NewBreaker(o.BreakerThreshold, o.BreakerCooldown),
+		addr:        addr,
+		opts:        opts,
+		brk:         breaker{threshold: breakerThreshold, cooldown: breakerCooldown},
+		maxAttempts: maxAttempts,
+		baseDelay:   baseDelay,
+		maxDelay:    maxDelay,
+		idempotent:  idempotentKinds,
+		jitter:      rand.Float64,
 	}
 }
 
-// Addr returns the endpoint address.
-func (m *ManagedClient) Addr() string { return m.addr }
-
-// Breaker exposes the endpoint's circuit breaker (for health surfaces).
-func (m *ManagedClient) Breaker() *Breaker { return m.brk }
-
 // Stats reports lifetime dial, retry, and breaker-rejection counts.
 func (m *ManagedClient) Stats() (dials, retries, rejected uint64) {
-	m.statsMu.Lock()
-	defer m.statsMu.Unlock()
-	return m.dials, m.retries, m.rejected
+	return m.dials.Load(), m.retries.Load(), m.rejected.Load()
 }
 
 // Close closes the current connection and marks the client closed;
-// subsequent calls fail.
+// subsequent calls fail. It never waits behind an in-flight dial.
 func (m *ManagedClient) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -242,15 +202,19 @@ func (m *ManagedClient) Close() error {
 	return nil
 }
 
-// getConn returns the live connection, dialing if needed.
+// getConn returns the live connection, dialing if needed. The dial runs
+// outside m.mu so one black-holed peer cannot stall Close or concurrent
+// callers for the connect timeout; callers that race to dial each open
+// a connection and all but the first to finish close theirs.
 func (m *ManagedClient) getConn(ctx context.Context) (*Client, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.isClosed {
-		return nil, errors.New("transport: managed client closed")
+	c, closed := m.conn, m.isClosed
+	m.mu.Unlock()
+	if closed {
+		return nil, errManagedClosed
 	}
-	if m.conn != nil {
-		return m.conn, nil
+	if c != nil {
+		return c, nil
 	}
 	timeout := m.opts.ConnectTimeout
 	if dl, ok := ctx.Deadline(); ok {
@@ -261,20 +225,25 @@ func (m *ManagedClient) getConn(ctx context.Context) (*Client, error) {
 	if timeout <= 0 {
 		return nil, context.DeadlineExceeded
 	}
-	c, err := DialTimeout(m.addr, timeout)
+	nc, err := m.opts.Dial(m.addr, timeout)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("transport: dial %s: %w", m.addr, err)
 	}
-	if m.opts.CallTimeout > 0 {
-		c.SetTimeout(m.opts.CallTimeout)
+	m.dials.Add(1)
+	c = NewClient(nc)
+	c.SetTimeout(m.opts.CallTimeout)
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.isClosed {
+		c.Close()
+		return nil, errManagedClosed
 	}
-	if m.opts.Configure != nil {
-		m.opts.Configure(c)
+	if m.conn != nil {
+		c.Close()
+		return m.conn, nil
 	}
 	m.conn = c
-	m.statsMu.Lock()
-	m.dials++
-	m.statsMu.Unlock()
 	return c, nil
 }
 
@@ -291,14 +260,14 @@ func (m *ManagedClient) dropConn(c *Client) {
 }
 
 // backoff sleeps for the attempt's full-jitter delay (delay drawn
-// uniformly from [0, min(MaxDelay, BaseDelay·2^attempt)]), honoring ctx
+// uniformly from [0, min(maxDelay, baseDelay·2^attempt)]), honoring ctx
 // cancellation.
 func (m *ManagedClient) backoff(ctx context.Context, attempt int) error {
-	ceil := m.opts.BaseDelay << uint(attempt)
-	if ceil > m.opts.MaxDelay || ceil <= 0 {
-		ceil = m.opts.MaxDelay
+	ceil := m.baseDelay << uint(attempt)
+	if ceil > m.maxDelay || ceil <= 0 {
+		ceil = m.maxDelay
 	}
-	d := time.Duration(m.opts.Rand() * float64(ceil))
+	d := time.Duration(m.jitter() * float64(ceil))
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -323,11 +292,9 @@ func (m *ManagedClient) Call(kind string, in, out any) error {
 //     kind is in the idempotency table.
 func (m *ManagedClient) CallCtx(ctx context.Context, kind string, in, out any) error {
 	var lastErr error
-	for attempt := 0; attempt < m.opts.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < m.maxAttempts; attempt++ {
 		if attempt > 0 {
-			m.statsMu.Lock()
-			m.retries++
-			m.statsMu.Unlock()
+			m.retries.Add(1)
 			if err := m.backoff(ctx, attempt-1); err != nil {
 				return err
 			}
@@ -335,25 +302,23 @@ func (m *ManagedClient) CallCtx(ctx context.Context, kind string, in, out any) e
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !m.brk.Allow() {
-			m.statsMu.Lock()
-			m.rejected++
-			m.statsMu.Unlock()
+		if !m.brk.allow() {
+			m.rejected.Add(1)
 			return fmt.Errorf("%w: %s", ErrCircuitOpen, m.addr)
 		}
 		c, err := m.getConn(ctx)
 		if err != nil {
-			m.brk.Failure()
-			lastErr = err
-			if m.clientClosed() {
+			if errors.Is(err, errManagedClosed) {
 				return err
 			}
+			m.brk.failure()
+			lastErr = err
 			m.onRetry(kind, attempt+1, err)
 			continue // dial failure: nothing sent, any kind may retry
 		}
 		err = c.CallCtx(ctx, kind, in, out)
 		if err == nil {
-			m.brk.Success()
+			m.brk.success()
 			return nil
 		}
 		var remote *ErrRemote
@@ -361,93 +326,25 @@ func (m *ManagedClient) CallCtx(ctx context.Context, kind string, in, out any) e
 			// The server answered: the RPC ran and failed. Healthy
 			// endpoint, unhealthy request — don't retry, don't trip the
 			// breaker.
-			m.brk.Success()
+			m.brk.success()
 			return err
 		}
 		// Transport failure after (possibly partial) send: the
 		// connection is unusable and the server may or may not have
 		// executed the request.
 		m.dropConn(c)
-		m.brk.Failure()
+		m.brk.failure()
 		lastErr = err
-		if !m.opts.Idempotent[kind] {
+		if !m.idempotent[kind] {
 			return fmt.Errorf("transport: %s not retried (non-idempotent): %w", kind, err)
 		}
 		m.onRetry(kind, attempt+1, err)
 	}
-	return fmt.Errorf("transport: %s: %d attempts exhausted: %w", kind, m.opts.MaxAttempts, lastErr)
+	return fmt.Errorf("transport: %s: %d attempts exhausted: %w", kind, m.maxAttempts, lastErr)
 }
 
 func (m *ManagedClient) onRetry(kind string, attempt int, err error) {
 	if m.opts.OnRetry != nil {
 		m.opts.OnRetry(kind, attempt, err)
-	}
-}
-
-func (m *ManagedClient) clientClosed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.isClosed
-}
-
-// Hedge runs attempts against replicas with staggered starts: attempt 0
-// immediately, each subsequent attempt after another hedge delay unless
-// an earlier one already succeeded. The first success cancels the rest
-// and wins; if all fail, the first error is returned. Only hedge
-// idempotent operations — every launched attempt may execute on its
-// replica.
-func Hedge[T any](ctx context.Context, delay time.Duration, attempts []func(context.Context) (T, error)) (T, error) {
-	var zero T
-	if len(attempts) == 0 {
-		return zero, errors.New("transport: hedge: no attempts")
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		v   T
-		err error
-	}
-	results := make(chan result, len(attempts))
-	launch := func(fn func(context.Context) (T, error)) {
-		go func() {
-			v, err := fn(ctx)
-			results <- result{v, err}
-		}()
-	}
-	launch(attempts[0])
-	next := 1
-	var firstErr error
-	pending := 1
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	for {
-		select {
-		case r := <-results:
-			pending--
-			if r.err == nil {
-				return r.v, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			// A failed attempt hedges immediately: no point waiting out
-			// the stagger when we already know we need another replica.
-			if next < len(attempts) {
-				launch(attempts[next])
-				next++
-				pending++
-			} else if pending == 0 {
-				return zero, firstErr
-			}
-		case <-timer.C:
-			if next < len(attempts) {
-				launch(attempts[next])
-				next++
-				pending++
-				timer.Reset(delay)
-			}
-		case <-ctx.Done():
-			return zero, ctx.Err()
-		}
 	}
 }

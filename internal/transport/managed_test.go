@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -89,22 +90,37 @@ func (fs *flakyServer) loop() {
 	}
 }
 
-func managedOpts() ManagedOptions {
-	return ManagedOptions{
-		ConnectTimeout:  time.Second,
-		MaxAttempts:     3,
-		BaseDelay:       time.Millisecond,
-		MaxDelay:        5 * time.Millisecond,
-		BreakerCooldown: 50 * time.Millisecond,
-		Rand:            func() float64 { return 0.5 },
+// dialManagedFast is DialManaged with the fixed policy shortened for
+// tests: 3 attempts, millisecond backoff with pinned jitter, a 50ms
+// breaker cooldown.
+func dialManagedFast(addr string) *ManagedClient {
+	m := DialManaged(addr, ManagedOptions{ConnectTimeout: time.Second})
+	m.maxAttempts = 3
+	m.baseDelay = time.Millisecond
+	m.maxDelay = 5 * time.Millisecond
+	m.brk.cooldown = 50 * time.Millisecond
+	m.jitter = func() float64 { return 0.5 }
+	return m
+}
+
+// state names the breaker state for assertions.
+func (b *breaker) state() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.failures < b.threshold {
+		return "closed"
 	}
+	if time.Now().Before(b.openUntil) {
+		return "open"
+	}
+	return "half-open"
 }
 
 // TestManagedRetriesIdempotentPostSend: a lost response on an idempotent
 // kind is retried on a fresh connection and succeeds.
 func TestManagedRetriesIdempotentPostSend(t *testing.T) {
 	fs := newFlakyServer(t, 1)
-	m := DialManaged(fs.addr(), managedOpts())
+	m := dialManagedFast(fs.addr())
 	defer m.Close()
 	if err := m.Call("head", struct{}{}, nil); err != nil {
 		t.Fatalf("idempotent call under one lost response: %v", err)
@@ -123,7 +139,7 @@ func TestManagedRetriesIdempotentPostSend(t *testing.T) {
 // exactly one submit.
 func TestManagedNeverResendsNonIdempotent(t *testing.T) {
 	fs := newFlakyServer(t, 1)
-	m := DialManaged(fs.addr(), managedOpts())
+	m := dialManagedFast(fs.addr())
 	defer m.Close()
 	err := m.Call("submit", struct{}{}, nil)
 	if err == nil {
@@ -148,7 +164,7 @@ func TestManagedRemoteErrorNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	m := DialManaged(addr, managedOpts())
+	m := dialManagedFast(addr)
 	defer m.Close()
 	err = m.Call("head", struct{}{}, nil)
 	var remote *ErrRemote
@@ -171,9 +187,8 @@ func TestManagedReconnectsAcrossCalls(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	opts := managedOpts()
-	opts.BreakerThreshold = 100 // keep the breaker out of this test
-	m := DialManaged(addr, opts)
+	m := dialManagedFast(addr)
+	m.brk.threshold = 100 // keep the breaker out of this test
 	defer m.Close()
 	if err := m.Call("submit", struct{}{}, nil); err == nil {
 		t.Fatal("call to dead endpoint succeeded")
@@ -207,17 +222,16 @@ func TestManagedBreaker(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	opts := managedOpts()
-	opts.MaxAttempts = 1
-	opts.BreakerThreshold = 2
-	m := DialManaged(addr, opts)
+	m := dialManagedFast(addr)
+	m.maxAttempts = 1
+	m.brk.threshold = 2
 	defer m.Close()
 	for i := 0; i < 2; i++ {
 		if err := m.Call("head", struct{}{}, nil); err == nil {
 			t.Fatal("call to dead endpoint succeeded")
 		}
 	}
-	if got := m.Breaker().State(); got != "open" {
+	if got := m.brk.state(); got != "open" {
 		t.Fatalf("breaker state = %q, want open", got)
 	}
 	if err := m.Call("head", struct{}{}, nil); !errors.Is(err, ErrCircuitOpen) {
@@ -241,8 +255,48 @@ func TestManagedBreaker(t *testing.T) {
 	if err := m.Call("head", struct{}{}, nil); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
-	if got := m.Breaker().State(); got != "closed" {
+	if got := m.brk.state(); got != "closed" {
 		t.Fatalf("breaker state after probe = %q, want closed", got)
+	}
+}
+
+// TestManagedCloseDoesNotWaitForDial: Close must return while a dial to
+// a black-holed peer is still in flight, and the connection that dial
+// eventually yields must be closed, not installed or leaked.
+func TestManagedCloseDoesNotWaitForDial(t *testing.T) {
+	dialing := make(chan struct{})
+	release := make(chan struct{})
+	client, server := net.Pipe()
+	m := DialManaged("black-hole", ManagedOptions{
+		Dial: func(string, time.Duration) (net.Conn, error) {
+			close(dialing)
+			<-release
+			return client, nil
+		},
+	})
+	callErr := make(chan error, 1)
+	go func() { callErr <- m.Call("head", struct{}{}, nil) }()
+	<-dialing
+
+	closed := make(chan struct{})
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked behind an in-flight dial")
+	}
+
+	close(release)
+	if err := <-callErr; err == nil {
+		t.Fatal("call on a client closed mid-dial returned nil")
+	}
+	// The late connection was closed: its peer reads EOF at once.
+	server.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := server.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("late connection not closed: read err = %v, want EOF", err)
 	}
 }
 
@@ -312,49 +366,4 @@ func TestCallCtxDeadline(t *testing.T) {
 	if err := c.CallCtx(ctx, "head", struct{}{}, nil); err == nil {
 		t.Fatal("call with expired context deadline returned nil")
 	}
-}
-
-func TestHedge(t *testing.T) {
-	t.Run("slow-first-replica", func(t *testing.T) {
-		slowDone := make(chan struct{})
-		got, err := Hedge(context.Background(), 20*time.Millisecond, []func(context.Context) (string, error){
-			func(ctx context.Context) (string, error) {
-				defer close(slowDone)
-				select {
-				case <-time.After(2 * time.Second):
-					return "slow", nil
-				case <-ctx.Done():
-					return "", ctx.Err()
-				}
-			},
-			func(context.Context) (string, error) { return "fast", nil },
-		})
-		if err != nil || got != "fast" {
-			t.Fatalf("Hedge = %q, %v; want fast", got, err)
-		}
-		<-slowDone // the losing attempt was cancelled, not leaked
-	})
-	t.Run("all-fail", func(t *testing.T) {
-		first := errors.New("first")
-		_, err := Hedge(context.Background(), time.Millisecond, []func(context.Context) (int, error){
-			func(context.Context) (int, error) { return 0, first },
-			func(context.Context) (int, error) { return 0, errors.New("second") },
-		})
-		if !errors.Is(err, first) {
-			t.Fatalf("err = %v, want first attempt's error", err)
-		}
-	})
-	t.Run("failure-hedges-immediately", func(t *testing.T) {
-		start := time.Now()
-		got, err := Hedge(context.Background(), time.Hour, []func(context.Context) (int, error){
-			func(context.Context) (int, error) { return 0, errors.New("down") },
-			func(context.Context) (int, error) { return 7, nil },
-		})
-		if err != nil || got != 7 {
-			t.Fatalf("Hedge = %d, %v", got, err)
-		}
-		if time.Since(start) > time.Second {
-			t.Fatal("failure did not trigger an immediate hedge")
-		}
-	})
 }

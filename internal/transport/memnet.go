@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"errors"
+	"fmt"
 	"net"
 	"sync"
 )
@@ -18,8 +18,9 @@ type MemListener struct {
 	once   sync.Once
 }
 
-// ErrMemListenerClosed is returned by Accept and Dial after Close.
-var ErrMemListenerClosed = errors.New("transport: memory listener closed")
+// ErrMemListenerClosed is returned by Accept and Dial after Close. It
+// wraps net.ErrClosed, which is what ends a Server's accept loop.
+var ErrMemListenerClosed = fmt.Errorf("transport: memory listener closed: %w", net.ErrClosed)
 
 // NewMemListener creates an in-memory listener ready for Serve.
 func NewMemListener() *MemListener {

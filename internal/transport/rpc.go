@@ -56,7 +56,16 @@ type Server struct {
 	// storm from wiping the ring. Both are nil-safe.
 	flight   atomic.Pointer[obsv.FlightRecorder]
 	errLimit *obsv.FlightLimiter
+	// acceptLimit holds a burst of Accept errors to one flight event a
+	// second.
+	acceptLimit *obsv.FlightLimiter
 }
+
+// Accept-error backoff bounds (the net/http values).
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
 
 // serverObs holds the server's telemetry instruments (per-kind request
 // counts, error counts and latency, byte counters, batch sizes) plus
@@ -83,6 +92,7 @@ func NewServer() *Server {
 		closed:       make(chan struct{}),
 		conns:        make(map[net.Conn]struct{}),
 		errLimit:     obsv.NewFlightLimiter(100 * time.Millisecond),
+		acceptLimit:  obsv.NewFlightLimiter(time.Second),
 	}
 }
 
@@ -147,47 +157,37 @@ func (s *Server) isNoBatch(kind string) bool {
 	return s.noBatch[kind]
 }
 
-// ListenerWrap intercepts every listener handed to Serve. Installed
-// process-wide by SetListenerWrap.
-type ListenerWrap func(net.Listener) net.Listener
-
-var listenerWrap atomic.Pointer[ListenerWrap]
-
-// SetListenerWrap installs a process-wide inbound listener interceptor
-// — the chaos plane's entry point for injecting accept- and read-side
-// faults (daemons install it only under -debug-hooks; it pairs with
-// SetDialHook for the outbound direction). nil restores plain serving.
-// Affects listeners passed to Serve after the call.
-func SetListenerWrap(w ListenerWrap) {
-	if w == nil {
-		listenerWrap.Store(nil)
-		return
-	}
-	listenerWrap.Store(&w)
-}
-
 // Serve starts accepting connections on ln until Close. It returns
-// immediately; connection goroutines run in the background.
+// immediately; connection goroutines run in the background. A failed
+// Accept stops the loop only when the listener is closed: anything else
+// (EMFILE, ECONNABORTED) is retried after a short capped backoff, so a
+// transient error cannot leave a daemon that is up and deaf.
 func (s *Server) Serve(ln net.Listener) {
-	if w := listenerWrap.Load(); w != nil {
-		ln = (*w)(ln)
-	}
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
+		var delay time.Duration // current backoff; zero outside an error burst
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
+				if errors.Is(err, net.ErrClosed) {
+					return
+				}
+				if s.acceptLimit.Allow() {
+					s.flight.Load().Record("rpc", "accept-error", err.Error(), 0, obsv.TraceContext{})
+				}
+				delay = min(max(2*delay, acceptBackoffMin), acceptBackoffMax)
 				select {
 				case <-s.closed:
 					return
-				default:
+				case <-time.After(delay):
 				}
-				return
+				continue
 			}
+			delay = 0
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
@@ -388,29 +388,7 @@ type Client struct {
 // minutes) turns one dead peer into a stuck daemon.
 const DefaultDialTimeout = 10 * time.Second
 
-// DialHook intercepts outbound dials. addr is the target; timeout is the
-// connect budget. Installed process-wide by SetDialHook.
-type DialHook func(addr string, timeout time.Duration) (net.Conn, error)
-
-var dialHook atomic.Pointer[DialHook]
-
-// SetDialHook installs a process-wide outbound dial interceptor — the
-// chaos plane's entry point for injecting dial-time faults and wrapping
-// connections (daemons install it only under -debug-hooks). nil
-// restores the default dialer. Affects Dial/DialTimeout/DialContext,
-// not NewClient.
-func SetDialHook(h DialHook) {
-	if h == nil {
-		dialHook.Store(nil)
-		return
-	}
-	dialHook.Store(&h)
-}
-
-func dialConn(addr string, timeout time.Duration) (net.Conn, error) {
-	if h := dialHook.Load(); h != nil {
-		return (*h)(addr, timeout)
-	}
+func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
 }
 
@@ -425,26 +403,11 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
-	conn, err := dialConn(addr, timeout)
+	conn, err := dialTCP(addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	return &Client{conn: conn}, nil
-}
-
-// DialContext connects to a server address, bounded by the earlier of
-// ctx's deadline and DefaultDialTimeout.
-func DialContext(ctx context.Context, addr string) (*Client, error) {
-	timeout := DefaultDialTimeout
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem < timeout {
-			timeout = rem
-		}
-	}
-	if timeout <= 0 {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, context.DeadlineExceeded)
-	}
-	return DialTimeout(addr, timeout)
 }
 
 // NewClient wraps an existing connection.

@@ -8,7 +8,12 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
+
+	"repro/internal/obsv"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -228,6 +233,53 @@ func TestServerCloseUnblocksAccept(t *testing.T) {
 	}
 	// Double close is safe.
 	_ = s.Close()
+}
+
+// failOnceListener fails its first Accept with a transient error, then
+// behaves as the MemListener it wraps.
+type failOnceListener struct {
+	*MemListener
+	failed atomic.Bool
+}
+
+func (l *failOnceListener) Accept() (net.Conn, error) {
+	if l.failed.CompareAndSwap(false, true) {
+		return nil, &net.OpError{Op: "accept", Net: "mem", Err: syscall.EMFILE}
+	}
+	return l.MemListener.Accept()
+}
+
+// TestServeSurvivesTransientAcceptError: one failed Accept (EMFILE,
+// ECONNABORTED) must not end the accept loop — the next connection is
+// served, and the burst leaves one accept-error flight event.
+func TestServeSurvivesTransientAcceptError(t *testing.T) {
+	s := NewServer()
+	s.Handle("ping", func(json.RawMessage) (any, error) { return struct{}{}, nil })
+	fr := obsv.NewFlightRecorder(16)
+	s.SetFlightRecorder(fr)
+	ln := &failOnceListener{MemListener: NewMemListener()}
+	s.Serve(ln)
+	defer s.Close()
+
+	conn, err := ln.Dial() // blocks until the loop is back in Accept
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(conn)
+	defer c.Close()
+	c.SetTimeout(5 * time.Second)
+	if err := c.Call("ping", struct{}{}, nil); err != nil {
+		t.Fatalf("call after a transient accept error: %v", err)
+	}
+	var events int
+	for _, ev := range fr.Events() {
+		if ev.Component == "rpc" && ev.Kind == "accept-error" {
+			events++
+		}
+	}
+	if events != 1 {
+		t.Fatalf("accept-error flight events = %d, want 1", events)
+	}
 }
 
 func BenchmarkRPCEcho(b *testing.B) {
