@@ -98,13 +98,10 @@ func verifyBatch(pks []*PublicKey, msgs [][]byte, sigs []*Signature) bool {
 		groups[gi].scalars = append(groups[gi].scalars, coeffs[i])
 	}
 	sigAcc := bls12381.G1MultiScalarMult(sigPoints, coeffs)
-	g2 := bls12381.G2Generator()
-	var negG2 bls12381.G2Affine
-	negG2.Neg(&g2)
 	ps := make([]bls12381.G1Affine, 0, len(groups)+1)
 	qs := make([]bls12381.G2Affine, 0, len(groups)+1)
 	ps = append(ps, sigAcc.Affine())
-	qs = append(qs, negG2)
+	qs = append(qs, negG2())
 	for i := range groups {
 		acc := bls12381.G1MultiScalarMult(groups[i].points, groups[i].scalars)
 		ps = append(ps, acc.Affine())
@@ -171,12 +168,9 @@ func (tk *ThresholdKey) verifyShareSignaturesBatch(msg []byte, shares []Signatur
 	sigAcc := bls12381.G1MultiScalarMult(sigPoints, coeffs)
 	pkAcc := bls12381.G2MultiScalarMult(pkPoints, coeffs)
 	h := bls12381.HashToG1(msg, SignatureDST)
-	g2 := bls12381.G2Generator()
-	var negG2 bls12381.G2Affine
-	negG2.Neg(&g2)
 	apk := pkAcc.Affine()
 	return bls12381.PairingCheck(
 		[]bls12381.G1Affine{sigAcc.Affine(), h},
-		[]bls12381.G2Affine{negG2, apk},
+		[]bls12381.G2Affine{negG2(), apk},
 	)
 }

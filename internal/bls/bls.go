@@ -20,10 +20,20 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/bls12381"
 	"repro/internal/ff"
 )
+
+// negG2 is -G2, the fixed second argument of every verification
+// equation e(sig, -G2) * e(H(msg), pk) == 1, computed on first use.
+var negG2 = sync.OnceValue(func() bls12381.G2Affine {
+	g2 := bls12381.G2Generator()
+	var neg bls12381.G2Affine
+	neg.Neg(&g2)
+	return neg
+})
 
 // SignatureDST is the domain separation tag for message hashing.
 var SignatureDST = []byte("REPRO-BLS-SIG-V1")
@@ -132,12 +142,9 @@ func verifyWithDST(pk *PublicKey, msg []byte, sig *Signature, dst []byte) bool {
 		return false
 	}
 	h := bls12381.HashToG1(msg, dst)
-	g2 := bls12381.G2Generator()
-	var negG2 bls12381.G2Affine
-	negG2.Neg(&g2)
 	return bls12381.PairingCheck(
 		[]bls12381.G1Affine{sig.p, h},
-		[]bls12381.G2Affine{negG2, pk.p},
+		[]bls12381.G2Affine{negG2(), pk.p},
 	)
 }
 
@@ -194,13 +201,10 @@ func VerifyAggregate(pks []*PublicKey, msgs [][]byte, sig *Signature) bool {
 		}
 		seen[string(m)] = true
 	}
-	g2 := bls12381.G2Generator()
-	var negG2 bls12381.G2Affine
-	negG2.Neg(&g2)
 	ps := make([]bls12381.G1Affine, 0, len(pks)+1)
 	qs := make([]bls12381.G2Affine, 0, len(pks)+1)
 	ps = append(ps, sig.p)
-	qs = append(qs, negG2)
+	qs = append(qs, negG2())
 	hashes := bls12381.HashToG1Batch(msgs, SignatureDST)
 	for i, pk := range pks {
 		if pk == nil || pk.p.IsInfinity() {

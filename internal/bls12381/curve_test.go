@@ -320,7 +320,18 @@ func BenchmarkPairing(b *testing.B) {
 	}
 }
 
+// BenchmarkMillerLoop is the production loop on one pair;
+// BenchmarkMillerLoopAffineOracle is the retained affine reference.
 func BenchmarkMillerLoop(b *testing.B) {
+	ps := []G1Affine{G1Generator()}
+	qs := []G2Affine{G2Generator()}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MillerLoopBatch(ps, qs)
+	}
+}
+
+func BenchmarkMillerLoopAffineOracle(b *testing.B) {
 	g1 := G1Generator()
 	g2 := G2Generator()
 	b.ResetTimer()

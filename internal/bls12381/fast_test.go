@@ -374,27 +374,43 @@ func TestHashToG1BatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestMillerLoopBatchMatchesProduct pins the lockstep projective loop
+// against the product of per-pair affine oracle loops. Raw Miller
+// values differ by an Fp2 factor (the projective lines are scaled by
+// their cleared denominators), so the comparison is made after the
+// final exponentiation, where it must be bit for bit.
 func TestMillerLoopBatchMatchesProduct(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 5, 10} {
+	var br oracleBranches
+	for _, n := range []int{0, 1, 2, 3, 5, 10, 17} {
 		ps := make([]G1Affine, n)
 		qs := make([]G2Affine, n)
 		for i := 0; i < n; i++ {
-			if i == 1 && n > 2 {
-				ps[i] = G1Affine{Infinity: true} // must contribute 1
-			} else {
-				ps[i] = randG1(t)
-			}
-			qs[i] = randG2(t)
+			ps[i], qs[i] = randG1(t), randG2(t)
+		}
+		if n > 2 {
+			ps[1] = G1Affine{Infinity: true} // must contribute 1
+			qs[n-1] = qs[0]                  // repeated Q, distinct P
+		}
+		if n > 3 {
+			qs[2] = G2Affine{Infinity: true}
 		}
 		batched := MillerLoopBatch(ps, qs)
-		want := ff.Fp12One()
-		for i := 0; i < n; i++ {
-			f := MillerLoop(&ps[i], &qs[i])
-			want.Mul(&want, &f)
+		oracle := millerProductOracle(ps, qs, &br)
+		got := FinalExponentiation(&batched)
+		want := FinalExponentiation(&oracle)
+		if !got.Equal(&want) {
+			t.Fatalf("n=%d: lockstep Miller loop != product of per-pair oracle loops after final exponentiation", n)
 		}
-		if !batched.Equal(&want) {
-			t.Fatalf("n=%d: lockstep Miller loop != product of per-pair loops", n)
+		if n <= 3 {
+			if plain := finalExpPlainCubed(&oracle); !got.Equal(&plain) {
+				t.Fatalf("n=%d: production pairing product != all-oracle value", n)
+			}
 		}
+	}
+	t.Logf("corpus reached %d doubling, %d addition, %d infinity-skip branches",
+		br.doublings, br.additions, br.infinitySkips)
+	if br.doublings == 0 || br.additions == 0 || br.infinitySkips == 0 {
+		t.Fatal("corpus missed a Miller-loop branch")
 	}
 }
 

@@ -9,12 +9,13 @@
 // both generators, Pippenger bucket-method multi-scalar multiplication
 // (G1MultiScalarMult / G2MultiScalarMult), batch-hashed and
 // batch-normalized hash-to-curve (HashToG1Batch), and a lockstep
-// multi-pairing whose Miller loops share one Fp12 squaring chain,
-// batch-inverted line denominators, a worker pool across cores, and a
-// single final exponentiation (PairingCheck). Every fast path is
-// pinned against a retained naive reference (ScalarMultBig,
-// PairingCheckSequential, G1ClearCofactor) by equivalence and property
-// tests. It is not constant-time.
+// multi-pairing whose inversion-free projective Miller loops share one
+// Fp12 squaring chain, sparse line products, a worker pool across
+// cores, and a single final exponentiation (PairingCheck). Every fast
+// path is pinned against a naive reference (ScalarMultBig,
+// G1ClearCofactor, and the test-side affine pairing oracle in
+// pairing_oracle_test.go) by equivalence and property tests. It is not
+// constant-time.
 package bls12381
 
 import (

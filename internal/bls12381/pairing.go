@@ -1,164 +1,44 @@
 package bls12381
 
 import (
-	"math/big"
-	"sync"
-
 	"repro/internal/ff"
 )
 
 // The optimal ate pairing e: G1 x G2 -> GT (the order-r subgroup of Fp12*).
 //
-// The Miller loop iterates over |x| = 0xd201000000010000 with the point T
-// kept in affine coordinates on the twist, evaluating tangent/chord lines
-// at the G1 argument. Because x < 0 the Miller result is conjugated before
-// the final exponentiation. Lines are scaled by the Fp2 constant xi, which
-// the final exponentiation annihilates (it kills all of Fp2*).
+// There is one Miller loop, MillerLoopBatch (pairing_batch.go), for any
+// number of pairs; Pair is a batch of one. It iterates over
+// |x| = 0xd201000000010000 with the point T walking the twist in
+// homogeneous projective coordinates, so no step inverts anything, and
+// evaluates tangent/chord lines at the G1 argument. Because x < 0 the
+// Miller result is conjugated before the final exponentiation. Each line
+// is scaled by an Fp2 factor that depends on T (the cleared denominator,
+// times the constant xi); the final exponentiation annihilates all of
+// Fp2*, so only its output is canonical — raw Miller values are not
+// comparable across implementations.
 //
-// Line values are materialized as sparse Fp12 elements with nonzero
-// coefficients at W-degrees 0, 3, 5 (basis Fp12 = Fp2[W]/(W^6 - xi)):
+// A line is three Fp2 coefficients at W-degrees 0, 3, 5 (basis
+// Fp12 = Fp2[W]/(W^6 - xi)); in affine terms, with lambda the
+// twist-point slope,
 //
 //	l(P) = xi*yP  +  (lambda*xT - yT) * W^3  -  (lambda*xP) * W^5
 //
-// where lambda is the twist-point slope. Degree 3 = C1.C1 and degree 5 =
-// C1.C2 in the 2-3-2 tower (see ff.Fp12 Frobenius component ordering).
-
-// finalExpHard is (p^4 - p^2 + 1)/r, the hard part of the final
-// exponentiation, computed once.
-var (
-	finalExpOnce sync.Once
-	finalExpHard *big.Int
-)
-
-func finalExpInit() {
-	p := ff.FpModulus()
-	p2 := new(big.Int).Mul(p, p)
-	p4 := new(big.Int).Mul(p2, p2)
-	h := new(big.Int).Sub(p4, p2)
-	h.Add(h, big.NewInt(1))
-	h.Div(h, ff.FrModulus())
-	finalExpHard = h
-}
-
-// lineEval builds the sparse Fp12 line value from the Fp2 coefficients
-// c0 (degree 0), c3 (degree 3) and c5 (degree 5).
-func lineEval(c0, c3, c5 *ff.Fp2) ff.Fp12 {
-	var out ff.Fp12
-	out.C0.C0 = *c0
-	out.C1.C1 = *c3
-	out.C1.C2 = *c5
-	return out
-}
-
-// millerStep computes the line through the twist points and updates T.
-// If q is nil the step is a doubling (tangent at T); otherwise a chord
-// through T and q. p is the affine G1 evaluation point.
-func millerStep(t *G2Affine, q *G2Affine, p *G1Affine) ff.Fp12 {
-	var lambda ff.Fp2
-	if q == nil {
-		// lambda = 3 xT^2 / (2 yT)
-		var num, den ff.Fp2
-		num.Square(&t.X)
-		var three ff.Fp2
-		three.Add(&num, &num)
-		num.Add(&three, &num)
-		den.Double(&t.Y)
-		den.Inverse(&den)
-		lambda.Mul(&num, &den)
-	} else {
-		// lambda = (yT - yQ) / (xT - xQ)
-		var num, den ff.Fp2
-		num.Sub(&t.Y, &q.Y)
-		den.Sub(&t.X, &q.X)
-		den.Inverse(&den)
-		lambda.Mul(&num, &den)
-	}
-
-	// Line coefficients (scaled by xi, killed by the final exponentiation):
-	// c0 = xi * yP ; c3 = lambda*xT - yT ; c5 = -lambda*xP
-	xi := ff.Fp2NonResidue()
-	var c0, c3, c5 ff.Fp2
-	c0.MulByFp(&xi, &p.Y)
-	c3.Mul(&lambda, &t.X)
-	c3.Sub(&c3, &t.Y)
-	c5.MulByFp(&lambda, &p.X)
-	c5.Neg(&c5)
-
-	// Update T.
-	var x3, y3 ff.Fp2
-	x3.Square(&lambda)
-	x3.Sub(&x3, &t.X)
-	if q == nil {
-		x3.Sub(&x3, &t.X)
-	} else {
-		x3.Sub(&x3, &q.X)
-	}
-	y3.Sub(&t.X, &x3)
-	y3.Mul(&lambda, &y3)
-	y3.Sub(&y3, &t.Y)
-	t.X, t.Y = x3, y3
-
-	return lineEval(&c0, &c3, &c5)
-}
-
-// MillerLoop computes the Miller loop value f_{|x|,Q}(P), conjugated for
-// the negative curve parameter, without the final exponentiation.
-// Either argument at infinity yields 1.
-func MillerLoop(p *G1Affine, q *G2Affine) ff.Fp12 {
-	out := ff.Fp12One()
-	if p.Infinity || q.Infinity {
-		return out
-	}
-	t := *q
-	// Iterate from the bit below the MSB of |x| down to bit 0.
-	msb := 63
-	for msb >= 0 && (blsX>>uint(msb))&1 == 0 {
-		msb--
-	}
-	f := ff.Fp12One()
-	for i := msb - 1; i >= 0; i-- {
-		f.Square(&f)
-		l := millerStep(&t, nil, p)
-		f.Mul(&f, &l)
-		if (blsX>>uint(i))&1 == 1 {
-			l := millerStep(&t, q, p)
-			f.Mul(&f, &l)
-		}
-	}
-	if blsXIsNegative {
-		f.Conjugate(&f)
-	}
-	return f
-}
+// and it is multiplied into the accumulator by ff.Fp12.MulBySparse035
+// without ever being built as a dense Fp12. Degree 3 = C1.C1 and degree
+// 5 = C1.C2 in the 2-3-2 tower (see ff.Fp12 Frobenius component
+// ordering). The affine single-pair loop this replaced survives as the
+// test-side oracle in pairing_oracle_test.go.
 
 // FinalExponentiation maps a Miller loop output to the canonical coset
-// representative in GT: f^((p^12-1)/r). The hard part uses the x-based
-// HHT decomposition (finalexp_fast.go); the plain-exponent reference
-// implementation is kept as FinalExponentiationPlain for cross-checks.
+// representative in GT: f^(3*(p^12-1)/r). The hard part uses the x-based
+// HHT decomposition (finalexp_fast.go).
 func FinalExponentiation(f *ff.Fp12) ff.Fp12 {
 	t := finalExpEasy(f)
 	return finalExpHardFast(&t)
 }
 
-// FinalExponentiationPlain is the reference implementation: easy part,
-// then a plain big-integer exponentiation by (p^4-p^2+1)/r. Slow but
-// trivially correct; tests pin the fast path against it.
-func FinalExponentiationPlain(f *ff.Fp12) ff.Fp12 {
-	finalExpOnce.Do(finalExpInit)
-	t := finalExpEasy(f)
-	var out ff.Fp12
-	out.Exp(&t, finalExpHard)
-	return out
-}
-
 // Pair computes the full pairing e(p, q).
 func Pair(p *G1Affine, q *G2Affine) ff.Fp12 {
-	f := MillerLoop(p, q)
+	f := MillerLoopBatch([]G1Affine{*p}, []G2Affine{*q})
 	return FinalExponentiation(&f)
 }
-
-// PairingCheck lives in pairing_batch.go: the Miller loops of all pairs
-// run in lockstep (shared Fp12 squaring chain, batch-inverted line
-// denominators), sharded across cores, with one shared final
-// exponentiation. PairingCheckSequential retains the naive per-pair
-// reference.

@@ -7,125 +7,158 @@ import (
 	"repro/internal/ff"
 )
 
-// Batched multi-pairing. The naive PairingCheck ran one full Miller
-// loop per pair: every loop paid its own chain of 63 Fp12 squarings,
-// and every tangent/chord step paid a full Fp2 inversion (one Fp
-// inversion ≈ 380 field multiplications — the dominant cost of the
-// affine Miller loop). Running all pairs in lockstep over the shared
-// bit pattern of |x| fixes both at once:
+// The Miller loop. All pairs run in lockstep over the shared bit
+// pattern of |x|, so ONE Fp12 squaring chain serves every pair
+// ((prod f_i)^2 = prod f_i^2): the accumulator squares once per
+// iteration and each pair's line multiplies in.
 //
-//   - ONE Fp12 squaring chain serves every pair, because
-//     (prod f_i)^2 = prod f_i^2 — the accumulator squares once per
-//     iteration and each pair's line multiplies in;
-//   - the per-step denominators (2*yT for tangents, xT - xQ for
-//     chords) of all pairs are inverted together with Montgomery's
-//     batch-inversion trick: one Fp2 inversion plus 3(n-1) Fp2
-//     multiplications per step instead of n inversions.
+// T is kept in homogeneous projective coordinates (x = X/Z, y = Y/Z)
+// and stepped with the Costello-Lange-Naehrig doubling and
+// mixed-addition formulas for y^2 = x^3 + b' (eprint 2009/615), so a
+// step costs a handful of Fp2 products and no inversion. Clearing the
+// slope's denominator scales each line by an Fp2 factor, which the
+// final exponentiation kills; per step, with the line written
+// c0 + c3*W^3 + c5*W^5:
+//
+//	doubling  (3 M + 6 S in Fp2, + 4 Fp products for the line)
+//	  c0 = -2YZ * xi*yP     c3 = 3b'Z^2 - Y^2     c5 = 3X^2 * xP
+//	  X3 = 2XY(Y^2 - 9b'Z^2)
+//	  Y3 = (Y^2 + 9b'Z^2)^2 - 12(3b'Z^2)^2
+//	  Z3 = 8Y^3 Z
+//	addition of affine Q, theta = Y - yQ*Z, lambda = X - xQ*Z
+//	          (11 M + 2 S in Fp2, + 4 Fp products for the line)
+//	  c0 = lambda * xi*yP   c3 = theta*xQ - lambda*yQ   c5 = -theta * xP
+//	  H  = lambda^3 + Z*theta^2 - 2X*lambda^2
+//	  X3 = lambda*H
+//	  Y3 = theta*(X*lambda^2 - H) - Y*lambda^3
+//	  Z3 = Z*lambda^3
+//
+// (the doubling is the usual halved form scaled by 4, so there is no
+// division by two either). The formulas are branch-free and assume what
+// every caller guarantees: Q in the order-r subgroup, where T never
+// meets infinity or +-Q inside the loop.
 //
 // On top of that, PairingCheck shards the pairs across cores (each
 // worker runs its own lockstep loop) and every partial product shares
-// the single final exponentiation. The result is bit-identical to the
-// naive per-pair computation (Fp12 multiplication is commutative and
-// squaring distributes over products); TestMillerLoopBatch* and
-// TestPairingCheckMatchesNaive pin that.
+// the single final exponentiation. After the final exponentiation the
+// result is bit-identical to the affine per-pair oracle
+// (TestMillerLoopBatchMatchesProduct, TestPairingMatchesAffineOracle).
 
-// batchInvertFp2 writes 1/in[i] into out[i] with one shared inversion.
-// Zero entries invert to zero (matching Fp2.Inverse), so adversarial
-// inputs degrade identically to the per-pair path instead of poisoning
-// the whole batch.
-func batchInvertFp2(in, out []ff.Fp2) {
-	var acc ff.Fp2
-	acc.SetOne()
-	for i := range in {
-		out[i] = acc
-		if !in[i].IsZero() {
-			acc.Mul(&acc, &in[i])
-		}
-	}
-	var inv ff.Fp2
-	inv.Inverse(&acc)
-	for i := len(in) - 1; i >= 0; i-- {
-		if in[i].IsZero() {
-			out[i].SetZero()
-			continue
-		}
-		out[i].Mul(&out[i], &inv)
-		inv.Mul(&inv, &in[i])
-	}
-}
-
-// millerPair is the per-pair state of the lockstep loop. The G1 point
-// enters only through c0 and xp; T walks the twist.
+// millerPair is the per-pair state of the lockstep loop: T = (X:Y:Z)
+// walks the twist; the G1 point enters only as the two Fp scalars that
+// scale the line coefficients.
 type millerPair struct {
-	q  G2Affine
-	t  G2Affine
-	c0 ff.Fp2 // xi * yP, constant across steps
-	xp ff.Fp  // xP, for the degree-5 line coefficient
+	q       G2Affine
+	x, y, z ff.Fp2
+	xp, yp  ff.Fp
 }
 
-// millerStepApply finishes a tangent (q == nil) or chord step for one
-// pair given the already-inverted denominator, multiplying the line
-// value into f and advancing T.
-func (mp *millerPair) millerStepApply(f *ff.Fp12, q *G2Affine, invDen *ff.Fp2) {
-	var lambda, num ff.Fp2
-	if q == nil {
-		num.Square(&mp.t.X)
-		var three ff.Fp2
-		three.Add(&num, &num)
-		num.Add(&three, &num)
-	} else {
-		num.Sub(&mp.t.Y, &q.Y)
-	}
-	lambda.Mul(&num, invDen)
+// mulBy12 sets z = 12z with four additions.
+func mulBy12(z *ff.Fp2) {
+	var t ff.Fp2
+	t.Double(z)
+	z.Add(&t, z)
+	z.Double(z)
+	z.Double(z)
+}
 
-	var c3, c5 ff.Fp2
-	c3.Mul(&lambda, &mp.t.X)
-	c3.Sub(&c3, &mp.t.Y)
-	c5.MulByFp(&lambda, &mp.xp)
+// doubleStep multiplies the tangent line at T, evaluated at P, into f
+// and sets T = 2T.
+func (mp *millerPair) doubleStep(f *ff.Fp12) {
+	var a, b, c, e, e3, g, h, j, t ff.Fp2
+	a.Mul(&mp.x, &mp.y) // XY
+	b.Square(&mp.y)     // Y^2
+	c.Square(&mp.z)     // Z^2
+	j.Square(&mp.x)     // X^2
+	h.Add(&mp.y, &mp.z)
+	h.Square(&h)
+	h.Sub(&h, &b)
+	h.Sub(&h, &c) // 2YZ
+	e.MulByNonResidue(&c)
+	mulBy12(&e) // 3b'Z^2 = 12*xi*Z^2 (b' = 4*xi)
+	t.Double(&e)
+	e3.Add(&t, &e) // 9b'Z^2
+	g.Add(&b, &e3)
+
+	var c0, c3, c5 ff.Fp2
+	c0.MulByNonResidue(&h)
+	c0.MulByFp(&c0, &mp.yp)
+	c0.Neg(&c0)
+	c3.Sub(&e, &b)
+	c5.Double(&j)
+	c5.Add(&c5, &j)
+	c5.MulByFp(&c5, &mp.xp)
+	f.MulBySparse035(f, &c0, &c3, &c5)
+
+	t.Sub(&b, &e3)
+	mp.x.Mul(&a, &t)
+	mp.x.Double(&mp.x)
+	e.Square(&e)
+	mulBy12(&e) // 12(3b'Z^2)^2
+	g.Square(&g)
+	mp.y.Sub(&g, &e)
+	mp.z.Mul(&b, &h)
+	mp.z.Double(&mp.z)
+	mp.z.Double(&mp.z)
+}
+
+// addStep multiplies the chord through T and Q, evaluated at P, into f
+// and sets T = T + Q.
+func (mp *millerPair) addStep(f *ff.Fp12) {
+	var theta, lambda, c, d, e, g, h, t ff.Fp2
+	theta.Mul(&mp.q.Y, &mp.z)
+	theta.Sub(&mp.y, &theta)
+	lambda.Mul(&mp.q.X, &mp.z)
+	lambda.Sub(&mp.x, &lambda)
+
+	var c0, c3, c5 ff.Fp2
+	c0.MulByNonResidue(&lambda)
+	c0.MulByFp(&c0, &mp.yp)
+	c3.Mul(&theta, &mp.q.X)
+	t.Mul(&lambda, &mp.q.Y)
+	c3.Sub(&c3, &t)
+	c5.MulByFp(&theta, &mp.xp)
 	c5.Neg(&c5)
+	f.MulBySparse035(f, &c0, &c3, &c5)
 
-	var x3, y3 ff.Fp2
-	x3.Square(&lambda)
-	x3.Sub(&x3, &mp.t.X)
-	if q == nil {
-		x3.Sub(&x3, &mp.t.X)
-	} else {
-		x3.Sub(&x3, &q.X)
-	}
-	y3.Sub(&mp.t.X, &x3)
-	y3.Mul(&lambda, &y3)
-	y3.Sub(&y3, &mp.t.Y)
-	mp.t.X, mp.t.Y = x3, y3
-
-	l := lineEval(&mp.c0, &c3, &c5)
-	f.Mul(f, &l)
+	c.Square(&theta)
+	d.Square(&lambda)
+	e.Mul(&lambda, &d) // lambda^3
+	g.Mul(&mp.x, &d)   // X*lambda^2
+	h.Mul(&mp.z, &c)
+	h.Add(&h, &e)
+	h.Sub(&h, &g)
+	h.Sub(&h, &g)
+	mp.x.Mul(&lambda, &h)
+	g.Sub(&g, &h)
+	g.Mul(&theta, &g)
+	t.Mul(&e, &mp.y)
+	mp.y.Sub(&g, &t)
+	mp.z.Mul(&mp.z, &e)
 }
 
 // MillerLoopBatch computes the product of Miller loop values
 // prod_i f_{|x|,Q_i}(P_i) (conjugated for the negative curve
-// parameter), sharing one Fp12 squaring chain and batch-inverting the
-// per-step denominators across pairs. Pairs with either point at
-// infinity contribute 1, exactly as MillerLoop does.
+// parameter), sharing one Fp12 squaring chain across pairs. Pairs with
+// either point at infinity contribute 1. The value is defined up to an
+// Fp2* factor; only FinalExponentiation of it is canonical.
 func MillerLoopBatch(ps []G1Affine, qs []G2Affine) ff.Fp12 {
 	if len(ps) != len(qs) {
 		panic("bls12381: MillerLoopBatch length mismatch")
 	}
 	pairs := make([]millerPair, 0, len(ps))
-	xi := ff.Fp2NonResidue()
 	for i := range ps {
 		if ps[i].Infinity || qs[i].Infinity {
 			continue
 		}
-		mp := millerPair{q: qs[i], t: qs[i], xp: ps[i].X}
-		mp.c0.MulByFp(&xi, &ps[i].Y)
+		mp := millerPair{q: qs[i], x: qs[i].X, y: qs[i].Y, xp: ps[i].X, yp: ps[i].Y}
+		mp.z.SetOne()
 		pairs = append(pairs, mp)
 	}
 	f := ff.Fp12One()
 	if len(pairs) == 0 {
 		return f
 	}
-	dens := make([]ff.Fp2, len(pairs))
-	invs := make([]ff.Fp2, len(pairs))
 
 	msb := 63
 	for msb >= 0 && (blsX>>uint(msb))&1 == 0 {
@@ -133,22 +166,12 @@ func MillerLoopBatch(ps []G1Affine, qs []G2Affine) ff.Fp12 {
 	}
 	for i := msb - 1; i >= 0; i-- {
 		f.Square(&f)
-		// Tangent step for every pair: denominator 2*yT.
 		for j := range pairs {
-			dens[j].Double(&pairs[j].t.Y)
-		}
-		batchInvertFp2(dens, invs)
-		for j := range pairs {
-			pairs[j].millerStepApply(&f, nil, &invs[j])
+			pairs[j].doubleStep(&f)
 		}
 		if (blsX>>uint(i))&1 == 1 {
-			// Chord step through Q: denominator xT - xQ.
 			for j := range pairs {
-				dens[j].Sub(&pairs[j].t.X, &pairs[j].q.X)
-			}
-			batchInvertFp2(dens, invs)
-			for j := range pairs {
-				pairs[j].millerStepApply(&f, &pairs[j].q, &invs[j])
+				pairs[j].addStep(&f)
 			}
 		}
 	}
@@ -173,9 +196,7 @@ func pairingWorkers(pairs int) int {
 
 // PairingCheck reports whether prod e(Pi, Qi) == 1. The Miller loops
 // run as lockstep batches sharded across cores, and all partial
-// products share ONE final exponentiation. The per-pair naive path is
-// retained as PairingCheckSequential for equivalence tests and
-// ablation benchmarks.
+// products share ONE final exponentiation.
 func PairingCheck(ps []G1Affine, qs []G2Affine) bool {
 	if len(ps) != len(qs) {
 		return false
@@ -212,22 +233,6 @@ func PairingCheck(ps []G1Affine, qs []G2Affine) bool {
 		for w := 1; w < workers; w++ {
 			acc.Mul(&acc, &partials[w])
 		}
-	}
-	out := FinalExponentiation(&acc)
-	return out.IsOne()
-}
-
-// PairingCheckSequential is the retained naive reference: one full
-// Miller loop per pair, multiplied into a single accumulator, one final
-// exponentiation. Tests pin PairingCheck against it.
-func PairingCheckSequential(ps []G1Affine, qs []G2Affine) bool {
-	if len(ps) != len(qs) {
-		return false
-	}
-	acc := ff.Fp12One()
-	for i := range ps {
-		f := MillerLoop(&ps[i], &qs[i])
-		acc.Mul(&acc, &f)
 	}
 	out := FinalExponentiation(&acc)
 	return out.IsOne()

@@ -90,8 +90,50 @@ func (z *Fp12) Mul(a, b *Fp12) *Fp12 {
 	return z
 }
 
-// Square sets z = a^2 and returns z.
-func (z *Fp12) Square(a *Fp12) *Fp12 { return z.Mul(a, a) }
+// Square sets z = a^2 and returns z. Complex-method squaring over
+// w^2 = v: with t = a0*a1,
+//
+//	a^2 = (a0 + a1)(a0 + v*a1) - t - v*t  +  2t * w
+//
+// — two Fp6 products where the schoolbook Mul(a, a) pays three.
+func (z *Fp12) Square(a *Fp12) *Fp12 {
+	var t, s0, s1 Fp6
+	t.Mul(&a.C0, &a.C1)
+	s0.Add(&a.C0, &a.C1)
+	s1.MulByV(&a.C1)
+	s1.Add(&s1, &a.C0)
+	s0.Mul(&s0, &s1)
+	s0.Sub(&s0, &t)
+	s1.MulByV(&t)
+	z.C0.Sub(&s0, &s1)
+	z.C1.Double(&t)
+	return z
+}
+
+// MulBySparse035 sets z = a * (c0 + c3*W^3 + c5*W^5) and returns z,
+// where W-degrees index the Fp2[W]/(W^6 - xi) view of Fp12 (see
+// frobComponents): the sparse factor is c0 + (c3*v + c5*v^2)*w. That
+// is the shape of every Miller-loop line on the M-type twist, so the
+// line is never materialized as a dense Fp12. Karatsuba over w with
+// l1 = c3*v + c5*v^2:
+//
+//	z0 = a0*c0 + v*(a1*l1)
+//	z1 = (a0 + a1)(c0 + l1) - a0*c0 - a1*l1
+//
+// costs 3 + 5 + 6 = 14 Fp2 products against the dense Mul's 18.
+func (z *Fp12) MulBySparse035(a *Fp12, c0, c3, c5 *Fp2) *Fp12 {
+	var v0, v1, t Fp6
+	v0.MulByFp2(&a.C0, c0)
+	v1.mulByV1V2(&a.C1, c3, c5)
+	t.Add(&a.C0, &a.C1)
+	t.Mul(&t, &Fp6{C0: *c0, C1: *c3, C2: *c5})
+	t.Sub(&t, &v0)
+	t.Sub(&t, &v1)
+	v1.MulByV(&v1)
+	z.C0.Add(&v0, &v1)
+	z.C1 = t
+	return z
+}
 
 // Inverse sets z = a^-1 and returns z. Inverting zero yields zero.
 func (z *Fp12) Inverse(a *Fp12) *Fp12 {
@@ -178,7 +220,61 @@ func (z *Fp12) Frobenius(a *Fp12, k int) *Fp12 {
 	return z
 }
 
-// CyclotomicSquare sets z = a^2 assuming a is in the cyclotomic subgroup.
-// Currently an alias for Square; kept as a named operation so callers
-// express intent and an optimized Granger-Scott squaring can be dropped in.
-func (z *Fp12) CyclotomicSquare(a *Fp12) *Fp12 { return z.Square(a) }
+// fp4Square returns (a + b*s)^2 = (a^2 + xi*b^2) + 2ab*s in
+// Fp4 = Fp2[s]/(s^2 - xi), with three Fp2 squarings.
+func fp4Square(a, b *Fp2) (c0, c1 Fp2) {
+	var a2, b2 Fp2
+	a2.Square(a)
+	b2.Square(b)
+	c0.MulByNonResidue(&b2)
+	c0.Add(&c0, &a2)
+	c1.Add(a, b)
+	c1.Square(&c1)
+	c1.Sub(&c1, &a2)
+	c1.Sub(&c1, &b2)
+	return c0, c1
+}
+
+// tripleMinusDouble sets z = 3*sq - 2*in; triplePlusDouble sets
+// z = 3*sq + 2*in: the Granger-Scott recombination of one coordinate.
+func (z *Fp2) tripleMinusDouble(sq, in *Fp2) {
+	var t Fp2
+	t.Sub(sq, in)
+	t.Double(&t)
+	z.Add(&t, sq)
+}
+
+func (z *Fp2) triplePlusDouble(sq, in *Fp2) {
+	var t Fp2
+	t.Add(sq, in)
+	t.Double(&t)
+	z.Add(&t, sq)
+}
+
+// CyclotomicSquare sets z = a^2 for a in the cyclotomic subgroup (any
+// output of the final exponentiation's easy part) and returns z.
+// Granger-Scott squaring: view Fp12 as a cubic extension of Fp4 with
+// the W-degree pairs (0,3), (1,4), (2,5) as its three Fp4 coordinates;
+// the subgroup relation a^(p^4 - p^2 + 1) = 1 lets each squared
+// coordinate be recovered as 3*(Fp4 square) +- 2*(conjugate of an input
+// coordinate), so the whole squaring is 9 Fp2 squarings. Off the
+// subgroup the result is NOT a^2 (TestCyclotomicSquareOffSubgroup).
+func (z *Fp12) CyclotomicSquare(a *Fp12) *Fp12 {
+	g0, g3 := &a.C0.C0, &a.C1.C1 // W^0, W^3
+	g1, g4 := &a.C1.C0, &a.C0.C2 // W^1, W^4
+	g2, g5 := &a.C0.C1, &a.C1.C2 // W^2, W^5
+	a0, a1 := fp4Square(g0, g3)
+	b0, b1 := fp4Square(g1, g4)
+	c0, c1 := fp4Square(g2, g5)
+	c1.MulByNonResidue(&c1)
+
+	var out Fp12
+	out.C0.C0.tripleMinusDouble(&a0, g0)
+	out.C1.C1.triplePlusDouble(&a1, g3)
+	out.C1.C0.triplePlusDouble(&c1, g1)
+	out.C0.C2.tripleMinusDouble(&c0, g4)
+	out.C0.C1.tripleMinusDouble(&b0, g2)
+	out.C1.C2.triplePlusDouble(&b1, g5)
+	*z = out
+	return z
+}

@@ -115,6 +115,32 @@ func (z *Fp6) MulByFp2(a *Fp6, s *Fp2) *Fp6 {
 	return z
 }
 
+// mulByV1V2 sets z = a * (b1*v + b2*v^2), the sparse Fp6 product inside
+// Fp12.MulBySparse035, with five Fp2 products.
+func (z *Fp6) mulByV1V2(a *Fp6, b1, b2 *Fp2) *Fp6 {
+	var v1, v2, t0, t1, c0, c1, c2 Fp2
+	v1.Mul(&a.C1, b1)
+	v2.Mul(&a.C2, b2)
+
+	// c0 = xi*(a1*b2 + a2*b1) = xi*((a1+a2)(b1+b2) - v1 - v2)
+	t0.Add(&a.C1, &a.C2)
+	t1.Add(b1, b2)
+	c0.Mul(&t0, &t1)
+	c0.Sub(&c0, &v1)
+	c0.Sub(&c0, &v2)
+	c0.MulByNonResidue(&c0)
+
+	// c1 = a0*b1 + xi*v2 ; c2 = a0*b2 + v1
+	c1.Mul(&a.C0, b1)
+	t0.MulByNonResidue(&v2)
+	c1.Add(&c1, &t0)
+	c2.Mul(&a.C0, b2)
+	c2.Add(&c2, &v1)
+
+	z.C0, z.C1, z.C2 = c0, c1, c2
+	return z
+}
+
 // MulByV sets z = a * v, i.e. (c2*xi, c0, c1), and returns z.
 func (z *Fp6) MulByV(a *Fp6) *Fp6 {
 	var c0 Fp2

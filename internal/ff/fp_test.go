@@ -87,6 +87,54 @@ func TestFpAddSubNegMatchBig(t *testing.T) {
 	}
 }
 
+// TestFpAddSubNegBoundaries drives the branch-free Add/Sub/Neg over the
+// raw residues where the masked selection flips — sums landing on p-1,
+// p and p+1, differences landing on 0 and -1, negation of 0 — in every
+// aliasing pattern the tower uses (z = a, z = b, a = b).
+func TestFpAddSubNegBoundaries(t *testing.T) {
+	raw := func(v *big.Int) Fp { return bigToFpRaw(v) }
+	one := big.NewInt(1)
+	pm1 := new(big.Int).Sub(fpP, one)
+	half := new(big.Int).Rsh(fpP, 1) // (p-1)/2
+	halfUp := new(big.Int).Add(half, one)
+	vals := []*big.Int{
+		big.NewInt(0), one, big.NewInt(2), half, halfUp, pm1,
+		new(big.Int).Sub(pm1, one), limbsToBig(fpOne[:]), limbsToBig(fpRSquare[:]),
+		new(big.Int).SetUint64(^uint64(0)), new(big.Int).Lsh(one, 320),
+	}
+	check := func(op string, got *Fp, want *big.Int) {
+		t.Helper()
+		want.Mod(want, fpP)
+		if limbsToBig(got[:]).Cmp(want) != 0 {
+			t.Fatalf("%s: got %x want %x", op, limbsToBig(got[:]), want)
+		}
+	}
+	for _, av := range vals {
+		a := raw(av)
+		var neg Fp
+		check("neg", neg.Neg(&a), new(big.Int).Neg(av))
+		neg = a
+		check("neg aliased", neg.Neg(&neg), new(big.Int).Neg(av))
+		var dbl Fp
+		check("double", dbl.Add(&a, &a), new(big.Int).Lsh(av, 1))
+		check("a-a", dbl.Sub(&a, &a), big.NewInt(0))
+		for _, bv := range vals {
+			b := raw(bv)
+			var z Fp
+			check("add", z.Add(&a, &b), new(big.Int).Add(av, bv))
+			check("sub", z.Sub(&a, &b), new(big.Int).Sub(av, bv))
+			z = a
+			check("add z=a", z.Add(&z, &b), new(big.Int).Add(av, bv))
+			z = b
+			check("add z=b", z.Add(&a, &z), new(big.Int).Add(av, bv))
+			z = a
+			check("sub z=a", z.Sub(&z, &b), new(big.Int).Sub(av, bv))
+			z = b
+			check("sub z=b", z.Sub(&a, &z), new(big.Int).Sub(av, bv))
+		}
+	}
+}
+
 func TestFpInverse(t *testing.T) {
 	f := func(aw [6]uint64) bool {
 		a, av := fpFromWords(aw)
