@@ -218,7 +218,7 @@ func runRefresh(paramsPath string, file *deployfile.File, params audit.Params) e
 
 	inv := newRPCInvoker(params)
 	defer inv.close()
-	if err := blsapp.RunRefreshCeremony(inv, ref, signer); err != nil {
+	if err := blsapp.RunRefreshCeremony(inv, ref, signer, blsapp.CeremonyDiagnostics{}); err != nil {
 		return fmt.Errorf("%w\n(the ceremony is safe to re-run: dtclient refresh)", err)
 	}
 

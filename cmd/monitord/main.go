@@ -59,18 +59,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/audit"
 	"repro/internal/bls"
 	"repro/internal/bls12381"
+	"repro/internal/daemon"
 	"repro/internal/deployfile"
-	"repro/internal/fault"
 	"repro/internal/gossip"
 	"repro/internal/monitor"
 	"repro/internal/obsv"
@@ -78,103 +74,51 @@ import (
 	"repro/internal/transport"
 )
 
+var (
+	h      = daemon.New("monitord", flag.CommandLine, true)
+	logger = h.Log
+
+	paramsPath = flag.String("params", "deployment.json", "deployment parameters file")
+	listen     = flag.String("listen", "127.0.0.1:0", "listen address")
+	shards     = flag.Int("shards", monitor.DefaultShards, "stripe count of the public Merkle log")
+	name       = flag.String("name", "monitor", "this monitor's name in gossip deployments")
+	slashable  = flag.String("slashable", "", "comma-separated hex BLS keys of peer monitors whose equivocation proofs this monitor records")
+	subscribe  = flag.Bool("subscribe", true, "serve reads through the caching tier and push new heads to subscribed connections")
+
+	fsyncDeadline   = flag.Duration("fsync-deadline", 2*time.Second, "WAL-fsync stall watchdog deadline (0 disables)")
+	debugFsyncStall = flag.Duration("debug-fsync-stall", 0, "inject a sleep before every WAL fsync (requires -debug-hooks)")
+	rpcTimeout      = flag.Duration("rpc-timeout", 10*time.Second, "per-call deadline on outbound RPCs this monitor issues (poll path); 0 disables")
+)
+
 func main() {
-	var (
-		paramsPath = flag.String("params", "deployment.json", "deployment parameters file")
-		listen     = flag.String("listen", "127.0.0.1:0", "listen address")
-		shards     = flag.Int("shards", monitor.DefaultShards, "stripe count of the public Merkle log")
-		name       = flag.String("name", "monitor", "this monitor's name in gossip deployments")
-		dataDir    = flag.String("data", "", "durable storage directory; empty runs in-memory (log and keys are lost on exit)")
-		slashable  = flag.String("slashable", "", "comma-separated hex BLS keys of peer monitors whose equivocation proofs this monitor records")
-		subscribe  = flag.Bool("subscribe", true, "serve reads through the caching tier and push new heads to subscribed connections")
-		metrics    = flag.String("metrics", "", "observability HTTP address (/metrics, /healthz, /readyz, /traces, /slo, /debug/flight, pprof); empty disables")
-		traceEvery = flag.Int("trace", 64, "sample one in N requests for tracing (0 disables local roots)")
-		debugHooks = flag.Bool("debug-hooks", false, "register debug RPCs (_poison) and fault-injection flags — test deployments only")
-
-		fsyncDeadline   = flag.Duration("fsync-deadline", 2*time.Second, "WAL-fsync stall watchdog deadline (0 disables)")
-		sloInterval     = flag.Duration("slo-interval", obsv.DefaultSLOInterval, "SLO burn-rate sampling interval")
-		debugFsyncStall = flag.Duration("debug-fsync-stall", 0, "inject a sleep before every WAL fsync (requires -debug-hooks)")
-		rpcTimeout      = flag.Duration("rpc-timeout", 10*time.Second, "per-call deadline on outbound RPCs this monitor issues (poll path); 0 disables")
-		faultSchedule   = flag.String("fault-schedule", "", "deterministic fault-injection schedule file (requires -debug-hooks)")
-		faultTarget     = flag.String("fault-target", "monitord", "target name this process matches in the fault schedule")
-	)
 	flag.Parse()
-
-	logger := obsv.NewLogger(os.Stderr, "monitord", nil)
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
-		os.Exit(1)
-	}
-	reg := obsv.NewRegistry()
-	health := obsv.NewHealth()
-	health.Register(reg)
-	tracer := obsv.NewTracer(*traceEvery)
-	tracer.Register(reg)
-	tracer.SetLogger(logger)
-	bls.RegisterMetrics(reg)
-	bls12381.RegisterMetrics(reg)
-
-	// Diagnosis plane: the flight recorder keeps the last operational
-	// transitions in memory and dumps them on panic, SIGQUIT, or a
-	// readiness flip; watchdogs turn silent stalls into degraded health
-	// plus profiles; the SLO engine burns the registry's own series.
-	fr := obsv.NewFlightRecorder(obsv.DefaultFlightSize)
-	fr.Register(reg)
-	diagDir := *dataDir
-	if diagDir == "" {
-		diagDir = os.TempDir()
-	}
-	defer fr.DumpOnPanic(diagDir, "monitord")
-	dogs := obsv.NewWatchdogSet("monitord", diagDir, fr)
-	dogs.SetLogger(logger)
+	h.Start("debug-fsync-stall")
+	defer h.Flight.DumpOnPanic(h.DiagDir, h.Name)
+	bls.RegisterMetrics(h.Reg)
+	bls12381.RegisterMetrics(h.Reg)
 	var fsyncDog *obsv.Watchdog
 	if *fsyncDeadline > 0 {
-		fsyncDog = dogs.Add("wal-fsync", *fsyncDeadline)
+		fsyncDog = h.Dogs.Add("wal-fsync", *fsyncDeadline)
 	}
 
 	file, err := deployfile.Read(*paramsPath)
 	if err != nil {
-		fatal("reading deployment parameters", "err", err)
+		h.Fatal("reading deployment parameters", "err", err)
 	}
 	params, err := file.Params()
 	if err != nil {
-		fatal("parsing deployment parameters", "err", err)
-	}
-	var stall time.Duration
-	if *debugHooks {
-		stall = *debugFsyncStall
-	} else if *debugFsyncStall > 0 {
-		fatal("-debug-fsync-stall requires -debug-hooks")
-	}
-	// Chaos plane: a seeded schedule makes faults deterministic, so a CI
-	// failure replays locally from the schedule file alone. The injector
-	// wraps the RPC listener (every accepted connection and its I/O) and
-	// the WAL fsync path; each injection lands on /debug/flight tagged
-	// "injected". A nil injector passes everything through.
-	var inj *fault.Injector
-	if *faultSchedule != "" {
-		if !*debugHooks {
-			fatal("-fault-schedule requires -debug-hooks")
-		}
-		sched, err := fault.LoadSchedule(*faultSchedule)
-		if err != nil {
-			fatal("loading fault schedule", "err", err)
-		}
-		inj = fault.Activate(sched, *faultTarget)
-		inj.SetFlightRecorder(fr)
-		logger.Info("chaos plane armed", "schedule", *faultSchedule,
-			"target", *faultTarget, "seed", sched.Seed, "rules", len(sched.Rules))
+		h.Fatal("parsing deployment parameters", "err", err)
 	}
 	var mon *monitor.Monitor
-	if *dataDir != "" {
+	if h.DataDir != "" {
 		// Persistent monitor: stable tree-head identity, crash-safe log.
-		openOpts := &monitor.OpenOptions{Shards: *shards, FsyncStall: stall}
-		if inj != nil {
-			openOpts.DiskFault = inj.DiskFault
+		openOpts := &monitor.OpenOptions{Shards: *shards, FsyncStall: *debugFsyncStall}
+		if h.Inj != nil {
+			openOpts.DiskFault = h.Inj.DiskFault
 		}
-		mon, err = monitor.Open(*dataDir, params, openOpts)
+		mon, err = monitor.Open(h.DataDir, params, openOpts)
 		if err != nil {
-			fatal("opening monitor store", "err", err, "data", *dataDir)
+			h.Fatal("opening monitor store", "err", err, "data", h.DataDir)
 		}
 		if info, ok := mon.RecoveryInfo(); ok {
 			head := "no signed head on disk"
@@ -188,45 +132,47 @@ func main() {
 	} else {
 		_, priv, err := ed25519.GenerateKey(rand.Reader)
 		if err != nil {
-			fatal("keygen", "err", err)
+			h.Fatal("keygen", "err", err)
 		}
 		mon, err = monitor.NewSharded(params, priv, *shards)
 		if err != nil {
-			fatal("creating monitor", "err", err)
+			h.Fatal("creating monitor", "err", err)
 		}
 		blsKey, _, err := bls.GenerateKey()
 		if err != nil {
-			fatal("BLS keygen", "err", err)
+			h.Fatal("BLS keygen", "err", err)
 		}
 		mon.EnableBLSHeads(blsKey)
 	}
-	mon.RegisterMetrics(reg)
-	mon.SetDiagnostics(fr, fsyncDog)
+	mon.RegisterMetrics(h.Reg)
+	mon.SetDiagnostics(h.Flight, fsyncDog)
 	// The sticky persistence error flips readiness: a monitor that can
 	// no longer write its log durably must not look healthy.
-	health.Set("monitor-persist", mon.Err)
+	h.Health.Set("monitor-persist", mon.Err)
 	// Slashing reports may accuse this monitor itself plus any pinned
 	// peer monitor keys; proofs for other keys are self-signed spam.
 	if err := mon.RegisterLogSource(mon.BLSPublicKey()); err != nil {
-		fatal("registering own log source", "err", err)
+		h.Fatal("registering own log source", "err", err)
 	}
 	if *slashable != "" {
-		for _, h := range strings.Split(*slashable, ",") {
-			kb, err := hex.DecodeString(strings.TrimSpace(h))
+		for _, hx := range strings.Split(*slashable, ",") {
+			kb, err := hex.DecodeString(strings.TrimSpace(hx))
 			if err != nil {
-				fatal("bad -slashable key", "key", h, "err", err)
+				h.Fatal("bad -slashable key", "key", hx, "err", err)
 			}
 			pk := new(bls.PublicKey)
 			if err := pk.SetBytes(kb); err != nil {
-				fatal("bad -slashable key", "key", h, "err", err)
+				h.Fatal("bad -slashable key", "key", hx, "err", err)
 			}
 			if err := mon.RegisterLogSource(pk); err != nil {
-				fatal("registering slashable key", "err", err)
+				h.Fatal("registering slashable key", "err", err)
 			}
 		}
 	}
+	// The poll path dials through the injector like every other connection.
 	auditClient := audit.NewClient(params)
 	auditClient.SetCallTimeout(*rpcTimeout)
+	auditClient.SetDial(h.Inj.Dial)
 	defer auditClient.Close()
 
 	srv := transport.NewServer()
@@ -325,102 +271,59 @@ func main() {
 	var tier *serve.Tier
 	if *subscribe {
 		pkb := mon.BLSPublicKey().Bytes()
-		tier, err = serve.Attach(mon, serve.Options{Source: *name, SourcePK: pkb[:], Metrics: reg})
+		tier, err = serve.Attach(mon, serve.Options{Source: *name, SourcePK: pkb[:], Metrics: h.Reg})
 		if err != nil {
-			fatal("attaching serving tier", "err", err)
+			h.Fatal("attaching serving tier", "err", err)
 		}
 		mon.SetAppendHook(tier.Kick)
 		tier.Register(srv)
-		tier.SetFlightRecorder(fr)
+		tier.SetFlightRecorder(h.Flight)
 		// A poisoned (fail-closed) tier must flip /readyz, not just
 		// refuse RPCs.
-		health.Set("serve", tier.Unhealthy)
+		h.Health.Set("serve", tier.Unhealthy)
 		// A push backlog pinned at the cap means subscribers are not
 		// draining; degraded, with profiles, but not unready.
 		hub := tier.Hub()
-		dogs.AddProbe("serve-push-drain", 5*time.Second, func() (bool, string) {
+		h.Dogs.AddProbe("serve-push-drain", 5*time.Second, func() (bool, string) {
 			if p := hub.Pending(); p >= 1024 {
 				return true, fmt.Sprintf("push backlog %d heads", p)
 			}
 			return false, ""
 		})
-	}
-	if *debugHooks && tier != nil {
-		// Test-only failure injection: the e2e smoke test poisons the
-		// tier over RPC and asserts /readyz flips while serve_poisoned=1.
-		srv.Handle("_poison", func(json.RawMessage) (any, error) {
-			tier.Poison(errors.New("debug poison injected"))
-			return map[string]bool{"poisoned": true}, nil
+		if h.DebugHooks {
+			// Test-only failure injection: the e2e smoke test poisons the
+			// tier over RPC and asserts /readyz flips while serve_poisoned=1.
+			srv.Handle("_poison", func(json.RawMessage) (any, error) {
+				tier.Poison(errors.New("debug poison injected"))
+				return map[string]bool{"poisoned": true}, nil
+			})
+		}
+		// The head pump reads the monitor: it stops before the store closes.
+		h.Go(func(stop <-chan struct{}) {
+			<-stop
+			tier.Close()
 		})
 	}
-	srv.Instrument(reg, tracer)
-	srv.SetFlightRecorder(fr)
 
-	// SLO engine: objectives from the deployment file when declared,
-	// the monitor defaults otherwise.
+	// SLO objectives from the deployment file when declared, the monitor
+	// defaults otherwise.
 	if err := file.ValidateSLOs(); err != nil {
-		fatal("deployment SLOs", "err", err)
+		h.Fatal("deployment SLOs", "err", err)
 	}
 	objs := file.SLOs
 	if len(objs) == 0 {
 		objs = obsv.DefaultMonitorSLOs()
 	}
-	slo := obsv.NewSLOEngine(reg, objs, *sloInterval)
-	slo.Register(reg)
-	slo.Start()
-
-	dogs.Register(reg)
-	dogs.BindHealth(health)
-	dogs.Start(100 * time.Millisecond)
-	stopDumps := fr.ArmDumps(diagDir, "monitord", health, logger)
-
-	var ms *obsv.MetricsServer
-	if *metrics != "" {
-		ms, err = obsv.Endpoint{
-			Daemon:   "monitord",
-			Registry: reg,
-			Health:   health,
-			Tracer:   tracer,
-			Flight:   fr,
-			SLO:      slo,
-		}.ListenAndServe(*metrics)
-		if err != nil {
-			fatal("metrics endpoint", "err", err)
-		}
-		logger.Info("observability endpoint up", "addr", ms.Addr)
-	}
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fatal("listen", "addr", *listen, "err", err)
-	}
-	srv.Serve(inj.Listener(ln))
-	logger.Info("serving", "addr", ln.Addr().String(), "domains", len(params.Domains),
+	addr := h.Serve(srv, *listen, objs)
+	logger.Info("serving", "addr", addr.String(), "domains", len(params.Domains),
 		"shards", *shards, "serve_tier", tier != nil, "size", mon.Len())
 	logger.Info("tree-head identity", "ed25519", fmt.Sprintf("%x", mon.PublicKey()),
 		"bls", fmt.Sprintf("%x", blsKeyBytes(mon)))
 
-	// Clean shutdown: stop serving, then flush the store (final
-	// snapshot, WAL checkpoint, segment close) before exiting.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	got := <-sig
-	logger.Info("shutting down", "signal", got.String())
-	srv.Close()
-	if tier != nil {
-		tier.Close()
-	}
-	stopDumps()
-	dogs.Close()
-	slo.Close()
-	if ms != nil {
-		ms.Close()
-	}
-	if err := mon.Close(); err != nil {
-		fatal("flushing store", "err", err)
-	}
-	if *dataDir != "" {
-		logger.Info("store flushed", "data", *dataDir, "size", mon.Len())
+	// The store flushes last: final snapshot, WAL checkpoint, segment close.
+	h.Run(mon.Close)
+	if h.DataDir != "" {
+		logger.Info("store flushed", "data", h.DataDir, "size", mon.Len())
 	}
 }
 

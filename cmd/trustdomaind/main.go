@@ -41,17 +41,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"repro/internal/bls"
 	"repro/internal/bls12381"
 	"repro/internal/blsapp"
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/deployfile"
-	"repro/internal/fault"
 	"repro/internal/framework"
 	"repro/internal/obsv"
 	"repro/internal/sandbox"
@@ -59,115 +57,65 @@ import (
 	"repro/internal/tee"
 )
 
-// logger is the daemon-wide structured logger (component=trustdomaind).
-var logger = obsv.NewLogger(os.Stderr, "trustdomaind", nil)
+var (
+	h      = daemon.New("trustdomaind", flag.CommandLine, false)
+	logger = h.Log
 
-func fatal(msg string, args ...any) {
-	logger.Error(msg, args...)
-	os.Exit(1)
-}
+	demo    = flag.Bool("demo", true, "run a complete single-machine deployment")
+	n       = flag.Int("n", 3, "number of trust domains (incl. domain 0)")
+	t       = flag.Int("t", 2, "signing threshold")
+	params  = flag.String("params", "deployment.json", "where to write the public parameters")
+	frozen  = flag.Bool("frozen", false, "disable code updates after installation")
+	refresh = flag.Duration("refresh", 0, "proactively refresh the key shares at this interval (0 disables)")
+
+	ceremonyDeadline = flag.Duration("ceremony-deadline", time.Minute, "refresh-ceremony completion watchdog deadline (0 disables)")
+)
 
 func main() {
-	var (
-		demo    = flag.Bool("demo", true, "run a complete single-machine deployment")
-		n       = flag.Int("n", 3, "number of trust domains (incl. domain 0)")
-		t       = flag.Int("t", 2, "signing threshold")
-		params  = flag.String("params", "deployment.json", "where to write the public parameters")
-		frozen  = flag.Bool("frozen", false, "disable code updates after installation")
-		dataDir = flag.String("data", "", "directory for durable key-share state (restart keeps shares and epochs)")
-		refresh = flag.Duration("refresh", 0, "proactively refresh the key shares at this interval (0 disables)")
-		metrics = flag.String("metrics", "", "observability HTTP address (/metrics, /healthz, /readyz, /slo, /debug/flight, pprof); empty disables")
-
-		ceremonyDeadline = flag.Duration("ceremony-deadline", time.Minute, "refresh-ceremony completion watchdog deadline (0 disables)")
-		sloInterval      = flag.Duration("slo-interval", obsv.DefaultSLOInterval, "SLO burn-rate sampling interval")
-
-		debugHooks    = flag.Bool("debug-hooks", false, "enable fault-injection flags — test deployments only")
-		faultSchedule = flag.String("fault-schedule", "", "deterministic fault-injection schedule file (requires -debug-hooks)")
-		faultTarget   = flag.String("fault-target", "trustdomaind", "target name this process matches in the fault schedule")
-	)
 	flag.Parse()
 	if !*demo {
-		fatal("only -demo mode is available in this reproduction " +
+		h.Fatal("only -demo mode is available in this reproduction " +
 			"(multi-machine mode would need a key-distribution ceremony; see DESIGN.md)")
 	}
 	if *t < 1 || *t > *n {
-		fatal("invalid threshold", "t", *t, "n", *n)
+		h.Fatal("invalid threshold", "t", *t, "n", *n)
 	}
 	if *refresh != 0 && *refresh < time.Second {
-		fatal("refresh interval too small (min 1s)", "interval", *refresh)
+		h.Fatal("refresh interval too small (min 1s)", "interval", *refresh)
 	}
-
-	reg := obsv.NewRegistry()
-	health := obsv.NewHealth()
-	health.Register(reg)
-	bls.RegisterMetrics(reg)
-	bls12381.RegisterMetrics(reg)
-	blsapp.RegisterCeremonyMetrics(reg)
-
-	// Diagnosis plane: flight recorder (ceremony phases, share installs;
-	// dumped on panic, SIGQUIT, or a readiness flip) plus a watchdog on
-	// ceremony completion — a refresh wedged on an unresponsive domain
-	// degrades the daemon instead of hanging silently.
-	fr := obsv.NewFlightRecorder(obsv.DefaultFlightSize)
-	fr.Register(reg)
-	diagDir := *dataDir
-	if diagDir == "" {
-		diagDir = os.TempDir()
-	}
-	defer fr.DumpOnPanic(diagDir, "trustdomaind")
-	dogs := obsv.NewWatchdogSet("trustdomaind", diagDir, fr)
-	dogs.SetLogger(logger)
-
-	// Chaos plane (see cmd/monitord): the injector is handed to
-	// core.Deploy below, which wraps every per-domain RPC listener and
-	// dials its own domain connections through it, so a seeded schedule
-	// can reset or partition the domains' public surface. A nil injector
-	// is plain TCP.
-	var inj *fault.Injector
-	if *faultSchedule != "" {
-		if !*debugHooks {
-			fatal("-fault-schedule requires -debug-hooks")
-		}
-		sched, err := fault.LoadSchedule(*faultSchedule)
-		if err != nil {
-			fatal("loading fault schedule", "err", err)
-		}
-		inj = fault.Activate(sched, *faultTarget)
-		inj.SetFlightRecorder(fr)
-		logger.Info("chaos plane armed", "schedule", *faultSchedule,
-			"target", *faultTarget, "seed", sched.Seed, "rules", len(sched.Rules))
-	}
-	var ceremonyDog *obsv.Watchdog
-	if *ceremonyDeadline > 0 {
-		ceremonyDog = dogs.Add("refresh-ceremony", *ceremonyDeadline)
-	}
-	blsapp.SetCeremonyDiagnostics(fr, ceremonyDog)
-	dogs.Register(reg)
-	dogs.BindHealth(health)
-	dogs.Start(time.Second)
-	defer dogs.Close()
+	h.Start()
+	defer h.Flight.DumpOnPanic(h.DiagDir, h.Name)
+	bls.RegisterMetrics(h.Reg)
+	bls12381.RegisterMetrics(h.Reg)
+	blsapp.RegisterCeremonyMetrics(h.Reg)
 
 	dev, err := framework.NewDeveloper()
 	if err != nil {
-		fatal("developer keygen", "err", err)
+		h.Fatal("developer keygen", "err", err)
 	}
 	vendors, roots, err := tee.NewSimulatedEcosystem()
 	if err != nil {
-		fatal("ecosystem", "err", err)
+		h.Fatal("ecosystem", "err", err)
 	}
 	var vendorList []*tee.Vendor
 	for _, id := range tee.AllVendorIDs() {
 		vendorList = append(vendorList, vendors[id])
 	}
 
-	tk, states, err := openThresholdState(*dataDir, *t, *n, dev.PublicKey())
+	tk, states, err := openThresholdState(h.DataDir, *t, *n, dev.PublicKey())
 	if err != nil {
-		fatal("opening threshold state", "err", err)
+		h.Fatal("opening threshold state", "err", err)
 	}
 	// Domain 0's share state carries the deployment's epoch series
 	// (every domain advances in lockstep outside torn ceremonies).
-	states[0].RegisterMetrics(reg)
+	states[0].RegisterMetrics(h.Reg)
+	for _, st := range states {
+		st.SetFlightRecorder(h.Flight)
+	}
 
+	// The injector wraps every per-domain RPC listener and the
+	// deployment's own connections to them, so a seeded schedule can
+	// reset or partition the domains' public surface.
 	dep, err := core.Deploy(core.Config{
 		NumDomains: *n,
 		Developer:  dev,
@@ -179,28 +127,34 @@ func main() {
 			return blsapp.Hosts(states[i])
 		},
 		Frozen:       *frozen,
-		Dial:         inj.Dial,
-		WrapListener: inj.Listener,
+		Dial:         h.Inj.Dial,
+		WrapListener: h.Inj.Listener,
 	})
 	if err != nil {
-		fatal("deploy", "err", err)
+		h.Fatal("deploy", "err", err)
 	}
-	defer dep.Close()
+
+	// Ceremony phases land in the flight recorder, and a refresh wedged
+	// on an unresponsive domain trips the watchdog and degrades the
+	// daemon instead of hanging silently.
+	diag := blsapp.CeremonyDiagnostics{Flight: h.Flight}
+	if *ceremonyDeadline > 0 {
+		diag.Watchdog = h.Dogs.Add("refresh-ceremony", *ceremonyDeadline)
+	}
 
 	// A ceremony interrupted by a crash leaves a pending file; re-drive
 	// it (idempotently) before serving so every domain is back on one
 	// epoch and the parameters file matches.
-	if *dataDir != "" {
-		cur, err := recoverPendingCeremony(*dataDir, dep, dev, tk, states)
+	if h.DataDir != "" {
+		tk, err = recoverPendingCeremony(h.DataDir, dep, dev, diag, tk, states)
 		if err != nil {
-			fatal("recovering interrupted refresh", "err", err)
+			h.Fatal("recovering interrupted refresh", "err", err)
 		}
-		tk = cur
 	}
 	// Readiness requires every domain to sit on one epoch: a torn
 	// ceremony (mixed epochs) is a serving deployment but not a healthy
 	// one until the refresh is re-driven to convergence.
-	health.Set("share-epochs", func() error {
+	h.Health.Set("share-epochs", func() error {
 		lo, hi := states[0].Epoch(), states[0].Epoch()
 		for _, st := range states[1:] {
 			e := st.Epoch()
@@ -217,38 +171,17 @@ func main() {
 		return nil
 	})
 
-	slo := obsv.NewSLOEngine(reg, []obsv.Objective{{
+	h.Observe([]obsv.Objective{{
 		Name:      "ceremony-p99",
 		Kind:      "latency",
 		Series:    "blsapp_ceremony_seconds",
 		Threshold: 16.777216, // 250ns << 26: the top LatencyBuckets bound
 		Target:    0.99,
-	}}, *sloInterval)
-	slo.Register(reg)
-	slo.Start()
-	defer slo.Close()
-	stopDumps := fr.ArmDumps(diagDir, "trustdomaind", health, logger)
-	defer stopDumps()
-
-	var ms *obsv.MetricsServer
-	if *metrics != "" {
-		ms, err = obsv.Endpoint{
-			Daemon:   "trustdomaind",
-			Registry: reg,
-			Health:   health,
-			Flight:   fr,
-			SLO:      slo,
-		}.ListenAndServe(*metrics)
-		if err != nil {
-			fatal("metrics endpoint", "err", err)
-		}
-		defer ms.Close()
-		logger.Info("observability endpoint up", "addr", ms.Addr)
-	}
+	}})
 
 	file := deployfile.FromParams(dep.Params(), tk)
 	if err := file.Write(*params); err != nil {
-		fatal("writing parameters", "err", err)
+		h.Fatal("writing parameters", "err", err)
 	}
 
 	logger.Info("domains up", "n", *n, "t", *t, "epoch", tk.Epoch, "frozen", *frozen)
@@ -261,29 +194,23 @@ func main() {
 	// (0600) so `dtclient refresh` can coordinate ceremonies from
 	// another process. It is exactly as sensitive as the update key.
 	if err := deployfile.WriteRefreshKey(*params+".refresh-key", dev.Seed()); err != nil {
-		fatal("writing refresh key", "err", err)
+		h.Fatal("writing refresh key", "err", err)
 	}
 	logger.Info("refresh signing key written (keep it 0600)", "path", *params+".refresh-key")
 
-	stop := make(chan struct{})
-	done := make(chan struct{})
 	if *refresh != 0 {
 		logger.Info("proactive share refresh enabled", "interval", *refresh)
-		go func() {
-			defer close(done)
-			runRefreshLoop(*refresh, *dataDir, *params, dep, dev, tk, stop)
-		}()
-	} else {
-		close(done)
+		h.Go(func(stop <-chan struct{}) {
+			runRefreshLoop(*refresh, h.DataDir, *params, dep, dev, diag, tk, stop)
+		})
 	}
 
 	logger.Info("serving until SIGINT/SIGTERM")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	got := <-sig
-	close(stop)
-	<-done
-	logger.Info("shutting down", "signal", got.String())
+	// The domains close last, once no ceremony can be in flight against them.
+	h.Run(func() error {
+		dep.Close()
+		return nil
+	})
 }
 
 // thresholdStatePath is where a durable deployment records the current
@@ -454,7 +381,7 @@ func writeThresholdState(dataDir string, tk *bls.ThresholdKey) error {
 // laggard domain is still one epoch behind — deleting the package then
 // would strand it forever, so the package is re-driven whenever ANY
 // domain has not reached it.
-func recoverPendingCeremony(dataDir string, dep *core.Deployment, dev *framework.Developer, tk *bls.ThresholdKey, states []*blsapp.ShareState) (*bls.ThresholdKey, error) {
+func recoverPendingCeremony(dataDir string, dep *core.Deployment, dev *framework.Developer, diag blsapp.CeremonyDiagnostics, tk *bls.ThresholdKey, states []*blsapp.ShareState) (*bls.ThresholdKey, error) {
 	pending := pendingRefreshPath(dataDir)
 	ref, err := deployfile.ReadRefresh(pending)
 	if err != nil || ref == nil {
@@ -475,7 +402,7 @@ func recoverPendingCeremony(dataDir string, dep *core.Deployment, dev *framework
 		return nil, fmt.Errorf("pending ceremony targets epoch %d but a domain is still at epoch %d", ref.NewEpoch, minEpoch)
 	}
 	logger.Info("re-driving interrupted refresh ceremony", "epoch", ref.NewEpoch)
-	if err := blsapp.RunRefreshCeremony(dep, ref, dev); err != nil {
+	if err := blsapp.RunRefreshCeremony(dep, ref, dev, diag); err != nil {
 		return nil, err
 	}
 	if err := writeThresholdState(dataDir, ref.NewKey); err != nil {
@@ -498,7 +425,7 @@ func recoverPendingCeremony(dataDir string, dep *core.Deployment, dev *framework
 // are adopted before each tick so the loop never wedges on a stale
 // notion of "current". The deployment assumes a single ACTIVE
 // coordinator at a time (DESIGN.md §7).
-func runRefreshLoop(every time.Duration, dataDir, paramsPath string, dep *core.Deployment, dev *framework.Developer, tk *bls.ThresholdKey, stop <-chan struct{}) {
+func runRefreshLoop(every time.Duration, dataDir, paramsPath string, dep *core.Deployment, dev *framework.Developer, diag blsapp.CeremonyDiagnostics, tk *bls.ThresholdKey, stop <-chan struct{}) {
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	cur := tk
@@ -553,7 +480,7 @@ func runRefreshLoop(every time.Duration, dataDir, paramsPath string, dep *core.D
 			}
 			ref = next
 		}
-		if err := blsapp.RunRefreshCeremony(dep, ref, dev); err != nil {
+		if err := blsapp.RunRefreshCeremony(dep, ref, dev, diag); err != nil {
 			logger.Warn("refresh ceremony failed; re-driving the same package next tick", "epoch", ref.NewEpoch, "err", err)
 			continue
 		}

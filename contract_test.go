@@ -28,6 +28,7 @@ var allowedInternalImports = map[string][]string{
 	"transport": {"obsv"},
 	"store":     {"obsv"},
 	"fault":     {"obsv"},
+	"daemon":    {"obsv", "fault", "transport"},
 }
 
 // rawDialers are the transport entry points reserved to the transport
@@ -38,12 +39,23 @@ var rawDialers = map[string]bool{"Dial": true, "DialTimeout": true, "NewClient":
 // or use. They are assembled from halves so this file does not itself
 // trip a text search for them.
 var removedIdents = map[string]bool{
-	"Set" + "DialHook":       true,
-	"Set" + "ListenerWrap":   true,
-	"Dial" + "Context":       true,
-	"Hed" + "ge":             true,
-	"MonitorHead" + "Hedged": true,
-	"Dial" + "Addr":          true,
+	"Set" + "DialHook":            true,
+	"Set" + "ListenerWrap":        true,
+	"Dial" + "Context":            true,
+	"Hed" + "ge":                  true,
+	"MonitorHead" + "Hedged":      true,
+	"Dial" + "Addr":               true,
+	"Set" + "CeremonyDiagnostics": true,
+}
+
+// harnessOnly lists, by import path, the calls that build or tear down
+// a daemon's planes. internal/daemon makes them once for every daemon;
+// a main under cmd/ that made one itself would be a second copy of the
+// wiring, in its own order.
+var harnessOnly = map[string][]string{
+	"os/signal":            {"Notify"},
+	"repro/internal/fault": {"LoadSchedule", "Activate"},
+	"repro/internal/obsv":  {"NewRegistry", "NewFlightRecorder", "NewWatchdogSet", "NewSLOEngine", "Endpoint"},
 }
 
 func TestPackageContracts(t *testing.T) {
@@ -82,9 +94,18 @@ func checkFile(t *testing.T, path string, file *ast.File) {
 		pkg, _, _ = strings.Cut(rest, "/")
 	}
 
-	transportName := "" // local name of the transport import, if any
+	inCmd := strings.HasPrefix(path, "cmd/") && !isTest
+	transportName := ""                   // local name of the transport import, if any
+	harnessCalls := map[string][]string{} // local import name -> harnessOnly selectors
 	for _, imp := range file.Imports {
 		ipath, _ := strconv.Unquote(imp.Path.Value)
+		if sels, ok := harnessOnly[ipath]; ok && inCmd {
+			local := ipath[strings.LastIndex(ipath, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			harnessCalls[local] = sels
+		}
 		target, ok := strings.CutPrefix(ipath, internalPrefix)
 		if !ok {
 			continue
@@ -98,8 +119,8 @@ func checkFile(t *testing.T, path string, file *ast.File) {
 		if isTest {
 			continue
 		}
-		if target == "fault" && pkg != "" {
-			t.Errorf("%s: imports %s; only daemons (cmd/) and tests may — libraries take the injector's Dial/Listener as plain values", path, ipath)
+		if target == "fault" && pkg != "" && pkg != "daemon" {
+			t.Errorf("%s: imports %s; only the daemon harness, cmd/ and tests may — libraries take the injector's Dial/Listener as plain values", path, ipath)
 		}
 		if allowed, bounded := allowedInternalImports[pkg]; bounded && !slices.Contains(allowed, target) {
 			t.Errorf("%s: package %s must not import %s (allowed: %v)", path, pkg, ipath, allowed)
@@ -110,13 +131,19 @@ func checkFile(t *testing.T, path string, file *ast.File) {
 		switch n := n.(type) {
 		case *ast.Ident:
 			if removedIdents[n.Name] {
-				t.Errorf("%s: identifier %s was removed; there is one way to connect (transport.DialManaged)", path, n.Name)
+				t.Errorf("%s: identifier %s was removed (a process global or a second way to connect) and must not come back", path, n.Name)
 			}
 		case *ast.SelectorExpr:
 			x, ok := n.X.(*ast.Ident)
 			if ok && !isTest && pkg != "transport" && transportName != "" &&
 				x.Name == transportName && rawDialers[n.Sel.Name] {
 				t.Errorf("%s: uses transport.%s; non-test code outside internal/transport holds a transport.ManagedClient", path, n.Sel.Name)
+			}
+			if ok && slices.Contains(harnessCalls[x.Name], n.Sel.Name) {
+				t.Errorf("%s: uses %s.%s; a daemon's planes are built and torn down by internal/daemon", path, x.Name, n.Sel.Name)
+			}
+			if inCmd && n.Sel.Name == "ListenAndServe" {
+				t.Errorf("%s: calls ListenAndServe; internal/daemon owns a daemon's listeners (Harness.Serve, Harness.Observe)", path)
 			}
 		}
 		return true

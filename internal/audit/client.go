@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"time"
 
@@ -200,6 +201,7 @@ type Client struct {
 	mu        sync.Mutex
 	trace     obsv.TraceContext
 	timeout   time.Duration
+	dial      func(addr string, timeout time.Duration) (net.Conn, error)
 	endpoints map[string]*transport.ManagedClient // domains and witnesses, by address
 	last      map[string]AttestedStatusEnvelope
 	hist      map[string]*historyCache
@@ -236,6 +238,16 @@ func (c *Client) SetCallTimeout(d time.Duration) {
 	c.timeout = d
 }
 
+// SetDial makes every endpoint this client reaches from now on open its
+// connections through dial (nil is plain TCP). A daemon under a fault
+// schedule passes its injector's Dial, so the audit path is partitioned
+// with the rest of the process.
+func (c *Client) SetDial(dial func(addr string, timeout time.Duration) (net.Conn, error)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dial = dial
+}
+
 // Close releases every connection. The client stays usable: a later
 // call dials afresh.
 func (c *Client) Close() {
@@ -253,7 +265,7 @@ func (c *Client) call(addr, kind string, in, out any) error {
 	c.mu.Lock()
 	m := c.endpoints[addr]
 	if m == nil {
-		m = transport.DialManaged(addr, transport.ManagedOptions{})
+		m = transport.DialManaged(addr, transport.ManagedOptions{Dial: c.dial})
 		c.endpoints[addr] = m
 	}
 	ctx := obsv.ContextWithTrace(context.Background(), c.trace)

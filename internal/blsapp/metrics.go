@@ -1,7 +1,6 @@
 package blsapp
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obsv"
@@ -24,26 +23,20 @@ var ceremonyObs = struct {
 	duration   *obsv.Histogram
 }{duration: obsv.NewHistogram(nil)}
 
-// Ceremony diagnosis hooks (package-level, like ceremonyObs, because
-// ceremonies are driven through package functions). The flight recorder
-// sees every phase transition and the outcome; the watchdog is armed
-// for the ceremony's whole non-idle span, so a ceremony wedged on an
-// unresponsive domain trips it instead of hanging silently.
-var (
-	ceremonyFlight atomic.Pointer[obsv.FlightRecorder]
-	ceremonyDog    atomic.Pointer[obsv.Watchdog]
-)
-
-// SetCeremonyDiagnostics installs the coordinator daemon's flight
-// recorder and ceremony-completion watchdog. Either may be nil.
-func SetCeremonyDiagnostics(fr *obsv.FlightRecorder, dog *obsv.Watchdog) {
-	ceremonyFlight.Store(fr)
-	ceremonyDog.Store(dog)
+// CeremonyDiagnostics is where one coordinator's ceremonies report. The
+// flight recorder sees every phase transition and the outcome; the
+// watchdog is armed for the ceremony's whole non-idle span, so a
+// ceremony wedged on an unresponsive domain trips it instead of hanging
+// silently. The zero value reports nowhere: it is what a coordinator
+// without a diagnosis plane (dtclient, tests) passes.
+type CeremonyDiagnostics struct {
+	Flight   *obsv.FlightRecorder
+	Watchdog *obsv.Watchdog
 }
 
-// ceremonyEvent notes a ceremony phase transition in the flight ring.
-func ceremonyEvent(kind, detail string, value uint64) {
-	ceremonyFlight.Load().Record("blsapp", kind, detail, value, obsv.TraceContext{})
+// event notes a ceremony phase transition in the flight ring.
+func (d CeremonyDiagnostics) event(kind, detail string, value uint64) {
+	d.Flight.Record("blsapp", kind, detail, value, obsv.TraceContext{})
 }
 
 // RegisterCeremonyMetrics exposes the coordinator's refresh-ceremony
@@ -76,14 +69,16 @@ func (st *ShareState) RegisterMetrics(reg *obsv.Registry) {
 	})
 }
 
-func observeCeremony(start time.Time, err error) {
+// done closes a ceremony's span: phase back to idle, watchdog disarmed,
+// duration and outcome recorded.
+func (d CeremonyDiagnostics) done(start time.Time, err error) {
 	ceremonyObs.phase.Set(ceremonyIdle)
-	ceremonyDog.Load().Done()
+	d.Watchdog.Done()
 	ceremonyObs.duration.Observe(time.Since(start).Seconds())
 	if err != nil {
 		ceremonyObs.failures.Inc()
-		ceremonyEvent("ceremony_failed", err.Error(), 0)
+		d.event("ceremony_failed", err.Error(), 0)
 		return
 	}
-	ceremonyEvent("ceremony_done", "", uint64(time.Since(start).Nanoseconds()))
+	d.event("ceremony_done", "", uint64(time.Since(start).Nanoseconds()))
 }

@@ -178,18 +178,19 @@ const ceremonyRetries = 3
 // moved — and the caller must re-drive it with the SAME *bls.Refresh
 // (domains acknowledge replays idempotently); generating a fresh
 // package for the same epoch would strand the domains that already
-// applied this one.
-func RunRefreshCeremony(inv Invoker, ref *bls.Refresh, signer RefreshSigner) (err error) {
+// applied this one. diag receives the phase events and brackets the
+// ceremony with its watchdog.
+func RunRefreshCeremony(inv Invoker, ref *bls.Refresh, signer RefreshSigner, diag CeremonyDiagnostics) (err error) {
 	start := time.Now()
 	ceremonyObs.ceremonies.Inc()
-	ceremonyDog.Load().Arm()
-	defer func() { observeCeremony(start, err) }()
+	diag.Watchdog.Arm()
+	defer func() { diag.done(start, err) }()
 	n := inv.NumDomains()
 	if n != len(ref.Deltas) {
 		return fmt.Errorf("blsapp: ceremony for %d shares driven against %d domains", len(ref.Deltas), n)
 	}
 	ceremonyObs.phase.Set(ceremonyFrames)
-	ceremonyEvent("ceremony_phase", "frames", ref.NewEpoch)
+	diag.event("ceremony_phase", "frames", ref.NewEpoch)
 	reqs := make([][]byte, n)
 	for i := 0; i < n; i++ {
 		r, err := RefreshRequestFor(ref, i, signer)
@@ -200,7 +201,7 @@ func RunRefreshCeremony(inv Invoker, ref *bls.Refresh, signer RefreshSigner) (er
 	}
 
 	ceremonyObs.phase.Set(ceremonyInvoke)
-	ceremonyEvent("ceremony_phase", "invoke", ref.NewEpoch)
+	diag.event("ceremony_phase", "invoke", ref.NewEpoch)
 	var resps [][]byte
 	if ai, ok := inv.(AllInvoker); ok {
 		var err error
@@ -230,7 +231,7 @@ func RunRefreshCeremony(inv Invoker, ref *bls.Refresh, signer RefreshSigner) (er
 		}
 	}
 	ceremonyObs.phase.Set(ceremonyAcks)
-	ceremonyEvent("ceremony_phase", "acks", ref.NewEpoch)
+	diag.event("ceremony_phase", "acks", ref.NewEpoch)
 	for i, resp := range resps {
 		epoch, err := DecodeRefreshAck(resp)
 		if err != nil {

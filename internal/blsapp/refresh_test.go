@@ -100,7 +100,7 @@ func TestRefreshCeremonyThroughSandboxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunRefreshCeremony(f.inv, ref, f.dev); err != nil {
+	if err := RunRefreshCeremony(f.inv, ref, f.dev, CeremonyDiagnostics{}); err != nil {
 		t.Fatal(err)
 	}
 	for i, st := range f.states {
@@ -134,7 +134,7 @@ func TestRefreshCeremonyThroughSandboxes(t *testing.T) {
 	}
 
 	// Replaying the completed ceremony is an idempotent ack.
-	if err := RunRefreshCeremony(f.inv, ref, f.dev); err != nil {
+	if err := RunRefreshCeremony(f.inv, ref, f.dev, CeremonyDiagnostics{}); err != nil {
 		t.Fatalf("replaying a completed ceremony: %v", err)
 	}
 	// Rollback (stale ceremony) and epoch-skipping frames are refused.
@@ -226,7 +226,7 @@ func TestConcurrentRefreshAndSignBatch(t *testing.T) {
 				errCh <- err
 				return
 			}
-			if err := RunRefreshCeremony(f.inv, ref, f.dev); err != nil {
+			if err := RunRefreshCeremony(f.inv, ref, f.dev, CeremonyDiagnostics{}); err != nil {
 				errCh <- err
 				return
 			}
@@ -422,7 +422,7 @@ func TestCeremonyCrashMidwayRecovers(t *testing.T) {
 		}
 		// Re-drive the SAME package: already-moved domains ack
 		// idempotently, the rest catch up.
-		if err := RunRefreshCeremony(restarted, ref, f.dev); err != nil {
+		if err := RunRefreshCeremony(restarted, ref, f.dev, CeremonyDiagnostics{}); err != nil {
 			t.Fatalf("crashAfter=%d: re-drive: %v", crashAfter, err)
 		}
 		msg := []byte("signed after crash recovery")
@@ -454,7 +454,7 @@ func BenchmarkRefreshCeremony(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := RunRefreshCeremony(f.inv, ref, f.dev); err != nil {
+		if err := RunRefreshCeremony(f.inv, ref, f.dev, CeremonyDiagnostics{}); err != nil {
 			b.Fatal(err)
 		}
 		cur = ref.NewKey

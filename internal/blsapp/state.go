@@ -13,6 +13,7 @@ import (
 	"repro/internal/bls12381"
 	"repro/internal/ff"
 	"repro/internal/framework"
+	"repro/internal/obsv"
 	"repro/internal/store"
 )
 
@@ -47,7 +48,16 @@ type ShareState struct {
 	path  string // durable state file; empty = in-memory only
 	fsync bool
 
-	obs shareObs // internal instruments; see RegisterMetrics
+	obs    shareObs // internal instruments; see RegisterMetrics
+	flight *obsv.FlightRecorder
+}
+
+// SetFlightRecorder makes every committed epoch transition a
+// share_refresh flight event on fr. Call it before the state is served.
+func (st *ShareState) SetFlightRecorder(fr *obsv.FlightRecorder) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.flight = fr
 }
 
 // NewShareState wraps a key share as in-memory application state with no
@@ -241,6 +251,6 @@ func (st *ShareState) ApplyRefresh(f *RefreshFrame) error {
 	st.commit = append(st.commit[:0], f.Commitment...)
 	old.Zeroize()
 	st.obs.refreshes.Inc()
-	ceremonyEvent("share_refresh", "", f.NewEpoch)
+	st.flight.Record("blsapp", "share_refresh", "", f.NewEpoch, obsv.TraceContext{})
 	return nil
 }

@@ -61,6 +61,7 @@ type Deployment struct {
 	domains []*domain.Domain
 	conns   []*transport.ManagedClient // conns[i] reaches domains[i]
 	params  audit.Params
+	dial    func(addr string, timeout time.Duration) (net.Conn, error) // Config.Dial
 }
 
 // Deploy bootstraps a deployment: provisions TEEs, starts every trust
@@ -79,7 +80,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 		return nil, errors.New("core: initial application module required")
 	}
 
-	d := &Deployment{}
+	d := &Deployment{dial: cfg.Dial}
 	d.params = audit.Params{
 		Roots:       cfg.Roots,
 		Measurement: framework.Measure(cfg.Developer.PublicKey()),
@@ -139,9 +140,12 @@ func (d *Deployment) Domain(i int) *domain.Domain { return d.domains[i] }
 // Params returns the deployment's public verification parameters.
 func (d *Deployment) Params() audit.Params { return d.params }
 
-// AuditClient creates a fresh audit client for this deployment.
+// AuditClient creates a fresh audit client for this deployment. It
+// dials the way the deployment's own connections do (Config.Dial).
 func (d *Deployment) AuditClient() *audit.Client {
-	return audit.NewClient(d.params)
+	c := audit.NewClient(d.params)
+	c.SetDial(d.dial)
+	return c
 }
 
 // Invoke sends an application request to domain i over the network path

@@ -28,12 +28,12 @@ func TestRefreshCeremonyOverDeployment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := blsapp.RunRefreshCeremony(dep, ref, dev); err != nil {
+		if err := blsapp.RunRefreshCeremony(dep, ref, dev, blsapp.CeremonyDiagnostics{}); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		// The deployment satisfies AllInvoker, so the ceremony used
 		// InvokeAll; replay must still be an idempotent ack.
-		if err := blsapp.RunRefreshCeremony(dep, ref, dev); err != nil {
+		if err := blsapp.RunRefreshCeremony(dep, ref, dev, blsapp.CeremonyDiagnostics{}); err != nil {
 			t.Fatalf("round %d replay: %v", round, err)
 		}
 		cur = ref.NewKey
@@ -85,7 +85,7 @@ func TestInvokeAllDemandsEveryDomain(t *testing.T) {
 		t.Fatal("ragged request list accepted")
 	}
 	dep.Domain(2).Close()
-	if err := blsapp.RunRefreshCeremony(dep, ref, dev); err == nil {
+	if err := blsapp.RunRefreshCeremony(dep, ref, dev, blsapp.CeremonyDiagnostics{}); err == nil {
 		t.Fatal("ceremony succeeded with an unreachable domain")
 	}
 	// The abort left mixed epochs (domains 0 and 1 moved before the

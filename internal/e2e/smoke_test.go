@@ -8,6 +8,7 @@ package e2e
 import (
 	"crypto/ed25519"
 	"crypto/rand"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -137,6 +139,47 @@ func metricValue(body, series string) (float64, bool) {
 	return 0, false
 }
 
+// assertSeriesSet pins the NAMES a daemon publishes on /metrics.json to
+// the committed testdata/<daemon>.series list: bench/ and dtstat scrape
+// these by name, so a refactor of the daemon wiring must not add, drop
+// or rename one. UPDATE_SERIES=1 rewrites the list after a deliberate
+// change.
+func assertSeriesSet(t *testing.T, daemon, metricsAddr string) {
+	t.Helper()
+	_, body := httpGet(t, "http://"+metricsAddr+"/metrics.json")
+	var snap map[string]float64
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("%s /metrics.json: %v", daemon, err)
+	}
+	got := make([]string, 0, len(snap))
+	for name := range snap {
+		got = append(got, name)
+	}
+	slices.Sort(got)
+	golden := filepath.Join("testdata", daemon+".series")
+	if os.Getenv("UPDATE_SERIES") != "" {
+		if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(data)), "\n")
+	for _, name := range got {
+		if !slices.Contains(want, name) {
+			t.Errorf("%s publishes series %q that %s does not list", daemon, name, golden)
+		}
+	}
+	for _, name := range want {
+		if !slices.Contains(got, name) {
+			t.Errorf("%s no longer publishes series %q listed in %s", daemon, name, golden)
+		}
+	}
+}
+
 func TestObservabilitySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots real daemon processes")
@@ -144,6 +187,7 @@ func TestObservabilitySmoke(t *testing.T) {
 	tmp := t.TempDir()
 	monitordBin := buildDaemon(t, tmp, "monitord")
 	auditordBin := buildDaemon(t, tmp, "auditord")
+	trustdomaindBin := buildDaemon(t, tmp, "trustdomaind")
 
 	// A minimal deployment file: monitord only needs the verification
 	// parameters, not live trust domains.
@@ -172,6 +216,11 @@ func TestObservabilitySmoke(t *testing.T) {
 		"-sources", "mon="+monRPC, "-listen", audRPC, "-metrics", audMetrics,
 		"-name", "w1", "-trace", "1")
 	waitReady(t, audMetrics)
+	tdMetrics := freePort(t)
+	startDaemon(t, filepath.Join(tmp, "trustdomaind.log"), trustdomaindBin,
+		"-demo", "-n", "3", "-t", "2", "-params", filepath.Join(tmp, "domains.json"),
+		"-metrics", tdMetrics)
+	waitReady(t, tdMetrics)
 
 	// Drive traffic carrying a sampled trace: reads against the serve
 	// tier, then one witness pull so the auditord ingests the monitor's
@@ -227,6 +276,12 @@ func TestObservabilitySmoke(t *testing.T) {
 			t.Errorf("witness %s = %v (present=%v), want >= %v", series, v, ok, min)
 		}
 	}
+
+	// The series each daemon publishes are an interface: same names as
+	// the committed lists, whatever the wiring behind them looks like.
+	assertSeriesSet(t, "monitord", monMetrics)
+	assertSeriesSet(t, "auditord", audMetrics)
+	assertSeriesSet(t, "trustdomaind", tdMetrics)
 
 	// The sampled client trace must be visible on the monitor's /traces.
 	_, traces := httpGet(t, "http://"+monMetrics+"/traces")

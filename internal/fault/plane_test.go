@@ -2,12 +2,21 @@ package fault_test
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
 
+	"repro/internal/audit"
+	"repro/internal/bls"
+	"repro/internal/blsapp"
+	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/framework"
 	"repro/internal/obsv"
+	"repro/internal/sandbox"
+	"repro/internal/tee"
 	"repro/internal/transport"
 )
 
@@ -86,5 +95,116 @@ func TestInjectorIsAnArgument(t *testing.T) {
 	}
 	if got := b.injected(); len(got) != 1 || !strings.Contains(got[0], "out dial") {
 		t.Fatalf("b's flight recorder holds %q, want exactly its own dial drop", got)
+	}
+}
+
+// TestAuditPathDialsThroughInjector: the audit client takes its dialer
+// as a value too, so the two paths that used to dial plain TCP — a
+// monitor's "poll" handler and core.Deployment.AuditClient — are
+// partitioned with the rest of their process. A "monitord" node whose
+// schedule cuts its outbound side fails poll with an injected error and
+// an injected flight event of its own, while the same poll over a plain
+// dialer, against the same domains, succeeds.
+func TestAuditPathDialsThroughInjector(t *testing.T) {
+	cut := func(target string) (*fault.Injector, *obsv.FlightRecorder) {
+		inj := fault.Activate(&fault.Schedule{Seed: 1, Rules: []fault.Rule{
+			{Kind: fault.KindPartition, Target: target, Dir: fault.DirOut},
+		}}, target)
+		fr := obsv.NewFlightRecorder(64)
+		inj.SetFlightRecorder(fr)
+		return inj, fr
+	}
+	injectedDials := func(fr *obsv.FlightRecorder) (n int) {
+		for _, ev := range fr.Events() {
+			if ev.Component == "fault" && ev.Kind == "injected" && ev.Detail == "partition out dial" {
+				n++
+			}
+		}
+		return n
+	}
+
+	// Real trust domains; the deployment's own dialer is partitioned.
+	depInj, depFlight := cut("trustdomaind")
+	dev, err := framework.NewDeveloper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vendors, roots, err := tee.NewSimulatedEcosystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, shares, err := bls.ThresholdKeyGen(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := core.Deploy(core.Config{
+		NumDomains: 2,
+		Developer:  dev,
+		Vendors:    []*tee.Vendor{vendors[tee.AllVendorIDs()[0]]},
+		Roots:      roots,
+		AppModule:  blsapp.ModuleBytes(),
+		AppVersion: 1,
+		HostsFor: func(i int) map[string]*sandbox.HostFunc {
+			return blsapp.Hosts(blsapp.NewShareStateWithKey(shares[i], tk, dev.PublicKey()))
+		},
+		Dial: depInj.Dial,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	params := dep.Params()
+
+	// poll is monitord's handler: fetch every domain's attested status.
+	poll := func(c *audit.Client) func(json.RawMessage) (any, error) {
+		return func(json.RawMessage) (any, error) {
+			for _, d := range params.Domains {
+				if _, err := c.FetchStatus(d.Name); err != nil {
+					return nil, fmt.Errorf("fetching %s: %w", d.Name, err)
+				}
+			}
+			return len(params.Domains), nil
+		}
+	}
+	monInj, monFlight := cut("monitord")
+	plain, partitioned := audit.NewClient(params), audit.NewClient(params)
+	defer plain.Close()
+	defer partitioned.Close()
+	partitioned.SetDial(monInj.Dial)
+	srv := transport.NewServer()
+	srv.Handle("poll-plain", poll(plain))
+	srv.Handle("poll", poll(partitioned))
+	addr, err := srv.ListenAndServe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := transport.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var polled int
+	if err := c.Call("poll-plain", struct{}{}, &polled); err != nil || polled != 2 {
+		t.Fatalf("poll over a plain dialer: %d domains, %v", polled, err)
+	}
+	err = c.Call("poll", struct{}{}, nil)
+	var remote *transport.ErrRemote
+	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "injected partition dial") {
+		t.Fatalf("poll under an outbound partition: %v, want the handler to report an injected dial failure", err)
+	}
+	if injectedDials(monFlight) == 0 {
+		t.Fatalf("monitor's flight recorder holds no injected dial: %+v", monFlight.Events())
+	}
+
+	// Deployment.AuditClient dials the way the deployment does.
+	ac := dep.AuditClient()
+	defer ac.Close()
+	if _, err := ac.FetchStatus(params.Domains[0].Name); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Deployment.AuditClient under the deployment's partition: %v, want an injected failure", err)
+	}
+	if injectedDials(depFlight) == 0 {
+		t.Fatalf("deployment's flight recorder holds no injected dial: %+v", depFlight.Events())
 	}
 }

@@ -1,27 +1,13 @@
-// Package loadtest drives the serving tier with very large in-process
-// client populations — the "does the monitor survive hypergrowth"
-// harness. Clients are goroutines calling the tier's direct entry
-// points, so a single box can simulate 100k+ concurrent auditing
-// clients without burning a file descriptor per client; the wire path
-// is exercised separately by the transport and hammer tests.
-//
-// Scenarios:
-//
-//   - cached: the serving tier as shipped — proof cache, single-flight
-//     coalescing, head signed once per size.
-//   - uncached: the pre-tier path an auditing client pays today — a
-//     fresh BLS head signature plus a fresh proof computation per
-//     request (what "headbls"+"proofs" cost before this tier existed).
-//   - uncached-proofonly: the pre-tier path minus head signing, to
-//     separate signature amortization from proof amortization.
+// Package loadtest provisions the serving stack the daemons run — a
+// monitor over a seeded log with a serving tier attached — in process,
+// for code that needs a populated tier without booting a daemon: the
+// bench/ module's per-layer probes and tamper self-test, and tests.
 package loadtest
 
 import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/bls"
@@ -29,60 +15,8 @@ import (
 	"repro/internal/domain"
 	"repro/internal/framework"
 	"repro/internal/monitor"
-	"repro/internal/obsv"
 	"repro/internal/serve"
 	"repro/internal/tee"
-)
-
-// Options configure one scenario run.
-type Options struct {
-	Leaves            int  // log size to seed (default 2048)
-	Clients           int  // concurrent client goroutines
-	RequestsPerClient int  // proof requests each client issues
-	HotSet            int  // distinct leaf indices in the hot working set (default 128)
-	Uncached          bool // bypass the tier: per-request head sign + fresh proof
-	ProofOnly         bool // with Uncached: skip the per-request head signature
-}
-
-// Result is one scenario's measurement. Latency percentiles come from
-// an obsv.Histogram shared by all client goroutines (lock-free atomic
-// bucket counts — recording a sample costs the same as the serving
-// tier's own instrumentation), so quantiles carry its factor-2 bucket
-// resolution rather than exact-sort precision.
-type Result struct {
-	Scenario   string  `json:"scenario"`
-	Clients    int     `json:"clients"`
-	Requests   int     `json:"requests"`
-	DurationMS float64 `json:"duration_ms"`
-	Throughput float64 `json:"throughput_rps"`
-	P50us      float64 `json:"p50_us"`
-	P99us      float64 `json:"p99_us"`
-	P999us     float64 `json:"p999_us"`
-	MaxUs      float64 `json:"max_us"`
-	HitRate    float64 `json:"cache_hit_rate"`
-	Errors     int     `json:"errors"`
-
-	// SLO compliance of this run against the fleet's default
-	// proof-serving objective (p99 of proof latency under
-	// SLOThresholdSeconds at target SLOTarget): the fraction of requests
-	// inside the threshold, and the burn rate a daemon's SLO engine
-	// would report for this traffic — >= 1 means the error budget burns
-	// faster than it accrues.
-	SLOCompliance float64 `json:"slo_compliance"`
-	SLOBurnRate   float64 `json:"slo_burn_rate"`
-
-	// Metrics is the tier's registry snapshot after the run (cached
-	// scenarios only) — the same flattened series map "servestats"
-	// returns on the wire.
-	Metrics map[string]float64 `json:"serve_metrics,omitempty"`
-}
-
-// The proof-serving objective the load test scores itself against —
-// the same numbers as obsv.DefaultMonitorSLOs' proof-serve-p99 entry
-// (threshold on a LatencyBuckets bound so CountAbove is exact).
-const (
-	SLOThresholdSeconds = 0.016384
-	SLOTarget           = 0.99
 )
 
 // Fixture is a fully provisioned monitor + serving tier over a seeded
@@ -147,8 +81,7 @@ func NewFixture(leaves int) (*Fixture, error) {
 	}
 	mon.EnableBLSHeads(headSK)
 
-	// Seed the log in batches to keep envelope construction off the
-	// measured path.
+	// Seed the log in batches.
 	const batch = 256
 	for off := 0; off < leaves; off += batch {
 		n := batch
@@ -178,98 +111,4 @@ func NewFixture(leaves int) (*Fixture, error) {
 	}
 	mon.SetAppendHook(tier.Kick)
 	return &Fixture{Mon: mon, Tier: tier}, nil
-}
-
-// Run executes one scenario against an existing fixture so multiple
-// scenarios can share the (expensive) enclave provisioning.
-func Run(f *Fixture, opts Options) (*Result, error) {
-	if opts.Clients <= 0 || opts.RequestsPerClient <= 0 {
-		return nil, fmt.Errorf("loadtest: clients and requests must be positive")
-	}
-	hot := opts.HotSet
-	if hot <= 0 {
-		hot = 128
-	}
-	size := f.Mon.Len()
-	if hot > size {
-		hot = size
-	}
-	base := size - hot // audit the most recent entries: the hot-head workload
-
-	name := "cached"
-	if opts.Uncached {
-		name = "uncached"
-		if opts.ProofOnly {
-			name = "uncached-proofonly"
-		}
-	}
-
-	before := f.Tier.Metrics().Snapshot()
-	lat := obsv.NewHistogram(nil)
-	errCounts := make([]int, opts.Clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < opts.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for r := 0; r < opts.RequestsPerClient; r++ {
-				idx := base + (c*7919+r)%hot // deterministic spread over the hot set
-				t0 := time.Now()
-				var err error
-				if opts.Uncached {
-					if !opts.ProofOnly {
-						_, err = f.Mon.TreeHeadBLS()
-					}
-					if err == nil {
-						_, _, err = f.Mon.ProveInclusionAt(idx, size)
-					}
-				} else {
-					_, err = f.Tier.Proof(&serve.ProofRequest{Index: idx})
-				}
-				lat.Since(t0)
-				if err != nil {
-					errCounts[c]++
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	errors := 0
-	for _, n := range errCounts {
-		errors += n
-	}
-
-	res := &Result{
-		Scenario:   name,
-		Clients:    opts.Clients,
-		Requests:   int(lat.Count()),
-		DurationMS: float64(elapsed.Nanoseconds()) / 1e6,
-		Throughput: float64(lat.Count()) / elapsed.Seconds(),
-		P50us:      lat.Quantile(0.50) * 1e6,
-		P99us:      lat.Quantile(0.99) * 1e6,
-		P999us:     lat.Quantile(0.999) * 1e6,
-		MaxUs:      lat.Max() * 1e6,
-		Errors:     errors,
-	}
-	if n := lat.Count(); n > 0 {
-		res.SLOCompliance = 1 - float64(lat.CountAbove(SLOThresholdSeconds))/float64(n)
-		res.SLOBurnRate = (1 - res.SLOCompliance) / (1 - SLOTarget)
-	}
-	if !opts.Uncached {
-		after := f.Tier.Metrics().Snapshot()
-		delta := func(series string) float64 { return after[series] - before[series] }
-		hits := delta("serve_cache_hits_total")
-		misses := delta("serve_cache_misses_total")
-		coalesced := delta("serve_cache_coalesced_total")
-		if total := hits + misses + coalesced; total > 0 {
-			// Coalesced waiters shared a computation they did not run;
-			// they count as amortized alongside plain hits.
-			res.HitRate = (hits + coalesced) / total
-		}
-		res.Metrics = after
-	}
-	return res, nil
 }

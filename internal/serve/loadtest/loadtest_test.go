@@ -1,39 +1,39 @@
 package loadtest
 
-import "testing"
+import (
+	"testing"
 
-// TestSmoke is the scaled-down CI version of the 100k-client run: a few
-// hundred concurrent clients on a hot-head workload must complete with
-// zero errors, a >90% cache hit rate, and higher throughput than the
-// uncached per-request path.
-func TestSmoke(t *testing.T) {
-	f, err := NewFixture(512)
+	"repro/internal/aolog"
+	"repro/internal/serve"
+)
+
+// TestFixtureProofVerifies: the fixture is the stack the daemons run, so
+// what its tier serves must check out the way a client checks a daemon —
+// the head under the monitor's BLS key, the inclusion proof under that
+// head — on a first (uncached) and a repeated (cached) request.
+func TestFixtureProofVerifies(t *testing.T) {
+	const leaves, index = 64, 17
+	f, err := NewFixture(leaves)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-
-	cached, err := Run(f, Options{Clients: 400, RequestsPerClient: 5, HotSet: 64})
-	if err != nil {
-		t.Fatal(err)
+	if got := f.Mon.Len(); got != leaves {
+		t.Fatalf("fixture log holds %d leaves, want %d", got, leaves)
 	}
-	if cached.Errors != 0 {
-		t.Fatalf("cached run had %d errors", cached.Errors)
+	for _, pass := range []string{"fresh", "cached"} {
+		resp, err := f.Tier.Proof(&serve.ProofRequest{Index: index})
+		if err != nil {
+			t.Fatalf("%s proof: %v", pass, err)
+		}
+		if resp.Head == nil || int(resp.Head.Size) != leaves || !aolog.VerifyHeadBLS(f.Mon.BLSPublicKey(), resp.Head) {
+			t.Fatalf("%s proof: head %+v does not verify at size %d under the monitor's key", pass, resp.Head, leaves)
+		}
+		if resp.Proof == nil || resp.Proof.GlobalIndex != index || resp.Proof.TreeSize != leaves {
+			t.Fatalf("%s proof: reply is not for (%d,%d): %+v", pass, index, leaves, resp.Proof)
+		}
+		if !aolog.VerifyShardInclusion(resp.Payload, resp.Proof, resp.Head.Head) {
+			t.Fatalf("%s proof: inclusion proof does not verify against the signed head", pass)
+		}
 	}
-	if cached.HitRate <= 0.90 {
-		t.Fatalf("hit rate %.3f, want > 0.90", cached.HitRate)
-	}
-
-	uncached, err := Run(f, Options{Clients: 50, RequestsPerClient: 4, HotSet: 64, Uncached: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uncached.Errors != 0 {
-		t.Fatalf("uncached run had %d errors", uncached.Errors)
-	}
-	if cached.Throughput <= uncached.Throughput {
-		t.Fatalf("cached %.0f rps not faster than uncached %.0f rps", cached.Throughput, uncached.Throughput)
-	}
-	t.Logf("cached %.0f rps (hit %.1f%%), uncached %.0f rps",
-		cached.Throughput, 100*cached.HitRate, uncached.Throughput)
 }
