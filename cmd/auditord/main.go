@@ -306,58 +306,56 @@ func (n *node) roundLoop(every time.Duration, stop <-chan struct{}) {
 }
 
 // subscribeSource opens a self-healing push channel to one source (the
-// polling connection stays synchronous request/response): an
-// AutoSubscriber redials with jittered backoff whenever the connection
-// dies, resumes from the per-source floors of everything already
-// delivered, and re-subscribes — so across any number of reconnects the
-// worker sees one strictly-increasing head sequence, with no duplicate
-// deliveries and no regressions. Pushed heads are processed off the
-// read loop: a mailbox keeps only the latest pushed head, and the
-// returned worker (run it with Harness.Go) fetches the consistency
-// proof bridging the witness's frontier (over the same subscribed
-// connection, pinned to the pushed size so a growing log cannot outrun
-// it), ingests, and publishes the refreshed cosigned frontier onward.
-// While the channel is down the polling path keeps the witness correct;
-// the subscription catches back up on its own when the source heals.
-// The worker closes the channel when it stops.
-func (n *node) subscribeSource(sc *sourceConn, dialTimeout time.Duration, dial func(addr string, timeout time.Duration) (net.Conn, error)) (worker func(stop <-chan struct{}), err error) {
+// polling connection stays synchronous request/response): a
+// serve.Redial subscriber redials with jittered backoff whenever the
+// connection dies and re-subscribes, and its per-source guard outlives
+// the connections — so across any number of reconnects the worker sees
+// one non-regressing head sequence with no ack-replayed duplicates.
+// timeout bounds each dial and each call on the channel. Pushed heads
+// are processed off the read loop: a mailbox keeps only the latest
+// pushed head, and the returned worker (run it with Harness.Go) fetches
+// the consistency proof bridging the witness's frontier (over the same
+// subscribed connection, pinned to the pushed size so a growing log
+// cannot outrun it), ingests, and publishes the refreshed cosigned
+// frontier onward. While the channel is down the polling path keeps the
+// witness correct; the subscription catches back up on its own when the
+// source heals. The worker closes the channel when it stops.
+func (n *node) subscribeSource(sc *sourceConn, timeout time.Duration, dial func(addr string, timeout time.Duration) (net.Conn, error)) (worker func(stop <-chan struct{}), err error) {
 	w := n.w
+	dialTimeout := timeout
 	if dialTimeout <= 0 {
 		dialTimeout = transport.DefaultDialTimeout
 	}
 	var mu sync.Mutex
 	var latest *gossip.GossipHead
 	kick := make(chan struct{}, 1)
-	auto, err := serve.NewAutoSubscriber(serve.AutoOptions{
-		From: w.Name(),
-		// Dial through the injector so chaos schedules partition the push
-		// channel too (a nil injector dials plainly).
-		Dial: func() (net.Conn, error) { return dial(sc.addr, dialTimeout) },
-		OnHeads: func(_ string, heads []gossip.GossipHead) {
-			// Read-loop context: park the newest head and return. Calling
-			// auto.Call here would deadlock (the response needs this loop).
-			mu.Lock()
-			latest = &heads[len(heads)-1]
-			mu.Unlock()
-			select {
-			case kick <- struct{}{}:
-			default:
-			}
-		},
-		OnState: func(event string, err error) {
-			switch event {
-			case "connected":
-				logger.Info("push channel up", "source", sc.name)
-			case "disconnected":
-				logger.Warn("push channel lost, reconnecting (polling continues)", "source", sc.name, "err", err)
-			}
-		},
-	})
-	if err != nil {
+	// Dial through the injector so chaos schedules partition the push
+	// channel too (a nil injector dials plainly).
+	sub := serve.Redial(func() (net.Conn, error) { return dial(sc.addr, dialTimeout) }, timeout)
+	sub.OnHeads = func(_ string, heads []gossip.GossipHead) {
+		// Read-loop context: park the newest head and return. Calling
+		// sub.Call here would deadlock (the response needs this loop).
+		mu.Lock()
+		latest = &heads[len(heads)-1]
+		mu.Unlock()
+		select {
+		case kick <- struct{}{}:
+		default:
+		}
+	}
+	sub.OnState = func(event string, err error) {
+		switch event {
+		case "connected":
+			logger.Info("push channel up", "source", sc.name)
+		case "disconnected":
+			logger.Warn("push channel lost, reconnecting (polling continues)", "source", sc.name, "err", err)
+		}
+	}
+	if err := sub.Subscribe(w.Name()); err != nil {
 		return nil, err
 	}
 	return func(stop <-chan struct{}) {
-		defer auto.Close()
+		defer sub.Close()
 		for {
 			select {
 			case <-stop:
@@ -378,7 +376,7 @@ func (n *node) subscribeSource(sc *sourceConn, dialTimeout time.Duration, dial f
 					OldSize int `json:"old_size"`
 					NewSize int `json:"new_size"`
 				}{OldSize: int(front.Size), NewSize: int(gh.Head.Size)}
-				if err := auto.Call("consistency", req, cons); err != nil {
+				if err := sub.Call("consistency", req, cons); err != nil {
 					logger.Warn("consistency for pushed head failed", "source", sc.name, "size", gh.Head.Size, "err", err)
 					continue
 				}

@@ -2,13 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/aolog"
 	"repro/internal/daemon"
 	"repro/internal/gossip"
 	"repro/internal/serve"
@@ -161,4 +164,115 @@ func TestShutdownJoinsLoopsBeforeJournalCloses(t *testing.T) {
 	waitFor("the push worker to have closed its channel to the source", func() bool {
 		return fx.Tier.Hub().Subscribers() == 0
 	})
+}
+
+// TestShutdownSurvivesMuteSource: a source that acks subscribe, pushes
+// one head and then never answers again used to block the push worker
+// in its consistency call for good — the push channel had no per-call
+// deadline — and Shutdown joins the worker, so SIGTERM hung. The call
+// now gives up after the channel's timeout: Shutdown returns within a
+// few of them, and the pushed head was not ingested.
+func TestShutdownSurvivesMuteSource(t *testing.T) {
+	fx, err := loadtest.NewFixture(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fx.Close()
+	head, err := fx.Tier.HeadBLS()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The fake source: subscribe is acked and followed by a pushed head
+	// past the witness's frontier, repeated until the worker asks for the
+	// proof bridging to it; consistency is never answered.
+	asked := make(chan struct{})
+	var askedOnce sync.Once
+	release := make(chan struct{})
+	msrv := transport.NewServer()
+	msrv.HandlePush(serve.KindSubscribe, func(_ json.RawMessage, p *transport.Pusher) (any, error) {
+		body, err := json.Marshal(&gossip.HeadsMessage{From: "mon", Heads: []gossip.GossipHead{
+			{Source: "mon", Head: aolog.BLSSignedHead{Size: head.Size + 1}},
+		}})
+		if err != nil {
+			return nil, err
+		}
+		go func() {
+			for p.Push([]transport.Request{{Kind: serve.KindPushHeads, Body: body}}) == nil {
+				select {
+				case <-asked:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		}()
+		return serve.SubscribeResponse{}, nil
+	})
+	msrv.Handle("consistency", func(json.RawMessage) (any, error) {
+		askedOnce.Do(func() { close(asked) })
+		<-release
+		return nil, errors.New("released at test end")
+	})
+	monAddr, err := msrv.ListenAndServe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer msrv.Close()
+	defer close(release) // before msrv.Close, which waits for the parked handler
+
+	w, _, err := gossip.OpenWitness(t.TempDir(), gossip.Config{Name: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AddSource(gossip.Source{Name: "mon", Key: fx.Mon.BLSPublicKey()}); err != nil {
+		t.Fatal(err)
+	}
+	if res := w.Ingest("mon", head, nil); res.Err != nil {
+		t.Fatalf("priming the frontier: %v", res.Err)
+	}
+	sc := &sourceConn{name: "mon", addr: monAddr}
+	n := &node{w: w, srcs: []*sourceConn{sc}, hub: serve.NewHub("w")}
+	defer n.hub.Close()
+
+	fs := flag.NewFlagSet("auditord", flag.ContinueOnError)
+	th := daemon.New("auditord", fs, true)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	th.Start()
+	w.RegisterMetrics(th.Reg)
+	wsrv := transport.NewServer()
+	w.Register(wsrv)
+	th.Serve(wsrv, "127.0.0.1:0", nil)
+	const callTimeout = 100 * time.Millisecond
+	worker, err := n.subscribeSource(sc, callTimeout, func(addr string, timeout time.Duration) (net.Conn, error) {
+		return net.DialTimeout("tcp", addr, timeout)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th.Go(worker)
+	ingested := th.Reg.Value("gossip_heads_ingested_total")
+
+	select {
+	case <-asked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the push worker never asked the source for a consistency proof")
+	}
+	shut := make(chan error, 1)
+	go func() { shut <- th.Shutdown(w.Close) }()
+	select {
+	case err := <-shut:
+		if err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	case <-time.After(50 * callTimeout):
+		t.Fatal("Shutdown hangs behind a push worker whose source went mute")
+	}
+	if got := th.Reg.Value("gossip_heads_ingested_total"); got != ingested {
+		t.Errorf("witness ingested %v heads from a source that never proved consistency", got-ingested)
+	}
+	if front, _ := w.Frontier("mon"); front.Size != head.Size {
+		t.Errorf("frontier moved to size %d without a consistency proof (was %d)", front.Size, head.Size)
+	}
 }

@@ -29,11 +29,27 @@ var allowedInternalImports = map[string][]string{
 	"store":     {"obsv"},
 	"fault":     {"obsv"},
 	"daemon":    {"obsv", "fault", "transport"},
+	"serve":     {"aolog", "gossip", "obsv", "transport"},
 }
 
 // rawDialers are the transport entry points reserved to the transport
 // package itself and to tests: everything else rides DialManaged.
-var rawDialers = map[string]bool{"Dial": true, "DialTimeout": true, "NewClient": true}
+var rawDialers = map[string]bool{
+	"Dial": true, "DialTimeout": true, "DialConn": true, "NewClient": true, "NewPushClient": true,
+}
+
+// rawDialerException is the one non-test file outside transport that
+// may hold a raw transport.Client: a subscription is connection-scoped
+// state, which a ManagedClient's silent redial would lose, so the
+// subscriber must see its connection die and subscribe again itself.
+const rawDialerException = "internal/serve/client.go"
+
+// frameIO and netDialers are what internal/serve may not touch: the
+// frame loop and the dial both belong to transport.
+var (
+	frameIO    = map[string]bool{"ReadFrame": true, "WriteFrame": true, "ReadFrameHeader": true, "WriteFrameHeader": true}
+	netDialers = map[string]bool{"Dial": true, "DialTimeout": true}
+)
 
 // removedIdents must not come back under any spelling of a declaration
 // or use. They are assembled from halves so this file does not itself
@@ -46,6 +62,10 @@ var removedIdents = map[string]bool{
 	"MonitorHead" + "Hedged":      true,
 	"Dial" + "Addr":               true,
 	"Set" + "CeremonyDiagnostics": true,
+	"Auto" + "Subscriber":         true,
+	"Auto" + "Options":            true,
+	"NewAuto" + "Subscriber":      true,
+	"Set" + "ResumeFloors":        true,
 }
 
 // harnessOnly lists, by import path, the calls that build or tear down
@@ -89,9 +109,9 @@ func TestPackageContracts(t *testing.T) {
 
 func checkFile(t *testing.T, path string, file *ast.File) {
 	isTest := strings.HasSuffix(path, "_test.go")
-	pkg := "" // the internal package this file belongs to, if any
+	pkg := "" // the internal package this file belongs to, if any (serve/loadtest is its own)
 	if rest, ok := strings.CutPrefix(path, "internal/"); ok {
-		pkg, _, _ = strings.Cut(rest, "/")
+		pkg = filepath.ToSlash(filepath.Dir(rest))
 	}
 
 	inCmd := strings.HasPrefix(path, "cmd/") && !isTest
@@ -136,8 +156,12 @@ func checkFile(t *testing.T, path string, file *ast.File) {
 		case *ast.SelectorExpr:
 			x, ok := n.X.(*ast.Ident)
 			if ok && !isTest && pkg != "transport" && transportName != "" &&
-				x.Name == transportName && rawDialers[n.Sel.Name] {
+				x.Name == transportName && rawDialers[n.Sel.Name] && path != rawDialerException {
 				t.Errorf("%s: uses transport.%s; non-test code outside internal/transport holds a transport.ManagedClient", path, n.Sel.Name)
+			}
+			if ok && !isTest && pkg == "serve" &&
+				(x.Name == transportName && frameIO[n.Sel.Name] || x.Name == "net" && netDialers[n.Sel.Name]) {
+				t.Errorf("%s: uses %s.%s; serve reads and writes no frame and dials nothing, it rides a transport.Client", path, x.Name, n.Sel.Name)
 			}
 			if ok && slices.Contains(harnessCalls[x.Name], n.Sel.Name) {
 				t.Errorf("%s: uses %s.%s; a daemon's planes are built and torn down by internal/daemon", path, x.Name, n.Sel.Name)

@@ -258,39 +258,13 @@ func (r *Registry) GaugeVec2(name, help, label1, label2 string) *GaugeVec2 {
 	return e.gv2
 }
 
-// NewCounterVec returns a standalone counter family (register it with
-// Registry.RegisterCounterVec, or keep it private to a component).
-func NewCounterVec() *CounterVec { return &CounterVec{m: make(map[string]*Counter)} }
-
 // NewGaugeVec returns a standalone gauge family.
 func NewGaugeVec() *GaugeVec { return &GaugeVec{m: make(map[string]*Gauge)} }
-
-// NewHistogramVec returns a standalone histogram family (nil bounds =
-// LatencyBuckets).
-func NewHistogramVec(bounds []float64) *HistogramVec {
-	return &HistogramVec{bounds: bounds, m: make(map[string]*Histogram)}
-}
-
-// RegisterCounterVec exposes a pre-existing counter family under name.
-func (r *Registry) RegisterCounterVec(name, help, label string, v *CounterVec) {
-	e := r.lookupOrAdd(name, func() *entry { return &entry{help: help, label: label, cv: v} })
-	if e.cv != v {
-		panic(fmt.Sprintf("obsv: metric %q already registered", name))
-	}
-}
 
 // RegisterGaugeVec exposes a pre-existing gauge family under name.
 func (r *Registry) RegisterGaugeVec(name, help, label string, v *GaugeVec) {
 	e := r.lookupOrAdd(name, func() *entry { return &entry{help: help, label: label, gv: v} })
 	if e.gv != v {
-		panic(fmt.Sprintf("obsv: metric %q already registered", name))
-	}
-}
-
-// RegisterHistogramVec exposes a pre-existing histogram family under name.
-func (r *Registry) RegisterHistogramVec(name, help, label string, v *HistogramVec) {
-	e := r.lookupOrAdd(name, func() *entry { return &entry{help: help, label: label, hv: v} })
-	if e.hv != v {
 		panic(fmt.Sprintf("obsv: metric %q already registered", name))
 	}
 }

@@ -1,105 +1,124 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/gossip"
 	"repro/internal/transport"
 )
 
-// Subscriber is the client half of the push channel: it owns one
-// connection, multiplexes ordinary request/response calls with
-// server-initiated push frames, and enforces per-source head
-// monotonicity on everything pushed at it. A verify hook (typically
-// wrapping gossip.VerifyCosignedHead or aolog.VerifyHeadBLS) decides
-// whether each pushed head is accepted; rejected and out-of-order heads
-// are counted and dropped, never surfaced.
+// Subscriber is the client half of the push channel: a filter on the
+// heads a serving tier hands one client. The connection, its frame
+// loop, call routing and deadlines belong to the transport.Client it
+// rides; the subscriber owns the subscribe/unsubscribe calls, decoding
+// pushed push_heads batches, the VerifyHead hook and the per-source
+// monotonicity guard. Rejected and out-of-order heads are counted and
+// dropped, never surfaced.
+//
+// A subscriber from NewSubscriber or Dial has one connection and stays
+// dead when that dies; one from Redial replaces it. The guard belongs
+// to the subscriber, not to a connection, so across any number of
+// reconnects no head regresses and no ack delivers one a second time.
 type Subscriber struct {
-	conn net.Conn
-
-	// VerifyHead, when set, must return nil for a pushed head to be
-	// accepted. Set it before Subscribe; it is called from the read loop.
+	// VerifyHead, when set, must return nil for a head to be accepted.
+	// Set it before Subscribe; it runs on the connection's read loop.
 	VerifyHead func(*gossip.GossipHead) error
 
-	// OnHeads, when set, is called from the read loop with each accepted
-	// batch (after per-source filtering). Set it before Subscribe.
+	// OnHeads, when set, receives each accepted batch (after per-source
+	// filtering). Set it before Subscribe. It runs on the read loop and
+	// must not call back into the subscriber: the reply needs that loop.
 	OnHeads func(from string, heads []gossip.GossipHead)
 
-	wmu sync.Mutex // serializes request writes
+	// OnState, when set before Subscribe, observes a Redial subscriber's
+	// connection: "connected" (err nil), "disconnected" (why it ended)
+	// and "retry" (a failed dial or subscribe).
+	OnState func(event string, err error)
 
-	mu       sync.Mutex
-	nextID   uint64
-	pending  map[uint64]chan *transport.Response
-	lastSize map[string]uint64   // per-source monotonicity guard
-	floor    map[string]uint64   // resume floors (SetResumeFloors)
-	heads    []gossip.GossipHead // latest accepted head per source
-	byKey    map[string]int      // source key -> index in heads
-	stats    SubStats
-	err      error
-	closed   bool
-	done     chan struct{}
+	dial    func() (net.Conn, error) // nil: one connection, never replaced
+	timeout time.Duration            // per-call deadline on dialed connections
+	ctx     context.Context          // ended by Close
+	cancel  context.CancelFunc
+	client  atomic.Pointer[transport.Client] // nil while disconnected
+
+	mu     sync.Mutex
+	latest map[string]gossip.GossipHead // newest accepted head per source: the guard
+	stats  SubStats
+	loop   chan struct{} // closed when the redial loop has exited; nil until it starts
 }
 
-// SubStats counts what the read loop saw.
+// SubStats counts what the subscriber saw.
 type SubStats struct {
 	Received   uint64 // heads accepted
 	Dropped    uint64 // heads rejected by VerifyHead
-	OutOfOrder uint64 // heads dropped by the monotonicity guard
-	Duplicate  uint64 // heads at or below a resume floor (reconnect replay)
-	BadFrames  uint64 // undecodable or malformed frames/sub-requests
+	OutOfOrder uint64 // pushed heads below what their source had delivered
+	Duplicate  uint64 // acked heads at or below what their source had delivered
+	BadFrames  uint64 // pushed sub-requests that were not decodable push_heads
 }
 
-// NewSubscriber wraps an established connection and starts its read
-// loop. The caller must not read from conn afterwards.
+// The reconnect backoff of a Redial subscriber: full jitter under a
+// ceiling that doubles from redialBase to redialMax. It follows failed
+// attempts only; a lost connection is redialed at once.
+const (
+	redialBase = 100 * time.Millisecond
+	redialMax  = 5 * time.Second
+)
+
+func newSubscriber() *Subscriber {
+	s := &Subscriber{latest: make(map[string]gossip.GossipHead)}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
+	return s
+}
+
+// NewSubscriber wraps an established connection, which the caller must
+// not read from afterwards.
 func NewSubscriber(conn net.Conn) *Subscriber {
-	s := &Subscriber{
-		conn:     conn,
-		pending:  make(map[uint64]chan *transport.Response),
-		lastSize: make(map[string]uint64),
-		byKey:    make(map[string]int),
-		done:     make(chan struct{}),
-	}
-	go s.readLoop()
+	s := newSubscriber()
+	s.client.Store(transport.NewPushClient(conn, s.handlePush))
 	return s
 }
 
 // Dial connects to addr (bounded by transport.DefaultDialTimeout) and
-// returns a running subscriber.
+// returns a subscriber on that one connection.
 func Dial(addr string) (*Subscriber, error) {
-	conn, err := net.DialTimeout("tcp", addr, transport.DefaultDialTimeout)
+	conn, err := transport.DialConn(addr, transport.DefaultDialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	return NewSubscriber(conn), nil
 }
 
-// Close tears the connection down; pending calls fail.
-func (s *Subscriber) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	if s.err == nil {
-		s.err = errors.New("serve: subscriber closed")
-	}
-	s.mu.Unlock()
-	return s.conn.Close()
+// Redial returns a subscriber that makes its own connections: from
+// Subscribe until Close it dials in the background, subscribes, and
+// does both again, after a jittered doubling backoff, whenever the
+// connection is lost or could not be made. timeout bounds every call on
+// every connection (0: none).
+func Redial(dial func() (net.Conn, error), timeout time.Duration) *Subscriber {
+	s := newSubscriber()
+	s.dial, s.timeout = dial, timeout
+	return s
 }
 
-// Done closes when the read loop has exited (connection dead or Close).
-func (s *Subscriber) Done() <-chan struct{} { return s.done }
-
-// Err reports why the read loop stopped (nil while it is running).
-func (s *Subscriber) Err() error {
+// Close ends the subscription and its connection; calls in flight fail.
+// On a Redial subscriber it returns once the background loop has exited.
+func (s *Subscriber) Close() error {
+	s.cancel()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
+	loop := s.loop
+	s.mu.Unlock()
+	if loop != nil {
+		<-loop // no connection is installed after this
+	}
+	if c := s.client.Load(); c != nil {
+		return c.Close()
+	}
+	return nil
 }
 
 // Stats snapshots the subscriber's counters.
@@ -109,274 +128,163 @@ func (s *Subscriber) Stats() SubStats {
 	return s.stats
 }
 
-// SetResumeFloors seeds the duplicate guard for a resumed subscription:
-// a head whose size is at or below its source's floor has already been
-// delivered on a previous connection and is dropped silently (counted
-// in Duplicate, not OutOfOrder — replay at the resume boundary is
-// expected, regression is not). Call before Subscribe; the map is
-// copied. Combined with the monotonicity guard this is the reconnect
-// safety argument: a resumed subscriber can neither re-deliver a head
-// it already delivered (floor) nor accept one older than it has seen
-// (lastSize), so heads observed across any number of reconnects form a
-// single non-repeating, non-decreasing sequence per source.
-func (s *Subscriber) SetResumeFloors(floors map[string]uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.floor = make(map[string]uint64, len(floors))
-	for k, v := range floors {
-		s.floor[k] = v
-		// The floor also primes the monotonicity guard, so a pushed head
-		// below the floor counts as a duplicate, never as progress.
-		if v > s.lastSize[k] {
-			s.lastSize[k] = v
-		}
-	}
-}
-
-// LastSizes snapshots the highest accepted size per source — the floors
-// to resume from after this connection dies.
-func (s *Subscriber) LastSizes() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.lastSize))
-	for k, v := range s.lastSize {
-		out[k] = v
-	}
-	return out
-}
-
-// Heads returns the latest accepted head per source.
+// Heads returns the latest accepted head per source, in no set order.
 func (s *Subscriber) Heads() []gossip.GossipHead {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]gossip.GossipHead, len(s.heads))
-	copy(out, s.heads)
+	out := make([]gossip.GossipHead, 0, len(s.latest))
+	for _, gh := range s.latest {
+		out = append(out, gh)
+	}
 	return out
 }
 
 // Call performs an ordinary request/response RPC over the subscribed
-// connection (usable concurrently with pushes).
+// connection, concurrently with pushes. Between connections it fails at
+// once rather than block: callers have their own retry cadence.
 func (s *Subscriber) Call(kind string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("serve: encoding %s request: %w", kind, err)
+	c := s.client.Load()
+	if c == nil {
+		return errors.New("serve: subscriber disconnected")
 	}
-	s.mu.Lock()
-	if s.closed {
-		err := s.err
-		s.mu.Unlock()
-		return err
-	}
-	s.nextID++
-	id := s.nextID
-	ch := make(chan *transport.Response, 1)
-	s.pending[id] = ch
-	s.mu.Unlock()
-
-	raw, err := json.Marshal(&transport.Request{ID: id, Kind: kind, Body: body})
-	if err == nil {
-		s.wmu.Lock()
-		err = transport.WriteFrame(s.conn, raw)
-		s.wmu.Unlock()
-	}
-	if err != nil {
-		s.mu.Lock()
-		delete(s.pending, id)
-		s.mu.Unlock()
-		return err
-	}
-	select {
-	case resp := <-ch:
-		if !resp.OK {
-			return &transport.ErrRemote{Msg: resp.Error}
-		}
-		if out != nil {
-			if err := json.Unmarshal(resp.Body, out); err != nil {
-				return fmt.Errorf("serve: decoding %s response: %w", kind, err)
-			}
-		}
-		return nil
-	case <-s.done:
-		return s.Err()
-	}
+	return c.Call(kind, in, out)
 }
 
 // Subscribe registers for pushes and primes the local head set from the
-// ack. From is a self-identifying label for the server's logs.
+// ack. From is a self-identifying label for the server's logs. On a
+// Redial subscriber it only starts the background loop and returns nil:
+// the source may be down now and the subscription still comes up.
 func (s *Subscriber) Subscribe(from string) error {
+	if s.dial == nil {
+		return s.subscribe(s.client.Load(), from)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.loop == nil && s.ctx.Err() == nil {
+		s.loop = make(chan struct{})
+		go s.run(from)
+	}
+	return nil
+}
+
+func (s *Subscriber) subscribe(c *transport.Client, from string) error {
 	var resp SubscribeResponse
-	if err := s.Call(KindSubscribe, &SubscribeRequest{From: from}, &resp); err != nil {
+	if err := c.CallCtx(s.ctx, KindSubscribe, &SubscribeRequest{From: from}, &resp); err != nil {
 		return err
 	}
 	s.ingest("", resp.Heads, false)
 	return nil
 }
 
-// Unsubscribe deregisters from pushes (the connection stays usable).
+// Unsubscribe deregisters from pushes (the connection stays usable). A
+// Redial subscriber subscribes again on its next connection; Close it.
 func (s *Subscriber) Unsubscribe() error {
 	return s.Call(KindUnsubscribe, struct{}{}, nil)
 }
 
-// readLoop demultiplexes incoming frames until the connection dies.
-func (s *Subscriber) readLoop() {
-	var loopErr error
+// run is a Redial subscriber's background loop.
+func (s *Subscriber) run(from string) {
+	defer close(s.loop)
+	notify := s.OnState
+	if notify == nil {
+		notify = func(string, error) {}
+	}
+	failures := 0
 	for {
-		frame, err := transport.ReadFrame(s.conn)
+		c, err := s.connect(from)
 		if err != nil {
-			loopErr = err
-			break
+			notify("retry", err)
+			if transport.Backoff(s.ctx, failures, redialBase, redialMax, rand.Float64()) != nil {
+				return
+			}
+			failures++
+			continue
 		}
-		s.handleFrame(frame)
-	}
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = loopErr
-	}
-	s.closed = true
-	pending := s.pending
-	s.pending = make(map[uint64]chan *transport.Response)
-	err := s.err
-	s.mu.Unlock()
-	for id, ch := range pending {
-		ch <- &transport.Response{ID: id, OK: false, Error: err.Error()}
-	}
-	close(s.done)
-}
-
-// handleFrame routes one raw frame: a Response (has "ok") answers a
-// pending call; a Request (has "kind") is a server push. It never
-// panics on malformed input — this is the fuzz entry point.
-func (s *Subscriber) handleFrame(frame []byte) {
-	// Distinguish structurally: responses carry "ok", pushes carry "kind".
-	var probe struct {
-		OK   *bool  `json:"ok"`
-		Kind string `json:"kind"`
-	}
-	if err := json.Unmarshal(frame, &probe); err != nil {
-		s.countBadFrame()
-		return
-	}
-	switch {
-	case probe.OK != nil:
-		var resp transport.Response
-		if err := json.Unmarshal(frame, &resp); err != nil {
-			s.countBadFrame()
-			return
+		failures = 0
+		notify("connected", nil)
+		select {
+		case <-c.Done():
+		case <-s.ctx.Done():
+			return // Close closes the installed connection
 		}
-		s.mu.Lock()
-		ch, ok := s.pending[resp.ID]
-		if ok {
-			delete(s.pending, resp.ID)
-		}
-		s.mu.Unlock()
-		if !ok {
-			s.countBadFrame() // response to nothing we asked
-			return
-		}
-		ch <- &resp
-	case probe.Kind != "":
-		var req transport.Request
-		if err := json.Unmarshal(frame, &req); err != nil {
-			s.countBadFrame()
-			return
-		}
-		s.handlePush(&req)
-	default:
-		s.countBadFrame()
+		s.client.Store(nil)
+		notify("disconnected", c.Err())
 	}
 }
 
-// handlePush processes a server-initiated Request frame. Only _batch
-// frames whose sub-requests are KindPushHeads are meaningful; anything
-// else — including batches nested inside batches — is counted and
-// dropped.
-func (s *Subscriber) handlePush(req *transport.Request) {
-	if req.Kind != transport.BatchKind {
-		s.countBadFrame()
-		return
+// connect dials, installs the new connection and subscribes on it. The
+// connection is installed first: a head pushed right behind the ack can
+// already reach a consumer that wants to Call.
+func (s *Subscriber) connect(from string) (*transport.Client, error) {
+	conn, err := s.dial()
+	if err != nil {
+		return nil, err
 	}
-	var subs []transport.Request
-	if err := json.Unmarshal(req.Body, &subs); err != nil {
-		s.countBadFrame()
-		return
+	c := transport.NewPushClient(conn, s.handlePush)
+	c.SetTimeout(s.timeout)
+	s.client.Store(c)
+	if err := s.subscribe(c, from); err != nil {
+		s.client.Store(nil)
+		c.Close()
+		return nil, err
 	}
-	if len(subs) > transport.MaxBatchCalls {
-		s.countBadFrame()
-		return
-	}
+	return c, nil
+}
+
+// handlePush receives the sub-requests of one pushed batch, on the read
+// loop. Anything but a decodable KindPushHeads, a nested batch
+// included, is counted and dropped.
+func (s *Subscriber) handlePush(subs []transport.Request) {
 	for i := range subs {
-		if subs[i].Kind != KindPushHeads {
-			s.countBadFrame() // nested batch or unknown push kind
-			continue
-		}
 		var msg gossip.HeadsMessage
-		if err := json.Unmarshal(subs[i].Body, &msg); err != nil {
-			s.countBadFrame()
+		if subs[i].Kind != KindPushHeads || json.Unmarshal(subs[i].Body, &msg) != nil {
+			s.mu.Lock()
+			s.stats.BadFrames++
+			s.mu.Unlock()
 			continue
 		}
-		s.ingestPushed(msg.From, msg.Heads)
+		s.ingest(msg.From, msg.Heads, true)
 	}
 }
 
-// ingest applies verification and the per-source monotonicity guard,
-// then records accepted heads and fires OnHeads. pushed distinguishes
-// server pushes from subscription-ack priming: a stale primed head is a
-// benign race (a push can overtake the ack on the wire) and is dropped
-// silently, while a stale PUSHED head is a protocol violation and counts
-// in OutOfOrder.
+// ingest hands OnHeads the heads that admit passes. pushed tells a
+// server push from the priming by a subscribe ack.
 func (s *Subscriber) ingest(from string, heads []gossip.GossipHead, pushed bool) {
-	if len(heads) == 0 {
-		return
-	}
 	accepted := heads[:0:0]
 	for i := range heads {
-		gh := &heads[i]
-		if s.VerifyHead != nil {
-			if err := s.VerifyHead(gh); err != nil {
-				s.mu.Lock()
-				s.stats.Dropped++
-				s.mu.Unlock()
-				continue
-			}
+		if s.admit(&heads[i], pushed) {
+			accepted = append(accepted, heads[i])
 		}
-		key := sourceKey(gh)
-		s.mu.Lock()
-		if fl, ok := s.floor[key]; ok && gh.Head.Size <= fl {
-			// Already delivered before the reconnect; suppress so a
-			// resumed subscription never double-delivers a head.
-			s.stats.Duplicate++
-			s.mu.Unlock()
-			continue
-		}
-		if gh.Head.Size < s.lastSize[key] {
-			if pushed {
-				s.stats.OutOfOrder++
-			}
-			s.mu.Unlock()
-			continue
-		}
-		s.lastSize[key] = gh.Head.Size
-		if idx, ok := s.byKey[key]; ok {
-			s.heads[idx] = *gh
-		} else {
-			s.byKey[key] = len(s.heads)
-			s.heads = append(s.heads, *gh)
-		}
-		s.stats.Received++
-		s.mu.Unlock()
-		accepted = append(accepted, *gh)
 	}
 	if s.OnHeads != nil && len(accepted) > 0 {
 		s.OnHeads(from, accepted)
 	}
 }
 
-func (s *Subscriber) ingestPushed(from string, heads []gossip.GossipHead) {
-	s.ingest(from, heads, true)
-}
-
-func (s *Subscriber) countBadFrame() {
+// admit verifies gh and passes it through the per-source guard,
+// recording it when it reports true. A pushed head below the guard is a
+// protocol violation and counts in OutOfOrder; one AT the guard passes:
+// a witness re-publishes its frontier as cosignatures accumulate. An
+// acked head must exceed the guard: the ack replays the current head on
+// every (re)subscribe and a push can overtake it on the wire, so a
+// stale one is expected, and dropped as a Duplicate.
+func (s *Subscriber) admit(gh *gossip.GossipHead, pushed bool) bool {
+	rejected := s.VerifyHead != nil && s.VerifyHead(gh) != nil
+	key := sourceKey(gh)
 	s.mu.Lock()
-	s.stats.BadFrames++
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	last, seen := s.latest[key]
+	switch {
+	case rejected:
+		s.stats.Dropped++
+	case pushed && gh.Head.Size < last.Head.Size:
+		s.stats.OutOfOrder++
+	case !pushed && seen && gh.Head.Size <= last.Head.Size:
+		s.stats.Duplicate++
+	default:
+		s.latest[key] = *gh
+		s.stats.Received++
+		return true
+	}
+	return false
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"net"
+	"sync"
 	"testing"
 
 	"repro/internal/aolog"
@@ -9,28 +11,53 @@ import (
 	"repro/internal/transport"
 )
 
-// newFuzzSubscriber builds a Subscriber with no connection and no read
-// loop — frames are injected directly into handleFrame, the exact code
-// path the read loop feeds.
-func newFuzzSubscriber() *Subscriber {
-	return &Subscriber{
-		pending:  make(map[uint64]chan *transport.Response),
-		lastSize: make(map[string]uint64),
-		byKey:    make(map[string]int),
-		done:     make(chan struct{}),
-	}
+// deliveries records what a subscriber handed its OnHeads, per source.
+type deliveries struct {
+	mu    sync.Mutex
+	sizes map[string][]uint64
 }
 
-// checkMonotone fails if the subscriber's accepted heads ever violate
-// the per-source monotonicity the push channel promises.
-func checkMonotone(t *testing.T, s *Subscriber) {
-	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for key, idx := range s.byKey {
-		if got := s.heads[idx].Head.Size; got != s.lastSize[key] {
-			t.Fatalf("source %q: recorded head size %d != guard %d", key, got, s.lastSize[key])
+func recordDeliveries(s *Subscriber) *deliveries {
+	d := &deliveries{sizes: make(map[string][]uint64)}
+	s.OnHeads = func(_ string, heads []gossip.GossipHead) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		for i := range heads {
+			key := sourceKey(&heads[i])
+			d.sizes[key] = append(d.sizes[key], heads[i].Head.Size)
 		}
+	}
+	return d
+}
+
+// checkMonotone fails if what the subscriber delivered ever violated
+// the per-source monotonicity the push channel promises, or if Heads
+// and Stats disagree with what was delivered.
+func checkMonotone(t *testing.T, s *Subscriber, d *deliveries) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	latest := make(map[string]uint64)
+	for _, gh := range s.Heads() {
+		latest[sourceKey(&gh)] = gh.Head.Size
+	}
+	var total uint64
+	for key, sizes := range d.sizes {
+		for i := 1; i < len(sizes); i++ {
+			if sizes[i] < sizes[i-1] {
+				t.Fatalf("source %q: delivered sizes %v regress at position %d", key, sizes, i)
+			}
+		}
+		if got, ok := latest[key]; !ok || got != sizes[len(sizes)-1] {
+			t.Fatalf("source %q: Heads reports size %d (present=%v), last delivered %d", key, got, ok, sizes[len(sizes)-1])
+		}
+		total += uint64(len(sizes))
+	}
+	if len(latest) != len(d.sizes) {
+		t.Fatalf("Heads reports %d sources, %d were delivered", len(latest), len(d.sizes))
+	}
+	if got := s.Stats().Received; got != total {
+		t.Fatalf("Stats.Received = %d, %d heads were delivered", got, total)
 	}
 }
 
@@ -56,10 +83,13 @@ func headsBody(t *testing.T, from string, heads ...gossip.GossipHead) json.RawMe
 	return b
 }
 
-// FuzzSubscribeFrame feeds raw wire frames — subscription acks,
-// responses, pushes, and garbage — into the subscriber's frame handler.
-// Every frame is delivered twice (duplicated delivery is a seed-listed
-// adversarial case) and must neither panic nor break head monotonicity.
+// FuzzSubscribeFrame drives raw wire frames — subscription acks,
+// responses, pushes, and garbage — through a real transport.Client into
+// the subscriber, the two halves together (the client's frame router
+// has its own target of this name in internal/transport). A Subscribe
+// is pending on request ID 1 when the frames arrive, so a frame that
+// acks it primes the head set; every frame is delivered twice. Nothing
+// may panic or break head monotonicity.
 func FuzzSubscribeFrame(f *testing.F) {
 	t := &testing.T{}
 	gh := gossip.GossipHead{Source: "mon", Head: aolog.BLSSignedHead{Size: 7}}
@@ -89,20 +119,32 @@ func FuzzSubscribeFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0x42})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := newFuzzSubscriber()
-		// A pending call waiting on ID 1 exercises the ack routing path,
-		// including duplicated acks for one ID.
-		s.pending[1] = make(chan *transport.Response, 2)
-		s.handleFrame(data)
-		s.handleFrame(data) // duplicated delivery
-		checkMonotone(t, s)
+		cli, srv := net.Pipe()
+		s := NewSubscriber(cli)
+		d := recordDeliveries(s)
+		subscribed := make(chan error, 1)
+		go func() { subscribed <- s.Subscribe("fuzz") }()
+		if _, err := transport.ReadFrame(srv); err != nil { // the subscribe request, ID 1
+			t.Fatal(err)
+		}
+		// net.Pipe writes return once read, so closing after them hands
+		// the client's reader both frames and then EOF, in that order. A
+		// write fails if the first frame already ended the connection.
+		_ = transport.WriteFrame(srv, data)
+		_ = transport.WriteFrame(srv, data) // duplicated delivery
+		srv.Close()
+		<-subscribed
+		<-s.client.Load().Done()
+		s.Close()
+		checkMonotone(t, s, d)
 	})
 }
 
-// FuzzPushBatch fuzzes the pushed-_batch body specifically: the handler
-// must survive arbitrary sub-request lists (nested batches, truncated
-// bodies, hostile sizes) without panicking, and accepted heads must stay
-// monotone per source.
+// FuzzPushBatch fuzzes the pushed-_batch body specifically: the
+// push_heads decoder must survive arbitrary sub-request lists (nested
+// batches, truncated bodies, hostile sizes) without panicking, and
+// accepted heads must stay monotone per source. The body is split into
+// sub-requests the way the transport client does before its callback.
 func FuzzPushBatch(f *testing.F) {
 	t := &testing.T{}
 	gh := gossip.GossipHead{Source: "mon", SourcePK: []byte{1, 2, 3}, Head: aolog.BLSSignedHead{Size: 10}}
@@ -122,9 +164,14 @@ func FuzzPushBatch(f *testing.F) {
 	f.Add([]byte(`null`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s := newFuzzSubscriber()
-		s.handlePush(&transport.Request{ID: 0, Kind: transport.BatchKind, Body: body})
-		s.handlePush(&transport.Request{ID: 0, Kind: transport.BatchKind, Body: body})
-		checkMonotone(t, s)
+		var subs []transport.Request
+		if json.Unmarshal(body, &subs) != nil {
+			return // the client drops a push whose body is not a request list
+		}
+		s := newSubscriber()
+		d := recordDeliveries(s)
+		s.handlePush(subs)
+		s.handlePush(subs)
+		checkMonotone(t, s, d)
 	})
 }

@@ -29,6 +29,22 @@
 // (VerifyShardConsistency) before anything is served under it, and a
 // backend whose log regresses or contradicts itself poisons the tier —
 // it fails closed rather than serve proofs from a forked head.
+//
+// OWNS: the proof cache and its single-flight table; the head pump, its
+// self-check and the poison state; admission and degradation; the Hub's
+// per-subscriber coalescing; the subscribe/unsubscribe/push_heads kinds
+// and, on the client side (Subscriber), the VerifyHead hook, the
+// per-source monotonicity guard and when to subscribe again.
+//
+// MUST NOT DO: read or write a frame, keep a request-ID counter or a
+// table of calls in flight, or dial (a Subscriber rides a
+// transport.Client, the one frame loop); sign anything itself (the
+// backend signs); serve from a head it has not checked against its
+// predecessor.
+//
+// MUST NOT import: any repro/internal package except aolog, gossip,
+// obsv and transport (serve/loadtest, a test fixture, is its own
+// package).
 package serve
 
 import (

@@ -1,11 +1,26 @@
 // Package transport provides the wire protocol used between clients,
 // trust-domain hosts, and in-enclave frameworks: length-prefixed frames
-// carrying JSON-encoded envelopes over net.Conn, plus a small synchronous
-// RPC server/client pair.
+// carrying JSON-encoded envelopes over net.Conn, and both ends of the
+// RPC built on them: a Server that dispatches requests and may push,
+// and a Client whose one reader goroutine routes replies to concurrent
+// callers by ID and pushed frames to a callback.
 //
 // The framing is deliberately simple (4-byte big-endian length + payload,
 // hard size cap) so a malformed or malicious peer can at worst cause a
 // closed connection, never unbounded allocation.
+//
+// OWNS: the frame codec and its size limits; both halves of the
+// request/response, _batch and push framing; call routing by request ID
+// and push delivery (Client) as well as dispatch (Server) with its RPC
+// metrics, spans and flight events; per-call deadlines; the managed
+// client's retry, idempotency and breaker policy; MemListener.
+//
+// MUST NOT DO: know what any RPC kind means beyond the idempotency
+// table; verify signatures, proofs or attestations; hold process-wide
+// mutable state (no package-level variable is written after init);
+// decide what to inject.
+//
+// MUST NOT import: any repro/internal package except obsv.
 package transport
 
 import (

@@ -123,3 +123,55 @@ func FuzzDispatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSubscribeFrame feeds raw frames to the client's frame router, the
+// one function that decides what a received frame is. The seeds are the
+// frames a subscription sees (acks, pushes of push_heads, nested and
+// stray pushes) and garbage. Every frame is delivered twice, with one
+// call pending on ID 1: nothing may panic, and the pending call may
+// receive at most one reply and only one addressed to its own ID.
+func FuzzSubscribeFrame(f *testing.F) {
+	const head7 = `{"source":"mon","head":{"size":7,"head":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"signature":null}}`
+	const head3 = `{"source":"mon","head":{"size":3,"head":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"signature":null}}`
+	const pushOne = `{"id":0,"kind":"_batch","body":[{"id":0,"kind":"push_heads","body":{"from":"mon","heads":[` + head7 + `]}}]}`
+	// Well-formed subscription ack, the same ack truncated, an error ack.
+	ack := []byte(`{"id":1,"ok":true,"body":{"heads":[` + head7 + `]}}`)
+	f.Add(ack)
+	f.Add(ack[:len(ack)/2])
+	f.Add([]byte(`{"id":2,"ok":false,"error":"denied"}`))
+	// Push frame carrying two heads, one a regression.
+	f.Add([]byte(`{"id":0,"kind":"_batch","body":[{"id":0,"kind":"push_heads","body":{"from":"mon","heads":[` + head7 + `,` + head3 + `]}}]}`))
+	// Nested _batch push frame (batch inside a batch).
+	f.Add([]byte(`{"id":0,"kind":"_batch","body":[{"id":0,"kind":"_batch","body":` + pushOne + `}]}`))
+	// Non-batch push kind, empty frame, raw garbage.
+	f.Add([]byte(`{"id":9,"kind":"push_heads","body":{"from":"x","heads":[` + head7 + `]}}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"ok":true`))
+	f.Add([]byte{0xff, 0x00, 0x42})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := &Client{pending: make(map[uint64]chan *envelope), onPush: func(subs []Request) {
+			if len(subs) > MaxBatchCalls {
+				t.Fatalf("push of %d sub-requests exceeds the cap", len(subs))
+			}
+		}}
+		// One slot more than the one reply allowed, so a second delivery
+		// shows here instead of blocking the router.
+		reply := make(chan *envelope, 2)
+		c.pending[1] = reply
+		c.route(data)
+		c.route(data) // duplicated delivery
+		delivered := len(reply)
+		if delivered > 1 {
+			t.Fatalf("pending call received %d replies", delivered)
+		}
+		if _, waiting := c.pending[1]; waiting == (delivered == 1) {
+			t.Fatalf("call 1: delivered=%d but still pending=%v", delivered, waiting)
+		}
+		if delivered == 1 {
+			if env := <-reply; env.ID != 1 || env.Kind != "" {
+				t.Fatalf("pending call 1 received a frame not addressed to it: %+v", env)
+			}
+		}
+	})
+}

@@ -13,18 +13,21 @@ import (
 
 // This file is the self-healing client layer, and the one way non-test
 // code outside this package talks to a fixed endpoint. A raw Client is a
-// single fragile connection: one reset, timeout, or mid-frame failure
-// and it is dead forever. ManagedClient wraps one endpoint with the full
-// reliability kit — lazy (re)connect with a connect timeout, per-call
-// deadlines, exponential backoff with full jitter, a circuit breaker,
-// and an idempotency table so only safe RPC kinds are ever re-sent.
+// single connection: it survives a call that timed out, but once the
+// connection resets or a write fails it is dead for good, and it never
+// retries. ManagedClient wraps one endpoint with the full reliability
+// kit — lazy (re)connect with a connect timeout, per-call deadlines,
+// exponential backoff with full jitter, a circuit breaker, and an
+// idempotency table so only safe RPC kinds are ever re-sent.
 //
 // The retry rule that keeps this safe: a DIAL failure may retry any
 // kind (nothing was sent), but once a request has been written, a
-// transport failure retries only kinds listed as idempotent — the
-// server may have executed a request whose response was lost, and
-// re-sending a submit or invoke would double-apply it. Server-answered
-// errors (ErrRemote) never retry: the RPC completed; it just failed.
+// transport failure — a timeout included: the server may be slow, not
+// silent — retries only kinds listed as idempotent, on a fresh
+// connection: the server may have executed a request whose response was
+// lost, and re-sending a submit or invoke would double-apply it.
+// Server-answered errors (ErrRemote) never retry: the RPC completed; it
+// just failed.
 
 // ErrCircuitOpen is returned (wrapped) when the endpoint's circuit
 // breaker is open and the call was not attempted.
@@ -169,7 +172,7 @@ func DialManaged(addr string, opts ManagedOptions) *ManagedClient {
 		opts.ConnectTimeout = DefaultDialTimeout
 	}
 	if opts.Dial == nil {
-		opts.Dial = dialTCP
+		opts.Dial = DialConn
 	}
 	return &ManagedClient{
 		addr:        addr,
@@ -248,8 +251,8 @@ func (m *ManagedClient) getConn(ctx context.Context) (*Client, error) {
 }
 
 // dropConn discards c if it is still the current connection. Called
-// after a transport-level failure: the connection may be mid-frame and
-// cannot be reused.
+// after a transport-level failure: whatever is wrong with the endpoint,
+// the next attempt starts from a fresh connection.
 func (m *ManagedClient) dropConn(c *Client) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -259,16 +262,15 @@ func (m *ManagedClient) dropConn(c *Client) {
 	}
 }
 
-// backoff sleeps for the attempt's full-jitter delay (delay drawn
-// uniformly from [0, min(maxDelay, baseDelay·2^attempt)]), honoring ctx
-// cancellation.
-func (m *ManagedClient) backoff(ctx context.Context, attempt int) error {
-	ceil := m.baseDelay << uint(attempt)
-	if ceil > m.maxDelay || ceil <= 0 {
-		ceil = m.maxDelay
+// Backoff sleeps for the attempt's full-jitter delay, jitter (in [0,1))
+// of min(max, base·2^attempt), or until ctx ends, whose error it then
+// returns. It is every reconnect loop's wait.
+func Backoff(ctx context.Context, attempt int, base, max time.Duration, jitter float64) error {
+	ceil := base << uint(attempt)
+	if ceil > max || ceil <= 0 {
+		ceil = max
 	}
-	d := time.Duration(m.jitter() * float64(ceil))
-	t := time.NewTimer(d)
+	t := time.NewTimer(time.Duration(jitter * float64(ceil)))
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
@@ -295,7 +297,7 @@ func (m *ManagedClient) CallCtx(ctx context.Context, kind string, in, out any) e
 	for attempt := 0; attempt < m.maxAttempts; attempt++ {
 		if attempt > 0 {
 			m.retries.Add(1)
-			if err := m.backoff(ctx, attempt-1); err != nil {
+			if err := Backoff(ctx, attempt-1, m.baseDelay, m.maxDelay, m.jitter()); err != nil {
 				return err
 			}
 		}
@@ -329,9 +331,8 @@ func (m *ManagedClient) CallCtx(ctx context.Context, kind string, in, out any) e
 			m.brk.success()
 			return err
 		}
-		// Transport failure after (possibly partial) send: the
-		// connection is unusable and the server may or may not have
-		// executed the request.
+		// Transport failure after (possibly partial) send: the server
+		// may or may not have executed the request.
 		m.dropConn(c)
 		m.brk.failure()
 		lastErr = err

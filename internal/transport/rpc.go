@@ -371,15 +371,39 @@ func (s *Server) route(ctx context.Context, req *Request, p *Pusher) *Response {
 	return &Response{ID: req.ID, OK: true, Body: enc}
 }
 
-// Client is a synchronous RPC client over a single connection.
-// Safe for concurrent use; calls are serialized on the connection.
+// Client is one connection to a Server, shared by any number of
+// concurrent callers. One reader goroutine owns the receiving side: it
+// decodes each frame's envelope once and routes it, a reply to the call
+// waiting on its ID, a server-initiated frame to the push callback fixed
+// at construction. Writes are serialized and nothing is held across a
+// round trip, so calls pipeline on the socket, and a call that gives up
+// abandons only its own reply: the connection stays good.
 type Client struct {
+	conn   net.Conn
+	onPush func(subs []Request) // nil: pushed frames are dropped
+	done   chan struct{}        // closed when the reader has exited
+
+	wmu sync.Mutex // serializes frame writes
+
 	mu      sync.Mutex
-	conn    net.Conn
 	nextID  uint64
-	trace   obsv.TraceContext // connection-level trace (SetTrace)
-	tracer  *obsv.Tracer      // client-side spans (SetTracer)
-	timeout time.Duration     // default per-call deadline (SetTimeout)
+	pending map[uint64]chan *envelope // calls awaiting a reply, by request ID
+	err     error                     // why the connection ended; nil while it is up
+	trace   obsv.TraceContext         // connection-level trace (SetTrace)
+	tracer  *obsv.Tracer              // client-side spans (SetTracer)
+	timeout time.Duration             // default per-call deadline (SetTimeout)
+}
+
+// envelope is any frame a client can receive, decoded once: a Response,
+// or a server-initiated Request (Kind set). err is set only on the
+// envelope that tells a pending call its connection ended.
+type envelope struct {
+	ID    uint64          `json:"id"`
+	OK    bool            `json:"ok"`
+	Kind  string          `json:"kind"`
+	Error string          `json:"error"`
+	Body  json.RawMessage `json:"body"`
+	err   error
 }
 
 // DefaultDialTimeout bounds connection establishment for Dial. A dial
@@ -388,7 +412,9 @@ type Client struct {
 // minutes) turns one dead peer into a stuck daemon.
 const DefaultDialTimeout = 10 * time.Second
 
-func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
+// DialConn opens the TCP connection every dial in this package starts
+// from; it is exported for the one outside holder of a NewPushClient.
+func DialConn(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
 }
 
@@ -403,18 +429,46 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
-	conn, err := dialTCP(addr, timeout)
+	conn, err := DialConn(addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn}, nil
+	return NewClient(conn), nil
 }
 
-// NewClient wraps an existing connection.
-func NewClient(conn net.Conn) *Client { return &Client{conn: conn} }
+// NewClient wraps an existing connection and starts its reader. The
+// caller must not read from conn afterwards.
+func NewClient(conn net.Conn) *Client { return NewPushClient(conn, nil) }
 
-// Close closes the underlying connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// NewPushClient is NewClient for a connection that expects pushes (the
+// client half of Pusher): onPush receives the sub-requests of each
+// pushed _batch. It runs on the reader goroutine, so it must not call
+// back into the Client: the reply it waited for could never be read.
+func NewPushClient(conn net.Conn, onPush func(subs []Request)) *Client {
+	c := &Client{
+		conn:    conn,
+		onPush:  onPush,
+		done:    make(chan struct{}),
+		pending: make(map[uint64]chan *envelope),
+	}
+	go c.readLoop()
+	return c
+}
+
+// Close closes the connection; calls in flight fail. The reader exits
+// as soon as its read returns (see Done).
+func (c *Client) Close() error { return c.fail(errors.New("transport: client closed")) }
+
+// Done is closed once the connection has ended and its reader has
+// exited; Err then says why.
+func (c *Client) Done() <-chan struct{} { return c.done }
+
+// Err reports why the connection ended (nil while it is up).
+func (c *Client) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
 
 // SetTrace pins a connection-level trace context: every subsequent Call
 // made without its own context trace sends a child span of tc in the
@@ -435,12 +489,8 @@ func (c *Client) SetTracer(t *obsv.Tracer) {
 }
 
 // SetTimeout installs a default per-call deadline: every Call/CallCtx
-// without an earlier context deadline bounds its round trip to d. Zero
-// disables (context deadlines still apply). A call that hits the
-// deadline leaves the connection mid-frame and therefore unusable —
-// the error is terminal for this Client, which is exactly what the
-// managed layer (DialManaged) wants: it drops the connection and
-// redials.
+// without an earlier context deadline gives up after d. Zero disables
+// (context deadlines still apply).
 func (c *Client) SetTimeout(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -458,82 +508,153 @@ func (c *Client) Call(kind string, in any, out any) error {
 	return c.CallCtx(context.Background(), kind, in, out)
 }
 
-// CallCtx is Call with trace propagation: when ctx (or the connection's
-// SetTrace default) carries a sampled trace, the request frame carries
-// a child trace context in its header and, with SetTracer, a client
-// span is recorded.
-func (c *Client) CallCtx(ctx context.Context, kind string, in any, out any) error {
+// CallCtx is Call under ctx: it gives up when ctx ends or the connection
+// default (SetTimeout) runs out, and a deadline error satisfies
+// net.Error with Timeout() true. When ctx (or the connection's SetTrace
+// default) carries a sampled trace, the request frame carries a child
+// trace context in its header and, with SetTracer, a client span is
+// recorded.
+func (c *Client) CallCtx(ctx context.Context, kind string, in any, out any) (err error) {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("transport: encoding request: %w", err)
 	}
+	reply := make(chan *envelope, 1)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	tc := obsv.TraceFrom(ctx)
-	if !tc.Valid() {
-		tc = c.trace
-	}
-	var header []byte
-	var span *obsv.Span
-	if tc.Valid() && tc.Sampled() {
-		child := tc.Child()
-		header = child.Encode()
-		if c.tracer != nil {
-			span = c.tracer.StartRemote(child, "call."+kind)
-		}
+	if c.err != nil {
+		defer c.mu.Unlock()
+		return c.err
 	}
 	c.nextID++
 	req := Request{ID: c.nextID, Kind: kind, Body: body}
+	c.pending[req.ID] = reply
+	tc, tracer, timeout := c.trace, c.tracer, c.timeout
+	c.mu.Unlock()
+
+	if t := obsv.TraceFrom(ctx); t.Valid() {
+		tc = t
+	}
+	var header []byte
+	if tc.Valid() && tc.Sampled() {
+		child := tc.Child()
+		header = child.Encode()
+		if tracer != nil {
+			span := tracer.StartRemote(child, "call."+kind)
+			defer func() { span.End(err) }()
+		}
+	}
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
 	frame, err := json.Marshal(&req)
 	if err != nil {
-		return fmt.Errorf("transport: encoding envelope: %w", err)
+		err = fmt.Errorf("transport: encoding envelope: %w", err)
+	} else {
+		err = c.send(ctx, header, frame)
 	}
-	// Per-call deadline: the earlier of the context's deadline and the
-	// connection default. The deadline covers the whole round trip; on
-	// expiry the read/write fails with a timeout and the connection is
-	// desynchronized (a late response frame would answer the wrong call),
-	// so callers must treat a timeout as fatal for this Client.
-	deadline, hasDeadline := ctx.Deadline()
-	if c.timeout > 0 {
-		if d := time.Now().Add(c.timeout); !hasDeadline || d.Before(deadline) {
-			deadline, hasDeadline = d, true
+	if err == nil {
+		select {
+		case env := <-reply:
+			switch {
+			case env.err != nil:
+				return env.err
+			case !env.OK:
+				return &ErrRemote{Msg: env.Error}
+			case out != nil:
+				if err := json.Unmarshal(env.Body, out); err != nil {
+					return fmt.Errorf("transport: decoding response body: %w", err)
+				}
+			}
+			return nil
+		case <-ctx.Done():
+			err = fmt.Errorf("transport: awaiting %s response: %w", kind, ctx.Err())
 		}
 	}
-	if hasDeadline {
-		if err := c.conn.SetDeadline(deadline); err != nil {
-			return fmt.Errorf("transport: setting deadline: %w", err)
-		}
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	err = c.roundTrip(header, frame, req.ID, out)
-	span.End(err)
+	// Giving up costs this call its reply and nothing else: the frame,
+	// if it still comes, is dropped by route.
+	c.mu.Lock()
+	delete(c.pending, req.ID)
+	c.mu.Unlock()
 	return err
 }
 
-// roundTrip writes one framed request and reads its response. Caller
-// holds c.mu.
-func (c *Client) roundTrip(header, frame []byte, id uint64, out any) error {
-	if err := WriteFrameHeader(c.conn, header, frame); err != nil {
-		return err
+// send writes one frame, bounded by ctx's deadline when it has one. A
+// failed write may have left part of a frame on the socket, so it ends
+// the connection.
+func (c *Client) send(ctx context.Context, header, frame []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if deadline, ok := ctx.Deadline(); ok {
+		_ = c.conn.SetWriteDeadline(deadline) // fails only on a closed connection, which the write reports
+		defer c.conn.SetWriteDeadline(time.Time{})
 	}
-	respFrame, err := ReadFrame(c.conn)
+	err := WriteFrameHeader(c.conn, header, frame)
 	if err != nil {
-		return fmt.Errorf("transport: reading response: %w", err)
+		c.fail(err)
 	}
-	var resp Response
-	if err := json.Unmarshal(respFrame, &resp); err != nil {
+	return err
+}
+
+// fail ends the connection with err, once: every pending call receives
+// err, later calls fail with it at once, and the socket is closed.
+func (c *Client) fail(err error) error {
+	c.mu.Lock()
+	if c.err != nil {
+		c.mu.Unlock()
+		return nil
+	}
+	c.err = err
+	calls := c.pending
+	c.pending = nil
+	c.mu.Unlock()
+	for _, reply := range calls {
+		reply <- &envelope{err: err}
+	}
+	return c.conn.Close()
+}
+
+// readLoop is the connection's only reader. It ends on the first read
+// or protocol error, which fails every pending call.
+func (c *Client) readLoop() {
+	defer close(c.done)
+	for {
+		frame, err := ReadFrame(c.conn)
+		if err != nil {
+			err = fmt.Errorf("transport: reading response: %w", err)
+		} else {
+			err = c.route(frame)
+		}
+		if err != nil {
+			c.fail(err)
+			return
+		}
+	}
+}
+
+// route delivers one received frame: a reply to the pending call that
+// owns its ID, a pushed _batch to onPush. A reply nobody waits for (its
+// caller gave up) and a malformed push are dropped; an undecodable
+// envelope is fatal to the connection, as it is on the server side.
+func (c *Client) route(frame []byte) error {
+	env := new(envelope)
+	if err := json.Unmarshal(frame, env); err != nil {
 		return fmt.Errorf("transport: decoding response: %w", err)
 	}
-	if resp.ID != id {
-		return errors.New("transport: response ID mismatch")
-	}
-	if !resp.OK {
-		return &ErrRemote{Msg: resp.Error}
-	}
-	if out != nil {
-		if err := json.Unmarshal(resp.Body, out); err != nil {
-			return fmt.Errorf("transport: decoding response body: %w", err)
+	if env.Kind == "" {
+		c.mu.Lock()
+		reply := c.pending[env.ID]
+		delete(c.pending, env.ID)
+		c.mu.Unlock()
+		if reply != nil {
+			reply <- env
 		}
+		return nil
+	}
+	var subs []Request
+	if c.onPush != nil && env.Kind == BatchKind && json.Unmarshal(env.Body, &subs) == nil && len(subs) <= MaxBatchCalls {
+		c.onPush(subs)
 	}
 	return nil
 }
