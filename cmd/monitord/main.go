@@ -11,17 +11,12 @@
 //
 //	submit      {envelope}        -> {log_index, alert?}
 //	submitbatch {envelopes: [..]} -> [{log_index, alert?, error?}, ...]
-//	head        {}                -> ed25519-signed tree head
-//	headbls     {}                -> BLS-signed tree head (batch-verifiable
-//	                                 by auditors via bls.VerifyBatch)
 //	alerts      {}                -> all accumulated misbehavior proofs
 //	poll        {}                -> monitor fetches statuses itself from
 //	                                 every domain and ingests them
-//	info        {}                -> monitor identity: name, tree-head keys,
-//	                                 shard count, current log size
-//	consistency {old_size}        -> sharded consistency proof from old_size
-//	                                 to the current log (what witnesses use
-//	                                 to advance their cosigned frontier)
+//	info        {}                -> monitor identity: name, BLS tree-head
+//	                                 key, shard count, current log size
+//	                                 (signs nothing)
 //	gossipreport {proof}          -> slashing path: verify a portable
 //	                                 gossip.EquivocationProof offline and
 //	                                 record it (alert + public log entry);
@@ -29,11 +24,19 @@
 //	                                 key or a -slashable pinned key are
 //	                                 accepted, replays are idempotent
 //
-// With -subscribe (the default) the serving tier (internal/serve) fronts
-// the read path: head/headbls/consistency are answered from a proof
-// cache with single-flight coalescing, heads are signed once per log
-// size instead of once per request, and three kinds are added:
+// The serving tier (internal/serve) is the read path: the monitor has
+// one tree-head key (BLS), the tier's head pump signs one head per log
+// size, checks it against its predecessor and publishes it, and proofs
+// are answered from a cache with single-flight coalescing:
 //
+//	headbls     {}                -> the published BLS-signed tree head
+//	                                 (batch-verifiable by auditors via
+//	                                 bls.VerifyBatch)
+//	consistency {old_size, new_size?}
+//	                              -> sharded consistency proof from old_size
+//	                                 to new_size (default: the published
+//	                                 head; what witnesses use to advance
+//	                                 their cosigned frontier)
 //	proof       {index, size?}    -> cached inclusion proof plus the
 //	                                 current signed head; under overload
 //	                                 degrades to the last stale-but-
@@ -43,7 +46,6 @@
 //	                                 arrives as one server-initiated
 //	                                 "_batch" frame of push_heads calls
 //	unsubscribe {}                -> deregisters the connection
-//	servestats  {}                -> cache/admission/push counters
 //
 // The server also accepts transport-level "_batch" frames bundling any of
 // the above, so gossiping clients pay one round trip per flush. The public
@@ -52,8 +54,6 @@
 package main
 
 import (
-	"crypto/ed25519"
-	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -83,16 +83,14 @@ var (
 	shards     = flag.Int("shards", monitor.DefaultShards, "stripe count of the public Merkle log")
 	name       = flag.String("name", "monitor", "this monitor's name in gossip deployments")
 	slashable  = flag.String("slashable", "", "comma-separated hex BLS keys of peer monitors whose equivocation proofs this monitor records")
-	subscribe  = flag.Bool("subscribe", true, "serve reads through the caching tier and push new heads to subscribed connections")
 
-	fsyncDeadline   = flag.Duration("fsync-deadline", 2*time.Second, "WAL-fsync stall watchdog deadline (0 disables)")
-	debugFsyncStall = flag.Duration("debug-fsync-stall", 0, "inject a sleep before every WAL fsync (requires -debug-hooks)")
-	rpcTimeout      = flag.Duration("rpc-timeout", 10*time.Second, "per-call deadline on outbound RPCs this monitor issues (poll path); 0 disables")
+	fsyncDeadline = flag.Duration("fsync-deadline", 2*time.Second, "WAL-fsync stall watchdog deadline (0 disables)")
+	rpcTimeout    = flag.Duration("rpc-timeout", 10*time.Second, "per-call deadline on outbound RPCs this monitor issues (poll path); 0 disables")
 )
 
 func main() {
 	flag.Parse()
-	h.Start("debug-fsync-stall")
+	h.Start()
 	defer h.Flight.DumpOnPanic(h.DiagDir, h.Name)
 	bls.RegisterMetrics(h.Reg)
 	bls12381.RegisterMetrics(h.Reg)
@@ -112,7 +110,7 @@ func main() {
 	var mon *monitor.Monitor
 	if h.DataDir != "" {
 		// Persistent monitor: stable tree-head identity, crash-safe log.
-		openOpts := &monitor.OpenOptions{Shards: *shards, FsyncStall: *debugFsyncStall}
+		openOpts := &monitor.OpenOptions{Shards: *shards}
 		if h.Inj != nil {
 			openOpts.DiskFault = h.Inj.DiskFault
 		}
@@ -130,20 +128,16 @@ func main() {
 				"elapsed", info.Elapsed.Round(time.Millisecond), "head", head)
 		}
 	} else {
-		_, priv, err := ed25519.GenerateKey(rand.Reader)
+		key, _, err := bls.GenerateKey()
 		if err != nil {
-			h.Fatal("keygen", "err", err)
+			h.Fatal("tree-head keygen", "err", err)
 		}
-		mon, err = monitor.NewSharded(params, priv, *shards)
+		mon, err = monitor.NewSharded(params, key, *shards)
 		if err != nil {
 			h.Fatal("creating monitor", "err", err)
 		}
-		blsKey, _, err := bls.GenerateKey()
-		if err != nil {
-			h.Fatal("BLS keygen", "err", err)
-		}
-		mon.EnableBLSHeads(blsKey)
 	}
+	headKey := mon.BLSPublicKey().Bytes() // the monitor's one identity, fixed for the process
 	mon.RegisterMetrics(h.Reg)
 	mon.SetDiagnostics(h.Flight, fsyncDog)
 	// The sticky persistence error flips readiness: a monitor that can
@@ -208,34 +202,16 @@ func main() {
 		}
 		return out, nil
 	})
-	srv.Handle("head", func(json.RawMessage) (any, error) {
-		return mon.TreeHead(), nil
-	})
-	srv.Handle("headbls", func(json.RawMessage) (any, error) {
-		return mon.TreeHeadBLS()
-	})
 	srv.Handle("alerts", func(json.RawMessage) (any, error) {
 		return mon.Alerts(), nil
 	})
 	srv.Handle("info", func(json.RawMessage) (any, error) {
-		blsPub := mon.BLSPublicKey().Bytes()
-		head := mon.TreeHead()
 		return infoResponse{
-			Name:      *name,
-			PublicKey: mon.PublicKey(),
-			BLSKey:    blsPub[:],
-			Shards:    mon.NumShards(),
-			Size:      head.Size,
+			Name:   *name,
+			BLSKey: headKey[:],
+			Shards: mon.NumShards(),
+			Size:   uint64(mon.Len()),
 		}, nil
-	})
-	srv.Handle("consistency", func(body json.RawMessage) (any, error) {
-		var req struct {
-			OldSize int `json:"old_size"`
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return mon.ProveConsistency(req.OldSize)
 	})
 	srv.Handle("gossipreport", func(body json.RawMessage) (any, error) {
 		var proof gossip.EquivocationProof
@@ -264,46 +240,42 @@ func main() {
 		return out, nil
 	})
 
-	// The serving tier rebinds head/headbls/consistency to the cached
-	// paths and adds proof/subscribe/unsubscribe/servestats. Appends kick
-	// the tier's publisher, which signs the new head once and pushes it
-	// to every subscriber.
-	var tier *serve.Tier
-	if *subscribe {
-		pkb := mon.BLSPublicKey().Bytes()
-		tier, err = serve.Attach(mon, serve.Options{Source: *name, SourcePK: pkb[:], Metrics: h.Reg})
-		if err != nil {
-			h.Fatal("attaching serving tier", "err", err)
+	// The serving tier is the read path: it registers headbls, consistency,
+	// proof, subscribe and unsubscribe. Appends kick its head pump, which
+	// signs the new head once, checks it against the previous one and
+	// pushes it to every subscriber.
+	tier, err := serve.Attach(mon, serve.Options{Source: *name, SourcePK: headKey[:], Metrics: h.Reg})
+	if err != nil {
+		h.Fatal("attaching serving tier", "err", err)
+	}
+	mon.SetAppendHook(tier.Kick)
+	tier.Register(srv)
+	tier.SetFlightRecorder(h.Flight)
+	// A poisoned (fail-closed) tier must flip /readyz, not just refuse
+	// RPCs.
+	h.Health.Set("serve", tier.Unhealthy)
+	// A push backlog pinned at the cap means subscribers are not
+	// draining; degraded, with profiles, but not unready.
+	hub := tier.Hub()
+	h.Dogs.AddProbe("serve-push-drain", 5*time.Second, func() (bool, string) {
+		if p := hub.Pending(); p >= 1024 {
+			return true, fmt.Sprintf("push backlog %d heads", p)
 		}
-		mon.SetAppendHook(tier.Kick)
-		tier.Register(srv)
-		tier.SetFlightRecorder(h.Flight)
-		// A poisoned (fail-closed) tier must flip /readyz, not just
-		// refuse RPCs.
-		h.Health.Set("serve", tier.Unhealthy)
-		// A push backlog pinned at the cap means subscribers are not
-		// draining; degraded, with profiles, but not unready.
-		hub := tier.Hub()
-		h.Dogs.AddProbe("serve-push-drain", 5*time.Second, func() (bool, string) {
-			if p := hub.Pending(); p >= 1024 {
-				return true, fmt.Sprintf("push backlog %d heads", p)
-			}
-			return false, ""
-		})
-		if h.DebugHooks {
-			// Test-only failure injection: the e2e smoke test poisons the
-			// tier over RPC and asserts /readyz flips while serve_poisoned=1.
-			srv.Handle("_poison", func(json.RawMessage) (any, error) {
-				tier.Poison(errors.New("debug poison injected"))
-				return map[string]bool{"poisoned": true}, nil
-			})
-		}
-		// The head pump reads the monitor: it stops before the store closes.
-		h.Go(func(stop <-chan struct{}) {
-			<-stop
-			tier.Close()
+		return false, ""
+	})
+	if h.DebugHooks {
+		// Test-only failure injection: the e2e smoke test poisons the
+		// tier over RPC and asserts /readyz flips while serve_poisoned=1.
+		srv.Handle("_poison", func(json.RawMessage) (any, error) {
+			tier.Poison(errors.New("debug poison injected"))
+			return map[string]bool{"poisoned": true}, nil
 		})
 	}
+	// The head pump reads the monitor: it stops before the store closes.
+	h.Go(func(stop <-chan struct{}) {
+		<-stop
+		tier.Close()
+	})
 
 	// SLO objectives from the deployment file when declared, the monitor
 	// defaults otherwise.
@@ -316,20 +288,14 @@ func main() {
 	}
 	addr := h.Serve(srv, *listen, objs)
 	logger.Info("serving", "addr", addr.String(), "domains", len(params.Domains),
-		"shards", *shards, "serve_tier", tier != nil, "size", mon.Len())
-	logger.Info("tree-head identity", "ed25519", fmt.Sprintf("%x", mon.PublicKey()),
-		"bls", fmt.Sprintf("%x", blsKeyBytes(mon)))
+		"shards", *shards, "size", mon.Len())
+	logger.Info("tree-head identity", "bls", fmt.Sprintf("%x", headKey))
 
 	// The store flushes last: final snapshot, WAL checkpoint, segment close.
 	h.Run(mon.Close)
 	if h.DataDir != "" {
 		logger.Info("store flushed", "data", h.DataDir, "size", mon.Len())
 	}
-}
-
-func blsKeyBytes(mon *monitor.Monitor) []byte {
-	b := mon.BLSPublicKey().Bytes()
-	return b[:]
 }
 
 type submitResponse struct {
@@ -339,9 +305,8 @@ type submitResponse struct {
 }
 
 type infoResponse struct {
-	Name      string `json:"name"`
-	PublicKey []byte `json:"public_key"`
-	BLSKey    []byte `json:"bls_key"`
-	Shards    int    `json:"shards"`
-	Size      uint64 `json:"size"`
+	Name   string `json:"name"`
+	BLSKey []byte `json:"bls_key"`
+	Shards int    `json:"shards"`
+	Size   uint64 `json:"size"`
 }

@@ -10,14 +10,15 @@ import (
 // default — to what it was before the daemons moved onto
 // internal/daemon: bench/ and internal/e2e start the daemons with these
 // flags, and operators' unit files do too. Usage strings may change;
-// names and defaults may not.
+// names and defaults may not. A flag leaves this map only together with
+// the code path it selected.
 func TestFlagSurface(t *testing.T) {
 	want := map[string]string{
-		"data": "", "debug-fsync-stall": "0s", "debug-hooks": "false",
+		"data": "", "debug-hooks": "false",
 		"fault-schedule": "", "fault-target": "monitord", "fsync-deadline": "2s",
 		"listen": "127.0.0.1:0", "metrics": "", "name": "monitor",
 		"params": "deployment.json", "rpc-timeout": "10s", "shards": "4",
-		"slashable": "", "slo-interval": "10s", "subscribe": "true", "trace": "64",
+		"slashable": "", "slo-interval": "10s", "trace": "64",
 	}
 	got := map[string]string{}
 	flag.VisitAll(func(f *flag.Flag) {

@@ -13,7 +13,8 @@ import (
 )
 
 // The package contracts DESIGN.md states in prose, enforced on the
-// source: who may import whom, and that there is one way to connect.
+// source: who may import whom, that there is one way to connect and one
+// signed head, and that every option has a caller.
 
 const internalPrefix = "repro/internal/"
 
@@ -27,6 +28,7 @@ var allowedInternalImports = map[string][]string{
 	"tee":       nil,
 	"transport": {"obsv"},
 	"store":     {"obsv"},
+	"monitor":   {"aolog", "audit", "bls", "gossip", "obsv", "store"},
 	"fault":     {"obsv"},
 	"daemon":    {"obsv", "fault", "transport"},
 	"serve":     {"aolog", "gossip", "obsv", "transport"},
@@ -66,7 +68,24 @@ var removedIdents = map[string]bool{
 	"Auto" + "Options":            true,
 	"NewAuto" + "Subscriber":      true,
 	"Set" + "ResumeFloors":        true,
+	// The ed25519 tree head and what hung off it. Exact identifiers: the
+	// BLS head types and Subscriber's verify hook are other names.
+	"Signed" + "Head":        true,
+	"Sign" + "Head":          true,
+	"Check" + "Equivocation": true,
+	"Decode" + "SignedHead":  true,
+	"Tree" + "Head":          true,
+	"Enable" + "BLSHeads":    true,
+	// Knobs nobody set, and the second way to stall the disk.
+	"Disable" + "Cache":   true,
+	"Fsync" + "Stall":     true,
+	"Kind" + "ServeStats": true,
 }
+
+// oneHeadKey lists the packages between the log and the wire whose
+// non-test files may not import crypto/ed25519: tree heads are signed
+// with the monitor's one BLS key and nothing else.
+var oneHeadKey = []string{"internal/aolog/", "internal/monitor/", "internal/serve/", "cmd/monitord/"}
 
 // harnessOnly lists, by import path, the calls that build or tear down
 // a daemon's planes. internal/daemon makes them once for every daemon;
@@ -78,16 +97,20 @@ var harnessOnly = map[string][]string{
 	"repro/internal/obsv":  {"NewRegistry", "NewFlightRecorder", "NewWatchdogSet", "NewSLOEngine", "Endpoint"},
 }
 
-func TestPackageContracts(t *testing.T) {
+// walkSource parses every .go file under the repo root and hands it to
+// visit with its slash-separated path. bench/ is its own module: the
+// contracts skip it (it may dial raw: that is what it measures), the
+// option scan reads it as one more caller. Dot-directories hold no
+// source of ours.
+func walkSource(t *testing.T, withBench bool, visit func(path string, file *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			// bench/ is its own module (it may dial raw: that is what it
-			// measures); dot-directories hold no source of ours.
-			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+			if path == "bench" && !withBench || (path != "." && strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -99,12 +122,16 @@ func TestPackageContracts(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		checkFile(t, filepath.ToSlash(path), file)
+		visit(filepath.ToSlash(path), file)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestPackageContracts(t *testing.T) {
+	walkSource(t, false, func(path string, file *ast.File) { checkFile(t, path, file) })
 }
 
 func checkFile(t *testing.T, path string, file *ast.File) {
@@ -125,6 +152,9 @@ func checkFile(t *testing.T, path string, file *ast.File) {
 				local = imp.Name.Name
 			}
 			harnessCalls[local] = sels
+		}
+		if ipath == "crypto/ed25519" && !isTest && slices.ContainsFunc(oneHeadKey, func(dir string) bool { return strings.HasPrefix(path, dir) }) {
+			t.Errorf("%s: imports crypto/ed25519; tree heads have one key, and it is BLS", path)
 		}
 		target, ok := strings.CutPrefix(ipath, internalPrefix)
 		if !ok {
@@ -172,4 +202,157 @@ func checkFile(t *testing.T, path string, file *ast.File) {
 		}
 		return true
 	})
+}
+
+// optionExceptions are the exported Options/Config fields that no
+// non-test caller outside their package sets, each with why it stays.
+// All are test seams. An entry the scan no longer needs fails the test,
+// so the list can only shrink: it is the work list for the next knob PR.
+var optionExceptions = map[string]string{
+	"serve.Options.Cosign":              "the subscriber hammer's only way to push cosigned heads through a real tier",
+	"store.Options.FlushThresholdBytes": "store tests force checkpoints and WAL rotations with a small threshold",
+	"store.Options.SegmentMaxBytes":     "store tests force segment rolls with a small cap",
+	"monitor.OpenOptions.SnapshotEvery": "restart tests snapshot mid-run, or switch snapshots off",
+	"monitor.OpenOptions.NoSync":        "tests and benchmarks skip fsyncs",
+	"gossip.Config.Sources":             "tests seed a witness's sources at construction; auditord adds them with AddSource",
+	"gossip.Config.Witnesses":           "tests seed the cosigner set at construction; auditord adds them with AddWitness",
+}
+
+// TestEveryOptionHasACaller: every exported field of an exported struct
+// in internal/ whose name ends in Options or Config is set — by a keyed
+// composite literal, or by an assignment through a variable defined from
+// one — in a non-test file outside its package (bench/ counts), or is a
+// named exception. A configuration no caller selects is unmeasured
+// surface, not a feature.
+func TestEveryOptionHasACaller(t *testing.T) {
+	type source struct {
+		path string
+		file *ast.File
+	}
+	var files []source
+	fields := map[string]bool{} // "pkg.Type.Field" -> set by some caller
+	mark := func(field string) {
+		if _, scanned := fields[field]; scanned {
+			fields[field] = true
+		}
+	}
+	walkSource(t, true, func(path string, file *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		files = append(files, source{path, file})
+		dir, ok := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
+		if !ok {
+			return
+		}
+		for _, decl := range file.Decls {
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(ts.Name.Name, "Options") || strings.HasSuffix(ts.Name.Name, "Config")) {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, name := range f.Names {
+						if name.IsExported() {
+							fields[dir+"."+ts.Name.Name+"."+name.Name] = false
+						}
+					}
+				}
+			}
+		}
+	})
+
+	for _, src := range files {
+		// local import name -> internal package, for every package but the file's own
+		imports := map[string]string{}
+		own, _ := strings.CutPrefix(filepath.ToSlash(filepath.Dir(src.path)), "internal/")
+		for _, imp := range src.file.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			if pkg, ok := strings.CutPrefix(ipath, internalPrefix); ok && pkg != own {
+				local := pkg[strings.LastIndex(pkg, "/")+1:]
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+				imports[local] = pkg
+			}
+		}
+		// optionType resolves pkg.Type{...} and &pkg.Type{...} to
+		// "pkg.Type" for an imported internal package.
+		optionType := func(e ast.Expr) string {
+			for {
+				switch x := e.(type) {
+				case *ast.UnaryExpr:
+					e = x.X
+					continue
+				case *ast.CompositeLit:
+					e = x.Type
+					continue
+				case *ast.SelectorExpr:
+					if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+						return imports[id.Name] + "." + x.Sel.Name
+					}
+				}
+				return ""
+			}
+		}
+		vars := map[string]string{} // variable defined from a literal -> "pkg.Type"
+		ast.Inspect(src.file, func(n ast.Node) bool {
+			if def, ok := n.(*ast.AssignStmt); ok && def.Tok == token.DEFINE && len(def.Lhs) == len(def.Rhs) {
+				for i := range def.Lhs {
+					if id, ok := def.Lhs[i].(*ast.Ident); ok && optionType(def.Rhs[i]) != "" {
+						vars[id.Name] = optionType(def.Rhs[i])
+					}
+				}
+			}
+			return true
+		})
+		ast.Inspect(src.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				typ := optionType(n)
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							mark(typ + "." + key.Name)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						if id, ok := sel.X.(*ast.Ident); ok {
+							mark(vars[id.Name] + "." + sel.Sel.Name)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	if len(fields) == 0 {
+		t.Fatal("the scan found no Options or Config struct under internal/")
+	}
+	for field, set := range fields {
+		reason, excepted := optionExceptions[field]
+		switch {
+		case !set && !excepted:
+			t.Errorf("%s is set by no non-test caller outside its package: make it a constant, work it out, or delete it", field)
+		case set && excepted:
+			t.Errorf("%s now has a caller; drop its exception (%q)", field, reason)
+		}
+	}
+	for field := range optionExceptions {
+		if _, ok := fields[field]; !ok {
+			t.Errorf("exception %s names no scanned field; drop it", field)
+		}
+	}
 }

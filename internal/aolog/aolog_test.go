@@ -1,8 +1,6 @@
 package aolog
 
 import (
-	"crypto/ed25519"
-	"crypto/rand"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -228,64 +226,6 @@ func TestMerkleRootMatchesChainGrowthProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSignedHeads(t *testing.T) {
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c HashChain
-	c.Append([]byte("v1"))
-	sh := SignHead(priv, uint64(c.Len()), c.Head())
-	if !VerifyHead(pub, &sh) {
-		t.Fatal("valid head rejected")
-	}
-	other, _, _ := ed25519.GenerateKey(rand.Reader)
-	if VerifyHead(other, &sh) {
-		t.Fatal("head verified under wrong key")
-	}
-	// Round trip.
-	dec, err := DecodeSignedHead(sh.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VerifyHead(pub, dec) {
-		t.Fatal("decoded head rejected")
-	}
-	if _, err := DecodeSignedHead(sh.Encode()[:10]); err == nil {
-		t.Fatal("short encoding accepted")
-	}
-}
-
-func TestEquivocationProof(t *testing.T) {
-	pub, priv, _ := ed25519.GenerateKey(rand.Reader)
-	var h1, h2 Digest
-	h1[0], h2[0] = 1, 2
-	a := SignHead(priv, 5, h1)
-	b := SignHead(priv, 5, h2)
-	if err := CheckEquivocation(pub, &EquivocationProof{A: a, B: b}); err != nil {
-		t.Fatalf("valid equivocation proof rejected: %v", err)
-	}
-	// Same head twice is not equivocation.
-	if err := CheckEquivocation(pub, &EquivocationProof{A: a, B: a}); err == nil {
-		t.Fatal("identical heads accepted as equivocation")
-	}
-	// Different sizes are not equivocation.
-	c := SignHead(priv, 6, h2)
-	if err := CheckEquivocation(pub, &EquivocationProof{A: a, B: c}); err == nil {
-		t.Fatal("different sizes accepted as equivocation")
-	}
-	// Forged signature rejected.
-	forged := a
-	forged.Signature = append([]byte{}, a.Signature...)
-	forged.Signature[0] ^= 1
-	if err := CheckEquivocation(pub, &EquivocationProof{A: forged, B: b}); err == nil {
-		t.Fatal("forged signature accepted")
-	}
-	if err := CheckEquivocation(pub, nil); err == nil {
-		t.Fatal("nil proof accepted")
 	}
 }
 

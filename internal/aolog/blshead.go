@@ -6,11 +6,13 @@ import (
 	"repro/internal/bls"
 )
 
-// BLSSignedHead is a log-state commitment signed with BLS instead of
-// ed25519. It covers the same canonical bytes as SignedHead, so the
-// equivocation story is unchanged; what BLS buys is batchability: an
-// auditor that collected heads from many monitors (or many heads from
-// one monitor over time) verifies them all in a single multi-pairing via
+// BLSSignedHead is a signed commitment to a log state: (size, head
+// digest) under the log operator's BLS key, over the canonical bytes of
+// HeadMessage. Two valid heads from one signer with the same Size but
+// different Heads are a publicly verifiable proof of equivocation
+// (gossip.EquivocationProof). BLS makes heads batchable: an auditor that
+// collected heads from many monitors (or many heads from one monitor
+// over time) verifies them all in a single multi-pairing via
 // VerifyHeadsBLS, instead of one pairing check each.
 type BLSSignedHead struct {
 	Size      uint64 `json:"size"`

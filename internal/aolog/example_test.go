@@ -25,7 +25,7 @@ func ExampleShardedLog() {
 
 	// Inclusion: entry 5 lives in shard 5 mod 3 = 2; the proof carries
 	// both the in-shard audit path and the super-tree path.
-	proof, err := log.ProveInclusion(5)
+	proof, err := log.ProveInclusionAt(5, oldSize)
 	if err != nil {
 		panic(err)
 	}
@@ -34,7 +34,7 @@ func ExampleShardedLog() {
 	// The log grows; a consistency proof ties the old super-root to the
 	// new one, shard by shard.
 	log.Append([]byte("entry-7"))
-	cons, err := log.ProveConsistency(oldSize)
+	cons, err := log.ProveConsistencyBetween(oldSize, log.Len())
 	if err != nil {
 		panic(err)
 	}

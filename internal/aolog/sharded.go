@@ -16,8 +16,9 @@ import (
 // hash over K shard leaves, where shard j's leaf is
 // H(0x03 || j || size_j || root_j). Committing the sizes (not just the
 // roots) makes a signed super-root equivocation-evident exactly like a
-// plain SignedHead: two super-roots for the same total size that differ
-// anywhere are a fork. The zero value is not usable; call NewShardedLog.
+// signed single-tree root: two super-roots for the same total size that
+// differ anywhere are a fork. The zero value is not usable; call
+// NewShardedLog.
 type ShardedLog struct {
 	shards []*MerkleLog
 	n      int
@@ -197,13 +198,8 @@ type ShardInclusionProof struct {
 	Super       []Digest // audit path of the shard leaf in the super tree
 }
 
-// ProveInclusion proves inclusion of the entry at global index g against
-// the current super-root.
-func (s *ShardedLog) ProveInclusion(g int) (*ShardInclusionProof, error) {
-	return s.ProveInclusionAt(g, s.n)
-}
-
-// ProveInclusionAt proves inclusion against the super-root at total size n.
+// ProveInclusionAt proves inclusion of the entry at global index g against
+// the super-root at total size n.
 func (s *ShardedLog) ProveInclusionAt(g, n int) (*ShardInclusionProof, error) {
 	if n < 1 || n > s.n {
 		return nil, fmt.Errorf("aolog: sharded size %d out of range", n)
@@ -312,12 +308,6 @@ func (p *ShardConsistencyProof) NewSuperRoot() (Digest, error) {
 		return Digest{}, errors.New("aolog: malformed sharded consistency proof")
 	}
 	return superRootOf(p.NewSize, p.NumShards, p.NewRoots), nil
-}
-
-// ProveConsistency builds a consistency proof from total size n0 to the
-// current size.
-func (s *ShardedLog) ProveConsistency(n0 int) (*ShardConsistencyProof, error) {
-	return s.ProveConsistencyBetween(n0, s.n)
 }
 
 // ProveConsistencyBetween builds a consistency proof between total sizes.

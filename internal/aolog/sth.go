@@ -1,23 +1,6 @@
 package aolog
 
-import (
-	"bytes"
-	"crypto/ed25519"
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
-
-// SignedHead is a signed commitment to a log state: (size, head digest)
-// signed by the log operator (in our deployment, by a TEE's attestation
-// key via the tee package, or directly by an ed25519 key here). Two valid
-// SignedHeads from the same signer with the same Size but different Heads
-// are a publicly verifiable proof of equivocation.
-type SignedHead struct {
-	Size      uint64
-	Head      Digest
-	Signature []byte
-}
+import "encoding/binary"
 
 // HeadMessage returns the canonical byte string a signed head covers.
 // It is exported so callers can mix head signatures with other signatures
@@ -35,72 +18,4 @@ func headMessage(size uint64, head Digest) []byte {
 	buf = append(buf, sz[:]...)
 	buf = append(buf, head[:]...)
 	return buf
-}
-
-// SignHead signs a log state with an ed25519 private key.
-func SignHead(priv ed25519.PrivateKey, size uint64, head Digest) SignedHead {
-	sig := ed25519.Sign(priv, headMessage(size, head))
-	return SignedHead{Size: size, Head: head, Signature: sig}
-}
-
-// VerifyHead verifies a signed head against the signer's public key.
-func VerifyHead(pub ed25519.PublicKey, sh *SignedHead) bool {
-	if sh == nil || len(sh.Signature) != ed25519.SignatureSize {
-		return false
-	}
-	return ed25519.Verify(pub, headMessage(sh.Size, sh.Head), sh.Signature)
-}
-
-// EquivocationProof packages two conflicting signed heads.
-type EquivocationProof struct {
-	A, B SignedHead
-}
-
-// CheckEquivocation reports whether the two signed heads constitute a
-// valid proof that the holder of pub signed two different log states of
-// the same size.
-func CheckEquivocation(pub ed25519.PublicKey, proof *EquivocationProof) error {
-	if proof == nil {
-		return errors.New("aolog: nil equivocation proof")
-	}
-	if !VerifyHead(pub, &proof.A) {
-		return errors.New("aolog: first head signature invalid")
-	}
-	if !VerifyHead(pub, &proof.B) {
-		return errors.New("aolog: second head signature invalid")
-	}
-	if proof.A.Size != proof.B.Size {
-		return fmt.Errorf("aolog: heads cover different sizes (%d vs %d)", proof.A.Size, proof.B.Size)
-	}
-	if bytes.Equal(proof.A.Head[:], proof.B.Head[:]) {
-		return errors.New("aolog: heads agree; no equivocation")
-	}
-	return nil
-}
-
-// Encode serializes a SignedHead.
-func (sh *SignedHead) Encode() []byte {
-	out := make([]byte, 8+DigestSize+2+len(sh.Signature))
-	binary.BigEndian.PutUint64(out[:8], sh.Size)
-	copy(out[8:8+DigestSize], sh.Head[:])
-	binary.BigEndian.PutUint16(out[8+DigestSize:], uint16(len(sh.Signature)))
-	copy(out[8+DigestSize+2:], sh.Signature)
-	return out
-}
-
-// DecodeSignedHead parses the output of Encode.
-func DecodeSignedHead(in []byte) (*SignedHead, error) {
-	if len(in) < 8+DigestSize+2 {
-		return nil, errors.New("aolog: signed head too short")
-	}
-	var sh SignedHead
-	sh.Size = binary.BigEndian.Uint64(in[:8])
-	copy(sh.Head[:], in[8:8+DigestSize])
-	n := int(binary.BigEndian.Uint16(in[8+DigestSize:]))
-	rest := in[8+DigestSize+2:]
-	if len(rest) != n {
-		return nil, errors.New("aolog: signed head signature length mismatch")
-	}
-	sh.Signature = append([]byte{}, rest...)
-	return &sh, nil
 }

@@ -11,8 +11,8 @@
 //	h.Run(flush)              // wait for a signal, then Shutdown(flush)
 //
 // OWNS: the flags -data, -metrics, -trace, -slo-interval, -debug-hooks,
-// -fault-schedule and -fault-target, their defaults and the one
-// "-X requires -debug-hooks" rule; construction of the logger,
+// -fault-schedule and -fault-target, their defaults and the one rule
+// that -fault-schedule requires -debug-hooks; construction of the logger,
 // registry, health, tracer, flight recorder, watchdog set and fault
 // injector; the SLO engine, dump arming and the metrics endpoint;
 // instrumenting and listening for the daemon's RPC server; the signal
@@ -28,8 +28,8 @@
 package daemon
 
 import (
+	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
 	"net"
 	"os"
@@ -62,7 +62,6 @@ type Harness struct {
 	Dogs   *obsv.WatchdogSet
 	Inj    *fault.Injector // nil without -fault-schedule: plain TCP, no disk faults
 
-	fs            *flag.FlagSet
 	metricsAddr   *string
 	traceEvery    *int
 	sloInterval   *time.Duration
@@ -84,7 +83,6 @@ func New(name string, fs *flag.FlagSet, traced bool) *Harness {
 	h := &Harness{
 		Name: name,
 		Log:  obsv.NewLogger(os.Stderr, name, nil),
-		fs:   fs,
 		stop: make(chan struct{}),
 	}
 	fs.StringVar(&h.DataDir, "data", "", "durable state directory; empty runs in-memory (state and keys are lost on exit)")
@@ -105,26 +103,20 @@ func (h *Harness) Fatal(msg string, args ...any) {
 	os.Exit(1)
 }
 
-// checkDebugOnly is the one "-X requires -debug-hooks" rule: without it,
-// -fault-schedule and every flag in names must sit at its default.
-func (h *Harness) checkDebugOnly(names []string) error {
-	if h.DebugHooks {
-		return nil
-	}
-	for _, name := range append([]string{"fault-schedule"}, names...) {
-		if f := h.fs.Lookup(name); f.Value.String() != f.DefValue {
-			return fmt.Errorf("-%s requires -debug-hooks", name)
-		}
+// checkDebugOnly is the one debug-only rule: -fault-schedule, the only
+// way a daemon injects a fault, requires -debug-hooks.
+func (h *Harness) checkDebugOnly() error {
+	if *h.faultSchedule != "" && !h.DebugHooks {
+		return errors.New("-fault-schedule requires -debug-hooks")
 	}
 	return nil
 }
 
-// Start builds the planes from the parsed flags. debugOnly names the
-// daemon's own flags that, like -fault-schedule, require -debug-hooks.
-// The watchdog set is ticking when Start returns, so a dog added later
-// is evaluated from its first Arm.
-func (h *Harness) Start(debugOnly ...string) {
-	if err := h.checkDebugOnly(debugOnly); err != nil {
+// Start builds the planes from the parsed flags. The watchdog set is
+// ticking when Start returns, so a dog added later is evaluated from its
+// first Arm.
+func (h *Harness) Start() {
+	if err := h.checkDebugOnly(); err != nil {
 		h.Fatal(err.Error())
 	}
 	h.Reg = obsv.NewRegistry()

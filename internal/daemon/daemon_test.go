@@ -23,9 +23,8 @@ func newHarness(t *testing.T, traced bool) (*Harness, *flag.FlagSet) {
 	return h, fs
 }
 
-// TestDebugOnlyRule: -fault-schedule and every flag a daemon declares
-// debug-only are refused unless -debug-hooks is set; at their defaults
-// they never are.
+// TestDebugOnlyRule: -fault-schedule is refused unless -debug-hooks is
+// set; no other flag is debug-only.
 func TestDebugOnlyRule(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -36,18 +35,14 @@ func TestDebugOnlyRule(t *testing.T) {
 		{"hooks alone", []string{"-debug-hooks"}, ""},
 		{"schedule without hooks", []string{"-fault-schedule", "s.txt"}, "-fault-schedule requires -debug-hooks"},
 		{"schedule with hooks", []string{"-debug-hooks", "-fault-schedule", "s.txt"}, ""},
-		{"stall without hooks", []string{"-debug-fsync-stall", "1s"}, "-debug-fsync-stall requires -debug-hooks"},
-		{"stall with hooks", []string{"-debug-fsync-stall", "1s", "-debug-hooks"}, ""},
-		{"stall explicitly at its default", []string{"-debug-fsync-stall", "0s"}, ""},
-		{"both without hooks", []string{"-debug-fsync-stall", "1s", "-fault-schedule", "s.txt"}, "requires -debug-hooks"},
+		{"schedule explicitly at its default", []string{"-fault-schedule", ""}, ""},
 		{"target alone is not debug-only", []string{"-fault-target", "other"}, ""},
 	} {
 		h, fs := newHarness(t, true)
-		fs.Duration("debug-fsync-stall", 0, "")
 		if err := fs.Parse(c.args); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		err := h.checkDebugOnly([]string{"debug-fsync-stall"})
+		err := h.checkDebugOnly()
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: refused: %v", c.name, err)

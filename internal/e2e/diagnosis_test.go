@@ -23,10 +23,12 @@ import (
 )
 
 // TestDiagnosisSmoke exercises the diagnosis plane end to end against a
-// real monitord: an injected WAL-fsync stall must trip the wal-fsync
-// watchdog within its deadline, write a schema-valid flight dump naming
-// the stall, degrade the daemon WITHOUT flipping /readyz, burn the
-// deployment file's fsync SLO, and show up in dtstat's fleet table.
+// real monitord: a WAL-fsync stall injected by a one-line fault schedule
+// must trip the wal-fsync watchdog within its deadline, write a
+// schema-valid flight dump naming the stall, degrade the daemon WITHOUT
+// flipping /readyz, burn the deployment file's fsync SLO, show up in
+// dtstat's fleet table — and the flight ring alone must name the fault
+// that caused it all.
 func TestDiagnosisSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots real daemon processes")
@@ -69,12 +71,14 @@ func TestDiagnosisSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A gate-less disk-stall rule sleeps before every WAL fsync.
+	sched := writeSchedule(t, tmp, "stall.sched", "fault disk-stall target=monitord delay=1s\n")
 	dataDir := filepath.Join(tmp, "mon-data")
 	monRPC, monMetrics := freePort(t), freePort(t)
 	startDaemon(t, filepath.Join(tmp, "monitord.log"), monitordBin,
 		"-params", paramsPath, "-listen", monRPC, "-metrics", monMetrics,
 		"-name", "mon", "-trace", "1", "-data", dataDir,
-		"-debug-hooks", "-debug-fsync-stall", "1s",
+		"-debug-hooks", "-fault-schedule", sched,
 		"-fsync-deadline", "250ms", "-slo-interval", "200ms")
 	waitReady(t, monMetrics)
 
@@ -210,6 +214,11 @@ func TestDiagnosisSmoke(t *testing.T) {
 	}
 	if !stallEvent {
 		t.Errorf("flight dump has no wal-fsync stall event with a trace id:\n%s", raw)
+	}
+
+	// The surfaces alone name the fault: the ring carries the injection.
+	if !flightContains(t, monMetrics, "disk-stall wal-fsync") {
+		t.Error("monitord flight recorder holds no fault/injected disk-stall wal-fsync event")
 	}
 
 	// The same ring is live on /debug/flight, and dtstat can pull it.

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
@@ -24,8 +25,10 @@ import (
 
 	"repro/internal/aolog"
 	"repro/internal/audit"
+	"repro/internal/bls"
 	"repro/internal/deployfile"
 	"repro/internal/obsv"
+	"repro/internal/serve"
 	"repro/internal/tee"
 	"repro/internal/transport"
 )
@@ -309,5 +312,153 @@ func TestObservabilitySmoke(t *testing.T) {
 	}
 	if v, ok := metricValue(monBody, "process_ready"); !ok || v != 0 {
 		t.Errorf("process_ready after poison = %v (present=%v), want 0", v, ok)
+	}
+}
+
+// TestMonitordReadSurface pins what a running, persistent monitord
+// answers now that it has one tree-head key and one read path. "info"
+// signs nothing: after an append has settled, twenty calls move neither
+// serve_heads_signed_total nor any monitor_heads_signed_* series nor
+// head.json. "head" and "servestats" are unknown kinds; "info" carries
+// bls_key and no public_key; headbls, consistency, proof and subscribe
+// answer as before.
+func TestMonitordReadSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots real daemon processes")
+	}
+	tmp := t.TempDir()
+	monitordBin := buildDaemon(t, tmp, "monitord")
+	mint := newEnvelopeMint(t)
+	paramsPath := filepath.Join(tmp, "deployment.json")
+	mint.writeParams(t, paramsPath)
+	dataDir := filepath.Join(tmp, "mon-data")
+	monRPC, monMetrics := freePort(t), freePort(t)
+	startDaemon(t, filepath.Join(tmp, "monitord.log"), monitordBin,
+		"-params", paramsPath, "-listen", monRPC, "-metrics", monMetrics,
+		"-name", "mon", "-data", dataDir)
+	waitReady(t, monMetrics)
+	mc, err := transport.Dial(monRPC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+
+	// Append, then let the head pump publish (and persist) the new head.
+	size := mint.submit(t, mc, 3)
+	waitHead := func(want int) aolog.BLSSignedHead {
+		t.Helper()
+		var head aolog.BLSSignedHead
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			if err := mc.Call("headbls", struct{}{}, &head); err != nil {
+				t.Fatalf("headbls: %v", err)
+			}
+			if int(head.Size) == want {
+				return head
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("published head stuck at size %d, want %d", head.Size, want)
+			}
+		}
+	}
+	head := waitHead(size)
+
+	// What signing anything would move.
+	signed := func() map[string]float64 {
+		t.Helper()
+		_, body := httpGet(t, "http://"+monMetrics+"/metrics.json")
+		var snap map[string]float64
+		if err := json.Unmarshal([]byte(body), &snap); err != nil {
+			t.Fatalf("/metrics.json: %v", err)
+		}
+		out := map[string]float64{}
+		for name, v := range snap {
+			if name == "serve_heads_signed_total" || strings.HasPrefix(name, "monitor_heads_signed_") {
+				out[name] = v
+			}
+		}
+		fi, err := os.Stat(filepath.Join(dataDir, "head.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["head.json mtime"] = float64(fi.ModTime().UnixNano())
+		return out
+	}
+	before := signed()
+	if len(before) < 3 {
+		t.Fatalf("expected serve_heads_signed_total, a monitor_heads_signed_* series and head.json, got %v", before)
+	}
+	var info map[string]json.RawMessage
+	for i := 0; i < 20; i++ {
+		info = nil
+		if err := mc.Call("info", struct{}{}, &info); err != nil {
+			t.Fatalf("info: %v", err)
+		}
+	}
+	if after := signed(); !maps.Equal(before, after) {
+		t.Errorf("20 info calls signed or persisted a head:\nbefore %v\nafter  %v", before, after)
+	}
+
+	// The wire surface.
+	if _, ok := info["public_key"]; ok {
+		t.Error("info still carries public_key; the monitor has one head key")
+	}
+	var id struct {
+		BLSKey []byte `json:"bls_key"`
+		Size   int    `json:"size"`
+	}
+	if err := mc.Call("info", struct{}{}, &id); err != nil || id.Size != size {
+		t.Fatalf("info = %+v (%v), want size %d", id, err, size)
+	}
+	pk := new(bls.PublicKey)
+	if err := pk.SetBytes(id.BLSKey); err != nil {
+		t.Fatalf("info bls_key: %v", err)
+	}
+	if !aolog.VerifyHeadBLS(pk, &head) {
+		t.Error("headbls does not verify under info's bls_key")
+	}
+	for _, kind := range []string{"head", "servestats"} {
+		err := mc.Call(kind, struct{}{}, nil)
+		if err == nil || !strings.Contains(err.Error(), "unknown request kind") {
+			t.Errorf("%s answered %v, want unknown request kind", kind, err)
+		}
+	}
+	var pr serve.ProofResponse
+	if err := mc.Call(serve.KindProof, serve.ProofRequest{Index: 1}, &pr); err != nil {
+		t.Fatalf("proof: %v", err)
+	}
+	if pr.Head == nil || pr.Head.Head != head.Head || !aolog.VerifyShardInclusion(pr.Payload, pr.Proof, pr.Head.Head) {
+		t.Errorf("proof reply does not verify under the published head: %+v", pr)
+	}
+	var cons *aolog.ShardConsistencyProof
+	if err := mc.Call("consistency", serve.ConsistencyRequest{OldSize: 1}, &cons); err != nil || cons == nil {
+		t.Fatalf("consistency: %v (proof %v)", err, cons)
+	}
+	sub, err := serve.Dial(monRPC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if err := sub.Subscribe("probe"); err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	if acked := sub.Heads(); len(acked) != 1 || acked[0].Head.Size != head.Size || acked[0].Head.Head != head.Head {
+		t.Errorf("subscribe acked %+v, want the published head at size %d", acked, size)
+	}
+	// One more append is pushed, and verifies against the head before it.
+	next := waitHead(mint.submit(t, mc, 1))
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if pushed := sub.Heads(); len(pushed) == 1 && pushed[0].Head.Size == next.Size {
+			if !aolog.VerifyHeadBLS(pk, &pushed[0].Head) {
+				t.Error("pushed head does not verify under info's bls_key")
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("head at size %d never pushed", next.Size)
+		}
+	}
+	if err := mc.Call("consistency", serve.ConsistencyRequest{OldSize: size}, &cons); err != nil ||
+		!aolog.VerifyShardConsistency(head.Head, next.Head, cons) {
+		t.Errorf("consistency %d..%d does not verify between the two published heads (err %v)", size, next.Size, err)
 	}
 }

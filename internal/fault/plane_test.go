@@ -35,7 +35,7 @@ func startNode(t *testing.T, target string, rules ...fault.Rule) *node {
 	}
 	n.inj.SetFlightRecorder(n.fr)
 	srv := transport.NewServer()
-	srv.Handle("head", func(json.RawMessage) (any, error) { return struct{}{}, nil })
+	srv.Handle("headbls", func(json.RawMessage) (any, error) { return struct{}{}, nil })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestInjectorIsAnArgument(t *testing.T) {
 	// rule); the idempotent read retries through both.
 	toA := transport.DialManaged(a.addr, transport.ManagedOptions{Dial: b.inj.Dial})
 	defer toA.Close()
-	if err := toA.Call("head", struct{}{}, nil); err != nil {
+	if err := toA.Call("headbls", struct{}{}, nil); err != nil {
 		t.Fatalf("call through one dial drop and one accept drop: %v", err)
 	}
 	if dials, retries, _ := toA.Stats(); dials != 2 || retries != 2 {
@@ -83,7 +83,7 @@ func TestInjectorIsAnArgument(t *testing.T) {
 	// a's accept rule belongs to a's listener alone.
 	toB := transport.DialManaged(b.addr, transport.ManagedOptions{})
 	defer toB.Close()
-	if err := toB.Call("head", struct{}{}, nil); err != nil {
+	if err := toB.Call("headbls", struct{}{}, nil); err != nil {
 		t.Fatalf("plain call to b: %v", err)
 	}
 	if dials, retries, _ := toB.Stats(); dials != 1 || retries != 0 {

@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"crypto/ed25519"
-	"crypto/rand"
 	"encoding/json"
 	"testing"
 
@@ -29,7 +27,7 @@ func serveMonitor(t *testing.T, m *Monitor) string {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		return m.ProveConsistency(req.OldSize)
+		return m.ProveConsistencyBetween(req.OldSize, m.Len())
 	})
 	srv.Handle("gossipreport", func(body json.RawMessage) (any, error) {
 		var proof gossip.EquivocationProof
@@ -89,16 +87,12 @@ func TestGossipConvictsForkedMonitor(t *testing.T) {
 	fw := f.newFramework(t, blsapp.ModuleBytes())
 
 	// The forked monitor: one BLS tree-head identity, two diverging logs.
-	_, privA, _ := ed25519.GenerateKey(rand.Reader)
-	_, privB, _ := ed25519.GenerateKey(rand.Reader)
-	viewA := New(f.params, privA)
-	viewB := New(f.params, privB)
 	forkKey, forkPub, err := bls.GenerateKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewA.EnableBLSHeads(forkKey)
-	viewB.EnableBLSHeads(forkKey)
+	viewA := New(f.params, forkKey)
+	viewB := New(f.params, forkKey)
 
 	// Two clients gossip their (individually valid) observations — but
 	// the monitor routes each client's submissions to a different log.
@@ -207,8 +201,7 @@ func TestGossipConvictsForkedMonitor(t *testing.T) {
 
 	// Slashing path: an honest monitor records the conviction in its own
 	// public, Merkle-logged state (over transport, like monitord does).
-	_, privH, _ := ed25519.GenerateKey(rand.Reader)
-	honest := New(f.params, privH)
+	honest := New(f.params, mustKey(t))
 	addrH := serveMonitor(t, honest)
 	conn, err := transport.Dial(addrH)
 	if err != nil {
@@ -236,11 +229,11 @@ func TestGossipConvictsForkedMonitor(t *testing.T) {
 		t.Fatalf("recorded alert does not verify: %v", err)
 	}
 	// The conviction is itself transparency-logged and provable.
-	payload, incl, err := honest.ProveInclusion(rec["log_index"])
+	head := signedHead(t, honest)
+	payload, incl, err := honest.ProveInclusionAt(rec["log_index"], int(head.Size))
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := honest.TreeHead()
 	if !aolog.VerifyShardInclusion(payload, incl, head.Head) {
 		t.Fatal("recorded conviction not provable in the honest monitor's log")
 	}

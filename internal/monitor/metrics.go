@@ -31,8 +31,7 @@ type monitorObs struct {
 	rejected       obsv.Counter // submissions refused before reaching the log
 	alerts         obsv.Counter // misbehavior proofs raised
 	equivocations  obsv.Counter // gossip equivocation convictions recorded
-	headsSignedEd  obsv.Counter
-	headsSignedBLS obsv.Counter
+	headsSignedBLS obsv.Counter // tree heads signed
 }
 
 // RegisterMetrics exposes the monitor's series (and, for a persistent
@@ -43,7 +42,6 @@ func (m *Monitor) RegisterMetrics(reg *obsv.Registry) {
 	reg.RegisterCounter("monitor_rejected_total", "submissions rejected before the log", &o.rejected)
 	reg.RegisterCounter("monitor_alerts_total", "misbehavior proofs raised", &o.alerts)
 	reg.RegisterCounter("monitor_equivocations_total", "log-equivocation convictions recorded", &o.equivocations)
-	reg.RegisterCounter("monitor_heads_signed_ed25519_total", "ed25519 tree heads signed", &o.headsSignedEd)
 	reg.RegisterCounter("monitor_heads_signed_bls_total", "BLS tree heads signed", &o.headsSignedBLS)
 	reg.GaugeFunc("monitor_log_size", "leaves in the public log", func() float64 {
 		return float64(m.Len())

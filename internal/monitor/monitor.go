@@ -17,9 +17,8 @@
 // auditors" role (§1, §3.3) on top of the aolog building block. The log
 // is an aolog.ShardedLog so heavy gossip traffic stripes across shards,
 // SubmitBatch ingests a whole gossip frame under one lock, and tree heads
-// sign the super-root. With a BLS head key configured (EnableBLSHeads),
-// the monitor also serves BLS-signed heads that auditors verify in
-// batches (audit.STHBatch, bls.VerifyBatch).
+// sign the super-root with the monitor's one BLS head key, so auditors
+// verify heads in batches (audit.STHBatch, bls.VerifyBatch).
 //
 // The monitor is itself watched: the witness network (internal/gossip,
 // cmd/auditord) cross-checks its BLS heads between observers and convicts
@@ -27,11 +26,27 @@
 // the loop as the slashing ledger — RecordLogEquivocation re-verifies a
 // gossip conviction offline and appends it to this monitor's own public
 // log.
+//
+// OWNS: the one tree-head key (keys/bls.key in a persistent directory)
+// and every signature over a tree head — TreeHeadBLS is the only signer
+// of heads in the repository; the public log and the order in which a
+// leaf becomes durable, then visible, then covered by a head; the
+// per-domain observation timelines, the alert list and the slashing
+// ledger; the recovery check that the reopened log reproduces the last
+// signed head.
+//
+// MUST NOT DO: serve reads itself — no cache, no published-head state,
+// no subscriptions, no RPC kinds: that is internal/serve, which reads a
+// monitor through serve.Backend; sign a head it has not first recorded
+// in the store; advance the in-memory log before the WAL append is
+// durable.
+//
+// MUST NOT import: any repro/internal package except aolog, audit, bls,
+// gossip, obsv and store.
 package monitor
 
 import (
 	"bytes"
-	"crypto/ed25519"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -59,12 +74,10 @@ type Observation struct {
 // Monitor is a public witness. Safe for concurrent use.
 type Monitor struct {
 	params audit.Params
-	signer ed25519.PrivateKey
-	pub    ed25519.PublicKey
+	blsKey *bls.SecretKey // the one tree-head key; fixed at construction
 
 	mu         sync.Mutex
 	log        *aolog.ShardedLog
-	blsKey     *bls.SecretKey
 	perDom     map[string][]Observation
 	alerts     []audit.Misbehavior
 	slashed    map[string]int  // equivocation-proof fingerprint -> log index
@@ -88,9 +101,9 @@ type Monitor struct {
 }
 
 // New creates a monitor for a deployment with DefaultShards log stripes.
-// The ed25519 key signs tree heads; generate one per monitor identity.
-func New(params audit.Params, signer ed25519.PrivateKey) *Monitor {
-	m, err := NewSharded(params, signer, DefaultShards)
+// key signs tree heads; generate one per monitor identity.
+func New(params audit.Params, key *bls.SecretKey) *Monitor {
+	m, err := NewSharded(params, key, DefaultShards)
 	if err != nil {
 		panic("monitor: default shard count invalid: " + err.Error())
 	}
@@ -99,15 +112,14 @@ func New(params audit.Params, signer ed25519.PrivateKey) *Monitor {
 
 // NewSharded creates a monitor whose public log stripes across the given
 // number of shards.
-func NewSharded(params audit.Params, signer ed25519.PrivateKey, shards int) (*Monitor, error) {
+func NewSharded(params audit.Params, key *bls.SecretKey, shards int) (*Monitor, error) {
 	log, err := aolog.NewShardedLog(shards)
 	if err != nil {
 		return nil, err
 	}
 	return &Monitor{
 		params:     params,
-		signer:     signer,
-		pub:        signer.Public().(ed25519.PublicKey),
+		blsKey:     key,
 		log:        log,
 		perDom:     make(map[string][]Observation),
 		slashed:    make(map[string]int),
@@ -131,14 +143,6 @@ func (m *Monitor) RegisterLogSource(pk *bls.PublicKey) error {
 	return nil
 }
 
-// EnableBLSHeads equips the monitor with a BLS tree-head key so auditors
-// can batch-verify its heads (TreeHeadBLS).
-func (m *Monitor) EnableBLSHeads(sk *bls.SecretKey) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.blsKey = sk
-}
-
 // SetAppendHook registers fn to run whenever the public log grows (one
 // call per accepted batch, not per leaf). The serve tier uses it as a
 // level trigger to re-sign and push heads once per append batch instead
@@ -158,18 +162,8 @@ func (m *Monitor) notifyAppendLocked() {
 	}
 }
 
-// PublicKey returns the monitor's ed25519 tree-head signing key.
-func (m *Monitor) PublicKey() ed25519.PublicKey {
-	return append(ed25519.PublicKey{}, m.pub...)
-}
-
-// BLSPublicKey returns the BLS tree-head key, or nil when not enabled.
+// BLSPublicKey returns the key tree heads verify under.
 func (m *Monitor) BLSPublicKey() *bls.PublicKey {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.blsKey == nil {
-		return nil
-	}
 	return m.blsKey.PublicKey()
 }
 
@@ -368,32 +362,15 @@ func (m *Monitor) Alerts() []audit.Misbehavior {
 	return append([]audit.Misbehavior{}, m.alerts...)
 }
 
-// TreeHead returns the ed25519-signed head of the monitor's public log:
-// (total size, super-root).
-func (m *Monitor) TreeHead() aolog.SignedHead {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := aolog.SignHead(m.signer, uint64(m.log.Len()), m.log.SuperRoot())
-	// Recovery verifies the durable log against the newest signed head;
-	// a failed head write cannot fork anything (the leaves it covers are
-	// already durable), so it is sticky-reported instead of fatal.
-	if err := m.persistHeadLocked(h.Size, h.Head, h.Signature, "ed25519"); err != nil {
-		m.setPersistErrLocked(err)
-	}
-	m.obs.headsSignedEd.Inc()
-	return h
-}
-
-// TreeHeadBLS returns a BLS-signed head over the same (size, super-root)
-// commitment, for auditors that batch-verify heads. EnableBLSHeads first.
+// TreeHeadBLS signs the current head of the monitor's public log: (total
+// size, super-root). The head is recorded in the store before it is
+// returned, so recovery can check the durable log against it; a head that
+// cannot be recorded is not handed out.
 func (m *Monitor) TreeHeadBLS() (aolog.BLSSignedHead, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.blsKey == nil {
-		return aolog.BLSSignedHead{}, fmt.Errorf("monitor: BLS tree heads not enabled")
-	}
 	h := aolog.SignHeadBLS(m.blsKey, uint64(m.log.Len()), m.log.SuperRoot())
-	if err := m.persistHeadLocked(h.Size, h.Head, h.Signature, "bls"); err != nil {
+	if err := m.persistHeadLocked(h.Size, h.Head, h.Signature); err != nil {
 		return aolog.BLSSignedHead{}, err
 	}
 	m.obs.headsSignedBLS.Inc()
@@ -415,22 +392,6 @@ func (m *Monitor) Len() int {
 	return m.log.Len()
 }
 
-// ProveInclusion returns the payload at index plus its inclusion proof
-// against the current super-root.
-func (m *Monitor) ProveInclusion(index int) ([]byte, *aolog.ShardInclusionProof, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	payload, err := m.log.Entry(index)
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, err := m.log.ProveInclusion(index)
-	if err != nil {
-		return nil, nil, err
-	}
-	return payload, proof, nil
-}
-
 // ProveInclusionAt returns the payload at global index plus its inclusion
 // proof against the super-root at tree size n (n <= current size). Proofs
 // against a FIXED past size are immutable facts about an append-only log,
@@ -448,14 +409,6 @@ func (m *Monitor) ProveInclusionAt(index, n int) ([]byte, *aolog.ShardInclusionP
 		return nil, nil, err
 	}
 	return payload, proof, nil
-}
-
-// ProveConsistency proves the monitor's log grew append-only between two
-// sizes (what monitors of the monitor check).
-func (m *Monitor) ProveConsistency(oldSize int) (*aolog.ShardConsistencyProof, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.log.ProveConsistency(oldSize)
 }
 
 // ProveConsistencyBetween proves append-only growth between two fixed

@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"crypto/ed25519"
-	"crypto/rand"
 	"encoding/json"
 	"testing"
 
@@ -49,11 +47,17 @@ func newFixture(t *testing.T) *fixture {
 		Measurement: framework.Measure(dev.PublicKey()),
 		Domains:     []audit.DomainInfo{{Name: "d1", HasTEE: true}},
 	}
-	_, priv, err := ed25519.GenerateKey(rand.Reader)
+	return &fixture{dev: dev, enclave: enclave, params: params, mon: New(params, mustKey(t))}
+}
+
+// signedHead signs m's current head, failing the test if it cannot.
+func signedHead(t *testing.T, m *Monitor) aolog.BLSSignedHead {
+	t.Helper()
+	h, err := m.TreeHeadBLS()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{dev: dev, enclave: enclave, params: params, mon: New(params, priv)}
+	return h
 }
 
 func (f *fixture) newFramework(t *testing.T, moduleBytes []byte) *framework.Framework {
@@ -197,11 +201,7 @@ func TestWrongMeasurementReported(t *testing.T) {
 		Measurement: framework.Measure(dev.PublicKey()), // published
 		Domains:     []audit.DomainInfo{{Name: "d1", HasTEE: true}},
 	}
-	_, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := New(params, priv)
+	mon := New(params, mustKey(t))
 
 	impEnclave, err := v.Provision("host", framework.Measure(imp.PublicKey()))
 	if err != nil {
@@ -247,12 +247,12 @@ func TestMonitorPublicLogAuditable(t *testing.T) {
 		}
 		idxs = append(idxs, idx)
 	}
-	head1 := f.mon.TreeHead()
-	if !aolog.VerifyHead(f.mon.PublicKey(), &head1) {
+	head1 := signedHead(t, f.mon)
+	if !aolog.VerifyHeadBLS(f.mon.BLSPublicKey(), &head1) {
 		t.Fatal("tree head signature invalid")
 	}
 	// Inclusion of an early submission in the current tree.
-	payload, proof, err := f.mon.ProveInclusion(idxs[1])
+	payload, proof, err := f.mon.ProveInclusionAt(idxs[1], int(head1.Size))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +273,8 @@ func TestMonitorPublicLogAuditable(t *testing.T) {
 	if _, _, err := f.mon.Submit(envelope(fw, "n9")); err != nil {
 		t.Fatal(err)
 	}
-	head2 := f.mon.TreeHead()
-	cons, err := f.mon.ProveConsistency(int(head1.Size))
+	head2 := signedHead(t, f.mon)
+	cons, err := f.mon.ProveConsistencyBetween(int(head1.Size), int(head2.Size))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,11 +313,11 @@ func TestMonitorSubmitBatch(t *testing.T) {
 		t.Fatal("batch observation count wrong")
 	}
 	// Batched and sequential ingestion agree with the audit log.
-	head := f.mon.TreeHead()
+	head := signedHead(t, f.mon)
 	if head.Size != 3 {
 		t.Fatalf("tree head size %d, want 3", head.Size)
 	}
-	payload, proof, err := f.mon.ProveInclusion(1)
+	payload, proof, err := f.mon.ProveInclusionAt(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,14 +363,8 @@ func TestMonitorBatchDetectsIntraBatchContradiction(t *testing.T) {
 
 func TestMonitorBLSHeadsBatchAudited(t *testing.T) {
 	f := newFixture(t)
-	if _, err := f.mon.TreeHeadBLS(); err == nil {
-		t.Fatal("BLS head served without a key")
-	}
-	sk, _, err := bls.GenerateKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.mon.EnableBLSHeads(sk)
+	sk := mustKey(t)
+	f.mon = New(f.params, sk)
 	fw := f.newFramework(t, blsapp.ModuleBytes())
 	var heads []aolog.BLSSignedHead
 	for i := 0; i < 4; i++ {

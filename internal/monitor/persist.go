@@ -2,14 +2,11 @@ package monitor
 
 import (
 	"bytes"
-	"crypto/ed25519"
-	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/aolog"
 	"repro/internal/audit"
@@ -31,10 +28,6 @@ type OpenOptions struct {
 	SnapshotEvery int
 	// NoSync skips fsyncs in the underlying store (tests/benchmarks).
 	NoSync bool
-	// FsyncStall injects a sleep before every WAL fsync — the diagnosis
-	// e2e fault hook (daemons gate it behind -debug-hooks). Zero in any
-	// real deployment.
-	FsyncStall time.Duration
 	// DiskFault is the chaos-plane disk hook, consulted before every WAL
 	// fsync (op "wal-fsync"); an error it returns poisons the WAL exactly
 	// like a real fsync failure. fault.Injector.DiskFault matches this
@@ -55,12 +48,12 @@ type monitorState struct {
 }
 
 // Open creates or recovers a persistent monitor rooted at dir. The
-// tree-head identity is durable: the ed25519 and BLS head keys are
-// minted on first open and reloaded afterwards, so witness frontiers
-// built against this monitor survive its restarts. Recovery loads the
-// latest snapshot, replays the WAL tail of the log through the
-// derived-state machinery, and refuses to serve unless the recovered
-// super-root reproduces the last signed head.
+// tree-head identity is durable: the BLS head key is minted on first
+// open and reloaded afterwards, so witness frontiers built against this
+// monitor survive its restarts. Recovery loads the latest snapshot,
+// replays the WAL tail of the log through the derived-state machinery,
+// and refuses to serve unless the recovered super-root reproduces the
+// last signed head.
 func Open(dir string, params audit.Params, opts *OpenOptions) (*Monitor, error) {
 	var o OpenOptions
 	if opts != nil {
@@ -72,25 +65,10 @@ func Open(dir string, params audit.Params, opts *OpenOptions) (*Monitor, error) 
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 8192
 	}
-	st, err := store.Open(dir, store.Options{Shards: o.Shards, NoSync: o.NoSync, FsyncStall: o.FsyncStall, DiskFault: o.DiskFault})
+	st, err := store.Open(dir, store.Options{Shards: o.Shards, NoSync: o.NoSync, DiskFault: o.DiskFault})
 	if err != nil {
 		return nil, fmt.Errorf("monitor: opening store: %w", err)
 	}
-
-	seed, _, err := st.LoadOrCreateKey("ed25519", func() ([]byte, error) {
-		_, priv, err := ed25519.GenerateKey(rand.Reader)
-		if err != nil {
-			return nil, err
-		}
-		return priv.Seed(), nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("monitor: tree-head key: %w", err)
-	}
-	if len(seed) != ed25519.SeedSize {
-		return nil, fmt.Errorf("monitor: tree-head key file holds %d bytes, want %d", len(seed), ed25519.SeedSize)
-	}
-	signer := ed25519.NewKeyFromSeed(seed)
 
 	blsBytes, _, err := st.LoadOrCreateKey("bls", func() ([]byte, error) {
 		sk, _, err := bls.GenerateKey()
@@ -162,8 +140,6 @@ func Open(dir string, params audit.Params, opts *OpenOptions) (*Monitor, error) 
 
 	m := &Monitor{
 		params:        params,
-		signer:        signer,
-		pub:           signer.Public().(ed25519.PublicKey),
 		log:           log,
 		blsKey:        blsKey,
 		perDom:        make(map[string][]Observation),
@@ -383,11 +359,11 @@ func (m *Monitor) writeSnapshotLocked() error {
 
 // persistHeadLocked records a just-signed head before it is served, so
 // recovery can verify the durable log against it. Caller holds m.mu.
-func (m *Monitor) persistHeadLocked(size uint64, root aolog.Digest, sig []byte, kind string) error {
+func (m *Monitor) persistHeadLocked(size uint64, root aolog.Digest, sig []byte) error {
 	if m.store == nil {
 		return nil
 	}
-	return m.store.PutHead(store.HeadRecord{Size: size, Root: root[:], Sig: sig, Kind: kind})
+	return m.store.PutHead(store.HeadRecord{Size: size, Root: root[:], Sig: sig})
 }
 
 // RecoveryInfo reports what Open reconstructed (zero value for an

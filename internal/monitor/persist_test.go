@@ -2,8 +2,12 @@ package monitor
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/aolog"
@@ -27,7 +31,7 @@ func openTestMonitor(t *testing.T, dir string, params audit.Params, snapEvery in
 // a persistent monitor via Submit/SubmitBatch, let a witness build a
 // cosigned frontier against it, reopen from the same directory, and
 // check the monitor IS the same log — same super-root, same tree-head
-// keys, proofs that still verify — and that the witness advances its
+// key, proofs that still verify — and that the witness advances its
 // frontier across the restart without an equivocation false-positive.
 func TestMonitorRestartRoundTrip(t *testing.T) {
 	f := newFixture(t)
@@ -46,13 +50,8 @@ func TestMonitorRestartRoundTrip(t *testing.T) {
 			t.Fatal(o.Err)
 		}
 	}
-	pub1 := mon.PublicKey()
 	blsPub1 := mon.BLSPublicKey()
-	head1 := mon.TreeHead()
-	headBLS1, err := mon.TreeHeadBLS()
-	if err != nil {
-		t.Fatal(err)
-	}
+	head1 := signedHead(t, mon)
 
 	// A witness accepts the pre-restart head (trust on first use).
 	wit, err := gossip.NewWitness(gossip.Config{Name: "w", Key: mustKey(t)})
@@ -62,7 +61,7 @@ func TestMonitorRestartRoundTrip(t *testing.T) {
 	if err := wit.AddSource(gossip.Source{Name: "mon", Key: blsPub1}); err != nil {
 		t.Fatal(err)
 	}
-	if res := wit.Ingest("mon", headBLS1, nil); !res.Accepted || res.Proof != nil {
+	if res := wit.Ingest("mon", head1, nil); !res.Accepted || res.Proof != nil {
 		t.Fatalf("pre-restart head not accepted: %+v", res)
 	}
 
@@ -81,24 +80,17 @@ func TestMonitorRestartRoundTrip(t *testing.T) {
 		t.Fatal("no snapshot was taken before the restart")
 	}
 
-	// Identity: same tree-head keys.
-	if !bytes.Equal(pub1, mon2.PublicKey()) {
-		t.Fatal("ed25519 tree-head key changed across restart")
-	}
+	// Identity: same tree-head key.
 	if !blsPub1.Equal(mon2.BLSPublicKey()) {
 		t.Fatal("BLS tree-head key changed across restart")
 	}
-	// Identical super-root, and the BLS head signature still verifies
-	// under the ORIGINAL public key.
-	head2 := mon2.TreeHead()
+	// Identical super-root, and the head signature still verifies under
+	// the ORIGINAL public key.
+	head2 := signedHead(t, mon2)
 	if head2.Size != head1.Size || head2.Head != head1.Head {
 		t.Fatalf("super-root changed across restart: %d/%x vs %d/%x", head1.Size, head1.Head, head2.Size, head2.Head)
 	}
-	headBLS2, err := mon2.TreeHeadBLS()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !aolog.VerifyHeadBLS(blsPub1, &headBLS2) {
+	if !aolog.VerifyHeadBLS(blsPub1, &head2) {
 		t.Fatal("post-restart BLS head does not verify under the pre-restart key")
 	}
 	// Derived state survived.
@@ -110,7 +102,7 @@ func TestMonitorRestartRoundTrip(t *testing.T) {
 	}
 	// Inclusion proof of a pre-restart submission against the recovered
 	// super-root.
-	payload, incl, err := mon2.ProveInclusion(idx0)
+	payload, incl, err := mon2.ProveInclusionAt(idx0, int(head2.Size))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +150,8 @@ func TestMonitorRestartRoundTrip(t *testing.T) {
 	if len(mon2.Alerts()) != 0 {
 		t.Fatalf("share refresh raised monitor alerts: %+v", mon2.Alerts())
 	}
-	head3, err := mon2.TreeHeadBLS()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cons, err := mon2.ProveConsistency(int(head1.Size))
+	head3 := signedHead(t, mon2)
+	cons, err := mon2.ProveConsistencyBetween(int(head1.Size), int(head3.Size))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +184,12 @@ func TestMonitorRestartWithoutCloseReplaysWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	head := mon.TreeHead()
+	head := signedHead(t, mon)
 	// No Close: simulated crash.
 
 	mon2 := openTestMonitor(t, dir, f.params, -1)
 	defer mon2.Close()
-	head2 := mon2.TreeHead()
+	head2 := signedHead(t, mon2)
 	if head2.Size != head.Size || head2.Head != head.Head {
 		t.Fatal("crash recovery lost acknowledged submissions")
 	}
@@ -277,7 +266,7 @@ func TestMonitorRestartPreservesAlertsAndSlashing(t *testing.T) {
 	// Replaying the conviction must hit the recovered dedupe ledger:
 	// same index, no new log entry. The accused key must also still be
 	// registered (snapshot carries the log-source set).
-	size := mon2.TreeHead().Size
+	size := mon2.Len()
 	idx2, err := mon2.RecordLogEquivocation(conviction)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +274,7 @@ func TestMonitorRestartPreservesAlertsAndSlashing(t *testing.T) {
 	if idx2 != slashIdx {
 		t.Fatalf("replayed conviction got index %d, want %d", idx2, slashIdx)
 	}
-	if mon2.TreeHead().Size != size {
+	if mon2.Len() != size {
 		t.Fatal("replayed conviction grew the recovered log")
 	}
 }
@@ -302,7 +291,7 @@ func TestMonitorRefusesTamperedDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mon.TreeHead() // persist a signed head covering all 3 leaves
+	signedHead(t, mon) // persist a signed head covering all 3 leaves
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +302,95 @@ func TestMonitorRefusesTamperedDirectory(t *testing.T) {
 	}
 	if _, err := Open(dir, f.params, &OpenOptions{Shards: 4, NoSync: true}); err == nil {
 		t.Fatal("tampered directory served")
+	}
+}
+
+// TestMonitorReopensParentFormatDirectory is the N-1 on-disk
+// compatibility test. A directory as the previous version left it — an
+// ed25519 key file beside keys/bls.key, and a head.json record saying
+// "kind":"ed25519" — reopens under the same BLS identity and passes the
+// same recovered-root-vs-last-signed-head check; the stale key file is
+// ignored, not deleted; and a tampered leaf (valid framing, different
+// bytes) still makes Open refuse.
+func TestMonitorReopensParentFormatDirectory(t *testing.T) {
+	f := newFixture(t)
+	fw := f.newFramework(t, blsapp.ModuleBytes())
+	dir := t.TempDir()
+	mon := openTestMonitor(t, dir, f.params, -1)
+	for i := 0; i < 3; i++ {
+		if _, _, err := mon.Submit(envelope(fw, "p"+string(rune('0'+i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pk := mon.BLSPublicKey()
+	head := signedHead(t, mon)
+	if err := mon.Close(); err != nil {
+		t.Fatal(err)
+	}
+	edKey := filepath.Join(dir, "keys", "ed25519.key")
+	if _, err := os.Stat(edKey); !os.IsNotExist(err) {
+		t.Fatalf("a fresh directory holds %s (stat: %v); the monitor has one head key", edKey, err)
+	}
+
+	// Dress the directory as the parent commit wrote it.
+	edSeed := bytes.Repeat([]byte{7}, 32)
+	if err := os.WriteFile(edKey, edSeed, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	headPath := filepath.Join(dir, "head.json")
+	raw, err := os.ReadFile(headPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["kind"] = "ed25519"
+	if raw, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(headPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	mon2 := openTestMonitor(t, dir, f.params, -1)
+	if info, ok := mon2.RecoveryInfo(); !ok || info.Leaves != 3 || !info.HasHead || info.HeadSize != head.Size {
+		t.Fatalf("recovery info = %+v ok=%v, want 3 leaves checked against the head at size %d", info, ok, head.Size)
+	}
+	if !pk.Equal(mon2.BLSPublicKey()) {
+		t.Fatal("BLS tree-head key changed reopening a parent-format directory")
+	}
+	if head2 := signedHead(t, mon2); head2.Size != head.Size || head2.Head != head.Head || !bytes.Equal(head2.Signature, head.Signature) {
+		t.Fatalf("head changed reopening a parent-format directory: %+v vs %+v", head2, head)
+	}
+	if got, err := os.ReadFile(edKey); err != nil || !bytes.Equal(got, edSeed) {
+		t.Fatalf("the ed25519 key file must be left alone: %x, %v", got, err)
+	}
+	if err := mon2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tamper with leaf 0 (shard 0, first record of its first segment):
+	// flip one payload byte and re-seal the record's CRC32-C, so the store
+	// hands the monitor a well-framed leaf the signed head never covered.
+	segs, err := filepath.Glob(filepath.Join(dir, "segments", "shard-000", "*"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment file for shard 0: %v %v", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(binary.BigEndian.Uint32(seg[:4])) // u32 length, u8 kind, payload, u32 CRC over kind||payload
+	seg[5+n/2] ^= 1
+	binary.BigEndian.PutUint32(seg[5+n:], crc32.Checksum(seg[4:5+n], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(segs[0], seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, f.params, &OpenOptions{Shards: 4, SnapshotEvery: -1, NoSync: true}); err == nil ||
+		!strings.Contains(err.Error(), "does not match the last signed head") {
+		t.Fatalf("Open over a tampered leaf = %v, want a refusal naming the last signed head", err)
 	}
 }
 

@@ -13,10 +13,9 @@ import (
 //   - WritePrometheus emits the Prometheus text format (counters,
 //     gauges, and full cumulative histogram series) for scraping.
 //   - Snapshot flattens everything into a map[string]float64 — the JSON
-//     form served by /metrics.json and by the serve tier's "servestats"
-//     RPC, and what tests assert against. Histograms flatten to
-//     name_count, name_sum, name_max, and interpolated name_p50 /
-//     name_p99 / name_p999.
+//     form served by /metrics.json, and what tests assert against.
+//     Histograms flatten to name_count, name_sum, name_max, and
+//     interpolated name_p50 / name_p99 / name_p999.
 //
 // Labeled series use the canonical `name{key="value"}` spelling in both
 // formats; %q escapes backslashes, quotes, and newlines exactly as the

@@ -5,8 +5,6 @@
 package loadtest
 
 import (
-	"crypto/ed25519"
-	"crypto/rand"
 	"fmt"
 
 	"repro/internal/audit"
@@ -70,16 +68,11 @@ func NewFixture(leaves int) (*Fixture, error) {
 	if err := fw.Install(1, mod, dev.SignUpdate(1, mod)); err != nil {
 		return nil, err
 	}
-	_, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	mon := monitor.New(params, priv)
 	headSK, _, err := bls.GenerateKey()
 	if err != nil {
 		return nil, err
 	}
-	mon.EnableBLSHeads(headSK)
+	mon := monitor.New(params, headSK)
 
 	// Seed the log in batches.
 	const batch = 256

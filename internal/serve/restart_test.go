@@ -101,7 +101,6 @@ func TestRestartFailsClosedOnTamperedLog(t *testing.T) {
 	if resp.Head == nil || !aolog.VerifyShardInclusion(resp.Payload, resp.Proof, resp.Head.Head) {
 		t.Fatal("sanity: pre-tamper proof invalid")
 	}
-	mon.TreeHead() // persist a signed head covering all 3 leaves
 	tier.Close()
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)

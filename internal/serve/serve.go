@@ -62,9 +62,8 @@ import (
 	"repro/internal/transport"
 )
 
-// Wire kinds registered by Tier.Register (in addition to the monitor's
-// own kinds; "head"/"headbls"/"consistency" keep their pre-tier response
-// shapes and simply become cached).
+// Wire kinds registered by Tier.Register, beside "headbls" and
+// "consistency" (the daemon adds its own write and identity kinds).
 const (
 	// KindProof serves a cached inclusion proof: ProofRequest ->
 	// ProofResponse.
@@ -75,9 +74,6 @@ const (
 	KindSubscribe = "subscribe"
 	// KindUnsubscribe removes the connection's subscription.
 	KindUnsubscribe = "unsubscribe"
-	// KindServeStats reports the tier's metric registry snapshot (the
-	// flattened obsv series map; same shape as /metrics.json).
-	KindServeStats = "servestats"
 	// KindPushHeads is the server-initiated sub-request kind inside
 	// pushed _batch frames; its body is a gossip.HeadsMessage.
 	KindPushHeads = "push_heads"
@@ -146,9 +142,7 @@ type SubscribeResponse struct {
 type Backend interface {
 	// Len is the current total log size (cheap; called per append hook).
 	Len() int
-	// TreeHead signs the current ed25519 head.
-	TreeHead() aolog.SignedHead
-	// TreeHeadBLS signs the current BLS head.
+	// TreeHeadBLS signs the current head.
 	TreeHeadBLS() (aolog.BLSSignedHead, error)
 	// ProveInclusionAt returns payload+proof for index at tree size n.
 	ProveInclusionAt(index, n int) ([]byte, *aolog.ShardInclusionProof, error)
@@ -162,18 +156,6 @@ type Options struct {
 	// monitor's name and compressed BLS tree-head key).
 	Source   string
 	SourcePK []byte
-	// CacheEntries bounds the proof cache (default 65536 entries).
-	CacheEntries int
-	// MaxInFlight bounds concurrent proof computations (default
-	// 2*GOMAXPROCS).
-	MaxInFlight int
-	// MaxWaiters bounds callers queued behind the in-flight computations;
-	// past it requests degrade or refuse (default 1024; negative means no
-	// queueing at all — anything beyond MaxInFlight is refused).
-	MaxWaiters int
-	// DisableCache serves every request by fresh computation — the
-	// pre-tier behavior, kept for load-test baselines.
-	DisableCache bool
 	// Cosign, when set, attaches witness cosignatures to each newly
 	// published head (deployments where the monitor accumulates
 	// cosignatures locally; the witness tier pushes its frontier's
@@ -185,12 +167,25 @@ type Options struct {
 	Metrics *obsv.Registry
 }
 
-// headSnap is one published head: both signatures, the push form, and
-// the size they all commit to.
+// The tier's sizes. They are constants because no caller has ever needed
+// a second value. The third, proof computations in flight, Attach works
+// out from the machine as 2*GOMAXPROCS: a proof walk is CPU work, so
+// beyond two per core more in flight only means more queueing.
+const (
+	// cacheEntries bounds the proof cache. An entry is one proof plus its
+	// payload, a few kB, so a full cache is a few hundred MB at most.
+	cacheEntries = 1 << 16
+	// maxWaiters bounds callers queued behind the in-flight computations;
+	// past it requests degrade or refuse. A proof walk takes microseconds,
+	// so a full queue drains long before a client's call deadline.
+	maxWaiters = 1024
+)
+
+// headSnap is one published head: the signature, the push form, and the
+// size they commit to.
 type headSnap struct {
 	size int
 	bls  aolog.BLSSignedHead
-	ed   aolog.SignedHead
 	gh   gossip.GossipHead
 }
 
@@ -225,18 +220,8 @@ type Tier struct {
 }
 
 // Attach builds a tier over a backend and publishes its current head.
-// It fails if the backend cannot sign heads (e.g. a monitor without
-// EnableBLSHeads).
+// It fails if the backend cannot sign (or durably record) that head.
 func Attach(b Backend, opts Options) (*Tier, error) {
-	if opts.CacheEntries == 0 {
-		opts.CacheEntries = 1 << 16
-	}
-	if opts.MaxInFlight == 0 {
-		opts.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
-	if opts.MaxWaiters == 0 {
-		opts.MaxWaiters = 1024
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = obsv.NewRegistry()
 	}
@@ -244,8 +229,8 @@ func Attach(b Backend, opts Options) (*Tier, error) {
 		b:           b,
 		opts:        opts,
 		reg:         opts.Metrics,
-		cache:       newProofCache(opts.CacheEntries),
-		gate:        newGate(opts.MaxInFlight, opts.MaxWaiters),
+		cache:       newProofCache(cacheEntries),
+		gate:        newGate(2*runtime.GOMAXPROCS(0), maxWaiters),
 		hub:         NewHub(opts.Source),
 		kick:        make(chan struct{}, 1),
 		closed:      make(chan struct{}),
@@ -322,12 +307,10 @@ func (t *Tier) sign() (*headSnap, error) {
 	if err != nil {
 		return nil, err
 	}
-	ed := t.b.TreeHead()
 	t.headsSigned.Add(1)
 	snap := &headSnap{
 		size: int(bls.Size),
 		bls:  bls,
-		ed:   ed,
 		gh: gossip.GossipHead{
 			Source:   t.opts.Source,
 			SourcePK: t.opts.SourcePK,
@@ -452,13 +435,6 @@ func (t *Tier) inclusion(size, index int) (*cachedProof, error) {
 		}
 		return &cachedProof{payload: payload, proof: proof}, nil
 	}
-	if t.opts.DisableCache {
-		v, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return v.(*cachedProof), nil
-	}
 	v, err := t.cache.do(inclusionKey(size, index), compute)
 	if err != nil {
 		return nil, err
@@ -499,8 +475,7 @@ func (t *Tier) degrade(req *ProofRequest, snap *headSnap) (*ProofResponse, error
 
 // Consistency serves a consistency proof through the same cache and
 // admission path. newSize 0 means the current head size. The response
-// shape is the bare proof (wire-compatible with the monitor's original
-// "consistency" kind).
+// shape is the bare proof.
 func (t *Tier) Consistency(oldSize, newSize int) (*aolog.ShardConsistencyProof, error) {
 	if err := t.failed(); err != nil {
 		return nil, err
@@ -520,13 +495,7 @@ func (t *Tier) Consistency(oldSize, newSize int) (*aolog.ShardConsistencyProof, 
 		defer release()
 		return t.b.ProveConsistencyBetween(oldSize, newSize)
 	}
-	var v any
-	var err error
-	if t.opts.DisableCache {
-		v, err = compute()
-	} else {
-		v, err = t.cache.do(consistencyKey(oldSize, newSize), compute)
-	}
+	v, err := t.cache.do(consistencyKey(oldSize, newSize), compute)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			t.refused("consistency")
@@ -543,14 +512,6 @@ func (t *Tier) HeadBLS() (aolog.BLSSignedHead, error) {
 		return aolog.BLSSignedHead{}, err
 	}
 	return t.head.Load().bls, nil
-}
-
-// Head returns the current published ed25519 head.
-func (t *Tier) Head() (aolog.SignedHead, error) {
-	if err := t.failed(); err != nil {
-		return aolog.SignedHead{}, err
-	}
-	return t.head.Load().ed, nil
 }
 
 // CurrentHeads is what a new subscriber is primed with.
@@ -613,7 +574,9 @@ func (t *Tier) registerMetrics() {
 	reg.CounterFunc("serve_cache_evictions_total", "cache entries evicted at capacity", func() uint64 {
 		return t.cache.stats().Evictions
 	})
-	reg.CounterFunc("serve_admission_refused_total", "proof computations refused by the admission gate", t.gate.refused.Load)
+	reg.CounterFunc("serve_admission_refused_total", "proof computations refused by the admission gate", func() uint64 {
+		return t.gate.refused.Load()
+	})
 	reg.CounterFunc("serve_degraded_total", "refused requests answered from the stale-but-verified head", t.degraded.Load)
 	reg.CounterFunc("serve_heads_signed_total", "tree heads signed (once per size, not per client)", t.headsSigned.Load)
 	reg.GaugeFunc("serve_subscribers", "live push subscriptions", func() float64 {
@@ -626,14 +589,10 @@ func (t *Tier) registerMetrics() {
 	})
 }
 
-// Register installs the tier's RPC kinds on a transport server. It
-// (re)binds "head", "headbls", and "consistency" to the cached paths —
-// same response shapes as the uncached monitor handlers — and adds
-// "proof", "subscribe", "unsubscribe", and "servestats".
+// Register installs the tier's RPC kinds on a transport server:
+// "headbls", "consistency", "proof", "subscribe" and "unsubscribe". They
+// are the daemon's whole read path; nothing else answers these kinds.
 func (t *Tier) Register(srv *transport.Server) {
-	srv.Handle("head", func(json.RawMessage) (any, error) {
-		return t.Head()
-	})
 	srv.Handle("headbls", func(json.RawMessage) (any, error) {
 		return t.HeadBLS()
 	})
@@ -650,9 +609,6 @@ func (t *Tier) Register(srv *transport.Server) {
 			return nil, err
 		}
 		return t.Proof(&req)
-	})
-	srv.Handle(KindServeStats, func(json.RawMessage) (any, error) {
-		return t.reg.Snapshot(), nil
 	})
 	RegisterHub(srv, t.hub, t.CurrentHeads)
 }

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"crypto/ed25519"
-	"crypto/rand"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -16,8 +14,10 @@ import (
 	"repro/internal/blsapp"
 	"repro/internal/domain"
 	"repro/internal/framework"
+	"repro/internal/gossip"
 	"repro/internal/monitor"
 	"repro/internal/tee"
+	"repro/internal/transport"
 )
 
 func mustKey(t *testing.T) *bls.SecretKey {
@@ -29,8 +29,8 @@ func mustKey(t *testing.T) *bls.SecretKey {
 	return sk
 }
 
-// fixture is a BLS-head-enabled monitor fed by a simulated enclave, the
-// same stack auditing clients talk to in production.
+// fixture is a monitor fed by a simulated enclave, the same stack
+// auditing clients talk to in production.
 type fixture struct {
 	dev    *framework.Developer
 	fw     *framework.Framework
@@ -73,12 +73,7 @@ func newFixture(t *testing.T) *fixture {
 	if err := fw.Install(1, mod, dev.SignUpdate(1, mod)); err != nil {
 		t.Fatal(err)
 	}
-	_, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := monitor.New(params, priv)
-	mon.EnableBLSHeads(mustKey(t))
+	mon := monitor.New(params, mustKey(t))
 	return &fixture{dev: dev, fw: fw, params: params, mon: mon, tk: tk, state: state}
 }
 
@@ -304,11 +299,6 @@ func (b *fakeBackend) swap(log *aolog.ShardedLog) {
 
 func (b *fakeBackend) Len() int { return b.active().Len() }
 
-func (b *fakeBackend) TreeHead() aolog.SignedHead {
-	log := b.active()
-	return aolog.SignedHead{Size: uint64(log.Len()), Head: log.SuperRoot()}
-}
-
 func (b *fakeBackend) TreeHeadBLS() (aolog.BLSSignedHead, error) {
 	log := b.active()
 	return b.signBLS(uint64(log.Len()), log.SuperRoot()), nil
@@ -405,6 +395,148 @@ func TestTierPoisonsOnContradiction(t *testing.T) {
 	}
 }
 
+// provenBackend records every size the tier has proved a head at: the
+// size of the first head it signs (Attach publishes that one; it has no
+// predecessor to check against) and the newSize of every
+// ProveConsistencyBetween — in a test whose readers never ask for a
+// consistency proof, those are exactly the head pump's self-checks.
+type provenBackend struct {
+	Backend
+	mu     sync.Mutex
+	proven map[int]bool
+}
+
+func (b *provenBackend) TreeHeadBLS() (aolog.BLSSignedHead, error) {
+	h, err := b.Backend.TreeHeadBLS()
+	b.mu.Lock()
+	if err == nil && len(b.proven) == 0 {
+		b.proven[int(h.Size)] = true
+	}
+	b.mu.Unlock()
+	return h, err
+}
+
+func (b *provenBackend) ProveConsistencyBetween(oldSize, newSize int) (*aolog.ShardConsistencyProof, error) {
+	b.mu.Lock()
+	b.proven[newSize] = true
+	b.mu.Unlock()
+	return b.Backend.ProveConsistencyBetween(oldSize, newSize)
+}
+
+// TestNoHeadLeavesTheTierUnproven states the head pump's fail-closed
+// rule for every exit at once: while 200 appends race two readers and a
+// subscriber, every head returned by HeadBLS, attached to a
+// ProofResponse, acked by subscribe or pushed has a size the tier first
+// proved consistent with the head it published before.
+func TestNoHeadLeavesTheTierUnproven(t *testing.T) {
+	f := newFixture(t)
+	f.append(t, 3)
+	pb := &provenBackend{Backend: f.mon, proven: make(map[int]bool)}
+	tier, err := Attach(pb, Options{Source: "mon"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	f.mon.SetAppendHook(tier.Kick)
+	srv := transport.NewServer()
+	tier.Register(srv)
+	ln := transport.NewMemListener()
+	defer ln.Close()
+	go srv.Serve(ln)
+
+	var mu sync.Mutex
+	left := map[string]map[int]bool{} // exit -> sizes of the heads that left through it
+	note := func(exit string, size uint64) {
+		mu.Lock()
+		defer mu.Unlock()
+		if left[exit] == nil {
+			left[exit] = map[int]bool{}
+		}
+		left[exit][int(size)] = true
+	}
+
+	conn, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := NewSubscriber(conn)
+	defer sub.Close()
+	// VerifyHead sees every acked and pushed head, before the guard.
+	sub.VerifyHead = func(gh *gossip.GossipHead) error {
+		note("subscribe ack or push", gh.Head.Size)
+		return nil
+	}
+	if err := sub.Subscribe("auditor"); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				head, err := tier.HeadBLS()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				note("HeadBLS", head.Size)
+				resp, err := tier.Proof(&ProofRequest{Index: i % 3})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, h := range []*aolog.BLSSignedHead{resp.Head, resp.StaleHead} {
+					if h != nil {
+						note("ProofResponse", h.Size)
+					}
+				}
+			}
+		}()
+	}
+	const appends = 200
+	for i := 0; i < appends; i++ {
+		f.append(t, 1)
+	}
+	waitHeadSize(t, tier, 3+appends)
+	close(stop)
+	readers.Wait()
+	// The push of the last head is asynchronous: wait for it to arrive.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		arrived := left["subscribe ack or push"][3+appends]
+		mu.Unlock()
+		if arrived {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the last head was never pushed")
+		}
+	}
+
+	pb.mu.Lock()
+	defer pb.mu.Unlock()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, exit := range []string{"HeadBLS", "ProofResponse", "subscribe ack or push"} {
+		if len(left[exit]) < 2 {
+			t.Errorf("%s handed out heads at %d sizes; the race never happened", exit, len(left[exit]))
+		}
+		for size := range left[exit] {
+			if !pb.proven[size] {
+				t.Errorf("%s handed out a head at size %d, which the tier never proved", exit, size)
+			}
+		}
+	}
+}
+
 func waitPoison(t *testing.T, tier *Tier) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -423,11 +555,14 @@ func waitPoison(t *testing.T, tier *Tier) {
 // keys see latency unaffected by the saturated miss path.
 func TestBackpressureDegradesToStaleVerifiedHead(t *testing.T) {
 	fb, _ := newFakeBackend(t, 4)
-	tier, err := Attach(fb, Options{Source: "fake", MaxInFlight: 1, MaxWaiters: -1})
+	tier, err := Attach(fb, Options{Source: "fake"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tier.Close()
+	// One computation slot and no queue, installed before any traffic: the
+	// production sizes would need thousands of slow clients to saturate.
+	tier.gate = newGate(1, 0)
 
 	// Warm every proof at the initial head (size 4), then advance to 6 so
 	// size-4 becomes the stale-but-verified snapshot.

@@ -24,6 +24,19 @@
 // covers every append that preceded it, so the per-append fsync cost
 // amortizes across a batch (DESIGN.md §6 measures the hot path against
 // the in-memory log).
+//
+// OWNS: the directory layout above and every file format in it; the
+// record framing and torn-tail rule; group commit and the order "WAL
+// durable, then acknowledged"; checkpointing and WAL rotation; the
+// sticky poison after a failed write or fsync; the WAL-fsync watchdog
+// bracket and the one disk-fault hook inside it (Options.DiskFault).
+//
+// MUST NOT DO: interpret a leaf, a snapshot's state blob, a head's
+// signature or a key's bytes — they are opaque; sign or verify anything;
+// serve a recovered log with a gap in it; offer a second way to stall or
+// fail the disk beside Options.DiskFault.
+//
+// MUST NOT import: any repro/internal package except obsv.
 package store
 
 import (

@@ -32,9 +32,6 @@ type storeObs struct {
 	// flight recorder and watchdog are both nil-safe.
 	flight   atomic.Pointer[obsv.FlightRecorder]
 	fsyncDog atomic.Pointer[obsv.Watchdog]
-	// fsyncStall injects a sleep (nanoseconds) before each WAL fsync —
-	// the e2e stall-injection test hook (Options.FsyncStall).
-	fsyncStall atomic.Int64
 	// diskFault is the chaos-plane hook (Options.DiskFault), consulted
 	// before each WAL fsync. Set once in Open before any concurrency, so
 	// a plain field is safe.

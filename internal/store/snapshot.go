@@ -41,8 +41,10 @@ func (s *Snapshot) computeChecksum() uint32 {
 
 // HeadRecord is the last signed tree head: the recovery invariant is
 // that the recovered log's super-root at Size equals Root, proving the
-// durable log contains everything the node ever signed for. Signature
-// and kind are informative (the commitment is size+root).
+// durable log contains everything the node ever signed for. The
+// signature is informative (the commitment is size+root). Kind is set
+// only in files written while the monitor had two head keys; nothing
+// writes or interprets it now.
 type HeadRecord struct {
 	Size uint64 `json:"size"`
 	Root []byte `json:"root"`
@@ -115,8 +117,8 @@ func loadSnapshot(dir string) *Snapshot {
 }
 
 // PutHead durably records the last signed tree head before it is served
-// to anyone. Re-signing the same (size, root) — e.g. the BLS head right
-// after the ed25519 head — is a no-op.
+// to anyone. Re-signing the same (size, root) — a head asked for again
+// before the log grew — is a no-op.
 func (s *Store) PutHead(h HeadRecord) error {
 	s.mu.Lock()
 	if s.head != nil && s.head.Size == h.Size && string(s.head.Root) == string(h.Root) {

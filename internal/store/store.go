@@ -40,15 +40,11 @@ type Options struct {
 	FlushThresholdBytes int64
 	// SegmentMaxBytes caps one segment file. Default 64 MiB.
 	SegmentMaxBytes int64
-	// FsyncStall injects a sleep before every WAL fsync. Diagnosis test
-	// hook only (daemons gate it behind -debug-hooks): it makes a
-	// stalled disk reproducible so watchdog trips and SLO burns can be
-	// asserted end to end.
-	FsyncStall time.Duration
 	// DiskFault, when set, is consulted before every WAL fsync with the
 	// operation name ("wal-fsync"). A returned error is treated exactly
 	// like a real fsync failure — sticky WAL poison, fail-stop — and a
-	// hook that sleeps models a seized disk under the watchdog. This is
+	// hook that sleeps models a seized disk under the watchdog and the
+	// fsync latency SLOs. This is the one way to stall or fail the disk:
 	// the chaos plane's disk entry point (fault.Injector.DiskFault
 	// matches this signature); daemons gate it behind -debug-hooks.
 	DiskFault func(op string) error
@@ -143,9 +139,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	s := &Store{dir: dir, opts: o, obs: newStoreObs(), shards: make([]*segmentShard, o.Shards)}
-	if o.FsyncStall > 0 {
-		s.obs.fsyncStall.Store(int64(o.FsyncStall))
-	}
 	s.obs.diskFault = o.DiskFault
 
 	// 1. Settled leaves from segment files, placed by global index.

@@ -82,19 +82,16 @@ func (w *wal) syncTo(end int64) error {
 		target := w.written // everything written before this fsync is covered
 		w.mu.Unlock()
 		// The watchdog brackets the leader's fsync (nil-safe when no
-		// diagnostics are installed); the injected stall, when armed,
-		// counts as fsync time so latency SLOs see it too.
+		// diagnostics are installed).
 		dog := w.obs.fsyncDog.Load()
 		dog.Arm()
 		syncStart := time.Now()
-		if stall := time.Duration(w.obs.fsyncStall.Load()); stall > 0 {
-			time.Sleep(stall)
-		}
 		var err error
-		// The chaos-plane disk hook runs inside the Arm/Done bracket so a
-		// stalling hook trips the watchdog like a real seized disk, and an
-		// injected error takes the exact sticky-poison path a real fsync
-		// failure would.
+		// The chaos-plane disk hook runs inside the Arm/Done bracket and
+		// the latency observation, so a stalling hook trips the watchdog
+		// and burns the fsync SLOs like a real seized disk, and an injected
+		// error takes the exact sticky-poison path a real fsync failure
+		// would.
 		if w.obs.diskFault != nil {
 			err = w.obs.diskFault("wal-fsync")
 		}

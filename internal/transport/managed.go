@@ -68,9 +68,8 @@ const (
 func DefaultIdempotent() map[string]bool {
 	return map[string]bool{
 		// log / monitor read path
-		"head": true, "headbls": true, "info": true, "consistency": true,
+		"headbls": true, "info": true, "consistency": true,
 		"proof": true, "proofs": true, "alerts": true, "pull": true,
-		"servestats": true,
 		// domain read path
 		"status": true, "history": true,
 		// witness read/exchange path: gossip_heads, pollinate, and cosign

@@ -122,12 +122,12 @@ func TestManagedRetriesIdempotentPostSend(t *testing.T) {
 	fs := newFlakyServer(t, 1)
 	m := dialManagedFast(fs.addr())
 	defer m.Close()
-	if err := m.Call("head", struct{}{}, nil); err != nil {
+	if err := m.Call("headbls", struct{}{}, nil); err != nil {
 		t.Fatalf("idempotent call under one lost response: %v", err)
 	}
 	kinds := fs.seenKinds()
-	if len(kinds) != 2 || kinds[0] != "head" || kinds[1] != "head" {
-		t.Fatalf("server saw %v, want [head head]", kinds)
+	if len(kinds) != 2 || kinds[0] != "headbls" || kinds[1] != "headbls" {
+		t.Fatalf("server saw %v, want [headbls headbls]", kinds)
 	}
 	if _, retries, _ := m.Stats(); retries != 1 {
 		t.Fatalf("retries = %d, want 1", retries)
@@ -158,7 +158,7 @@ func TestManagedNeverResendsNonIdempotent(t *testing.T) {
 // verbatim with no retry (the RPC completed).
 func TestManagedRemoteErrorNotRetried(t *testing.T) {
 	srv := NewServer()
-	srv.Handle("head", func(json.RawMessage) (any, error) { return nil, errors.New("nope") })
+	srv.Handle("headbls", func(json.RawMessage) (any, error) { return nil, errors.New("nope") })
 	addr, err := srv.ListenAndServe()
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestManagedRemoteErrorNotRetried(t *testing.T) {
 	defer srv.Close()
 	m := dialManagedFast(addr)
 	defer m.Close()
-	err = m.Call("head", struct{}{}, nil)
+	err = m.Call("headbls", struct{}{}, nil)
 	var remote *ErrRemote
 	if !errors.As(err, &remote) || remote.Msg != "nope" {
 		t.Fatalf("err = %v, want ErrRemote{nope}", err)
@@ -227,14 +227,14 @@ func TestManagedBreaker(t *testing.T) {
 	m.brk.threshold = 2
 	defer m.Close()
 	for i := 0; i < 2; i++ {
-		if err := m.Call("head", struct{}{}, nil); err == nil {
+		if err := m.Call("headbls", struct{}{}, nil); err == nil {
 			t.Fatal("call to dead endpoint succeeded")
 		}
 	}
 	if got := m.brk.state(); got != "open" {
 		t.Fatalf("breaker state = %q, want open", got)
 	}
-	if err := m.Call("head", struct{}{}, nil); !errors.Is(err, ErrCircuitOpen) {
+	if err := m.Call("headbls", struct{}{}, nil); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("call with open breaker = %v, want ErrCircuitOpen", err)
 	}
 	if _, _, rejected := m.Stats(); rejected != 1 {
@@ -244,7 +244,7 @@ func TestManagedBreaker(t *testing.T) {
 	// Recovery: bring the endpoint back, wait out the cooldown; the
 	// half-open probe must succeed and close the circuit.
 	srv := NewServer()
-	srv.Handle("head", func(json.RawMessage) (any, error) { return struct{}{}, nil })
+	srv.Handle("headbls", func(json.RawMessage) (any, error) { return struct{}{}, nil })
 	ln2, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
@@ -252,7 +252,7 @@ func TestManagedBreaker(t *testing.T) {
 	srv.Serve(ln2)
 	defer srv.Close()
 	time.Sleep(60 * time.Millisecond)
-	if err := m.Call("head", struct{}{}, nil); err != nil {
+	if err := m.Call("headbls", struct{}{}, nil); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
 	if got := m.brk.state(); got != "closed" {
@@ -275,7 +275,7 @@ func TestManagedCloseDoesNotWaitForDial(t *testing.T) {
 		},
 	})
 	callErr := make(chan error, 1)
-	go func() { callErr <- m.Call("head", struct{}{}, nil) }()
+	go func() { callErr <- m.Call("headbls", struct{}{}, nil) }()
 	<-dialing
 
 	closed := make(chan struct{})
@@ -326,7 +326,7 @@ func TestClientCallTimeout(t *testing.T) {
 	defer c.Close()
 	c.SetTimeout(80 * time.Millisecond)
 	start := time.Now()
-	err = c.Call("head", struct{}{}, nil)
+	err = c.Call("headbls", struct{}{}, nil)
 	if err == nil {
 		t.Fatal("call to mute server returned nil")
 	}
@@ -363,7 +363,7 @@ func TestCallCtxDeadline(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()
-	if err := c.CallCtx(ctx, "head", struct{}{}, nil); err == nil {
+	if err := c.CallCtx(ctx, "headbls", struct{}{}, nil); err == nil {
 		t.Fatal("call with expired context deadline returned nil")
 	}
 }
