@@ -372,10 +372,7 @@ func (n *node) subscribeSource(sc *sourceConn, timeout time.Duration, dial func(
 			var cons *aolog.ShardConsistencyProof
 			if front, ok := w.Frontier(sc.name); ok && gh.Head.Size > front.Size {
 				cons = new(aolog.ShardConsistencyProof)
-				req := struct {
-					OldSize int `json:"old_size"`
-					NewSize int `json:"new_size"`
-				}{OldSize: int(front.Size), NewSize: int(gh.Head.Size)}
+				req := serve.ConsistencyRequest{OldSize: int(front.Size), NewSize: int(gh.Head.Size)}
 				if err := sub.Call("consistency", req, cons); err != nil {
 					logger.Warn("consistency for pushed head failed", "source", sc.name, "size", gh.Head.Size, "err", err)
 					continue
@@ -407,9 +404,7 @@ func pullSource(w *gossip.Witness, sc *sourceConn) error {
 		var cons *aolog.ShardConsistencyProof
 		if front, ok := w.Frontier(sc.name); ok && head.Size > front.Size {
 			cons = new(aolog.ShardConsistencyProof)
-			req := struct {
-				OldSize int `json:"old_size"`
-			}{OldSize: int(front.Size)}
+			req := serve.ConsistencyRequest{OldSize: int(front.Size)}
 			if err := sc.conn.Call("consistency", req, cons); err != nil {
 				return fmt.Errorf("auditord: consistency from %s: %w", sc.name, err)
 			}

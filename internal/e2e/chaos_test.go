@@ -37,6 +37,7 @@ import (
 	"repro/internal/deployfile"
 	"repro/internal/domain"
 	"repro/internal/framework"
+	"repro/internal/serve"
 	"repro/internal/tee"
 	"repro/internal/transport"
 )
@@ -371,11 +372,12 @@ func TestChaosMonitorCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered head differs at same size %d: split view", after.Size)
 	}
 	size2 := mint.submit(t, mc2, 3)
-	var proof struct {
-		Proof []aolog.Digest `json:"proof"`
-	}
-	if err := mc2.Call("consistency", map[string]int{"old_size": int(before.Size)}, &proof); err != nil {
+	var proof aolog.ShardConsistencyProof
+	if err := mc2.Call("consistency", serve.ConsistencyRequest{OldSize: int(before.Size)}, &proof); err != nil {
 		t.Fatalf("consistency across crash: %v", err)
+	}
+	if oldRoot, err := proof.OldSuperRoot(); err != nil || proof.OldSize != int(before.Size) || oldRoot != before.Head {
+		t.Fatalf("consistency across crash does not start at the head signed before it (old size %d, err %v)", proof.OldSize, err)
 	}
 
 	// The witness's push channel died with the old process; the managed

@@ -429,9 +429,9 @@ func TestMonitordReadSurface(t *testing.T) {
 	if pr.Head == nil || pr.Head.Head != head.Head || !aolog.VerifyShardInclusion(pr.Payload, pr.Proof, pr.Head.Head) {
 		t.Errorf("proof reply does not verify under the published head: %+v", pr)
 	}
-	var cons *aolog.ShardConsistencyProof
-	if err := mc.Call("consistency", serve.ConsistencyRequest{OldSize: 1}, &cons); err != nil || cons == nil {
-		t.Fatalf("consistency: %v (proof %v)", err, cons)
+	var cons aolog.ShardConsistencyProof
+	if err := mc.Call("consistency", serve.ConsistencyRequest{OldSize: 1}, &cons); err != nil || cons.OldSize != 1 {
+		t.Fatalf("consistency: %v (proof %+v)", err, cons)
 	}
 	sub, err := serve.Dial(monRPC)
 	if err != nil {
@@ -458,7 +458,7 @@ func TestMonitordReadSurface(t *testing.T) {
 		}
 	}
 	if err := mc.Call("consistency", serve.ConsistencyRequest{OldSize: size}, &cons); err != nil ||
-		!aolog.VerifyShardConsistency(head.Head, next.Head, cons) {
+		!aolog.VerifyShardConsistency(head.Head, next.Head, &cons) {
 		t.Errorf("consistency %d..%d does not verify between the two published heads (err %v)", size, next.Size, err)
 	}
 }

@@ -189,10 +189,11 @@ func TestClientPushDelivery(t *testing.T) {
 	}
 }
 
-// TestClientRequestBytes pins what a Client puts on the wire: for a
-// sequence of calls, exactly the frames the lock-step client wrote —
-// a classic length-prefixed frame holding Request{ID: 1, 2, 3...}, and
-// nothing else (no header section without a trace).
+// TestClientRequestBytes pins what a Client puts on the wire toward a
+// peer that has not shown wire v2: for a sequence of calls, exactly the
+// frames the lock-step client wrote — a classic length-prefixed frame
+// holding Request{ID: 1, 2, 3...} — plus the one field that offers v2,
+// and nothing else (no header section without a trace).
 func TestClientRequestBytes(t *testing.T) {
 	c, srv := pipeClient(t, nil)
 	c.SetTimeout(5 * time.Second)
@@ -200,7 +201,7 @@ func TestClientRequestBytes(t *testing.T) {
 		call := echoAsync(c, text)
 		body, _ := json.Marshal(echoReq{Text: text})
 		payload, _ := json.Marshal(&Request{ID: uint64(id + 1), Kind: "echo", Body: body})
-		want := frame(payload)
+		want := frame(append(payload[:len(payload)-1], `,"v":2}`...))
 		got := make([]byte, len(want))
 		if _, err := io.ReadFull(srv, got); err != nil {
 			t.Fatal(err)

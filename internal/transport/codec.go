@@ -1,24 +1,31 @@
 // Package transport provides the wire protocol used between clients,
 // trust-domain hosts, and in-enclave frameworks: length-prefixed frames
-// carrying JSON-encoded envelopes over net.Conn, and both ends of the
-// RPC built on them: a Server that dispatches requests and may push,
-// and a Client whose one reader goroutine routes replies to concurrent
-// callers by ID and pushed frames to a callback.
+// over net.Conn carrying envelopes — JSON (wire v1) on first contact and
+// toward old peers, binary (wire v2, wire2.go) once both ends have shown
+// they speak it — and both ends of the RPC built on them: a Server that
+// dispatches requests and may push, and a Client whose one reader
+// goroutine routes replies to concurrent callers by ID and pushed frames
+// to a callback.
 //
 // The framing is deliberately simple (4-byte big-endian length + payload,
 // hard size cap) so a malformed or malicious peer can at worst cause a
 // closed connection, never unbounded allocation.
 //
-// OWNS: the frame codec and its size limits; both halves of the
-// request/response, _batch and push framing; call routing by request ID
-// and push delivery (Client) as well as dispatch (Server) with its RPC
-// metrics, spans and flight events; per-call deadlines; the managed
-// client's retry, idempotency and breaker policy; MemListener.
+// OWNS: the frame codec and its size limits; both wire versions of the
+// envelope and their negotiation (the offer a v1 request carries, the
+// one sticky bit per connection per side, never v2 toward a peer that
+// has not shown it); both halves of the request/response, _batch and
+// push framing; call routing by request ID and push delivery (Client) as
+// well as dispatch (Server) with its RPC metrics, spans and flight
+// events; per-call deadlines; the managed client's retry, idempotency
+// and breaker policy; MemListener.
 //
 // MUST NOT DO: know what any RPC kind means beyond the idempotency
-// table; verify signatures, proofs or attestations; hold process-wide
-// mutable state (no package-level variable is written after init);
-// decide what to inject.
+// table, or what any body's binary form looks like (a result says it has
+// one by implementing encoding.BinaryMarshaler; the forms live with
+// their types); verify signatures, proofs or attestations; hold
+// process-wide mutable state (no package-level variable is written after
+// init); decide what to inject.
 //
 // MUST NOT import: any repro/internal package except obsv.
 package transport
@@ -70,46 +77,83 @@ const (
 // frame header section.
 var ErrHeaderTooLarge = errors.New("transport: frame header exceeds maximum size")
 
-// WriteFrame writes one length-prefixed frame. Header and payload go out
+// beginFrame starts a frame at the end of b: the optional header section,
+// then a reserved length word, whose offset it returns. The payload is
+// whatever the caller appends next; endFrame fills the word in. Encoders
+// build a frame in one buffer this way and hand it to a single Write, so
+// each frame is one segment on the wire and nothing is copied twice.
+func beginFrame(b, header []byte) (_ []byte, lengthAt int, err error) {
+	if len(header) > MaxHeaderSize {
+		return b, 0, ErrHeaderTooLarge
+	}
+	if len(header) > 0 {
+		b = binary.BigEndian.AppendUint32(b, headerMagic<<24|uint32(len(header)))
+		b = append(b, header...)
+	}
+	return append(b, 0, 0, 0, 0), len(b), nil
+}
+
+// endFrame closes the frame begun at lengthAt.
+func endFrame(b []byte, lengthAt int) error {
+	n := len(b) - lengthAt - 4
+	if n > MaxFrameSize {
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(b[lengthAt:], uint32(n))
+	return nil
+}
+
+// maxKeptBuffer is the largest frame buffer a connection keeps for its
+// next frame; one oversized frame (a code update, a big submitbatch) is
+// not pinned for the connection's lifetime.
+const maxKeptBuffer = 64 << 10
+
+// keepBuffer returns b for reuse, or nil when it has grown too large.
+func keepBuffer(b []byte) []byte {
+	if cap(b) > maxKeptBuffer {
+		return nil
+	}
+	return b
+}
+
+// WriteFrame writes one length-prefixed frame in a single Write.
+func WriteFrame(w io.Writer, payload []byte) error {
+	return WriteFrameHeader(w, nil, payload)
+}
+
+// WriteFrameHeader writes one frame with an optional header section.
+// An empty header produces a classic frame. Header and payload go out
 // in a single Write so each frame is one segment on the wire (loopback
 // round trips dominate the TEE deployment's cost; see EXPERIMENTS.md).
-func WriteFrame(w io.Writer, payload []byte) error {
+func WriteFrameHeader(w io.Writer, header, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	copy(buf[4:], payload)
-	if _, err := w.Write(buf); err != nil {
+	buf, at, err := beginFrame(make([]byte, 0, 8+len(header)+len(payload)), header)
+	if err != nil {
+		return err
+	}
+	buf = append(buf, payload...)
+	if err := endFrame(buf, at); err != nil {
+		return err
+	}
+	return writeFrame(w, buf)
+}
+
+// writeFrame hands one finished frame to w.
+func writeFrame(w io.Writer, frame []byte) error {
+	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("transport: writing frame: %w", err)
 	}
 	return nil
 }
 
-// WriteFrameHeader writes one frame with an optional header section.
-// An empty header produces a classic frame, byte-identical to
-// WriteFrame's output. Header and payload go out in a single Write.
-func WriteFrameHeader(w io.Writer, header, payload []byte) error {
-	if len(header) == 0 {
-		return WriteFrame(w, payload)
-	}
-	if len(header) > MaxHeaderSize {
-		return ErrHeaderTooLarge
-	}
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	buf := make([]byte, 4+len(header)+4+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], headerMagic<<24|uint32(len(header)))
-	copy(buf[4:], header)
-	off := 4 + len(header)
-	binary.BigEndian.PutUint32(buf[off:off+4], uint32(len(payload)))
-	copy(buf[off+4:], payload)
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("transport: writing frame: %w", err)
-	}
-	return nil
-}
+// readBufferSize is the bufio.Reader each connection's one reader reads
+// frames through, so a frame that fits costs one read from the socket,
+// not one for its length word and one for its payload. It holds a whole
+// hot proof reply and any request of the read path; a larger frame's
+// remainder is still read straight into the frame's own slice.
+const readBufferSize = 4096
 
 // ReadFrame reads one length-prefixed frame, discarding any header
 // section.

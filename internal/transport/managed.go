@@ -287,8 +287,9 @@ func (m *ManagedClient) Call(kind string, in, out any) error {
 // CallCtx invokes kind under ctx. Retry policy:
 //   - breaker open → fail fast with ErrCircuitOpen (no attempt);
 //   - dial failure → retryable for ANY kind (nothing was sent);
-//   - server-answered error (ErrRemote) → returned as-is, never
-//     retried, breaker counts it a success (the endpoint is healthy);
+//   - server-answered error (ErrRemote), or an answer the caller's out
+//     cannot hold (ErrBinaryBody) → returned as-is, never retried,
+//     breaker counts it a success (the endpoint is healthy);
 //   - post-send transport failure → connection dropped; retried only if
 //     kind is in the idempotency table.
 func (m *ManagedClient) CallCtx(ctx context.Context, kind string, in, out any) error {
@@ -323,10 +324,11 @@ func (m *ManagedClient) CallCtx(ctx context.Context, kind string, in, out any) e
 			return nil
 		}
 		var remote *ErrRemote
-		if errors.As(err, &remote) {
-			// The server answered: the RPC ran and failed. Healthy
-			// endpoint, unhealthy request — don't retry, don't trip the
-			// breaker.
+		var wrongOut *ErrBinaryBody
+		if errors.As(err, &remote) || errors.As(err, &wrongOut) {
+			// The server answered: the RPC ran and failed, or succeeded
+			// into an out that cannot hold its reply. Healthy endpoint,
+			// unhealthy request — don't retry, don't trip the breaker.
 			m.brk.success()
 			return err
 		}

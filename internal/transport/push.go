@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // Server-initiated push. The base protocol is strictly request/response:
@@ -18,8 +19,10 @@ import (
 // A pushed frame is a Request envelope with ID 0 and Kind "_batch" whose
 // body is a list of ordinary sub-requests — the same batch framing clients
 // send, so one flush of accumulated notifications costs one frame. Peers
-// tell pushes apart from responses structurally: responses carry "ok",
-// pushes carry "kind".
+// tell pushes apart from responses structurally: in v1 responses carry
+// "ok" and pushes carry "kind"; in v2 responses have flagReply set. A
+// push goes out in v2 once the connection's client has shown it speaks
+// v2, and in v1 until then.
 
 // ErrPushClosed is returned by Pusher.Push after the connection is gone.
 var ErrPushClosed = errors.New("transport: push connection closed")
@@ -38,17 +41,22 @@ type Pusher struct {
 	mu   sync.Mutex
 	done chan struct{}
 	obs  *serverObs // owning server's instruments; nil when uninstrumented
+
+	// v2 is the server side's one sticky bit for this connection: the
+	// client has offered or spoken wire v2, so replies and pushes leave
+	// in v2 from now on (wire2.go). Set by the serve loop only.
+	v2 atomic.Bool
 }
 
 func newPusher(conn net.Conn) *Pusher {
 	return &Pusher{conn: conn, done: make(chan struct{})}
 }
 
-// writeFrame serializes one frame write on the connection.
-func (p *Pusher) writeFrame(payload []byte) error {
+// write serializes the write of one finished frame on the connection.
+func (p *Pusher) write(frame []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return WriteFrame(p.conn, payload)
+	return writeFrame(p.conn, frame)
 }
 
 // Push sends the sub-requests to the client as one server-initiated
@@ -68,15 +76,24 @@ func (p *Pusher) Push(subs []Request) error {
 	for i := range subs {
 		subs[i].ID = uint64(i + 1)
 	}
-	body, err := json.Marshal(subs)
-	if err != nil {
-		return fmt.Errorf("transport: encoding push: %w", err)
+	frame, at, _ := beginFrame(nil, nil)
+	if p.v2.Load() {
+		frame = appendSubRequests(appendEnvelope(frame, flagBatch, 0, BatchKind, ""), subs)
+	} else {
+		body, err := json.Marshal(subs)
+		if err != nil {
+			return fmt.Errorf("transport: encoding push: %w", err)
+		}
+		payload, err := json.Marshal(&Request{ID: 0, Kind: BatchKind, Body: body})
+		if err != nil {
+			return fmt.Errorf("transport: encoding push envelope: %w", err)
+		}
+		frame = append(frame, payload...)
 	}
-	frame, err := json.Marshal(&Request{ID: 0, Kind: BatchKind, Body: body})
-	if err != nil {
-		return fmt.Errorf("transport: encoding push envelope: %w", err)
+	if err := endFrame(frame, at); err != nil {
+		return err
 	}
-	if err := p.writeFrame(frame); err != nil {
+	if err := p.write(frame); err != nil {
 		if p.obs != nil {
 			p.obs.pushErrs.Inc()
 		}
@@ -84,7 +101,7 @@ func (p *Pusher) Push(subs []Request) error {
 	}
 	if p.obs != nil {
 		p.obs.pushes.Inc()
-		p.obs.tx.Add(uint64(4 + len(frame)))
+		p.obs.tx.Add(uint64(len(frame)))
 	}
 	return nil
 }
@@ -107,11 +124,4 @@ func (s *Server) HandlePush(kind string, h PushHandler) {
 	defer s.mu.Unlock()
 	s.pushHandlers[kind] = h
 	s.noBatch[kind] = true
-}
-
-func (s *Server) pushHandler(kind string) (PushHandler, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	h, ok := s.pushHandlers[kind]
-	return h, ok
 }

@@ -1,11 +1,14 @@
 package transport
 
 import (
+	"bufio"
 	"context"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,19 +16,48 @@ import (
 	"repro/internal/obsv"
 )
 
-// Request is the client->server envelope.
+// Request is the client->server envelope, and in wire v1 its JSON form.
 type Request struct {
 	ID   uint64          `json:"id"`
 	Kind string          `json:"kind"`
 	Body json.RawMessage `json:"body,omitempty"`
+
+	container bool // Body is a wire-v2 batch container, not a JSON list
 }
 
-// Response is the server->client envelope.
+// Response is the server->client envelope, and in wire v1 its JSON form.
 type Response struct {
 	ID    uint64          `json:"id"`
 	OK    bool            `json:"ok"`
 	Error string          `json:"error,omitempty"`
 	Body  json.RawMessage `json:"body,omitempty"`
+
+	// Set only on replies bound for a wire-v2 connection.
+	binary    bool // Body is the result's binary form, not JSON
+	container bool // Body is a batch container, not a JSON list
+}
+
+// flags is the response's wire-v2 flags byte, as an envelope or an entry.
+func (r *Response) flags() byte {
+	flags := byte(flagReply)
+	if !r.OK {
+		flags |= flagError
+	}
+	if r.binary {
+		flags |= flagBinary
+	}
+	if r.container {
+		flags |= flagBatch
+	}
+	return flags
+}
+
+// requestV1 is a v1 request frame as a v2-capable peer writes and reads
+// it: today's three fields, and the offer of wire v2 that a v1-only
+// server's decoder ignores.
+type requestV1 struct {
+	Request
+	V int `json:"v,omitempty"`
 }
 
 // Handler processes one request body and returns a response body.
@@ -260,22 +292,31 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
+	br := bufio.NewReaderSize(conn, readBufferSize)
+	// The reply's pieces and its frame are built in two buffers the
+	// connection reuses: a reply is written before the next request is read.
+	var enc replyEncoding
+	var out []byte
 	for {
-		header, frame, err := ReadFrameHeader(conn)
+		header, frame, err := ReadFrameHeader(br)
 		if err != nil {
 			return
 		}
 		if obs != nil {
 			obs.rx.Add(uint64(4 + len(header) + len(frame)))
 		}
-		var req Request
-		if err := json.Unmarshal(frame, &req); err != nil {
+		req, offered, err := parseRequest(frame)
+		if err != nil {
 			// Protocol violation: drop the connection.
 			if obs != nil {
 				obs.badFrames.Inc()
 			}
 			return
 		}
+		if offered && !pusher.v2.Load() {
+			pusher.v2.Store(true)
+		}
+		enc.v2, enc.scratch = pusher.v2.Load(), keepBuffer(enc.scratch)[:0]
 		ctx := context.Background()
 		if len(header) > 0 {
 			// A malformed trace header is ignored, never fatal: the
@@ -284,49 +325,131 @@ func (s *Server) serveConn(conn net.Conn) {
 				ctx = obsv.ContextWithTrace(ctx, tc)
 			}
 		}
-		resp := s.dispatchConn(ctx, &req, pusher)
-		out, err := json.Marshal(resp)
-		if err != nil {
+		resp := s.dispatchConn(ctx, req, pusher, &enc)
+		if out, err = appendReplyFrame(out[:0], resp, enc.v2); err != nil {
 			return
 		}
 		if obs != nil {
-			obs.tx.Add(uint64(4 + len(out)))
+			obs.tx.Add(uint64(len(out)))
 		}
-		if err := pusher.writeFrame(out); err != nil {
+		if err := pusher.write(out); err != nil {
 			return
 		}
+		out = keepBuffer(out)
 	}
 }
 
-func (s *Server) dispatch(req *Request) *Response {
-	return s.dispatchConn(context.Background(), req, nil)
+// parseRequest decodes one request frame of either wire version. offered
+// reports that the peer has shown it speaks v2: the frame is in v2, or is
+// a v1 frame carrying the offer.
+func parseRequest(frame []byte) (req *Request, offered bool, err error) {
+	if !isV2(frame) {
+		var wire requestV1
+		if err := json.Unmarshal(frame, &wire); err != nil {
+			return nil, false, err
+		}
+		return &wire.Request, wire.V >= offerV2, nil
+	}
+	env, err := parseEnvelope(frame)
+	if err != nil {
+		return nil, false, err
+	}
+	if env.reply || env.binary || !env.OK {
+		return nil, false, errMalformedV2
+	}
+	return &Request{ID: env.ID, Kind: env.Kind, Body: env.Body, container: env.batch}, true, nil
 }
+
+// appendReplyFrame appends resp as one whole frame, in the wire version
+// of the connection it was dispatched for.
+func appendReplyFrame(b []byte, resp *Response, v2 bool) ([]byte, error) {
+	b, at, _ := beginFrame(b, nil)
+	if v2 {
+		b = append(appendEnvelope(b, resp.flags(), resp.ID, "", resp.Error), resp.Body...)
+	} else {
+		payload, err := json.Marshal(resp)
+		if err != nil {
+			return b, err
+		}
+		b = append(b, payload...)
+	}
+	return b, endFrame(b, at)
+}
+
+func (s *Server) dispatch(req *Request) *Response {
+	return s.dispatchConn(context.Background(), req, nil, new(replyEncoding))
+}
+
+// replyEncoding is how replies are encoded for one connection: its wire
+// version and, for v2, the scratch buffer the pieces of one request's
+// reply are appended to — a binary body, or a batch's bodies side by side
+// and then their container — so that answering a hot read allocates no
+// buffer at all. A piece stays valid when the buffer grows: it keeps the
+// array it was written to. The zero value encodes for v1.
+type replyEncoding struct {
+	v2      bool
+	scratch []byte
+}
+
+// binaryAppender is how a result with a binary form is encoded without a
+// buffer of its own. Go 1.24 names it encoding.BinaryAppender; go.mod
+// says 1.22.
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
+
+// unknownKind labels, in metrics and span names, every request whose kind
+// no handler is registered for. The kind is the peer's to choose, so
+// labelling with it verbatim would let any peer mint a counter and a
+// histogram per request, each keyed by a string of up to a frame's size.
+const unknownKind = "_unknown"
 
 // dispatchConn routes one request. p is the requesting connection's
 // Pusher (nil when dispatching without a connection); handlers registered
-// via HandlePush receive it.
-func (s *Server) dispatchConn(ctx context.Context, req *Request, p *Pusher) *Response {
-	obs := s.observability()
+// via HandlePush receive it; enc is how that connection's replies are
+// encoded.
+func (s *Server) dispatchConn(ctx context.Context, req *Request, p *Pusher, enc *replyEncoding) *Response {
+	s.mu.RLock()
+	obs := s.obs
+	h, known := s.handlers[req.Kind]
+	ph, push := s.pushHandlers[req.Kind]
+	s.mu.RUnlock()
+	label := req.Kind
+	if !known && !push && req.Kind != BatchKind {
+		label = unknownKind
+	}
 	var start time.Time
 	var span *obsv.Span
 	if obs != nil {
 		start = time.Now()
 		if obs.tracer != nil {
-			ctx, span = obs.tracer.Start(ctx, "rpc."+req.Kind)
+			ctx, span = obs.tracer.Start(ctx, "rpc."+label)
 		}
 	}
-	resp := s.route(ctx, req, p)
+	var resp *Response
+	switch {
+	case req.Kind == BatchKind:
+		resp = s.dispatchBatch(ctx, req, enc)
+	case push:
+		result, err := ph(req.Body, p)
+		resp = enc.respond(req.ID, result, err)
+	case known:
+		result, err := h(ctx, req.Body)
+		resp = enc.respond(req.ID, result, err)
+	default:
+		resp = &Response{ID: req.ID, OK: false, Error: fmt.Sprintf("unknown request kind %q", req.Kind)}
+	}
 	if obs != nil {
-		obs.reqs.With(req.Kind).Inc()
+		obs.reqs.With(label).Inc()
 		// Exemplar-aware latency: sampled requests pin their trace id to
 		// the bucket they land in, so an SLO breach can name traces.
-		obs.lat.With(req.Kind).ObserveExemplar(time.Since(start).Seconds(), obsv.TraceFrom(ctx))
+		obs.lat.With(label).ObserveExemplar(time.Since(start).Seconds(), obsv.TraceFrom(ctx))
 		if !resp.OK {
-			obs.errs.With(req.Kind).Inc()
+			obs.errs.With(label).Inc()
 		}
 	}
 	if !resp.OK && s.errLimit.Allow() {
-		s.flight.Load().Record("rpc", "error", req.Kind+": "+resp.Error, 0, obsv.TraceFrom(ctx))
+		s.flight.Load().Record("rpc", "error", label+": "+resp.Error, 0, obsv.TraceFrom(ctx))
 	}
 	if span != nil {
 		if resp.OK {
@@ -338,37 +461,40 @@ func (s *Server) dispatchConn(ctx context.Context, req *Request, p *Pusher) *Res
 	return resp
 }
 
-// route performs the actual handler lookup and invocation.
-func (s *Server) route(ctx context.Context, req *Request, p *Pusher) *Response {
-	if req.Kind == BatchKind {
-		return s.dispatchBatch(ctx, req)
-	}
-	if ph, ok := s.pushHandler(req.Kind); ok {
-		body, err := ph(req.Body, p)
-		if err != nil {
-			return &Response{ID: req.ID, OK: false, Error: err.Error()}
-		}
-		enc, err := json.Marshal(body)
-		if err != nil {
-			return &Response{ID: req.ID, OK: false, Error: fmt.Sprintf("encoding response: %v", err)}
-		}
-		return &Response{ID: req.ID, OK: true, Body: enc}
-	}
-	s.mu.RLock()
-	h, ok := s.handlers[req.Kind]
-	s.mu.RUnlock()
-	if !ok {
-		return &Response{ID: req.ID, OK: false, Error: fmt.Sprintf("unknown request kind %q", req.Kind)}
-	}
-	body, err := h(ctx, req.Body)
+// respond encodes what a handler returned. On a wire-v2 connection a
+// result that implements encoding.BinaryMarshaler travels in that form;
+// everything else, and everything on v1, is JSON. Encoding happens here,
+// inside the span and the latency histogram, as it always has.
+func (enc *replyEncoding) respond(id uint64, result any, err error) *Response {
 	if err != nil {
-		return &Response{ID: req.ID, OK: false, Error: err.Error()}
+		return &Response{ID: id, OK: false, Error: err.Error()}
 	}
-	enc, err := json.Marshal(body)
+	resp := &Response{ID: id, OK: true}
+	if bm, ok := result.(encoding.BinaryMarshaler); ok && enc.v2 && !isNilPointer(result) {
+		resp.binary = true
+		start := len(enc.scratch)
+		if ba, ok := result.(binaryAppender); ok {
+			enc.scratch, err = ba.AppendBinary(enc.scratch)
+		} else {
+			var body []byte
+			body, err = bm.MarshalBinary()
+			enc.scratch = append(enc.scratch, body...)
+		}
+		resp.Body = enc.scratch[start:len(enc.scratch):len(enc.scratch)]
+	} else {
+		resp.Body, err = json.Marshal(result)
+	}
 	if err != nil {
-		return &Response{ID: req.ID, OK: false, Error: fmt.Sprintf("encoding response: %v", err)}
+		return &Response{ID: id, OK: false, Error: fmt.Sprintf("encoding response: %v", err)}
 	}
-	return &Response{ID: req.ID, OK: true, Body: enc}
+	return resp
+}
+
+// isNilPointer reports a typed nil pointer, which JSON encodes as null
+// and a MarshalBinary method may not survive.
+func isNilPointer(v any) bool {
+	rv := reflect.ValueOf(v)
+	return rv.Kind() == reflect.Pointer && rv.IsNil()
 }
 
 // Client is one connection to a Server, shared by any number of
@@ -383,7 +509,13 @@ type Client struct {
 	onPush func(subs []Request) // nil: pushed frames are dropped
 	done   chan struct{}        // closed when the reader has exited
 
-	wmu sync.Mutex // serializes frame writes
+	// v2 is the connection's one sticky bit: the peer has sent a wire-v2
+	// frame, so requests go out in v2 from now on. Until then they are v1
+	// JSON carrying the offer (wire2.go).
+	v2 atomic.Bool
+
+	wmu  sync.Mutex // serializes frame writes
+	wbuf []byte     // the frame being written; guarded by wmu
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -394,8 +526,9 @@ type Client struct {
 	timeout time.Duration             // default per-call deadline (SetTimeout)
 }
 
-// envelope is any frame a client can receive, decoded once: a Response,
-// or a server-initiated Request (Kind set). err is set only on the
+// envelope is any frame a client can receive, decoded once from either
+// wire version: a Response, or a server-initiated Request (a v1 frame
+// with Kind set, a v2 frame without flagReply). err is set only on the
 // envelope that tells a pending call its connection ended.
 type envelope struct {
 	ID    uint64          `json:"id"`
@@ -403,7 +536,11 @@ type envelope struct {
 	Kind  string          `json:"kind"`
 	Error string          `json:"error"`
 	Body  json.RawMessage `json:"body"`
-	err   error
+
+	reply  bool // a Response: v1 without a Kind, v2 with flagReply
+	binary bool // v2 flagBinary: Body is the result's binary form
+	batch  bool // v2 flagBatch: Body is a container
+	err    error
 }
 
 // DefaultDialTimeout bounds connection establishment for Dial. A dial
@@ -502,6 +639,34 @@ type ErrRemote struct{ Msg string }
 
 func (e *ErrRemote) Error() string { return "transport: remote error: " + e.Msg }
 
+// ErrBinaryBody reports a reply whose body arrived in its type's binary
+// form for an out that cannot read one: the caller decoded a kind into
+// something other than the type that kind answers with. It is an error,
+// never a silently zero out.
+type ErrBinaryBody struct {
+	Kind string // the request kind
+	Out  string // the Go type of the out that was offered
+}
+
+func (e *ErrBinaryBody) Error() string {
+	return fmt.Sprintf("transport: the %s reply is binary and %s does not implement encoding.BinaryUnmarshaler", e.Kind, e.Out)
+}
+
+// decodeBody unpacks one successful reply body into out (nil discards).
+func decodeBody(kind string, body []byte, isBinary bool, out any) error {
+	if out == nil {
+		return nil
+	}
+	if !isBinary {
+		return json.Unmarshal(body, out)
+	}
+	u, ok := out.(encoding.BinaryUnmarshaler)
+	if !ok {
+		return &ErrBinaryBody{Kind: kind, Out: fmt.Sprintf("%T", out)}
+	}
+	return u.UnmarshalBinary(body)
+}
+
 // Call sends a request of the given kind and decodes the response body
 // into out (which may be nil to discard).
 func (c *Client) Call(kind string, in any, out any) error {
@@ -514,20 +679,36 @@ func (c *Client) Call(kind string, in any, out any) error {
 // default) carries a sampled trace, the request frame carries a child
 // trace context in its header and, with SetTracer, a client span is
 // recorded.
-func (c *Client) CallCtx(ctx context.Context, kind string, in any, out any) (err error) {
+func (c *Client) CallCtx(ctx context.Context, kind string, in any, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("transport: encoding request: %w", err)
 	}
+	env, err := c.roundTrip(ctx, kind, body, c.v2.Load())
+	if err != nil {
+		return err
+	}
+	if err := decodeBody(kind, env.Body, env.binary, out); err != nil {
+		return fmt.Errorf("transport: decoding response body: %w", err)
+	}
+	return nil
+}
+
+// roundTrip sends one request — body under a v2 envelope when v2 is set
+// (a _batch body must then be a container: CallBatch's business, a JSON
+// list sent by hand through Call is answered "malformed batch body"),
+// under the v1 JSON envelope with the offer otherwise — and waits for its
+// reply, which it returns only if the server answered OK.
+func (c *Client) roundTrip(ctx context.Context, kind string, body []byte, v2 bool) (_ *envelope, err error) {
 	reply := make(chan *envelope, 1)
 	c.mu.Lock()
 	if c.err != nil {
 		defer c.mu.Unlock()
-		return c.err
+		return nil, c.err
 	}
 	c.nextID++
-	req := Request{ID: c.nextID, Kind: kind, Body: body}
-	c.pending[req.ID] = reply
+	id := c.nextID
+	c.pending[id] = reply
 	tc, tracer, timeout := c.trace, c.tracer, c.timeout
 	c.mu.Unlock()
 
@@ -548,26 +729,16 @@ func (c *Client) CallCtx(ctx context.Context, kind string, in any, out any) (err
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	frame, err := json.Marshal(&req)
-	if err != nil {
-		err = fmt.Errorf("transport: encoding envelope: %w", err)
-	} else {
-		err = c.send(ctx, header, frame)
-	}
-	if err == nil {
+	if err = c.send(ctx, header, &Request{ID: id, Kind: kind, Body: body}, v2); err == nil {
 		select {
 		case env := <-reply:
 			switch {
 			case env.err != nil:
-				return env.err
+				return nil, env.err
 			case !env.OK:
-				return &ErrRemote{Msg: env.Error}
-			case out != nil:
-				if err := json.Unmarshal(env.Body, out); err != nil {
-					return fmt.Errorf("transport: decoding response body: %w", err)
-				}
+				return nil, &ErrRemote{Msg: env.Error}
 			}
-			return nil
+			return env, nil
 		case <-ctx.Done():
 			err = fmt.Errorf("transport: awaiting %s response: %w", kind, ctx.Err())
 		}
@@ -575,22 +746,43 @@ func (c *Client) CallCtx(ctx context.Context, kind string, in any, out any) (err
 	// Giving up costs this call its reply and nothing else: the frame,
 	// if it still comes, is dropped by route.
 	c.mu.Lock()
-	delete(c.pending, req.ID)
+	delete(c.pending, id)
 	c.mu.Unlock()
-	return err
+	return nil, err
 }
 
-// send writes one frame, bounded by ctx's deadline when it has one. A
-// failed write may have left part of a frame on the socket, so it ends
-// the connection.
-func (c *Client) send(ctx context.Context, header, frame []byte) error {
+// send frames and writes one request, bounded by ctx's deadline when it
+// has one. A request that cannot be encoded fails alone; a failed write
+// may have left part of a frame on the socket, so it ends the connection.
+func (c *Client) send(ctx context.Context, header []byte, req *Request, v2 bool) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	buf, at, err := beginFrame(c.wbuf[:0], header)
+	if err != nil {
+		return err
+	}
+	if v2 {
+		var flags byte
+		if req.Kind == BatchKind {
+			flags = flagBatch
+		}
+		buf = append(appendEnvelope(buf, flags, req.ID, req.Kind, ""), req.Body...)
+	} else {
+		payload, err := json.Marshal(&requestV1{Request: *req, V: offerV2})
+		if err != nil {
+			return fmt.Errorf("transport: encoding envelope: %w", err)
+		}
+		buf = append(buf, payload...)
+	}
+	if err := endFrame(buf, at); err != nil {
+		return err
+	}
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = c.conn.SetWriteDeadline(deadline) // fails only on a closed connection, which the write reports
 		defer c.conn.SetWriteDeadline(time.Time{})
 	}
-	err := WriteFrameHeader(c.conn, header, frame)
+	err = writeFrame(c.conn, buf)
+	c.wbuf = keepBuffer(buf)
 	if err != nil {
 		c.fail(err)
 	}
@@ -616,11 +808,14 @@ func (c *Client) fail(err error) error {
 }
 
 // readLoop is the connection's only reader. It ends on the first read
-// or protocol error, which fails every pending call.
+// or protocol error, which fails every pending call. Reading through a
+// buffer makes a frame one read from the socket, not one for its length
+// word and one for its payload.
 func (c *Client) readLoop() {
 	defer close(c.done)
+	br := bufio.NewReaderSize(c.conn, readBufferSize)
 	for {
-		frame, err := ReadFrame(c.conn)
+		frame, err := ReadFrame(br)
 		if err != nil {
 			err = fmt.Errorf("transport: reading response: %w", err)
 		} else {
@@ -633,16 +828,29 @@ func (c *Client) readLoop() {
 	}
 }
 
-// route delivers one received frame: a reply to the pending call that
-// owns its ID, a pushed _batch to onPush. A reply nobody waits for (its
-// caller gave up) and a malformed push are dropped; an undecodable
-// envelope is fatal to the connection, as it is on the server side.
+// route delivers one received frame of either wire version: a reply to
+// the pending call that owns its ID, a pushed _batch to onPush. A reply
+// nobody waits for (its caller gave up) and a malformed push are dropped;
+// an undecodable envelope is fatal to the connection, as it is on the
+// server side. The first v2 frame flips the connection to v2.
 func (c *Client) route(frame []byte) error {
-	env := new(envelope)
-	if err := json.Unmarshal(frame, env); err != nil {
-		return fmt.Errorf("transport: decoding response: %w", err)
+	var env *envelope
+	if isV2(frame) {
+		var err error
+		if env, err = parseEnvelope(frame); err != nil {
+			return fmt.Errorf("transport: decoding response: %w", err)
+		}
+		if !c.v2.Load() {
+			c.v2.Store(true)
+		}
+	} else {
+		env = new(envelope)
+		if err := json.Unmarshal(frame, env); err != nil {
+			return fmt.Errorf("transport: decoding response: %w", err)
+		}
+		env.reply = env.Kind == ""
 	}
-	if env.Kind == "" {
+	if env.reply {
 		c.mu.Lock()
 		reply := c.pending[env.ID]
 		delete(c.pending, env.ID)
@@ -652,8 +860,17 @@ func (c *Client) route(frame []byte) error {
 		}
 		return nil
 	}
+	if c.onPush == nil || env.Kind != BatchKind {
+		return nil
+	}
 	var subs []Request
-	if c.onPush != nil && env.Kind == BatchKind && json.Unmarshal(env.Body, &subs) == nil && len(subs) <= MaxBatchCalls {
+	var err error
+	if env.batch {
+		subs, err = parseSubRequests(env.Body)
+	} else {
+		err = json.Unmarshal(env.Body, &subs)
+	}
+	if err == nil && len(subs) <= MaxBatchCalls {
 		c.onPush(subs)
 	}
 	return nil

@@ -265,8 +265,9 @@ func TestServerMetricsCountErrors(t *testing.T) {
 	if n := reg.Value(`rpc_errors_total{kind="boom"}`); n != 1 {
 		t.Fatalf("rpc_errors_total{boom} = %v", n)
 	}
-	if n := reg.Value(`rpc_errors_total{kind="missing"}`); n != 1 {
-		t.Fatalf("rpc_errors_total{missing} = %v", n)
+	// A kind nobody registered is the peer's string, not a label.
+	if n := reg.Value(`rpc_errors_total{kind="_unknown"}`); n != 1 {
+		t.Fatalf("rpc_errors_total{_unknown} = %v", n)
 	}
 	if n := reg.Value("rpc_rx_bytes_total"); n == 0 {
 		t.Fatal("rx bytes not counted")
