@@ -99,15 +99,15 @@ func verifyBatch(pks []*PublicKey, msgs [][]byte, sigs []*Signature) bool {
 	}
 	sigAcc := bls12381.G1MultiScalarMult(sigPoints, coeffs)
 	ps := make([]bls12381.G1Affine, 0, len(groups)+1)
-	qs := make([]bls12381.G2Affine, 0, len(groups)+1)
+	qs := make([]*bls12381.G2Prepared, 0, len(groups)+1)
 	ps = append(ps, sigAcc.Affine())
 	qs = append(qs, negG2())
 	for i := range groups {
 		acc := bls12381.G1MultiScalarMult(groups[i].points, groups[i].scalars)
 		ps = append(ps, acc.Affine())
-		qs = append(qs, groups[i].pk)
+		qs = append(qs, keyTables.get(&groups[i].pk))
 	}
-	return bls12381.PairingCheck(ps, qs)
+	return bls12381.PairingCheckPrepared(ps, qs)
 }
 
 // VerifyAggregateSameMsg is the fast path for n signers of the SAME
@@ -169,8 +169,9 @@ func (tk *ThresholdKey) verifyShareSignaturesBatch(msg []byte, shares []Signatur
 	pkAcc := bls12381.G2MultiScalarMult(pkPoints, coeffs)
 	h := bls12381.HashToG1(msg, SignatureDST)
 	apk := pkAcc.Affine()
-	return bls12381.PairingCheck(
+	// apk folds fresh random coefficients: prepared for this call only.
+	return bls12381.PairingCheckPrepared(
 		[]bls12381.G1Affine{sigAcc.Affine(), h},
-		[]bls12381.G2Affine{negG2(), apk},
+		[]*bls12381.G2Prepared{negG2(), bls12381.PrepareG2(&apk)},
 	)
 }

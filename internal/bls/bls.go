@@ -20,20 +20,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/bls12381"
 	"repro/internal/ff"
 )
-
-// negG2 is -G2, the fixed second argument of every verification
-// equation e(sig, -G2) * e(H(msg), pk) == 1, computed on first use.
-var negG2 = sync.OnceValue(func() bls12381.G2Affine {
-	g2 := bls12381.G2Generator()
-	var neg bls12381.G2Affine
-	neg.Neg(&g2)
-	return neg
-})
 
 // SignatureDST is the domain separation tag for message hashing.
 var SignatureDST = []byte("REPRO-BLS-SIG-V1")
@@ -142,9 +132,9 @@ func verifyWithDST(pk *PublicKey, msg []byte, sig *Signature, dst []byte) bool {
 		return false
 	}
 	h := bls12381.HashToG1(msg, dst)
-	return bls12381.PairingCheck(
+	return bls12381.PairingCheckPrepared(
 		[]bls12381.G1Affine{sig.p, h},
-		[]bls12381.G2Affine{negG2(), pk.p},
+		[]*bls12381.G2Prepared{negG2(), keyTables.get(&pk.p)},
 	)
 }
 
@@ -201,19 +191,21 @@ func VerifyAggregate(pks []*PublicKey, msgs [][]byte, sig *Signature) bool {
 		}
 		seen[string(m)] = true
 	}
+	for _, pk := range pks {
+		if pk == nil || pk.p.IsInfinity() {
+			return false
+		}
+	}
 	ps := make([]bls12381.G1Affine, 0, len(pks)+1)
-	qs := make([]bls12381.G2Affine, 0, len(pks)+1)
+	qs := make([]*bls12381.G2Prepared, 0, len(pks)+1)
 	ps = append(ps, sig.p)
 	qs = append(qs, negG2())
 	hashes := bls12381.HashToG1Batch(msgs, SignatureDST)
 	for i, pk := range pks {
-		if pk == nil || pk.p.IsInfinity() {
-			return false
-		}
 		ps = append(ps, hashes[i])
-		qs = append(qs, pk.p)
+		qs = append(qs, keyTables.get(&pk.p))
 	}
-	return bls12381.PairingCheck(ps, qs)
+	return bls12381.PairingCheckPrepared(ps, qs)
 }
 
 // Bytes returns the 96-byte compressed encoding of pk.

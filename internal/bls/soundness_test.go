@@ -86,10 +86,21 @@ func seededMessage(rng *rand.Rand) []byte {
 	return m
 }
 
+// TestVerifySoundnessTable runs the table twice over the same seeded
+// sequence: cold, with the key memo emptied before every check, so
+// every key's line table is built for that call; and warm, where the
+// honest check memoizes the keys and every tamper then runs against
+// memoized tables.
 func TestVerifySoundnessTable(t *testing.T) {
+	t.Run("cold", func(t *testing.T) { verifySoundnessTable(t, false) })
+	t.Run("warm", func(t *testing.T) { verifySoundnessTable(t, true) })
+}
+
+func verifySoundnessTable(t *testing.T, warm bool) {
 	// ~0.1 s per iteration (twenty pairing checks); the race detector
 	// multiplies that by twelve, so it and -short run a prefix of the
 	// same seeded sequence.
+	keyTables.reset()
 	iterations := 256
 	if testing.Short() || raceDetector {
 		iterations = 16
@@ -144,12 +155,21 @@ func TestVerifySoundnessTable(t *testing.T) {
 			}},
 		}
 		for _, e := range entries {
+			if !warm {
+				keyTables.reset()
+			}
 			if !e.verify(e.fixture) {
 				t.Fatalf("iteration %d: %s rejected the honest input", it, e.name)
+			}
+			if warm && e.fixture == &indep && !keyTables.contains(indep.pks[0]) {
+				t.Fatalf("iteration %d: %s did not memoize the signer's table", it, e.name)
 			}
 			for _, tm := range soundnessTampers {
 				tr := e.fixture.clone()
 				tm.apply(&tr, other)
+				if !warm {
+					keyTables.reset()
+				}
 				if e.verify(&tr) {
 					t.Fatalf("iteration %d: %s accepted input with %s", it, e.name, tm.name)
 				}

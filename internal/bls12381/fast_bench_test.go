@@ -190,3 +190,24 @@ func BenchmarkPairingCheck10(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkMillerLoop2 is the Miller loop of one signature check (two
+// pairs): cold walks both G2 points and builds their line tables inside
+// the loop, as PairingCheck does; warm evaluates tables built once, as
+// bls does for -G2 and a memoized key. CI gates warm >= 1.2x cold.
+func BenchmarkMillerLoop2(b *testing.B) {
+	ps := []G1Affine{randG1(b), randG1(b)}
+	qs := []G2Affine{randG2(b), randG2(b)}
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = MillerLoopBatch(ps, qs)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		tables := []*G2Prepared{PrepareG2(&qs[0]), PrepareG2(&qs[1])}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = millerLoopPrepared(ps, tables)
+		}
+	})
+}

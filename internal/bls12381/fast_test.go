@@ -540,6 +540,20 @@ func TestG1ScalarBaseMultAllocs(t *testing.T) {
 	}
 }
 
+// TestHashToFieldAttemptAllocs: a try-and-increment attempt allocates
+// nothing; the per-message input is built once by hashToFieldInput.
+func TestHashToFieldAttemptAllocs(t *testing.T) {
+	in := hashToFieldInput(make([]byte, 1024), []byte("ALLOC-DST"))
+	ctr := uint32(0)
+	allocs := testing.AllocsPerRun(10, func() {
+		_, _ = hashToFieldAttempt(in, ctr)
+		ctr++
+	})
+	if allocs > 0 {
+		t.Fatalf("hashToFieldAttempt allocates %.1f objects per attempt, want 0", allocs)
+	}
+}
+
 // FuzzGLVSplit: for any 32 bytes interpreted as a scalar, the GLV
 // decomposition must recombine exactly and stay within its bounds.
 func FuzzGLVSplit(f *testing.F) {

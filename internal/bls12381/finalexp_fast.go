@@ -27,17 +27,12 @@ import (
 
 // cycExpNegX computes f^x for the (negative) BLS parameter x, assuming f
 // is in the cyclotomic subgroup: f^|x| by square-and-multiply, then
-// conjugate.
+// conjugate. The top bit is set, so the chain starts from out = f
+// rather than multiplying 1*f.
 func cycExpNegX(f *ff.Fp12) ff.Fp12 {
-	out := ff.Fp12One()
-	msb := 63
-	for msb >= 0 && (blsX>>uint(msb))&1 == 0 {
-		msb--
-	}
-	for i := msb; i >= 0; i-- {
-		if i != msb {
-			out.CyclotomicSquare(&out)
-		}
+	out := *f
+	for i := millerTopBit() - 1; i >= 0; i-- {
+		out.CyclotomicSquare(&out)
 		if (blsX>>uint(i))&1 == 1 {
 			out.Mul(&out, f)
 		}

@@ -3,7 +3,6 @@ package bls12381
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"math/big"
 
 	"repro/internal/ff"
 )
@@ -36,8 +35,9 @@ func HashToG1(msg []byte, dst []byte) G1Affine {
 // hashToG1Jac is the core of HashToG1, stopping before the affine
 // normalization so batch callers can share one inversion.
 func hashToG1Jac(msg []byte, dst []byte) G1Jac {
+	in := hashToFieldInput(msg, dst)
 	for ctr := uint32(0); ctr < 65536; ctr++ {
-		x, signBit := hashToFieldAttempt(msg, dst, ctr)
+		x, signBit := hashToFieldAttempt(in, ctr)
 		// y^2 = x^3 + 4
 		var y2, y ff.Fp
 		y2.Square(&x)
@@ -78,35 +78,48 @@ func HashToG1Batch(msgs [][]byte, dst []byte) []G1Affine {
 	return g1BatchAffine(jacs)
 }
 
-// hashToFieldAttempt derives (x, signBit) for attempt ctr. It expands the
-// hash to 64 bytes (two SHA-256 blocks) so the reduction mod p has
-// negligible bias.
-func hashToFieldAttempt(msg, dst []byte, ctr uint32) (ff.Fp, int) {
-	var ctrBuf [4]byte
-	binary.BigEndian.PutUint32(ctrBuf[:], ctr)
+const (
+	hashTag0 = "BLS12381G1-TAI-0"
+	hashTag1 = "BLS12381G1-TAI-1"
+)
 
-	h1 := sha256.New()
-	h1.Write([]byte("BLS12381G1-TAI-0"))
-	h1.Write(lengthPrefixed(dst))
-	h1.Write(lengthPrefixed(msg))
-	h1.Write(ctrBuf[:])
-	d1 := h1.Sum(nil)
+// hashToFieldInput builds the first hash's input for every attempt on
+// (msg, dst): hashTag0 || len(dst) || dst || len(msg) || msg || ctr,
+// lengths and counter 4-byte big-endian (so (dst, msg) pairs cannot
+// collide across different boundaries), counter zero. It is built once
+// per message; each attempt rewrites only the counter.
+func hashToFieldInput(msg, dst []byte) []byte {
+	in := make([]byte, 0, len(hashTag0)+4+len(dst)+4+len(msg)+4)
+	in = append(in, hashTag0...)
+	in = binary.BigEndian.AppendUint32(in, uint32(len(dst)))
+	in = append(in, dst...)
+	in = binary.BigEndian.AppendUint32(in, uint32(len(msg)))
+	in = append(in, msg...)
+	return append(in, 0, 0, 0, 0)
+}
 
-	h2 := sha256.New()
-	h2.Write([]byte("BLS12381G1-TAI-1"))
-	h2.Write(d1)
-	d2 := h2.Sum(nil)
-
-	wide := append(d1, d2...)
-	v := new(big.Int).SetBytes(wide)
+// hashToFieldAttempt derives (x, signBit) for attempt ctr from the
+// input built by hashToFieldInput. It expands the hash to 64 bytes
+// (d1 = SHA-256 of the input, d2 = SHA-256 of hashTag1 || d1) so the
+// reduction mod p has negligible bias. Nothing escapes: both digests
+// and the second input are fixed arrays.
+func hashToFieldAttempt(in []byte, ctr uint32) (ff.Fp, int) {
+	binary.BigEndian.PutUint32(in[len(in)-4:], ctr)
+	var wide [64]byte
+	d1 := sha256.Sum256(in)
+	var in2 [len(hashTag1) + sha256.Size]byte
+	copy(in2[:], hashTag1)
+	copy(in2[len(hashTag1):], d1[:])
+	d2 := sha256.Sum256(in2[:])
+	copy(wide[:32], d1[:])
+	copy(wide[32:], d2[:])
 	var x ff.Fp
-	x.SetBig(v)
-	signBit := int(d2[31] & 1)
-	return x, signBit
+	x.SetBytesWide(wide[:])
+	return x, int(d2[31] & 1)
 }
 
 // lengthPrefixed returns a 4-byte big-endian length followed by b, so
-// (dst, msg) pairs cannot collide across different boundaries.
+// HashToFr's parts cannot collide across different boundaries.
 func lengthPrefixed(b []byte) []byte {
 	out := make([]byte, 4+len(b))
 	binary.BigEndian.PutUint32(out, uint32(len(b)))

@@ -108,3 +108,88 @@ func FuzzPairMatchesOracle(f *testing.F) {
 		}
 	})
 }
+
+// TestPreparedMatchesOnTheFly pins the two halves of the Miller loop:
+// evaluating precomputed line tables (one table shared by every pair
+// with the same Q, as a memo hands them out), preparing on the fly
+// (MillerLoopBatch) and the per-pair affine oracle agree after the
+// final exponentiation, with infinity on either side and a repeated Q.
+func TestPreparedMatchesOnTheFly(t *testing.T) {
+	var br oracleBranches
+	for _, n := range []int{1, 2, 3, 5, 10, 17} {
+		ps := make([]G1Affine, n)
+		qs := make([]G2Affine, n)
+		for i := 0; i < n; i++ {
+			ps[i], qs[i] = randG1(t), randG2(t)
+		}
+		if n > 2 {
+			ps[1] = G1Affine{Infinity: true}
+			qs[n-1] = qs[0] // repeated Q, distinct P
+		}
+		if n > 3 {
+			qs[2] = G2Affine{Infinity: true}
+		}
+		tables := make([]*G2Prepared, n)
+		for i := range qs {
+			tables[i] = PrepareG2(&qs[i])
+			if want := millerSteps(); !qs[i].Infinity && len(tables[i].lines) != want {
+				t.Fatalf("n=%d: table %d has %d lines, want %d", n, i, len(tables[i].lines), want)
+			}
+		}
+		if n > 2 {
+			tables[n-1] = tables[0] // one table serving two pairs
+		}
+		prepared := millerLoopPrepared(ps, tables)
+		onTheFly := MillerLoopBatch(ps, qs)
+		oracle := millerProductOracle(ps, qs, &br)
+		got := FinalExponentiation(&prepared)
+		fly := FinalExponentiation(&onTheFly)
+		want := FinalExponentiation(&oracle)
+		if !got.Equal(&want) || !fly.Equal(&want) {
+			t.Fatalf("n=%d: prepared / on-the-fly / oracle disagree after final exponentiation (prepared ok %v, on-the-fly ok %v)",
+				n, got.Equal(&want), fly.Equal(&want))
+		}
+	}
+	if br.doublings == 0 || br.additions == 0 || br.infinitySkips == 0 {
+		t.Fatal("corpus missed a Miller-loop branch")
+	}
+	if inf := PrepareG2(&G2Affine{Infinity: true}); len(inf.lines) != 0 {
+		t.Fatal("the point at infinity got a non-empty line table")
+	}
+}
+
+// TestPairingCheckPreparedMatchesPairingCheck: on valid and broken
+// relations, across the worker-sharded sizes, the table-taking check
+// answers exactly as the point-taking one.
+func TestPairingCheckPreparedMatchesPairingCheck(t *testing.T) {
+	g1 := G1Generator()
+	var negG1 G1Affine
+	negG1.Neg(&g1)
+	for _, relations := range []int{1, 2, 5} {
+		var ps []G1Affine
+		var qs []G2Affine
+		for i := 0; i < relations; i++ {
+			k := randFr(t)
+			kP, kQ := G1ScalarBaseMult(&k), G2ScalarBaseMult(&k)
+			ps = append(ps, kP, negG1) // e(kP, Q) * e(-G1, kQ) == 1
+			qs = append(qs, G2Generator(), kQ)
+		}
+		tables := make([]*G2Prepared, len(qs))
+		for i := range qs {
+			tables[i] = PrepareG2(&qs[i])
+		}
+		if !PairingCheck(ps, qs) || !PairingCheckPrepared(ps, tables) {
+			t.Fatalf("%d relations: valid product rejected", relations)
+		}
+		ps[0] = g1
+		if PairingCheck(ps, qs) || PairingCheckPrepared(ps, tables) {
+			t.Fatalf("%d relations: broken product accepted", relations)
+		}
+		if PairingCheckPrepared(ps, tables[1:]) {
+			t.Fatalf("%d relations: length mismatch accepted", relations)
+		}
+	}
+	if !PairingCheckPrepared(nil, nil) {
+		t.Fatal("empty product is 1 and must pass")
+	}
+}

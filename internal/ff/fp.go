@@ -5,7 +5,7 @@
 // All arithmetic is constant-size (fixed limb counts) Montgomery arithmetic
 // built on math/bits; math/big is used only at package init to derive
 // Montgomery constants and inside slow paths that are explicitly documented
-// (hash-to-field reduction, exponent setup). The implementation is not
+// (encoding and decoding, exponent bits). The implementation is not
 // constant-time; it is a reproduction substrate, not a hardened library.
 package ff
 
@@ -154,6 +154,36 @@ func (z *Fp) SetBytes(in []byte) error {
 	bigToLimbs(v, z[:])
 	z.toMont()
 	return nil
+}
+
+// SetBytesWide sets z to the big-endian integer in (any length) reduced
+// mod p and returns z. Unlike SetBig it allocates nothing: it folds
+// 32-byte chunks (each below p, so each is a canonical residue) in by
+// Horner's rule, acc = acc*2^256 + chunk, in Montgomery form. Hash to
+// field calls it once per try-and-increment attempt.
+func (z *Fp) SetBytesWide(in []byte) *Fp {
+	const chunk = 32
+	var shift Fp // 2^256
+	shift[chunk/8] = 1
+	shift.toMont()
+	var acc Fp
+	n := len(in) % chunk
+	if n == 0 {
+		n = chunk
+	}
+	for len(in) > 0 {
+		var c Fp
+		for i, b := range in[:n] {
+			bit := 8 * (n - 1 - i)
+			c[bit/64] |= uint64(b) << (bit % 64)
+		}
+		c.toMont()
+		acc.Mul(&acc, &shift)
+		acc.Add(&acc, &c)
+		in, n = in[n:], chunk
+	}
+	*z = acc
+	return z
 }
 
 // Bytes returns the canonical 48-byte big-endian encoding of z.
@@ -309,11 +339,10 @@ func fpMontMulGeneric(z, a, b *Fp) {
 	fpReduce(z)
 }
 
-// Mul sets z = a * b and returns z.
+// Mul sets z = a * b and returns z. fpMontMul reads every limb of a
+// and b before it writes z, so z may alias either operand.
 func (z *Fp) Mul(a, b *Fp) *Fp {
-	var out Fp
-	fpMontMul(&out, a, b)
-	*z = out
+	fpMontMul(z, a, b)
 	return z
 }
 

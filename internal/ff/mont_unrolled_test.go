@@ -10,12 +10,39 @@ import (
 // loops on random operands and on the boundary values where reduction
 // behavior differs.
 
+// fpBoundaryResidues are the raw limb patterns where a carry chain or
+// the final conditional subtraction changes behaviour: 0, 1, p-1, p-2,
+// R mod p, R^2 mod p, each limb alone at its all-ones maximum, and every
+// limb at its maximum below p (top limb p[5]-1, the rest all ones).
+func fpBoundaryResidues() []Fp {
+	one := big.NewInt(1)
+	vals := []*big.Int{
+		big.NewInt(0), one,
+		new(big.Int).Sub(fpP, one), new(big.Int).Sub(fpP, big.NewInt(2)),
+		limbsToBig(fpOne[:]), limbsToBig(fpRSquare[:]),
+	}
+	for i := 0; i < fpLimbs-1; i++ {
+		var l Fp
+		l[i] = ^uint64(0)
+		vals = append(vals, limbsToBig(l[:]))
+	}
+	allMax := Fp{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), fpModulus[5] - 1}
+	vals = append(vals, limbsToBig(allMax[:]))
+	out := make([]Fp, len(vals))
+	for i, v := range vals {
+		if v.Cmp(fpP) >= 0 {
+			panic("boundary residue not below p")
+		}
+		out[i] = bigToFpRaw(v)
+	}
+	return out
+}
+
+// TestFpMontMulUnrolledMatchesGeneric pins the production two-row
+// kernel to the generic CIOS loop on every boundary pair and on random
+// residues.
 func TestFpMontMulUnrolledMatchesGeneric(t *testing.T) {
-	cases := []Fp{{}, fpOne, fpRSquare}
-	var pm1 Fp
-	copy(pm1[:], fpModulus[:])
-	pm1[0]-- // p-1 as a raw residue
-	cases = append(cases, pm1)
+	cases := fpBoundaryResidues()
 	for i := 0; i < 200; i++ {
 		a, err := RandFp()
 		if err != nil {
@@ -30,6 +57,12 @@ func TestFpMontMulUnrolledMatchesGeneric(t *testing.T) {
 			fpMontMulGeneric(&slow, &cases[i], &cases[j])
 			if !fast.Equal(&slow) {
 				t.Fatalf("fpMontMul(%d, %d): unrolled != generic", i, j)
+			}
+			// In place, as Fp.Mul calls it.
+			alias := cases[i]
+			fpMontMul(&alias, &alias, &cases[j])
+			if !alias.Equal(&slow) {
+				t.Fatalf("fpMontMul(%d, %d): aliased result != generic", i, j)
 			}
 		}
 	}
@@ -61,10 +94,18 @@ func TestFrMontMulUnrolledMatchesGeneric(t *testing.T) {
 }
 
 // FuzzFpMontMul cross-checks the unrolled kernel against the generic
-// loop on arbitrary limb patterns (reduced mod p first so both see
-// valid residues).
+// loop on arbitrary raw limb patterns (reduced mod p first so both see
+// valid residues), seeded with every pair of boundary residues.
 func FuzzFpMontMul(f *testing.F) {
-	f.Add(make([]byte, 96))
+	bounds := fpBoundaryResidues()
+	for i := range bounds {
+		for j := range bounds {
+			seed := make([]byte, 96)
+			limbsToBig(bounds[i][:]).FillBytes(seed[:48])
+			limbsToBig(bounds[j][:]).FillBytes(seed[48:])
+			f.Add(seed)
+		}
+	}
 	seed := make([]byte, 96)
 	if _, err := rand.Read(seed); err == nil {
 		f.Add(seed)
@@ -73,9 +114,8 @@ func FuzzFpMontMul(f *testing.F) {
 		if len(data) != 96 {
 			return
 		}
-		var a, b Fp
-		a.SetBig(new(big.Int).SetBytes(data[:48]))
-		b.SetBig(new(big.Int).SetBytes(data[48:]))
+		a := bigToFpRaw(new(big.Int).Mod(new(big.Int).SetBytes(data[:48]), fpP))
+		b := bigToFpRaw(new(big.Int).Mod(new(big.Int).SetBytes(data[48:]), fpP))
 		var fast, slow Fp
 		fpMontMul(&fast, &a, &b)
 		fpMontMulGeneric(&slow, &a, &b)
