@@ -245,10 +245,11 @@ func benchmarkAudit(b *testing.B, n int) {
 	}
 }
 
-func BenchmarkAuditDomains2(b *testing.B) { benchmarkAudit(b, 2) }
-func BenchmarkAuditDomains3(b *testing.B) { benchmarkAudit(b, 3) }
-func BenchmarkAuditDomains5(b *testing.B) { benchmarkAudit(b, 5) }
-func BenchmarkAuditDomains8(b *testing.B) { benchmarkAudit(b, 8) }
+func BenchmarkAuditDomains2(b *testing.B)  { benchmarkAudit(b, 2) }
+func BenchmarkAuditDomains3(b *testing.B)  { benchmarkAudit(b, 3) }
+func BenchmarkAuditDomains5(b *testing.B)  { benchmarkAudit(b, 5) }
+func BenchmarkAuditDomains8(b *testing.B)  { benchmarkAudit(b, 8) }
+func BenchmarkAuditDomains16(b *testing.B) { benchmarkAudit(b, 16) }
 
 // Ablation D: end-to-end update latency (sign, ship to all domains,
 // verify, log, sandbox restart) for a 3-domain deployment.

@@ -259,9 +259,8 @@ func (c *Client) Close() {
 	c.endpoints = make(map[string]*transport.ManagedClient)
 }
 
-// call issues one RPC to the endpoint at addr under the client's trace
-// and per-call deadline.
-func (c *Client) call(addr, kind string, in, out any) error {
+// endpoint returns addr's managed endpoint and a context with the client's trace and deadline.
+func (c *Client) endpoint(addr string) (*transport.ManagedClient, context.Context, context.CancelFunc) {
 	c.mu.Lock()
 	m := c.endpoints[addr]
 	if m == nil {
@@ -271,11 +270,17 @@ func (c *Client) call(addr, kind string, in, out any) error {
 	ctx := obsv.ContextWithTrace(context.Background(), c.trace)
 	timeout := c.timeout
 	c.mu.Unlock()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+	if timeout <= 0 {
+		return m, ctx, func() {}
 	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	return m, ctx, cancel
+}
+
+// call issues one RPC to the endpoint at addr.
+func (c *Client) call(addr, kind string, in, out any) error {
+	m, ctx, cancel := c.endpoint(addr)
+	defer cancel()
 	return m.CallCtx(ctx, kind, in, out)
 }
 
@@ -297,15 +302,17 @@ func (c *Client) FetchStatus(name string) (*AttestedStatusEnvelope, error) {
 	if err != nil {
 		return nil, err
 	}
-	var resp domain.StatusResponse
-	if err := c.call(info.Addr, "status", domain.StatusRequest{Nonce: nonce}, &resp); err != nil {
+	env := &AttestedStatusEnvelope{Nonce: nonce}
+	err = c.call(info.Addr, "status", domain.StatusRequest{Nonce: nonce}, &env.Resp)
+	return c.statusReply(name, env, err)
+}
+
+// statusReply authenticates a status reply unless its RPC failed (err).
+func (c *Client) statusReply(name string, env *AttestedStatusEnvelope, err error) (*AttestedStatusEnvelope, error) {
+	if err != nil {
 		return nil, fmt.Errorf("audit: status from %s: %w", name, err)
 	}
-	env := &AttestedStatusEnvelope{Nonce: nonce, Resp: resp}
-	if err := VerifyStatusEnvelope(&c.params, env); err != nil {
-		return env, err
-	}
-	return env, nil
+	return env, VerifyStatusEnvelope(&c.params, env)
 }
 
 // FetchHistory retrieves and authenticates one domain's full history.
@@ -326,15 +333,51 @@ func (c *Client) FetchHistoryFrom(name string, from int) (*AttestedHistoryEnvelo
 	if err != nil {
 		return nil, err
 	}
-	var resp domain.HistoryResponse
-	if err := c.call(info.Addr, "history", domain.HistoryRequest{Nonce: nonce, From: from}, &resp); err != nil {
+	env := &AttestedHistoryEnvelope{Nonce: nonce}
+	err = c.call(info.Addr, "history", domain.HistoryRequest{Nonce: nonce, From: from}, &env.Resp)
+	return c.historyReply(name, env, err)
+}
+
+// historyReply is statusReply for a history reply.
+func (c *Client) historyReply(name string, env *AttestedHistoryEnvelope, err error) (*AttestedHistoryEnvelope, error) {
+	if err != nil {
 		return nil, fmt.Errorf("audit: history from %s: %w", name, err)
 	}
-	env := &AttestedHistoryEnvelope{Nonce: nonce, Resp: resp}
-	if err := VerifyHistoryEnvelope(&c.params, env); err != nil {
-		return env, err
+	return env, VerifyHistoryEnvelope(&c.params, env)
+}
+
+// domainFetch is one domain's audit batch, as FetchStatus/FetchHistoryFrom would return it.
+type domainFetch struct {
+	from                  int
+	status                *AttestedStatusEnvelope
+	history               *AttestedHistoryEnvelope
+	statusErr, historyErr error
+}
+
+// fetchDomain asks one domain in one _batch frame for its status and its
+// history from the cached length, each under its own fresh nonce.
+func (c *Client) fetchDomain(info *DomainInfo) (f domainFetch) {
+	f.from = c.CachedHistoryLen(info.Name)
+	stNonce, err := newNonce()
+	histNonce, histErr := newNonce()
+	if f.statusErr = errors.Join(err, histErr); f.statusErr != nil {
+		return f
 	}
-	return env, nil
+	m, ctx, cancel := c.endpoint(info.Addr)
+	defer cancel()
+	results, err := m.CallBatch(ctx, []transport.BatchCall{
+		{Kind: "status", In: domain.StatusRequest{Nonce: stNonce}},
+		{Kind: "history", In: domain.HistoryRequest{Nonce: histNonce, From: f.from}},
+	})
+	if err != nil {
+		f.status, f.statusErr = c.statusReply(info.Name, nil, err)
+		return f
+	}
+	st := &AttestedStatusEnvelope{Nonce: stNonce}
+	f.status, f.statusErr = c.statusReply(info.Name, st, results[0].Decode(&st.Resp))
+	hist := &AttestedHistoryEnvelope{Nonce: histNonce}
+	f.history, f.historyErr = c.historyReply(info.Name, hist, results[1].Decode(&hist.Resp))
+	return f
 }
 
 // CachedHistoryLen reports how many history records the client has
@@ -349,15 +392,15 @@ func (c *Client) CachedHistoryLen(name string) int {
 }
 
 // auditHistory obtains the domain's verified record list for this
-// audit. With a cache and an attested status at least as long, it
-// fetches only the suffix and verifies the extension; any mismatch
-// (wrong suffix length, extension that does not reach the attested
-// head, or a domain that cannot serve deltas) falls back to the full
-// fetch-and-rehash path, so a lying domain gains nothing — it only
-// forfeits the optimization. Returns the envelope to record in the
-// report, the complete raw record list, and whether the full list
-// chains to the attested head.
-func (c *Client) auditHistory(name string, st *AttestedStatusEnvelope) (*AttestedHistoryEnvelope, [][]byte, bool, error) {
+// audit. With a cache and an attested status at least as long, f holds
+// the suffix, and the extension is verified; any mismatch (wrong suffix
+// length, extension that does not reach the attested head, or a domain
+// that cannot serve deltas) falls back to the full fetch-and-rehash path,
+// so a lying domain gains nothing — it only forfeits the optimization;
+// without a cache f holds the full history. Returns the envelope for the
+// report, the complete raw record list, and whether it chains to the
+// attested head.
+func (c *Client) auditHistory(name string, st *AttestedStatusEnvelope, f *domainFetch) (*AttestedHistoryEnvelope, [][]byte, bool, error) {
 	status := st.Resp.Status
 	var attested aolog.Digest
 	copy(attested[:], status.LogHead)
@@ -365,8 +408,8 @@ func (c *Client) auditHistory(name string, st *AttestedStatusEnvelope) (*Atteste
 	c.mu.Lock()
 	cached := c.hist[name]
 	c.mu.Unlock()
-	if cached != nil && status.LogLen >= cached.len {
-		env, err := c.FetchHistoryFrom(name, cached.len)
+	env, err := f.history, f.historyErr
+	if cached != nil && status.LogLen >= cached.len && f.from == cached.len {
 		switch {
 		case err == nil && env.Resp.From == cached.len &&
 			len(env.Resp.Records) == status.LogLen-cached.len &&
@@ -392,8 +435,9 @@ func (c *Client) auditHistory(name string, st *AttestedStatusEnvelope) (*Atteste
 			// the domain is really unreachable).
 		}
 	}
-
-	env, err := c.FetchHistory(name)
+	if cached != nil || f.from != 0 {
+		env, err = c.FetchHistory(name)
+	}
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -407,14 +451,26 @@ func (c *Client) auditHistory(name string, st *AttestedStatusEnvelope) (*Atteste
 	return env, records, chainOK, nil
 }
 
-// Audit performs the full audit protocol against every domain.
+// Audit performs the full audit protocol against every domain: one round trip
+// per domain, all at once, then every check in params.Domains order.
 func (c *Client) Audit() (*Report, error) {
+	fetched := make([]domainFetch, len(c.params.Domains))
+	var wg sync.WaitGroup
+	for i := range c.params.Domains {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fetched[i] = c.fetchDomain(&c.params.Domains[i])
+		}(i)
+	}
+	wg.Wait()
+
 	report := &Report{Consistent: true}
 	for i := range c.params.Domains {
 		info := c.params.Domains[i]
 		da := DomainAudit{Info: info}
 
-		stEnv, err := c.FetchStatus(info.Name)
+		stEnv, err := fetched[i].status, fetched[i].statusErr
 		if err != nil {
 			var me *MeasurementError
 			if errors.As(err, &me) && stEnv != nil {
@@ -465,7 +521,7 @@ func (c *Client) Audit() (*Report, error) {
 		c.last[info.Name] = *stEnv
 		c.mu.Unlock()
 
-		histEnv, records, chainOK, err := c.auditHistory(info.Name, stEnv)
+		histEnv, records, chainOK, err := c.auditHistory(info.Name, stEnv, &fetched[i])
 		if err != nil {
 			return nil, err
 		}

@@ -18,11 +18,16 @@ import (
 // wire protocol.
 type evilDomain struct {
 	name    string
+	dev     *framework.Developer
+	enclave *tee.Enclave
 	fwA     *framework.Framework
 	fwB     *framework.Framework
 	flipped atomic.Bool
-	server  *transport.Server
-	addr    string
+	// splitHistory serves the history of the framework the status does
+	// not come from.
+	splitHistory atomic.Bool
+	server       *transport.Server
+	addr         string
 }
 
 func startEvilDomain(t *testing.T) (*evilDomain, Params) {
@@ -58,7 +63,7 @@ func startEvilDomain(t *testing.T) (*evilDomain, Params) {
 		t.Fatal(err)
 	}
 
-	ed := &evilDomain{name: "evil", fwA: fwA, fwB: fwB, server: transport.NewServer()}
+	ed := &evilDomain{name: "evil", dev: dev, enclave: enclave, fwA: fwA, fwB: fwB, server: transport.NewServer()}
 	ed.server.Handle("status", func(body json.RawMessage) (any, error) {
 		var req domain.StatusRequest
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -77,7 +82,7 @@ func startEvilDomain(t *testing.T) (*evilDomain, Params) {
 			return nil, err
 		}
 		fw := ed.fwA
-		if ed.flipped.Load() {
+		if ed.flipped.Load() != ed.splitHistory.Load() {
 			fw = ed.fwB
 		}
 		records := fw.History()

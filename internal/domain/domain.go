@@ -61,15 +61,14 @@ type HistoryRequest struct {
 }
 
 // HistoryResponse returns the update-record history from index From
-// (0 = full history) plus an authentication of (records, nonce): an
-// attestation-key signature for TEE domains, a host-key signature for
-// domain 0.
+// (0 = full history) plus an authentication of (records, nonce): a quote
+// whose report data is the binding for TEE domains, a host-key signature
+// for domain 0.
 type HistoryResponse struct {
 	Domain  string     `json:"domain"`
 	From    int        `json:"from,omitempty"`
 	Records [][]byte   `json:"records"`
 	Quote   *tee.Quote `json:"quote,omitempty"`
-	AttSig  []byte     `json:"att_sig,omitempty"`
 	HostKey []byte     `json:"host_key,omitempty"`
 	HostSig []byte     `json:"host_sig,omitempty"`
 }
@@ -105,9 +104,6 @@ type UpdateRequest struct {
 	DevSig      []byte `json:"dev_sig"`
 	StageOnly   bool   `json:"stage_only"`
 }
-
-// HistoryContext is the attestation-signature context for history replies.
-const HistoryContext = "domain-history-v1"
 
 // HistoryBinding hashes (records, nonce) into the signed/attested value
 // for a full-history response (From == 0).
@@ -488,7 +484,6 @@ func (d *Domain) historyResponse(nonce []byte, from int) (*HistoryResponse, erro
 		var rd [64]byte
 		copy(rd[:32], binding)
 		out.Quote = d.enclave.GenerateQuote(rd)
-		out.AttSig = d.enclave.SignWithAttestationKey(HistoryContext, binding)
 		return out, nil
 	}
 	out.HostKey = d.hostPub

@@ -92,11 +92,6 @@ func (e *Enclave) PlatformID() string { return e.platformID }
 // Measurement returns the enclave's code identity.
 func (e *Enclave) Measurement() Measurement { return e.measurement }
 
-// AttestationKey returns the enclave's public attestation key.
-func (e *Enclave) AttestationKey() ed25519.PublicKey {
-	return append(ed25519.PublicKey{}, e.attPub...)
-}
-
 // Quote is a simulated remote-attestation quote: the enclave's statement
 // that code with Measurement is running on Vendor hardware, binding 64
 // bytes of caller-chosen ReportData (typically a nonce plus a log head).
@@ -136,29 +131,45 @@ func (e *Enclave) GenerateQuote(reportData [64]byte) *Quote {
 	return q
 }
 
-// SignWithAttestationKey signs arbitrary application bytes with the
-// enclave's attestation key under a distinct domain tag. The framework
-// uses this to sign log heads so equivocation is attributable.
-func (e *Enclave) SignWithAttestationKey(context string, msg []byte) []byte {
-	return ed25519.Sign(e.attPriv, attSigMessage(context, msg))
+// endorsementMemoSize bounds the endorsement memo (entries < 200 bytes).
+const endorsementMemoSize = 64
+
+// endorsements is the process-wide memo of endorsement checks VerifyQuote
+// passed: an enclave's endorsement never changes, while its quote
+// signature covers fresh report data, so only the latter is per call.
+var endorsements = endorsementMemo{seen: make(map[string]struct{}, endorsementMemoSize)}
+
+// endorsementMemo is keyed by a check's exact input, vendor root ‖
+// endorsement ‖ endorsed message (vendor, platform, attestation key); root
+// and endorsement have fixed lengths. Only successes are stored; when
+// full, an arbitrary entry makes room.
+type endorsementMemo struct {
+	mu   sync.Mutex
+	seen map[string]struct{}
 }
 
-func attSigMessage(context string, msg []byte) []byte {
-	out := make([]byte, 0, len(context)+len(msg)+20)
-	out = append(out, []byte("tee-attsig-v1|")...)
-	out = append(out, []byte(context)...)
-	out = append(out, '|')
-	out = append(out, msg...)
-	return out
-}
-
-// VerifyAttestationSignature verifies a SignWithAttestationKey signature
-// against a quote's attestation key.
-func VerifyAttestationSignature(attKey ed25519.PublicKey, context string, msg, sig []byte) bool {
-	if len(attKey) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
+// verify is ed25519.Verify(root, msg, sig) through the memo.
+func (m *endorsementMemo) verify(root ed25519.PublicKey, msg, sig []byte) bool {
+	key := string(root) + string(sig) + string(msg)
+	m.mu.Lock()
+	_, ok := m.seen[key]
+	m.mu.Unlock()
+	if ok {
+		return true
+	}
+	if !ed25519.Verify(root, msg, sig) {
 		return false
 	}
-	return ed25519.Verify(attKey, attSigMessage(context, msg), sig)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.seen) >= endorsementMemoSize {
+		for k := range m.seen {
+			delete(m.seen, k)
+			break
+		}
+	}
+	m.seen[key] = struct{}{}
+	return true
 }
 
 // VerifyQuote checks a quote against pinned vendor roots: the endorsement
@@ -172,13 +183,16 @@ func VerifyQuote(roots RootSet, q *Quote) error {
 	if !ok {
 		return fmt.Errorf("tee: unknown vendor %q", q.Vendor)
 	}
+	if len(root) != ed25519.PublicKeySize {
+		return fmt.Errorf("tee: malformed root key for vendor %q", q.Vendor)
+	}
 	if len(q.AttKey) != ed25519.PublicKeySize {
 		return errors.New("tee: malformed attestation key")
 	}
 	if len(q.Endorsement) != ed25519.SignatureSize {
 		return errors.New("tee: malformed endorsement")
 	}
-	if !ed25519.Verify(root, endorsementMessage(q.Vendor, q.PlatformID, q.AttKey), q.Endorsement) {
+	if !endorsements.verify(root, endorsementMessage(q.Vendor, q.PlatformID, q.AttKey), q.Endorsement) {
 		return errors.New("tee: endorsement does not verify under vendor root")
 	}
 	if len(q.Signature) != ed25519.SignatureSize {

@@ -96,15 +96,25 @@ func (s *Server) dispatchBatch(ctx context.Context, req *Request, enc *replyEnco
 	return &Response{ID: req.ID, OK: true, Body: body}
 }
 
-// CallBatch sends all calls in one frame and returns one result per call,
-// in order. The returned error covers envelope-level failures only;
-// inspect each BatchResult.Err for per-call outcomes.
-func (c *Client) CallBatch(calls []BatchCall) ([]BatchResult, error) {
-	if len(calls) == 0 {
-		return nil, errors.New("transport: empty batch")
+// checkBatchLen rejects, before sending, a batch no server would run.
+func checkBatchLen(n int) error {
+	if n == 0 || n > MaxBatchCalls {
+		return fmt.Errorf("transport: batch of %d calls, want 1 to %d", n, MaxBatchCalls)
 	}
-	if len(calls) > MaxBatchCalls {
-		return nil, fmt.Errorf("transport: batch of %d exceeds limit %d", len(calls), MaxBatchCalls)
+	return nil
+}
+
+// CallBatch is CallBatchCtx under the background context.
+func (c *Client) CallBatch(calls []BatchCall) ([]BatchResult, error) {
+	return c.CallBatchCtx(context.Background(), calls)
+}
+
+// CallBatchCtx sends all calls in one frame, bounded by ctx, and returns
+// one result per call, in order. The returned error covers envelope-level
+// failures only; inspect each BatchResult.Err for per-call outcomes.
+func (c *Client) CallBatchCtx(ctx context.Context, calls []BatchCall) ([]BatchResult, error) {
+	if err := checkBatchLen(len(calls)); err != nil {
+		return nil, err
 	}
 	subs := make([]Request, len(calls))
 	for i, call := range calls {
@@ -124,7 +134,7 @@ func (c *Client) CallBatch(calls []BatchCall) ([]BatchResult, error) {
 			return nil, fmt.Errorf("transport: encoding request: %w", err)
 		}
 	}
-	env, err := c.roundTrip(context.Background(), BatchKind, body, v2)
+	env, err := c.roundTrip(ctx, BatchKind, body, v2)
 	if err != nil {
 		return nil, err
 	}

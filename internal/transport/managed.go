@@ -293,6 +293,31 @@ func (m *ManagedClient) Call(kind string, in, out any) error {
 //   - post-send transport failure → connection dropped; retried only if
 //     kind is in the idempotency table.
 func (m *ManagedClient) CallCtx(ctx context.Context, kind string, in, out any) error {
+	return m.retry(ctx, kind, m.idempotent[kind], func(c *Client) error {
+		return c.CallCtx(ctx, kind, in, out)
+	})
+}
+
+// CallBatch sends calls as one _batch frame under CallCtx's policy, re-sent
+// after a post-send failure only if every kind in it is idempotent.
+func (m *ManagedClient) CallBatch(ctx context.Context, calls []BatchCall) ([]BatchResult, error) {
+	if err := checkBatchLen(len(calls)); err != nil {
+		return nil, err
+	}
+	idempotent := true
+	for _, call := range calls {
+		idempotent = idempotent && m.idempotent[call.Kind]
+	}
+	var results []BatchResult
+	err := m.retry(ctx, BatchKind, idempotent, func(c *Client) (err error) {
+		results, err = c.CallBatchCtx(ctx, calls)
+		return err
+	})
+	return results, err
+}
+
+// retry runs call under CallCtx's policy; idempotent permits a re-send.
+func (m *ManagedClient) retry(ctx context.Context, kind string, idempotent bool, call func(*Client) error) error {
 	var lastErr error
 	for attempt := 0; attempt < m.maxAttempts; attempt++ {
 		if attempt > 0 {
@@ -318,7 +343,7 @@ func (m *ManagedClient) CallCtx(ctx context.Context, kind string, in, out any) e
 			m.onRetry(kind, attempt+1, err)
 			continue // dial failure: nothing sent, any kind may retry
 		}
-		err = c.CallCtx(ctx, kind, in, out)
+		err = call(c)
 		if err == nil {
 			m.brk.success()
 			return nil
@@ -337,7 +362,7 @@ func (m *ManagedClient) CallCtx(ctx context.Context, kind string, in, out any) e
 		m.dropConn(c)
 		m.brk.failure()
 		lastErr = err
-		if !m.idempotent[kind] {
+		if !idempotent {
 			return fmt.Errorf("transport: %s not retried (non-idempotent): %w", kind, err)
 		}
 		m.onRetry(kind, attempt+1, err)

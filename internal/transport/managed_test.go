@@ -16,7 +16,7 @@ import (
 // request (a post-send transport failure from the client's view); later
 // connections serve every request with an OK empty response. It records
 // the kind of every request it READ — the ground truth for "was this
-// RPC re-sent".
+// RPC re-sent". A _batch is answered with one OK entry per sub-request.
 type flakyServer struct {
 	ln        net.Listener
 	mu        sync.Mutex
@@ -81,7 +81,17 @@ func (fs *flakyServer) loop() {
 				if failThis {
 					return // close without answering: lost response
 				}
-				out, _ := json.Marshal(&Response{ID: req.ID, OK: true, Body: json.RawMessage("{}")})
+				body := json.RawMessage("{}")
+				if req.Kind == BatchKind {
+					var subs []Request
+					_ = json.Unmarshal(req.Body, &subs)
+					resps := make([]Response, len(subs))
+					for i := range subs {
+						resps[i] = Response{ID: subs[i].ID, OK: true, Body: body}
+					}
+					body, _ = json.Marshal(resps)
+				}
+				out, _ := json.Marshal(&Response{ID: req.ID, OK: true, Body: body})
 				if err := WriteFrame(c, out); err != nil {
 					return
 				}
@@ -151,6 +161,83 @@ func TestManagedNeverResendsNonIdempotent(t *testing.T) {
 	}
 	if kinds := fs.seenKinds(); len(kinds) != 1 {
 		t.Fatalf("server saw %d submits (%v), want exactly 1 — non-idempotent kinds must not be re-sent", len(kinds), kinds)
+	}
+}
+
+// TestManagedBatchRetriedOnlyIfAllIdempotent: a batch whose response is
+// lost is re-sent on a fresh connection only when every kind in it is
+// idempotent; one non-idempotent kind makes the whole frame non-resendable.
+func TestManagedBatchRetriedOnlyIfAllIdempotent(t *testing.T) {
+	for _, tc := range []struct {
+		kinds   []string
+		retried bool
+	}{
+		{[]string{"status", "history"}, true},
+		{[]string{"status", "invoke"}, false},
+	} {
+		fs := newFlakyServer(t, 1)
+		m := dialManagedFast(fs.addr())
+		calls := make([]BatchCall, len(tc.kinds))
+		for i, k := range tc.kinds {
+			calls[i] = BatchCall{Kind: k, In: struct{}{}}
+		}
+		results, err := m.CallBatch(context.Background(), calls)
+		seen := fs.seenKinds()
+		_, retries, _ := m.Stats()
+		m.Close()
+		if tc.retried {
+			if err != nil || len(results) != len(calls) {
+				t.Fatalf("%v: %d results, err %v; want the retried batch to succeed", tc.kinds, len(results), err)
+			}
+			for i := range results {
+				if err := results[i].Decode(nil); err != nil {
+					t.Fatalf("%v: result %d: %v", tc.kinds, i, err)
+				}
+			}
+			if len(seen) != 2 || retries != 1 {
+				t.Fatalf("%v: server read %v with %d retries, want two batches and one retry", tc.kinds, seen, retries)
+			}
+			continue
+		}
+		var remote *ErrRemote
+		if err == nil || errors.As(err, &remote) {
+			t.Fatalf("%v: err = %v, want the transport failure", tc.kinds, err)
+		}
+		if len(seen) != 1 || seen[0] != BatchKind || retries != 0 {
+			t.Fatalf("%v: server read %v with %d retries, want exactly one batch", tc.kinds, seen, retries)
+		}
+	}
+}
+
+// TestManagedBatchSubCallErrorKeepsBreakerClosed: a sub-call the server
+// answers with an error is that call's result, not an endpoint failure.
+func TestManagedBatchSubCallErrorKeepsBreakerClosed(t *testing.T) {
+	srv := NewServer()
+	srv.Handle("status", func(json.RawMessage) (any, error) { return struct{}{}, nil })
+	srv.Handle("history", func(json.RawMessage) (any, error) { return nil, errors.New("nope") })
+	addr, err := srv.ListenAndServe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	m := dialManagedFast(addr)
+	m.brk.threshold = 1
+	defer m.Close()
+	for i := 0; i < 3; i++ {
+		results, err := m.CallBatch(context.Background(), []BatchCall{{Kind: "status"}, {Kind: "history"}})
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		var remote *ErrRemote
+		if results[0].Err != nil || !errors.As(results[1].Err, &remote) || remote.Msg != "nope" {
+			t.Fatalf("batch %d: results %v / %v, want ok / ErrRemote{nope}", i, results[0].Err, results[1].Err)
+		}
+	}
+	if got := m.brk.state(); got != "closed" {
+		t.Fatalf("breaker %s after answered sub-call errors, want closed", got)
+	}
+	if dials, retries, rejected := m.Stats(); dials != 1 || retries != 0 || rejected != 0 {
+		t.Fatalf("dials=%d retries=%d rejected=%d, want 1/0/0", dials, retries, rejected)
 	}
 }
 
@@ -365,5 +452,39 @@ func TestCallCtxDeadline(t *testing.T) {
 	defer cancel()
 	if err := c.CallCtx(ctx, "headbls", struct{}{}, nil); err == nil {
 		t.Fatal("call with expired context deadline returned nil")
+	}
+}
+
+// TestCallBatchCtxDeadline: a context deadline bounds a batch as it
+// bounds a single call.
+func TestCallBatchCtxDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		_, _, _ = ReadFrameHeader(c)
+		_, _ = c.Read(make([]byte, 1)) // never answer; return when the client hangs up
+	}()
+	c, err := DialTimeout(ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = c.CallBatchCtx(ctx, []BatchCall{{Kind: "status"}, {Kind: "history"}})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("batch past its deadline = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("80ms deadline took %v", d)
 	}
 }
