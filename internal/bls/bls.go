@@ -91,14 +91,13 @@ func (sk *SecretKey) PublicKey() *PublicKey {
 	return &PublicKey{p: bls12381.G2ScalarBaseMult(&sk.s)}
 }
 
-// Sign produces a signature on msg: sk * H(msg).
+// Sign produces a signature on msg: sk * H(msg). The hash point stays
+// Jacobian into the scalar multiplication, so signing normalizes once.
 func (sk *SecretKey) Sign(msg []byte) *Signature {
-	h := bls12381.HashToG1(msg, SignatureDST)
-	var j, out bls12381.G1Jac
-	j.FromAffine(&h)
-	out.ScalarMult(&j, &sk.s)
-	a := out.Affine()
-	return &Signature{p: a}
+	h := bls12381.HashToG1Jac(msg, SignatureDST)
+	var out bls12381.G1Jac
+	out.ScalarMult(&h, &sk.s)
+	return &Signature{p: out.Affine()}
 }
 
 // ProvePossession returns a proof of possession: a signature over the
@@ -106,12 +105,10 @@ func (sk *SecretKey) Sign(msg []byte) *Signature {
 // keys to prevent rogue-key attacks.
 func (sk *SecretKey) ProvePossession() *Signature {
 	pkb := sk.PublicKey().Bytes()
-	h := bls12381.HashToG1(pkb[:], PopDST)
-	var j, out bls12381.G1Jac
-	j.FromAffine(&h)
-	out.ScalarMult(&j, &sk.s)
-	a := out.Affine()
-	return &Signature{p: a}
+	h := bls12381.HashToG1Jac(pkb[:], PopDST)
+	var out bls12381.G1Jac
+	out.ScalarMult(&h, &sk.s)
+	return &Signature{p: out.Affine()}
 }
 
 // VerifyPossession checks a proof of possession for pk.

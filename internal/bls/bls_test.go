@@ -279,6 +279,15 @@ func BenchmarkSignShare(b *testing.B) {
 	}
 }
 
+func BenchmarkSign(b *testing.B) {
+	sk, _, _ := GenerateKey()
+	msg := []byte("bench sign: a tree head's 40 B")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sk.Sign(msg)
+	}
+}
+
 func BenchmarkVerify(b *testing.B) {
 	sk, pk, _ := GenerateKey()
 	msg := []byte("bench verify")

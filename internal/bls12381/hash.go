@@ -28,13 +28,14 @@ import (
 // regenerated (there are no deployed fleets of this reproduction; see
 // DESIGN.md §8).
 func HashToG1(msg []byte, dst []byte) G1Affine {
-	j := hashToG1Jac(msg, dst)
+	j := HashToG1Jac(msg, dst)
 	return j.Affine()
 }
 
-// hashToG1Jac is the core of HashToG1, stopping before the affine
-// normalization so batch callers can share one inversion.
-func hashToG1Jac(msg []byte, dst []byte) G1Jac {
+// HashToG1Jac is HashToG1 stopped before the affine normalization (a
+// field inversion): batch callers share one inversion, and a signer
+// scalar-multiplies the Jacobian point directly.
+func HashToG1Jac(msg []byte, dst []byte) G1Jac {
 	in := hashToFieldInput(msg, dst)
 	for ctr := uint32(0); ctr < 65536; ctr++ {
 		x, signBit := hashToFieldAttempt(in, ctr)
@@ -73,7 +74,7 @@ func HashToG1Batch(msgs [][]byte, dst []byte) []G1Affine {
 			continue
 		}
 		seen[string(m)] = i
-		jacs[i] = hashToG1Jac(m, dst)
+		jacs[i] = HashToG1Jac(m, dst)
 	}
 	return g1BatchAffine(jacs)
 }

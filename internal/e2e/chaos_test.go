@@ -394,7 +394,9 @@ func TestChaosMonitorCrashRecovery(t *testing.T) {
 // TestChaosWALFaults drives the disk hooks: an injected fsync stall
 // slows appends without breaking them, and an injected fsync error
 // poisons the WAL fail-stop — the failing append and everything after
-// it error out while reads keep serving the last durable head.
+// it error out while reads keep serving the last durable head. Signed
+// heads ride the WAL, so the first fsync is the initial head's, at
+// startup, and every append is followed by its head's.
 func TestChaosWALFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots real daemon processes")
@@ -410,7 +412,7 @@ func TestChaosWALFaults(t *testing.T) {
 		paramsPath := filepath.Join(dir, "deployment.json")
 		mint.writeParams(t, paramsPath)
 		sched := writeSchedule(t, dir, "stall.sched", fmt.Sprintf(
-			"seed %d\nfault disk-stall target=monitord delay=300ms count=2\n", seed))
+			"seed %d\nfault disk-stall target=monitord delay=300ms skip=1 count=2\n", seed))
 		monRPC, monMetrics := freePort(t), freePort(t)
 		startDaemon(t, filepath.Join(dir, "monitord.log"), monitordBin,
 			"-params", paramsPath, "-listen", monRPC, "-metrics", monMetrics,
@@ -442,10 +444,10 @@ func TestChaosWALFaults(t *testing.T) {
 		os.MkdirAll(dir, 0o755)
 		paramsPath := filepath.Join(dir, "deployment.json")
 		mint.writeParams(t, paramsPath)
-		// The first append fsyncs clean; the second hits the injected
-		// error and poisons the WAL.
+		// The initial head, the first append and its head fsync clean;
+		// the second append hits the injected error and poisons the WAL.
 		sched := writeSchedule(t, dir, "error.sched", fmt.Sprintf(
-			"seed %d\nfault disk-error target=monitord skip=1 count=1\n", seed))
+			"seed %d\nfault disk-error target=monitord skip=3 count=1\n", seed))
 		monRPC, monMetrics := freePort(t), freePort(t)
 		startDaemon(t, filepath.Join(dir, "monitord.log"), monitordBin,
 			"-params", paramsPath, "-listen", monRPC, "-metrics", monMetrics,
@@ -461,6 +463,15 @@ func TestChaosWALFaults(t *testing.T) {
 		size := mint.submit(t, mc, 1)
 		if size != 1 {
 			t.Fatalf("first append: size %d, want 1", size)
+		}
+		var head aolog.BLSSignedHead
+		for deadline := time.Now().Add(10 * time.Second); head.Size != 1; time.Sleep(10 * time.Millisecond) {
+			if err := mc.Call("headbls", struct{}{}, &head); err != nil {
+				t.Fatalf("headbls: %v", err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("published head stuck at size %d, want 1", head.Size)
+			}
 		}
 		submitOne := func() error {
 			mint.n++
@@ -484,7 +495,6 @@ func TestChaosWALFaults(t *testing.T) {
 			t.Fatal("append after WAL poison succeeded, want fail-stop")
 		}
 		// Reads still serve the last durable state.
-		var head aolog.BLSSignedHead
 		if err := mc.Call("headbls", struct{}{}, &head); err != nil {
 			t.Fatalf("read after WAL poison: %v", err)
 		}

@@ -319,7 +319,8 @@ func TestObservabilitySmoke(t *testing.T) {
 // answers now that it has one tree-head key and one read path. "info"
 // signs nothing: after an append has settled, twenty calls move neither
 // serve_heads_signed_total nor any monitor_heads_signed_* series nor
-// head.json. "head" and "servestats" are unknown kinds; "info" carries
+// store_head_fsyncs_total, the count of head records made durable.
+// "head" and "servestats" are unknown kinds; "info" carries
 // bls_key and no public_key; headbls, consistency, proof and subscribe
 // answer as before.
 func TestMonitordReadSurface(t *testing.T) {
@@ -372,20 +373,15 @@ func TestMonitordReadSurface(t *testing.T) {
 		}
 		out := map[string]float64{}
 		for name, v := range snap {
-			if name == "serve_heads_signed_total" || strings.HasPrefix(name, "monitor_heads_signed_") {
+			if name == "serve_heads_signed_total" || name == "store_head_fsyncs_total" || strings.HasPrefix(name, "monitor_heads_signed_") {
 				out[name] = v
 			}
 		}
-		fi, err := os.Stat(filepath.Join(dataDir, "head.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["head.json mtime"] = float64(fi.ModTime().UnixNano())
 		return out
 	}
 	before := signed()
-	if len(before) < 3 {
-		t.Fatalf("expected serve_heads_signed_total, a monitor_heads_signed_* series and head.json, got %v", before)
+	if len(before) < 3 || before["store_head_fsyncs_total"] < 1 {
+		t.Fatalf("expected serve_heads_signed_total, a monitor_heads_signed_* series and a durable head record, got %v", before)
 	}
 	var info map[string]json.RawMessage
 	for i := 0; i < 20; i++ {

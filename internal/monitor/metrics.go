@@ -27,11 +27,12 @@ func (m *Monitor) setPersistErrLocked(err error) {
 // inline on the paths they measure (single atomic adds under the lock
 // already held) and exposed via RegisterMetrics.
 type monitorObs struct {
-	appendedLeaves obsv.Counter // envelopes + slashing records appended to the log
-	rejected       obsv.Counter // submissions refused before reaching the log
-	alerts         obsv.Counter // misbehavior proofs raised
-	equivocations  obsv.Counter // gossip equivocation convictions recorded
-	headsSignedBLS obsv.Counter // tree heads signed
+	appendedLeaves obsv.Counter    // envelopes + slashing records appended to the log
+	rejected       obsv.Counter    // submissions refused before reaching the log
+	alerts         obsv.Counter    // misbehavior proofs raised
+	equivocations  obsv.Counter    // gossip equivocation convictions recorded
+	headsSignedBLS obsv.Counter    // tree heads signed
+	headSign       *obsv.Histogram // time to sign one tree head (set by the constructors)
 }
 
 // RegisterMetrics exposes the monitor's series (and, for a persistent
@@ -43,6 +44,7 @@ func (m *Monitor) RegisterMetrics(reg *obsv.Registry) {
 	reg.RegisterCounter("monitor_alerts_total", "misbehavior proofs raised", &o.alerts)
 	reg.RegisterCounter("monitor_equivocations_total", "log-equivocation convictions recorded", &o.equivocations)
 	reg.RegisterCounter("monitor_heads_signed_bls_total", "BLS tree heads signed", &o.headsSignedBLS)
+	reg.RegisterHistogram("monitor_head_sign_seconds", "time to BLS-sign one tree head", o.headSign)
 	reg.GaugeFunc("monitor_log_size", "leaves in the public log", func() float64 {
 		return float64(m.Len())
 	})

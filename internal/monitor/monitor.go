@@ -9,9 +9,11 @@
 //     public sharded Merkle log (so the monitor itself is auditable via
 //     inclusion/consistency proofs and signed tree heads);
 //   - per domain, the monitor keeps the timeline of observed (counter,
-//     log length, head) triples and flags any pair of observations that
-//     contradict an honest append-only execution, emitting the same
-//     publicly verifiable Misbehavior proofs as the audit package.
+//     version, log length, head) keys and flags any pair of observations
+//     that contradict an honest append-only execution, emitting the same
+//     publicly verifiable Misbehavior proofs as the audit package. A key
+//     is a few words with no pointers; the envelope it came from is a
+//     log leaf, re-read by index only when a proof has to be built.
 //
 // This is the deployment of the paper's "clients and third-party
 // auditors" role (§1, §3.3) on top of the aolog building block. The log
@@ -38,21 +40,22 @@
 // MUST NOT DO: serve reads itself — no cache, no published-head state,
 // no subscriptions, no RPC kinds: that is internal/serve, which reads a
 // monitor through serve.Backend; sign a head it has not first recorded
-// in the store; advance the in-memory log before the WAL append is
-// durable.
+// in the store, or hand out a head before the store says it is durable;
+// advance the in-memory log before the WAL append is durable; keep a
+// second copy of an observed envelope beside the log leaf.
 //
 // MUST NOT import: any repro/internal package except aolog, audit, bls,
 // gossip, obsv and store.
 package monitor
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/aolog"
 	"repro/internal/audit"
@@ -65,12 +68,6 @@ import (
 // DefaultShards is the stripe count of the monitor's public log.
 const DefaultShards = 4
 
-// Observation is one remembered attested status.
-type Observation struct {
-	Envelope audit.AttestedStatusEnvelope
-	LogIndex int // index in the monitor's public Merkle log
-}
-
 // Monitor is a public witness. Safe for concurrent use.
 type Monitor struct {
 	params audit.Params
@@ -78,7 +75,7 @@ type Monitor struct {
 
 	mu         sync.Mutex
 	log        *aolog.ShardedLog
-	perDom     map[string][]Observation
+	perDom     map[string]*timeline
 	alerts     []audit.Misbehavior
 	slashed    map[string]int  // equivocation-proof fingerprint -> log index
 	logSources map[string]bool // hex BLS keys slashing reports may accuse
@@ -117,14 +114,22 @@ func NewSharded(params audit.Params, key *bls.SecretKey, shards int) (*Monitor, 
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{
+	return newMonitor(params, key, log), nil
+}
+
+// newMonitor is the state both constructors share: everything derived
+// from the log starts empty.
+func newMonitor(params audit.Params, key *bls.SecretKey, log *aolog.ShardedLog) *Monitor {
+	m := &Monitor{
 		params:     params,
 		blsKey:     key,
 		log:        log,
-		perDom:     make(map[string][]Observation),
+		perDom:     make(map[string]*timeline),
 		slashed:    make(map[string]int),
 		logSources: make(map[string]bool),
-	}, nil
+	}
+	m.obs.headSign = obsv.NewHistogram(nil)
+	return m
 }
 
 // RegisterLogSource pins a BLS tree-head key as a known log operator
@@ -243,23 +248,16 @@ func (m *Monitor) SubmitBatch(envs []*audit.AttestedStatusEnvelope) []BatchOutco
 	first := m.log.AppendBatch(payloads)
 	for k, a := range acc {
 		idx := first + k
-		name := a.env.Resp.Domain
-		proof := a.proof
-		if proof == nil {
-			for i := range m.perDom[name] {
-				prev := &m.perDom[name][i].Envelope
-				if p := contradiction(prev, a.env, name); p != nil {
-					proof = p
-					break
-				}
-			}
+		proof, err := m.observeLocked(a.env, idx, a.proof)
+		if err != nil {
+			// Every observation leaf was encoded here or decoded at Open.
+			panic("monitor: logged observation unreadable: " + err.Error())
 		}
 		if proof != nil {
 			m.alerts = append(m.alerts, *proof)
 			m.obs.alerts.Inc()
 			m.flight.Load().Record("monitor", "alert", proof.Domain, uint64(idx), obsv.TraceContext{})
 		}
-		m.perDom[name] = append(m.perDom[name], Observation{Envelope: *a.env, LogIndex: idx})
 		out[a.pos] = BatchOutcome{LogIndex: idx, Alert: proof}
 	}
 	m.obs.appendedLeaves.Add(uint64(len(acc)))
@@ -267,36 +265,6 @@ func (m *Monitor) SubmitBatch(envs []*audit.AttestedStatusEnvelope) []BatchOutco
 	m.maybeSnapshotLocked(len(acc))
 	m.notifyAppendLocked()
 	return out
-}
-
-// contradiction decides whether two verified statuses from one domain
-// are mutually inconsistent with honest append-only execution.
-func contradiction(a, b *audit.AttestedStatusEnvelope, name string) *audit.Misbehavior {
-	sa, sb := a.Resp.Status, b.Resp.Status
-	switch {
-	case sa.LogLen == sb.LogLen && !bytes.Equal(sa.LogHead, sb.LogHead):
-		return &audit.Misbehavior{
-			Kind: audit.MisbehaviorEquivocation, Domain: name,
-			StatusA: a, StatusB: b,
-		}
-	case sa.LogLen == sb.LogLen && sa.Version != sb.Version,
-		sa.Version == sb.Version && sa.LogLen != sb.LogLen:
-		return &audit.Misbehavior{
-			Kind: audit.MisbehaviorRollback, Domain: name,
-			StatusA: a, StatusB: b,
-		}
-	case sb.Counter > sa.Counter && (sb.LogLen < sa.LogLen || sb.Version < sa.Version):
-		return &audit.Misbehavior{
-			Kind: audit.MisbehaviorRollback, Domain: name,
-			StatusA: a, StatusB: b,
-		}
-	case sa.Counter > sb.Counter && (sa.LogLen < sb.LogLen || sa.Version < sb.Version):
-		return &audit.Misbehavior{
-			Kind: audit.MisbehaviorRollback, Domain: name,
-			StatusA: b, StatusB: a,
-		}
-	}
-	return nil
 }
 
 // RecordLogEquivocation is the slashing path for gossip-convicted log
@@ -369,7 +337,9 @@ func (m *Monitor) Alerts() []audit.Misbehavior {
 func (m *Monitor) TreeHeadBLS() (aolog.BLSSignedHead, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	start := time.Now()
 	h := aolog.SignHeadBLS(m.blsKey, uint64(m.log.Len()), m.log.SuperRoot())
+	m.obs.headSign.ObserveDuration(time.Since(start))
 	if err := m.persistHeadLocked(h.Size, h.Head, h.Signature); err != nil {
 		return aolog.BLSSignedHead{}, err
 	}
@@ -424,5 +394,8 @@ func (m *Monitor) ProveConsistencyBetween(oldSize, newSize int) (*aolog.ShardCon
 func (m *Monitor) Observations(domain string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.perDom[domain])
+	if t := m.perDom[domain]; t != nil {
+		return len(t.keys)
+	}
+	return 0
 }

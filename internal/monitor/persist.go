@@ -138,23 +138,15 @@ func Open(dir string, params audit.Params, opts *OpenOptions) (*Monitor, error) 
 		}
 	}
 
-	m := &Monitor{
-		params:        params,
-		log:           log,
-		blsKey:        blsKey,
-		perDom:        make(map[string][]Observation),
-		slashed:       make(map[string]int),
-		logSources:    make(map[string]bool),
-		store:         st,
-		snapshotEvery: o.SnapshotEvery,
-	}
+	m := newMonitor(params, blsKey, log)
+	m.store, m.snapshotEvery = st, o.SnapshotEvery
 	m.snapDone = sync.NewCond(&m.mu)
 
 	if snapState != nil {
 		if err := m.restoreState(snapState, leaves); err != nil {
 			// Stale or undecodable snapshot state: rebuild everything
 			// from the leaves instead.
-			m.perDom = make(map[string][]Observation)
+			m.perDom = make(map[string]*timeline)
 			m.alerts = nil
 			m.slashed = make(map[string]int)
 			m.logSources = make(map[string]bool)
@@ -173,11 +165,12 @@ func Open(dir string, params audit.Params, opts *OpenOptions) (*Monitor, error) 
 	return m, nil
 }
 
-// restoreState applies a snapshot's derived state, re-decoding observed
-// envelopes from the recovered leaves.
+// restoreState applies a snapshot's derived state, rebuilding each
+// domain's observation keys from the recovered leaves. The snapshot's
+// alerts already hold every verdict, so the keys are recorded unscanned.
 func (m *Monitor) restoreState(ms *monitorState, leaves [][]byte) error {
 	for name, idxs := range ms.PerDom {
-		obs := make([]Observation, 0, len(idxs))
+		t := &timeline{keys: make([]obsKey, 0, len(idxs))}
 		for _, idx := range idxs {
 			if idx < 0 || idx >= len(leaves) {
 				return fmt.Errorf("monitor: snapshot observation index %d out of range", idx)
@@ -186,9 +179,9 @@ func (m *Monitor) restoreState(ms *monitorState, leaves [][]byte) error {
 			if err := json.Unmarshal(leaves[idx], &env); err != nil {
 				return fmt.Errorf("monitor: snapshot observation %d undecodable: %w", idx, err)
 			}
-			obs = append(obs, Observation{Envelope: env, LogIndex: idx})
+			t.observe(&env, idx, false)
 		}
-		m.perDom[name] = obs
+		m.perDom[name] = t
 	}
 	m.alerts = append([]audit.Misbehavior(nil), ms.Alerts...)
 	for fp, idx := range ms.Slashed {
@@ -218,27 +211,21 @@ func (m *Monitor) replayLeaf(idx int, payload []byte) error {
 		if err := json.Unmarshal(payload, &env); err != nil {
 			return err
 		}
-		name := env.Resp.Domain
 		var proof *audit.Misbehavior
 		if env.Resp.Quote != nil && env.Resp.Quote.Measurement != m.params.Measurement {
 			proof = &audit.Misbehavior{
 				Kind:    audit.MisbehaviorWrongMeasurement,
-				Domain:  name,
+				Domain:  env.Resp.Domain,
 				StatusA: &env,
 			}
-		} else {
-			for i := range m.perDom[name] {
-				prev := &m.perDom[name][i].Envelope
-				if p := contradiction(prev, &env, name); p != nil {
-					proof = p
-					break
-				}
-			}
+		}
+		proof, err := m.observeLocked(&env, idx, proof)
+		if err != nil {
+			return err
 		}
 		if proof != nil {
 			m.alerts = append(m.alerts, *proof)
 		}
-		m.perDom[name] = append(m.perDom[name], Observation{Envelope: env, LogIndex: idx})
 		return nil
 	case len(probe.SourcePK) > 0:
 		var p gossip.EquivocationProof
@@ -313,10 +300,10 @@ func (m *Monitor) buildSnapshotLocked() (*monitorState, []aolog.Digest, error) {
 		Alerts:  append([]audit.Misbehavior(nil), m.alerts...),
 		Slashed: make(map[string]int, len(m.slashed)),
 	}
-	for name, obs := range m.perDom {
-		idxs := make([]int, len(obs))
-		for i, o := range obs {
-			idxs[i] = o.LogIndex
+	for name, t := range m.perDom {
+		idxs := make([]int, len(t.keys))
+		for i := range t.keys {
+			idxs[i] = t.keys[i].logIndex
 		}
 		ms.PerDom[name] = idxs
 	}

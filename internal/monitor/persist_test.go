@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -307,11 +308,12 @@ func TestMonitorRefusesTamperedDirectory(t *testing.T) {
 
 // TestMonitorReopensParentFormatDirectory is the N-1 on-disk
 // compatibility test. A directory as the previous version left it — an
-// ed25519 key file beside keys/bls.key, and a head.json record saying
-// "kind":"ed25519" — reopens under the same BLS identity and passes the
-// same recovered-root-vs-last-signed-head check; the stale key file is
-// ignored, not deleted; and a tampered leaf (valid framing, different
-// bytes) still makes Open refuse.
+// ed25519 key file beside keys/bls.key, an empty WAL, and the last head
+// in head.json saying "kind":"ed25519" — reopens under the same BLS
+// identity and passes the same recovered-root-vs-last-signed-head check;
+// the stale key file is ignored, not deleted; a head journaled since
+// wins over the stale head.json; and a tampered leaf (valid framing,
+// different bytes) still makes Open refuse.
 func TestMonitorReopensParentFormatDirectory(t *testing.T) {
 	f := newFixture(t)
 	fw := f.newFramework(t, blsapp.ModuleBytes())
@@ -331,27 +333,47 @@ func TestMonitorReopensParentFormatDirectory(t *testing.T) {
 	if _, err := os.Stat(edKey); !os.IsNotExist(err) {
 		t.Fatalf("a fresh directory holds %s (stat: %v); the monitor has one head key", edKey, err)
 	}
+	headPath := filepath.Join(dir, "head.json")
+	if _, err := os.Stat(headPath); !os.IsNotExist(err) {
+		t.Fatalf("a fresh directory holds %s (stat: %v); heads ride the WAL", headPath, err)
+	}
 
-	// Dress the directory as the parent commit wrote it.
+	// Dress the directory as the parent commit wrote it: Close settled
+	// every leaf, so the WAL holds only the head record, and the parent
+	// kept that head in head.json instead.
+	wals, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.log"))
+	if err != nil || len(wals) != 1 {
+		t.Fatalf("WAL files after Close: %v %v", wals, err)
+	}
+	if err := os.Truncate(wals[0], 0); err != nil {
+		t.Fatal(err)
+	}
 	edSeed := bytes.Repeat([]byte{7}, 32)
 	if err := os.WriteFile(edKey, edSeed, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	headPath := filepath.Join(dir, "head.json")
-	raw, err := os.ReadFile(headPath)
+	raw, err := json.Marshal(map[string]any{"size": head.Size, "root": head.Head[:], "sig": head.Signature, "kind": "ed25519"})
 	if err != nil {
-		t.Fatal(err)
-	}
-	var rec map[string]any
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatal(err)
-	}
-	rec["kind"] = "ed25519"
-	if raw, err = json.Marshal(rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(headPath, raw, 0o644); err != nil {
 		t.Fatal(err)
+	}
+
+	// head.json is what the check runs against: a copy of the directory
+	// whose head.json names another root is refused.
+	forged := t.TempDir()
+	copyDir(t, dir, forged)
+	bad, err := json.Marshal(map[string]any{"size": head.Size, "root": bytes.Repeat([]byte{9}, 32), "sig": head.Signature})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(forged, "head.json"), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(forged, f.params, &OpenOptions{Shards: 4, SnapshotEvery: -1, NoSync: true}); err == nil ||
+		!strings.Contains(err.Error(), "does not match the last signed head") {
+		t.Fatalf("Open against a head.json naming another root = %v, want a refusal", err)
 	}
 
 	mon2 := openTestMonitor(t, dir, f.params, -1)
@@ -367,7 +389,22 @@ func TestMonitorReopensParentFormatDirectory(t *testing.T) {
 	if got, err := os.ReadFile(edKey); err != nil || !bytes.Equal(got, edSeed) {
 		t.Fatalf("the ed25519 key file must be left alone: %x, %v", got, err)
 	}
+	// A newer head goes to the WAL and wins over the stale head.json.
+	if _, _, err := mon2.Submit(envelope(fw, "p3")); err != nil {
+		t.Fatal(err)
+	}
+	head3 := signedHead(t, mon2)
 	if err := mon2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(headPath); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("head.json was rewritten (%v); nothing writes it now", err)
+	}
+	mon3 := openTestMonitor(t, dir, f.params, -1)
+	if info, _ := mon3.RecoveryInfo(); info.HeadSize != head3.Size {
+		t.Fatalf("recovered head at size %d, want the journaled %d over head.json's %d", info.HeadSize, head3.Size, head.Size)
+	}
+	if err := mon3.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -394,7 +431,32 @@ func TestMonitorReopensParentFormatDirectory(t *testing.T) {
 	}
 }
 
-func mustKey(t *testing.T) *bls.SecretKey {
+// copyDir copies the regular files under src to dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o600)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustKey(t testing.TB) *bls.SecretKey {
 	t.Helper()
 	sk, _, err := bls.GenerateKey()
 	if err != nil {

@@ -7,13 +7,24 @@
 // Layout of a store directory:
 //
 //	meta.json                    shard count, format version
-//	wal/wal-<seq>.log            fsync-batched write-ahead log of leaves
+//	wal/wal-<seq>.log            fsync-batched write-ahead log: leaf
+//	                             records and signed-head records, one
+//	                             order; the last head record is the last
+//	                             signed tree head (size, super-root)
 //	segments/shard-NNN/seg-*.log append-only leaf segments, one family
 //	                             per Merkle-log shard
 //	snapshot/state.json          latest derived-state snapshot (opaque
 //	                             state blob + cached leaf digests), CRC'd
-//	head.json                    last signed tree head (size, super-root)
 //	keys/<name>.key              key material, created once, mode 0600
+//	head.json                    read only: where builds before heads
+//	                             rode the WAL kept the last head; used
+//	                             when no WAL holds a head record
+//
+// A head record follows, in the WAL, every leaf record it covers, so a
+// torn tail that keeps a head keeps its leaves. Opening and every
+// checkpoint re-journal the last head into the fresh WAL before the old
+// one is deleted. A build that predates head records refuses a WAL
+// holding them ("holds record kind 3"): downgrade fails closed.
 //
 // Every on-disk record — WAL, segments, and the witness journal — uses
 // one framing: length, kind byte, payload, CRC32-C. Readers stop at the
@@ -27,9 +38,10 @@
 //
 // OWNS: the directory layout above and every file format in it; the
 // record framing and torn-tail rule; group commit and the order "WAL
-// durable, then acknowledged"; checkpointing and WAL rotation; the
-// sticky poison after a failed write or fsync; the WAL-fsync watchdog
-// bracket and the one disk-fault hook inside it (Options.DiskFault).
+// durable, then acknowledged" for leaves and heads alike; checkpointing
+// and WAL rotation; the sticky poison after a failed write or fsync; the
+// WAL-fsync watchdog bracket and the one disk-fault hook inside it
+// (Options.DiskFault), around leaf-led and head-led fsyncs.
 //
 // MUST NOT DO: interpret a leaf, a snapshot's state blob, a head's
 // signature or a key's bytes — they are opaque; sign or verify anything;

@@ -16,8 +16,11 @@ type storeObs struct {
 	appendBatches  obsv.Counter
 	appendedLeaves obsv.Counter
 
-	fsyncs       obsv.Counter // WAL fsyncs actually issued (group-commit leaders)
+	fsyncs       obsv.Counter // WAL fsyncs led by a leaf append (group-commit leaders)
 	fsyncLatency *obsv.Histogram
+
+	headFsyncs       obsv.Counter // WAL fsyncs led by a signed-head record
+	headFsyncLatency *obsv.Histogram
 
 	walRotations  obsv.Counter
 	segmentRolls  obsv.Counter
@@ -40,9 +43,10 @@ type storeObs struct {
 
 func newStoreObs() *storeObs {
 	return &storeObs{
-		fsyncLatency:  obsv.NewHistogram(nil),
-		checkpointLat: obsv.NewHistogram(nil),
-		snapshotLat:   obsv.NewHistogram(nil),
+		fsyncLatency:     obsv.NewHistogram(nil),
+		headFsyncLatency: obsv.NewHistogram(nil),
+		checkpointLat:    obsv.NewHistogram(nil),
+		snapshotLat:      obsv.NewHistogram(nil),
 	}
 }
 
@@ -67,8 +71,10 @@ func (s *Store) RegisterMetrics(reg *obsv.Registry) {
 	o := s.obs
 	reg.RegisterCounter("store_append_batches_total", "AppendLeaves calls that reached the WAL", &o.appendBatches)
 	reg.RegisterCounter("store_appended_leaves_total", "leaves made durable", &o.appendedLeaves)
-	reg.RegisterCounter("store_wal_fsyncs_total", "WAL fsyncs issued (group-commit leaders only)", &o.fsyncs)
-	reg.RegisterHistogram("store_wal_fsync_seconds", "WAL fsync latency", o.fsyncLatency)
+	reg.RegisterCounter("store_wal_fsyncs_total", "WAL fsyncs led by a leaf append (group-commit leaders only)", &o.fsyncs)
+	reg.RegisterHistogram("store_wal_fsync_seconds", "WAL fsync latency, leaf-led fsyncs", o.fsyncLatency)
+	reg.RegisterCounter("store_head_fsyncs_total", "WAL fsyncs led by a signed-head record", &o.headFsyncs)
+	reg.RegisterHistogram("store_head_fsync_seconds", "WAL fsync latency, head-led fsyncs", o.headFsyncLatency)
 	reg.RegisterCounter("store_wal_rotations_total", "WAL files rotated at checkpoints", &o.walRotations)
 	reg.RegisterCounter("store_segment_rolls_total", "segment files rolled at the size cap", &o.segmentRolls)
 	reg.RegisterCounter("store_checkpoints_total", "checkpoints settling WAL leaves into segments", &o.checkpoints)

@@ -116,31 +116,46 @@ func loadSnapshot(dir string) *Snapshot {
 	return decodeSnapshot(data)
 }
 
-// PutHead durably records the last signed tree head before it is served
-// to anyone. Re-signing the same (size, root) — a head asked for again
-// before the log grew — is a no-op.
+// PutHead durably records a signed tree head before it is served to
+// anyone: a head record is appended to the WAL, after every leaf it can
+// cover, and PutHead returns once a (group-committed) fsync covers it.
+// The head is the store's last head from the moment it is written, so a
+// checkpoint racing the fsync carries it into the next WAL. Re-signing
+// the same (size, root) — a head asked for again before the log grew —
+// writes nothing and returns once the earlier record is durable.
 func (s *Store) PutHead(h HeadRecord) error {
 	s.mu.Lock()
-	if s.head != nil && s.head.Size == h.Size && string(s.head.Root) == string(h.Root) {
+	if s.err != nil {
+		err := s.err
 		s.mu.Unlock()
-		return nil
+		return err
 	}
+	if s.head == nil || s.head.Size != h.Size || string(s.head.Root) != string(h.Root) {
+		rec := headRecord(&h)
+		end, err := s.wal.write(rec)
+		if err != nil {
+			s.err = err
+			s.mu.Unlock()
+			return err
+		}
+		s.walBytes += int64(len(rec))
+		cp := h
+		s.head = &cp
+		s.headWAL, s.headEnd = s.wal, end
+	}
+	w, end := s.headWAL, s.headEnd
 	s.mu.Unlock()
-	data, err := json.Marshal(&h)
-	if err != nil {
-		return fmt.Errorf("store: encoding head: %w", err)
-	}
-	if err := writeFileAtomic(filepath.Join(s.dir, headFile), data, 0o644, !s.opts.NoSync); err != nil {
-		return fmt.Errorf("store: writing head: %w", err)
-	}
-	s.mu.Lock()
-	cp := h
-	s.head = &cp
-	s.mu.Unlock()
-	return nil
+	return s.sync(w, end, kindHead)
 }
 
-// LastHead returns the most recently persisted signed head, if any.
+// headRecord frames h as a WAL head record.
+func headRecord(h *HeadRecord) []byte {
+	data, _ := json.Marshal(h) // integers, byte slices and a string: cannot fail
+	return appendRecord(nil, kindHead, data)
+}
+
+// LastHead returns the most recently recorded signed head, if any: the
+// one Open recovered, or the last one passed to PutHead.
 func (s *Store) LastHead() (HeadRecord, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -150,6 +165,9 @@ func (s *Store) LastHead() (HeadRecord, bool) {
 	return *s.head, true
 }
 
+// loadHead reads head.json, where builds before heads rode the WAL kept
+// the last head. Nothing writes it now; Open reads it only when no WAL
+// holds a head record.
 func loadHead(dir string) *HeadRecord {
 	data, err := os.ReadFile(filepath.Join(dir, headFile))
 	if err != nil {

@@ -22,6 +22,10 @@ const (
 	kindLeaf byte = 1
 	// kindSegLeaf (segments): raw leaf bytes; local index is positional.
 	kindSegLeaf byte = 2
+	// kindHead (WAL): a signed tree head, the JSON of a HeadRecord. It
+	// follows every leaf record it covers, so a torn tail that keeps it
+	// keeps them; the last one in WAL order is the store's last head.
+	kindHead byte = 3
 )
 
 // Options configure a Store.
@@ -78,9 +82,10 @@ type RecoveryInfo struct {
 	Elapsed      time.Duration // wall time spent in Open
 }
 
-// Store is the crash-safe storage engine under a monitor: leaves go to
-// an fsync-batched WAL first (group commit), settle into per-shard
-// segment files at checkpoints, and derived state rides in snapshots.
+// Store is the crash-safe storage engine under a monitor: leaves and
+// signed heads go to an fsync-batched WAL first (group commit), leaves
+// settle into per-shard segment files at checkpoints, and derived state
+// rides in snapshots.
 // Safe for concurrent use. The caller owns ordering: AppendLeaves
 // assigns global indexes in call order under the store lock, so callers
 // that also maintain an in-memory log must append to both under one
@@ -101,6 +106,8 @@ type Store struct {
 	shards   []*segmentShard
 	snap     *Snapshot
 	head     *HeadRecord
+	headWAL  *wal  // the WAL holding the newest journaled copy of head
+	headEnd  int64 // offset in headWAL that makes that copy durable
 
 	recovered [][]byte // all leaves, handed out once via RecoveredLeaves
 	recovery  RecoveryInfo
@@ -179,7 +186,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	for _, name := range walNames {
 		path := filepath.Join(walDir, name)
 		valid, total, err := scanFile(path, func(kind byte, payload []byte) error {
-			if kind != kindLeaf {
+			switch kind {
+			case kindLeaf:
+			case kindHead:
+				var h HeadRecord
+				if err := json.Unmarshal(payload, &h); err != nil {
+					return fmt.Errorf("store: wal %s head record: %w", path, err)
+				}
+				s.head = &h
+				return nil
+			default:
 				return fmt.Errorf("store: wal %s holds record kind %d", path, kind)
 			}
 			if len(payload) < 8 {
@@ -222,6 +238,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.pending = leaves[s.base:]
 	s.recovered = leaves
+	if s.head == nil {
+		s.head = loadHead(dir) // a directory from before heads rode the WAL
+	}
 
 	// 3. Fresh WAL file; old files are retired at the next checkpoint.
 	s.walSeq = maxSeq + 1
@@ -235,21 +254,30 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 	s.wal = w
-	// Pending leaves live only in retired WAL files; re-journal them so
-	// the upcoming checkpoint may delete those files unconditionally.
-	if len(s.pending) > 0 {
+	// Pending leaves and the last head live only in the WAL files about
+	// to be deleted (or in head.json); re-journal them so those files may
+	// go unconditionally.
+	if len(s.pending) > 0 || s.head != nil {
 		buf := make([]byte, 0, 1<<16)
 		for i, p := range s.pending {
 			buf = appendRecord(buf, kindLeaf, leafRecord(s.base+i, p))
+		}
+		s.walBytes = int64(len(buf))
+		kind := kindLeaf
+		if s.head != nil {
+			buf = append(buf, headRecord(s.head)...)
+			if len(s.pending) == 0 {
+				kind = kindHead
+			}
 		}
 		end, err := s.wal.write(buf)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.wal.syncTo(end); err != nil {
+		if err := s.wal.syncTo(end, kind); err != nil {
 			return nil, err
 		}
-		s.walBytes = int64(len(buf))
+		s.headWAL, s.headEnd = s.wal, end
 	}
 	for _, name := range walNames {
 		if err := os.Remove(filepath.Join(walDir, name)); err != nil {
@@ -262,12 +290,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 
-	// 4. Derived state and the last signed head.
+	// 4. Derived state.
 	s.snap = loadSnapshot(dir)
 	if s.snap != nil && s.snap.Size > s.total {
 		s.snap = nil // snapshot from a future the log never reached durably
 	}
-	s.head = loadHead(dir)
 
 	s.recovery = RecoveryInfo{
 		Leaves:       s.total,
@@ -352,10 +379,7 @@ func (s *Store) AppendLeaves(payloads [][]byte) error {
 	w := s.wal // a concurrent checkpoint may rotate s.wal; sync OUR file
 	s.mu.Unlock()
 
-	if err := w.syncTo(end); err != nil {
-		s.mu.Lock()
-		s.err = err
-		s.mu.Unlock()
+	if err := s.sync(w, end, kindLeaf); err != nil {
 		return err
 	}
 	if needCheckpoint {
@@ -364,9 +388,22 @@ func (s *Store) AppendLeaves(payloads [][]byte) error {
 	return nil
 }
 
+// sync waits until w is durable up to end, poisoning the store if it
+// cannot be made so.
+func (s *Store) sync(w *wal, end int64, kind byte) error {
+	if err := w.syncTo(end, kind); err != nil {
+		s.mu.Lock()
+		s.err = err
+		s.mu.Unlock()
+		return err
+	}
+	return nil
+}
+
 // Checkpoint settles WAL leaves into their shard segment files, fsyncs
-// them, and rotates the WAL. Appends block for the duration; the flush
-// threshold bounds how much work that is.
+// them, and rotates the WAL, carrying the last head into the new file.
+// Appends block for the duration; the flush threshold bounds how much
+// work that is.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -416,6 +453,18 @@ func (s *Store) checkpointLocked() error {
 			s.err = err
 			return err
 		}
+	}
+	if s.head != nil {
+		end, err := w.write(headRecord(s.head))
+		if err == nil {
+			err = w.syncTo(end, kindHead)
+		}
+		if err != nil {
+			s.err = err
+			w.close()
+			return err
+		}
+		s.headWAL, s.headEnd = w, end
 	}
 	old := s.wal
 	s.wal = w

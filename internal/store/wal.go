@@ -60,8 +60,10 @@ func (w *wal) write(buf []byte) (int64, error) {
 // syncTo blocks until bytes [0, end) are durable. Group commit: the
 // first caller to find no fsync in flight becomes the leader and syncs
 // everything written so far; followers wait and usually find their
-// bytes already covered when the leader finishes.
-func (w *wal) syncTo(end int64) error {
+// bytes already covered when the leader finishes. kind is the record
+// kind the caller wrote: a leader's fsync is booked to the leaf or the
+// head series by it.
+func (w *wal) syncTo(end int64, kind byte) error {
 	if w.noSync {
 		return nil
 	}
@@ -99,8 +101,13 @@ func (w *wal) syncTo(end int64) error {
 			err = w.f.Sync()
 		}
 		dog.Done()
-		w.obs.fsyncs.Inc()
-		observeDur(w.obs.fsyncLatency, syncStart)
+		if kind == kindHead {
+			w.obs.headFsyncs.Inc()
+			observeDur(w.obs.headFsyncLatency, syncStart)
+		} else {
+			w.obs.fsyncs.Inc()
+			observeDur(w.obs.fsyncLatency, syncStart)
+		}
 		w.mu.Lock()
 		w.syncing = false
 		if err != nil {
