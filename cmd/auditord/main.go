@@ -369,57 +369,44 @@ func (n *node) subscribeSource(sc *sourceConn, timeout time.Duration, dial func(
 			if gh == nil {
 				continue
 			}
-			var cons *aolog.ShardConsistencyProof
-			if front, ok := w.Frontier(sc.name); ok && gh.Head.Size > front.Size {
-				cons = new(aolog.ShardConsistencyProof)
-				req := serve.ConsistencyRequest{OldSize: int(front.Size), NewSize: int(gh.Head.Size)}
-				if err := sub.Call("consistency", req, cons); err != nil {
-					logger.Warn("consistency for pushed head failed", "source", sc.name, "size", gh.Head.Size, "err", err)
-					continue
-				}
-			}
-			res := w.Ingest(sc.name, gh.Head, cons)
-			if res.Err != nil {
-				logger.Warn("ingesting pushed head failed", "source", sc.name, "size", gh.Head.Size, "err", res.Err)
+			if err := ingestHead(w, sc.name, gh.Head, sub.Call); err != nil {
+				logger.Warn("ingesting pushed head failed", "source", sc.name, "size", gh.Head.Size, "err", err)
 				continue
-			}
-			if res.Proof != nil {
-				logger.Warn("source convicted of equivocation", "source", sc.name, "size", gh.Head.Size)
 			}
 			n.publishFrontier()
 		}
 	}, nil
 }
 
-// pullSource fetches the source's current BLS head, plus a consistency
-// proof from the witness's cosigned frontier when one exists, and ingests
-// both. Head and proof are fetched in separate RPCs, so a live log can
-// grow between them; retry until the proof ends at the fetched head.
+// pullSource fetches the source's current BLS head and ingests it.
 func pullSource(w *gossip.Witness, sc *sourceConn) error {
-	for attempt := 0; attempt < 3; attempt++ {
-		var head aolog.BLSSignedHead
-		if err := sc.conn.Call("headbls", struct{}{}, &head); err != nil {
-			return fmt.Errorf("auditord: head from %s: %w", sc.name, err)
-		}
-		var cons *aolog.ShardConsistencyProof
-		if front, ok := w.Frontier(sc.name); ok && head.Size > front.Size {
-			cons = new(aolog.ShardConsistencyProof)
-			req := serve.ConsistencyRequest{OldSize: int(front.Size)}
-			if err := sc.conn.Call("consistency", req, cons); err != nil {
-				return fmt.Errorf("auditord: consistency from %s: %w", sc.name, err)
-			}
-			if cons.NewSize != int(head.Size) {
-				continue // the log grew between the two RPCs
-			}
-		}
-		res := w.Ingest(sc.name, head, cons)
-		if res.Err != nil {
-			return fmt.Errorf("auditord: ingesting %s head: %w", sc.name, res.Err)
-		}
-		if res.Proof != nil {
-			logger.Warn("source convicted of equivocation", "source", sc.name, "size", head.Size)
-		}
-		return nil
+	var head aolog.BLSSignedHead
+	if err := sc.conn.Call("headbls", struct{}{}, &head); err != nil {
+		return fmt.Errorf("auditord: head from %s: %w", sc.name, err)
 	}
-	return fmt.Errorf("auditord: source %s log kept moving between head and proof fetches", sc.name)
+	return ingestHead(w, sc.name, head, sc.conn.Call)
+}
+
+// ingestHead is the one ingest path, for pulled and pushed heads alike:
+// it fetches the consistency proof from the witness's cosigned frontier
+// to head over call, the connection head came from — pinned to head's
+// size, so a log that grows meanwhile cannot outrun it — and ingests
+// both.
+func ingestHead(w *gossip.Witness, source string, head aolog.BLSSignedHead, call func(kind string, in, out any) error) error {
+	var cons *aolog.ShardConsistencyProof
+	if front, ok := w.Frontier(source); ok && head.Size > front.Size {
+		cons = new(aolog.ShardConsistencyProof)
+		req := serve.ConsistencyRequest{OldSize: int(front.Size), NewSize: int(head.Size)}
+		if err := call("consistency", req, cons); err != nil {
+			return fmt.Errorf("auditord: consistency from %s: %w", source, err)
+		}
+	}
+	res := w.Ingest(source, head, cons)
+	if res.Err != nil {
+		return fmt.Errorf("auditord: ingesting %s head: %w", source, res.Err)
+	}
+	if res.Proof != nil {
+		logger.Warn("source convicted of equivocation", "source", source, "size", head.Size)
+	}
+	return nil
 }

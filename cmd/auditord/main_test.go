@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/aolog"
+	"repro/internal/bls"
 	"repro/internal/daemon"
 	"repro/internal/gossip"
 	"repro/internal/serve"
@@ -274,5 +276,84 @@ func TestShutdownSurvivesMuteSource(t *testing.T) {
 	}
 	if front, _ := w.Frontier("mon"); front.Size != head.Size {
 		t.Errorf("frontier moved to size %d without a consistency proof (was %d)", front.Size, head.Size)
+	}
+}
+
+// TestPullPinsConsistencyToPulledHead: a source whose log grows between
+// the headbls and consistency calls is ingested in one pull with one
+// headbls call — the proof is asked for at the pulled head's size, not
+// at whatever the log has grown to.
+func TestPullPinsConsistencyToPulledHead(t *testing.T) {
+	sk, pk, err := bls.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := aolog.NewShardedLog(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	grow := func(n int) {
+		for i := 0; i < n; i++ {
+			lg.Append([]byte(fmt.Sprintf("leaf-%d", lg.Len())))
+		}
+	}
+	head := func() aolog.BLSSignedHead { return aolog.SignHeadBLS(sk, uint64(lg.Len()), lg.SuperRoot()) }
+	var headCalls int
+	msrv := transport.NewServer()
+	msrv.Handle("headbls", func(json.RawMessage) (any, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		headCalls++
+		h := head()
+		if headCalls == 1 {
+			grow(3) // the log moves on before the witness asks for the proof
+		}
+		return h, nil
+	})
+	msrv.Handle("consistency", func(body json.RawMessage) (any, error) {
+		var req serve.ConsistencyRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if req.NewSize == 0 {
+			req.NewSize = lg.Len()
+		}
+		return lg.ProveConsistencyBetween(req.OldSize, req.NewSize)
+	})
+	monAddr, err := msrv.ListenAndServe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer msrv.Close()
+
+	w, _, err := gossip.OpenWitness(t.TempDir(), gossip.Config{Name: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.AddSource(gossip.Source{Name: "mon", Key: pk}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	grow(8)
+	first := head()
+	grow(4)
+	mu.Unlock()
+	if res := w.Ingest("mon", first, nil); res.Err != nil {
+		t.Fatalf("priming the frontier: %v", res.Err)
+	}
+	sc := &sourceConn{name: "mon", addr: monAddr, conn: transport.DialManaged(monAddr, transport.ManagedOptions{})}
+	defer sc.conn.Close()
+	if err := pullSource(w, sc); err != nil {
+		t.Fatal(err)
+	}
+	if headCalls != 1 {
+		t.Errorf("pull made %d headbls calls, want 1", headCalls)
+	}
+	if front, _ := w.Frontier("mon"); front.Size != 12 {
+		t.Errorf("frontier at size %d after the pull, want the pulled head's 12", front.Size)
 	}
 }

@@ -57,13 +57,12 @@ import (
 	"repro/internal/audit"
 	"repro/internal/bls"
 	"repro/internal/blsapp"
+	"repro/internal/core"
 	"repro/internal/deployfile"
 	"repro/internal/framework"
 	"repro/internal/gossip"
 	"repro/internal/obsv"
 	"repro/internal/transport"
-
-	"repro/internal/domain"
 )
 
 // rootTrace, when valid, rides in the frame header of every RPC this
@@ -71,9 +70,10 @@ import (
 // the daemons' logs and /traces pages by its trace id.
 var rootTrace obsv.TraceContext
 
-// callTimeout bounds connection establishment and every individual RPC
-// (from -rpc-timeout; 0 disables the per-call deadline).
-var callTimeout time.Duration
+// rpcOpts applies -rpc-timeout to every connection: it bounds connection
+// establishment and every individual RPC (0 disables the per-call
+// deadline).
+var rpcOpts transport.ManagedOptions
 
 // errFindings marks a run that completed but reported misbehavior: the
 // process exits nonzero without the "dtclient:" error banner (the
@@ -93,7 +93,7 @@ func main() {
 		rootTrace = obsv.NewTrace()
 		fmt.Fprintf(os.Stderr, "trace %s\n", hex.EncodeToString(rootTrace.TraceID[:]))
 	}
-	callTimeout = *rpcTimeout
+	rpcOpts = transport.ManagedOptions{ConnectTimeout: *rpcTimeout, CallTimeout: *rpcTimeout}
 
 	file, err := deployfile.Read(*paramsPath)
 	if err != nil {
@@ -133,10 +133,7 @@ func main() {
 // dialRPC returns a managed client for addr with the tool's timeouts
 // applied. Nothing is dialed until the first call.
 func dialRPC(addr string) *transport.ManagedClient {
-	return transport.DialManaged(addr, transport.ManagedOptions{
-		ConnectTimeout: callTimeout,
-		CallTimeout:    callTimeout,
-	})
+	return transport.DialManaged(addr, rpcOpts)
 }
 
 // rpcCtx is the context of every RPC made on a dialRPC client: it
@@ -150,7 +147,15 @@ func rpcCtx() context.Context {
 func newAuditClient(params audit.Params) *audit.Client {
 	c := audit.NewClient(params)
 	c.SetTrace(rootTrace)
-	c.SetCallTimeout(callTimeout)
+	c.SetCallTimeout(rpcOpts.CallTimeout)
+	return c
+}
+
+// newDomainClient builds the client that invokes the trust domains, with
+// the tool's trace context and timeouts applied.
+func newDomainClient(params audit.Params) *core.Client {
+	c := core.NewClient(params, rpcOpts)
+	c.SetTrace(rootTrace)
 	return c
 }
 
@@ -216,8 +221,8 @@ func runRefresh(paramsPath string, file *deployfile.File, params audit.Params) e
 		return err
 	}
 
-	inv := newRPCInvoker(params)
-	defer inv.close()
+	inv := newDomainClient(params)
+	defer inv.Close()
 	if err := blsapp.RunRefreshCeremony(inv, ref, signer, blsapp.CeremonyDiagnostics{}); err != nil {
 		return fmt.Errorf("%w\n(the ceremony is safe to re-run: dtclient refresh)", err)
 	}
@@ -400,8 +405,8 @@ func runSign(paramsPath string, file *deployfile.File, params audit.Params, args
 	if *msg == "" {
 		return errors.New("sign needs -msg")
 	}
-	inv := newRPCInvoker(params)
-	defer inv.close()
+	inv := newDomainClient(params)
+	defer inv.Close()
 	sig, tk, err := keyWithStaleReload(paramsPath, file, func(tk *bls.ThresholdKey) (*bls.Signature, error) {
 		return blsapp.ThresholdSign(inv, tk, []byte(*msg))
 	})
@@ -426,8 +431,8 @@ func runSignBatch(paramsPath string, file *deployfile.File, params audit.Params,
 	for i, m := range msgs {
 		batch[i] = []byte(m)
 	}
-	inv := newRPCInvoker(params)
-	defer inv.close()
+	inv := newDomainClient(params)
+	defer inv.Close()
 	sigs, tk, err := keyWithStaleReload(paramsPath, file, func(tk *bls.ThresholdKey) ([]*bls.Signature, error) {
 		return blsapp.ThresholdSignBatch(inv, tk, batch)
 	})
@@ -476,48 +481,4 @@ func runStatus(params audit.Params, args []string) error {
 			d.Name, st.Version, st.LogLen, st.Counter, pending, st.CurrentDigest[:12])
 	}
 	return nil
-}
-
-// rpcInvoker adapts the deployment's domain list to blsapp.Invoker:
-// conns[i] reaches domain i.
-type rpcInvoker struct {
-	conns []*transport.ManagedClient
-}
-
-func newRPCInvoker(params audit.Params) *rpcInvoker {
-	r := &rpcInvoker{}
-	for _, d := range params.Domains {
-		r.conns = append(r.conns, dialRPC(d.Addr))
-	}
-	return r
-}
-
-func (r *rpcInvoker) NumDomains() int { return len(r.conns) }
-
-func (r *rpcInvoker) Invoke(i int, request []byte) ([]byte, error) {
-	var resp domain.InvokeResponse
-	if err := r.conns[i].CallCtx(rpcCtx(), "invoke", domain.InvokeRequest{Request: request}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Response, nil
-}
-
-// InvokeBatch ships all requests to domain i in one "invokebatch" RPC
-// frame, making rpcInvoker a blsapp.BatchInvoker.
-func (r *rpcInvoker) InvokeBatch(i int, requests [][]byte) ([][]byte, []string, error) {
-	var resp domain.InvokeBatchResponse
-	if err := r.conns[i].CallCtx(rpcCtx(), "invokebatch", domain.InvokeBatchRequest{Requests: requests}, &resp); err != nil {
-		return nil, nil, err
-	}
-	if len(resp.Responses) != len(requests) {
-		return nil, nil, fmt.Errorf("dtclient: domain %d answered %d of %d batch requests",
-			i, len(resp.Responses), len(requests))
-	}
-	return resp.Responses, resp.Errors, nil
-}
-
-func (r *rpcInvoker) close() {
-	for _, c := range r.conns {
-		c.Close()
-	}
 }

@@ -17,9 +17,9 @@
 //     leaves, with inclusion and consistency proofs that work across
 //     shard boundaries.
 //
-// Log states are signed as BLSSignedHead, so auditors can verify a whole
-// batch of heads in a single multi-pairing (bls.VerifyBatch,
-// audit.STHBatch).
+// Log states are signed as BLSSignedHead, so a head and the witness
+// cosignatures over it verify in a single multi-pairing (bls.VerifyBatch,
+// gossip.VerifyCosignedHead).
 package aolog
 
 import (

@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/bls"
 	"repro/internal/bls12381"
@@ -507,15 +506,16 @@ func DecodeSignResponse(resp []byte) (*bls.SignatureShare, error) {
 }
 
 // Invoker abstracts "send a request to domain i", satisfied by
-// *core.Deployment; it keeps this package free of a dependency on core.
+// *core.Client (and so *core.Deployment); it keeps this package free of
+// a dependency on core.
 type Invoker interface {
 	Invoke(domainIndex int, request []byte) ([]byte, error)
 	NumDomains() int
 }
 
 // BatchInvoker is optionally satisfied by deployments whose domains accept
-// batched invoke RPCs (*core.Deployment does); ThresholdSignBatch uses it
-// to ship all messages to a domain in one frame.
+// batched invoke RPCs (*core.Client does); ThresholdSignBatch uses it
+// to ship a domain's messages in one frame when there is more than one.
 type BatchInvoker interface {
 	Invoker
 	InvokeBatch(domainIndex int, requests [][]byte) ([][]byte, []string, error)
@@ -541,116 +541,19 @@ func acceptShare(tk *bls.ThresholdKey, shares []bls.SignatureShare, resp []byte)
 	return append(shares, *ss), nil
 }
 
-// ThresholdSign collects signature shares from the first t responsive
-// domains of the deployment and combines them into the group signature.
-// Shares are verified in one batched two-pairing check once t have
-// arrived; only if that batch fails does it verify per share to drop the
-// invalid ones and keep scanning domains. Every share is requested — and
-// accepted — at tk's refresh epoch only: a refresh ceremony racing the
-// signing round surfaces as a *StaleEpochError (retry with the rotated
-// key; see ThresholdSignAuto), never as a mixed-epoch combination.
+// ThresholdSign collects signature shares for msg from the first t
+// responsive domains and combines them into the group signature: it is
+// ThresholdSignBatch over one message, whose request goes to each domain
+// as a plain invoke. Every share is requested — and accepted — at tk's
+// refresh epoch only: a refresh ceremony racing the signing round
+// surfaces as a *StaleEpochError (reload the key and retry), never as a
+// mixed-epoch combination.
 func ThresholdSign(inv Invoker, tk *bls.ThresholdKey, msg []byte) (*bls.Signature, error) {
-	req := EncodeSignRequest(tk.Epoch, msg)
-	shares := make([]bls.SignatureShare, 0, tk.T)
-	var lastErr error
-	var stale *StaleEpochError
-	for i := 0; i < inv.NumDomains() && len(shares) < tk.T; i++ {
-		resp, err := inv.Invoke(i, req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		shares, err = acceptShare(tk, shares, resp)
-		if err != nil {
-			lastErr = err
-			errors.As(err, &stale)
-			continue
-		}
-		if len(shares) == tk.T && !tk.VerifyShareSignaturesBatch(msg, shares) {
-			shares, lastErr = dropInvalidShares(tk, msg, shares)
-		}
+	sigs, err := ThresholdSignBatch(inv, tk, [][]byte{msg})
+	if err != nil {
+		return nil, err
 	}
-	if len(shares) < tk.T {
-		if stale != nil {
-			return nil, fmt.Errorf("blsapp: only %d of %d required shares: %w", len(shares), tk.T, stale)
-		}
-		return nil, fmt.Errorf("blsapp: only %d of %d required shares (last error: %v)", len(shares), tk.T, lastErr)
-	}
-	return bls.CombineShares(shares, tk.T)
-}
-
-// KeySource supplies the current threshold public key; implementations
-// (KeyRing, a deployment coordinator) update it when a refresh ceremony
-// completes. It is how signing clients chase the epoch.
-type KeySource interface {
-	CurrentThresholdKey() *bls.ThresholdKey
-}
-
-// KeyRing is a trivial thread-safe KeySource.
-type KeyRing struct {
-	mu sync.RWMutex
-	tk *bls.ThresholdKey
-}
-
-// NewKeyRing creates a KeyRing holding tk.
-func NewKeyRing(tk *bls.ThresholdKey) *KeyRing { return &KeyRing{tk: tk} }
-
-// CurrentThresholdKey returns the ring's current key.
-func (r *KeyRing) CurrentThresholdKey() *bls.ThresholdKey {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.tk
-}
-
-// Update installs the key a completed refresh ceremony produced.
-func (r *KeyRing) Update(tk *bls.ThresholdKey) {
-	r.mu.Lock()
-	r.tk = tk
-	r.mu.Unlock()
-}
-
-// Retry budget for epoch chasing: generous, because a ceremony that is
-// mid-flight leaves no epoch with t signers only for the short window in
-// which it finishes.
-const (
-	epochRetryAttempts = 200
-	epochRetryDelay    = time.Millisecond
-)
-
-// retryStale runs sign (over the key source's current key) until it
-// stops failing with a stale-epoch error.
-func retryStale[T any](keys KeySource, sign func(tk *bls.ThresholdKey) (T, error)) (T, error) {
-	var zero T
-	for attempt := 0; ; attempt++ {
-		tk := keys.CurrentThresholdKey()
-		out, err := sign(tk)
-		var stale *StaleEpochError
-		if err == nil || !errors.As(err, &stale) {
-			return out, err
-		}
-		if attempt >= epochRetryAttempts {
-			return zero, fmt.Errorf("blsapp: gave up after %d epoch retries: %w", attempt, err)
-		}
-		time.Sleep(epochRetryDelay)
-	}
-}
-
-// ThresholdSignAuto is ThresholdSign with epoch chasing: a stale-epoch
-// failure re-reads the key source (which a refresh coordinator updates
-// as ceremonies complete) and retries, so callers ride through
-// proactive refreshes without ever combining mixed-epoch shares.
-func ThresholdSignAuto(inv Invoker, keys KeySource, msg []byte) (*bls.Signature, error) {
-	return retryStale(keys, func(tk *bls.ThresholdKey) (*bls.Signature, error) {
-		return ThresholdSign(inv, tk, msg)
-	})
-}
-
-// ThresholdSignBatchAuto is ThresholdSignBatch with the same epoch
-// chasing as ThresholdSignAuto.
-func ThresholdSignBatchAuto(inv Invoker, keys KeySource, msgs [][]byte) ([]*bls.Signature, error) {
-	return retryStale(keys, func(tk *bls.ThresholdKey) ([]*bls.Signature, error) {
-		return ThresholdSignBatch(inv, tk, msgs)
-	})
+	return sigs[0], nil
 }
 
 // dropInvalidShares attributes a failed batch check, keeping the valid
@@ -675,9 +578,10 @@ func dropInvalidShares(tk *bls.ThresholdKey, msg []byte, shares []bls.SignatureS
 // invoke RPCs when the deployment supports them (chunked to the
 // transport's per-frame cap), asks each additional domain only for the
 // messages still missing shares, and verifies each message's t shares in
-// one batched pairing check. Like ThresholdSign it requests and accepts
-// shares only at tk's epoch; a refresh racing the batch surfaces as a
-// *StaleEpochError for the messages left short.
+// one batched two-pairing check, falling back to per-share checks only
+// to drop invalid shares and keep scanning domains. Shares are requested
+// and accepted only at tk's epoch; a refresh racing the batch surfaces
+// as a *StaleEpochError for the messages left short.
 func ThresholdSignBatch(inv Invoker, tk *bls.ThresholdKey, msgs [][]byte) ([]*bls.Signature, error) {
 	if len(msgs) == 0 {
 		return nil, errors.New("blsapp: empty message batch")
@@ -714,22 +618,13 @@ func ThresholdSignBatch(inv Invoker, tk *bls.ThresholdKey, msgs [][]byte) ([]*bl
 				lastErr = errors.New(errs[k])
 				continue
 			}
-			// Guard against a misbehaving domain answering with fewer
-			// responses than requests.
-			if k >= len(resps) {
-				lastErr = fmt.Errorf("blsapp: domain %d truncated the batch response", i)
-				continue
-			}
 			shares[j], err = acceptShare(tk, shares[j], resps[k])
 			if err != nil {
 				lastErr = err
 				errors.As(err, &stale)
 				continue
 			}
-			if len(shares[j]) < tk.T {
-				continue
-			}
-			if !tk.VerifyShareSignaturesBatch(msgs[j], shares[j]) {
+			if len(shares[j]) == tk.T && !tk.VerifyShareSignaturesBatch(msgs[j], shares[j]) {
 				shares[j], lastErr = dropInvalidShares(tk, msgs[j], shares[j])
 			}
 		}
@@ -754,12 +649,13 @@ func ThresholdSignBatch(inv Invoker, tk *bls.ThresholdKey, msgs [][]byte) ([]*bl
 
 // invokeMany fetches one response per request from domain i: batched
 // frames chunked to the transport's per-frame cap when the deployment
-// supports them, sequential invokes otherwise. Both returned slices have
-// exactly one entry per request (truncated chunks from a misbehaving
-// domain are padded in place with per-entry errors).
+// supports them and there is more than one request, sequential invokes
+// otherwise. Both returned slices have exactly one entry per request
+// (truncated chunks from a misbehaving domain are padded in place with
+// per-entry errors).
 func invokeMany(inv Invoker, i int, requests [][]byte) ([][]byte, []string, error) {
 	bi, hasBatch := inv.(BatchInvoker)
-	if !hasBatch {
+	if !hasBatch || len(requests) == 1 {
 		resps := make([][]byte, len(requests))
 		errs := make([]string, len(requests))
 		for j, r := range requests {

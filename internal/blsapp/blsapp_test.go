@@ -1,6 +1,7 @@
 package blsapp
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -245,6 +246,59 @@ func TestThresholdSignBatchOnlySendsPendingMessages(t *testing.T) {
 	// must not be asked to sign anything.
 	if ci.batchCounts[0] != 2 || ci.batchCounts[1] != 2 || ci.batchCounts[2] != 0 {
 		t.Fatalf("batched request counts per domain = %v, want [2 2 0]", ci.batchCounts)
+	}
+}
+
+// invokeCounter counts the Invoke and InvokeBatch calls that reach a
+// memInvoker. Only batchInvokeCounter offers InvokeBatch.
+type invokeCounter struct {
+	*memInvoker
+	invokes, batches int
+}
+
+func (c *invokeCounter) Invoke(i int, req []byte) ([]byte, error) {
+	c.invokes++
+	return c.memInvoker.Invoke(i, req)
+}
+
+type batchInvokeCounter struct{ *invokeCounter }
+
+func (c batchInvokeCounter) InvokeBatch(int, [][]byte) ([][]byte, []string, error) {
+	c.batches++
+	return nil, nil, errors.New("a one-message sign sent a batch")
+}
+
+// TestOneMessageSignSendsInvoke: a one-message sign is one plain invoke
+// to each of t domains, whether or not the deployment batches — never an
+// invokebatch frame around a single request.
+func TestOneMessageSignSendsInvoke(t *testing.T) {
+	tk, shares, err := bls.ThresholdKeyGen(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mi := &memInvoker{fail: map[int]bool{}}
+	for i := range shares {
+		f, _ := newAppFramework(t, &shares[i])
+		mi.fws = append(mi.fws, f)
+	}
+	plain := &invokeCounter{memInvoker: mi}
+	batching := batchInvokeCounter{&invokeCounter{memInvoker: mi}}
+	for _, tc := range []struct {
+		name string
+		inv  Invoker
+		c    *invokeCounter
+	}{{"plain", plain, plain}, {"batching", batching, batching.invokeCounter}} {
+		msg := []byte("one message, " + tc.name)
+		sig, err := ThresholdSign(tc.inv, tk, msg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bls.Verify(&tk.GroupKey, msg, sig) {
+			t.Fatalf("%s: signature invalid", tc.name)
+		}
+		if tc.c.invokes != tk.T || tc.c.batches != 0 {
+			t.Fatalf("%s: %d invokes and %d batches, want %d and 0", tc.name, tc.c.invokes, tc.c.batches, tk.T)
+		}
 	}
 }
 

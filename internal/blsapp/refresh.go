@@ -159,27 +159,21 @@ func DecodeRefreshAck(resp []byte) (uint64, error) {
 	return binary.BigEndian.Uint64(resp[1:]), nil
 }
 
-// AllInvoker is optionally satisfied by deployments with a broadcast
-// primitive that retries per-domain failures (*core.Deployment's
-// InvokeAll); ceremonies prefer it because a refresh, unlike a
-// threshold signature, needs every domain, not any t of them.
-type AllInvoker interface {
-	Invoker
-	InvokeAll(requests [][]byte, retries int) ([][]byte, error)
-}
-
-// ceremonyRetries bounds per-domain retry attempts within one
-// RunRefreshCeremony call.
-const ceremonyRetries = 3
+// ceremonyAttempts bounds how often one RunRefreshCeremony call sends a
+// domain its frame when the domain answers with an error.
+const ceremonyAttempts = 3
 
 // RunRefreshCeremony drives one proactive refresh over the deployment:
-// every domain receives its frame and must acknowledge the new epoch.
-// On error the ceremony is incomplete — some domains may already have
-// moved — and the caller must re-drive it with the SAME *bls.Refresh
-// (domains acknowledge replays idempotently); generating a fresh
-// package for the same epoch would strand the domains that already
-// applied this one. diag receives the phase events and brackets the
-// ceremony with its watchdog.
+// every domain receives its frame and must acknowledge the new epoch —
+// unlike a threshold signature, which any t domains can produce, a
+// refresh needs all n. A domain that answers with an error is sent its
+// frame up to ceremonyAttempts times; one whose link breaks is not sent
+// it again. On error the ceremony is incomplete — some domains may
+// already have moved — and the caller must re-drive it with the SAME
+// *bls.Refresh (domains acknowledge replays idempotently); generating a
+// fresh package for the same epoch would strand the domains that
+// already applied this one. diag receives the phase events and brackets
+// the ceremony with its watchdog.
 func RunRefreshCeremony(inv Invoker, ref *bls.Refresh, signer RefreshSigner, diag CeremonyDiagnostics) (err error) {
 	start := time.Now()
 	ceremonyObs.ceremonies.Inc()
@@ -202,32 +196,21 @@ func RunRefreshCeremony(inv Invoker, ref *bls.Refresh, signer RefreshSigner, dia
 
 	ceremonyObs.phase.Set(ceremonyInvoke)
 	diag.event("ceremony_phase", "invoke", ref.NewEpoch)
-	var resps [][]byte
-	if ai, ok := inv.(AllInvoker); ok {
+	resps := make([][]byte, n)
+	for i := 0; i < n; i++ {
 		var err error
-		resps, err = ai.InvokeAll(reqs, ceremonyRetries)
-		if err != nil {
-			return fmt.Errorf("blsapp: refresh ceremony incomplete (re-drive with the same package): %w", err)
+		for a := 0; a < ceremonyAttempts; a++ {
+			resps[i], err = inv.Invoke(i, reqs[i])
+			// Only a failure the domain answered is retried here. A broken
+			// link is not: the frame may have been applied, and re-sending
+			// is the durable re-drive's job, not this call's.
+			var answered *transport.ErrRemote
+			if err == nil || !errors.As(err, &answered) {
+				break
+			}
 		}
-	} else {
-		resps = make([][]byte, n)
-		for i := 0; i < n; i++ {
-			var resp []byte
-			var lastErr error
-			for a := 0; a < ceremonyRetries; a++ {
-				resp, lastErr = inv.Invoke(i, reqs[i])
-				// Only a failure the domain answered is retried here. A
-				// broken link is not: the frame may have been applied, and
-				// re-sending is the durable re-drive's job, not this call's.
-				var answered *transport.ErrRemote
-				if lastErr == nil || !errors.As(lastErr, &answered) {
-					break
-				}
-			}
-			if lastErr != nil {
-				return fmt.Errorf("blsapp: refresh ceremony incomplete at domain %d (re-drive with the same package): %w", i, lastErr)
-			}
-			resps[i] = resp
+		if err != nil {
+			return fmt.Errorf("blsapp: refresh ceremony incomplete at domain %d (re-drive with the same package): %w", i, err)
 		}
 	}
 	ceremonyObs.phase.Set(ceremonyAcks)

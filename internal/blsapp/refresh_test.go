@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bls"
 	"repro/internal/framework"
+	"repro/internal/transport"
 )
 
 // refreshFixture is a t-of-n deployment of in-process sandboxed
@@ -200,13 +203,34 @@ func TestRefreshRejectsGroupKeyMove(t *testing.T) {
 
 // TestConcurrentRefreshAndSignBatch hammers ThresholdSignBatch from
 // several goroutines while refresh ceremonies run in a loop (run under
-// -race in CI). Every signature that comes back must verify under the
-// never-changing group key — which is exactly the statement that no
-// mixed-epoch combination ever slipped through — and epoch chasing must
-// absorb all staleness.
+// -race in CI). Signers hold a test-local key that the ceremony loop
+// replaces after every completed ceremony, and reload it on a
+// *StaleEpochError, as dtclient reloads its parameters file. Every
+// signature that comes back must verify under the never-changing group
+// key — which is exactly the statement that no mixed-epoch combination
+// ever slipped through.
 func TestConcurrentRefreshAndSignBatch(t *testing.T) {
 	f := newRefreshFixture(t, 2, 3, "")
-	ring := NewKeyRing(f.tk)
+	var mu sync.Mutex
+	cur := f.tk
+	key := func() *bls.ThresholdKey {
+		mu.Lock()
+		defer mu.Unlock()
+		return cur
+	}
+	// sign retries with the reloaded key until no domain answers stale:
+	// a ceremony in flight leaves no epoch with t signers only for the
+	// short window in which it finishes.
+	sign := func(msgs [][]byte) ([]*bls.Signature, error) {
+		for attempt := 0; ; attempt++ {
+			sigs, err := ThresholdSignBatch(f.inv, key(), msgs)
+			var stale *StaleEpochError
+			if err == nil || !errors.As(err, &stale) || attempt == 200 {
+				return sigs, err
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	msgs := [][]byte{[]byte("hammer one"), []byte("hammer two")}
 
 	const signers = 3
@@ -219,9 +243,8 @@ func TestConcurrentRefreshAndSignBatch(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cur := f.tk
 		for r := 0; r < ceremonies; r++ {
-			ref, err := bls.NewRefresh(cur)
+			ref, err := bls.NewRefresh(key())
 			if err != nil {
 				errCh <- err
 				return
@@ -230,8 +253,9 @@ func TestConcurrentRefreshAndSignBatch(t *testing.T) {
 				errCh <- err
 				return
 			}
+			mu.Lock()
 			cur = ref.NewKey
-			ring.Update(cur)
+			mu.Unlock()
 		}
 	}()
 
@@ -240,7 +264,7 @@ func TestConcurrentRefreshAndSignBatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < signsPerWorker; j++ {
-				sigs, err := ThresholdSignBatchAuto(f.inv, ring, msgs)
+				sigs, err := sign(msgs)
 				if err != nil {
 					errCh <- err
 					return
@@ -259,16 +283,90 @@ func TestConcurrentRefreshAndSignBatch(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if got := ring.CurrentThresholdKey().Epoch; got != ceremonies {
-		t.Fatalf("ring at epoch %d after %d ceremonies", got, ceremonies)
+	if got := key().Epoch; got != ceremonies {
+		t.Fatalf("key at epoch %d after %d ceremonies", got, ceremonies)
 	}
 	// The deployment still signs at the final epoch.
-	sig, err := ThresholdSignAuto(f.inv, ring, []byte("after the churn"))
+	sig, err := ThresholdSign(f.inv, key(), []byte("after the churn"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bls.Verify(&f.tk.GroupKey, []byte("after the churn"), sig) {
 		t.Fatal("final signature invalid")
+	}
+}
+
+// faultyInvoker puts a fault in front of one sandboxed domain and counts
+// the ceremony frames every domain is sent.
+type faultyInvoker struct {
+	*memInvoker
+	domain int
+	fault  func() ([]byte, error) // answers for domain instead of its sandbox
+	sent   []int
+}
+
+func (fi *faultyInvoker) Invoke(i int, req []byte) ([]byte, error) {
+	fi.sent[i]++
+	if i == fi.domain {
+		return fi.fault()
+	}
+	return fi.memInvoker.Invoke(i, req)
+}
+
+// TestCeremonyDemandsEveryDomain: a refresh needs every domain, so the
+// ceremony fails — and stops at the failing domain — when one keeps
+// answering with an error (after ceremonyAttempts sends), when its link
+// breaks (after exactly one send: the frame may have been applied), and
+// when it answers without an ack. The torn ceremony a broken link leaves
+// behind still signs at the new epoch, where t domains now live, and the
+// old key yields a stale error, never a mixed combination.
+func TestCeremonyDemandsEveryDomain(t *testing.T) {
+	cases := []struct {
+		name  string
+		fault func() ([]byte, error)
+		sends int
+	}{
+		{"answered error", func() ([]byte, error) { return nil, &transport.ErrRemote{Msg: "busy"} }, ceremonyAttempts},
+		{"broken link", func() ([]byte, error) { return nil, errTestDown }, 1},
+		{"no ack", func() ([]byte, error) { return []byte{}, nil }, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newRefreshFixture(t, 2, 3, "")
+			inv := &faultyInvoker{memInvoker: f.inv, domain: 2, fault: tc.fault, sent: make([]int, 3)}
+			ref, err := bls.NewRefresh(f.tk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := RunRefreshCeremony(inv, ref, f.dev, CeremonyDiagnostics{}); err == nil {
+				t.Fatal("ceremony succeeded without domain 2")
+			}
+			if want := []int{1, 1, tc.sends}; !slices.Equal(inv.sent, want) {
+				t.Fatalf("frames sent per domain = %v, want %v", inv.sent, want)
+			}
+			msg := []byte("signed during a torn ceremony")
+			sig, err := ThresholdSign(f.inv, ref.NewKey, msg)
+			if err != nil {
+				t.Fatalf("torn ceremony blocked new-epoch signing: %v", err)
+			}
+			if !bls.Verify(&f.tk.GroupKey, msg, sig) {
+				t.Fatal("signature across a torn ceremony invalid")
+			}
+			var stale *StaleEpochError
+			if _, err := ThresholdSign(f.inv, f.tk, msg); !errors.As(err, &stale) {
+				t.Fatalf("old-epoch sign during torn ceremony: %v", err)
+			}
+		})
+	}
+	// A ceremony package for another deployment width is refused outright.
+	f := newRefreshFixture(t, 2, 3, "")
+	ref, err := bls.NewRefresh(f.tk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := &memInvoker{fws: f.inv.fws[:2], fail: map[int]bool{}}
+	if err := RunRefreshCeremony(narrow, ref, f.dev, CeremonyDiagnostics{}); err == nil {
+		t.Fatal("3-share ceremony driven against 2 domains")
 	}
 }
 

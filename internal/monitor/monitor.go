@@ -19,8 +19,9 @@
 // auditors" role (§1, §3.3) on top of the aolog building block. The log
 // is an aolog.ShardedLog so heavy gossip traffic stripes across shards,
 // SubmitBatch ingests a whole gossip frame under one lock, and tree heads
-// sign the super-root with the monitor's one BLS head key, so auditors
-// verify heads in batches (audit.STHBatch, bls.VerifyBatch).
+// sign the super-root with the monitor's one BLS head key, so a head and
+// the witness cosignatures over it verify in one multi-pairing
+// (gossip.VerifyCosignedHead, bls.VerifyBatch).
 //
 // The monitor is itself watched: the witness network (internal/gossip,
 // cmd/auditord) cross-checks its BLS heads between observers and convicts

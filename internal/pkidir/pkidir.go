@@ -17,6 +17,7 @@
 package pkidir
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -319,25 +320,14 @@ func DecodeLookup(name string, resp []byte) (*LookupResponse, error) {
 	if b.Name != name {
 		return nil, errors.New("pkidir: proof covers a different name")
 	}
-	if !bytesEqual(b.Key, lr.Key) {
+	if !bytes.Equal(b.Key, lr.Key) {
 		return nil, errors.New("pkidir: key does not match logged binding")
 	}
 	return &lr, nil
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Invoker matches blsapp.Invoker (satisfied by *core.Deployment).
+// Invoker matches blsapp.Invoker (satisfied by *core.Client and so
+// *core.Deployment).
 type Invoker interface {
 	Invoke(domainIndex int, request []byte) ([]byte, error)
 	NumDomains() int
@@ -381,7 +371,7 @@ func LookupEverywhere(inv Invoker, name string) ([]byte, error) {
 		}
 		if agreed == nil {
 			agreed = lr.Key
-		} else if !bytesEqual(agreed, lr.Key) {
+		} else if !bytes.Equal(agreed, lr.Key) {
 			return nil, fmt.Errorf("pkidir: domains disagree on the key for %q (possible targeted key substitution)", name)
 		}
 	}
