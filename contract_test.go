@@ -373,3 +373,68 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		}
 	}
 }
+
+// kernelImports are what a non-test file in internal/ff may not import:
+// a flag, an environment variable or a CPU-feature package with its own
+// switches (x/sys/cpu reads GODEBUG) would be a second way to choose a
+// field kernel.
+var kernelImports = []string{"flag", "os", "syscall", "golang.org/x/sys/cpu"}
+
+// TestOneKernelDispatch: assembly exists only in internal/ff, and ff
+// chooses its field kernels one way, from CPUID at init. No non-test
+// file there imports a package that reads flags or the environment, and
+// the only build constraint is the one that gives every architecture
+// but amd64 the Go kernels.
+func TestOneKernelDispatch(t *testing.T) {
+	const ffDir = "internal/ff"
+	sawAsm := false
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if ext := filepath.Ext(path); ext == ".s" || ext == ".S" {
+			if filepath.ToSlash(filepath.Dir(path)) != ffDir {
+				t.Errorf("%s: assembly outside %s; the field kernels are the repository's only assembly", path, ffDir)
+			}
+			sawAsm = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sawAsm {
+		t.Errorf("no assembly under %s: the scan is looking in the wrong place", ffDir)
+	}
+
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ffDir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for path, file := range pkg.Files {
+			for _, imp := range file.Imports {
+				ipath, _ := strconv.Unquote(imp.Path.Value)
+				if slices.Contains(kernelImports, ipath) {
+					t.Errorf("%s: imports %s; ff chooses its kernels from CPUID alone", path, ipath)
+				}
+			}
+			for _, group := range file.Comments {
+				for _, c := range group.List {
+					if (strings.HasPrefix(c.Text, "//go:build") || strings.HasPrefix(c.Text, "// +build")) && c.Text != "//go:build !amd64" {
+						t.Errorf("%s: build constraint %q; the only one in ff is //go:build !amd64", path, c.Text)
+					}
+				}
+			}
+		}
+	}
+}

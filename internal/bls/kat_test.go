@@ -121,14 +121,13 @@ func katVectors(t *testing.T) map[string][]byte {
 }
 
 func TestKnownAnswerVectors(t *testing.T) {
-	got := katVectors(t)
-	names := make([]string, 0, len(got))
-	for name := range got {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
 	if os.Getenv("UPDATE_KAT") != "" {
+		got := katVectors(t)
+		names := make([]string, 0, len(got))
+		for name := range got {
+			names = append(names, name)
+		}
+		sort.Strings(names)
 		var buf bytes.Buffer
 		for _, name := range names {
 			fmt.Fprintf(&buf, "%s %x\n", name, got[name])
@@ -164,16 +163,21 @@ func TestKnownAnswerVectors(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(got) {
-		t.Fatalf("%s holds %d vectors, this test computes %d", katFile, len(want), len(got))
-	}
-	for _, name := range names {
-		w, ok := want[name]
-		if !ok {
-			t.Fatalf("%s: missing from %s", name, katFile)
+	// Byte for byte under the field kernels this CPU dispatches to and
+	// under the Go fallback.
+	forEachKernel(t, func(t *testing.T) {
+		got := katVectors(t)
+		if len(want) != len(got) {
+			t.Fatalf("%s holds %d vectors, this test computes %d", katFile, len(want), len(got))
 		}
-		if !bytes.Equal(got[name], w) {
-			t.Errorf("%s: got %x, want %x", name, got[name], w)
+		for name, g := range got {
+			w, ok := want[name]
+			if !ok {
+				t.Fatalf("%s: missing from %s", name, katFile)
+			}
+			if !bytes.Equal(g, w) {
+				t.Errorf("%s: got %x, want %x", name, g, w)
+			}
 		}
-	}
+	})
 }

@@ -44,16 +44,18 @@ func TestPairingMatchesAffineOracle(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		cases = append(cases, pair{"random", randG1(t), randG2(t)})
 	}
-	var br oracleBranches
-	for _, c := range cases {
-		got := Pair(&c.p, &c.q)
-		want := oraclePair(&c.p, &c.q, &br)
-		if !got.Equal(&want) {
-			t.Fatalf("%s: Pair != affine oracle after final exponentiation", c.name)
+	forEachKernel(t, func(t *testing.T) {
+		var br oracleBranches
+		for _, c := range cases {
+			got := Pair(&c.p, &c.q)
+			want := oraclePair(&c.p, &c.q, &br)
+			if !got.Equal(&want) {
+				t.Fatalf("%s: Pair != affine oracle after final exponentiation", c.name)
+			}
 		}
-	}
-	t.Logf("corpus reached %d doubling, %d addition, %d infinity-skip branches",
-		br.doublings, br.additions, br.infinitySkips)
+		t.Logf("corpus reached %d doubling, %d addition, %d infinity-skip branches",
+			br.doublings, br.additions, br.infinitySkips)
+	})
 }
 
 // TestCyclotomicSquareOnEasyPartOutputs: on every element the hard part

@@ -214,19 +214,36 @@ func (z *Fp) toMont() *Fp { return z.Mul(z, &fpRSquare) }
 func (z *Fp) fromMont() Fp {
 	one := Fp{1}
 	var out Fp
-	fpMontMul(&out, z, &one)
+	out.Mul(z, &one)
 	return out
 }
 
-// Add, Sub, Neg and fpReduce are unrolled over constant limb indices and
-// select their result with a mask instead of a branch: the condition
-// (did the sum reach p, did the difference borrow) is a coin flip on
-// field data, so a branch there mispredicts half the time. An Fp2
-// product spends a quarter of its time in these, and the pairing's
-// line and squaring formulas are mostly additions.
-
 // Add sets z = a + b and returns z.
 func (z *Fp) Add(a, b *Fp) *Fp {
+	fpAdd(z, a, b)
+	return z
+}
+
+// Double sets z = 2a and returns z.
+func (z *Fp) Double(a *Fp) *Fp { return z.Add(a, a) }
+
+// Sub sets z = a - b and returns z.
+func (z *Fp) Sub(a, b *Fp) *Fp {
+	fpSub(z, a, b)
+	return z
+}
+
+// fpAddGo, fpSubGo, Neg and fpReduce are unrolled over constant limb
+// indices and select their result with a mask instead of a branch: the
+// condition (did the sum reach p, did the difference borrow) is a coin
+// flip on field data, so a branch there mispredicts half the time. An
+// Fp2 product spends a quarter of its time in these, and the pairing's
+// line and squaring formulas are mostly additions. fpAddGo and fpSubGo
+// are Add and Sub where there is no assembly (fp_noasm.go), and the
+// references the amd64 kernels are pinned against.
+
+// fpAddGo sets z = a + b.
+func fpAddGo(z, a, b *Fp) {
 	var c uint64
 	z[0], c = bits.Add64(a[0], b[0], 0)
 	z[1], c = bits.Add64(a[1], b[1], c)
@@ -236,14 +253,10 @@ func (z *Fp) Add(a, b *Fp) *Fp {
 	z[5], _ = bits.Add64(a[5], b[5], c)
 	// a, b < p < 2^381 so no carry out of the top limb.
 	fpReduce(z)
-	return z
 }
 
-// Double sets z = 2a and returns z.
-func (z *Fp) Double(a *Fp) *Fp { return z.Add(a, a) }
-
-// Sub sets z = a - b and returns z.
-func (z *Fp) Sub(a, b *Fp) *Fp {
+// fpSubGo sets z = a - b.
+func fpSubGo(z, a, b *Fp) {
 	t0, br := bits.Sub64(a[0], b[0], 0)
 	t1, br := bits.Sub64(a[1], b[1], br)
 	t2, br := bits.Sub64(a[2], b[2], br)
@@ -259,7 +272,6 @@ func (z *Fp) Sub(a, b *Fp) *Fp {
 	z[3], c = bits.Add64(t3, fpModulus[3]&mask, c)
 	z[4], c = bits.Add64(t4, fpModulus[4]&mask, c)
 	z[5], _ = bits.Add64(t5, fpModulus[5]&mask, c)
-	return z
 }
 
 // Neg sets z = -a and returns z.
@@ -339,10 +351,24 @@ func fpMontMulGeneric(z, a, b *Fp) {
 	fpReduce(z)
 }
 
-// Mul sets z = a * b and returns z. fpMontMul reads every limb of a
-// and b before it writes z, so z may alias either operand.
+// fpMulADX selects the MULX/ADX assembly multiply (fp_amd64.s) for
+// Fp.Mul. It is set once, at init, from CPUID: no flag, option or
+// environment variable reaches it. Without it Fp.Mul runs fpMontMul.
+var fpMulADX = cpuHasADX()
+
+// useGoKernels points Fp.Mul at fpMontMul until restore is called, so
+// tests keep the fallback covered on a CPU that has ADX. It is a test
+// seam, not API: tests outside ff reach it with go:linkname.
+func useGoKernels() (restore func()) {
+	saved := fpMulADX
+	fpMulADX = false
+	return func() { fpMulADX = saved }
+}
+
+// Mul sets z = a * b and returns z. Every Montgomery kernel reads all
+// limbs of a and b before it writes z, so z may alias either operand.
 func (z *Fp) Mul(a, b *Fp) *Fp {
-	fpMontMul(z, a, b)
+	fpMul(z, a, b)
 	return z
 }
 

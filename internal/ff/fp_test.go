@@ -365,6 +365,18 @@ func BenchmarkFrMul(b *testing.B) {
 	}
 }
 
+// BenchmarkFpMulGo is the two-row Go kernel, Fp.Mul's fallback, on
+// BenchmarkFpMul's shape; CI's curve-perf job gates the assembly
+// kernel at >= 1.3x it.
+func BenchmarkFpMulGo(b *testing.B) {
+	x, _ := RandFp()
+	y, _ := RandFp()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fpMontMul(&x, &x, &y)
+	}
+}
+
 // BenchmarkFpMulGeneric is the retained CIOS loop on BenchmarkFpMul's
 // shape; CI's curve-perf job gates the production kernel at >= 1.5x it.
 func BenchmarkFpMulGeneric(b *testing.B) {

@@ -1,7 +1,6 @@
 package ff
 
 import (
-	"crypto/rand"
 	"math/big"
 	"testing"
 )
@@ -93,34 +92,26 @@ func TestFrMontMulUnrolledMatchesGeneric(t *testing.T) {
 	}
 }
 
-// FuzzFpMontMul cross-checks the unrolled kernel against the generic
-// loop on arbitrary raw limb patterns (reduced mod p first so both see
+// FuzzFpMontMul cross-checks the dispatched multiply (the MULX/ADX
+// assembly where the CPU has it), the two-row kernel and the generic
+// loop on arbitrary raw limb patterns (reduced mod p first so all see
 // valid residues), seeded with every pair of boundary residues.
 func FuzzFpMontMul(f *testing.F) {
-	bounds := fpBoundaryResidues()
-	for i := range bounds {
-		for j := range bounds {
-			seed := make([]byte, 96)
-			limbsToBig(bounds[i][:]).FillBytes(seed[:48])
-			limbsToBig(bounds[j][:]).FillBytes(seed[48:])
-			f.Add(seed)
-		}
-	}
-	seed := make([]byte, 96)
-	if _, err := rand.Read(seed); err == nil {
-		f.Add(seed)
-	}
+	addFpPairSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) != 96 {
 			return
 		}
-		a := bigToFpRaw(new(big.Int).Mod(new(big.Int).SetBytes(data[:48]), fpP))
-		b := bigToFpRaw(new(big.Int).Mod(new(big.Int).SetBytes(data[48:]), fpP))
-		var fast, slow Fp
+		a, b := fpPair(data)
+		var asm, fast, slow Fp
+		asm.Mul(&a, &b)
 		fpMontMul(&fast, &a, &b)
 		fpMontMulGeneric(&slow, &a, &b)
 		if !fast.Equal(&slow) {
 			t.Fatalf("unrolled != generic for %x", data)
+		}
+		if !asm.Equal(&slow) {
+			t.Fatalf("Fp.Mul != generic for %x", data)
 		}
 	})
 }
