@@ -32,6 +32,7 @@ var allowedInternalImports = map[string][]string{
 	"fault":     {"obsv"},
 	"daemon":    {"obsv", "fault", "transport"},
 	"serve":     {"aolog", "gossip", "obsv", "transport"},
+	"aolog":     {"bls"},
 }
 
 // rawDialers are the transport entry points reserved to the transport

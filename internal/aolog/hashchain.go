@@ -11,7 +11,8 @@
 //     auditability layer (§1, §4.1). Interior nodes are cached
 //     incrementally, so appends cost O(1) amortized hashing and
 //     roots/proofs cost O(log n) — the hot path of a log that serves a
-//     signed tree head per ingest (DESIGN.md §3).
+//     signed tree head per ingest (DESIGN.md §3) — and the root at a
+//     size already computed is one lookup.
 //   - ShardedLog: a MerkleLog striped across K shards for heavy append
 //     traffic, committed to by a super-root over (shard, size, root)
 //     leaves, with inclusion and consistency proofs that work across
@@ -20,6 +21,23 @@
 // Log states are signed as BLSSignedHead, so a head and the witness
 // cosignatures over it verify in a single multi-pairing (bls.VerifyBatch,
 // gossip.VerifyCosignedHead).
+//
+// OWNS: every hash a log commits to (leaf, node, chain and shard-leaf
+// hashes) and the byte layout of heads and proofs, JSON and binary; the
+// complete-subtree cache and the prefix-root memo (MerkleLog.roots: the
+// root at every size Root or RootAt has computed, one digest per leaf
+// at most, never evicted); the sharded geometry and its super-root.
+//
+// MUST NOT DO: lock anything. A MerkleLog or ShardedLog is not safe for
+// concurrent use, its read methods included (Root, RootAt, SuperRoot,
+// SuperRootAt and ShardedLog's Prove* write the prefix-root memo), so a
+// caller holds an exclusive lock around every call, never a shared read
+// lock (monitor under its mu, pkidir under its mu). Also: persist or do
+// I/O (storage is internal/store); hold a key (SignHeadBLS signs with
+// the one its caller passes); answer a different root at a size it has
+// answered before.
+//
+// MUST NOT import: any repro/internal package except bls.
 package aolog
 
 import (
@@ -42,38 +60,34 @@ type Entry struct {
 }
 
 // leafHash domain-separates leaves from interior nodes (RFC 6962 style).
+// The fixed-size hashes below fill a stack array and call sha256.Sum256,
+// this one sums into its result: none of them allocates.
 func leafHash(payload []byte) Digest {
 	h := sha256.New()
 	h.Write([]byte{0x00})
 	h.Write(payload)
 	var d Digest
-	copy(d[:], h.Sum(nil))
+	h.Sum(d[:0])
 	return d
 }
 
 // nodeHash hashes two children with interior-node domain separation.
 func nodeHash(l, r Digest) Digest {
-	h := sha256.New()
-	h.Write([]byte{0x01})
-	h.Write(l[:])
-	h.Write(r[:])
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+	var b [1 + 2*DigestSize]byte
+	b[0] = 0x01
+	copy(b[1:], l[:])
+	copy(b[1+DigestSize:], r[:])
+	return sha256.Sum256(b[:])
 }
 
 // chainHash computes head_{i+1} = H(0x02 || head_i || i || leafHash(e)).
 func chainHash(prev Digest, index uint64, leaf Digest) Digest {
-	h := sha256.New()
-	h.Write([]byte{0x02})
-	h.Write(prev[:])
-	var idx [8]byte
-	binary.BigEndian.PutUint64(idx[:], index)
-	h.Write(idx[:])
-	h.Write(leaf[:])
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+	var b [1 + DigestSize + 8 + DigestSize]byte
+	b[0] = 0x02
+	copy(b[1:], prev[:])
+	binary.BigEndian.PutUint64(b[1+DigestSize:], index)
+	copy(b[1+DigestSize+8:], leaf[:])
+	return sha256.Sum256(b[:])
 }
 
 // HashChain is an append-only hash chain. The zero value is an empty chain.

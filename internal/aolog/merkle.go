@@ -4,22 +4,31 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // MerkleLog is an append-only Merkle tree over entry payloads in the style
 // of RFC 6962 (Certificate Transparency): it supports inclusion proofs
 // ("entry i is in the tree of size n") and consistency proofs ("the tree of
 // size m is a prefix of the tree of size n"). The zero value is an empty
-// log. Not safe for concurrent use.
+// log.
+//
+// Not safe for concurrent use, read methods included: Root and RootAt
+// write the prefix-root memo below, so callers hold an exclusive lock
+// around every call, never a shared read lock.
 //
 // The tree is stored incrementally: levels[h][i] caches the root of the
 // complete subtree over leaves [i*2^h, (i+1)*2^h), so Append does O(1)
 // amortized hashing and Root/RootAt/proof generation cost O(log n) instead
 // of rehashing all n leaves (the seed behavior, preserved as RecomputeRoot
-// for tests and benchmarks).
+// for tests and benchmarks). On top of that, roots[n-1] remembers the root
+// of the first n leaves once Root or RootAt has computed it: a log is
+// append-only, so a root at a past size never changes, and every later
+// call at that size is one lookup.
 type MerkleLog struct {
 	raw    [][]byte
 	levels [][]Digest // levels[0] = leaf hashes; levels[h][i] covers leaves [i<<h, (i+1)<<h)
+	roots  []Digest   // roots[n-1] = root of the first n leaves; zero = not computed yet
 }
 
 // Len returns the number of leaves.
@@ -77,7 +86,7 @@ func (m *MerkleLog) push(h int, d Digest) {
 // Root returns the Merkle root of the current tree. The empty tree has the
 // hash of the empty string as root (RFC 6962 §2.1).
 func (m *MerkleLog) Root() Digest {
-	return m.rangeRoot(0, m.Len())
+	return m.prefixRoot(m.Len())
 }
 
 // RootAt returns the root of the first n leaves.
@@ -85,7 +94,28 @@ func (m *MerkleLog) RootAt(n int) (Digest, error) {
 	if n < 0 || n > m.Len() {
 		return Digest{}, fmt.Errorf("aolog: tree size %d out of range", n)
 	}
-	return m.rangeRoot(0, n), nil
+	return m.prefixRoot(n), nil
+}
+
+// prefixRoot returns the root of the first n leaves (0 <= n <= Len),
+// hashing it only the first time it is asked for. A root that really is
+// all zeros reads as "not computed" and is merely recomputed. The memo
+// holds at most one digest per leaf; it grows like an appended slice, so
+// a head signed after every append costs amortized O(1) here, not a copy.
+func (m *MerkleLog) prefixRoot(n int) Digest {
+	if n == 0 {
+		return leafEmptyRoot()
+	}
+	if n > len(m.roots) {
+		// Never written past its length, so the new tail is all zeros.
+		m.roots = slices.Grow(m.roots, n-len(m.roots))[:n]
+	}
+	if r := m.roots[n-1]; r != (Digest{}) {
+		return r
+	}
+	r := m.rangeRoot(0, n)
+	m.roots[n-1] = r
+	return r
 }
 
 // Entry returns the raw payload at index i.
@@ -182,19 +212,27 @@ func (m *MerkleLog) ProveInclusion(i, n int) (*InclusionProof, error) {
 	if i < 0 || i >= n {
 		return nil, fmt.Errorf("aolog: leaf index %d out of range for size %d", i, n)
 	}
-	path := m.inclusionPath(0, n, i)
-	return &InclusionProof{LeafIndex: i, TreeSize: n, Path: path}, nil
+	return &InclusionProof{LeafIndex: i, TreeSize: n, Path: m.inclusionPath(n, i)}, nil
 }
 
-func (m *MerkleLog) inclusionPath(lo, hi, i int) []Digest {
-	if hi-lo <= 1 {
+// inclusionPath returns the audit path for leaf i in the tree of size n
+// in one allocation: no path is longer than the tree is deep.
+func (m *MerkleLog) inclusionPath(n, i int) []Digest {
+	if n <= 1 {
 		return nil
+	}
+	return m.appendInclusionPath(make([]Digest, 0, bits.Len(uint(n-1))), 0, n, i)
+}
+
+func (m *MerkleLog) appendInclusionPath(path []Digest, lo, hi, i int) []Digest {
+	if hi-lo <= 1 {
+		return path
 	}
 	k := largestPowerOfTwoBelow(hi - lo)
 	if i < lo+k {
-		return append(m.inclusionPath(lo, lo+k, i), m.rangeRoot(lo+k, hi))
+		return append(m.appendInclusionPath(path, lo, lo+k, i), m.rangeRoot(lo+k, hi))
 	}
-	return append(m.inclusionPath(lo+k, hi, i), m.rangeRoot(lo, lo+k))
+	return append(m.appendInclusionPath(path, lo+k, hi, i), m.rangeRoot(lo, lo+k))
 }
 
 // VerifyInclusion checks an inclusion proof for entry payload against root.
@@ -248,28 +286,30 @@ func (m *MerkleLog) ProveConsistency(m0, n int) (*ConsistencyProof, error) {
 	if m0 < 1 || n < m0 || n > m.Len() {
 		return nil, fmt.Errorf("aolog: invalid consistency range %d..%d", m0, n)
 	}
-	path := m.consistencyPath(0, n, m0, true)
+	var path []Digest
+	if m0 < n {
+		// One digest per level of the recursion, plus the base case's.
+		path = m.appendConsistencyPath(make([]Digest, 0, bits.Len(uint(n-1))+1), 0, n, m0, true)
+	}
 	return &ConsistencyProof{OldSize: m0, NewSize: n, Path: path}, nil
 }
 
-// consistencyPath follows RFC 6962 §2.1.2 over the range [lo, hi), with m0
-// relative to lo. flag indicates whether the old subtree is still a
-// "complete" node of the current traversal.
-func (m *MerkleLog) consistencyPath(lo, hi, m0 int, flag bool) []Digest {
+// appendConsistencyPath follows RFC 6962 §2.1.2 over the range [lo, hi),
+// with m0 relative to lo, appending to path. flag indicates whether the
+// old subtree is still a "complete" node of the current traversal.
+func (m *MerkleLog) appendConsistencyPath(path []Digest, lo, hi, m0 int, flag bool) []Digest {
 	n := hi - lo
 	if m0 == n {
 		if flag {
-			return nil
+			return path
 		}
-		return []Digest{m.rangeRoot(lo, hi)}
+		return append(path, m.rangeRoot(lo, hi))
 	}
 	k := largestPowerOfTwoBelow(n)
 	if m0 <= k {
-		path := m.consistencyPath(lo, lo+k, m0, flag)
-		return append(path, m.rangeRoot(lo+k, hi))
+		return append(m.appendConsistencyPath(path, lo, lo+k, m0, flag), m.rangeRoot(lo+k, hi))
 	}
-	path := m.consistencyPath(lo+k, hi, m0-k, false)
-	return append(path, m.rangeRoot(lo, lo+k))
+	return append(m.appendConsistencyPath(path, lo+k, hi, m0-k, false), m.rangeRoot(lo, lo+k))
 }
 
 // VerifyConsistency checks that newRoot's tree extends oldRoot's tree.

@@ -1,9 +1,11 @@
 package aolog
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ShardedLog stripes an append-only log across K independent MerkleLogs so
@@ -18,7 +20,8 @@ import (
 // roots) makes a signed super-root equivocation-evident exactly like a
 // signed single-tree root: two super-roots for the same total size that
 // differ anywhere are a fork. The zero value is not usable; call
-// NewShardedLog.
+// NewShardedLog. Like MerkleLog, not safe for concurrent use, its read
+// methods included: callers hold an exclusive lock.
 type ShardedLog struct {
 	shards []*MerkleLog
 	n      int
@@ -128,18 +131,16 @@ func (s *ShardedLog) Entry(g int) ([]byte, error) {
 	return s.shards[shard].Entry(local)
 }
 
-// shardLeaf is the super-tree leaf committing to one shard's state.
+// shardLeaf is the super-tree leaf committing to one shard's state: the
+// leaf hash of 0x03 || j || size || root, that is
+// H(0x00 || 0x03 || j || size || root), hashed from a stack array.
 func shardLeaf(j int, size uint64, root Digest) Digest {
-	buf := make([]byte, 0, 1+4+8+DigestSize)
-	buf = append(buf, 0x03)
-	var jb [4]byte
-	binary.BigEndian.PutUint32(jb[:], uint32(j))
-	buf = append(buf, jb[:]...)
-	var sb [8]byte
-	binary.BigEndian.PutUint64(sb[:], size)
-	buf = append(buf, sb[:]...)
-	buf = append(buf, root[:]...)
-	return leafHash(buf)
+	var b [2 + 4 + 8 + DigestSize]byte
+	b[0], b[1] = 0x00, 0x03
+	binary.BigEndian.PutUint32(b[2:], uint32(j))
+	binary.BigEndian.PutUint64(b[6:], size)
+	copy(b[14:], root[:])
+	return sha256.Sum256(b[:])
 }
 
 // superRootOf computes the super-root for total size n from shard roots.
@@ -165,21 +166,17 @@ func (s *ShardedLog) SuperRootAt(n int) (Digest, error) {
 }
 
 func (s *ShardedLog) superRootAt(n int) Digest {
-	k := len(s.shards)
-	roots := make([]Digest, k)
-	for j := 0; j < k; j++ {
-		r, _ := s.shards[j].RootAt(shardLen(n, j, k))
-		roots[j] = r
-	}
-	return superRootOf(n, k, roots)
+	return superRootOf(n, len(s.shards), s.shardRootsAt(n))
 }
 
-// shardRootsAt returns every shard's root as of total size n.
+// shardRootsAt returns every shard's root as of total size n (n <= Len).
+// Each is a lookup in its shard's prefix-root memo after the first call
+// at that size.
 func (s *ShardedLog) shardRootsAt(n int) []Digest {
 	k := len(s.shards)
 	roots := make([]Digest, k)
 	for j := 0; j < k; j++ {
-		roots[j], _ = s.shards[j].RootAt(shardLen(n, j, k))
+		roots[j] = s.shards[j].prefixRoot(shardLen(n, j, k))
 	}
 	return roots
 }
@@ -209,28 +206,18 @@ func (s *ShardedLog) ProveInclusionAt(g, n int) (*ShardInclusionProof, error) {
 	}
 	k := len(s.shards)
 	shard, local := s.shardOf(g)
-	sz := shardLen(n, shard, k)
-	inner, err := s.shards[shard].ProveInclusion(local, sz)
-	if err != nil {
-		return nil, err
-	}
-	root, err := s.shards[shard].RootAt(sz)
-	if err != nil {
-		return nil, err
-	}
 	roots := s.shardRootsAt(n)
 	leaves := make([]Digest, k)
 	for j := 0; j < k; j++ {
 		leaves[j] = shardLeaf(j, uint64(shardLen(n, j, k)), roots[j])
 	}
-	super := superPath(leaves, shard)
 	return &ShardInclusionProof{
 		GlobalIndex: g,
 		TreeSize:    n,
 		NumShards:   k,
-		ShardRoot:   root,
-		Inner:       inner.Path,
-		Super:       super,
+		ShardRoot:   roots[shard],
+		Inner:       s.shards[shard].inclusionPath(shardLen(n, shard, k), local),
+		Super:       superPath(leaves, shard),
 	}, nil
 }
 
@@ -240,11 +227,18 @@ func superPath(leaves []Digest, i int) []Digest {
 	if len(leaves) <= 1 {
 		return nil
 	}
+	return appendSuperPath(make([]Digest, 0, bits.Len(uint(len(leaves)-1))), leaves, i)
+}
+
+func appendSuperPath(path, leaves []Digest, i int) []Digest {
+	if len(leaves) <= 1 {
+		return path
+	}
 	k := largestPowerOfTwoBelow(len(leaves))
 	if i < k {
-		return append(superPath(leaves[:k], i), subtreeRoot(leaves[k:]))
+		return append(appendSuperPath(path, leaves[:k], i), subtreeRoot(leaves[k:]))
 	}
-	return append(superPath(leaves[k:], i-k), subtreeRoot(leaves[:k]))
+	return append(appendSuperPath(path, leaves[k:], i-k), subtreeRoot(leaves[:k]))
 }
 
 // VerifyShardInclusion checks a sharded inclusion proof against a

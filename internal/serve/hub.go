@@ -26,7 +26,13 @@ import (
 //     source, skipping intermediates, rather than queueing unboundedly —
 //     the stale-but-verified degradation applied to the push path;
 //   - frames are written by a per-subscriber goroutine, so one stalled
-//     connection never blocks the publisher or other subscribers.
+//     connection never blocks the publisher or other subscribers;
+//   - no push follows a subscribe ack with an older head: a batch is
+//     written under the subscriber's write lock from the moment it is
+//     taken, and the ack's heads are read under that lock, which then
+//     raises the guard to them and drops older pending heads; likewise
+//     Unsubscribe returns only once a push in flight has been written,
+//     and none starts after it.
 type Hub struct {
 	from string // label stamped on pushed HeadsMessages
 
@@ -45,6 +51,10 @@ const maxPendingSources = 1024
 type hubSub struct {
 	p *transport.Pusher
 
+	// wmu is held from taking a batch until its frame is written, while
+	// a subscribe ack is built, and by Unsubscribe: see Hub.
+	wmu sync.Mutex
+
 	mu       sync.Mutex
 	pending  map[string]int      // source key -> index in heads
 	heads    []gossip.GossipHead // one pending (latest) head per source, first-seen order
@@ -61,30 +71,49 @@ func NewHub(from string) *Hub {
 // Subscribe registers a connection for pushes. Subscribing twice on one
 // connection is idempotent.
 func (h *Hub) Subscribe(p *transport.Pusher) error {
+	_, err := h.subscribe(p, nil)
+	return err
+}
+
+// subscribe registers p like Subscribe and returns the heads for its
+// ack: current's, read under the subscriber's write lock (so current
+// must not call into the hub). A push taken before then is written
+// first, and the guard rises to the ack's heads, so no later push
+// carries an older one.
+func (h *Hub) subscribe(p *transport.Pusher, current func() []gossip.GossipHead) ([]gossip.GossipHead, error) {
 	if p == nil {
-		return errors.New("serve: subscribe requires a connection")
+		return nil, errors.New("serve: subscribe requires a connection")
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.closed {
-		return errors.New("serve: hub closed")
+		h.mu.Unlock()
+		return nil, errors.New("serve: hub closed")
 	}
-	if _, ok := h.subs[p]; ok {
-		return nil
+	s, ok := h.subs[p]
+	if !ok {
+		s = &hubSub{
+			p:        p,
+			pending:  make(map[string]int),
+			lastSize: make(map[string]uint64),
+			kick:     make(chan struct{}, 1),
+			stop:     make(chan struct{}),
+		}
+		h.subs[p] = s
+		go h.run(s)
 	}
-	s := &hubSub{
-		p:        p,
-		pending:  make(map[string]int),
-		lastSize: make(map[string]uint64),
-		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
+	h.mu.Unlock()
+	if current == nil {
+		return nil, nil
 	}
-	h.subs[p] = s
-	go h.run(s)
-	return nil
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	heads := current()
+	s.raise(heads)
+	return heads, nil
 }
 
 // Unsubscribe removes a connection's subscription (no-op when absent).
+// A push in flight is written before it returns; none starts after.
 func (h *Hub) Unsubscribe(p *transport.Pusher) {
 	h.mu.Lock()
 	s, ok := h.subs[p]
@@ -94,6 +123,8 @@ func (h *Hub) Unsubscribe(p *transport.Pusher) {
 	h.mu.Unlock()
 	if ok {
 		close(s.stop)
+		s.wmu.Lock()
+		s.wmu.Unlock()
 	}
 }
 
@@ -220,6 +251,34 @@ func (s *hubSub) enqueue(heads []gossip.GossipHead) (pushed, dropped uint64) {
 	return pushed, dropped
 }
 
+// raise lifts the subscriber's guard to heads (an ack about to be
+// sent) and drops the pending heads they supersede.
+func (s *hubSub) raise(heads []gossip.GossipHead) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range heads {
+		key := sourceKey(&heads[i])
+		if size := heads[i].Head.Size; size > s.lastSize[key] {
+			s.lastSize[key] = size
+		}
+	}
+	kept := s.heads[:0]
+	for _, gh := range s.heads {
+		if gh.Head.Size >= s.lastSize[sourceKey(&gh)] {
+			kept = append(kept, gh)
+		}
+	}
+	if len(kept) == len(s.heads) {
+		return
+	}
+	clear(s.heads[len(kept):])
+	s.heads = kept
+	s.pending = make(map[string]int, len(kept))
+	for i := range kept {
+		s.pending[sourceKey(&kept[i])] = i
+	}
+}
+
 // run is the per-subscriber flush loop: it drains the coalesced pending
 // set into ONE _batch frame per flush and exits when the subscriber is
 // gone.
@@ -233,22 +292,39 @@ func (h *Hub) run(s *hubSub) {
 			h.Unsubscribe(s.p)
 			return
 		}
-		s.mu.Lock()
-		batch := s.heads
-		s.heads = nil
-		s.pending = make(map[string]int)
-		s.mu.Unlock()
-		if len(batch) == 0 {
-			continue
+		stopped, err := h.flush(s)
+		if stopped {
+			return
 		}
-		body, err := json.Marshal(&gossip.HeadsMessage{From: h.from, Heads: batch})
-		if err != nil {
-			continue // a head that cannot encode cannot be pushed
-		}
-		err = s.p.Push([]transport.Request{{Kind: KindPushHeads, Body: body}})
 		if err != nil {
 			h.Unsubscribe(s.p)
 			return
 		}
 	}
+}
+
+// flush takes the pending heads and writes them as one frame, holding
+// the write lock from the take until the frame is written. It reports
+// whether the subscriber was already stopped and whether the push failed.
+func (h *Hub) flush(s *hubSub) (stopped bool, err error) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	select {
+	case <-s.stop:
+		return true, nil
+	default:
+	}
+	s.mu.Lock()
+	batch := s.heads
+	s.heads = nil
+	s.pending = make(map[string]int)
+	s.mu.Unlock()
+	if len(batch) == 0 {
+		return false, nil
+	}
+	body, err := json.Marshal(&gossip.HeadsMessage{From: h.from, Heads: batch})
+	if err != nil {
+		return false, nil // a head that cannot encode cannot be pushed
+	}
+	return false, s.p.Push([]transport.Request{{Kind: KindPushHeads, Body: body}})
 }

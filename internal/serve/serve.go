@@ -614,7 +614,9 @@ func (t *Tier) Register(srv *transport.Server) {
 }
 
 // RegisterHub installs subscribe/unsubscribe kinds for a hub. current,
-// when non-nil, primes each new subscriber's ack with the present heads.
+// when non-nil, primes each new subscriber's ack with the present heads;
+// it runs under the subscriber's write lock and must not call into the
+// hub.
 // Exposed separately so daemons that are not a single-log Tier (the
 // witness) can serve the same subscription protocol.
 func RegisterHub(srv *transport.Server, hub *Hub, current func() []gossip.GossipHead) {
@@ -628,14 +630,11 @@ func RegisterHub(srv *transport.Server, hub *Hub, current func() []gossip.Gossip
 				return nil, err
 			}
 		}
-		if err := hub.Subscribe(p); err != nil {
+		heads, err := hub.subscribe(p, current)
+		if err != nil {
 			return nil, err
 		}
-		resp := SubscribeResponse{}
-		if current != nil {
-			resp.Heads = current()
-		}
-		return resp, nil
+		return SubscribeResponse{Heads: heads}, nil
 	})
 	srv.HandlePush(KindUnsubscribe, func(_ json.RawMessage, p *transport.Pusher) (any, error) {
 		if p == nil {
