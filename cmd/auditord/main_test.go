@@ -313,7 +313,7 @@ func TestPullPinsConsistencyToPulledHead(t *testing.T) {
 	})
 	msrv.Handle("consistency", func(body json.RawMessage) (any, error) {
 		var req serve.ConsistencyRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := transport.DecodeBody(body, &req); err != nil {
 			return nil, err
 		}
 		mu.Lock()

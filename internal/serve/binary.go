@@ -87,12 +87,12 @@ func (r *ProofResponse) UnmarshalBinary(data []byte) error {
 		return malformed(fmt.Sprintf("unknown flags %#x", flags))
 	}
 	out := ProofResponse{Overloaded: flags&proofOverloaded != 0}
-	for _, field := range []*int{&out.Index, &out.Size} {
-		u, n := binary.Uvarint(data)
-		if n <= 0 || uint64(int(u)) != u {
-			return malformed("integer")
-		}
-		*field, data = int(u), data[n:]
+	var ok bool
+	if out.Index, data, ok = readInt(data); !ok {
+		return malformed("integer")
+	}
+	if out.Size, data, ok = readInt(data); !ok {
+		return malformed("integer")
 	}
 	u, n := binary.Uvarint(data) // len(Payload)+1; 0 is nil
 	if n <= 0 || u > uint64(len(data)-n)+1 {
@@ -127,4 +127,79 @@ func (r *ProofResponse) UnmarshalBinary(data []byte) error {
 	}
 	*r = out
 	return nil
+}
+
+// The request forms, what a "proof" or "consistency" request body is
+// after transport's marker byte once the server has said it reads binary
+// request bodies:
+//
+//	ProofRequest        int index | int size
+//	ConsistencyRequest  int old | int new
+//
+// An int is aolog's primitive, a uvarint of the two's-complement uint64,
+// so negative values and 0 ("the current head") round-trip exactly as
+// they do through JSON. The encoders have value receivers because
+// requests travel by value.
+
+// AppendBinary appends the request's binary form to b.
+func (r ProofRequest) AppendBinary(b []byte) ([]byte, error) {
+	return appendInts(b, r.Index, r.Size), nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (r ProofRequest) MarshalBinary() ([]byte, error) { return r.AppendBinary(nil) }
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. It rejects a
+// truncated or oversized int and trailing bytes, and leaves r untouched
+// on error.
+func (r *ProofRequest) UnmarshalBinary(data []byte) error {
+	index, size, err := readIntPair("proof request", data)
+	if err == nil {
+		*r = ProofRequest{Index: index, Size: size}
+	}
+	return err
+}
+
+// AppendBinary appends the request's binary form to b.
+func (r ConsistencyRequest) AppendBinary(b []byte) ([]byte, error) {
+	return appendInts(b, r.OldSize, r.NewSize), nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (r ConsistencyRequest) MarshalBinary() ([]byte, error) { return r.AppendBinary(nil) }
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler, with
+// ProofRequest's rules.
+func (r *ConsistencyRequest) UnmarshalBinary(data []byte) error {
+	oldSize, newSize, err := readIntPair("consistency request", data)
+	if err == nil {
+		*r = ConsistencyRequest{OldSize: oldSize, NewSize: newSize}
+	}
+	return err
+}
+
+func appendInts(b []byte, a, c int) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(b, uint64(a)), uint64(c))
+}
+
+// readInt decodes an int from the front of data and returns the rest.
+func readInt(data []byte) (int, []byte, bool) {
+	u, n := binary.Uvarint(data)
+	if n <= 0 || uint64(int(u)) != u {
+		return 0, data, false
+	}
+	return int(u), data[n:], true
+}
+
+// readIntPair decodes a form that is exactly two ints.
+func readIntPair(what string, data []byte) (a, b int, err error) {
+	a, data, okA := readInt(data)
+	b, data, okB := readInt(data)
+	switch {
+	case !okA || !okB:
+		return 0, 0, fmt.Errorf("serve: malformed binary %s: integer", what)
+	case len(data) != 0:
+		return 0, 0, fmt.Errorf("serve: malformed binary %s: %d trailing bytes", what, len(data))
+	}
+	return a, b, nil
 }

@@ -598,14 +598,14 @@ func (t *Tier) Register(srv *transport.Server) {
 	})
 	srv.Handle("consistency", func(body json.RawMessage) (any, error) {
 		var req ConsistencyRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := transport.DecodeBody(body, &req); err != nil {
 			return nil, err
 		}
 		return t.Consistency(req.OldSize, req.NewSize)
 	})
 	srv.Handle(KindProof, func(body json.RawMessage) (any, error) {
 		var req ProofRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := transport.DecodeBody(body, &req); err != nil {
 			return nil, err
 		}
 		return t.Proof(&req)

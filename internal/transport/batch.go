@@ -55,30 +55,35 @@ func (r *BatchResult) Decode(out any) error {
 // sub-requests are a container when the request came in wire v2 and a
 // JSON list otherwise; the sub-responses are a container when the reply
 // leaves in v2. The two differ on the exchange that carries the offer.
-func (s *Server) dispatchBatch(ctx context.Context, req *Request, enc *replyEncoding) *Response {
+func (s *Server) dispatchBatch(ctx context.Context, req *Request, enc *replyEncoding, obs *serverObs, resp *Response) {
 	var subs []Request
 	var err error
 	if req.container {
 		subs, err = parseSubRequests(req.Body)
 	} else {
-		err = json.Unmarshal(req.Body, &subs)
+		var list []Request // declared here, so only a JSON batch allocates it
+		err = json.Unmarshal(req.Body, &list)
+		subs = list
 	}
 	if err != nil {
-		return &Response{ID: req.ID, OK: false, Error: fmt.Sprintf("malformed batch body: %v", err)}
+		*resp = Response{ID: req.ID, OK: false, Error: fmt.Sprintf("malformed batch body: %v", err)}
+		return
 	}
 	if len(subs) > MaxBatchCalls {
-		return &Response{ID: req.ID, OK: false, Error: fmt.Sprintf("batch of %d exceeds limit %d", len(subs), MaxBatchCalls)}
+		*resp = Response{ID: req.ID, OK: false, Error: fmt.Sprintf("batch of %d exceeds limit %d", len(subs), MaxBatchCalls)}
+		return
 	}
-	if obs := s.observability(); obs != nil {
+	if obs != nil {
 		obs.batchSize.Observe(float64(len(subs)))
 	}
 	resps := make([]Response, len(subs))
 	for i := range subs {
-		if subs[i].Kind == BatchKind || s.isNoBatch(subs[i].Kind) {
+		_, r := s.lookup(subs[i].Kind)
+		if subs[i].Kind == BatchKind || r.noBatch {
 			resps[i] = Response{ID: subs[i].ID, OK: false, Error: fmt.Sprintf("kind %q not allowed inside a batch", subs[i].Kind)}
 			continue
 		}
-		resps[i] = *s.dispatchConn(ctx, &subs[i], nil, enc)
+		s.run(ctx, &subs[i], nil, enc, obs, r, &resps[i])
 	}
 	if enc.v2 {
 		start := len(enc.scratch)
@@ -87,13 +92,15 @@ func (s *Server) dispatchBatch(ctx context.Context, req *Request, enc *replyEnco
 			b = appendEntry(b, resps[i].flags(), "", resps[i].Error, resps[i].Body)
 		}
 		enc.scratch = b
-		return &Response{ID: req.ID, OK: true, Body: b[start:len(b):len(b)], container: true}
+		*resp = Response{ID: req.ID, OK: true, Body: b[start:len(b):len(b)], container: true}
+		return
 	}
 	body, err := json.Marshal(resps)
 	if err != nil {
-		return &Response{ID: req.ID, OK: false, Error: fmt.Sprintf("encoding batch response: %v", err)}
+		*resp = Response{ID: req.ID, OK: false, Error: fmt.Sprintf("encoding batch response: %v", err)}
+		return
 	}
-	return &Response{ID: req.ID, OK: true, Body: body}
+	*resp = Response{ID: req.ID, OK: true, Body: body}
 }
 
 // checkBatchLen rejects, before sending, a batch no server would run.
@@ -116,15 +123,20 @@ func (c *Client) CallBatchCtx(ctx context.Context, calls []BatchCall) ([]BatchRe
 	if err := checkBatchLen(len(calls)); err != nil {
 		return nil, err
 	}
+	bodies := c.bodies.Load()
+	v2 := bodies || c.v2.Load()
+	// The bodies are appended side by side to one buffer; each keeps the
+	// array it was written to when the buffer grows.
+	var scratch []byte
 	subs := make([]Request, len(calls))
 	for i, call := range calls {
-		body, err := json.Marshal(call.In)
-		if err != nil {
+		start := len(scratch)
+		var err error
+		if scratch, err = appendRequestBody(scratch, call.In, bodies); err != nil {
 			return nil, fmt.Errorf("transport: encoding batch call %d: %w", i, err)
 		}
-		subs[i] = Request{ID: uint64(i + 1), Kind: call.Kind, Body: body}
+		subs[i] = Request{ID: uint64(i + 1), Kind: call.Kind, Body: scratch[start:len(scratch):len(scratch)]}
 	}
-	v2 := c.v2.Load()
 	var body []byte
 	if v2 {
 		body = appendSubRequests(nil, subs)

@@ -201,7 +201,7 @@ func TestClientRequestBytes(t *testing.T) {
 		call := echoAsync(c, text)
 		body, _ := json.Marshal(echoReq{Text: text})
 		payload, _ := json.Marshal(&Request{ID: uint64(id + 1), Kind: "echo", Body: body})
-		want := frame(append(payload[:len(payload)-1], `,"v":2}`...))
+		want := frame(append(payload[:len(payload)-1], `,"v":3}`...))
 		got := make([]byte, len(want))
 		if _, err := io.ReadFull(srv, got); err != nil {
 			t.Fatal(err)

@@ -12,9 +12,11 @@
 // closed connection, never unbounded allocation.
 //
 // OWNS: the frame codec and its size limits; both wire versions of the
-// envelope and their negotiation (the offer a v1 request carries, the
-// one sticky bit per connection per side, never v2 toward a peer that
-// has not shown it); both halves of the request/response, _batch and
+// envelope, both forms of a request body, and their negotiation (the
+// offer a v1 request carries, the sticky bits per connection — v2 on each
+// side, binary request bodies on the client — never v2 toward a peer that
+// has not shown it, never a binary request body toward a server that has
+// not acknowledged it); both halves of the request/response, _batch and
 // push framing; call routing by request ID and push delivery (Client) as
 // well as dispatch (Server) with its RPC metrics, spans and flight
 // events; per-call deadlines; the managed client's retry, idempotency
@@ -22,8 +24,8 @@
 //
 // MUST NOT DO: know what any RPC kind means beyond the idempotency
 // table, or what any body's binary form looks like (a result says it has
-// one by implementing encoding.BinaryMarshaler; the forms live with
-// their types); verify signatures, proofs or attestations; hold
+// one by implementing encoding.BinaryMarshaler, a request by
+// implementing AppendBinary; the forms live with their types); verify signatures, proofs or attestations; hold
 // process-wide mutable state (no package-level variable is written after
 // init); decide what to inject.
 //

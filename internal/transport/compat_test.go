@@ -81,7 +81,7 @@ func (s *v1Server) serve(conn net.Conn) {
 
 // TestCompatNewClientV1Server: this commit's Client against a v1 server
 // completes Call, CallBatch and subscribe + push, never leaves v1, and
-// every frame it writes is today's v1 apart from the "v":2 field.
+// every frame it writes is today's v1 apart from the "v":3 field.
 func TestCompatNewClientV1Server(t *testing.T) {
 	cli, srvConn := net.Pipe()
 	srv := &v1Server{}
@@ -137,7 +137,7 @@ func TestCompatNewClientV1Server(t *testing.T) {
 			t.Fatalf("frame %d is not v1 JSON: %q", i, payload)
 		}
 		v1, _ := json.Marshal(&req) // what the parent commit's client wrote for this request
-		want := append(v1[:len(v1)-1:len(v1)-1], `,"v":2}`...)
+		want := append(v1[:len(v1)-1:len(v1)-1], `,"v":3}`...)
 		if !bytes.Equal(payload, want) {
 			t.Fatalf("frame %d differs from v1 by more than the offer\n got  %s\n want %s", i, payload, want)
 		}
@@ -255,7 +255,7 @@ func TestCompatNewClientNewServer(t *testing.T) {
 	if len(written) != 6 || len(read) != 6 {
 		t.Fatalf("first connection carried %d requests and %d replies, want 6 and 6", len(written), len(read))
 	}
-	if !isV1(written[0]) || !bytes.HasSuffix(written[0], []byte(`,"v":2}`)) {
+	if !isV1(written[0]) || !bytes.HasSuffix(written[0], []byte(`,"v":3}`)) {
 		t.Fatalf("first contact is not v1 carrying the offer: %q", written[0])
 	}
 	for i := range read {
@@ -282,7 +282,7 @@ func TestCompatNewClientNewServer(t *testing.T) {
 	if reconnected == taps[0] {
 		t.Fatal("the managed client did not redial")
 	}
-	if written, _ := reconnected.frames(t); len(written) == 0 || !isV1(written[0]) || !bytes.HasSuffix(written[0], []byte(`,"v":2}`)) {
+	if written, _ := reconnected.frames(t); len(written) == 0 || !isV1(written[0]) || !bytes.HasSuffix(written[0], []byte(`,"v":3}`)) {
 		t.Fatalf("a reconnect does not start over at v1 carrying the offer: %q", written)
 	}
 

@@ -22,8 +22,10 @@ func NewReplyCodec() *ReplyCodec {
 
 func (rc *ReplyCodec) Encode(result any, v2 bool) ([]byte, error) {
 	var err error
+	var resp Response
 	rc.enc.v2, rc.enc.scratch = v2, rc.enc.scratch[:0]
-	rc.out, err = appendReplyFrame(rc.out[:0], rc.enc.respond(1, result, nil), v2)
+	rc.enc.respond(&resp, 1, result, nil)
+	rc.out, err = appendReplyFrame(rc.out[:0], &resp, v2)
 	return rc.out, err
 }
 
@@ -38,4 +40,10 @@ func (rc *ReplyCodec) Decode(kind string, frame []byte, out any) error {
 	}
 	env := <-rc.reply
 	return decodeBody(kind, env.Body, env.binary, out)
+}
+
+// AppendRequestBody is what a Client does to an In on its way out, for
+// the external BenchmarkRequestCodec; DecodeBody is the handler's half.
+func AppendRequestBody(b []byte, in any, bodies bool) ([]byte, error) {
+	return appendRequestBody(b, in, bodies)
 }

@@ -69,10 +69,12 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDispatch runs raw request envelopes — including nested _batch
-// bodies and the gossip kinds — through a live server dispatch path over
-// a real connection. The server must answer every well-framed request
-// (or drop the connection on malformed JSON) without panicking.
+// FuzzDispatch runs raw request payloads of either wire version —
+// including nested _batch bodies, the gossip kinds and binary request
+// bodies — through the server's request parser and dispatch path. The
+// server must answer every request the parser accepts (serveConn drops
+// the connection only on a frame it rejects) without panicking, and a
+// binary body sent to a kind that reads only JSON is an error reply.
 func FuzzDispatch(f *testing.F) {
 	f.Add([]byte(`{"id":1,"kind":"echo","body":{"x":1}}`))
 	f.Add([]byte(`{"id":2,"kind":"_batch","body":[{"id":1,"kind":"echo","body":null},{"id":2,"kind":"missing"}]}`))
@@ -83,6 +85,17 @@ func FuzzDispatch(f *testing.F) {
 	f.Add([]byte(`{"id":7,"kind":"nobatch","body":{}}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{"id":8,"kind":"echo","body":`))
+	// Binary request bodies (the marker, then a form) to JSON-only kinds,
+	// alone and inside a _batch.
+	binaryBody := []byte{markerV2, 0x05, 0xAC, 0x02}
+	f.Add(append(appendEnvelope(nil, 0, 9, "gossip_heads", ""), binaryBody...))
+	f.Add(append(appendEnvelope(nil, 0, 10, "decoded", ""), binaryBody...))
+	f.Add(append(appendEnvelope(nil, 0, 11, "echo", ""), binaryBody...))
+	f.Add(append(appendEnvelope(nil, 0, 12, "decoded", ""), markerV2))
+	f.Add(append(appendEnvelope(nil, flagBatch, 13, BatchKind, ""), appendSubRequests(nil, []Request{
+		{Kind: "decoded", Body: binaryBody}, {Kind: "gossip_heads", Body: binaryBody}, {Kind: "pollinate", Body: []byte{markerV2}},
+	})...))
+	f.Add([]byte(`{"id":14,"kind":"decoded","body":{"heads":[]},"v":3}`))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		srv := NewServer()
@@ -106,12 +119,21 @@ func FuzzDispatch(f *testing.F) {
 		srv.HandleNoBatch("nobatch", func(json.RawMessage) (any, error) {
 			return nil, nil
 		})
+		srv.Handle("decoded", func(body json.RawMessage) (any, error) {
+			var msg struct {
+				Heads []string `json:"heads"`
+			}
+			if err := DecodeBody(body, &msg); err != nil {
+				return nil, err
+			}
+			return len(msg.Heads), nil
+		})
 
-		var req Request
-		if json.Unmarshal(raw, &req) != nil {
-			return // serveConn drops malformed envelopes; nothing to check
+		req, _, err := parseRequest(raw)
+		if err != nil {
+			return // serveConn drops what it cannot parse; nothing to check
 		}
-		resp := srv.dispatch(&req)
+		resp := srv.dispatch(req)
 		if resp == nil {
 			t.Fatal("dispatch returned nil response")
 		}
@@ -120,6 +142,24 @@ func FuzzDispatch(f *testing.F) {
 		}
 		if _, err := json.Marshal(resp); err != nil {
 			t.Fatalf("response does not re-encode: %v", err)
+		}
+		// The kinds that read their body must refuse a binary one, alone
+		// or as a _batch entry.
+		readsBody := map[string]bool{"echo": true, "gossip_heads": true, "decoded": true}
+		if readsBody[req.Kind] && isV2(req.Body) && resp.OK {
+			t.Fatalf("%s answered a binary request body: %s", req.Kind, resp.Body)
+		}
+		if req.Kind == BatchKind && req.container && resp.OK {
+			subs, _ := parseSubRequests(req.Body)
+			var resps []Response
+			if err := json.Unmarshal(resp.Body, &resps); err != nil || len(resps) != len(subs) {
+				t.Fatalf("batch of %d answered with %d entries (%v)", len(subs), len(resps), err)
+			}
+			for i := range subs {
+				if readsBody[subs[i].Kind] && isV2(subs[i].Body) && resps[i].OK {
+					t.Fatalf("batch entry %d: %s answered a binary request body", i, subs[i].Kind)
+				}
+			}
 		}
 	})
 }

@@ -120,8 +120,5 @@ func (p *Pusher) Close() error { return p.conn.Close() }
 // the connection, and hiding one inside a batch would subscribe the
 // whole connection as a side effect of an unrelated frame.
 func (s *Server) HandlePush(kind string, h PushHandler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pushHandlers[kind] = h
-	s.noBatch[kind] = true
+	s.register(kind, route{push: h, noBatch: true})
 }

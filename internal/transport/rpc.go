@@ -33,8 +33,9 @@ type Response struct {
 	Body  json.RawMessage `json:"body,omitempty"`
 
 	// Set only on replies bound for a wire-v2 connection.
-	binary    bool // Body is the result's binary form, not JSON
-	container bool // Body is a batch container, not a JSON list
+	binary      bool // Body is the result's binary form, not JSON
+	container   bool // Body is a batch container, not a JSON list
+	readsBodies bool // the envelope acknowledges binary request bodies
 }
 
 // flags is the response's wire-v2 flags byte, as an envelope or an entry.
@@ -49,11 +50,14 @@ func (r *Response) flags() byte {
 	if r.container {
 		flags |= flagBatch
 	}
+	if r.readsBodies {
+		flags |= flagReadsBodies
+	}
 	return flags
 }
 
 // requestV1 is a v1 request frame as a v2-capable peer writes and reads
-// it: today's three fields, and the offer of wire v2 that a v1-only
+// it: today's three fields, and the offer (offerBodies) that a v1-only
 // server's decoder ignores.
 type requestV1 struct {
 	Request
@@ -69,17 +73,15 @@ type Handler func(body json.RawMessage) (any, error)
 // RPCs (CallCtx) and context-ful slog calls.
 type HandlerCtx func(ctx context.Context, body json.RawMessage) (any, error)
 
-// Server dispatches framed JSON requests to registered handlers.
+// Server dispatches framed requests to registered handlers.
 // All exported methods are safe for concurrent use.
 type Server struct {
-	mu           sync.RWMutex
-	handlers     map[string]HandlerCtx
-	pushHandlers map[string]PushHandler
-	noBatch      map[string]bool
-	ln           net.Listener
-	wg           sync.WaitGroup
-	closed       chan struct{}
-	conns        map[net.Conn]struct{}
+	mu     sync.RWMutex
+	routes map[string]route
+	ln     net.Listener
+	wg     sync.WaitGroup
+	closed chan struct{}
+	conns  map[net.Conn]struct{}
 
 	obs *serverObs // nil until Instrument; set before Serve
 
@@ -91,6 +93,30 @@ type Server struct {
 	// acceptLimit holds a burst of Accept errors to one flight event a
 	// second.
 	acceptLimit *obsv.FlightLimiter
+}
+
+// route is what a request kind is registered as: exactly one of handler
+// and push is set, and noBatch refuses the kind inside a _batch. The zero
+// route is an unknown kind.
+type route struct {
+	handler HandlerCtx
+	push    PushHandler
+	noBatch bool
+}
+
+// lookup returns the server's instruments and kind's route, under one
+// read lock.
+func (s *Server) lookup(kind string) (*serverObs, route) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.obs, s.routes[kind]
+}
+
+// register installs a kind's route, replacing any earlier one.
+func (s *Server) register(kind string, r route) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.routes[kind] = r
 }
 
 // Accept-error backoff bounds (the net/http values).
@@ -118,13 +144,11 @@ type serverObs struct {
 // NewServer creates an empty server.
 func NewServer() *Server {
 	return &Server{
-		handlers:     make(map[string]HandlerCtx),
-		pushHandlers: make(map[string]PushHandler),
-		noBatch:      make(map[string]bool),
-		closed:       make(chan struct{}),
-		conns:        make(map[net.Conn]struct{}),
-		errLimit:     obsv.NewFlightLimiter(100 * time.Millisecond),
-		acceptLimit:  obsv.NewFlightLimiter(time.Second),
+		routes:      make(map[string]route),
+		closed:      make(chan struct{}),
+		conns:       make(map[net.Conn]struct{}),
+		errLimit:    obsv.NewFlightLimiter(100 * time.Millisecond),
+		acceptLimit: obsv.NewFlightLimiter(time.Second),
 	}
 }
 
@@ -154,12 +178,6 @@ func (s *Server) Instrument(reg *obsv.Registry, tracer *obsv.Tracer) {
 	}
 }
 
-func (s *Server) observability() *serverObs {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.obs
-}
-
 // Handle registers a handler for a request kind.
 func (s *Server) Handle(kind string, h Handler) {
 	s.HandleCtx(kind, func(_ context.Context, body json.RawMessage) (any, error) { return h(body) })
@@ -167,9 +185,7 @@ func (s *Server) Handle(kind string, h Handler) {
 
 // HandleCtx registers a context-aware handler for a request kind.
 func (s *Server) HandleCtx(kind string, h HandlerCtx) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handlers[kind] = h
+	s.register(kind, route{handler: h})
 }
 
 // HandleNoBatch registers a handler whose kind is refused inside _batch
@@ -177,16 +193,10 @@ func (s *Server) HandleCtx(kind string, h HandlerCtx) {
 // request lists (e.g. "invokebatch"): nesting those in a transport batch
 // would multiply the per-frame work cap by itself.
 func (s *Server) HandleNoBatch(kind string, h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handlers[kind] = func(_ context.Context, body json.RawMessage) (any, error) { return h(body) }
-	s.noBatch[kind] = true
-}
-
-func (s *Server) isNoBatch(kind string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.noBatch[kind]
+	s.register(kind, route{
+		handler: func(_ context.Context, body json.RawMessage) (any, error) { return h(body) },
+		noBatch: true,
+	})
 }
 
 // Serve starts accepting connections on ln until Close. It returns
@@ -305,7 +315,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if obs != nil {
 			obs.rx.Add(uint64(4 + len(header) + len(frame)))
 		}
-		req, offered, err := parseRequest(frame)
+		req, offer, err := parseRequest(frame)
 		if err != nil {
 			// Protocol violation: drop the connection.
 			if obs != nil {
@@ -313,7 +323,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		if offered && !pusher.v2.Load() {
+		if offer >= offerV2 && !pusher.v2.Load() {
 			pusher.v2.Store(true)
 		}
 		enc.v2, enc.scratch = pusher.v2.Load(), keepBuffer(enc.scratch)[:0]
@@ -326,6 +336,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		resp := s.dispatchConn(ctx, req, pusher, &enc)
+		resp.readsBodies = offer >= offerBodies
 		if out, err = appendReplyFrame(out[:0], resp, enc.v2); err != nil {
 			return
 		}
@@ -339,25 +350,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// parseRequest decodes one request frame of either wire version. offered
-// reports that the peer has shown it speaks v2: the frame is in v2, or is
-// a v1 frame carrying the offer.
-func parseRequest(frame []byte) (req *Request, offered bool, err error) {
+// parseRequest decodes one request frame of either wire version. offer is
+// what the peer has shown it speaks: a v1 frame's "v" (0 when it offers
+// nothing), offerV2 for a frame in v2.
+func parseRequest(frame []byte) (req *Request, offer int, err error) {
 	if !isV2(frame) {
 		var wire requestV1
 		if err := json.Unmarshal(frame, &wire); err != nil {
-			return nil, false, err
+			return nil, 0, err
 		}
-		return &wire.Request, wire.V >= offerV2, nil
+		return &wire.Request, wire.V, nil
 	}
-	env, err := parseEnvelope(frame)
-	if err != nil {
-		return nil, false, err
+	var env envelope
+	if err := env.parse(frame); err != nil {
+		return nil, 0, err
 	}
 	if env.reply || env.binary || !env.OK {
-		return nil, false, errMalformedV2
+		return nil, 0, errMalformedV2
 	}
-	return &Request{ID: env.ID, Kind: env.Kind, Body: env.Body, container: env.batch}, true, nil
+	return &Request{ID: env.ID, Kind: env.Kind, Body: env.Body, container: env.batch}, offerV2, nil
 }
 
 // appendReplyFrame appends resp as one whole frame, in the wire version
@@ -409,13 +420,17 @@ const unknownKind = "_unknown"
 // via HandlePush receive it; enc is how that connection's replies are
 // encoded.
 func (s *Server) dispatchConn(ctx context.Context, req *Request, p *Pusher, enc *replyEncoding) *Response {
-	s.mu.RLock()
-	obs := s.obs
-	h, known := s.handlers[req.Kind]
-	ph, push := s.pushHandlers[req.Kind]
-	s.mu.RUnlock()
+	obs, r := s.lookup(req.Kind)
+	resp := new(Response)
+	s.run(ctx, req, p, enc, obs, r, resp)
+	return resp
+}
+
+// run answers one request into resp along the route looked up for its
+// kind, inside the request's span and latency histogram.
+func (s *Server) run(ctx context.Context, req *Request, p *Pusher, enc *replyEncoding, obs *serverObs, r route, resp *Response) {
 	label := req.Kind
-	if !known && !push && req.Kind != BatchKind {
+	if r.handler == nil && r.push == nil && req.Kind != BatchKind {
 		label = unknownKind
 	}
 	var start time.Time
@@ -426,18 +441,17 @@ func (s *Server) dispatchConn(ctx context.Context, req *Request, p *Pusher, enc 
 			ctx, span = obs.tracer.Start(ctx, "rpc."+label)
 		}
 	}
-	var resp *Response
 	switch {
 	case req.Kind == BatchKind:
-		resp = s.dispatchBatch(ctx, req, enc)
-	case push:
-		result, err := ph(req.Body, p)
-		resp = enc.respond(req.ID, result, err)
-	case known:
-		result, err := h(ctx, req.Body)
-		resp = enc.respond(req.ID, result, err)
+		s.dispatchBatch(ctx, req, enc, obs, resp)
+	case r.push != nil:
+		result, err := r.push(req.Body, p)
+		enc.respond(resp, req.ID, result, err)
+	case r.handler != nil:
+		result, err := r.handler(ctx, req.Body)
+		enc.respond(resp, req.ID, result, err)
 	default:
-		resp = &Response{ID: req.ID, OK: false, Error: fmt.Sprintf("unknown request kind %q", req.Kind)}
+		*resp = Response{ID: req.ID, OK: false, Error: fmt.Sprintf("unknown request kind %q", req.Kind)}
 	}
 	if obs != nil {
 		obs.reqs.With(label).Inc()
@@ -458,18 +472,19 @@ func (s *Server) dispatchConn(ctx context.Context, req *Request, p *Pusher, enc 
 			span.End(errors.New(resp.Error))
 		}
 	}
-	return resp
 }
 
-// respond encodes what a handler returned. On a wire-v2 connection a
-// result that implements encoding.BinaryMarshaler travels in that form;
-// everything else, and everything on v1, is JSON. Encoding happens here,
-// inside the span and the latency histogram, as it always has.
-func (enc *replyEncoding) respond(id uint64, result any, err error) *Response {
+// respond encodes what a handler returned into resp. On a wire-v2
+// connection a result that implements encoding.BinaryMarshaler travels in
+// that form; everything else, and everything on v1, is JSON. Encoding
+// happens here, inside the span and the latency histogram, as it always
+// has.
+func (enc *replyEncoding) respond(resp *Response, id uint64, result any, err error) {
 	if err != nil {
-		return &Response{ID: id, OK: false, Error: err.Error()}
+		*resp = Response{ID: id, OK: false, Error: err.Error()}
+		return
 	}
-	resp := &Response{ID: id, OK: true}
+	*resp = Response{ID: id, OK: true}
 	if bm, ok := result.(encoding.BinaryMarshaler); ok && enc.v2 && !isNilPointer(result) {
 		resp.binary = true
 		start := len(enc.scratch)
@@ -485,9 +500,8 @@ func (enc *replyEncoding) respond(id uint64, result any, err error) *Response {
 		resp.Body, err = json.Marshal(result)
 	}
 	if err != nil {
-		return &Response{ID: id, OK: false, Error: fmt.Sprintf("encoding response: %v", err)}
+		*resp = Response{ID: id, OK: false, Error: fmt.Sprintf("encoding response: %v", err)}
 	}
-	return resp
 }
 
 // isNilPointer reports a typed nil pointer, which JSON encodes as null
@@ -509,10 +523,12 @@ type Client struct {
 	onPush func(subs []Request) // nil: pushed frames are dropped
 	done   chan struct{}        // closed when the reader has exited
 
-	// v2 is the connection's one sticky bit: the peer has sent a wire-v2
-	// frame, so requests go out in v2 from now on. Until then they are v1
-	// JSON carrying the offer (wire2.go).
-	v2 atomic.Bool
+	// v2 is the connection's sticky bit for the envelope: the peer has
+	// sent a wire-v2 frame, so requests go out in v2 from now on. Until
+	// then they are v1 JSON carrying the offer (wire2.go). bodies is the
+	// one for request bodies: a reply has carried flagReadsBodies, so an
+	// In with a binary form is sent in it. route sets v2 before bodies.
+	v2, bodies atomic.Bool
 
 	wmu  sync.Mutex // serializes frame writes
 	wbuf []byte     // the frame being written; guarded by wmu
@@ -537,10 +553,11 @@ type envelope struct {
 	Error string          `json:"error"`
 	Body  json.RawMessage `json:"body"`
 
-	reply  bool // a Response: v1 without a Kind, v2 with flagReply
-	binary bool // v2 flagBinary: Body is the result's binary form
-	batch  bool // v2 flagBatch: Body is a container
-	err    error
+	reply       bool // a Response: v1 without a Kind, v2 with flagReply
+	binary      bool // v2 flagBinary: Body is the result's binary form
+	batch       bool // v2 flagBatch: Body is a container
+	readsBodies bool // v2 flagReadsBodies: the server reads binary request bodies
+	err         error
 }
 
 // DefaultDialTimeout bounds connection establishment for Dial. A dial
@@ -639,17 +656,44 @@ type ErrRemote struct{ Msg string }
 
 func (e *ErrRemote) Error() string { return "transport: remote error: " + e.Msg }
 
-// ErrBinaryBody reports a reply whose body arrived in its type's binary
-// form for an out that cannot read one: the caller decoded a kind into
-// something other than the type that kind answers with. It is an error,
-// never a silently zero out.
+// ErrBinaryBody reports a body that arrived in its type's binary form
+// for an out that cannot read one: a caller decoded a kind's reply into
+// something other than the type that kind answers with, or a handler
+// decoded a request body into something other than the type the client
+// sent. It is an error, never a silently zero out.
 type ErrBinaryBody struct {
-	Kind string // the request kind
+	Kind string // the request kind; empty for a request body
 	Out  string // the Go type of the out that was offered
 }
 
 func (e *ErrBinaryBody) Error() string {
-	return fmt.Sprintf("transport: the %s reply is binary and %s does not implement encoding.BinaryUnmarshaler", e.Kind, e.Out)
+	what := "the " + e.Kind + " reply"
+	if e.Kind == "" {
+		what = "the request body"
+	}
+	return fmt.Sprintf("transport: %s is binary and %s does not implement encoding.BinaryUnmarshaler", what, e.Out)
+}
+
+// DecodeBody unpacks a request body into out, as a handler receives it:
+// JSON, or markerV2 followed by the binary form of an out implementing
+// encoding.BinaryUnmarshaler. A binary body offered to any other out is
+// an *ErrBinaryBody.
+func DecodeBody(body []byte, out any) error {
+	if !isV2(body) {
+		return json.Unmarshal(body, out)
+	}
+	return decodeBody("", body[1:], true, out)
+}
+
+// appendRequestBody appends in as a request body: markerV2 and its
+// binary form when the server reads binary bodies and in has one (a
+// typed nil has none: it is JSON null), JSON otherwise.
+func appendRequestBody(b []byte, in any, bodies bool) ([]byte, error) {
+	if ba, ok := in.(binaryAppender); ok && bodies && !isNilPointer(in) {
+		return ba.AppendBinary(append(b, markerV2))
+	}
+	js, err := json.Marshal(in)
+	return append(b, js...), err
 }
 
 // decodeBody unpacks one successful reply body into out (nil discards).
@@ -680,11 +724,12 @@ func (c *Client) Call(kind string, in any, out any) error {
 // trace context in its header and, with SetTracer, a client span is
 // recorded.
 func (c *Client) CallCtx(ctx context.Context, kind string, in any, out any) error {
-	body, err := json.Marshal(in)
+	bodies := c.bodies.Load()
+	body, err := appendRequestBody(nil, in, bodies)
 	if err != nil {
 		return fmt.Errorf("transport: encoding request: %w", err)
 	}
-	env, err := c.roundTrip(ctx, kind, body, c.v2.Load())
+	env, err := c.roundTrip(ctx, kind, body, bodies || c.v2.Load())
 	if err != nil {
 		return err
 	}
@@ -768,7 +813,7 @@ func (c *Client) send(ctx context.Context, header []byte, req *Request, v2 bool)
 		}
 		buf = append(appendEnvelope(buf, flags, req.ID, req.Kind, ""), req.Body...)
 	} else {
-		payload, err := json.Marshal(&requestV1{Request: *req, V: offerV2})
+		payload, err := json.Marshal(&requestV1{Request: *req, V: offerBodies})
 		if err != nil {
 			return fmt.Errorf("transport: encoding envelope: %w", err)
 		}
@@ -832,7 +877,8 @@ func (c *Client) readLoop() {
 // the pending call that owns its ID, a pushed _batch to onPush. A reply
 // nobody waits for (its caller gave up) and a malformed push are dropped;
 // an undecodable envelope is fatal to the connection, as it is on the
-// server side. The first v2 frame flips the connection to v2.
+// server side. The first v2 frame flips the connection to v2, the first
+// reply carrying flagReadsBodies to binary request bodies.
 func (c *Client) route(frame []byte) error {
 	var env *envelope
 	if isV2(frame) {
@@ -842,6 +888,9 @@ func (c *Client) route(frame []byte) error {
 		}
 		if !c.v2.Load() {
 			c.v2.Store(true)
+		}
+		if env.readsBodies && !c.bodies.Load() {
+			c.bodies.Store(true)
 		}
 	} else {
 		env = new(envelope)

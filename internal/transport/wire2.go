@@ -29,27 +29,40 @@ import (
 // body is marked flagBinary when the handler's result implements
 // encoding.BinaryMarshaler, and only an out implementing
 // encoding.BinaryUnmarshaler may receive it (ErrBinaryBody otherwise).
-// Requests and pushes always carry JSON bodies.
+// A request body is binary when it begins with markerV2, which no JSON
+// text can: the marker, then the binary form of an In implementing
+// AppendBinary, written only to a server that has acknowledged it reads
+// such bodies. Handlers read either form through DecodeBody. Pushes
+// always carry JSON bodies.
 //
-// Negotiation costs no round trip and one sticky bit per side. A
-// Client's v1 requests carry "v":2; a v1-only server ignores the field
-// and the connection stays v1 for good. A Server that reads the offer —
-// or any v2 frame — answers that request, and writes every later reply
-// and push on that connection, in v2. A Client that has received a v2
-// frame writes v2 requests from then on. Invariants: neither side emits
-// v2 toward a peer that has not shown it; every reader accepts both
-// formats at any time and tells them apart by the first payload byte,
-// which JSON can never begin with; a new connection (a ManagedClient
-// reconnect included) starts over at v1. No flag, option or build tag
-// selects a format: the only way to see v1 is to talk to a v1 peer.
+// Negotiation costs no round trip and one sticky bit per side per
+// step. A Client's v1 requests carry "v":3; a v1-only server ignores the
+// field and the connection stays v1 for good. A Server that reads an
+// offer of at least 2 — or any v2 frame — answers that request, and
+// writes every later reply and push on that connection, in v2; when the
+// offer is at least 3 its answer also carries flagReadsBodies. A Client
+// that has received a v2 frame writes v2 requests from then on, and one
+// that has received flagReadsBodies writes binary request bodies. A
+// server from before binary request bodies takes 3 for 2 and never sets
+// the bit; a client from before them offers 2 and is never sent it.
+// Invariants: neither side emits v2 toward a peer that has not shown
+// it, and no binary request body goes to a server that has not
+// acknowledged it; every reader accepts both formats at any time and
+// tells them apart by the first payload byte, which JSON can never
+// begin with; a new connection (a ManagedClient reconnect included)
+// starts over at v1. No flag, option or build tag selects a format: the
+// only way to see v1 or JSON request bodies is to talk to an older peer.
 
 const (
 	// markerV2 opens every v2 payload. A JSON text begins with
 	// whitespace, a quote, a digit, '-', '{', '[' or a letter — never
 	// with a byte above 0x7F.
 	markerV2 = 0xB2
-	// offerV2 is the "v" a v1 request carries to offer the upgrade.
+	// offerV2 is the least "v" a server takes as the offer of v2.
 	offerV2 = 2
+	// offerBodies is the "v" a Client's v1 request carries: the offer of
+	// v2, and the question whether the server reads binary request bodies.
+	offerBodies = 3
 )
 
 // Envelope and entry flags.
@@ -58,8 +71,11 @@ const (
 	flagError  = 1 << 1 // a failed reply: an error string follows, the body is empty
 	flagBinary = 1 << 2 // the body is its type's binary form, not JSON
 	flagBatch  = 1 << 3 // the body is a container (envelopes only)
+	// flagReadsBodies, on a reply envelope only, says the server reads
+	// binary request bodies: it answers a request that offered 3.
+	flagReadsBodies = 1 << 4
 
-	envelopeFlags = flagReply | flagError | flagBinary | flagBatch
+	envelopeFlags = flagReply | flagError | flagBinary | flagBatch | flagReadsBodies
 	entryFlags    = flagReply | flagError | flagBinary
 )
 
@@ -151,7 +167,11 @@ func (r *v2Reader) flags(allowed byte) byte {
 // meta reads the kind and error strings the flags call for.
 func (r *v2Reader) meta(flags byte) (kind, errMsg string) {
 	if flags&flagReply == 0 {
-		kind = string(r.bytes())
+		if k := r.bytes(); string(k) == BatchKind {
+			kind = BatchKind // the one kind this package knows: no copy
+		} else {
+			kind = string(k)
+		}
 	}
 	if flags&flagError != 0 {
 		errMsg = string(r.bytes())
@@ -162,24 +182,34 @@ func (r *v2Reader) meta(flags byte) (kind, errMsg string) {
 // parseEnvelope decodes a v2 frame payload. The envelope's Body aliases
 // the frame, which each read allocates afresh.
 func parseEnvelope(frame []byte) (*envelope, error) {
+	env := new(envelope)
+	if err := env.parse(frame); err != nil {
+		return nil, err
+	}
+	return env, nil
+}
+
+// parse is parseEnvelope into an envelope the caller holds.
+func (env *envelope) parse(frame []byte) error {
 	r := v2Reader{b: frame}
 	if r.byte() != markerV2 {
-		return nil, errMalformedV2
+		return errMalformedV2
 	}
 	flags := r.flags(envelopeFlags)
-	env := &envelope{
-		ID:     r.uvarint(),
-		OK:     flags&flagError == 0,
-		reply:  flags&flagReply != 0,
-		binary: flags&flagBinary != 0,
-		batch:  flags&flagBatch != 0,
+	*env = envelope{
+		ID:          r.uvarint(),
+		OK:          flags&flagError == 0,
+		reply:       flags&flagReply != 0,
+		binary:      flags&flagBinary != 0,
+		batch:       flags&flagBatch != 0,
+		readsBodies: flags&flagReadsBodies != 0,
 	}
 	env.Kind, env.Error = r.meta(flags)
-	if r.bad {
-		return nil, errMalformedV2
+	if r.bad || env.readsBodies && !env.reply {
+		return errMalformedV2
 	}
 	env.Body = r.b
-	return env, nil
+	return nil
 }
 
 // entry is one decoded container entry; body aliases the frame.
