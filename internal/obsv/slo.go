@@ -93,8 +93,9 @@ type sloSample struct {
 
 type sloState struct {
 	o       Objective
-	samples []sloSample // ring
-	next, n int
+	samples []sloSample // ring, in tick order
+	next    int
+	n       int // samples ever taken; the ring keeps the last len(samples)
 	// gauge-kind accumulators (the gauge itself is not cumulative, so
 	// the engine counts ticks and bad ticks).
 	gTotal, gBad float64
@@ -217,9 +218,7 @@ func (e *SLOEngine) tick(now time.Time) {
 		total, bad := e.cumulative(st)
 		st.samples[st.next] = sloSample{at: now, total: total, bad: bad}
 		st.next = (st.next + 1) % len(st.samples)
-		if st.n < len(st.samples) {
-			st.n++
-		}
+		st.n++
 
 		status := SLOStatus{
 			Name: st.o.Name, Kind: st.o.Kind, Series: st.o.Series,
@@ -231,7 +230,7 @@ func (e *SLOEngine) tick(now time.Time) {
 			status.Compliance = (total - bad) / total
 		}
 		for _, w := range e.windows {
-			base := st.sampleBefore(now.Add(-w), now)
+			base := st.sampleBefore(now.Add(-w))
 			var burnRate float64
 			if dTotal := total - base.total; dTotal > 0 {
 				burnRate = ((bad - base.bad) / dTotal) / (1 - st.o.Target)
@@ -254,32 +253,26 @@ func (e *SLOEngine) tick(now time.Time) {
 }
 
 // sampleBefore returns the window baseline: the newest retained sample
-// at or before cutoff. When the history is shorter than the window it
-// falls back to the oldest prior sample (excluding the one taken at
-// now), and for a brand-new engine to the zero sample — so a young
-// daemon reports burn-since-start instead of a meaningless zero.
-func (st *sloState) sampleBefore(cutoff, now time.Time) sloSample {
-	var best, oldest sloSample
-	haveBest, haveOldest := false, false
-	for i := 0; i < st.n; i++ {
-		s := st.samples[(st.next-1-i+2*len(st.samples))%len(st.samples)]
-		if !s.at.Before(now) {
-			continue // the sample taken this tick is not a baseline
+// at or before cutoff. While the engine is younger than the window no
+// sample is that old and the baseline is the zero sample, so a young
+// daemon reports burn since start. Once the ring has dropped samples, a
+// window longer than what it retains falls back to the oldest retained
+// sample. Ticks arrive in time order, so the ring is sorted.
+func (st *sloState) sampleBefore(cutoff time.Time) sloSample {
+	size := len(st.samples)
+	kept := min(st.n, size)
+	oldest := st.samples[(st.next-kept+size)%size]
+	if oldest.at.After(cutoff) {
+		if st.n > size {
+			return oldest
 		}
-		if !haveOldest || s.at.Before(oldest.at) {
-			oldest, haveOldest = s, true
-		}
-		if !s.at.After(cutoff) && (!haveBest || s.at.After(best.at)) {
-			best, haveBest = s, true
+		return sloSample{}
+	}
+	for i := 1; ; i++ {
+		if s := st.samples[(st.next-i+size)%size]; !s.at.After(cutoff) {
+			return s
 		}
 	}
-	if haveBest {
-		return best
-	}
-	if haveOldest {
-		return oldest
-	}
-	return sloSample{}
 }
 
 // badExemplars pulls trace ids of retained observations above the

@@ -66,9 +66,10 @@ func TestSLOEngineLatencyBurn(t *testing.T) {
 	if !st[0].Breaching {
 		t.Fatalf("objective must breach after 50%% bad at target 0.9: %+v", st[0])
 	}
-	// Δbad/Δtotal = 10/10 over the 5m window; burn = 1 / (1-0.9) = 10.
-	if got := st[0].Burn["5m"]; got < 9.99 || got > 10.01 {
-		t.Fatalf("5m burn = %v, want 10", got)
+	// The engine is younger than 5m, so the baseline is the zero
+	// sample: Δbad/Δtotal = 10/20; burn = 0.5 / (1-0.9) = 5.
+	if got := st[0].Burn["5m"]; got < 4.99 || got > 5.01 {
+		t.Fatalf("5m burn = %v, want 5", got)
 	}
 	if len(st[0].Exemplars) == 0 {
 		t.Fatal("breaching latency objective must carry exemplar trace ids")
@@ -77,14 +78,14 @@ func TestSLOEngineLatencyBurn(t *testing.T) {
 	if st[0].Exemplars[0] != wantID {
 		t.Fatalf("exemplar = %q, want trace id %q", st[0].Exemplars[0], wantID)
 	}
-	if v := reg.Value(`slo_burn_rate{objective="lat-p99",window="5m"}`); v < 9.99 {
-		t.Fatalf("slo_burn_rate gauge = %v, want ~10", v)
+	if v := reg.Value(`slo_burn_rate{objective="lat-p99",window="5m"}`); v < 4.99 {
+		t.Fatalf("slo_burn_rate gauge = %v, want ~5", v)
 	}
 
 	// Prometheus text carries the two-label gauge.
 	var b strings.Builder
 	reg.WritePrometheus(&b)
-	if !strings.Contains(b.String(), `slo_burn_rate{objective="lat-p99",window="5m"} 10`) {
+	if !strings.Contains(b.String(), `slo_burn_rate{objective="lat-p99",window="5m"} 5`) {
 		t.Fatalf("prometheus missing slo_burn_rate series:\n%s", b.String())
 	}
 }
@@ -117,19 +118,70 @@ func TestSLOEngineRatioAndGauge(t *testing.T) {
 			lag = s
 		}
 	}
-	// Δbad/Δtotal = 50/50 = 1; burn = 1/(1-0.99) = 100.
-	if got := avail.Burn["5m"]; got < 99 || got > 101 {
-		t.Fatalf("avail 5m burn = %v, want 100", got)
+	// The engine is younger than 5m, so the baseline is the zero
+	// sample. Δbad/Δtotal = 50/150; burn = (1/3)/(1-0.99) = 33.3.
+	if got := avail.Burn["5m"]; got < 33.3 || got > 33.4 {
+		t.Fatalf("avail 5m burn = %v, want 33.3", got)
 	}
-	// Gauge: 3 ticks, 2 bad (the first sampled pending=0); burn over the
-	// window uses the oldest sample as base: Δbad/Δtotal = 2/2 = 1,
-	// burn = 1/(1-0.5) = 2.
-	if got := lag.Burn["5m"]; got < 1.99 || got > 2.01 {
-		t.Fatalf("lag 5m burn = %v, want 2", got)
+	// Gauge: 3 ticks, 2 bad (the first sampled pending=0):
+	// Δbad/Δtotal = 2/3, burn = (2/3)/(1-0.5) = 1.33.
+	if got := lag.Burn["5m"]; got < 1.33 || got > 1.34 {
+		t.Fatalf("lag 5m burn = %v, want 1.33", got)
 	}
 	if !avail.Breaching || !lag.Breaching {
 		t.Fatalf("both objectives must breach: avail=%+v lag=%+v", avail, lag)
 	}
+}
+
+// TestSLOEngineBaseline drives the burn windows through an engine's
+// life with explicit tick times. While the engine is younger than a
+// window, that window's baseline is the zero sample, so what was seen
+// before the first tick stays in the window until the window has
+// passed; once the ring has dropped samples, the oldest retained sample
+// is the baseline.
+func TestSLOEngineBaseline(t *testing.T) {
+	reg := NewRegistry()
+	reqs := reg.Counter("req_total", "")
+	errs := reg.Counter("err_total", "")
+	const every = 500 * time.Millisecond // the ring is capped at 4096 samples, under the 1h window
+	e := NewSLOEngine(reg, []Objective{
+		{Name: "avail", Kind: "ratio", BadSeries: "err_total", TotalSeries: "req_total", Target: 0.9},
+	}, every)
+	t0 := time.Unix(1_700_000_000, 0)
+	ticks := 0
+	tickTo := func(n int) {
+		for ; ticks < n; ticks++ {
+			e.tick(t0.Add(time.Duration(ticks) * every))
+		}
+	}
+	check := func(when string, want5m, want1h float64) {
+		t.Helper()
+		burn := e.Status()[0].Burn
+		for w, want := range map[string]float64{"5m": want5m, "1h": want1h} {
+			if got := burn[w]; got < want-0.01 || got > want+0.01 {
+				t.Errorf("%s (tick %d): %s burn = %v, want %v", when, ticks, w, got, want)
+			}
+		}
+	}
+
+	reqs.Add(10) // every request bad, before the first tick: burn 1/(1-0.9) = 10
+	errs.Add(10)
+	tickTo(1)
+	check("first tick", 10, 10)
+	tickTo(2)
+	check("second tick", 10, 10)
+
+	reqs.Add(10) // half bad since start: burn 5
+	fiveMin := int(5 * time.Minute / every)
+	tickTo(fiveMin)
+	check("last tick inside 5m", 5, 5)
+	tickTo(fiveMin + 1) // at t0+5m the first sample is the 5m baseline
+	check("5m boundary", 0, 5)
+
+	tickTo(4096)
+	check("ring full, nothing dropped", 0, 5)
+	tickTo(4097) // the first sample is gone: the second, after all the bad requests, is the 1h baseline
+	check("ring wrapped", 0, 0)
 }
 
 func TestSLOHandler(t *testing.T) {
