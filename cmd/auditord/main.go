@@ -256,7 +256,7 @@ func main() {
 		"cosigning_key", fmt.Sprintf("%x", kb[:]))
 
 	if *interval > 0 {
-		h.Go(func(stop <-chan struct{}) { n.roundLoop(*interval, stop) })
+		h.Every(*interval, n.round)
 	}
 
 	// The journal flushes last, after every loop that ingests is joined.
@@ -283,26 +283,15 @@ func (n *node) pull() []string {
 // publishFrontier pushes the cosigned frontier to this witness's subscribers.
 func (n *node) publishFrontier() { n.hub.Publish(n.w.FrontierHeads()) }
 
-// roundLoop is the -interval loop: pull, gossip with every peer and
-// publish, once per period, until stop closes. A round in flight when
-// stop closes finishes first; none starts afterwards.
-func (n *node) roundLoop(every time.Duration, stop <-chan struct{}) {
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		n.pull() // per-source failures already logged; keep gossiping
-		if sum, err := n.w.Round(n.peers); err != nil {
-			logger.Warn("gossip round failed", "err", err)
-		} else if sum.NewProofs > 0 {
-			logger.Warn("new equivocation proofs", "count", sum.NewProofs)
-		}
-		n.publishFrontier()
+// round is the -interval tick: pull, gossip with every peer and publish.
+func (n *node) round(time.Time) {
+	n.pull() // per-source failures already logged; keep gossiping
+	if sum, err := n.w.Round(n.peers); err != nil {
+		logger.Warn("gossip round failed", "err", err)
+	} else if sum.NewProofs > 0 {
+		logger.Warn("new equivocation proofs", "count", sum.NewProofs)
 	}
+	n.publishFrontier()
 }
 
 // subscribeSource opens a self-healing push channel to one source (the

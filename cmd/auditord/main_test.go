@@ -122,7 +122,7 @@ func TestShutdownJoinsLoopsBeforeJournalCloses(t *testing.T) {
 	}
 	th.Go(worker)
 	const every = 5 * time.Millisecond
-	th.Go(func(stop <-chan struct{}) { n.roundLoop(every, stop) })
+	th.Every(every, n.round)
 
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()

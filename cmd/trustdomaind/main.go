@@ -200,9 +200,8 @@ func main() {
 
 	if *refresh != 0 {
 		logger.Info("proactive share refresh enabled", "interval", *refresh)
-		h.Go(func(stop <-chan struct{}) {
-			runRefreshLoop(*refresh, h.DataDir, *params, dep, dev, diag, tk, stop)
-		})
+		r := &refresher{dataDir: h.DataDir, paramsPath: *params, dep: dep, dev: dev, diag: diag, cur: tk}
+		h.Every(*refresh, r.tick)
 	}
 
 	logger.Info("serving until SIGINT/SIGTERM")
@@ -415,93 +414,91 @@ func recoverPendingCeremony(dataDir string, dep *core.Deployment, dev *framework
 	return ref.NewKey, nil
 }
 
-// runRefreshLoop periodically drives a refresh ceremony and commits the
-// rotated key to the data directory and the parameters file. Two
-// invariants: a ceremony that failed mid-drive is re-driven with the
-// SAME package on later ticks (held in memory, and on disk with -data)
-// — never replaced by a fresh one for the same epoch, which would
-// strand the domains that already applied it; and epochs advanced by an
-// external coordinator (dtclient refresh rewrites the parameters file)
-// are adopted before each tick so the loop never wedges on a stale
-// notion of "current". The deployment assumes a single ACTIVE
+// refresher is the -refresh loop's state: each tick drives a refresh
+// ceremony and commits the rotated key to the data directory and the
+// parameters file. Two invariants: a ceremony that failed mid-drive is
+// re-driven with the SAME package on later ticks (held in ref, and on
+// disk with -data) — never replaced by a fresh one for the same epoch,
+// which would strand the domains that already applied it; and epochs
+// advanced by an external coordinator (dtclient refresh rewrites the
+// parameters file) are adopted before each tick so the loop never wedges
+// on a stale notion of "current". The deployment assumes a single ACTIVE
 // coordinator at a time (DESIGN.md §7).
-func runRefreshLoop(every time.Duration, dataDir, paramsPath string, dep *core.Deployment, dev *framework.Developer, diag blsapp.CeremonyDiagnostics, tk *bls.ThresholdKey, stop <-chan struct{}) {
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	cur := tk
-	var ref *bls.Refresh // in-flight package, retained across failed ticks
-	for {
-		select {
-		case <-stop:
+type refresher struct {
+	dataDir, paramsPath string
+	dep                 *core.Deployment
+	dev                 *framework.Developer
+	diag                blsapp.CeremonyDiagnostics
+	cur                 *bls.ThresholdKey
+	ref                 *bls.Refresh // in-flight package, retained across failed ticks
+}
+
+func (r *refresher) tick(time.Time) {
+	// Adopt an externally advanced epoch from the shared public record
+	// (same group key, higher epoch).
+	if file, err := deployfile.Read(r.paramsPath); err == nil {
+		if pk, err := file.ThresholdKey(); err == nil && pk != nil &&
+			pk.GroupKey.Equal(&r.cur.GroupKey) && pk.Epoch > r.cur.Epoch {
+			logger.Info("adopting externally advanced epoch", "epoch", pk.Epoch, "path", r.paramsPath)
+			r.cur = pk
+		}
+	}
+	// A retained or durable package that no longer targets cur+1 is
+	// obsolete (the epoch moved under it).
+	if r.ref != nil && r.ref.NewEpoch != r.cur.Epoch+1 {
+		r.ref = nil
+	}
+	if r.ref == nil && r.dataDir != "" {
+		ref, err := deployfile.ReadRefresh(pendingRefreshPath(r.dataDir))
+		if err != nil {
+			logger.Warn("refresh", "err", err)
 			return
-		case <-ticker.C:
 		}
-		// Adopt an externally advanced epoch from the shared public
-		// record (same group key, higher epoch).
-		if file, err := deployfile.Read(paramsPath); err == nil {
-			if pk, err := file.ThresholdKey(); err == nil && pk != nil &&
-				pk.GroupKey.Equal(&cur.GroupKey) && pk.Epoch > cur.Epoch {
-				logger.Info("adopting externally advanced epoch", "epoch", pk.Epoch, "path", paramsPath)
-				cur = pk
+		if ref != nil && ref.NewEpoch != r.cur.Epoch+1 {
+			if err := deployfile.RemoveRefresh(pendingRefreshPath(r.dataDir)); err != nil {
+				logger.Warn("refresh", "err", err)
 			}
-		}
-		// A retained or durable package that no longer targets cur+1 is
-		// obsolete (the epoch moved under it).
-		if ref != nil && ref.NewEpoch != cur.Epoch+1 {
 			ref = nil
 		}
-		if ref == nil && dataDir != "" {
-			var err error
-			ref, err = deployfile.ReadRefresh(pendingRefreshPath(dataDir))
-			if err != nil {
-				logger.Warn("refresh", "err", err)
-				continue
-			}
-			if ref != nil && ref.NewEpoch != cur.Epoch+1 {
-				if err := deployfile.RemoveRefresh(pendingRefreshPath(dataDir)); err != nil {
-					logger.Warn("refresh", "err", err)
-				}
-				ref = nil
-			}
-		}
-		if ref == nil {
-			next, err := bls.NewRefresh(cur)
-			if err != nil {
-				logger.Warn("refresh", "err", err)
-				continue
-			}
-			// Durable-intent first: a crash mid-ceremony must find the
-			// exact package on disk so the restart can re-drive it.
-			if dataDir != "" {
-				if err := deployfile.WriteRefresh(pendingRefreshPath(dataDir), next); err != nil {
-					logger.Warn("refresh", "err", err)
-					continue
-				}
-			}
-			ref = next
-		}
-		if err := blsapp.RunRefreshCeremony(dep, ref, dev, diag); err != nil {
-			logger.Warn("refresh ceremony failed; re-driving the same package next tick", "epoch", ref.NewEpoch, "err", err)
-			continue
-		}
-		if dataDir != "" {
-			if err := writeThresholdState(dataDir, ref.NewKey); err != nil {
-				logger.Warn("refresh", "err", err)
-				continue
-			}
-		}
-		file := deployfile.FromParams(dep.Params(), ref.NewKey)
-		if err := file.Write(paramsPath); err != nil {
-			logger.Warn("refresh", "err", err)
-			continue
-		}
-		if dataDir != "" {
-			if err := deployfile.RemoveRefresh(pendingRefreshPath(dataDir)); err != nil {
-				logger.Warn("refresh", "err", err)
-			}
-		}
-		cur = ref.NewKey
-		ref = nil
-		logger.Info("shares refreshed (group key unchanged)", "epoch", cur.Epoch)
+		r.ref = ref
 	}
+	if r.ref == nil {
+		next, err := bls.NewRefresh(r.cur)
+		if err != nil {
+			logger.Warn("refresh", "err", err)
+			return
+		}
+		// Durable-intent first: a crash mid-ceremony must find the
+		// exact package on disk so the restart can re-drive it.
+		if r.dataDir != "" {
+			if err := deployfile.WriteRefresh(pendingRefreshPath(r.dataDir), next); err != nil {
+				logger.Warn("refresh", "err", err)
+				return
+			}
+		}
+		r.ref = next
+	}
+	if err := blsapp.RunRefreshCeremony(r.dep, r.ref, r.dev, r.diag); err != nil {
+		logger.Warn("refresh ceremony failed; re-driving the same package next tick", "epoch", r.ref.NewEpoch, "err", err)
+		return
+	}
+	if r.dataDir != "" {
+		if err := writeThresholdState(r.dataDir, r.ref.NewKey); err != nil {
+			logger.Warn("refresh", "err", err)
+			return
+		}
+	}
+	file := deployfile.FromParams(r.dep.Params(), r.ref.NewKey)
+	if err := file.Write(r.paramsPath); err != nil {
+		logger.Warn("refresh", "err", err)
+		return
+	}
+	if r.dataDir != "" {
+		if err := deployfile.RemoveRefresh(pendingRefreshPath(r.dataDir)); err != nil {
+			logger.Warn("refresh", "err", err)
+		}
+	}
+	r.cur = r.ref.NewKey
+	r.ref = nil
+	logger.Info("shares refreshed (group key unchanged)", "epoch", r.cur.Epoch)
 }

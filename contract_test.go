@@ -110,9 +110,17 @@ var oneHeadKey = []string{"internal/aolog/", "internal/monitor/", "internal/serv
 // a main under cmd/ that made one itself would be a second copy of the
 // wiring, in its own order.
 var harnessOnly = map[string][]string{
-	"os/signal":            {"Notify"},
 	"repro/internal/fault": {"LoadSchedule", "Activate"},
 	"repro/internal/obsv":  {"NewRegistry", "NewFlightRecorder", "NewWatchdogSet", "NewSLOEngine", "Endpoint"},
+}
+
+// daemonOnly lists the calls no non-test file under internal/ or cmd/
+// makes outside internal/daemon: its Every is the one ticker loop and
+// its Run the one signal wait. Periodic work takes its ticks from its
+// caller, so a test drives it with explicit times.
+var daemonOnly = map[string][]string{
+	"os/signal": {"Notify"},
+	"time":      {"NewTicker", "Tick"},
 }
 
 // walkSource parses every .go file under the repo root and hands it to
@@ -160,15 +168,19 @@ func checkFile(t *testing.T, path string, file *ast.File) {
 	}
 
 	inCmd := strings.HasPrefix(path, "cmd/") && !isTest
+	outsideDaemon := !isTest && pkg != "daemon" && (pkg != "" || inCmd)
 	transportName := ""                   // local name of the transport import, if any
-	harnessCalls := map[string][]string{} // local import name -> harnessOnly selectors
+	harnessCalls := map[string][]string{} // local import name -> harnessOnly and daemonOnly selectors
 	for _, imp := range file.Imports {
 		ipath, _ := strconv.Unquote(imp.Path.Value)
+		local := ipath[strings.LastIndex(ipath, "/")+1:]
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
 		if sels, ok := harnessOnly[ipath]; ok && inCmd {
-			local := ipath[strings.LastIndex(ipath, "/")+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
+			harnessCalls[local] = sels
+		}
+		if sels, ok := daemonOnly[ipath]; ok && outsideDaemon {
 			harnessCalls[local] = sels
 		}
 		if ipath == "crypto/ed25519" && !isTest && slices.ContainsFunc(oneHeadKey, func(dir string) bool { return strings.HasPrefix(path, dir) }) {
@@ -212,7 +224,7 @@ func checkFile(t *testing.T, path string, file *ast.File) {
 				t.Errorf("%s: uses %s.%s; serve reads and writes no frame and dials nothing, it rides a transport.Client", path, x.Name, n.Sel.Name)
 			}
 			if ok && slices.Contains(harnessCalls[x.Name], n.Sel.Name) {
-				t.Errorf("%s: uses %s.%s; a daemon's planes are built and torn down by internal/daemon", path, x.Name, n.Sel.Name)
+				t.Errorf("%s: uses %s.%s; a daemon's planes, its tickers and its signal wait belong to internal/daemon", path, x.Name, n.Sel.Name)
 			}
 			if inCmd && n.Sel.Name == "ListenAndServe" {
 				t.Errorf("%s: calls ListenAndServe; internal/daemon owns a daemon's listeners (Harness.Serve, Harness.Observe)", path)

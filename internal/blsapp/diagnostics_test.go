@@ -10,13 +10,18 @@ import (
 )
 
 // gatedInvoker parks every Invoke until gate closes, so a ceremony can
-// be held in its invoke phase.
+// be held in its invoke phase; entered receives once an Invoke is parked.
 type gatedInvoker struct {
 	*memInvoker
-	gate chan struct{}
+	gate    chan struct{}
+	entered chan struct{}
 }
 
 func (g *gatedInvoker) Invoke(i int, req []byte) ([]byte, error) {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
 	<-g.gate
 	return g.memInvoker.Invoke(i, req)
 }
@@ -32,26 +37,17 @@ func ceremonyEvents(fr *obsv.FlightRecorder) []string {
 	return out
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
-}
-
 // TestCeremonyDiagnosticsAreAnArgument: the flight recorder and the
 // watchdog reach a ceremony as values. A ceremony records its phases
 // and its outcome on the recorder it was given and brackets itself with
 // the watchdog it was given; a second coordinator in the same process,
 // with its own recorder and no watchdog, sees and touches none of it.
+// The watchdog set is ticked by hand, each tick well past the deadline.
 func TestCeremonyDiagnosticsAreAnArgument(t *testing.T) {
 	frA, frB := obsv.NewFlightRecorder(64), obsv.NewFlightRecorder(64)
 	dogs := obsv.NewWatchdogSet("test", t.TempDir(), frA)
 	dog := dogs.Add("refresh-ceremony", 20*time.Millisecond)
-	dogs.Start(2 * time.Millisecond)
-	defer dogs.Close()
+	tickLate := func() { dogs.Tick(time.Now().Add(time.Minute)) }
 
 	// Coordinator A: held in the invoke phase past the deadline, so the
 	// watchdog can only be stalled if the ceremony armed it.
@@ -63,12 +59,16 @@ func TestCeremonyDiagnosticsAreAnArgument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated := &gatedInvoker{memInvoker: a.inv, gate: make(chan struct{})}
+	gated := &gatedInvoker{memInvoker: a.inv, gate: make(chan struct{}), entered: make(chan struct{}, 1)}
 	done := make(chan error, 1)
 	go func() {
 		done <- RunRefreshCeremony(gated, refA, a.dev, CeremonyDiagnostics{Flight: frA, Watchdog: dog})
 	}()
-	waitFor(t, "the armed watchdog to trip on the held ceremony", dog.Stalled)
+	<-gated.entered
+	tickLate()
+	if !dog.Stalled() {
+		t.Fatal("the held ceremony did not stall the watchdog it was given")
+	}
 
 	// Coordinator B runs — and fails, one domain down — while A is held.
 	b := newRefreshFixture(t, 2, 3, "")
@@ -80,6 +80,7 @@ func TestCeremonyDiagnosticsAreAnArgument(t *testing.T) {
 	if err := RunRefreshCeremony(b.inv, refB, b.dev, CeremonyDiagnostics{Flight: frB}); err == nil {
 		t.Fatal("ceremony with a domain down succeeded")
 	}
+	tickLate()
 	if !dog.Stalled() {
 		t.Fatal("B's ceremony finishing disarmed A's watchdog")
 	}
@@ -88,7 +89,10 @@ func TestCeremonyDiagnosticsAreAnArgument(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("A's ceremony: %v", err)
 	}
-	waitFor(t, "the watchdog to clear once the ceremony returned", func() bool { return !dog.Stalled() })
+	tickLate()
+	if dog.Stalled() {
+		t.Fatal("the watchdog is still stalled after the ceremony returned")
+	}
 	if got := dog.Trips(); got != 1 {
 		t.Fatalf("watchdog tripped %d times, want 1", got)
 	}

@@ -6,7 +6,7 @@
 //	h := daemon.New(name, flag.CommandLine, traced)
 //	flag.Parse()
 //	h.Start()                 // planes built, watchdogs ticking
-//	...                       // own state, handlers, probes, h.Go(loop)
+//	...                       // own state, handlers, probes, h.Go(loop), h.Every(d, tick)
 //	h.Serve(srv, addr, slos)  // or h.Observe(slos) without an RPC server
 //	h.Run(flush)              // wait for a signal, then Shutdown(flush)
 //
@@ -14,9 +14,11 @@
 // -fault-schedule and -fault-target, their defaults and the one rule
 // that -fault-schedule requires -debug-hooks; construction of the logger,
 // registry, health, tracer, flight recorder, watchdog set and fault
-// injector; the SLO engine, dump arming and the metrics endpoint;
-// instrumenting and listening for the daemon's RPC server; the signal
-// wait and the teardown order.
+// injector; the SLO engine and the metrics endpoint; instrumenting and
+// listening for the daemon's RPC server; the one ticker loop (Every),
+// which drives the watchdogs, the SLO engine, the readiness-flip dump
+// and the daemons' own periodic work; the signal wait, with the SIGQUIT
+// flight dump, and the teardown order.
 //
 // MUST NOT DO: know what any daemon serves, stores or signs; register
 // an RPC kind, a readiness probe or a watchdog of its own; choose SLO
@@ -43,8 +45,13 @@ import (
 	"repro/internal/transport"
 )
 
-// watchdogTick is how often the watchdog set evaluates its dogs.
-const watchdogTick = 100 * time.Millisecond
+const (
+	// watchdogTick is how often the watchdog set evaluates its dogs.
+	watchdogTick = 100 * time.Millisecond
+	// readinessPoll is how often readiness is checked for a flip to
+	// not-ready, which writes a flight dump.
+	readinessPoll = 250 * time.Millisecond
+)
 
 // Harness is one daemon's shared wiring. New fills Name and Log, flag
 // parsing DataDir and DebugHooks, Start the rest; all are read-only then.
@@ -68,12 +75,11 @@ type Harness struct {
 	faultSchedule *string
 	faultTarget   *string
 
-	srv       *transport.Server
-	slo       *obsv.SLOEngine
-	stopDumps func()
-	metrics   *obsv.MetricsServer
-	stop      chan struct{}
-	loops     sync.WaitGroup
+	srv     *transport.Server
+	slo     *obsv.SLOEngine
+	metrics *obsv.MetricsServer
+	stop    chan struct{}
+	loops   sync.WaitGroup
 }
 
 // New registers the shared flags on fs and builds the daemon's logger.
@@ -137,7 +143,7 @@ func (h *Harness) Start() {
 	h.Dogs.SetLogger(h.Log)
 	h.Dogs.Register(h.Reg)
 	h.Dogs.BindHealth(h.Health)
-	h.Dogs.Start(watchdogTick)
+	h.Every(watchdogTick, h.Dogs.Tick)
 
 	if *h.faultSchedule != "" {
 		sched, err := fault.LoadSchedule(*h.faultSchedule)
@@ -151,14 +157,15 @@ func (h *Harness) Start() {
 	}
 }
 
-// Observe starts the SLO engine over objectives, arms the flight dumps
-// and, with -metrics, brings the observability endpoint up. Call it once
-// the readiness probes are registered: /readyz answers when it returns.
+// Observe starts the SLO engine over objectives and the readiness-flip
+// dump and, with -metrics, brings the observability endpoint up. Call it
+// once the readiness probes are registered: /readyz answers when it
+// returns.
 func (h *Harness) Observe(objectives []obsv.Objective) {
 	h.slo = obsv.NewSLOEngine(h.Reg, objectives, *h.sloInterval)
 	h.slo.Register(h.Reg)
-	h.slo.Start()
-	h.stopDumps = h.Flight.ArmDumps(h.DiagDir, h.Name, h.Health, h.Log)
+	h.Every(h.slo.Interval(), h.slo.Tick)
+	h.Every(readinessPoll, h.readinessFlips())
 	if *h.metricsAddr == "" {
 		return
 	}
@@ -202,31 +209,81 @@ func (h *Harness) Go(loop func(stop <-chan struct{})) {
 	}()
 }
 
-// Run blocks until SIGINT or SIGTERM, then shuts down.
+// Every calls tick every period, on its own goroutine, until stop
+// closes. A tick in flight when stop closes finishes; none starts after.
+func (h *Harness) Every(period time.Duration, tick func(now time.Time)) {
+	h.Go(func(stop <-chan struct{}) {
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case now := <-t.C:
+				select {
+				case <-stop: // both were ready: stopping wins
+					return
+				default:
+				}
+				tick(now)
+			}
+		}
+	})
+}
+
+// readinessFlips returns the readiness poll: a flip from ready to not
+// ready records the flip and writes a flight dump of what led up to it.
+func (h *Harness) readinessFlips() func(now time.Time) {
+	wasReady := true
+	return func(time.Time) {
+		ready := h.Health.Ready() == nil
+		if wasReady && !ready {
+			h.Flight.Record("process", "readiness_flip", "ready -> not ready", 0, obsv.TraceContext{})
+			h.dump("readiness-flip")
+		}
+		wasReady = ready
+	}
+}
+
+// dump writes a flight dump to DiagDir and logs where it landed.
+func (h *Harness) dump(reason string) {
+	path, err := h.Flight.DumpFile(h.DiagDir, h.Name, reason)
+	if err != nil {
+		h.Log.Error("flight dump failed", "reason", reason, "err", err)
+		return
+	}
+	h.Log.Info("flight dump written", "reason", reason, "path", path)
+}
+
+// Run blocks until SIGINT or SIGTERM, then shuts down. SIGQUIT writes a
+// flight dump and the daemon keeps running: the "give me the black box
+// now" signal.
 func (h *Harness) Run(flush func() error) {
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGQUIT)
 	got := <-sig
+	for ; got == syscall.SIGQUIT; got = <-sig {
+		h.dump("sigquit")
+	}
 	h.Log.Info("shutting down", "signal", got.String())
+	signal.Reset(syscall.SIGQUIT) // a hung shutdown dies with its goroutine stacks, Go's default
 	if err := h.Shutdown(flush); err != nil {
 		h.Fatal("flushing state", "err", err)
 	}
 }
 
 // Shutdown is the one teardown order: the RPC server closes and its
-// in-flight handlers return; stop closes and every Go loop is waited
-// for; dump arming, watchdogs, the SLO engine and the metrics endpoint
-// close; flush — the store, the journal — runs last, when nothing is
-// left that could still write to what it closes.
+// in-flight handlers return; stop closes and every Go and Every loop is
+// waited for — the daemon's own, the watchdogs, the SLO engine and the
+// readiness poll; the metrics endpoint closes; flush — the store, the
+// journal — runs last, when nothing is left that could still write to
+// what it closes.
 func (h *Harness) Shutdown(flush func() error) error {
 	if h.srv != nil {
 		h.srv.Close()
 	}
 	close(h.stop)
 	h.loops.Wait()
-	h.stopDumps()
-	h.Dogs.Close()
-	h.slo.Close()
 	if h.metrics != nil {
 		h.metrics.Close()
 	}

@@ -2,11 +2,15 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -144,5 +148,78 @@ func TestHarnessesShareNothing(t *testing.T) {
 		if err := h.Shutdown(func() error { return nil }); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestEveryStopsAtShutdown: Every ticks on the real clock; a tick in
+// flight when Shutdown closes stop finishes before Shutdown returns, and
+// none starts after stop has closed, though the ticker fired meanwhile.
+func TestEveryStopsAtShutdown(t *testing.T) {
+	h, fs := newHarness(t, false)
+	fs.Parse(nil)
+	h.Start()
+	var ticks atomic.Int64
+	var finished atomic.Bool
+	held, release := make(chan struct{}), make(chan struct{})
+	h.Every(time.Microsecond, func(time.Time) {
+		if ticks.Add(1) == 2 {
+			close(held)
+			<-release
+			finished.Store(true)
+		}
+	})
+	<-held // the second tick is in flight
+	shut := make(chan error, 1)
+	go func() { shut <- h.Shutdown(func() error { return nil }) }()
+	<-h.stop
+	close(release)
+	if err := <-shut; err != nil {
+		t.Fatal(err)
+	}
+	if !finished.Load() {
+		t.Error("Shutdown returned before the tick in flight finished")
+	}
+	if n := ticks.Load(); n != 2 {
+		t.Errorf("%d ticks ran, want 2: a tick started after stop closed", n)
+	}
+}
+
+// TestReadinessFlipDumps: the readiness poll writes one flight dump when
+// readiness flips from ready to not ready, none while it stays down.
+func TestReadinessFlipDumps(t *testing.T) {
+	h, fs := newHarness(t, false)
+	if err := fs.Parse([]string{"-data", t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	h.Start()
+	defer h.Shutdown(func() error { return nil })
+	failing := false
+	h.Health.Set("probe", func() error {
+		if failing {
+			return errors.New("down")
+		}
+		return nil
+	})
+	poll := h.readinessFlips()
+	now := time.Now()
+	poll(now)
+	failing = true
+	poll(now.Add(readinessPoll))
+	poll(now.Add(2 * readinessPoll))
+
+	dumps, err := filepath.Glob(filepath.Join(h.DiagDir, "flight-*.json"))
+	if err != nil || len(dumps) != 1 {
+		t.Fatalf("flight dumps = %v (%v), want exactly one", dumps, err)
+	}
+	b, err := os.ReadFile(dumps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump obsv.FlightDump
+	if err := json.Unmarshal(b, &dump); err != nil {
+		t.Fatalf("flip dump invalid: %v", err)
+	}
+	if dump.Reason != "readiness-flip" || len(dump.Events) != 1 || dump.Events[0].Kind != "readiness_flip" {
+		t.Fatalf("dump = %+v, want reason readiness-flip holding the flip event", dump)
 	}
 }

@@ -5,13 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 )
 
@@ -22,9 +19,9 @@ import (
 // TestHotPathAllocs) so hooks can live on hot paths; JSON encoding is
 // deferred to dump time. The ring is dumpable on demand via
 // /debug/flight and written to <dir>/flight-<ts>.json automatically on
-// panic, SIGQUIT, readiness flips, and watchdog trips — the evidence an
-// operator reads *after* an incident, when the process may already be
-// gone.
+// panic and watchdog trips, and by the daemon harness on SIGQUIT and
+// readiness flips — the evidence an operator reads *after* an incident,
+// when the process may already be gone.
 
 // FlightSchema identifies the dump format; bump on incompatible change.
 const FlightSchema = "dt-flight/1"
@@ -193,61 +190,6 @@ func (r *FlightRecorder) DumpOnPanic(dir, daemon string) {
 		r.Record("process", "panic", fmt.Sprint(p), 0, TraceContext{})
 		r.DumpFile(dir, daemon, "panic")
 		panic(p)
-	}
-}
-
-// ArmDumps installs the automatic dump triggers: SIGQUIT (dump and keep
-// running — the "give me the black box now" signal) and readiness flips
-// (a dump captures what led up to ready→not-ready). Returns a stop
-// function. Logger may be nil.
-func (r *FlightRecorder) ArmDumps(dir, daemon string, health *Health, logger *slog.Logger) (stop func()) {
-	if r == nil {
-		return func() {}
-	}
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	done := make(chan struct{})
-	go func() {
-		wasReady := true
-		tick := time.NewTicker(250 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-quit:
-				r.dumpAndLog(dir, daemon, "sigquit", logger)
-			case <-tick.C:
-				if health == nil {
-					continue
-				}
-				ready := health.Ready() == nil
-				if wasReady && !ready {
-					r.Record("process", "readiness_flip", "ready -> not ready", 0, TraceContext{})
-					r.dumpAndLog(dir, daemon, "readiness-flip", logger)
-				}
-				wasReady = ready
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			signal.Stop(quit)
-			close(done)
-		})
-	}
-}
-
-func (r *FlightRecorder) dumpAndLog(dir, daemon, reason string, logger *slog.Logger) {
-	path, err := r.DumpFile(dir, daemon, reason)
-	if logger == nil {
-		return
-	}
-	if err != nil {
-		logger.Error("flight dump failed", "reason", reason, "err", err)
-	} else {
-		logger.Info("flight dump written", "reason", reason, "path", path)
 	}
 }
 

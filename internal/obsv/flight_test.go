@@ -168,46 +168,3 @@ func TestFlightDumpOnPanic(t *testing.T) {
 		t.Fatalf("dump lacks the panic event: %+v", dump.Events)
 	}
 }
-
-// TestArmDumpsReadinessFlip: a probe flipping ready→not-ready must
-// produce a dump within the watcher's poll interval.
-func TestArmDumpsReadinessFlip(t *testing.T) {
-	dir := t.TempDir()
-	h := NewHealth()
-	var mu sync.Mutex
-	failing := false
-	h.Set("probe", func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		if failing {
-			return fmt.Errorf("down")
-		}
-		return nil
-	})
-	fr := NewFlightRecorder(8)
-	stop := fr.ArmDumps(dir, "monitord", h, nil)
-	defer stop()
-	time.Sleep(300 * time.Millisecond) // one healthy poll first
-	mu.Lock()
-	failing = true
-	mu.Unlock()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if m, _ := filepath.Glob(filepath.Join(dir, "flight-*.json")); len(m) > 0 {
-			b, err := os.ReadFile(m[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			var dump FlightDump
-			if err := json.Unmarshal(b, &dump); err != nil {
-				t.Fatalf("flip dump invalid: %v", err)
-			}
-			if dump.Reason != "readiness-flip" {
-				t.Fatalf("reason = %q, want readiness-flip", dump.Reason)
-			}
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("no flight dump after readiness flip")
-}

@@ -18,6 +18,12 @@
 // neither allocates (pinned by TestHotPathAllocs). Tracing is sampled;
 // an unsampled request does no tracing work at all. Nothing in this
 // package imports anything outside the standard library.
+//
+// obsv starts no timers and handles no signals. Its periodic engines —
+// the SLO burn engine and the watchdog set — advance only when their
+// caller calls Tick(now), so a test drives them with explicit times;
+// internal/daemon supplies the real ticks, the readiness-flip poll and
+// the SIGQUIT dump.
 package obsv
 
 import (

@@ -119,10 +119,6 @@ type SLOEngine struct {
 
 	mu     sync.Mutex
 	states []*sloState
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // NewSLOEngine creates an engine over objs (invalid objectives are
@@ -132,10 +128,7 @@ func NewSLOEngine(reg *Registry, objs []Objective, interval time.Duration) *SLOE
 	if interval <= 0 {
 		interval = DefaultSLOInterval
 	}
-	e := &SLOEngine{
-		reg: reg, interval: interval, windows: DefaultSLOWindows,
-		stop: make(chan struct{}), done: make(chan struct{}),
-	}
+	e := &SLOEngine{reg: reg, interval: interval, windows: DefaultSLOWindows}
 	// Ring depth: enough samples to diff over the longest window.
 	depth := int(e.windows[len(e.windows)-1]/interval) + 2
 	if depth > 4096 {
@@ -160,34 +153,9 @@ func (e *SLOEngine) Register(reg *Registry) {
 	e.burn = reg.GaugeVec2("slo_burn_rate", "error-budget burn rate per objective and window", "objective", "window")
 }
 
-// Start begins periodic evaluation.
-func (e *SLOEngine) Start() {
-	if e == nil {
-		return
-	}
-	go func() {
-		defer close(e.done)
-		tick := time.NewTicker(e.interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-e.stop:
-				return
-			case now := <-tick.C:
-				e.tick(now)
-			}
-		}
-	}()
-}
-
-// Close stops the engine.
-func (e *SLOEngine) Close() {
-	if e == nil {
-		return
-	}
-	e.stopOnce.Do(func() { close(e.stop) })
-	<-e.done
-}
+// Interval is the tick period the engine's ring is sized for: the
+// caller ticks it that often.
+func (e *SLOEngine) Interval() time.Duration { return e.interval }
 
 // cumulative reads the objective's (total, bad) cumulative counts from
 // the registry.
@@ -211,7 +179,13 @@ func (e *SLOEngine) cumulative(st *sloState) (total, bad float64) {
 	return 0, 0
 }
 
-func (e *SLOEngine) tick(now time.Time) {
+// Tick snapshots every objective's cumulative counts at now and
+// re-evaluates its burn rates. Ticks must come in time order, about one
+// Interval apart.
+func (e *SLOEngine) Tick(now time.Time) {
+	if e == nil {
+		return
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, st := range e.states {

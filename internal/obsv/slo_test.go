@@ -46,7 +46,7 @@ func TestSLOEngineLatencyBurn(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(0.5)
 	}
-	e.tick(t0)
+	e.Tick(t0)
 	st := e.Status()
 	if len(st) != 1 || st[0].Breaching {
 		t.Fatalf("all-good objective breaching: %+v", st)
@@ -61,7 +61,7 @@ func TestSLOEngineLatencyBurn(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.ObserveExemplar(5, tc)
 	}
-	e.tick(t0.Add(10 * time.Second))
+	e.Tick(t0.Add(10 * time.Second))
 	st = e.Status()
 	if !st[0].Breaching {
 		t.Fatalf("objective must breach after 50%% bad at target 0.9: %+v", st[0])
@@ -102,12 +102,12 @@ func TestSLOEngineRatioAndGauge(t *testing.T) {
 
 	t0 := time.Now()
 	reqs.Add(100)
-	e.tick(t0)
+	e.Tick(t0)
 	errs.Add(50)
 	reqs.Add(50)
 	pending.Set(100) // above threshold: every subsequent tick is bad
-	e.tick(t0.Add(10 * time.Second))
-	e.tick(t0.Add(20 * time.Second))
+	e.Tick(t0.Add(10 * time.Second))
+	e.Tick(t0.Add(20 * time.Second))
 
 	var avail, lag SLOStatus
 	for _, s := range e.Status() {
@@ -151,7 +151,7 @@ func TestSLOEngineBaseline(t *testing.T) {
 	ticks := 0
 	tickTo := func(n int) {
 		for ; ticks < n; ticks++ {
-			e.tick(t0.Add(time.Duration(ticks) * every))
+			e.Tick(t0.Add(time.Duration(ticks) * every))
 		}
 	}
 	check := func(when string, want5m, want1h float64) {
@@ -191,7 +191,7 @@ func TestSLOHandler(t *testing.T) {
 		{Name: "lat", Kind: "latency", Series: "lat_seconds", Threshold: 1, Target: 0.9},
 	}, 10*time.Second)
 	h.Observe(5)
-	e.tick(time.Now())
+	e.Tick(time.Now())
 	handler := e.Handler()
 
 	// Text form: a table with the objective and its state.
@@ -221,28 +221,6 @@ func TestSLOStatusBeforeFirstTick(t *testing.T) {
 	st := e.Status()
 	if len(st) != 1 || st[0].Name != "lat" || st[0].Breaching {
 		t.Fatalf("pre-tick status = %+v, want quiet declaration", st)
-	}
-}
-
-func TestSLOEngineStartClose(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.HistogramBuckets("lat_seconds", "t", []float64{1})
-	e := NewSLOEngine(reg, []Objective{
-		{Name: "lat", Kind: "latency", Series: "lat_seconds", Threshold: 1, Target: 0.9},
-	}, 10*time.Millisecond)
-	e.Register(reg)
-	h.Observe(5)
-	e.Start()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if reg.Value(`slo_burn_rate{objective="lat",window="5m"}`) > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	e.Close()
-	if v := reg.Value(`slo_burn_rate{objective="lat",window="5m"}`); v <= 0 {
-		t.Fatalf("running engine never set burn gauge: %v", v)
 	}
 }
 

@@ -161,7 +161,7 @@ func (w *Watchdog) detailNow() string {
 }
 
 // WatchdogSet owns a daemon's watchdogs and the shared trip machinery:
-// one ticker evaluates every dog; trips are counted per dog, recorded
+// each Tick evaluates every dog; trips are counted per dog, recorded
 // in the flight recorder, and capture profile snapshots into dir
 // (rate-limited across the set).
 type WatchdogSet struct {
@@ -178,10 +178,6 @@ type WatchdogSet struct {
 	health *Health
 	trips  *CounterVec
 	gauge  *GaugeVec
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // DefaultProfileGap is the minimum spacing between profile captures —
@@ -191,12 +187,7 @@ const DefaultProfileGap = 5 * time.Minute
 // NewWatchdogSet creates an empty set. Trip evidence (profiles, flight
 // dumps) is written to dir; fr may be nil.
 func NewWatchdogSet(daemon, dir string, fr *FlightRecorder) *WatchdogSet {
-	return &WatchdogSet{
-		daemon: daemon, dir: dir, fr: fr,
-		profileGap: DefaultProfileGap,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-	}
+	return &WatchdogSet{daemon: daemon, dir: dir, fr: fr, profileGap: DefaultProfileGap}
 }
 
 // SetLogger attaches a logger for trip lines.
@@ -281,39 +272,12 @@ func (s *WatchdogSet) bindDegraded(h *Health, w *Watchdog) {
 	})
 }
 
-// Start begins evaluating every watchdog each interval.
-func (s *WatchdogSet) Start(interval time.Duration) {
+// Tick evaluates every watchdog at now: a dog stalled past its
+// deadline trips once per episode and clears when progress resumes.
+func (s *WatchdogSet) Tick(now time.Time) {
 	if s == nil {
 		return
 	}
-	if interval <= 0 {
-		interval = time.Second
-	}
-	go func() {
-		defer close(s.done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case now := <-tick.C:
-				s.tick(now)
-			}
-		}
-	}()
-}
-
-// Close stops the ticker.
-func (s *WatchdogSet) Close() {
-	if s == nil {
-		return
-	}
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.done
-}
-
-func (s *WatchdogSet) tick(now time.Time) {
 	s.mu.Lock()
 	dogs := append([]*Watchdog(nil), s.dogs...)
 	gauge := s.gauge

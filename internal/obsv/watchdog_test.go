@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Watchdog trips are evaluated by driving tick() directly — no real
-// ticker, no sleeps proportional to deadlines.
+// Watchdog trips are evaluated by driving Tick with explicit times — no
+// real ticker, no sleeps proportional to deadlines.
 
 func TestWatchdogOperationMode(t *testing.T) {
 	dir := t.TempDir()
@@ -22,17 +22,17 @@ func TestWatchdogOperationMode(t *testing.T) {
 	w := set.Add("wal-fsync", 100*time.Millisecond)
 
 	now := time.Now()
-	set.tick(now)
+	set.Tick(now)
 	if w.Stalled() || w.Trips() != 0 {
 		t.Fatal("idle watchdog must not be stalled")
 	}
 
 	w.Arm()
-	set.tick(now.Add(50 * time.Millisecond))
+	set.Tick(now.Add(50 * time.Millisecond))
 	if w.Stalled() {
 		t.Fatal("armed under deadline must not be stalled")
 	}
-	set.tick(now.Add(200 * time.Millisecond))
+	set.Tick(now.Add(200 * time.Millisecond))
 	if !w.Stalled() {
 		t.Fatal("armed past deadline must be stalled")
 	}
@@ -40,7 +40,7 @@ func TestWatchdogOperationMode(t *testing.T) {
 		t.Fatalf("trips = %d, want 1", w.Trips())
 	}
 	// Still stalled on the next tick: same episode, no second trip.
-	set.tick(now.Add(300 * time.Millisecond))
+	set.Tick(now.Add(300 * time.Millisecond))
 	if w.Trips() != 1 {
 		t.Fatalf("trips after second tick = %d, want 1 (one episode)", w.Trips())
 	}
@@ -91,7 +91,7 @@ func TestWatchdogOperationMode(t *testing.T) {
 
 	// Done clears the episode and the degraded state.
 	w.Done()
-	set.tick(now.Add(400 * time.Millisecond))
+	set.Tick(now.Add(400 * time.Millisecond))
 	if w.Stalled() {
 		t.Fatal("completed operation must clear the stall")
 	}
@@ -104,7 +104,7 @@ func TestWatchdogOperationMode(t *testing.T) {
 
 	// A new stall is a new episode.
 	w.Arm()
-	set.tick(now.Add(1 * time.Second))
+	set.Tick(now.Add(1 * time.Second))
 	if w.Trips() != 2 {
 		t.Fatalf("trips after second episode = %d, want 2", w.Trips())
 	}
@@ -119,31 +119,31 @@ func TestWatchdogProbeMode(t *testing.T) {
 		return lag > 0, "frontier lagging"
 	})
 	now := time.Now()
-	set.tick(now)
+	set.Tick(now)
 	if w.Stalled() {
 		t.Fatal("healthy probe must not stall")
 	}
 	lag = 5
-	set.tick(now.Add(10 * time.Millisecond)) // first bad tick starts the clock
+	set.Tick(now.Add(10 * time.Millisecond)) // first bad tick starts the clock
 	if w.Stalled() {
 		t.Fatal("condition must hold for the deadline before stalling")
 	}
-	set.tick(now.Add(200 * time.Millisecond))
+	set.Tick(now.Add(200 * time.Millisecond))
 	if !w.Stalled() || w.Trips() != 1 {
 		t.Fatalf("stalled=%v trips=%d, want stalled after deadline held", w.Stalled(), w.Trips())
 	}
 	lag = 0
-	set.tick(now.Add(300 * time.Millisecond))
+	set.Tick(now.Add(300 * time.Millisecond))
 	if w.Stalled() {
 		t.Fatal("recovered probe must clear the stall")
 	}
 	// Flap: condition returns, clock restarts from zero.
 	lag = 5
-	set.tick(now.Add(310 * time.Millisecond))
+	set.Tick(now.Add(310 * time.Millisecond))
 	if w.Stalled() {
 		t.Fatal("fresh stall must re-arm the deadline, not trip instantly")
 	}
-	set.tick(now.Add(500 * time.Millisecond))
+	set.Tick(now.Add(500 * time.Millisecond))
 	if w.Trips() != 2 {
 		t.Fatalf("trips = %d, want 2 after second held episode", w.Trips())
 	}
@@ -157,7 +157,7 @@ func TestWatchdogProfileRateLimit(t *testing.T) {
 	now := time.Now()
 	for i := 0; i < 3; i++ {
 		w.Arm()
-		set.tick(now.Add(time.Duration(i+1) * time.Second))
+		set.Tick(now.Add(time.Duration(i+1) * time.Second))
 		w.Done()
 	}
 	if w.Trips() != 3 {
@@ -181,8 +181,7 @@ func TestWatchdogNilSafety(t *testing.T) {
 		t.Fatal("nil watchdog must be inert")
 	}
 	var s *WatchdogSet
-	s.Start(time.Second)
-	s.Close()
+	s.Tick(time.Now())
 	s.Register(nil2())
 	s.BindHealth(nil)
 	if s.Add("x", time.Second) != nil {
@@ -194,21 +193,25 @@ func TestWatchdogNilSafety(t *testing.T) {
 // the test above.
 func nil2() *Registry { return nil }
 
-func TestWatchdogStartClose(t *testing.T) {
+// TestWatchdogTickEvaluatesEveryDog: one Tick polls every probe and
+// checks every armed operation, each against the tick's time.
+func TestWatchdogTickEvaluatesEveryDog(t *testing.T) {
 	set := NewWatchdogSet("testd", t.TempDir(), nil)
-	probeCalls := make(chan struct{}, 64)
-	set.AddProbe("ticker", time.Hour, func() (bool, string) {
-		select {
-		case probeCalls <- struct{}{}:
-		default:
-		}
+	set.SetProfileGap(time.Hour)
+	probeCalls := 0
+	set.AddProbe("probe", time.Hour, func() (bool, string) {
+		probeCalls++
 		return false, ""
 	})
-	set.Start(10 * time.Millisecond)
-	select {
-	case <-probeCalls:
-	case <-time.After(5 * time.Second):
-		t.Fatal("ticker never evaluated the probe")
+	op := set.Add("op", time.Second)
+	op.Arm()
+	now := time.Now()
+	set.Tick(now)
+	if probeCalls != 1 || op.Stalled() {
+		t.Fatalf("after one tick: %d probe calls, op stalled %v; want 1, false", probeCalls, op.Stalled())
 	}
-	set.Close()
+	set.Tick(now.Add(2 * time.Second))
+	if probeCalls != 2 || !op.Stalled() {
+		t.Fatalf("after a tick past the deadline: %d probe calls, op stalled %v; want 2, true", probeCalls, op.Stalled())
+	}
 }
