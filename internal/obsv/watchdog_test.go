@@ -197,7 +197,6 @@ func nil2() *Registry { return nil }
 // checks every armed operation, each against the tick's time.
 func TestWatchdogTickEvaluatesEveryDog(t *testing.T) {
 	set := NewWatchdogSet("testd", t.TempDir(), nil)
-	set.SetProfileGap(time.Hour)
 	probeCalls := 0
 	set.AddProbe("probe", time.Hour, func() (bool, string) {
 		probeCalls++
