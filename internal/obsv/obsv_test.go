@@ -165,6 +165,36 @@ func TestHotPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { fg.Set(0.5) }); n != 0 {
 		t.Fatalf("FloatGauge.Set allocates %v per op, want 0", n)
 	}
+
+	// The families' warm paths, as their hot callers use them. label is
+	// a variable so the lookups hash a string they did not build.
+	reg := NewRegistry()
+	reqs := reg.CounterVec("req_total", "", "kind")
+	errs := reg.CounterVec("err_total", "", "kind")
+	lat := reg.HistogramVec("lat_seconds", "", "kind", nil)
+	gv := reg.GaugeVec("stalled", "", "watchdog")
+	label := "proof"
+	reqs.With(label)
+	errs.With(label)
+	lat.With(label)
+	gv.With(label)
+	// The transport's per-request bookkeeping (Server.dispatch).
+	if n := testing.AllocsPerRun(1000, func() {
+		reqs.With(label).Inc()
+		lat.With(label).ObserveExemplar(1e-4, TraceContext{})
+		errs.With(label).Inc()
+	}); n != 0 {
+		t.Fatalf("per-request family bookkeeping allocates %v per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { lat.With(label).ObserveExemplar(1e-3, tc) }); n != 0 {
+		t.Fatalf("HistogramVec.With.ObserveExemplar (sampled) allocates %v per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { lat.With(label).ObserveExemplar(1e-3, TraceContext{}) }); n != 0 {
+		t.Fatalf("HistogramVec.With.ObserveExemplar (unsampled) allocates %v per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { gv.With(label).Set(1) }); n != 0 {
+		t.Fatalf("GaugeVec.With.Set (existing label) allocates %v per op, want 0", n)
+	}
 }
 
 // TestRegistryRace hammers create-or-get, instrument writes, and both
