@@ -98,6 +98,16 @@ var removedIdents = map[string]bool{
 	"STH" + "Batch":               true,
 	"Verify" + "MonitorHeads":     true,
 	"Verify" + "HeadsBLS":         true,
+	// obsv's second family type and its seven ways to bind an owned
+	// instrument, now one Family and one Registry.Register; and the
+	// watchdog's test-only profile gap, now its FlightLimiter.
+	"Gauge" + "Vec2":         true,
+	"RegisterGauge" + "Vec":  true,
+	"New" + "GaugeVec":       true,
+	"Register" + "Counter":   true,
+	"Register" + "Gauge":     true,
+	"Register" + "Histogram": true,
+	"Set" + "ProfileGap":     true,
 }
 
 // oneHeadKey lists the packages between the log and the wire whose

@@ -26,13 +26,13 @@ var obs = struct {
 // RegisterMetrics exposes the package's verification series on reg
 // under bls_*. Call once per process registry.
 func RegisterMetrics(reg *obsv.Registry) {
-	reg.RegisterCounter("bls_verifies_total", "single-signature pairing checks", &obs.verifies)
-	reg.RegisterCounter("bls_batch_verifies_total", "VerifyBatch multi-pairings", &obs.batches)
-	reg.RegisterCounter("bls_batch_verify_failures_total", "VerifyBatch calls that rejected", &obs.batchFails)
-	reg.RegisterHistogram("bls_batch_verify_size", "signatures folded per VerifyBatch", obs.batchSize)
-	reg.RegisterHistogram("bls_batch_verify_seconds", "VerifyBatch latency", obs.batchLat)
-	reg.RegisterCounter("bls_share_batch_verifies_total", "threshold share batch verifications", &obs.shareBatches)
-	reg.RegisterHistogram("bls_share_batch_verify_seconds", "threshold share batch verification latency", obs.shareLat)
+	reg.Register("bls_verifies_total", "single-signature pairing checks", &obs.verifies)
+	reg.Register("bls_batch_verifies_total", "VerifyBatch multi-pairings", &obs.batches)
+	reg.Register("bls_batch_verify_failures_total", "VerifyBatch calls that rejected", &obs.batchFails)
+	reg.Register("bls_batch_verify_size", "signatures folded per VerifyBatch", obs.batchSize)
+	reg.Register("bls_batch_verify_seconds", "VerifyBatch latency", obs.batchLat)
+	reg.Register("bls_share_batch_verifies_total", "threshold share batch verifications", &obs.shareBatches)
+	reg.Register("bls_share_batch_verify_seconds", "threshold share batch verification latency", obs.shareLat)
 }
 
 func observeBatch(n int, start time.Time, ok bool) bool {

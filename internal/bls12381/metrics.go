@@ -13,6 +13,6 @@ var pairObs = struct {
 // RegisterMetrics exposes the curve's pairing series on reg under
 // bls12381_*.
 func RegisterMetrics(reg *obsv.Registry) {
-	reg.RegisterCounter("bls12381_pairing_checks_total", "multi-pairing product checks", &pairObs.checks)
-	reg.RegisterCounter("bls12381_pairing_pairs_total", "pairs folded into pairing checks", &pairObs.pairs)
+	reg.Register("bls12381_pairing_checks_total", "multi-pairing product checks", &pairObs.checks)
+	reg.Register("bls12381_pairing_pairs_total", "pairs folded into pairing checks", &pairObs.pairs)
 }

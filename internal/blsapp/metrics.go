@@ -42,10 +42,10 @@ func (d CeremonyDiagnostics) event(kind, detail string, value uint64) {
 // RegisterCeremonyMetrics exposes the coordinator's refresh-ceremony
 // series on reg under blsapp_ceremony_*.
 func RegisterCeremonyMetrics(reg *obsv.Registry) {
-	reg.RegisterCounter("blsapp_ceremonies_total", "refresh ceremonies driven", &ceremonyObs.ceremonies)
-	reg.RegisterCounter("blsapp_ceremony_failures_total", "refresh ceremonies that ended incomplete", &ceremonyObs.failures)
-	reg.RegisterGauge("blsapp_ceremony_phase", "0 idle, 1 frames, 2 invoke, 3 acks", &ceremonyObs.phase)
-	reg.RegisterHistogram("blsapp_ceremony_seconds", "refresh ceremony wall time", ceremonyObs.duration)
+	reg.Register("blsapp_ceremonies_total", "refresh ceremonies driven", &ceremonyObs.ceremonies)
+	reg.Register("blsapp_ceremony_failures_total", "refresh ceremonies that ended incomplete", &ceremonyObs.failures)
+	reg.Register("blsapp_ceremony_phase", "0 idle, 1 frames, 2 invoke, 3 acks", &ceremonyObs.phase)
+	reg.Register("blsapp_ceremony_seconds", "refresh ceremony wall time", ceremonyObs.duration)
 }
 
 // shareObs holds one domain's refresh instruments.
@@ -60,13 +60,13 @@ type shareObs struct {
 // blsapp_share_*.
 func (st *ShareState) RegisterMetrics(reg *obsv.Registry) {
 	o := &st.obs
-	reg.RegisterCounter("blsapp_share_refreshes_total", "epoch transitions committed", &o.refreshes)
-	reg.RegisterCounter("blsapp_share_replays_total", "idempotent ceremony replays acknowledged", &o.replays)
-	reg.RegisterCounter("blsapp_share_stale_epoch_rejections_total", "refresh frames for a wrong epoch", &o.staleRejected)
-	reg.RegisterCounter("blsapp_share_rejections_total", "refresh frames refused (auth or validation)", &o.rejected)
-	reg.GaugeFunc("blsapp_share_epoch", "current refresh epoch of the held share", func() float64 {
+	reg.Register("blsapp_share_refreshes_total", "epoch transitions committed", &o.refreshes)
+	reg.Register("blsapp_share_replays_total", "idempotent ceremony replays acknowledged", &o.replays)
+	reg.Register("blsapp_share_stale_epoch_rejections_total", "refresh frames for a wrong epoch", &o.staleRejected)
+	reg.Register("blsapp_share_rejections_total", "refresh frames refused (auth or validation)", &o.rejected)
+	reg.Register("blsapp_share_epoch", "current refresh epoch of the held share", obsv.GaugeFunc(func() float64 {
 		return float64(st.Epoch())
-	})
+	}))
 }
 
 // done closes a ceremony's span: phase back to idle, watchdog disarmed,

@@ -19,47 +19,47 @@ type gossipObs struct {
 	verifyLat  *obsv.Histogram // one multi-pairing per gossip frame
 	verifySigs *obsv.Histogram // signatures folded into each multi-pairing
 
-	frontier    *obsv.GaugeVec // cosigned frontier size, per source
-	frontierLag *obsv.GaugeVec // largest signed size seen minus frontier, per source
+	frontier    *obsv.Family[*obsv.Gauge] // cosigned frontier size, per source
+	frontierLag *obsv.Family[*obsv.Gauge] // largest signed size seen minus frontier, per source
 }
 
 func newGossipObs() gossipObs {
 	return gossipObs{
 		verifyLat:   obsv.NewHistogram(nil),
 		verifySigs:  obsv.NewHistogram(obsv.SizeBuckets),
-		frontier:    obsv.NewGaugeVec(),
-		frontierLag: obsv.NewGaugeVec(),
+		frontier:    obsv.NewFamily(obsv.NewGauge, "source"),
+		frontierLag: obsv.NewFamily(obsv.NewGauge, "source"),
 	}
 }
 
 // RegisterMetrics exposes the witness's series on reg under gossip_*.
 func (w *Witness) RegisterMetrics(reg *obsv.Registry) {
 	o := &w.obs
-	reg.RegisterCounter("gossip_heads_ingested_total", "source heads presented for ingestion", &o.ingested)
-	reg.RegisterCounter("gossip_heads_accepted_total", "heads consistency-verified and cosigned", &o.accepted)
-	reg.RegisterCounter("gossip_heads_rejected_total", "heads refused outright", &o.rejected)
-	reg.RegisterCounter("gossip_cosigns_issued_total", "cosignatures produced by this witness", &o.cosigns)
-	reg.RegisterCounter("gossip_cosigs_merged_total", "peer cosignatures verified and merged", &o.cosigsMerged)
-	reg.RegisterHistogram("gossip_verify_seconds", "latency of the per-frame BLS multi-pairing", o.verifyLat)
-	reg.RegisterHistogram("gossip_verify_sigs", "signatures folded into each multi-pairing", o.verifySigs)
-	reg.RegisterGaugeVec("gossip_frontier", "cosigned frontier size", "source", o.frontier)
-	reg.RegisterGaugeVec("gossip_frontier_lag", "largest signed size seen beyond the cosigned frontier", "source", o.frontierLag)
-	reg.CounterFunc("gossip_equivocation_proofs_total", "equivocation convictions held", func() uint64 {
+	reg.Register("gossip_heads_ingested_total", "source heads presented for ingestion", &o.ingested)
+	reg.Register("gossip_heads_accepted_total", "heads consistency-verified and cosigned", &o.accepted)
+	reg.Register("gossip_heads_rejected_total", "heads refused outright", &o.rejected)
+	reg.Register("gossip_cosigns_issued_total", "cosignatures produced by this witness", &o.cosigns)
+	reg.Register("gossip_cosigs_merged_total", "peer cosignatures verified and merged", &o.cosigsMerged)
+	reg.Register("gossip_verify_seconds", "latency of the per-frame BLS multi-pairing", o.verifyLat)
+	reg.Register("gossip_verify_sigs", "signatures folded into each multi-pairing", o.verifySigs)
+	reg.Register("gossip_frontier", "cosigned frontier size", o.frontier)
+	reg.Register("gossip_frontier_lag", "largest signed size seen beyond the cosigned frontier", o.frontierLag)
+	reg.Register("gossip_equivocation_proofs_total", "equivocation convictions held", obsv.CounterFunc(func() uint64 {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		return uint64(len(w.proofs))
-	})
-	reg.GaugeFunc("gossip_journal_failed", "1 after a journal write has failed", func() float64 {
+	}))
+	reg.Register("gossip_journal_failed", "1 after a journal write has failed", obsv.GaugeFunc(func() float64 {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		if w.journalErr != nil {
 			return 1
 		}
 		return 0
-	})
-	reg.GaugeFunc("gossip_frontier_lag_max", "worst frontier lag across all sources", func() float64 {
+	}))
+	reg.Register("gossip_frontier_lag_max", "worst frontier lag across all sources", obsv.GaugeFunc(func() float64 {
 		return float64(w.FrontierLagMax())
-	})
+	}))
 }
 
 // SetFlightRecorder installs the daemon's flight recorder on the

@@ -39,21 +39,21 @@ type monitorObs struct {
 // monitor, its store's) on reg under monitor_* / store_* names.
 func (m *Monitor) RegisterMetrics(reg *obsv.Registry) {
 	o := &m.obs
-	reg.RegisterCounter("monitor_appends_total", "leaves appended to the public log", &o.appendedLeaves)
-	reg.RegisterCounter("monitor_rejected_total", "submissions rejected before the log", &o.rejected)
-	reg.RegisterCounter("monitor_alerts_total", "misbehavior proofs raised", &o.alerts)
-	reg.RegisterCounter("monitor_equivocations_total", "log-equivocation convictions recorded", &o.equivocations)
-	reg.RegisterCounter("monitor_heads_signed_bls_total", "BLS tree heads signed", &o.headsSignedBLS)
-	reg.RegisterHistogram("monitor_head_sign_seconds", "time to BLS-sign one tree head", o.headSign)
-	reg.GaugeFunc("monitor_log_size", "leaves in the public log", func() float64 {
+	reg.Register("monitor_appends_total", "leaves appended to the public log", &o.appendedLeaves)
+	reg.Register("monitor_rejected_total", "submissions rejected before the log", &o.rejected)
+	reg.Register("monitor_alerts_total", "misbehavior proofs raised", &o.alerts)
+	reg.Register("monitor_equivocations_total", "log-equivocation convictions recorded", &o.equivocations)
+	reg.Register("monitor_heads_signed_bls_total", "BLS tree heads signed", &o.headsSignedBLS)
+	reg.Register("monitor_head_sign_seconds", "time to BLS-sign one tree head", o.headSign)
+	reg.Register("monitor_log_size", "leaves in the public log", obsv.GaugeFunc(func() float64 {
 		return float64(m.Len())
-	})
-	reg.GaugeFunc("monitor_persist_failed", "1 after a best-effort persistence write has failed", func() float64 {
+	}))
+	reg.Register("monitor_persist_failed", "1 after a best-effort persistence write has failed", obsv.GaugeFunc(func() float64 {
 		if m.Err() != nil {
 			return 1
 		}
 		return 0
-	})
+	}))
 	if m.store != nil {
 		m.store.RegisterMetrics(reg)
 	}

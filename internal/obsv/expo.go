@@ -3,7 +3,7 @@ package obsv
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -17,183 +17,152 @@ import (
 //     Histograms flatten to name_count, name_sum, name_max, and
 //     interpolated name_p50 / name_p99 / name_p999.
 //
-// Labeled series use the canonical `name{key="value"}` spelling in both
-// formats; %q escapes backslashes, quotes, and newlines exactly as the
-// Prometheus text rules require.
+// Both walk the registry once and let each entry's instrument write
+// itself (the Metric methods below); a Family writes each member
+// through the member's own methods. Labeled series use the canonical
+// `name{key="value"}` spelling in both formats; %q escapes backslashes,
+// quotes, and newlines exactly as the Prometheus text rules require.
 
 func fmtFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// entries copies the registration order out from under the lock.
+func (r *Registry) entries() []*entry {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return slices.Clone(r.order)
+}
+
 // WritePrometheus writes the registry in Prometheus text exposition
 // format.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.RLock()
-	entries := make([]*entry, len(r.order))
-	copy(entries, r.order)
-	r.mu.RUnlock()
-
 	var b strings.Builder
-	for _, e := range entries {
+	for _, e := range r.entries() {
 		if e.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", e.name, e.help)
 		}
-		switch {
-		case e.c != nil:
-			fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", e.name, e.name, e.c.Value())
-		case e.cf != nil:
-			fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", e.name, e.name, e.cf())
-		case e.g != nil:
-			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", e.name, e.name, e.g.Value())
-		case e.gf != nil:
-			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %s\n", e.name, e.name, fmtFloat(e.gf()))
-		case e.h != nil:
-			fmt.Fprintf(&b, "# TYPE %s histogram\n", e.name)
-			writePromHistogram(&b, e.name, "", "", e.h)
-		case e.cv != nil:
-			fmt.Fprintf(&b, "# TYPE %s counter\n", e.name)
-			for _, k := range e.cv.labelValues() {
-				fmt.Fprintf(&b, "%s{%s=%q} %d\n", e.name, e.label, k, e.cv.With(k).Value())
-			}
-		case e.gv != nil:
-			fmt.Fprintf(&b, "# TYPE %s gauge\n", e.name)
-			for _, k := range e.gv.labelValues() {
-				fmt.Fprintf(&b, "%s{%s=%q} %d\n", e.name, e.label, k, e.gv.With(k).Value())
-			}
-		case e.hv != nil:
-			fmt.Fprintf(&b, "# TYPE %s histogram\n", e.name)
-			for _, k := range e.hv.labelValues() {
-				writePromHistogram(&b, e.name, e.label, k, e.hv.With(k))
-			}
-		case e.gv2 != nil:
-			fmt.Fprintf(&b, "# TYPE %s gauge\n", e.name)
-			for _, k := range e.gv2.labelValues() {
-				fmt.Fprintf(&b, "%s{%s=%q,%s=%q} %s\n", e.name,
-					e.label, k[0], e.label2, k[1], fmtFloat(e.gv2.With(k[0], k[1]).Value()))
-			}
-		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", e.name, e.m.kind())
+		e.m.prom(&b, e.name, "")
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-func writePromHistogram(b *strings.Builder, name, labelKey, labelVal string, h *Histogram) {
-	cums, count, sum := h.snapshot()
-	extra := ""
-	if labelKey != "" {
-		extra = fmt.Sprintf("%s=%q,", labelKey, labelVal)
-	}
-	for i, cum := range cums {
-		le := "+Inf"
-		if i < len(h.bounds) {
-			le = fmtFloat(h.bounds[i])
-		}
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, extra, le, cum)
-	}
-	suffix := ""
-	if labelKey != "" {
-		suffix = fmt.Sprintf("{%s=%q}", labelKey, labelVal)
-	}
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, suffix, fmtFloat(sum))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, suffix, count)
-	// Observations above the top bound, as their own (untyped) series:
-	// nonzero overflow means the bucket layout clips this workload.
-	fmt.Fprintf(b, "%s_overflow%s %d\n", name, suffix, h.Overflow())
-}
-
-func (v *CounterVec) labelValues() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	ks := make([]string, len(v.ks))
-	copy(ks, v.ks)
-	sort.Strings(ks)
-	return ks
-}
-
-func (v *GaugeVec) labelValues() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	ks := make([]string, len(v.ks))
-	copy(ks, v.ks)
-	sort.Strings(ks)
-	return ks
-}
-
-func (v *HistogramVec) labelValues() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	ks := make([]string, len(v.ks))
-	copy(ks, v.ks)
-	sort.Strings(ks)
-	return ks
-}
-
-func (v *GaugeVec2) labelValues() []gv2Key {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	ks := make([]gv2Key, len(v.ks))
-	copy(ks, v.ks)
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i][0] != ks[j][0] {
-			return ks[i][0] < ks[j][0]
-		}
-		return ks[i][1] < ks[j][1]
-	})
-	return ks
 }
 
 // Snapshot flattens the registry into name -> value. Labeled series use
 // `name{key="value"}` keys; histograms flatten to _count, _sum, _max,
 // _p50, _p99, and _p999.
 func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.RLock()
-	entries := make([]*entry, len(r.order))
-	copy(entries, r.order)
-	r.mu.RUnlock()
-
+	entries := r.entries()
 	out := make(map[string]float64, len(entries)*2)
 	for _, e := range entries {
-		switch {
-		case e.c != nil:
-			out[e.name] = float64(e.c.Value())
-		case e.cf != nil:
-			out[e.name] = float64(e.cf())
-		case e.g != nil:
-			out[e.name] = float64(e.g.Value())
-		case e.gf != nil:
-			out[e.name] = e.gf()
-		case e.h != nil:
-			snapHistogram(out, e.name, e.h)
-		case e.cv != nil:
-			for _, k := range e.cv.labelValues() {
-				out[fmt.Sprintf("%s{%s=%q}", e.name, e.label, k)] = float64(e.cv.With(k).Value())
-			}
-		case e.gv != nil:
-			for _, k := range e.gv.labelValues() {
-				out[fmt.Sprintf("%s{%s=%q}", e.name, e.label, k)] = float64(e.gv.With(k).Value())
-			}
-		case e.hv != nil:
-			for _, k := range e.hv.labelValues() {
-				snapHistogram(out, fmt.Sprintf("%s{%s=%q}", e.name, e.label, k), e.hv.With(k))
-			}
-		case e.gv2 != nil:
-			for _, k := range e.gv2.labelValues() {
-				key := fmt.Sprintf("%s{%s=%q,%s=%q}", e.name, e.label, k[0], e.label2, k[1])
-				out[key] = e.gv2.With(k[0], k[1]).Value()
-			}
-		}
+		e.m.snap(out, e.name)
 	}
 	return out
 }
 
-func snapHistogram(out map[string]float64, name string, h *Histogram) {
-	out[name+"_count"] = float64(h.Count())
-	out[name+"_sum"] = h.Sum()
-	out[name+"_max"] = h.Max()
-	out[name+"_overflow"] = float64(h.Overflow())
-	out[name+"_p50"] = h.Quantile(0.50)
-	out[name+"_p99"] = h.Quantile(0.99)
-	out[name+"_p999"] = h.Quantile(0.999)
+// sample writes one `name{labels} value` line.
+func sample(b *strings.Builder, name, labels, value string) {
+	fmt.Fprintf(b, "%s%s %s\n", name, braced(labels), value)
+}
+
+func braced(labels string) string {
+	if labels == "" {
+		return ""
+	}
+	return "{" + labels + "}"
+}
+
+func (c *Counter) kind() string { return "counter" }
+func (c *Counter) prom(b *strings.Builder, name, labels string) {
+	sample(b, name, labels, strconv.FormatUint(c.Value(), 10))
+}
+func (c *Counter) snap(out map[string]float64, series string) { out[series] = float64(c.Value()) }
+
+func (f CounterFunc) kind() string { return "counter" }
+func (f CounterFunc) prom(b *strings.Builder, name, labels string) {
+	sample(b, name, labels, strconv.FormatUint(f(), 10))
+}
+func (f CounterFunc) snap(out map[string]float64, series string) { out[series] = float64(f()) }
+
+func (g *Gauge) kind() string { return "gauge" }
+func (g *Gauge) prom(b *strings.Builder, name, labels string) {
+	sample(b, name, labels, strconv.FormatInt(g.Value(), 10))
+}
+func (g *Gauge) snap(out map[string]float64, series string) { out[series] = float64(g.Value()) }
+
+func (g *FloatGauge) kind() string { return "gauge" }
+func (g *FloatGauge) prom(b *strings.Builder, name, labels string) {
+	sample(b, name, labels, fmtFloat(g.Value()))
+}
+func (g *FloatGauge) snap(out map[string]float64, series string) { out[series] = g.Value() }
+
+func (f GaugeFunc) kind() string { return "gauge" }
+func (f GaugeFunc) prom(b *strings.Builder, name, labels string) {
+	sample(b, name, labels, fmtFloat(f()))
+}
+func (f GaugeFunc) snap(out map[string]float64, series string) { out[series] = f() }
+
+func (h *Histogram) kind() string { return "histogram" }
+func (h *Histogram) prom(b *strings.Builder, name, labels string) {
+	cums, count, sum := h.snapshot()
+	le := labels
+	if le != "" {
+		le += ","
+	}
+	for i, cum := range cums {
+		bound := "+Inf"
+		if i < len(h.bounds) {
+			bound = fmtFloat(h.bounds[i])
+		}
+		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, le, bound, cum)
+	}
+	sample(b, name+"_sum", labels, fmtFloat(sum))
+	sample(b, name+"_count", labels, strconv.FormatUint(count, 10))
+	// Observations above the top bound, as their own (untyped) series:
+	// nonzero overflow means the bucket layout clips this workload.
+	sample(b, name+"_overflow", labels, strconv.FormatUint(h.Overflow(), 10))
+}
+func (h *Histogram) snap(out map[string]float64, series string) {
+	out[series+"_count"] = float64(h.Count())
+	out[series+"_sum"] = h.Sum()
+	out[series+"_max"] = h.Max()
+	out[series+"_overflow"] = float64(h.Overflow())
+	out[series+"_p50"] = h.Quantile(0.50)
+	out[series+"_p99"] = h.Quantile(0.99)
+	out[series+"_p999"] = h.Quantile(0.999)
+}
+
+// A family's TYPE is its members'; kind never dereferences, so the zero
+// member answers.
+func (f *Family[M]) kind() string {
+	var m M
+	return m.kind()
+}
+func (f *Family[M]) prom(b *strings.Builder, name, _ string) {
+	f.each(func(labels string, m M) { m.prom(b, name, labels) })
+}
+func (f *Family[M]) snap(out map[string]float64, series string) {
+	f.each(func(labels string, m M) { m.snap(out, series+braced(labels)) })
+}
+
+// each visits the members in label-value order with their rendered
+// `key="value",...` lists.
+func (f *Family[M]) each(visit func(labels string, m M)) {
+	f.mu.RLock()
+	ks := slices.Clone(f.ks)
+	f.mu.RUnlock()
+	slices.SortFunc(ks, slices.Compare[[]string])
+	for _, values := range ks {
+		var b strings.Builder
+		for i, v := range values {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%s=%q", f.labels[i], v)
+		}
+		visit(b.String(), f.With(values...))
+	}
 }
 
 // Value returns the snapshot value for an exact series key (0 when
@@ -212,17 +181,18 @@ func (r *Registry) findHistogram(series string) *Histogram {
 	r.mu.RLock()
 	e := r.byName[name]
 	r.mu.RUnlock()
-	switch {
-	case e == nil:
+	if e == nil {
 		return nil
-	case e.h != nil:
-		return e.h
-	case e.hv != nil && labelVal != "":
+	}
+	switch m := e.m.(type) {
+	case *Histogram:
+		return m
+	case *Family[*Histogram]:
 		// Only return an already-materialized label; With() would mint
 		// an empty histogram for a typo'd objective.
-		e.hv.mu.RLock()
-		h := e.hv.m[labelVal]
-		e.hv.mu.RUnlock()
+		m.mu.RLock()
+		h := m.m[labelVal]
+		m.mu.RUnlock()
 		return h
 	}
 	return nil

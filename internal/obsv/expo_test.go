@@ -8,8 +8,10 @@ import (
 func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total", "things done").Add(3)
-	reg.Gauge("b_gauge", "current things").Set(-2)
-	reg.GaugeFunc("c_ratio", "", func() float64 { return 0.5 })
+	g := NewGauge()
+	g.Set(-2)
+	reg.Register("b_gauge", "current things", g)
+	reg.Register("c_ratio", "", GaugeFunc(func() float64 { return 0.5 }))
 	reg.Histogram("d_seconds", "latency").Observe(1e-6)
 	reg.CounterVec("e_total", "", "kind").With(`we"ird`).Add(7)
 

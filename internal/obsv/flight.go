@@ -45,10 +45,7 @@ type FlightRecorder struct {
 	total Counter
 
 	mu   sync.Mutex
-	ring []flightSlot
-	next int
-	n    int
-	seq  uint64
+	ring ring[flightSlot] // an event's seq is its push count
 }
 
 // DefaultFlightSize is the event capacity daemons use.
@@ -60,7 +57,7 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	if size <= 0 {
 		size = DefaultFlightSize
 	}
-	return &FlightRecorder{ring: make([]flightSlot, size)}
+	return &FlightRecorder{ring: newRing[flightSlot](size)}
 }
 
 // Record appends one event: which component, what kind of event, an
@@ -74,16 +71,11 @@ func (r *FlightRecorder) Record(component, kind, detail string, value uint64, tc
 	}
 	now := time.Now().UnixNano()
 	r.mu.Lock()
-	r.seq++
-	r.ring[r.next] = flightSlot{
-		seq: r.seq, t: now,
+	r.ring.push(flightSlot{
+		seq: uint64(r.ring.n) + 1, t: now,
 		component: component, kind: kind, detail: detail,
 		value: value, trace: tc,
-	}
-	r.next = (r.next + 1) % len(r.ring)
-	if r.n < len(r.ring) {
-		r.n++
-	}
+	})
 	r.mu.Unlock()
 	r.total.Inc()
 }
@@ -93,7 +85,7 @@ func (r *FlightRecorder) Register(reg *Registry) {
 	if r == nil {
 		return
 	}
-	reg.CounterFunc("flight_events_total", "operational events recorded by the flight recorder", r.total.Value)
+	reg.Register("flight_events_total", "operational events recorded by the flight recorder", CounterFunc(r.total.Value))
 }
 
 // FlightEvent is the exported (JSON) form of one recorded event.
@@ -113,13 +105,7 @@ func (r *FlightRecorder) Events() []FlightEvent {
 		return nil
 	}
 	r.mu.Lock()
-	slots := make([]flightSlot, 0, r.n)
-	if r.n == len(r.ring) {
-		slots = append(slots, r.ring[r.next:]...)
-		slots = append(slots, r.ring[:r.next]...)
-	} else {
-		slots = append(slots, r.ring[:r.n]...)
-	}
+	slots := r.ring.items()
 	r.mu.Unlock()
 	out := make([]FlightEvent, len(slots))
 	for i, s := range slots {

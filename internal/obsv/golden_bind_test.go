@@ -4,15 +4,11 @@ package obsv
 // registry's binding API for owned instruments and func-backed series.
 func bind(reg *Registry, name, help string, m any) {
 	switch m := m.(type) {
-	case *Counter:
-		reg.RegisterCounter(name, help, m)
-	case *Gauge:
-		reg.RegisterGauge(name, help, m)
 	case func() float64:
-		reg.GaugeFunc(name, help, m)
+		reg.Register(name, help, GaugeFunc(m))
 	case func() uint64:
-		reg.CounterFunc(name, help, m)
+		reg.Register(name, help, CounterFunc(m))
 	default:
-		panic("bind: unsupported instrument")
+		reg.Register(name, help, m.(Metric))
 	}
 }

@@ -2,7 +2,7 @@ package obsv
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -22,65 +22,64 @@ import (
 // the process_degraded gauge. Degraded is the early warning; readiness
 // is the circuit breaker.
 type Health struct {
-	started time.Time
+	started  time.Time
+	ready    probeSet
+	degraded probeSet
+}
 
-	mu       sync.Mutex
-	names    []string
-	probes   map[string]func() error
-	degNames []string
-	degraded map[string]func() error
+// probeSet is a named set of checks, run in name order. Health keeps
+// two: readiness and degraded states.
+type probeSet struct {
+	mu   sync.Mutex
+	list []probe // sorted by name
+}
+
+type probe struct {
+	name  string
+	check func() error
+}
+
+// set installs (or replaces) the named probe.
+func (p *probeSet) set(name string, check func() error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	i, found := slices.BinarySearchFunc(p.list, name, func(q probe, name string) int {
+		return strings.Compare(q.name, name)
+	})
+	if found {
+		p.list[i].check = check
+		return
+	}
+	p.list = slices.Insert(p.list, i, probe{name, check})
+}
+
+// probes copies the set out from under its lock, so checks run unlocked.
+func (p *probeSet) probes() []probe {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.list)
 }
 
 // NewHealth creates an empty health surface (always live, ready until a
 // probe says otherwise).
-func NewHealth() *Health {
-	return &Health{
-		started:  time.Now(),
-		probes:   make(map[string]func() error),
-		degraded: make(map[string]func() error),
-	}
-}
+func NewHealth() *Health { return &Health{started: time.Now()} }
 
 // Set installs (or replaces) a named readiness probe. A probe returns
 // nil when its subsystem can serve.
-func (h *Health) Set(name string, probe func() error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.probes[name]; !ok {
-		h.names = append(h.names, name)
-		sort.Strings(h.names)
-	}
-	h.probes[name] = probe
-}
+func (h *Health) Set(name string, probe func() error) { h.ready.set(name, probe) }
 
 // SetDegraded installs (or replaces) a named degraded-state probe. A
 // failing degraded probe does NOT affect Ready(); it only shows in
 // Report, DegradedStates, and process_degraded.
-func (h *Health) SetDegraded(name string, probe func() error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.degraded[name]; !ok {
-		h.degNames = append(h.degNames, name)
-		sort.Strings(h.degNames)
-	}
-	h.degraded[name] = probe
-}
+func (h *Health) SetDegraded(name string, probe func() error) { h.degraded.set(name, probe) }
 
 // DegradedStates returns the currently failing degraded probes
 // (name -> error). Empty map = fully healthy.
 func (h *Health) DegradedStates() map[string]error {
-	h.mu.Lock()
-	names := make([]string, len(h.degNames))
-	copy(names, h.degNames)
-	probes := make(map[string]func() error, len(h.degraded))
-	for k, v := range h.degraded {
-		probes[k] = v
-	}
-	h.mu.Unlock()
 	out := make(map[string]error)
-	for _, n := range names {
-		if err := probes[n](); err != nil {
-			out[n] = err
+	for _, p := range h.degraded.probes() {
+		if err := p.check(); err != nil {
+			out[p.name] = err
 		}
 	}
 	return out
@@ -88,54 +87,32 @@ func (h *Health) DegradedStates() map[string]error {
 
 // Ready runs every probe and returns the first failure (nil = ready).
 func (h *Health) Ready() error {
-	h.mu.Lock()
-	names := make([]string, len(h.names))
-	copy(names, h.names)
-	probes := make(map[string]func() error, len(h.probes))
-	for k, v := range h.probes {
-		probes[k] = v
-	}
-	h.mu.Unlock()
-	for _, n := range names {
-		if err := probes[n](); err != nil {
-			return fmt.Errorf("%s: %w", n, err)
+	for _, p := range h.ready.probes() {
+		if err := p.check(); err != nil {
+			return fmt.Errorf("%s: %w", p.name, err)
 		}
 	}
 	return nil
 }
 
-// Report renders every probe's state, one "name: ok|error" line each.
+// Report renders every probe's state, one "name: ok|error" line each,
+// readiness first, then the degraded probes.
 func (h *Health) Report() string {
-	h.mu.Lock()
-	names := make([]string, len(h.names))
-	copy(names, h.names)
-	probes := make(map[string]func() error, len(h.probes))
-	for k, v := range h.probes {
-		probes[k] = v
-	}
-	degNames := make([]string, len(h.degNames))
-	copy(degNames, h.degNames)
-	degProbes := make(map[string]func() error, len(h.degraded))
-	for k, v := range h.degraded {
-		degProbes[k] = v
-	}
-	h.mu.Unlock()
 	var b strings.Builder
-	for _, n := range names {
-		if err := probes[n](); err != nil {
-			fmt.Fprintf(&b, "%s: %v\n", n, err)
-		} else {
-			fmt.Fprintf(&b, "%s: ok\n", n)
-		}
-	}
-	for _, n := range degNames {
-		if err := degProbes[n](); err != nil {
-			fmt.Fprintf(&b, "degraded %s: %v\n", n, err)
-		} else {
-			fmt.Fprintf(&b, "degraded %s: ok\n", n)
-		}
-	}
+	h.ready.report(&b, "")
+	h.degraded.report(&b, "degraded ")
 	return b.String()
+}
+
+// report writes one "<prefix>name: ok|error" line per probe.
+func (p *probeSet) report(b *strings.Builder, prefix string) {
+	for _, q := range p.probes() {
+		if err := q.check(); err != nil {
+			fmt.Fprintf(b, "%s%s: %v\n", prefix, q.name, err)
+		} else {
+			fmt.Fprintf(b, "%s%s: ok\n", prefix, q.name)
+		}
+	}
 }
 
 // Uptime reports how long this health surface has existed.
@@ -144,16 +121,16 @@ func (h *Health) Uptime() time.Duration { return time.Since(h.started) }
 // Register exposes readiness and uptime as metrics, so a scrape alone
 // shows a not-ready daemon (readyz 0/1 mirrors the /readyz endpoint).
 func (h *Health) Register(reg *Registry) {
-	reg.GaugeFunc("process_ready", "1 when every readiness probe passes", func() float64 {
+	reg.Register("process_ready", "1 when every readiness probe passes", GaugeFunc(func() float64 {
 		if h.Ready() != nil {
 			return 0
 		}
 		return 1
-	})
-	reg.GaugeFunc("process_uptime_seconds", "seconds since daemon start", func() float64 {
+	}))
+	reg.Register("process_uptime_seconds", "seconds since daemon start", GaugeFunc(func() float64 {
 		return h.Uptime().Seconds()
-	})
-	reg.GaugeFunc("process_degraded", "number of failing degraded-state probes (ready but impaired)", func() float64 {
+	}))
+	reg.Register("process_degraded", "number of failing degraded-state probes (ready but impaired)", GaugeFunc(func() float64 {
 		return float64(len(h.DegradedStates()))
-	})
+	}))
 }

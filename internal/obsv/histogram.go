@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,21 +52,13 @@ type Histogram struct {
 	// sampled observations, linking an SLO breach back to concrete
 	// traces on /traces. Only ObserveExemplar with a sampled trace
 	// touches it.
-	exMu   sync.Mutex
-	ex     [exemplarRingSize]exemplar
-	exNext int
-	exN    int
+	exMu sync.Mutex
+	ex   ring[Exemplar]
 }
 
 // exemplarRingSize bounds per-histogram exemplar memory; a handful of
 // recent outliers is enough to pivot from /slo to /traces.
 const exemplarRingSize = 8
-
-type exemplar struct {
-	vBits uint64
-	t     int64 // unix nanoseconds
-	tc    TraceContext
-}
 
 // Exemplar is one retained (value, time, trace) observation.
 type Exemplar struct {
@@ -88,6 +81,7 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds: bounds,
 		counts: make([]atomic.Uint64, len(bounds)+1),
+		ex:     newRing[Exemplar](exemplarRingSize),
 	}
 }
 
@@ -125,29 +119,18 @@ func (h *Histogram) ObserveExemplar(v float64, tc TraceContext) {
 	if !tc.Valid() || !tc.Sampled() {
 		return
 	}
-	now := time.Now().UnixNano()
+	ex := Exemplar{Value: v, Time: time.Now(), Trace: tc}
 	h.exMu.Lock()
-	h.ex[h.exNext] = exemplar{vBits: math.Float64bits(v), t: now, tc: tc}
-	h.exNext = (h.exNext + 1) % exemplarRingSize
-	if h.exN < exemplarRingSize {
-		h.exN++
-	}
+	h.ex.push(ex)
 	h.exMu.Unlock()
 }
 
 // Exemplars returns the retained exemplars, newest first.
 func (h *Histogram) Exemplars() []Exemplar {
 	h.exMu.Lock()
-	defer h.exMu.Unlock()
-	out := make([]Exemplar, 0, h.exN)
-	for i := 0; i < h.exN; i++ {
-		s := h.ex[(h.exNext-1-i+2*exemplarRingSize)%exemplarRingSize]
-		out = append(out, Exemplar{
-			Value: math.Float64frombits(s.vBits),
-			Time:  time.Unix(0, s.t),
-			Trace: s.tc,
-		})
-	}
+	out := h.ex.items()
+	h.exMu.Unlock()
+	slices.Reverse(out)
 	return out
 }
 

@@ -24,24 +24,40 @@
 // caller calls Tick(now), so a test drives them with explicit times;
 // internal/daemon supplies the real ticks, the readiness-flip poll and
 // the SIGQUIT dump.
+//
+// OWNS: the instrument kinds (counter, gauge, float gauge, histogram,
+// their func-backed forms, and the labelled Family over any of them)
+// and the registry that names them; both exposition formats (/metrics
+// text and the /metrics.json snapshot); trace contexts, spans and the
+// trace header encoding; the readiness and degraded probe sets behind
+// /readyz; the flight dump schema (dt-flight/1); the SLO burn engine
+// and the watchdog set; the one fixed ring (flight events, spans,
+// exemplars, SLO samples) and the one rate limiter (FlightLimiter).
+//
+// MUST NOT DO: start a timer or a ticking goroutine; handle a signal;
+// allocate on an instrument's write path or in FlightRecorder.Record.
+//
+// MUST NOT import: any repro/internal package.
 package obsv
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric. The zero value is not
-// usable directly; obtain counters from a Registry (or NewCounter for
-// instruments bound to a registry later).
+// Counter is a monotonically increasing metric. The zero value is a
+// usable counter at zero: components keep Counter fields inline, bump
+// them on their hot paths, and bind them to a registry with Register.
 type Counter struct {
 	v atomic.Uint64
 }
 
-// NewCounter returns a standalone counter (register it with
-// Registry.RegisterCounter, or keep it private to a component).
+// NewCounter returns a standalone counter (bind it with
+// Registry.Register, or keep it private to a component).
 func NewCounter() *Counter { return &Counter{} }
 
 // Inc adds one.
@@ -86,23 +102,32 @@ func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// metric kinds held by a registry entry. Exactly one of the typed
-// fields below is set per entry.
-type entry struct {
-	name   string
-	help   string
-	label  string // label key for vec entries
-	label2 string // second label key for two-label vec entries
+// CounterFunc is a counter read from the function at exposition time —
+// the pattern components with pre-existing internal atomics use to
+// surface them without restructuring their hot paths.
+type CounterFunc func() uint64
 
-	c   *Counter
-	g   *Gauge
-	h   *Histogram
-	cf  func() uint64  // counter func
-	gf  func() float64 // gauge func
-	cv  *CounterVec
-	gv  *GaugeVec
-	hv  *HistogramVec
-	gv2 *GaugeVec2
+// GaugeFunc is a gauge read from the function at exposition time.
+type GaugeFunc func() float64
+
+// Metric is an instrument a registry can expose: *Counter, *Gauge,
+// *FloatGauge, *Histogram, CounterFunc, GaugeFunc, or a *Family of any
+// of those. Each kind writes its own Prometheus samples and snapshot
+// keys (expo.go), so a family reuses its child's code.
+type Metric interface {
+	kind() string // the Prometheus TYPE
+	// prom writes the sample lines of name with labels, the inner
+	// `key="value",...` list ("" when unlabelled).
+	prom(b *strings.Builder, name, labels string)
+	// snap adds the snapshot keys of series (`name` or `name{...}`).
+	snap(out map[string]float64, series string)
+}
+
+// entry is one registered name and the instrument behind it.
+type entry struct {
+	name string
+	help string
+	m    Metric
 }
 
 // Registry is a named set of metrics. Constructors are create-or-get:
@@ -122,36 +147,60 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*entry)}
 }
 
-func (r *Registry) lookupOrAdd(name string, mk func() *entry) *entry {
+// lookupOrAdd returns the entry under name, adding one holding mk()
+// when the name is free.
+func (r *Registry) lookupOrAdd(name, help string, mk func() Metric) *entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.byName[name]; ok {
 		return e
 	}
-	e := mk()
-	e.name = name
+	e := &entry{name: name, help: help, m: mk()}
 	r.byName[name] = e
 	r.order = append(r.order, e)
 	return e
 }
 
+// Register exposes an instrument a component owns under name — the one
+// way to bind store's, monitor's or gossip's struct fields, a
+// standalone Family, or a CounterFunc/GaugeFunc. Registering the same
+// instrument twice is a no-op (for a func: any func of the same kind);
+// a different instrument under a taken name panics.
+func (r *Registry) Register(name, help string, m Metric) {
+	e := r.lookupOrAdd(name, help, func() Metric { return m })
+	if !sameInstrument(e.m, m) {
+		panic(fmt.Sprintf("obsv: metric %q already registered", name))
+	}
+}
+
+// sameInstrument compares pointers; funcs cannot be compared, so two
+// funcs of one kind count as the same.
+func sameInstrument(a, b Metric) bool {
+	switch a.(type) {
+	case CounterFunc:
+		_, ok := b.(CounterFunc)
+		return ok
+	case GaugeFunc:
+		_, ok := b.(GaugeFunc)
+		return ok
+	}
+	return a == b
+}
+
+// getOrAdd is the create-or-get behind the typed constructors.
+func getOrAdd[M Metric](r *Registry, name, help string, mk func() M) M {
+	e := r.lookupOrAdd(name, help, func() Metric { return mk() })
+	m, ok := e.m.(M)
+	if !ok {
+		panic(fmt.Sprintf("obsv: metric %q already registered as a different kind", name))
+	}
+	return m
+}
+
 // Counter returns the counter registered under name, creating it if
 // needed.
 func (r *Registry) Counter(name, help string) *Counter {
-	e := r.lookupOrAdd(name, func() *entry { return &entry{help: help, c: NewCounter()} })
-	if e.c == nil {
-		panic(fmt.Sprintf("obsv: metric %q already registered as a different kind", name))
-	}
-	return e.c
-}
-
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	e := r.lookupOrAdd(name, func() *entry { return &entry{help: help, g: NewGauge()} })
-	if e.g == nil {
-		panic(fmt.Sprintf("obsv: metric %q already registered as a different kind", name))
-	}
-	return e.g
+	return getOrAdd(r, name, help, NewCounter)
 }
 
 // Histogram returns the histogram registered under name with the default
@@ -164,231 +213,72 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 // given bucket upper bounds (nil = LatencyBuckets). Bounds are only used
 // at creation; a create-or-get hit keeps the original bounds.
 func (r *Registry) HistogramBuckets(name, help string, bounds []float64) *Histogram {
-	e := r.lookupOrAdd(name, func() *entry { return &entry{help: help, h: NewHistogram(bounds)} })
-	if e.h == nil {
-		panic(fmt.Sprintf("obsv: metric %q already registered as a different kind", name))
-	}
-	return e.h
-}
-
-// RegisterCounter exposes a pre-existing counter under name — for
-// components that own their instruments and bind them to a registry
-// later (store, monitor). Registering the same counter twice is a
-// no-op; a different instrument under the same name panics.
-func (r *Registry) RegisterCounter(name, help string, c *Counter) {
-	e := r.lookupOrAdd(name, func() *entry { return &entry{help: help, c: c} })
-	if e.c != c {
-		panic(fmt.Sprintf("obsv: metric %q already registered", name))
-	}
-}
-
-// RegisterGauge exposes a pre-existing gauge under name.
-func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
-	e := r.lookupOrAdd(name, func() *entry { return &entry{help: help, g: g} })
-	if e.g != g {
-		panic(fmt.Sprintf("obsv: metric %q already registered", name))
-	}
-}
-
-// RegisterHistogram exposes a pre-existing histogram under name.
-func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
-	e := r.lookupOrAdd(name, func() *entry { return &entry{help: help, h: h} })
-	if e.h != h {
-		panic(fmt.Sprintf("obsv: metric %q already registered", name))
-	}
-}
-
-// CounterFunc registers a counter whose value is read from fn at
-// exposition time — the pattern components with pre-existing internal
-// atomics use to surface them without restructuring their hot paths.
-func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
-	e := r.lookupOrAdd(name, func() *entry { return &entry{help: help, cf: fn} })
-	if e.cf == nil {
-		panic(fmt.Sprintf("obsv: metric %q already registered as a different kind", name))
-	}
-}
-
-// GaugeFunc registers a gauge read from fn at exposition time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	e := r.lookupOrAdd(name, func() *entry { return &entry{help: help, gf: fn} })
-	if e.gf == nil {
-		panic(fmt.Sprintf("obsv: metric %q already registered as a different kind", name))
-	}
+	return getOrAdd(r, name, help, func() *Histogram { return NewHistogram(bounds) })
 }
 
 // CounterVec returns a counter family keyed by one label, creating it if
 // needed.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	e := r.lookupOrAdd(name, func() *entry {
-		return &entry{help: help, label: label, cv: &CounterVec{m: make(map[string]*Counter)}}
-	})
-	if e.cv == nil {
-		panic(fmt.Sprintf("obsv: metric %q already registered as a different kind", name))
-	}
-	return e.cv
+func (r *Registry) CounterVec(name, help, label string) *Family[*Counter] {
+	return getOrAdd(r, name, help, func() *Family[*Counter] { return NewFamily(NewCounter, label) })
 }
 
 // GaugeVec returns a gauge family keyed by one label, creating it if
 // needed.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	e := r.lookupOrAdd(name, func() *entry {
-		return &entry{help: help, label: label, gv: &GaugeVec{m: make(map[string]*Gauge)}}
-	})
-	if e.gv == nil {
-		panic(fmt.Sprintf("obsv: metric %q already registered as a different kind", name))
-	}
-	return e.gv
+func (r *Registry) GaugeVec(name, help, label string) *Family[*Gauge] {
+	return getOrAdd(r, name, help, func() *Family[*Gauge] { return NewFamily(NewGauge, label) })
 }
 
 // HistogramVec returns a histogram family keyed by one label, creating
 // it if needed (nil bounds = LatencyBuckets).
-func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *HistogramVec {
-	e := r.lookupOrAdd(name, func() *entry {
-		return &entry{help: help, label: label, hv: &HistogramVec{bounds: bounds, m: make(map[string]*Histogram)}}
+func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *Family[*Histogram] {
+	return getOrAdd(r, name, help, func() *Family[*Histogram] {
+		return NewFamily(func() *Histogram { return NewHistogram(bounds) }, label)
 	})
-	if e.hv == nil {
-		panic(fmt.Sprintf("obsv: metric %q already registered as a different kind", name))
-	}
-	return e.hv
 }
 
-// GaugeVec2 returns a float-gauge family keyed by two labels (e.g.
-// slo_burn_rate{objective="...",window="..."}), creating it if needed.
-func (r *Registry) GaugeVec2(name, help, label1, label2 string) *GaugeVec2 {
-	e := r.lookupOrAdd(name, func() *entry {
-		return &entry{help: help, label: label1, label2: label2, gv2: &GaugeVec2{m: make(map[gv2Key]*FloatGauge)}}
-	})
-	if e.gv2 == nil {
-		panic(fmt.Sprintf("obsv: metric %q already registered as a different kind", name))
-	}
-	return e.gv2
-}
+// Family is a set of instruments of one kind told apart by label values
+// (rpc_requests_total{kind="proof"}, and the one two-label family,
+// slo_burn_rate{objective,window}). With on an existing one-label value
+// is a read-locked map hit that does not allocate; hot callers may
+// additionally cache the returned instrument.
+type Family[M Metric] struct {
+	labels []string
+	mk     func() M
 
-// NewGaugeVec returns a standalone gauge family.
-func NewGaugeVec() *GaugeVec { return &GaugeVec{m: make(map[string]*Gauge)} }
-
-// RegisterGaugeVec exposes a pre-existing gauge family under name.
-func (r *Registry) RegisterGaugeVec(name, help, label string, v *GaugeVec) {
-	e := r.lookupOrAdd(name, func() *entry { return &entry{help: help, label: label, gv: v} })
-	if e.gv != v {
-		panic(fmt.Sprintf("obsv: metric %q already registered", name))
-	}
-}
-
-// CounterVec is a family of counters distinguished by one label value
-// (e.g. transport_rpc_total{kind="proof"}). With is read-locked on the
-// fast path and does not allocate for existing labels; hot callers may
-// additionally cache the returned *Counter.
-type CounterVec struct {
 	mu sync.RWMutex
-	m  map[string]*Counter
-	ks []string
+	m  map[string]M // by label values, joined by \xff when more than one
+	ks [][]string   // label values, in creation order
 }
 
-// With returns the counter for the given label value, creating it on
-// first use.
-func (v *CounterVec) With(value string) *Counter {
-	v.mu.RLock()
-	c, ok := v.m[value]
-	v.mu.RUnlock()
+// NewFamily returns a standalone family whose members mk creates, keyed
+// by the given label names.
+func NewFamily[M Metric](mk func() M, labels ...string) *Family[M] {
+	return &Family[M]{labels: labels, mk: mk, m: make(map[string]M)}
+}
+
+// With returns the member for the given label values (one per label, in
+// order), creating it on first use.
+func (f *Family[M]) With(values ...string) M {
+	k := values[0]
+	if len(values) > 1 {
+		k = strings.Join(values, "\xff")
+	}
+	f.mu.RLock()
+	m, ok := f.m[k]
+	f.mu.RUnlock()
 	if ok {
-		return c
+		return m
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok := v.m[value]; ok {
-		return c
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("obsv: %d label values for labels %v", len(values), f.labels))
 	}
-	c = NewCounter()
-	v.m[value] = c
-	v.ks = append(v.ks, value)
-	return c
-}
-
-// GaugeVec is a family of gauges distinguished by one label value.
-type GaugeVec struct {
-	mu sync.RWMutex
-	m  map[string]*Gauge
-	ks []string
-}
-
-// With returns the gauge for the given label value, creating it on
-// first use.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.RLock()
-	g, ok := v.m[value]
-	v.mu.RUnlock()
-	if ok {
-		return g
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if m, ok := f.m[k]; ok {
+		return m
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok := v.m[value]; ok {
-		return g
-	}
-	g = NewGauge()
-	v.m[value] = g
-	v.ks = append(v.ks, value)
-	return g
-}
-
-// gv2Key is a (label1 value, label2 value) pair.
-type gv2Key [2]string
-
-// GaugeVec2 is a family of float gauges distinguished by two label
-// values.
-type GaugeVec2 struct {
-	mu sync.RWMutex
-	m  map[gv2Key]*FloatGauge
-	ks []gv2Key
-}
-
-// With returns the gauge for the given label values, creating it on
-// first use.
-func (v *GaugeVec2) With(v1, v2 string) *FloatGauge {
-	k := gv2Key{v1, v2}
-	v.mu.RLock()
-	g, ok := v.m[k]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok := v.m[k]; ok {
-		return g
-	}
-	g = NewFloatGauge()
-	v.m[k] = g
-	v.ks = append(v.ks, k)
-	return g
-}
-
-// HistogramVec is a family of histograms distinguished by one label
-// value.
-type HistogramVec struct {
-	bounds []float64
-	mu     sync.RWMutex
-	m      map[string]*Histogram
-	ks     []string
-}
-
-// With returns the histogram for the given label value, creating it on
-// first use.
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.RLock()
-	h, ok := v.m[value]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok := v.m[value]; ok {
-		return h
-	}
-	h = NewHistogram(v.bounds)
-	v.m[value] = h
-	v.ks = append(v.ks, value)
-	return h
+	m = f.mk()
+	f.m[k] = m
+	f.ks = append(f.ks, slices.Clone(values))
+	return m
 }

@@ -19,10 +19,10 @@ func TestRegistryCreateOrGet(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 
-	g1 := reg.Gauge("x_gauge", "")
+	g1 := reg.GaugeVec("x_gauge", "", "k").With("a")
 	g1.Set(7)
 	g1.Add(-2)
-	if got := reg.Gauge("x_gauge", "").Value(); got != 5 {
+	if got := reg.GaugeVec("x_gauge", "", "k").With("a").Value(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
 	}
 
@@ -45,44 +45,51 @@ func mustPanic(t *testing.T, name string, fn func()) {
 func TestRegistryKindConflictPanics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("taken", "")
-	mustPanic(t, "gauge over counter", func() { reg.Gauge("taken", "") })
+	mustPanic(t, "gauge family over counter", func() { reg.GaugeVec("taken", "", "k") })
 	mustPanic(t, "histogram over counter", func() { reg.Histogram("taken", "") })
-	mustPanic(t, "counterfunc over counter", func() { reg.CounterFunc("taken", "", func() uint64 { return 0 }) })
+	mustPanic(t, "counterfunc over counter", func() { reg.Register("taken", "", CounterFunc(func() uint64 { return 0 })) })
 	mustPanic(t, "countervec over counter", func() { reg.CounterVec("taken", "", "k") })
+	reg.Register("func_total", "", CounterFunc(func() uint64 { return 0 }))
+	mustPanic(t, "counter over counterfunc", func() { reg.Counter("func_total", "") })
+	mustPanic(t, "gaugefunc over counterfunc", func() { reg.Register("func_total", "", GaugeFunc(func() float64 { return 0 })) })
 }
 
+// TestRegisterAdoptsExistingInstrument: Register binds an instrument a
+// component owns, for every kind. The same instrument twice is a no-op
+// (for a func, any func of the same kind); a different one panics.
 func TestRegisterAdoptsExistingInstrument(t *testing.T) {
 	reg := NewRegistry()
 	c := NewCounter()
-	reg.RegisterCounter("adopted_total", "", c)
-	reg.RegisterCounter("adopted_total", "", c) // idempotent
+	reg.Register("adopted_total", "", c)
+	reg.Register("adopted_total", "", c) // idempotent
 	c.Inc()
 	if got := reg.Value("adopted_total"); got != 1 {
 		t.Fatalf("adopted counter = %v, want 1", got)
 	}
-	mustPanic(t, "different counter same name", func() {
-		reg.RegisterCounter("adopted_total", "", NewCounter())
-	})
+	if reg.Counter("adopted_total", "") != c {
+		t.Fatal("create-or-get must return the adopted counter")
+	}
+	for _, pair := range []struct {
+		name      string
+		m, second Metric
+	}{
+		{"adopted_counter_total", NewCounter(), NewCounter()},
+		{"adopted_gauge", NewGauge(), NewGauge()},
+		{"adopted_float_gauge", NewFloatGauge(), NewFloatGauge()},
+		{"adopted_seconds", NewHistogram(nil), NewHistogram(nil)},
+		{"adopted_gauge_vec", NewFamily(NewGauge, "src"), NewFamily(NewGauge, "src")},
+	} {
+		reg.Register(pair.name, "", pair.m)
+		reg.Register(pair.name, "", pair.m)
+		mustPanic(t, "different instrument under "+pair.name, func() { reg.Register(pair.name, "", pair.second) })
+	}
 
-	g := NewGauge()
-	reg.RegisterGauge("adopted_gauge", "", g)
-	reg.RegisterGauge("adopted_gauge", "", g)
-	mustPanic(t, "different gauge same name", func() {
-		reg.RegisterGauge("adopted_gauge", "", NewGauge())
-	})
-
-	h := NewHistogram(nil)
-	reg.RegisterHistogram("adopted_seconds", "", h)
-	reg.RegisterHistogram("adopted_seconds", "", h)
-	mustPanic(t, "different histogram same name", func() {
-		reg.RegisterHistogram("adopted_seconds", "", NewHistogram(nil))
-	})
-
-	gv := NewGaugeVec()
-	reg.RegisterGaugeVec("adopted_gauge_vec", "", "src", gv)
-	mustPanic(t, "different gaugevec same name", func() {
-		reg.RegisterGaugeVec("adopted_gauge_vec", "", "src", NewGaugeVec())
-	})
+	reg.Register("derived_total", "", CounterFunc(func() uint64 { return 1 }))
+	reg.Register("derived_total", "", CounterFunc(func() uint64 { return 2 })) // a func of the same kind: no-op
+	if got := reg.Value("derived_total"); got != 1 {
+		t.Fatalf("derived_total = %v, want the first func's 1", got)
+	}
+	mustPanic(t, "counter over counterfunc", func() { reg.Register("derived_total", "", NewCounter()) })
 }
 
 func TestVecWith(t *testing.T) {
@@ -114,8 +121,8 @@ func TestVecWith(t *testing.T) {
 func TestFuncMetrics(t *testing.T) {
 	reg := NewRegistry()
 	n := uint64(3)
-	reg.CounterFunc("derived_total", "", func() uint64 { return n })
-	reg.GaugeFunc("derived_gauge", "", func() float64 { return 1.5 })
+	reg.Register("derived_total", "", CounterFunc(func() uint64 { return n }))
+	reg.Register("derived_gauge", "", GaugeFunc(func() float64 { return 1.5 }))
 	if got := reg.Value("derived_total"); got != 3 {
 		t.Fatalf("counterfunc = %v, want 3", got)
 	}
@@ -208,7 +215,7 @@ func TestRegistryRace(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
 				reg.Counter("race_total", "").Inc()
-				reg.Gauge("race_gauge", "").Add(1)
+				reg.GaugeVec("race_gauge", "", "k").With("a").Add(1)
 				reg.Histogram("race_seconds", "").Observe(float64(j) * 1e-6)
 				reg.CounterVec("race_vec_total", "", "k").With("a").Inc()
 			}

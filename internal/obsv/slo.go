@@ -93,9 +93,7 @@ type sloSample struct {
 
 type sloState struct {
 	o       Objective
-	samples []sloSample // ring, in tick order
-	next    int
-	n       int // samples ever taken; the ring keeps the last len(samples)
+	samples ring[sloSample] // in tick order
 	// gauge-kind accumulators (the gauge itself is not cumulative, so
 	// the engine counts ticks and bad ticks).
 	gTotal, gBad float64
@@ -115,7 +113,7 @@ type SLOEngine struct {
 	reg      *Registry
 	interval time.Duration
 	windows  []time.Duration
-	burn     *GaugeVec2
+	burn     *Family[*FloatGauge]
 
 	mu     sync.Mutex
 	states []*sloState
@@ -128,7 +126,8 @@ func NewSLOEngine(reg *Registry, objs []Objective, interval time.Duration) *SLOE
 	if interval <= 0 {
 		interval = DefaultSLOInterval
 	}
-	e := &SLOEngine{reg: reg, interval: interval, windows: DefaultSLOWindows}
+	e := &SLOEngine{reg: reg, interval: interval, windows: DefaultSLOWindows,
+		burn: NewFamily(NewFloatGauge, "objective", "window")}
 	// Ring depth: enough samples to diff over the longest window.
 	depth := int(e.windows[len(e.windows)-1]/interval) + 2
 	if depth > 4096 {
@@ -138,7 +137,7 @@ func NewSLOEngine(reg *Registry, objs []Objective, interval time.Duration) *SLOE
 		if o.Validate() != nil {
 			continue
 		}
-		e.states = append(e.states, &sloState{o: o, samples: make([]sloSample, depth)})
+		e.states = append(e.states, &sloState{o: o, samples: newRing[sloSample](depth)})
 	}
 	return e
 }
@@ -148,9 +147,7 @@ func (e *SLOEngine) Register(reg *Registry) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.burn = reg.GaugeVec2("slo_burn_rate", "error-budget burn rate per objective and window", "objective", "window")
+	reg.Register("slo_burn_rate", "error-budget burn rate per objective and window", e.burn)
 }
 
 // Interval is the tick period the engine's ring is sized for: the
@@ -190,9 +187,7 @@ func (e *SLOEngine) Tick(now time.Time) {
 	defer e.mu.Unlock()
 	for _, st := range e.states {
 		total, bad := e.cumulative(st)
-		st.samples[st.next] = sloSample{at: now, total: total, bad: bad}
-		st.next = (st.next + 1) % len(st.samples)
-		st.n++
+		st.samples.push(sloSample{at: now, total: total, bad: bad})
 
 		status := SLOStatus{
 			Name: st.o.Name, Kind: st.o.Kind, Series: st.o.Series,
@@ -213,9 +208,7 @@ func (e *SLOEngine) Tick(now time.Time) {
 			if burnRate >= 1 {
 				status.Breaching = true
 			}
-			if e.burn != nil {
-				e.burn.With(st.o.Name, fmtWindow(w)).Set(burnRate)
-			}
+			e.burn.With(st.o.Name, fmtWindow(w)).Set(burnRate)
 		}
 		if st.o.Kind == "latency" && bad > 0 {
 			if h := e.reg.findHistogram(st.o.Series); h != nil {
@@ -233,17 +226,15 @@ func (e *SLOEngine) Tick(now time.Time) {
 // window longer than what it retains falls back to the oldest retained
 // sample. Ticks arrive in time order, so the ring is sorted.
 func (st *sloState) sampleBefore(cutoff time.Time) sloSample {
-	size := len(st.samples)
-	kept := min(st.n, size)
-	oldest := st.samples[(st.next-kept+size)%size]
+	oldest := st.samples.last(st.samples.kept())
 	if oldest.at.After(cutoff) {
-		if st.n > size {
+		if st.samples.n > len(st.samples.buf) {
 			return oldest
 		}
 		return sloSample{}
 	}
 	for i := 1; ; i++ {
-		if s := st.samples[(st.next-i+size)%size]; !s.at.After(cutoff) {
+		if s := st.samples.last(i); !s.at.After(cutoff) {
 			return s
 		}
 	}

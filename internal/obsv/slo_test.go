@@ -94,7 +94,8 @@ func TestSLOEngineRatioAndGauge(t *testing.T) {
 	reg := NewRegistry()
 	reqs := reg.Counter("req_total", "")
 	errs := reg.Counter("err_total", "")
-	pending := reg.Gauge("pending", "")
+	pending := NewGauge()
+	reg.Register("pending", "", pending)
 	e := NewSLOEngine(reg, []Objective{
 		{Name: "avail", Kind: "ratio", BadSeries: "err_total", TotalSeries: "req_total", Target: 0.99},
 		{Name: "lag", Kind: "gauge", Series: "pending", Threshold: 10, Target: 0.5},

@@ -154,8 +154,7 @@ type Tracer struct {
 	logger atomic.Pointer[slog.Logger]
 
 	mu   sync.Mutex
-	ring []SpanRecord
-	next int
+	ring ring[SpanRecord]
 }
 
 // TraceRingSize is how many finished spans a tracer retains.
@@ -165,7 +164,7 @@ const TraceRingSize = 256
 // roots (sampleEvery <= 0 disables local root sampling; remotely
 // sampled requests are still recorded).
 func NewTracer(sampleEvery int) *Tracer {
-	t := &Tracer{ring: make([]SpanRecord, 0, TraceRingSize)}
+	t := &Tracer{ring: newRing[SpanRecord](TraceRingSize)}
 	if sampleEvery > 0 {
 		t.sampleEvery = uint64(sampleEvery)
 	}
@@ -178,8 +177,8 @@ func (t *Tracer) SetLogger(l *slog.Logger) { t.logger.Store(l) }
 
 // Register exposes the tracer's own counters on a registry.
 func (t *Tracer) Register(reg *Registry) {
-	reg.CounterFunc("trace_spans_started_total", "sampled spans started", t.started.Value)
-	reg.CounterFunc("trace_spans_finished_total", "sampled spans finished", t.finished.Value)
+	reg.Register("trace_spans_started_total", "sampled spans started", CounterFunc(t.started.Value))
+	reg.Register("trace_spans_finished_total", "sampled spans finished", CounterFunc(t.finished.Value))
 }
 
 // Span is one in-flight operation of a sampled trace. A nil *Span is
@@ -254,12 +253,7 @@ func (s *Span) End(err error) {
 	t := s.t
 	t.finished.Inc()
 	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, rec)
-	} else {
-		t.ring[t.next] = rec
-		t.next = (t.next + 1) % cap(t.ring)
-	}
+	t.ring.push(rec)
 	t.mu.Unlock()
 	if l := t.logger.Load(); l != nil {
 		l.Debug("span", "trace_id", rec.Trace, "span_id", rec.Span, "span_name", rec.Name,
@@ -271,12 +265,5 @@ func (s *Span) End(err error) {
 func (t *Tracer) Spans() []SpanRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanRecord, 0, len(t.ring))
-	if len(t.ring) == cap(t.ring) {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else {
-		out = append(out, t.ring...)
-	}
-	return out
+	return t.ring.items()
 }

@@ -169,15 +169,14 @@ type WatchdogSet struct {
 	dir    string
 	fr     *FlightRecorder
 
-	logger      atomic.Pointer[slog.Logger]
-	profileGap  time.Duration
-	lastProfile atomic.Int64
+	logger   atomic.Pointer[slog.Logger]
+	profiles *FlightLimiter // profile captures, at DefaultProfileGap
 
 	mu     sync.Mutex
 	dogs   []*Watchdog
 	health *Health
-	trips  *CounterVec
-	gauge  *GaugeVec
+	trips  *Family[*Counter]
+	gauge  *Family[*Gauge]
 }
 
 // DefaultProfileGap is the minimum spacing between profile captures —
@@ -187,7 +186,7 @@ const DefaultProfileGap = 5 * time.Minute
 // NewWatchdogSet creates an empty set. Trip evidence (profiles, flight
 // dumps) is written to dir; fr may be nil.
 func NewWatchdogSet(daemon, dir string, fr *FlightRecorder) *WatchdogSet {
-	return &WatchdogSet{daemon: daemon, dir: dir, fr: fr, profileGap: DefaultProfileGap}
+	return &WatchdogSet{daemon: daemon, dir: dir, fr: fr, profiles: NewFlightLimiter(DefaultProfileGap)}
 }
 
 // SetLogger attaches a logger for trip lines.
@@ -197,10 +196,6 @@ func (s *WatchdogSet) SetLogger(l *slog.Logger) {
 	}
 	s.logger.Store(l)
 }
-
-// SetProfileGap overrides the minimum spacing between profile captures
-// (tests use a tiny gap).
-func (s *WatchdogSet) SetProfileGap(gap time.Duration) { s.profileGap = gap }
 
 // Add creates an operation-mode watchdog: it trips when an Arm()ed
 // operation stays in flight past deadline.
@@ -301,7 +296,7 @@ func (s *WatchdogSet) Tick(now time.Time) {
 // trip handles the first tick of a stall episode: count it, record the
 // flight event with a fresh trace id, and (rate-limited) capture
 // goroutine + heap profiles plus a flight dump.
-func (s *WatchdogSet) trip(w *Watchdog, elapsed time.Duration, detail string, trips *CounterVec) {
+func (s *WatchdogSet) trip(w *Watchdog, elapsed time.Duration, detail string, trips *Family[*Counter]) {
 	w.trips.Inc()
 	if trips != nil {
 		trips.With(w.name).Inc()
@@ -312,21 +307,12 @@ func (s *WatchdogSet) trip(w *Watchdog, elapsed time.Duration, detail string, tr
 		l.Warn("watchdog tripped", "watchdog", w.name, "detail", detail,
 			"trace_id", fmt.Sprintf("%x", tc.TraceID[:]))
 	}
-	if s.allowProfile() {
+	if s.profiles.Allow() {
 		s.captureProfiles(w.name)
 		if s.fr != nil && s.dir != "" {
 			s.fr.DumpFile(s.dir, s.daemon, "watchdog-"+w.name)
 		}
 	}
-}
-
-func (s *WatchdogSet) allowProfile() bool {
-	now := time.Now().UnixNano()
-	last := s.lastProfile.Load()
-	if now-last < s.profileGap.Nanoseconds() {
-		return false
-	}
-	return s.lastProfile.CompareAndSwap(last, now)
 }
 
 // captureProfiles writes goroutine stacks (the "what is everyone

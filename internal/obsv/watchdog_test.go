@@ -14,7 +14,6 @@ func TestWatchdogOperationMode(t *testing.T) {
 	dir := t.TempDir()
 	fr := NewFlightRecorder(16)
 	set := NewWatchdogSet("testd", dir, fr)
-	set.SetProfileGap(0)
 	reg := NewRegistry()
 	set.Register(reg)
 	h := NewHealth()
@@ -113,7 +112,6 @@ func TestWatchdogOperationMode(t *testing.T) {
 
 func TestWatchdogProbeMode(t *testing.T) {
 	set := NewWatchdogSet("testd", t.TempDir(), nil)
-	set.SetProfileGap(time.Hour)
 	lag := 0
 	w := set.AddProbe("frontier-lag", 100*time.Millisecond, func() (bool, string) {
 		return lag > 0, "frontier lagging"
@@ -152,7 +150,6 @@ func TestWatchdogProbeMode(t *testing.T) {
 func TestWatchdogProfileRateLimit(t *testing.T) {
 	dir := t.TempDir()
 	set := NewWatchdogSet("testd", dir, NewFlightRecorder(8))
-	set.SetProfileGap(time.Hour)
 	w := set.Add("op", 10*time.Millisecond)
 	now := time.Now()
 	for i := 0; i < 3; i++ {

@@ -547,46 +547,46 @@ func (t *Tier) Poison(err error) {
 // extra per request.
 func (t *Tier) registerMetrics() {
 	reg := t.reg
-	reg.GaugeFunc("serve_head_size", "tree size of the current published head", func() float64 {
+	reg.Register("serve_head_size", "tree size of the current published head", obsv.GaugeFunc(func() float64 {
 		if snap := t.head.Load(); snap != nil {
 			return float64(snap.size)
 		}
 		return 0
-	})
-	reg.GaugeFunc("serve_poisoned", "1 once the tier has failed closed and refuses to serve", func() float64 {
+	}))
+	reg.Register("serve_poisoned", "1 once the tier has failed closed and refuses to serve", obsv.GaugeFunc(func() float64 {
 		if t.failed() != nil {
 			return 1
 		}
 		return 0
-	})
-	reg.GaugeFunc("serve_cache_entries", "proofs resident in the LRU cache", func() float64 {
+	}))
+	reg.Register("serve_cache_entries", "proofs resident in the LRU cache", obsv.GaugeFunc(func() float64 {
 		return float64(t.cache.stats().Entries)
-	})
-	reg.CounterFunc("serve_cache_hits_total", "proof requests answered from cache", func() uint64 {
+	}))
+	reg.Register("serve_cache_hits_total", "proof requests answered from cache", obsv.CounterFunc(func() uint64 {
 		return t.cache.stats().Hits
-	})
-	reg.CounterFunc("serve_cache_misses_total", "proof requests that computed fresh state", func() uint64 {
+	}))
+	reg.Register("serve_cache_misses_total", "proof requests that computed fresh state", obsv.CounterFunc(func() uint64 {
 		return t.cache.stats().Misses
-	})
-	reg.CounterFunc("serve_cache_coalesced_total", "proof requests that joined an in-flight computation", func() uint64 {
+	}))
+	reg.Register("serve_cache_coalesced_total", "proof requests that joined an in-flight computation", obsv.CounterFunc(func() uint64 {
 		return t.cache.stats().Coalesced
-	})
-	reg.CounterFunc("serve_cache_evictions_total", "cache entries evicted at capacity", func() uint64 {
+	}))
+	reg.Register("serve_cache_evictions_total", "cache entries evicted at capacity", obsv.CounterFunc(func() uint64 {
 		return t.cache.stats().Evictions
-	})
-	reg.CounterFunc("serve_admission_refused_total", "proof computations refused by the admission gate", func() uint64 {
+	}))
+	reg.Register("serve_admission_refused_total", "proof computations refused by the admission gate", obsv.CounterFunc(func() uint64 {
 		return t.gate.refused.Load()
-	})
-	reg.CounterFunc("serve_degraded_total", "refused requests answered from the stale-but-verified head", t.degraded.Load)
-	reg.CounterFunc("serve_heads_signed_total", "tree heads signed (once per size, not per client)", t.headsSigned.Load)
-	reg.GaugeFunc("serve_subscribers", "live push subscriptions", func() float64 {
+	}))
+	reg.Register("serve_degraded_total", "refused requests answered from the stale-but-verified head", obsv.CounterFunc(t.degraded.Load))
+	reg.Register("serve_heads_signed_total", "tree heads signed (once per size, not per client)", obsv.CounterFunc(t.headsSigned.Load))
+	reg.Register("serve_subscribers", "live push subscriptions", obsv.GaugeFunc(func() float64 {
 		return float64(t.hub.Subscribers())
-	})
-	reg.CounterFunc("serve_heads_pushed_total", "heads enqueued for push across all subscribers", t.hub.pushedCount)
-	reg.CounterFunc("serve_heads_dropped_total", "heads dropped at enqueue (regressions and overflow)", t.hub.droppedCount)
-	reg.GaugeFunc("serve_push_pending", "heads currently queued for push across all subscribers", func() float64 {
+	}))
+	reg.Register("serve_heads_pushed_total", "heads enqueued for push across all subscribers", obsv.CounterFunc(t.hub.pushedCount))
+	reg.Register("serve_heads_dropped_total", "heads dropped at enqueue (regressions and overflow)", obsv.CounterFunc(t.hub.droppedCount))
+	reg.Register("serve_push_pending", "heads currently queued for push across all subscribers", obsv.GaugeFunc(func() float64 {
 		return float64(t.hub.pendingTotal())
-	})
+	}))
 }
 
 // Register installs the tier's RPC kinds on a transport server:

@@ -69,29 +69,29 @@ func (o *storeObs) record(kind, detail string, value uint64) {
 // names. Call once per registry; the store must outlive scrapes.
 func (s *Store) RegisterMetrics(reg *obsv.Registry) {
 	o := s.obs
-	reg.RegisterCounter("store_append_batches_total", "AppendLeaves calls that reached the WAL", &o.appendBatches)
-	reg.RegisterCounter("store_appended_leaves_total", "leaves made durable", &o.appendedLeaves)
-	reg.RegisterCounter("store_wal_fsyncs_total", "WAL fsyncs led by a leaf append (group-commit leaders only)", &o.fsyncs)
-	reg.RegisterHistogram("store_wal_fsync_seconds", "WAL fsync latency, leaf-led fsyncs", o.fsyncLatency)
-	reg.RegisterCounter("store_head_fsyncs_total", "WAL fsyncs led by a signed-head record", &o.headFsyncs)
-	reg.RegisterHistogram("store_head_fsync_seconds", "WAL fsync latency, head-led fsyncs", o.headFsyncLatency)
-	reg.RegisterCounter("store_wal_rotations_total", "WAL files rotated at checkpoints", &o.walRotations)
-	reg.RegisterCounter("store_segment_rolls_total", "segment files rolled at the size cap", &o.segmentRolls)
-	reg.RegisterCounter("store_checkpoints_total", "checkpoints settling WAL leaves into segments", &o.checkpoints)
-	reg.RegisterHistogram("store_checkpoint_seconds", "checkpoint duration (appends block for it)", o.checkpointLat)
-	reg.RegisterCounter("store_snapshots_total", "derived-state snapshots written", &o.snapshots)
-	reg.RegisterHistogram("store_snapshot_seconds", "snapshot write duration", o.snapshotLat)
-	reg.GaugeFunc("store_leaves", "durable leaf count", func() float64 {
+	reg.Register("store_append_batches_total", "AppendLeaves calls that reached the WAL", &o.appendBatches)
+	reg.Register("store_appended_leaves_total", "leaves made durable", &o.appendedLeaves)
+	reg.Register("store_wal_fsyncs_total", "WAL fsyncs led by a leaf append (group-commit leaders only)", &o.fsyncs)
+	reg.Register("store_wal_fsync_seconds", "WAL fsync latency, leaf-led fsyncs", o.fsyncLatency)
+	reg.Register("store_head_fsyncs_total", "WAL fsyncs led by a signed-head record", &o.headFsyncs)
+	reg.Register("store_head_fsync_seconds", "WAL fsync latency, head-led fsyncs", o.headFsyncLatency)
+	reg.Register("store_wal_rotations_total", "WAL files rotated at checkpoints", &o.walRotations)
+	reg.Register("store_segment_rolls_total", "segment files rolled at the size cap", &o.segmentRolls)
+	reg.Register("store_checkpoints_total", "checkpoints settling WAL leaves into segments", &o.checkpoints)
+	reg.Register("store_checkpoint_seconds", "checkpoint duration (appends block for it)", o.checkpointLat)
+	reg.Register("store_snapshots_total", "derived-state snapshots written", &o.snapshots)
+	reg.Register("store_snapshot_seconds", "snapshot write duration", o.snapshotLat)
+	reg.Register("store_leaves", "durable leaf count", obsv.GaugeFunc(func() float64 {
 		return float64(s.Len())
-	})
-	reg.GaugeFunc("store_wal_bytes", "bytes in the active WAL since the last rotation", func() float64 {
+	}))
+	reg.Register("store_wal_bytes", "bytes in the active WAL since the last rotation", obsv.GaugeFunc(func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return float64(s.walBytes)
-	})
-	reg.GaugeFunc("store_pending_leaves", "leaves journaled but not yet settled into segments", func() float64 {
+	}))
+	reg.Register("store_pending_leaves", "leaves journaled but not yet settled into segments", obsv.GaugeFunc(func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return float64(len(s.pending))
-	})
+	}))
 }

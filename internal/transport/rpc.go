@@ -130,9 +130,9 @@ const (
 // the tracer that turns incoming trace headers into server spans.
 type serverObs struct {
 	tracer    *obsv.Tracer
-	reqs      *obsv.CounterVec
-	errs      *obsv.CounterVec
-	lat       *obsv.HistogramVec
+	reqs      *obsv.Family[*obsv.Counter]
+	errs      *obsv.Family[*obsv.Counter]
+	lat       *obsv.Family[*obsv.Histogram]
 	rx        *obsv.Counter
 	tx        *obsv.Counter
 	batchSize *obsv.Histogram
