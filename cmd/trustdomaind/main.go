@@ -17,8 +17,9 @@
 // Every domain server accepts batched RPCs: the "invokebatch" kind runs
 // many application requests in one frame (what signbatch uses to collect
 // a share per message with one round trip per domain), and the transport
-// layer's "_batch" kind bundles arbitrary requests (status + history in
-// one frame, as batched auditors do). See DESIGN.md §3.
+// layer's "_batch" kind bundles arbitrary requests. An audit needs
+// neither: the "audit" kind returns the status and the history, read
+// from one snapshot under one attestation, in one reply. See DESIGN.md §3.
 //
 // Epoch-based proactive share refresh (DESIGN.md §7):
 //

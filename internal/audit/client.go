@@ -68,35 +68,12 @@ type AttestedHistoryEnvelope struct {
 
 // VerifyStatusEnvelope checks the authenticity of an attested status:
 // quote chain and measurement for TEE domains, pinned host key for
-// domain 0, and the binding of the status to the nonce.
+// domain 0, and the binding of the status to the nonce in the first
+// half of the attested report data.
 func VerifyStatusEnvelope(p *Params, env *AttestedStatusEnvelope) error {
-	info, err := p.domainInfo(env.Resp.Domain)
-	if err != nil {
-		return err
-	}
-	rd := framework.StatusReportData(env.Nonce, &env.Resp.Status)
-	if info.HasTEE {
-		if env.Resp.Quote == nil {
-			return fmt.Errorf("audit: domain %s returned no quote", info.Name)
-		}
-		if err := tee.VerifyQuote(p.Roots, env.Resp.Quote); err != nil {
-			return fmt.Errorf("audit: domain %s quote: %w", info.Name, err)
-		}
-		if env.Resp.Quote.Measurement != p.Measurement {
-			return &MeasurementError{Domain: info.Name}
-		}
-		if env.Resp.Quote.ReportData != rd {
-			return fmt.Errorf("audit: domain %s quote does not bind status/nonce", info.Name)
-		}
-		return nil
-	}
-	if !bytes.Equal(env.Resp.HostKey, info.HostKey) {
-		return fmt.Errorf("audit: domain %s host key mismatch", info.Name)
-	}
-	if !ed25519.Verify(info.HostKey, rd[:], env.Resp.HostSig) {
-		return fmt.Errorf("audit: domain %s host signature invalid", info.Name)
-	}
-	return nil
+	r := &env.Resp
+	srd := framework.StatusReportData(env.Nonce, &r.Status)
+	return verifyAttested(p, r.Domain, r.Quote, r.HostKey, r.HostSig, r.HostReport, srd[:32], nil)
 }
 
 // MeasurementError distinguishes "valid quote, wrong code" — which is an
@@ -107,40 +84,63 @@ func (e *MeasurementError) Error() string {
 	return fmt.Sprintf("audit: domain %s attests to an unexpected measurement", e.Domain)
 }
 
-// VerifyHistoryEnvelope checks the authenticity of a history response.
-// The binding commits to the response's From offset, so a signed suffix
-// cannot be re-presented as a full history (or vice versa).
+// VerifyHistoryEnvelope checks the authenticity of a history response:
+// its binding sits in the second half of the attested report data and
+// commits to the response's From offset, so a signed suffix cannot be
+// re-presented as a full history (or vice versa).
 func VerifyHistoryEnvelope(p *Params, env *AttestedHistoryEnvelope) error {
-	info, err := p.domainInfo(env.Resp.Domain)
+	r := &env.Resp
+	if r.From < 0 {
+		return fmt.Errorf("audit: domain %s history has negative offset", r.Domain)
+	}
+	return verifyAttested(p, r.Domain, r.Quote, r.HostKey, r.HostSig, r.HostReport,
+		nil, domain.HistoryBindingFrom(r.From, r.Records, env.Nonce))
+}
+
+// verifyAttested authenticates one attestation — a quote rooted in a
+// pinned vendor key with the published measurement, or the pinned host
+// key's signature over hostReport — and checks each half of the 64
+// report bytes it covers against the binding the caller recomputed: the
+// status in rd[0:32], the history in rd[32:64]; a nil binding leaves
+// its half unchecked. A domain-0 reply without hostReport signed the
+// layout of the bindings given, zero for the missing half.
+func verifyAttested(p *Params, name string, quote *tee.Quote, hostKey, hostSig, hostReport, status, history []byte) error {
+	info, err := p.domainInfo(name)
 	if err != nil {
 		return err
 	}
-	if env.Resp.From < 0 {
-		return fmt.Errorf("audit: domain %s history has negative offset", info.Name)
-	}
-	binding := domain.HistoryBindingFrom(env.Resp.From, env.Resp.Records, env.Nonce)
+	var rd [64]byte
 	if info.HasTEE {
-		if env.Resp.Quote == nil {
-			return fmt.Errorf("audit: domain %s history has no quote", info.Name)
+		if quote == nil {
+			return fmt.Errorf("audit: domain %s returned no quote", info.Name)
 		}
-		if err := tee.VerifyQuote(p.Roots, env.Resp.Quote); err != nil {
-			return fmt.Errorf("audit: domain %s history quote: %w", info.Name, err)
+		if err := tee.VerifyQuote(p.Roots, quote); err != nil {
+			return fmt.Errorf("audit: domain %s quote: %w", info.Name, err)
 		}
-		if env.Resp.Quote.Measurement != p.Measurement {
+		if quote.Measurement != p.Measurement {
 			return &MeasurementError{Domain: info.Name}
 		}
-		var rd [64]byte
-		copy(rd[:32], binding)
-		if env.Resp.Quote.ReportData != rd {
-			return fmt.Errorf("audit: domain %s history quote does not bind records/nonce", info.Name)
+		rd = quote.ReportData
+	} else {
+		if !bytes.Equal(hostKey, info.HostKey) {
+			return fmt.Errorf("audit: domain %s host key mismatch", info.Name)
 		}
-		return nil
+		rd = domain.ReportData(status, history)
+		if hostReport != nil {
+			if len(hostReport) != len(rd) {
+				return fmt.Errorf("audit: domain %s host report is %d bytes, want %d", info.Name, len(hostReport), len(rd))
+			}
+			copy(rd[:], hostReport)
+		}
+		if !ed25519.Verify(info.HostKey, rd[:], hostSig) {
+			return fmt.Errorf("audit: domain %s host signature invalid", info.Name)
+		}
 	}
-	if !bytes.Equal(env.Resp.HostKey, info.HostKey) {
-		return fmt.Errorf("audit: domain %s host key mismatch", info.Name)
+	if status != nil && !bytes.Equal(rd[:32], status) {
+		return fmt.Errorf("audit: domain %s attestation does not bind status/nonce", info.Name)
 	}
-	if !ed25519.Verify(info.HostKey, binding, env.Resp.HostSig) {
-		return fmt.Errorf("audit: domain %s history signature invalid", info.Name)
+	if history != nil && !bytes.Equal(rd[32:], history) {
+		return fmt.Errorf("audit: domain %s attestation does not bind records/nonce", info.Name)
 	}
 	return nil
 }
@@ -303,13 +303,7 @@ func (c *Client) FetchStatus(name string) (*AttestedStatusEnvelope, error) {
 		return nil, err
 	}
 	env := &AttestedStatusEnvelope{Nonce: nonce}
-	err = c.call(info.Addr, "status", domain.StatusRequest{Nonce: nonce}, &env.Resp)
-	return c.statusReply(name, env, err)
-}
-
-// statusReply authenticates a status reply unless its RPC failed (err).
-func (c *Client) statusReply(name string, env *AttestedStatusEnvelope, err error) (*AttestedStatusEnvelope, error) {
-	if err != nil {
+	if err := c.call(info.Addr, "status", domain.StatusRequest{Nonce: nonce}, &env.Resp); err != nil {
 		return nil, fmt.Errorf("audit: status from %s: %w", name, err)
 	}
 	return env, VerifyStatusEnvelope(&c.params, env)
@@ -334,49 +328,48 @@ func (c *Client) FetchHistoryFrom(name string, from int) (*AttestedHistoryEnvelo
 		return nil, err
 	}
 	env := &AttestedHistoryEnvelope{Nonce: nonce}
-	err = c.call(info.Addr, "history", domain.HistoryRequest{Nonce: nonce, From: from}, &env.Resp)
-	return c.historyReply(name, env, err)
-}
-
-// historyReply is statusReply for a history reply.
-func (c *Client) historyReply(name string, env *AttestedHistoryEnvelope, err error) (*AttestedHistoryEnvelope, error) {
-	if err != nil {
+	if err := c.call(info.Addr, "history", domain.HistoryRequest{Nonce: nonce, From: from}, &env.Resp); err != nil {
 		return nil, fmt.Errorf("audit: history from %s: %w", name, err)
 	}
 	return env, VerifyHistoryEnvelope(&c.params, env)
 }
 
-// domainFetch is one domain's audit batch, as FetchStatus/FetchHistoryFrom would return it.
+// domainFetch is one domain's audit reply: its status and its history
+// from `from`, read together and sharing one attestation.
 type domainFetch struct {
-	from                  int
-	status                *AttestedStatusEnvelope
-	history               *AttestedHistoryEnvelope
-	statusErr, historyErr error
+	from    int
+	status  *AttestedStatusEnvelope
+	history *AttestedHistoryEnvelope
+	err     error
 }
 
-// fetchDomain asks one domain in one _batch frame for its status and its
-// history from the cached length, each under its own fresh nonce.
-func (c *Client) fetchDomain(info *DomainInfo) (f domainFetch) {
-	f.from = c.CachedHistoryLen(info.Name)
+// fetchDomain asks one domain in one call for its status and its
+// history from `from`, each under a fresh nonce of its own, and
+// authenticates the one attestation covering both. A domain that
+// answers with a valid quote for the wrong measurement leaves status
+// set next to its MeasurementError.
+func (c *Client) fetchDomain(info *DomainInfo, from int) (f domainFetch) {
+	f.from = from
 	stNonce, err := newNonce()
 	histNonce, histErr := newNonce()
-	if f.statusErr = errors.Join(err, histErr); f.statusErr != nil {
+	if f.err = errors.Join(err, histErr); f.err != nil {
 		return f
 	}
-	m, ctx, cancel := c.endpoint(info.Addr)
-	defer cancel()
-	results, err := m.CallBatch(ctx, []transport.BatchCall{
-		{Kind: "status", In: domain.StatusRequest{Nonce: stNonce}},
-		{Kind: "history", In: domain.HistoryRequest{Nonce: histNonce, From: f.from}},
-	})
-	if err != nil {
-		f.status, f.statusErr = c.statusReply(info.Name, nil, err)
+	var resp domain.AuditResponse
+	req := domain.AuditRequest{StatusNonce: stNonce, HistoryNonce: histNonce, From: from}
+	if err := c.call(info.Addr, "audit", req, &resp); err != nil {
+		f.err = fmt.Errorf("audit: status from %s: %w", info.Name, err)
 		return f
 	}
-	st := &AttestedStatusEnvelope{Nonce: stNonce}
-	f.status, f.statusErr = c.statusReply(info.Name, st, results[0].Decode(&st.Resp))
-	hist := &AttestedHistoryEnvelope{Nonce: histNonce}
-	f.history, f.historyErr = c.historyReply(info.Name, hist, results[1].Decode(&hist.Resp))
+	f.status = &AttestedStatusEnvelope{Nonce: stNonce, Resp: resp.StatusResponse()}
+	f.history = &AttestedHistoryEnvelope{Nonce: histNonce, Resp: resp.HistoryResponse()}
+	if resp.From < 0 {
+		f.err = fmt.Errorf("audit: domain %s history has negative offset", info.Name)
+		return f
+	}
+	srd := framework.StatusReportData(stNonce, &resp.Status)
+	f.err = verifyAttested(&c.params, resp.Domain, resp.Quote, resp.HostKey, resp.HostSig, resp.HostReport,
+		srd[:32], domain.HistoryBindingFrom(resp.From, resp.Records, histNonce))
 	return f
 }
 
@@ -394,61 +387,55 @@ func (c *Client) CachedHistoryLen(name string) int {
 // auditHistory obtains the domain's verified record list for this
 // audit. With a cache and an attested status at least as long, f holds
 // the suffix, and the extension is verified; any mismatch (wrong suffix
-// length, extension that does not reach the attested head, or a domain
-// that cannot serve deltas) falls back to the full fetch-and-rehash path,
-// so a lying domain gains nothing — it only forfeits the optimization;
-// without a cache f holds the full history. Returns the envelope for the
-// report, the complete raw record list, and whether it chains to the
-// attested head.
-func (c *Client) auditHistory(name string, st *AttestedStatusEnvelope, f *domainFetch) (*AttestedHistoryEnvelope, [][]byte, bool, error) {
-	status := st.Resp.Status
+// length, or an extension that does not reach the attested head) drops
+// the cache and falls back to the full fetch-and-rehash path, so a lying
+// domain gains nothing — it only forfeits the optimization. The
+// fallback reads status and full history again in one call and leaves
+// them in f, so the chain check and any proof built from f come from
+// one snapshot under one attestation. Returns the complete raw record
+// list and whether it chains to the attested head.
+func (c *Client) auditHistory(info *DomainInfo, f *domainFetch) ([][]byte, bool, error) {
+	status := f.status.Resp.Status
 	var attested aolog.Digest
 	copy(attested[:], status.LogHead)
 
 	c.mu.Lock()
-	cached := c.hist[name]
+	cached := c.hist[info.Name]
 	c.mu.Unlock()
-	env, err := f.history, f.historyErr
-	if cached != nil && status.LogLen >= cached.len && f.from == cached.len {
-		switch {
-		case err == nil && env.Resp.From == cached.len &&
+	if env := f.history; cached != nil && status.LogLen >= cached.len && f.from == cached.len {
+		if env.Resp.From == cached.len &&
 			len(env.Resp.Records) == status.LogLen-cached.len &&
-			aolog.VerifyExtension(cached.head, cached.len, env.Resp.Records, attested):
+			aolog.VerifyExtension(cached.head, cached.len, env.Resp.Records, attested) {
 			records := make([][]byte, 0, status.LogLen)
 			records = append(records, cached.records...)
 			records = append(records, env.Resp.Records...)
 			c.mu.Lock()
-			c.hist[name] = &historyCache{len: status.LogLen, head: attested, records: records}
+			c.hist[info.Name] = &historyCache{len: status.LogLen, head: attested, records: records}
 			c.mu.Unlock()
-			return env, records, true, nil
-		case err == nil:
-			// The domain ANSWERED but the suffix does not extend what we
-			// verified before — suspicious. Drop the cache and re-audit
-			// the whole history.
-			c.mu.Lock()
-			delete(c.hist, name)
-			c.mu.Unlock()
-		default:
-			// Transport failure: nothing suspicious happened, so the
-			// verified cache stays for the next audit; this one falls
-			// through to the full fetch (which reports its own error if
-			// the domain is really unreachable).
+			return records, true, nil
 		}
+		// The domain ANSWERED but the suffix does not extend what we
+		// verified before — suspicious. Drop the cache and re-audit the
+		// whole history.
+		c.mu.Lock()
+		delete(c.hist, info.Name)
+		c.mu.Unlock()
 	}
-	if cached != nil || f.from != 0 {
-		env, err = c.FetchHistory(name)
+	if f.history.Resp.From != 0 {
+		if *f = c.fetchDomain(info, 0); f.err != nil {
+			return nil, false, f.err
+		}
+		status, attested = f.status.Resp.Status, aolog.Digest{}
+		copy(attested[:], status.LogHead)
 	}
-	if err != nil {
-		return nil, nil, false, err
-	}
-	records := env.Resp.Records
+	records := f.history.Resp.Records
 	chainOK := len(records) == status.LogLen && aolog.VerifyChain(records, attested)
 	if chainOK {
 		c.mu.Lock()
-		c.hist[name] = &historyCache{len: status.LogLen, head: attested, records: records}
+		c.hist[info.Name] = &historyCache{len: status.LogLen, head: attested, records: records}
 		c.mu.Unlock()
 	}
-	return env, records, chainOK, nil
+	return records, chainOK, nil
 }
 
 // Audit performs the full audit protocol against every domain: one round trip
@@ -460,7 +447,16 @@ func (c *Client) Audit() (*Report, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fetched[i] = c.fetchDomain(&c.params.Domains[i])
+			info := &c.params.Domains[i]
+			f := c.fetchDomain(info, c.CachedHistoryLen(info.Name))
+			var remote *transport.ErrRemote
+			if f.from != 0 && errors.As(f.err, &remote) {
+				// The domain refused the suffix (an honest one does when
+				// its log is now shorter than the cached prefix): read
+				// the whole history instead.
+				f = c.fetchDomain(info, 0)
+			}
+			fetched[i] = f
 		}(i)
 	}
 	wg.Wait()
@@ -469,15 +465,15 @@ func (c *Client) Audit() (*Report, error) {
 	for i := range c.params.Domains {
 		info := c.params.Domains[i]
 		da := DomainAudit{Info: info}
+		f := &fetched[i]
 
-		stEnv, err := fetched[i].status, fetched[i].statusErr
-		if err != nil {
+		if err := f.err; err != nil {
 			var me *MeasurementError
-			if errors.As(err, &me) && stEnv != nil {
+			if errors.As(err, &me) && f.status != nil {
 				report.Proofs = append(report.Proofs, Misbehavior{
 					Kind:    MisbehaviorWrongMeasurement,
 					Domain:  info.Name,
-					StatusA: stEnv,
+					StatusA: f.status,
 				})
 				report.Findings = append(report.Findings, err.Error())
 				report.Consistent = false
@@ -485,47 +481,20 @@ func (c *Client) Audit() (*Report, error) {
 			}
 			return nil, err
 		}
-		da.Status = *stEnv
+		first := f.status
+		c.checkAgainstLast(report, info.Name, first)
 
-		// Equivocation check against the previous audit of this domain.
-		c.mu.Lock()
-		prev, seen := c.last[info.Name]
-		c.mu.Unlock()
-		if seen {
-			ps, ns := prev.Resp.Status, stEnv.Resp.Status
-			switch {
-			case ns.LogLen == ps.LogLen && !bytes.Equal(ns.LogHead, ps.LogHead):
-				report.Proofs = append(report.Proofs, Misbehavior{
-					Kind:    MisbehaviorEquivocation,
-					Domain:  info.Name,
-					StatusA: &prev,
-					StatusB: stEnv,
-				})
-				report.Findings = append(report.Findings,
-					fmt.Sprintf("domain %s equivocated: two heads at log length %d", info.Name, ns.LogLen))
-				report.Consistent = false
-			case ns.LogLen < ps.LogLen || ns.Version < ps.Version:
-				report.Proofs = append(report.Proofs, Misbehavior{
-					Kind:    MisbehaviorRollback,
-					Domain:  info.Name,
-					StatusA: &prev,
-					StatusB: stEnv,
-				})
-				report.Findings = append(report.Findings,
-					fmt.Sprintf("domain %s rolled back (log %d->%d, version %d->%d)",
-						info.Name, ps.LogLen, ns.LogLen, ps.Version, ns.Version))
-				report.Consistent = false
-			}
-		}
-		c.mu.Lock()
-		c.last[info.Name] = *stEnv
-		c.mu.Unlock()
-
-		histEnv, records, chainOK, err := c.auditHistory(info.Name, stEnv, &fetched[i])
+		records, chainOK, err := c.auditHistory(&info, f)
 		if err != nil {
 			return nil, err
 		}
-		da.History = *histEnv
+		stEnv, histEnv := f.status, f.history
+		if stEnv != first {
+			// The full-history fallback read a newer status: it too must
+			// be consistent with what this client saw before.
+			c.checkAgainstLast(report, info.Name, stEnv)
+		}
+		da.Status, da.History = *stEnv, *histEnv
 
 		// The attested history must hash-chain to the attested head
 		// (via the cached-prefix extension or a full re-hash).
@@ -601,6 +570,44 @@ func (c *Client) Audit() (*Report, error) {
 		}
 	}
 	return report, nil
+}
+
+// checkAgainstLast compares a domain's verified status with the last one
+// this client saw from it — two heads at one log length are an
+// equivocation, a shorter log or a lower version a rollback — and
+// remembers it as the new last.
+func (c *Client) checkAgainstLast(report *Report, name string, stEnv *AttestedStatusEnvelope) {
+	c.mu.Lock()
+	prev, seen := c.last[name]
+	c.last[name] = *stEnv
+	c.mu.Unlock()
+	if !seen {
+		return
+	}
+	ps, ns := prev.Resp.Status, stEnv.Resp.Status
+	switch {
+	case ns.LogLen == ps.LogLen && !bytes.Equal(ns.LogHead, ps.LogHead):
+		report.Proofs = append(report.Proofs, Misbehavior{
+			Kind:    MisbehaviorEquivocation,
+			Domain:  name,
+			StatusA: &prev,
+			StatusB: stEnv,
+		})
+		report.Findings = append(report.Findings,
+			fmt.Sprintf("domain %s equivocated: two heads at log length %d", name, ns.LogLen))
+		report.Consistent = false
+	case ns.LogLen < ps.LogLen || ns.Version < ps.Version:
+		report.Proofs = append(report.Proofs, Misbehavior{
+			Kind:    MisbehaviorRollback,
+			Domain:  name,
+			StatusA: &prev,
+			StatusB: stEnv,
+		})
+		report.Findings = append(report.Findings,
+			fmt.Sprintf("domain %s rolled back (log %d->%d, version %d->%d)",
+				name, ps.LogLen, ns.LogLen, ps.Version, ns.Version))
+		report.Consistent = false
+	}
 }
 
 // fullHistoryPair upgrades audit-time history envelopes to full-history

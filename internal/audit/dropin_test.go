@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -164,6 +167,82 @@ func TestClientNeverResendsInvoke(t *testing.T) {
 		if !errors.As(err, &remote) {
 			t.Fatalf("%s after the reset = %v, want the server's answer over a new connection", kind, err)
 		}
+	}
+}
+
+// TestAuditRetriesAfterPostSendReset: audit is a read, so a reset after
+// its request went out is retried once on a fresh connection, and the
+// audit goes through.
+func TestAuditRetriesAfterPostSendReset(t *testing.T) {
+	td := newTestDeployment(t)
+	upstream := td.params.Domains[1].Addr
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		dropped []string // kinds read on the connection reset mid-call
+	)
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for first := true; ; first = false {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func(first bool) {
+				defer wg.Done()
+				defer conn.Close()
+				if first {
+					_, frame, err := transport.ReadFrameHeader(conn)
+					var req transport.Request
+					if err == nil && json.Unmarshal(frame, &req) == nil {
+						mu.Lock()
+						dropped = append(dropped, req.Kind)
+						mu.Unlock()
+					}
+					return // close mid-call: transport failure after the send
+				}
+				up, err := net.Dial("tcp", upstream)
+				if err != nil {
+					return
+				}
+				defer up.Close()
+				done := make(chan struct{})
+				go func() { _, _ = io.Copy(conn, up); close(done) }()
+				_, _ = io.Copy(up, conn)
+				up.Close()
+				<-done
+			}(first)
+		}
+	}()
+
+	params := td.params
+	params.Domains = append([]DomainInfo{}, td.params.Domains...)
+	params.Domains[1].Addr = ln.Addr().String()
+	c := NewClient(params)
+	defer c.Close()
+	if r, err := c.Audit(); err != nil || !r.Consistent {
+		t.Fatalf("audit across a post-send reset: %v %+v", err, r)
+	}
+	c.mu.Lock()
+	m := c.endpoints[params.Domains[1].Addr]
+	c.mu.Unlock()
+	if dials, retries, _ := m.Stats(); dials != 2 || retries != 1 {
+		t.Fatalf("dials=%d retries=%d after one reset, want 2 and 1", dials, retries)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(dropped) != 1 || dropped[0] != "audit" {
+		t.Fatalf("the reset connection read %v, want one audit", dropped)
 	}
 }
 

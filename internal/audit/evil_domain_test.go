@@ -69,11 +69,7 @@ func startEvilDomain(t *testing.T) (*evilDomain, Params) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		fw := ed.fwA
-		if ed.flipped.Load() {
-			fw = ed.fwB
-		}
-		as := fw.AttestedStatus(req.Nonce)
+		as := ed.statusFramework().AttestedStatus(req.Nonce)
 		return domain.StatusResponse{Domain: ed.name, Status: as.Status, Quote: as.Quote}, nil
 	})
 	ed.server.Handle("history", func(body json.RawMessage) (any, error) {
@@ -81,19 +77,25 @@ func startEvilDomain(t *testing.T) (*evilDomain, Params) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		fw := ed.fwA
-		if ed.flipped.Load() != ed.splitHistory.Load() {
-			fw = ed.fwB
-		}
-		records := fw.History()
-		binding := domain.HistoryBinding(records, req.Nonce)
-		var rd [64]byte
-		copy(rd[:32], binding)
+		records := ed.historyFramework().History()
 		return domain.HistoryResponse{
 			Domain:  ed.name,
 			Records: records,
-			Quote:   enclave.GenerateQuote(rd),
+			Quote:   enclave.GenerateQuote(domain.ReportData(nil, domain.HistoryBinding(records, req.Nonce))),
 		}, nil
+	})
+	// audit is status and history in one reply under one quote, even
+	// when splitHistory makes the two disagree.
+	ed.server.Handle("audit", func(body json.RawMessage) (any, error) {
+		var req domain.AuditRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, err
+		}
+		st := ed.statusFramework().Status()
+		records := ed.historyFramework().History()
+		srd := framework.StatusReportData(req.StatusNonce, &st)
+		rd := domain.ReportData(srd[:32], domain.HistoryBinding(records, req.HistoryNonce))
+		return domain.AuditResponse{Domain: ed.name, Status: st, Records: records, Quote: enclave.GenerateQuote(rd)}, nil
 	})
 	addr, err := ed.server.ListenAndServe()
 	if err != nil {
@@ -108,6 +110,22 @@ func startEvilDomain(t *testing.T) (*evilDomain, Params) {
 		Domains:     []DomainInfo{{Name: "evil", Addr: addr, HasTEE: true}},
 	}
 	return ed, params
+}
+
+// statusFramework is the instance the domain's statuses come from.
+func (ed *evilDomain) statusFramework() *framework.Framework {
+	if ed.flipped.Load() {
+		return ed.fwB
+	}
+	return ed.fwA
+}
+
+// historyFramework is the instance the domain's histories come from.
+func (ed *evilDomain) historyFramework() *framework.Framework {
+	if ed.flipped.Load() != ed.splitHistory.Load() {
+		return ed.fwB
+	}
+	return ed.fwA
 }
 
 // TestClientDetectsEquivocationAcrossAudits drives the real audit client

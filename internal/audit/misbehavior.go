@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/aolog"
+	"repro/internal/domain"
 	"repro/internal/gossip"
 )
 
@@ -156,6 +157,12 @@ func VerifyMisbehavior(p *Params, m *Misbehavior) error {
 		if err := VerifyHistoryEnvelope(p, m.HistoryA); err != nil {
 			return fmt.Errorf("audit: history: %w", err)
 		}
+		// A status and a history attested apart may describe two honest
+		// states (an update landed between the reads); only a pair read
+		// from one snapshot under one attestation contradicts itself.
+		if !attestedTogether(&m.StatusA.Resp, &m.HistoryA.Resp) {
+			return errors.New("audit: status and history were not attested together")
+		}
 		var head aolog.Digest
 		copy(head[:], m.StatusA.Resp.Status.LogHead)
 		if len(m.HistoryA.Resp.Records) == m.StatusA.Resp.Status.LogLen &&
@@ -213,6 +220,18 @@ func VerifyMisbehavior(p *Params, m *Misbehavior) error {
 		return gossip.VerifyEquivocationProof(m.Gossip)
 	}
 	return fmt.Errorf("audit: unknown misbehavior kind %q", m.Kind)
+}
+
+// attestedTogether reports whether a status and a history carry the same
+// attestation: one quote (same signature, same report data) or one
+// domain-0 host signature over the same HostReport.
+func attestedTogether(st *domain.StatusResponse, h *domain.HistoryResponse) bool {
+	if st.Quote != nil || h.Quote != nil {
+		return st.Quote != nil && h.Quote != nil && st.Quote.ReportData == h.Quote.ReportData &&
+			bytes.Equal(st.Quote.Signature, h.Quote.Signature)
+	}
+	return len(st.HostReport) != 0 && bytes.Equal(st.HostReport, h.HostReport) &&
+		bytes.Equal(st.HostSig, h.HostSig)
 }
 
 func rawHistoriesEqual(a, b [][]byte) bool {

@@ -19,6 +19,7 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,13 +41,18 @@ type StatusRequest struct {
 }
 
 // StatusResponse is the attested framework status. Exactly one of Quote
-// (TEE domains) or HostKey/HostSig (domain 0) authenticates it.
+// (TEE domains) or HostKey/HostSig (domain 0) authenticates it; either
+// covers the 64 bytes of ReportData, whose first half binds the status.
+// HostReport is those 64 bytes as domain 0 signed them (a quote carries
+// them as its ReportData); a reply without it signed the status half
+// alone.
 type StatusResponse struct {
-	Domain  string           `json:"domain"`
-	Status  framework.Status `json:"status"`
-	Quote   *tee.Quote       `json:"quote,omitempty"`
-	HostKey []byte           `json:"host_key,omitempty"`
-	HostSig []byte           `json:"host_sig,omitempty"`
+	Domain     string           `json:"domain"`
+	Status     framework.Status `json:"status"`
+	Quote      *tee.Quote       `json:"quote,omitempty"`
+	HostKey    []byte           `json:"host_key,omitempty"`
+	HostSig    []byte           `json:"host_sig,omitempty"`
+	HostReport []byte           `json:"host_report,omitempty"`
 }
 
 // HistoryRequest carries a client audit nonce binding the history reply.
@@ -61,16 +67,53 @@ type HistoryRequest struct {
 }
 
 // HistoryResponse returns the update-record history from index From
-// (0 = full history) plus an authentication of (records, nonce): a quote
-// whose report data is the binding for TEE domains, a host-key signature
-// for domain 0.
+// (0 = full history) plus an authentication of (records, nonce): the
+// history binding in the second half of the attested report data, under
+// a quote for TEE domains or a host-key signature for domain 0.
 type HistoryResponse struct {
-	Domain  string     `json:"domain"`
-	From    int        `json:"from,omitempty"`
-	Records [][]byte   `json:"records"`
-	Quote   *tee.Quote `json:"quote,omitempty"`
-	HostKey []byte     `json:"host_key,omitempty"`
-	HostSig []byte     `json:"host_sig,omitempty"`
+	Domain     string     `json:"domain"`
+	From       int        `json:"from,omitempty"`
+	Records    [][]byte   `json:"records"`
+	Quote      *tee.Quote `json:"quote,omitempty"`
+	HostKey    []byte     `json:"host_key,omitempty"`
+	HostSig    []byte     `json:"host_sig,omitempty"`
+	HostReport []byte     `json:"host_report,omitempty"`
+}
+
+// AuditRequest asks for the status and the history from From in one
+// call, each bound to a nonce of its own.
+type AuditRequest struct {
+	StatusNonce  []byte `json:"status_nonce"`
+	HistoryNonce []byte `json:"history_nonce"`
+	From         int    `json:"from,omitempty"`
+}
+
+// AuditResponse is the status and the history from From, read from one
+// framework snapshot and authenticated by one attestation over
+// ReportData(status binding, history binding). StatusResponse and
+// HistoryResponse split it into the two envelopes a client keeps; both
+// carry the same attestation.
+type AuditResponse struct {
+	Domain     string           `json:"domain"`
+	Status     framework.Status `json:"status"`
+	From       int              `json:"from,omitempty"`
+	Records    [][]byte         `json:"records"`
+	Quote      *tee.Quote       `json:"quote,omitempty"`
+	HostKey    []byte           `json:"host_key,omitempty"`
+	HostSig    []byte           `json:"host_sig,omitempty"`
+	HostReport []byte           `json:"host_report,omitempty"`
+}
+
+// StatusResponse is the status half of the reply, under its attestation.
+func (r *AuditResponse) StatusResponse() StatusResponse {
+	return StatusResponse{Domain: r.Domain, Status: r.Status, Quote: r.Quote,
+		HostKey: r.HostKey, HostSig: r.HostSig, HostReport: r.HostReport}
+}
+
+// HistoryResponse is the history half of the reply, under its attestation.
+func (r *AuditResponse) HistoryResponse() HistoryResponse {
+	return HistoryResponse{Domain: r.Domain, From: r.From, Records: r.Records, Quote: r.Quote,
+		HostKey: r.HostKey, HostSig: r.HostSig, HostReport: r.HostReport}
 }
 
 // InvokeRequest is an application request.
@@ -108,19 +151,7 @@ type UpdateRequest struct {
 // HistoryBinding hashes (records, nonce) into the signed/attested value
 // for a full-history response (From == 0).
 func HistoryBinding(records [][]byte, nonce []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte("domain-history-binding-v1"))
-	var lenBuf [4]byte
-	for _, r := range records {
-		lenBuf[0] = byte(len(r) >> 24)
-		lenBuf[1] = byte(len(r) >> 16)
-		lenBuf[2] = byte(len(r) >> 8)
-		lenBuf[3] = byte(len(r))
-		h.Write(lenBuf[:])
-		h.Write(r)
-	}
-	h.Write(nonce)
-	return h.Sum(nil)
+	return HistoryBindingFrom(0, records, nonce)
 }
 
 // HistoryBindingFrom is the signed/attested value for a history
@@ -130,27 +161,35 @@ func HistoryBinding(records [][]byte, nonce []byte) []byte {
 // with) a signed full history — misbehavior-proof verifiers rely on
 // the two being unforgeable into each other.
 func HistoryBindingFrom(from int, records [][]byte, nonce []byte) []byte {
-	if from == 0 {
-		return HistoryBinding(records, nonce)
-	}
 	h := sha256.New()
-	h.Write([]byte("domain-history-suffix-binding-v1"))
-	var fromBuf [8]byte
-	for i := 0; i < 8; i++ {
-		fromBuf[i] = byte(uint64(from) >> (56 - 8*i))
+	if from == 0 {
+		h.Write([]byte("domain-history-binding-v1"))
+	} else {
+		h.Write([]byte("domain-history-suffix-binding-v1"))
+		var fromBuf [8]byte
+		binary.BigEndian.PutUint64(fromBuf[:], uint64(from))
+		h.Write(fromBuf[:])
 	}
-	h.Write(fromBuf[:])
 	var lenBuf [4]byte
 	for _, r := range records {
-		lenBuf[0] = byte(len(r) >> 24)
-		lenBuf[1] = byte(len(r) >> 16)
-		lenBuf[2] = byte(len(r) >> 8)
-		lenBuf[3] = byte(len(r))
+		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(r)))
 		h.Write(lenBuf[:])
 		h.Write(r)
 	}
 	h.Write(nonce)
 	return h.Sum(nil)
+}
+
+// ReportData lays out the 64 bytes one attestation covers: rd[0:32] is
+// the status binding (framework.StatusReportData's first half), rd[32:64]
+// the history binding (HistoryBindingFrom). A nil half stays 32 zero
+// bytes, so a status-only reply attests exactly what
+// framework.AttestedStatus does.
+func ReportData(status, history []byte) [64]byte {
+	var rd [64]byte
+	copy(rd[:32], status)
+	copy(rd[32:], history)
+	return rd
 }
 
 // Config describes one trust domain.
@@ -372,14 +411,29 @@ func (d *Domain) registerHandlers() {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		return d.statusResponse(req.Nonce), nil
+		r, err := d.attest(&AuditRequest{StatusNonce: req.Nonce}, statusHalf)
+		if err != nil {
+			return nil, err
+		}
+		return r.StatusResponse(), nil
 	})
 	d.enclaveServer.Handle("history", func(body json.RawMessage) (any, error) {
 		var req HistoryRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		return d.historyResponse(req.Nonce, req.From)
+		r, err := d.attest(&AuditRequest{HistoryNonce: req.Nonce, From: req.From}, historyHalf)
+		if err != nil {
+			return nil, err
+		}
+		return r.HistoryResponse(), nil
+	})
+	d.enclaveServer.Handle("audit", func(body json.RawMessage) (any, error) {
+		var req AuditRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, err
+		}
+		return d.attest(&req, statusHalf|historyHalf)
 	})
 	d.enclaveServer.Handle("invoke", func(body json.RawMessage) (any, error) {
 		var req InvokeRequest
@@ -452,42 +506,47 @@ func (d *Domain) registerHandlers() {
 	})
 }
 
-func (d *Domain) statusResponse(nonce []byte) *StatusResponse {
-	out := &StatusResponse{Domain: d.name}
-	if d.hasTEE {
-		as := d.fw.AttestedStatus(nonce)
-		out.Status = as.Status
-		out.Quote = as.Quote
-		return out
-	}
-	st := d.fw.Status()
-	rd := framework.StatusReportData(nonce, &st)
-	out.Status = st
-	out.HostKey = d.hostPub
-	out.HostSig = ed25519.Sign(d.hostKey, rd[:])
-	return out
-}
+// The halves of the attested report data a reply carries.
+const (
+	statusHalf  = 1 << iota // rd[0:32], the status binding
+	historyHalf             // rd[32:64], the history binding
+)
 
-func (d *Domain) historyResponse(nonce []byte, from int) (*HistoryResponse, error) {
-	records := d.fw.History()
-	if from < 0 || from > len(records) {
-		return nil, fmt.Errorf("domain %s: history from %d out of range (length %d)", d.name, from, len(records))
+// attest serves status, history and audit requests alike. It reads the
+// framework once — the status, plus the records from req.From when the
+// history half is asked for, under one lock hold — and authenticates the
+// halves asked for with ONE attestation over ReportData: a TEE quote, or
+// for domain 0 a host-key signature over the 64 bytes it returns as
+// HostReport.
+func (d *Domain) attest(req *AuditRequest, halves int) (*AuditResponse, error) {
+	out := &AuditResponse{Domain: d.name}
+	var status, history []byte
+	if halves&historyHalf != 0 {
+		st, records, err := d.fw.Snapshot(req.From)
+		if err != nil {
+			return nil, fmt.Errorf("domain %s: %w", d.name, err)
+		}
+		// The binding commits to the offset (HistoryBindingFrom); the
+		// suffix's place in the chain is established by the client,
+		// which extends its previously verified head through the suffix
+		// to the attested current head.
+		out.Status, out.From, out.Records = st, req.From, records
+		history = HistoryBindingFrom(req.From, records, req.HistoryNonce)
+	} else {
+		out.Status = d.fw.Status()
 	}
-	records = records[from:]
-	// The binding commits to the offset (HistoryBindingFrom); the
-	// suffix's place in the chain is established by the client, which
-	// extends its previously verified head through the suffix to the
-	// attested current head.
-	binding := HistoryBindingFrom(from, records, nonce)
-	out := &HistoryResponse{Domain: d.name, From: from, Records: records}
+	if halves&statusHalf != 0 {
+		srd := framework.StatusReportData(req.StatusNonce, &out.Status)
+		status = srd[:32]
+	}
+	rd := ReportData(status, history)
 	if d.hasTEE {
-		var rd [64]byte
-		copy(rd[:32], binding)
 		out.Quote = d.enclave.GenerateQuote(rd)
 		return out, nil
 	}
 	out.HostKey = d.hostPub
-	out.HostSig = ed25519.Sign(d.hostKey, binding)
+	out.HostReport = rd[:]
+	out.HostSig = ed25519.Sign(d.hostKey, rd[:])
 	return out, nil
 }
 

@@ -189,10 +189,7 @@ func TestHistoryOverNetwork(t *testing.T) {
 	if err := tee.VerifyQuote(roots, resp.Quote); err != nil {
 		t.Fatal(err)
 	}
-	binding := HistoryBinding(resp.Records, nonce)
-	var rd [64]byte
-	copy(rd[:32], binding)
-	if resp.Quote.ReportData != rd {
+	if resp.Quote.ReportData != ReportData(nil, HistoryBinding(resp.Records, nonce)) {
 		t.Fatal("history binding mismatch")
 	}
 }

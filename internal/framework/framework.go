@@ -319,6 +319,28 @@ func (f *Framework) Invoke(request []byte) ([]byte, error) {
 func (f *Framework) Status() Status {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.statusLocked()
+}
+
+// Snapshot reads the status and the update records from index from on
+// under one lock hold, so a reply attesting both describes one
+// framework state: no update can land between the two reads.
+func (f *Framework) Snapshot(from int) (Status, [][]byte, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := f.log.Len()
+	if from < 0 || from > n {
+		return Status{}, nil, fmt.Errorf("history from %d out of range (length %d)", from, n)
+	}
+	records := make([][]byte, 0, n-from)
+	for i := from; i < n; i++ {
+		r, _ := f.log.Entry(i) // in range by the check above
+		records = append(records, r)
+	}
+	return f.statusLocked(), records, nil
+}
+
+func (f *Framework) statusLocked() Status {
 	head := f.log.Head()
 	st := Status{
 		Version:       f.version,

@@ -71,7 +71,7 @@ func DefaultIdempotent() map[string]bool {
 		"headbls": true, "info": true, "consistency": true,
 		"proof": true, "proofs": true, "alerts": true, "pull": true,
 		// domain read path
-		"status": true, "history": true,
+		"status": true, "history": true, "audit": true,
 		// witness read/exchange path: gossip_heads, pollinate, and cosign
 		// are ingest-style merges — re-delivering the same heads is a
 		// no-op by construction (the witness keeps its frontier maximum).
