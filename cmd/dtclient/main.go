@@ -17,12 +17,13 @@
 // collected signature shares with batched pairing checks.
 //
 // refresh moves every trust domain to the next share epoch (a fresh
-// Shamir sharing of the same secret): the ceremony package is durably
-// recorded next to the parameters file before any domain is contacted
-// (<params>.refresh-pending, removed on commit, re-driven on restart),
-// every domain must acknowledge, the new epoch is probed with a real
-// threshold signature, and the parameters file is rewritten with the
-// rotated share keys and the new epoch pinned. The group public key —
+// Shamir sharing of the same secret) through blsapp.RefreshCoordinator,
+// the one refresh coordinator trustdomaind uses too: the ceremony package
+// is durably recorded next to the parameters file before any domain is
+// contacted (<params>.refresh-pending, removed on commit, re-driven on
+// restart), every domain must acknowledge, the new epoch is probed with a
+// real threshold signature, and the parameters file is rewritten with
+// the rotated share keys and the new epoch pinned. The group public key —
 // and every signature ever issued — is unchanged. Sign requests carry
 // the epoch from the parameters file; if the deployment has since been
 // refreshed the domains answer "stale epoch" and dtclient re-reads the
@@ -159,14 +160,11 @@ func newDomainClient(params audit.Params) *core.Client {
 	return c
 }
 
-// pendingPath is where an in-flight refresh ceremony is durably staged.
-func pendingPath(paramsPath string) string { return paramsPath + ".refresh-pending" }
-
-// runRefresh drives one proactive share-refresh ceremony: every domain
-// moves to epoch+1, the new epoch is probed with a real signature, and
-// the parameters file is atomically rewritten (same group key, rotated
-// share keys). An interrupted ceremony leaves the pending file; running
-// refresh again re-drives the same package to completion.
+// runRefresh moves every domain to epoch+1 through
+// blsapp.RefreshCoordinator, which stages the package in
+// <params>.refresh-pending and commits to the parameters file (same group
+// key, rotated share keys); running refresh again re-drives the package
+// an interrupted run left staged.
 func runRefresh(paramsPath string, file *deployfile.File, params audit.Params) error {
 	tk, err := file.ThresholdKey()
 	if err != nil {
@@ -175,43 +173,9 @@ func runRefresh(paramsPath string, file *deployfile.File, params audit.Params) e
 	if tk == nil {
 		return errors.New("deployment file has no threshold key")
 	}
-	if len(tk.Commitment) != tk.T {
-		return errors.New("deployment file has no Feldman commitment (re-deploy with a current trustdomaind to enable refresh)")
-	}
 
-	pending := pendingPath(paramsPath)
-	ref, err := deployfile.ReadRefresh(pending)
-	if err != nil {
-		return err
-	}
-	switch {
-	case ref != nil && ref.NewEpoch <= tk.Epoch:
-		// A previous run committed the parameters file but died before
-		// removing the pending file.
-		if err := deployfile.RemoveRefresh(pending); err != nil {
-			return err
-		}
-		ref = nil
-	case ref != nil && ref.NewEpoch != tk.Epoch+1:
-		return fmt.Errorf("pending ceremony targets epoch %d but parameters are at epoch %d", ref.NewEpoch, tk.Epoch)
-	case ref != nil:
-		fmt.Printf("resuming interrupted refresh ceremony to epoch %d\n", ref.NewEpoch)
-	}
-	if ref == nil {
-		ref, err = bls.NewRefresh(tk)
-		if err != nil {
-			return err
-		}
-		// Durable-intent first: if this process dies mid-ceremony, the
-		// exact package survives for the re-drive.
-		if err := deployfile.WriteRefresh(pending, ref); err != nil {
-			return err
-		}
-	}
-
-	// Frames must be developer-signed: load the signing seed the daemon
-	// exported next to the parameters file. Ed25519 signing is
-	// deterministic, so a re-driven ceremony reproduces identical frames.
+	// Frames are signed with the developer seed the daemon exported;
+	// ed25519 is deterministic, so a re-drive resends identical frames.
 	seed, err := deployfile.ReadRefreshKey(paramsPath + ".refresh-key")
 	if err != nil {
 		return fmt.Errorf("%w\n(refresh frames must be signed by the developer key; run a current trustdomaind to export it)", err)
@@ -223,28 +187,19 @@ func runRefresh(paramsPath string, file *deployfile.File, params audit.Params) e
 
 	inv := newDomainClient(params)
 	defer inv.Close()
-	if err := blsapp.RunRefreshCeremony(inv, ref, signer, blsapp.CeremonyDiagnostics{}); err != nil {
+	coord := blsapp.RefreshCoordinator{Inv: inv, Signer: signer, Pending: paramsPath + ".refresh-pending",
+		Commit: func(k *bls.ThresholdKey) error {
+			file.Threshold = deployfile.ThresholdEntryFromKey(k)
+			return file.Write(paramsPath)
+		},
+		Resumed: func(ref *bls.Refresh) {
+			fmt.Printf("resuming interrupted refresh ceremony to epoch %d\n", ref.NewEpoch)
+		},
+	}
+	if err := coord.Drive(tk.Epoch, tk); err != nil {
 		return fmt.Errorf("%w\n(the ceremony is safe to re-run: dtclient refresh)", err)
 	}
-
-	// Probe the new epoch end to end before committing the parameters.
-	probe := []byte("dtclient refresh probe")
-	sig, err := blsapp.ThresholdSign(inv, ref.NewKey, probe)
-	if err != nil {
-		return fmt.Errorf("post-refresh probe signature: %w", err)
-	}
-	if !bls.Verify(&ref.NewKey.GroupKey, probe, sig) {
-		return errors.New("post-refresh probe signature does not verify under the (unchanged) group key")
-	}
-
-	file.Threshold = deployfile.ThresholdEntryFromKey(ref.NewKey)
-	if err := file.Write(paramsPath); err != nil {
-		return err
-	}
-	if err := deployfile.RemoveRefresh(pending); err != nil {
-		return err
-	}
-	fmt.Printf("shares refreshed: deployment now at epoch %d (was %d)\n", ref.NewEpoch, tk.Epoch)
+	fmt.Printf("shares refreshed: deployment now at epoch %d (was %d)\n", tk.Epoch+1, tk.Epoch)
 	fmt.Println("group public key unchanged; share keys rotated; parameters file updated")
 	return nil
 }

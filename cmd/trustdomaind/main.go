@@ -34,6 +34,9 @@
 //     parameters file rewritten with the rotated share keys and the new
 //     epoch pinned. Compromising t shares across different epochs then
 //     wins an attacker nothing.
+//
+// Both the start-up re-drive and the -refresh ticks go through
+// blsapp.RefreshCoordinator, the coordinator dtclient refresh uses.
 package main
 
 import (
@@ -143,30 +146,16 @@ func main() {
 		diag.Watchdog = h.Dogs.Add("refresh-ceremony", *ceremonyDeadline)
 	}
 
-	// A ceremony interrupted by a crash leaves a pending file; re-drive
-	// it (idempotently) before serving so every domain is back on one
-	// epoch and the parameters file matches.
-	if h.DataDir != "" {
-		tk, err = recoverPendingCeremony(h.DataDir, dep, dev, diag, tk, states)
-		if err != nil {
-			h.Fatal("recovering interrupted refresh", "err", err)
-		}
+	r, err := newRefresher(h.DataDir, *params, dep, dev, diag, states, tk)
+	if err != nil {
+		h.Fatal("recovering interrupted refresh", "err", err)
 	}
+	tk = r.cur
 	// Readiness requires every domain to sit on one epoch: a torn
 	// ceremony (mixed epochs) is a serving deployment but not a healthy
 	// one until the refresh is re-driven to convergence.
 	h.Health.Set("share-epochs", func() error {
-		lo, hi := states[0].Epoch(), states[0].Epoch()
-		for _, st := range states[1:] {
-			e := st.Epoch()
-			if e < lo {
-				lo = e
-			}
-			if e > hi {
-				hi = e
-			}
-		}
-		if lo != hi {
+		if lo, hi := epochRange(states); lo != hi {
 			return fmt.Errorf("mixed share epochs %d..%d (refresh ceremony incomplete)", lo, hi)
 		}
 		return nil
@@ -200,8 +189,17 @@ func main() {
 	logger.Info("refresh signing key written (keep it 0600)", "path", *params+".refresh-key")
 
 	if *refresh != 0 {
+		if h.DataDir == "" {
+			// Without -data the staged package outlives a failed tick,
+			// not the process.
+			dir, err := os.MkdirTemp("", "trustdomaind-refresh-")
+			if err != nil {
+				h.Fatal("refresh staging dir", "err", err)
+			}
+			defer os.RemoveAll(dir)
+			r.coord.Pending = pendingRefreshPath(dir)
+		}
 		logger.Info("proactive share refresh enabled", "interval", *refresh)
-		r := &refresher{dataDir: h.DataDir, paramsPath: *params, dep: dep, dev: dev, diag: diag, cur: tk}
 		h.Every(*refresh, r.tick)
 	}
 
@@ -282,7 +280,7 @@ func openThresholdState(dataDir string, t, n int, devKey ed25519.PublicKey) (*bl
 		}
 		states := make([]*blsapp.ShareState, n)
 		for i := range states {
-			states[i], err = blsapp.OpenShareState(sharePath(dataDir, i), &shares[i], tk, devKey, true)
+			states[i], err = blsapp.OpenShareState(sharePath(dataDir, i), &shares[i], tk, devKey)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -309,7 +307,7 @@ func resumeFromShares(dataDir string, stored *bls.ThresholdKey, t, n int, devKey
 	for i := 0; i < n; i++ {
 		// Open without public context first; the real context is bound
 		// below once the current commitment is rebuilt.
-		st, err := blsapp.OpenShareState(sharePath(dataDir, i), nil, nil, nil, true)
+		st, err := blsapp.OpenShareState(sharePath(dataDir, i), nil, nil, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -342,7 +340,7 @@ func resumeFromShares(dataDir string, stored *bls.ThresholdKey, t, n int, devKey
 	}
 	states := make([]*blsapp.ShareState, n)
 	for i := range states {
-		states[i], err = blsapp.OpenShareState(sharePath(dataDir, i), nil, tk, devKey, true)
+		states[i], err = blsapp.OpenShareState(sharePath(dataDir, i), nil, tk, devKey)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -364,79 +362,62 @@ func shareEpochs(shares []bls.KeyShare) []uint64 {
 	return out
 }
 
+// epochRange returns the lowest and highest share epoch; they differ
+// only while a ceremony is torn.
+func epochRange(states []*blsapp.ShareState) (lo, hi uint64) {
+	lo, hi = states[0].Epoch(), states[0].Epoch()
+	for _, st := range states[1:] {
+		lo, hi = min(lo, st.Epoch()), max(hi, st.Epoch())
+	}
+	return lo, hi
+}
+
 func writeThresholdState(dataDir string, tk *bls.ThresholdKey) error {
 	data, err := json.MarshalIndent(deployfile.ThresholdEntryFromKey(tk), "", "  ")
 	if err != nil {
 		return fmt.Errorf("encoding threshold state: %v", err)
 	}
-	return store.WriteFileAtomic(thresholdStatePath(dataDir), append(data, '\n'), 0o644, true)
+	return store.WriteFileAtomic(thresholdStatePath(dataDir), append(data, '\n'), 0o644)
 }
 
-// recoverPendingCeremony finishes (or garbage-collects) a refresh
-// ceremony the previous process died in the middle of, returning the
-// current threshold key either way. Completion is judged by the
-// domains' actual share epochs, not by the rebuilt public record: after
-// a torn ceremony the record may already sit at the target epoch (t
-// domains moved, so resumeFromShares rebuilt the NEW dealing) while a
-// laggard domain is still one epoch behind — deleting the package then
-// would strand it forever, so the package is re-driven whenever ANY
-// domain has not reached it.
-func recoverPendingCeremony(dataDir string, dep *core.Deployment, dev *framework.Developer, diag blsapp.CeremonyDiagnostics, tk *bls.ThresholdKey, states []*blsapp.ShareState) (*bls.ThresholdKey, error) {
-	pending := pendingRefreshPath(dataDir)
-	ref, err := deployfile.ReadRefresh(pending)
-	if err != nil || ref == nil {
-		return tk, err
-	}
-	minEpoch := states[0].Epoch()
-	for _, st := range states[1:] {
-		if e := st.Epoch(); e < minEpoch {
-			minEpoch = e
-		}
-	}
-	if minEpoch >= ref.NewEpoch {
-		// Every domain applied it; the crash landed between the commit
-		// and the pending-file removal.
-		return tk, deployfile.RemoveRefresh(pending)
-	}
-	if ref.NewEpoch != minEpoch+1 {
-		return nil, fmt.Errorf("pending ceremony targets epoch %d but a domain is still at epoch %d", ref.NewEpoch, minEpoch)
-	}
-	logger.Info("re-driving interrupted refresh ceremony", "epoch", ref.NewEpoch)
-	if err := blsapp.RunRefreshCeremony(dep, ref, dev, diag); err != nil {
-		return nil, err
-	}
-	if err := writeThresholdState(dataDir, ref.NewKey); err != nil {
-		return nil, err
-	}
-	if err := deployfile.RemoveRefresh(pending); err != nil {
-		return nil, err
-	}
-	logger.Info("refresh recovered", "epoch", ref.NewEpoch)
-	return ref.NewKey, nil
-}
-
-// refresher is the -refresh loop's state: each tick drives a refresh
-// ceremony and commits the rotated key to the data directory and the
-// parameters file. Two invariants: a ceremony that failed mid-drive is
-// re-driven with the SAME package on later ticks (held in ref, and on
-// disk with -data) — never replaced by a fresh one for the same epoch,
-// which would strand the domains that already applied it; and epochs
-// advanced by an external coordinator (dtclient refresh rewrites the
-// parameters file) are adopted before each tick so the loop never wedges
-// on a stale notion of "current". The deployment assumes a single ACTIVE
-// coordinator at a time (DESIGN.md §7).
+// refresher drives this daemon's share refreshes from the lowest epoch
+// any domain holds. With one ACTIVE coordinator at a time (DESIGN.md §7),
+// epochs dtclient refresh advanced are adopted from the parameters file.
 type refresher struct {
-	dataDir, paramsPath string
-	dep                 *core.Deployment
-	dev                 *framework.Developer
-	diag                blsapp.CeremonyDiagnostics
-	cur                 *bls.ThresholdKey
-	ref                 *bls.Refresh // in-flight package, retained across failed ticks
+	coord      blsapp.RefreshCoordinator
+	paramsPath string
+	states     []*blsapp.ShareState
+	cur        *bls.ThresholdKey // the public key new packages are dealt from
+}
+
+// newRefresher builds the refresher, whose commit writes threshold.json
+// (with -data) and then the parameters file. With -data it first
+// re-drives, never deals, a ceremony a crash interrupted.
+func newRefresher(dataDir, paramsPath string, dep *core.Deployment, dev *framework.Developer, diag blsapp.CeremonyDiagnostics, states []*blsapp.ShareState, tk *bls.ThresholdKey) (*refresher, error) {
+	r := &refresher{paramsPath: paramsPath, states: states, cur: tk}
+	r.coord = blsapp.RefreshCoordinator{Inv: dep, Signer: dev, Diag: diag,
+		Commit: func(k *bls.ThresholdKey) error {
+			r.cur = k // the domains are at k's epoch even if a write below fails
+			if dataDir != "" {
+				if err := writeThresholdState(dataDir, k); err != nil {
+					return err
+				}
+			}
+			return deployfile.FromParams(dep.Params(), k).Write(paramsPath)
+		},
+		Resumed: func(ref *bls.Refresh) {
+			logger.Info("re-driving interrupted refresh ceremony", "epoch", ref.NewEpoch)
+		},
+	}
+	if dataDir == "" {
+		return r, nil
+	}
+	r.coord.Pending = pendingRefreshPath(dataDir)
+	floor, _ := epochRange(states)
+	return r, r.coord.Drive(floor, nil)
 }
 
 func (r *refresher) tick(time.Time) {
-	// Adopt an externally advanced epoch from the shared public record
-	// (same group key, higher epoch).
 	if file, err := deployfile.Read(r.paramsPath); err == nil {
 		if pk, err := file.ThresholdKey(); err == nil && pk != nil &&
 			pk.GroupKey.Equal(&r.cur.GroupKey) && pk.Epoch > r.cur.Epoch {
@@ -444,62 +425,10 @@ func (r *refresher) tick(time.Time) {
 			r.cur = pk
 		}
 	}
-	// A retained or durable package that no longer targets cur+1 is
-	// obsolete (the epoch moved under it).
-	if r.ref != nil && r.ref.NewEpoch != r.cur.Epoch+1 {
-		r.ref = nil
-	}
-	if r.ref == nil && r.dataDir != "" {
-		ref, err := deployfile.ReadRefresh(pendingRefreshPath(r.dataDir))
-		if err != nil {
-			logger.Warn("refresh", "err", err)
-			return
-		}
-		if ref != nil && ref.NewEpoch != r.cur.Epoch+1 {
-			if err := deployfile.RemoveRefresh(pendingRefreshPath(r.dataDir)); err != nil {
-				logger.Warn("refresh", "err", err)
-			}
-			ref = nil
-		}
-		r.ref = ref
-	}
-	if r.ref == nil {
-		next, err := bls.NewRefresh(r.cur)
-		if err != nil {
-			logger.Warn("refresh", "err", err)
-			return
-		}
-		// Durable-intent first: a crash mid-ceremony must find the
-		// exact package on disk so the restart can re-drive it.
-		if r.dataDir != "" {
-			if err := deployfile.WriteRefresh(pendingRefreshPath(r.dataDir), next); err != nil {
-				logger.Warn("refresh", "err", err)
-				return
-			}
-		}
-		r.ref = next
-	}
-	if err := blsapp.RunRefreshCeremony(r.dep, r.ref, r.dev, r.diag); err != nil {
-		logger.Warn("refresh ceremony failed; re-driving the same package next tick", "epoch", r.ref.NewEpoch, "err", err)
+	floor, _ := epochRange(r.states)
+	if err := r.coord.Drive(floor, r.cur); err != nil {
+		logger.Warn("refresh ceremony failed; re-driving the same package next tick", "err", err)
 		return
 	}
-	if r.dataDir != "" {
-		if err := writeThresholdState(r.dataDir, r.ref.NewKey); err != nil {
-			logger.Warn("refresh", "err", err)
-			return
-		}
-	}
-	file := deployfile.FromParams(r.dep.Params(), r.ref.NewKey)
-	if err := file.Write(r.paramsPath); err != nil {
-		logger.Warn("refresh", "err", err)
-		return
-	}
-	if r.dataDir != "" {
-		if err := deployfile.RemoveRefresh(pendingRefreshPath(r.dataDir)); err != nil {
-			logger.Warn("refresh", "err", err)
-		}
-	}
-	r.cur = r.ref.NewKey
-	r.ref = nil
 	logger.Info("shares refreshed (group key unchanged)", "epoch", r.cur.Epoch)
 }

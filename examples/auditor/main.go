@@ -3,10 +3,12 @@
 // obtain a publicly verifiable proof of misbehavior.
 //
 // Scenario: a 3-domain BLS deployment is bootstrapped and audited clean.
-// The developer then pushes an update to only one domain (whether by
-// malice or by a broken rollout — the client cannot tell, and does not
-// need to). The audit flags the divergence and emits a proof that a
-// third party verifies using only the deployment's public parameters.
+// The developer pushes an update to one domain first: the audit flags
+// the disagreement, but an honest rollout in progress looks the same,
+// so it convicts nobody. Once the rollout completes the audit is clean.
+// Then the developer ships two different builds as one version to two
+// domains: that fork is a proof a third party verifies using only the
+// deployment's public parameters.
 package main
 
 import (
@@ -62,37 +64,47 @@ func main() {
 	auditor := dep.AuditClient()
 	defer auditor.Close()
 
-	report, err := auditor.Audit()
-	if err != nil {
-		log.Fatalf("audit: %v", err)
-	}
+	report := mustAudit(auditor)
 	fmt.Printf("initial audit: consistent=%v, digest=%s...\n",
 		report.Consistent, report.CurrentDigest()[:12])
 	if !report.Consistent {
 		log.Fatal("fresh deployment should be consistent")
 	}
 
-	// The "malicious" update: version 2 pushed to domain-1 only.
-	fmt.Println("\n-- developer pushes v2 to domain-1 ONLY --")
-	m2 := blsapp.Module()
-	m2.Functions[0].Code = append(m2.Functions[0].Code, sandbox.Instr{Op: sandbox.OpNop})
-	su := dev.PrepareUpdate(2, m2.Encode())
+	// A rollout under way: version 2 reaches domain-1 first.
+	fmt.Println("\n-- developer pushes v2 to domain-1 first --")
+	su := dev.PrepareUpdate(2, build(1).Encode())
 	if err := dep.PushUpdateTo(1, su, false); err != nil {
 		log.Fatalf("push: %v", err)
 	}
-
-	report, err = auditor.Audit()
-	if err != nil {
-		log.Fatalf("audit: %v", err)
-	}
-	if report.Consistent {
+	if report = mustAudit(auditor); report.Consistent {
 		log.Fatal("BUG: divergent deployment passed the audit")
 	}
-	fmt.Println("audit findings:")
-	for _, f := range report.Findings {
-		fmt.Printf("  - %s\n", f)
+	if len(report.Proofs) != 0 {
+		log.Fatal("BUG: a rollout in progress convicted a domain")
 	}
-	if len(report.Proofs) == 0 {
+	fmt.Println("no proof: an honest rollout in progress looks exactly like this")
+
+	fmt.Println("\n-- developer completes the rollout --")
+	if err := dep.PushUpdateTo(0, su, false); err != nil {
+		log.Fatalf("push: %v", err)
+	}
+	if err := dep.PushUpdateTo(2, su, false); err != nil {
+		log.Fatalf("push: %v", err)
+	}
+	if report = mustAudit(auditor); !report.Consistent {
+		log.Fatalf("BUG: completed rollout still inconsistent: %v", report.Findings)
+	}
+	fmt.Println("audit: consistent again")
+
+	// The malicious update: two different builds released as version 3.
+	fmt.Println("\n-- developer ships two different v3 builds to domain-0 and domain-1 --")
+	for i, nops := range []int{2, 3} {
+		if err := dep.PushUpdateTo(i, dev.PrepareUpdate(3, build(nops).Encode()), false); err != nil {
+			log.Fatalf("push: %v", err)
+		}
+	}
+	if report = mustAudit(auditor); len(report.Proofs) == 0 {
 		log.Fatal("BUG: no misbehavior proofs produced")
 	}
 
@@ -114,25 +126,28 @@ func main() {
 	if err := audit.VerifyMisbehavior(&params, &thirdPartyCopy); err != nil {
 		log.Fatalf("BUG: third party rejected a valid proof: %v", err)
 	}
-	fmt.Println("third party verified the proof: domains demonstrably ran different code")
+	fmt.Println("third party verified the proof: domains demonstrably ran different code as one version")
+	fmt.Println("the fork remains permanently visible in every domain's append-only log")
+}
 
-	// The developer completes the rollout; the system heals.
-	fmt.Println("\n-- developer completes the rollout --")
-	if err := dep.PushUpdateTo(0, su, false); err != nil {
-		log.Fatalf("push: %v", err)
+// build is the BLS module padded with nops no-ops: each count is a
+// different build.
+func build(nops int) *sandbox.Module {
+	m := blsapp.Module()
+	for ; nops > 0; nops-- {
+		m.Functions[0].Code = append(m.Functions[0].Code, sandbox.Instr{Op: sandbox.OpNop})
 	}
-	if err := dep.PushUpdateTo(2, su, false); err != nil {
-		log.Fatalf("push: %v", err)
-	}
-	report, err = auditor.Audit()
+	return m
+}
+
+// mustAudit runs one audit and prints its findings.
+func mustAudit(c *audit.Client) *audit.Report {
+	report, err := c.Audit()
 	if err != nil {
 		log.Fatalf("audit: %v", err)
 	}
-	if !report.Consistent {
-		log.Fatalf("BUG: completed rollout still inconsistent: %v", report.Findings)
+	for _, f := range report.Findings {
+		fmt.Printf("  finding: %s\n", f)
 	}
-	d2 := m2.Digest()
-	fmt.Printf("final audit: consistent=%v, all domains at v2 digest %x...\n",
-		report.Consistent, d2[:6])
-	fmt.Println("the one-domain detour remains permanently visible in every domain's append-only log")
+	return report
 }

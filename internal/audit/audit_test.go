@@ -124,15 +124,26 @@ func TestAuditConsistentDeployment(t *testing.T) {
 	}
 }
 
-func TestAuditDetectsDivergentUpdate(t *testing.T) {
-	td := newTestDeployment(t)
-	// Update only domain-1: deployment now runs two different codes.
-	m2 := sandbox.MustAssemble(echoAppSrc)
-	m2.Functions[0].Code = append(m2.Functions[0].Code, sandbox.Instr{Op: sandbox.OpNop})
-	mb2 := m2.Encode()
-	if err := td.domains[1].Install(2, mb2, td.dev.SignUpdate(2, mb2)); err != nil {
+// installV2 installs a developer-signed version 2 on domain i: the echo
+// module padded with nops no-ops, so two nops values are two different
+// modules released under one version — a fork.
+func (td *testDeployment) installV2(t *testing.T, i, nops int) {
+	t.Helper()
+	m := sandbox.MustAssemble(echoAppSrc)
+	for ; nops > 0; nops-- {
+		m.Functions[0].Code = append(m.Functions[0].Code, sandbox.Instr{Op: sandbox.OpNop})
+	}
+	mb := m.Encode()
+	if err := td.domains[i].Install(2, mb, td.dev.SignUpdate(2, mb)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestAuditDetectsDivergentUpdate(t *testing.T) {
+	td := newTestDeployment(t)
+	// domain-0 and domain-1 run two different modules as version 2.
+	td.installV2(t, 0, 1)
+	td.installV2(t, 1, 2)
 	c := NewClient(td.params)
 	defer c.Close()
 	report, err := c.Audit()
@@ -156,6 +167,57 @@ func TestAuditDetectsDivergentUpdate(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no divergence proof produced")
+	}
+}
+
+// TestHonestUpdateSplitConvictsNobody: two honest domains read on either
+// side of an update disagree — one version and history behind the other —
+// and an audit says so, but no divergence proof may convict them.
+func TestHonestUpdateSplitConvictsNobody(t *testing.T) {
+	td := newTestDeployment(t)
+	c := NewClient(td.params)
+	defer c.Close()
+	stA, err := c.FetchStatus("domain-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hA, err := c.FetchHistory("domain-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	td.push(t, 2)
+	stB, err := c.FetchStatus("domain-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hB, err := c.FetchHistory("domain-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Misbehavior{
+		{Kind: MisbehaviorDigestDivergence, Domain: "domain-1", DomainB: "domain-2", StatusA: stA, StatusB: stB},
+		{Kind: MisbehaviorHistoryDivergence, Domain: "domain-1", DomainB: "domain-2", HistoryA: hA, HistoryB: hB},
+		{Kind: MisbehaviorHistoryDivergence, Domain: "domain-2", DomainB: "domain-1", HistoryA: hB, HistoryB: hA},
+	} {
+		if err := VerifyMisbehavior(&td.params, &m); err == nil {
+			t.Errorf("%s proof across an honest update verifies", m.Kind)
+		}
+	}
+
+	// An update rolled out to domain-1 alone so far.
+	td = newTestDeployment(t)
+	td.installV2(t, 1, 1)
+	rc := NewClient(td.params)
+	defer rc.Close()
+	report, err := rc.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Consistent || len(report.Findings) != 2 {
+		t.Fatalf("rollout in progress: consistent=%v findings %q, want both disagreements reported", report.Consistent, report.Findings)
+	}
+	for _, p := range report.Proofs {
+		t.Errorf("rollout in progress convicted %s/%s: %s", p.Domain, p.DomainB, p.Kind)
 	}
 }
 

@@ -537,13 +537,17 @@ func (c *Client) Audit() (*Report, error) {
 		a, b := &report.Domains[0], &report.Domains[i]
 		sa, sb := a.Status.Resp.Status, b.Status.Resp.Status
 		if sa.CurrentDigest != sb.CurrentDigest || sa.Version != sb.Version {
-			report.Proofs = append(report.Proofs, Misbehavior{
-				Kind:    MisbehaviorDigestDivergence,
-				Domain:  a.Info.Name,
-				DomainB: b.Info.Name,
-				StatusA: &a.Status,
-				StatusB: &b.Status,
-			})
+			// Statuses at two versions may straddle an honest update:
+			// a finding, but no conviction.
+			if sa.Version == sb.Version {
+				report.Proofs = append(report.Proofs, Misbehavior{
+					Kind:    MisbehaviorDigestDivergence,
+					Domain:  a.Info.Name,
+					DomainB: b.Info.Name,
+					StatusA: &a.Status,
+					StatusB: &b.Status,
+				})
+			}
 			report.Findings = append(report.Findings,
 				fmt.Sprintf("domains %s and %s run different code (digest %s... vs %s...)",
 					a.Info.Name, b.Info.Name, clip(sa.CurrentDigest), clip(sb.CurrentDigest)))
@@ -554,15 +558,18 @@ func (c *Client) Audit() (*Report, error) {
 			// serve as divergence evidence (VerifyMisbehavior requires
 			// full histories); refetch complete signed histories for the
 			// proof. A refetch failure still flags the finding — only the
-			// portable proof is dropped.
-			if ha, hb, err := c.fullHistoryPair(&a.History, &b.History, a.Info.Name, b.Info.Name); err == nil {
-				report.Proofs = append(report.Proofs, Misbehavior{
-					Kind:     MisbehaviorHistoryDivergence,
-					Domain:   a.Info.Name,
-					DomainB:  b.Info.Name,
-					HistoryA: ha,
-					HistoryB: hb,
-				})
+			// portable proof is dropped — and so does a history that only
+			// extends the other, which an honest update in flight explains.
+			if forked(a.Records, b.Records, sameRecord) {
+				if ha, hb, err := c.fullHistoryPair(&a.History, &b.History, a.Info.Name, b.Info.Name); err == nil {
+					report.Proofs = append(report.Proofs, Misbehavior{
+						Kind:     MisbehaviorHistoryDivergence,
+						Domain:   a.Info.Name,
+						DomainB:  b.Info.Name,
+						HistoryA: ha,
+						HistoryB: hb,
+					})
+				}
 			}
 			report.Findings = append(report.Findings,
 				fmt.Sprintf("domains %s and %s have diverging update histories", a.Info.Name, b.Info.Name))
@@ -612,7 +619,7 @@ func (c *Client) checkAgainstLast(report *Report, name string, stEnv *AttestedSt
 
 // fullHistoryPair upgrades audit-time history envelopes to full-history
 // envelopes suitable for a divergence proof, refetching any that only
-// cover a suffix. The refetched pair must STILL diverge: a domain that
+// cover a suffix. The refetched pair must STILL fork: a domain that
 // equivocates per-request could hand the refetch agreeing histories,
 // and a proof built from those would self-reject in VerifyMisbehavior —
 // report.Proofs must only carry convictions a third party will accept.
@@ -631,23 +638,19 @@ func (c *Client) fullHistoryPair(ha, hb *AttestedHistoryEnvelope, nameA, nameB s
 		}
 		hb = full
 	}
-	if rawHistoriesEqual(ha.Resp.Records, hb.Resp.Records) {
-		return nil, nil, errors.New("audit: refetched histories agree; divergence not provable")
+	if !forked(ha.Resp.Records, hb.Resp.Records, bytes.Equal) {
+		return nil, nil, errors.New("audit: refetched histories do not fork; divergence not provable")
 	}
 	return ha, hb, nil
 }
 
 // historiesAgree compares (version, digest) sequences.
 func historiesAgree(a, b []*framework.UpdateRecord) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Version != b[i].Version || a[i].Digest != b[i].Digest {
-			return false
-		}
-	}
-	return true
+	return len(a) == len(b) && !forked(a, b, sameRecord)
+}
+
+func sameRecord(x, y *framework.UpdateRecord) bool {
+	return x.Version == y.Version && x.Digest == y.Digest
 }
 
 func clip(s string) string {

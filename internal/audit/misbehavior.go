@@ -28,10 +28,10 @@ const (
 	// to its own attested head.
 	MisbehaviorBadHistory MisbehaviorKind = "bad-history"
 	// MisbehaviorDigestDivergence: two domains attest to different current
-	// code at audit time.
+	// code at one version.
 	MisbehaviorDigestDivergence MisbehaviorKind = "digest-divergence"
-	// MisbehaviorHistoryDivergence: two domains attest to diverging update
-	// histories.
+	// MisbehaviorHistoryDivergence: two domains attest to update histories
+	// neither of which is a prefix of the other.
 	MisbehaviorHistoryDivergence MisbehaviorKind = "history-divergence"
 	// MisbehaviorLogEquivocation: a log operator (a monitor) signed two
 	// incompatible tree heads — caught by the gossip/witness layer. The
@@ -185,7 +185,12 @@ func VerifyMisbehavior(p *Params, m *Misbehavior) error {
 			return fmt.Errorf("audit: second status: %w", err)
 		}
 		a, b := m.StatusA.Resp.Status, m.StatusB.Resp.Status
-		if a.CurrentDigest == b.CurrentDigest && a.Version == b.Version {
+		// Two honest domains read on either side of an update differ in
+		// version; only one version under two digests is a fork.
+		if a.Version != b.Version {
+			return errors.New("audit: statuses are at different versions; an update may have landed between the reads")
+		}
+		if a.CurrentDigest == b.CurrentDigest {
 			return errors.New("audit: statuses agree; no divergence")
 		}
 		return nil
@@ -208,8 +213,8 @@ func VerifyMisbehavior(p *Params, m *Misbehavior) error {
 		if err := VerifyHistoryEnvelope(p, m.HistoryB); err != nil {
 			return fmt.Errorf("audit: second history: %w", err)
 		}
-		if rawHistoriesEqual(m.HistoryA.Resp.Records, m.HistoryB.Resp.Records) {
-			return errors.New("audit: histories agree; no divergence")
+		if !forked(m.HistoryA.Resp.Records, m.HistoryB.Resp.Records, bytes.Equal) {
+			return errors.New("audit: one history is a prefix of the other; no divergence")
 		}
 		return nil
 
@@ -234,14 +239,14 @@ func attestedTogether(st *domain.StatusResponse, h *domain.HistoryResponse) bool
 		bytes.Equal(st.HostSig, h.HostSig)
 }
 
-func rawHistoriesEqual(a, b [][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			return false
+// forked reports whether two histories part ways: neither is a prefix of
+// the other. Two honest domains read on either side of an update hold
+// one history and a prefix of it, never a fork.
+func forked[T any](a, b []T, same func(x, y T) bool) bool {
+	for i := 0; i < min(len(a), len(b)); i++ {
+		if !same(a[i], b[i]) {
+			return true
 		}
 	}
-	return true
+	return false
 }

@@ -176,13 +176,15 @@ func (c *Client) auditSequential() (*Report, error) {
 		a, b := &report.Domains[0], &report.Domains[i]
 		sa, sb := a.Status.Resp.Status, b.Status.Resp.Status
 		if sa.CurrentDigest != sb.CurrentDigest || sa.Version != sb.Version {
-			report.Proofs = append(report.Proofs, Misbehavior{
-				Kind:    MisbehaviorDigestDivergence,
-				Domain:  a.Info.Name,
-				DomainB: b.Info.Name,
-				StatusA: &a.Status,
-				StatusB: &b.Status,
-			})
+			if sa.Version == sb.Version {
+				report.Proofs = append(report.Proofs, Misbehavior{
+					Kind:    MisbehaviorDigestDivergence,
+					Domain:  a.Info.Name,
+					DomainB: b.Info.Name,
+					StatusA: &a.Status,
+					StatusB: &b.Status,
+				})
+			}
 			report.Findings = append(report.Findings,
 				fmt.Sprintf("domains %s and %s run different code (digest %s... vs %s...)",
 					a.Info.Name, b.Info.Name, clip(sa.CurrentDigest), clip(sb.CurrentDigest)))
@@ -193,15 +195,18 @@ func (c *Client) auditSequential() (*Report, error) {
 			// serve as divergence evidence (VerifyMisbehavior requires
 			// full histories); refetch complete signed histories for the
 			// proof. A refetch failure still flags the finding — only the
-			// portable proof is dropped.
-			if ha, hb, err := c.fullHistoryPair(&a.History, &b.History, a.Info.Name, b.Info.Name); err == nil {
-				report.Proofs = append(report.Proofs, Misbehavior{
-					Kind:     MisbehaviorHistoryDivergence,
-					Domain:   a.Info.Name,
-					DomainB:  b.Info.Name,
-					HistoryA: ha,
-					HistoryB: hb,
-				})
+			// portable proof is dropped; a history that only extends the
+			// other convicts nobody.
+			if forked(a.Records, b.Records, sameRecord) {
+				if ha, hb, err := c.fullHistoryPair(&a.History, &b.History, a.Info.Name, b.Info.Name); err == nil {
+					report.Proofs = append(report.Proofs, Misbehavior{
+						Kind:     MisbehaviorHistoryDivergence,
+						Domain:   a.Info.Name,
+						DomainB:  b.Info.Name,
+						HistoryA: ha,
+						HistoryB: hb,
+					})
+				}
 			}
 			report.Findings = append(report.Findings,
 				fmt.Sprintf("domains %s and %s have diverging update histories", a.Info.Name, b.Info.Name))

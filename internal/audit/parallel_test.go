@@ -125,21 +125,18 @@ func TestAuditMatchesOracleOnHonestDeployment(t *testing.T) {
 	}
 }
 
-// TestAuditMatchesOracleOnDivergence: one domain updated alone, seen by a
-// fresh client and by a warm one (whose suffix envelopes force the
-// full-history refetch before a divergence proof is built).
+// TestAuditMatchesOracleOnDivergence: two domains running two different
+// modules as one version, seen by a fresh client and by a warm one (whose
+// suffix envelopes force the full-history refetch before a divergence
+// proof is built).
 func TestAuditMatchesOracleOnDivergence(t *testing.T) {
 	td := newTestDeployment(t)
 	warm := newLockstep(t, td.params)
 	if _, err := warm.audit(t); err != nil {
 		t.Fatal(err)
 	}
-	m2 := sandbox.MustAssemble(echoAppSrc)
-	m2.Functions[0].Code = append(m2.Functions[0].Code, sandbox.Instr{Op: sandbox.OpNop})
-	mb2 := m2.Encode()
-	if err := td.domains[1].Install(2, mb2, td.dev.SignUpdate(2, mb2)); err != nil {
-		t.Fatal(err)
-	}
+	td.installV2(t, 0, 1)
+	td.installV2(t, 1, 2)
 	for _, l := range []*lockstep{newLockstep(t, td.params), warm} {
 		r, err := l.audit(t)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bls"
 	"repro/internal/bls12381"
+	"repro/internal/deployfile"
 	"repro/internal/ff"
 	"repro/internal/transport"
 )
@@ -225,4 +226,70 @@ func RunRefreshCeremony(inv Invoker, ref *bls.Refresh, signer RefreshSigner, dia
 		}
 	}
 	return nil
+}
+
+// RefreshCoordinator holds the ceremony crash rule (DESIGN.md §7) that
+// dtclient and trustdomaind both coordinate by: a package is staged
+// before any domain sees it, re-driven — never replaced — until it
+// commits, and removed only after the commit.
+type RefreshCoordinator struct {
+	Inv     Invoker
+	Signer  RefreshSigner
+	Diag    CeremonyDiagnostics
+	Pending string                        // the file the package is staged in
+	Commit  func(*bls.ThresholdKey) error // records the new key after the probe
+	Resumed func(*bls.Refresh)            // told before a staged package is re-driven
+}
+
+// Drive takes the staged package, or else one dealt from deal, through
+// the ceremony, a probe signature at the new epoch and Commit. floor is
+// the epoch every domain has reached and deal the public key at it (nil:
+// deal nothing). A staged package at or below floor was applied and is
+// removed; one beyond floor+1 is refused and kept.
+func (c *RefreshCoordinator) Drive(floor uint64, deal *bls.ThresholdKey) error {
+	ref, err := deployfile.ReadRefresh(c.Pending)
+	if err != nil {
+		return err
+	}
+	switch {
+	case ref != nil && ref.NewEpoch <= floor:
+		// The crash landed between the commit and the removal.
+		if err := deployfile.RemoveRefresh(c.Pending); err != nil {
+			return err
+		}
+		ref = nil
+	case ref != nil && ref.NewEpoch != floor+1:
+		return fmt.Errorf("blsapp: staged ceremony targets epoch %d but the domains are at epoch %d", ref.NewEpoch, floor)
+	case ref != nil:
+		c.Resumed(ref)
+	}
+	if ref == nil {
+		if deal == nil {
+			return nil
+		}
+		if deal.Epoch != floor {
+			return fmt.Errorf("blsapp: refresh dealt from epoch %d but the domains are at epoch %d", deal.Epoch, floor)
+		}
+		if ref, err = bls.NewRefresh(deal); err != nil {
+			return err
+		}
+		if err := deployfile.WriteRefresh(c.Pending, ref); err != nil {
+			return err
+		}
+	}
+	if err := RunRefreshCeremony(c.Inv, ref, c.Signer, c.Diag); err != nil {
+		return err
+	}
+	probe := []byte("refresh probe")
+	sig, err := ThresholdSign(c.Inv, ref.NewKey, probe)
+	if err != nil {
+		return fmt.Errorf("blsapp: post-refresh probe signature: %w", err)
+	}
+	if !bls.Verify(&ref.NewKey.GroupKey, probe, sig) {
+		return errors.New("blsapp: post-refresh probe signature does not verify under the (unchanged) group key")
+	}
+	if err := c.Commit(ref.NewKey); err != nil {
+		return err
+	}
+	return deployfile.RemoveRefresh(c.Pending)
 }

@@ -38,7 +38,7 @@ func newRefreshFixture(t testing.TB, tt, n int, dir string) *refreshFixture {
 	for i := range shares {
 		var st *ShareState
 		if dir != "" {
-			st, err = OpenShareState(filepath.Join(dir, fmt.Sprintf("share-%d.json", i)), &shares[i], tk, dev.PublicKey(), false)
+			st, err = OpenShareState(filepath.Join(dir, fmt.Sprintf("share-%d.json", i)), &shares[i], tk, dev.PublicKey())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -395,7 +395,7 @@ func TestShareStateCrashAtEveryOffset(t *testing.T) {
 	// through the refresh for real.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "share.json")
-	st, err := OpenShareState(path, &shares[0], tk, dev.PublicKey(), false)
+	st, err := OpenShareState(path, &shares[0], tk, dev.PublicKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestShareStateCrashAtEveryOffset(t *testing.T) {
 		if err := os.WriteFile(p+".tmp", newImage[:cut], 0o600); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := OpenShareState(p, nil, tk, dev.PublicKey(), false)
+		rec, err := OpenShareState(p, nil, tk, dev.PublicKey())
 		if err != nil {
 			t.Fatalf("cut %d: restart failed: %v", cut, err)
 		}
@@ -446,7 +446,7 @@ func TestShareStateCrashAtEveryOffset(t *testing.T) {
 	if err := os.WriteFile(p, newImage, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := OpenShareState(p, nil, tk, dev.PublicKey(), false)
+	rec, err := OpenShareState(p, nil, tk, dev.PublicKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestShareStateCrashAtEveryOffset(t *testing.T) {
 	if err := os.WriteFile(bp, newImage[:len(newImage)/2], 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenShareState(bp, nil, tk, dev.PublicKey(), false); err == nil {
+	if _, err := OpenShareState(bp, nil, tk, dev.PublicKey()); err == nil {
 		t.Fatal("torn MAIN file opened without error")
 	}
 }
@@ -505,7 +505,7 @@ func TestCeremonyCrashMidwayRecovers(t *testing.T) {
 		// at exactly the epoch each durably reached.
 		restarted := &memInvoker{fail: map[int]bool{}}
 		for i := 0; i < n; i++ {
-			st, err := OpenShareState(filepath.Join(dir, fmt.Sprintf("share-%d.json", i)), nil, f.tk, f.dev.PublicKey(), false)
+			st, err := OpenShareState(filepath.Join(dir, fmt.Sprintf("share-%d.json", i)), nil, f.tk, f.dev.PublicKey())
 			if err != nil {
 				t.Fatalf("crashAfter=%d: restart domain %d: %v", crashAfter, i, err)
 			}

@@ -45,8 +45,7 @@ type ShareState struct {
 	// acknowledged idempotently instead of corrupting the share.
 	lastCID [16]byte
 
-	path  string // durable state file; empty = in-memory only
-	fsync bool
+	path string // durable state file; empty = in-memory only
 
 	obs    shareObs // internal instruments; see RegisterMetrics
 	flight *obsv.FlightRecorder
@@ -94,8 +93,8 @@ type shareFileJSON struct {
 // the sealed developer key refresh frames must be signed by (nil makes
 // the state refuse refreshes). Files are written 0600: the share is the
 // domain's long-term secret.
-func OpenShareState(path string, initial *bls.KeyShare, tk *bls.ThresholdKey, devKey ed25519.PublicKey, fsync bool) (*ShareState, error) {
-	st := &ShareState{path: path, fsync: fsync}
+func OpenShareState(path string, initial *bls.KeyShare, tk *bls.ThresholdKey, devKey ed25519.PublicKey) (*ShareState, error) {
+	st := &ShareState{path: path}
 	if tk != nil {
 		st.t, st.n = tk.T, tk.N
 		st.commit = append([]bls12381.G2Affine{}, tk.Commitment...)
@@ -156,7 +155,7 @@ func (st *ShareState) persistLocked() error {
 	if err != nil {
 		return fmt.Errorf("blsapp: encoding share state: %w", err)
 	}
-	if err := store.WriteFileAtomic(st.path, data, 0o600, st.fsync); err != nil {
+	if err := store.WriteFileAtomic(st.path, data, 0o600); err != nil {
 		return fmt.Errorf("blsapp: persisting share state: %w", err)
 	}
 	return nil

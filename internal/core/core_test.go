@@ -176,32 +176,38 @@ func TestUpdateEverywhereStaysConsistent(t *testing.T) {
 
 func TestPartialUpdateDetected(t *testing.T) {
 	dep, _, dev := deployBLS(t, false)
-	m2 := blsapp.Module()
-	m2.Functions[0].Code = append(m2.Functions[0].Code, sandbox.Instr{Op: sandbox.OpNop})
-	su := dev.PrepareUpdate(2, m2.Encode())
-	// Malicious/buggy rollout: only domain 1 updated.
-	if err := dep.PushUpdateTo(1, su, false); err != nil {
-		t.Fatal(err)
+	build := func(version uint64, nops int) framework.SignedUpdate {
+		m := blsapp.Module()
+		for ; nops > 0; nops-- {
+			m.Functions[0].Code = append(m.Functions[0].Code, sandbox.Instr{Op: sandbox.OpNop})
+		}
+		return dev.PrepareUpdate(version, m.Encode())
 	}
 	c := dep.AuditClient()
 	defer c.Close()
-	report, err := c.Audit()
-	if err != nil {
+	params := dep.Params()
+	audited := func() *audit.Report {
+		t.Helper()
+		report, err := c.Audit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range report.Proofs {
+			if err := audit.VerifyMisbehavior(&params, &report.Proofs[i]); err != nil {
+				t.Fatalf("audit emitted unverifiable proof %s: %v", report.Proofs[i].Kind, err)
+			}
+		}
+		return report
+	}
+
+	// Rollout under way: only domain 1 updated. Detected, but an honest
+	// rollout in progress looks the same, so it convicts nobody.
+	su := build(2, 1)
+	if err := dep.PushUpdateTo(1, su, false); err != nil {
 		t.Fatal(err)
 	}
-	if report.Consistent {
-		t.Fatal("partial rollout passed audit")
-	}
-	verified := 0
-	params := dep.Params()
-	for i := range report.Proofs {
-		if err := audit.VerifyMisbehavior(&params, &report.Proofs[i]); err != nil {
-			t.Fatalf("audit emitted unverifiable proof %s: %v", report.Proofs[i].Kind, err)
-		}
-		verified++
-	}
-	if verified == 0 {
-		t.Fatal("no proofs emitted")
+	if report := audited(); report.Consistent || len(report.Proofs) != 0 {
+		t.Fatalf("rollout in progress: consistent=%v, %d proofs", report.Consistent, len(report.Proofs))
 	}
 	// Completing the rollout restores consistency.
 	if err := dep.PushUpdateTo(0, su, false); err != nil {
@@ -210,12 +216,19 @@ func TestPartialUpdateDetected(t *testing.T) {
 	if err := dep.PushUpdateTo(2, su, false); err != nil {
 		t.Fatal(err)
 	}
-	report2, err := c.Audit()
-	if err != nil {
+	if report := audited(); !report.Consistent {
+		t.Fatalf("completed rollout still flagged: %v", report.Findings)
+	}
+	// Buggy rollout: domains 0 and 1 run two different builds as one
+	// version — a fork, convicted.
+	if err := dep.PushUpdateTo(0, build(3, 2), false); err != nil {
 		t.Fatal(err)
 	}
-	if !report2.Consistent {
-		t.Fatalf("completed rollout still flagged: %v", report2.Findings)
+	if err := dep.PushUpdateTo(1, build(3, 3), false); err != nil {
+		t.Fatal(err)
+	}
+	if report := audited(); report.Consistent || len(report.Proofs) == 0 {
+		t.Fatalf("forked rollout: consistent=%v, no proofs emitted", report.Consistent)
 	}
 }
 

@@ -195,7 +195,7 @@ func (f *File) Write(path string) error {
 	if err != nil {
 		return fmt.Errorf("deployfile: encoding: %w", err)
 	}
-	if err := store.WriteFileAtomic(path, append(data, '\n'), 0o644, true); err != nil {
+	if err := store.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
 		return fmt.Errorf("deployfile: writing %s: %w", path, err)
 	}
 	return nil

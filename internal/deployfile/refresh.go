@@ -39,7 +39,7 @@ import (
 // replace, 0600).
 func WriteRefreshKey(path string, seed []byte) error {
 	data := hex.EncodeToString(seed) + "\n"
-	if err := store.WriteFileAtomic(path, []byte(data), 0o600, true); err != nil {
+	if err := store.WriteFileAtomic(path, []byte(data), 0o600); err != nil {
 		return fmt.Errorf("deployfile: writing refresh key %s: %w", path, err)
 	}
 	return nil
@@ -82,7 +82,7 @@ func WriteRefresh(path string, ref *bls.Refresh) error {
 	if err != nil {
 		return fmt.Errorf("deployfile: encoding pending refresh: %w", err)
 	}
-	if err := store.WriteFileAtomic(path, append(data, '\n'), 0o600, true); err != nil {
+	if err := store.WriteFileAtomic(path, append(data, '\n'), 0o600); err != nil {
 		return fmt.Errorf("deployfile: writing pending refresh %s: %w", path, err)
 	}
 	return nil

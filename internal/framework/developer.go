@@ -69,6 +69,12 @@ func VerifyRefresh(pub ed25519.PublicKey, frame, sig []byte) bool {
 	return ed25519.Verify(pub, refreshMessage(frame), sig)
 }
 
+// VerifyUpdate checks a developer signature over (version, moduleBytes):
+// the one update-signing format every framework variant accepts.
+func VerifyUpdate(pub ed25519.PublicKey, version uint64, moduleBytes, sig []byte) bool {
+	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, updateMessage(version, moduleBytes), sig)
+}
+
 // PublicKey returns the update-verification key that trust domains seal.
 func (d *Developer) PublicKey() ed25519.PublicKey {
 	return append(ed25519.PublicKey{}, d.pub...)

@@ -217,7 +217,7 @@ func (f *Framework) StageUpdate(version uint64, moduleBytes, devSig []byte) erro
 		// be replaced.
 		return errors.New("framework: updates are disabled (frozen deployment)")
 	}
-	if !ed25519.Verify(f.devKey, updateMessage(version, moduleBytes), devSig) {
+	if !VerifyUpdate(f.devKey, version, moduleBytes, devSig) {
 		return errors.New("framework: update signature does not verify under developer key")
 	}
 	m, err := sandbox.Decode(moduleBytes)

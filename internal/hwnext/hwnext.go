@@ -98,7 +98,7 @@ func (h *HardwareFramework) RegisterBinary(app *NativeApp) {
 // Signature format is shared with the software framework, so the same
 // Developer releases serve both deployment styles.
 func (h *HardwareFramework) Install(version uint64, binary []byte, devSig []byte) error {
-	if !ed25519.Verify(h.devKey, updateMessage(version, binary), devSig) {
+	if !framework.VerifyUpdate(h.devKey, version, binary, devSig) {
 		return errors.New("hwnext: update signature does not verify under developer key")
 	}
 	digest := sha256.Sum256(binary)
@@ -122,19 +122,6 @@ func (h *HardwareFramework) Install(version uint64, binary []byte, devSig []byte
 	h.digest = digest
 	h.app = &NativeApp{Bytes: binary, Handler: handler}
 	return nil
-}
-
-// updateMessage mirrors the software framework's signing format.
-func updateMessage(version uint64, moduleBytes []byte) []byte {
-	hsh := sha256.New()
-	hsh.Write([]byte("framework-update-v1"))
-	var v [8]byte
-	for i := 0; i < 8; i++ {
-		v[i] = byte(version >> (56 - 8*i))
-	}
-	hsh.Write(v[:])
-	hsh.Write(moduleBytes)
-	return hsh.Sum(nil)
 }
 
 // Invoke runs one request through the hardware-isolated application. No

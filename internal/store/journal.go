@@ -226,13 +226,12 @@ func syncDir(path string) error {
 }
 
 // WriteFileAtomic writes data to path via a same-directory temp file
-// and rename, fsyncing the file (and the directory when sync is set) so
-// a crash leaves either the old content or the new, never a torn mix.
-// Exported for other durable single-file states (e.g. a trust domain's
-// epoch-tagged key share) that need the store's crash contract without
-// a full Store.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode, sync bool) error {
-	return writeFileAtomic(path, data, perm, sync)
+// and rename, fsyncing the file and the directory so a crash leaves
+// either the old content or the new, never a torn mix. Exported for
+// other durable single-file states (e.g. a trust domain's epoch-tagged
+// key share) that need the store's crash contract without a full Store.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	return writeFileAtomic(path, data, perm, true)
 }
 
 // writeFileAtomic writes data to path via a same-directory temp file and
