@@ -395,7 +395,7 @@ type refresher struct {
 // re-drives, never deals, a ceremony a crash interrupted.
 func newRefresher(dataDir, paramsPath string, dep *core.Deployment, dev *framework.Developer, diag blsapp.CeremonyDiagnostics, states []*blsapp.ShareState, tk *bls.ThresholdKey) (*refresher, error) {
 	r := &refresher{paramsPath: paramsPath, states: states, cur: tk}
-	r.coord = blsapp.RefreshCoordinator{Inv: dep, Signer: dev, Diag: diag,
+	r.coord = blsapp.RefreshCoordinator{Inv: dep, Signer: dev, Diag: diag, GroupKey: tk.GroupKey,
 		Commit: func(k *bls.ThresholdKey) error {
 			r.cur = k // the domains are at k's epoch even if a write below fails
 			if dataDir != "" {

@@ -221,6 +221,39 @@ func TestHonestUpdateSplitConvictsNobody(t *testing.T) {
 	}
 }
 
+// TestForkBehindALaggingDomainIsConvicted: domain-0 stays on v1 while
+// domains 1 and 2 install two different developer-signed v2 builds.
+// Each pair with domain-0 looks like an update in flight and convicts
+// nobody, but the fork between domains 1 and 2 must be convicted: a
+// digest and a history divergence proof, each naming domains 1 and 2
+// and each verifying offline. The sequential oracle agrees.
+func TestForkBehindALaggingDomainIsConvicted(t *testing.T) {
+	td := newTestDeployment(t)
+	td.installV2(t, 1, 1)
+	td.installV2(t, 2, 2)
+	report, err := newLockstep(t, td.params).audit(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Consistent || len(report.Findings) != 6 {
+		t.Fatalf("consistent=%v findings %q, want each of the three pairs to disagree twice", report.Consistent, report.Findings)
+	}
+	kinds := map[MisbehaviorKind]bool{}
+	for i := range report.Proofs {
+		p := &report.Proofs[i]
+		if p.Domain != "domain-1" || p.DomainB != "domain-2" {
+			t.Errorf("%s proof names %s and %s, want domain-1 and domain-2", p.Kind, p.Domain, p.DomainB)
+		}
+		if err := VerifyMisbehavior(&td.params, p); err != nil {
+			t.Errorf("%s proof rejected: %v", p.Kind, err)
+		}
+		kinds[p.Kind] = true
+	}
+	if len(report.Proofs) != 2 || !kinds[MisbehaviorDigestDivergence] || !kinds[MisbehaviorHistoryDivergence] {
+		t.Fatalf("proofs %v, want one digest and one history divergence", kinds)
+	}
+}
+
 func TestAuditDetectsWrongMeasurement(t *testing.T) {
 	td := newTestDeployment(t)
 	// domain-2 is replaced by an impostor: right vendor hardware, wrong

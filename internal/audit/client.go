@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -356,7 +357,7 @@ func (c *Client) fetchDomain(info *DomainInfo, from int) (f domainFetch) {
 		return f
 	}
 	var resp domain.AuditResponse
-	req := domain.AuditRequest{StatusNonce: stNonce, HistoryNonce: histNonce, From: from}
+	req := domain.AuditRequest{StatusNonce: stNonce, HistoryNonce: histNonce, From: from, Binary: true}
 	if err := c.call(info.Addr, "audit", req, &resp); err != nil {
 		f.err = fmt.Errorf("audit: status from %s: %w", info.Name, err)
 		return f
@@ -532,51 +533,80 @@ func (c *Client) Audit() (*Report, error) {
 	}
 
 	// Cross-domain agreement (§3.3: "check that the digests match across
-	// all n trust domains").
-	for i := 1; i < len(report.Domains); i++ {
-		a, b := &report.Domains[0], &report.Domains[i]
-		sa, sb := a.Status.Resp.Status, b.Status.Resp.Status
-		if sa.CurrentDigest != sb.CurrentDigest || sa.Version != sb.Version {
-			// Statuses at two versions may straddle an honest update:
-			// a finding, but no conviction.
-			if sa.Version == sb.Version {
-				report.Proofs = append(report.Proofs, Misbehavior{
-					Kind:    MisbehaviorDigestDivergence,
-					Domain:  a.Info.Name,
-					DomainB: b.Info.Name,
-					StatusA: &a.Status,
-					StatusB: &b.Status,
-				})
-			}
-			report.Findings = append(report.Findings,
-				fmt.Sprintf("domains %s and %s run different code (digest %s... vs %s...)",
-					a.Info.Name, b.Info.Name, clip(sa.CurrentDigest), clip(sb.CurrentDigest)))
-			report.Consistent = false
-		}
-		if !historiesAgree(a.Records, b.Records) {
-			// A cached-delta audit holds suffix envelopes, which cannot
-			// serve as divergence evidence (VerifyMisbehavior requires
-			// full histories); refetch complete signed histories for the
-			// proof. A refetch failure still flags the finding — only the
-			// portable proof is dropped — and so does a history that only
-			// extends the other, which an honest update in flight explains.
-			if forked(a.Records, b.Records, sameRecord) {
-				if ha, hb, err := c.fullHistoryPair(&a.History, &b.History, a.Info.Name, b.Info.Name); err == nil {
-					report.Proofs = append(report.Proofs, Misbehavior{
-						Kind:     MisbehaviorHistoryDivergence,
-						Domain:   a.Info.Name,
-						DomainB:  b.Info.Name,
-						HistoryA: ha,
-						HistoryB: hb,
-					})
-				}
-			}
-			report.Findings = append(report.Findings,
-				fmt.Sprintf("domains %s and %s have diverging update histories", a.Info.Name, b.Info.Name))
-			report.Consistent = false
+	// all n trust domains"). Domains with one status and one history form
+	// a group, and the groups are compared pairwise through their first
+	// members: every two domains that disagree are compared, not only
+	// those that disagree with the first domain.
+	groups := groupDomains(report.Domains)
+	for x := range groups {
+		for _, y := range groups[x+1:] {
+			c.compareDomains(report, &report.Domains[groups[x]], &report.Domains[y])
 		}
 	}
 	return report, nil
+}
+
+// groupDomains returns the index of the first domain of each group of
+// domains that agree on (Version, CurrentDigest) and on their history.
+func groupDomains(domains []DomainAudit) []int {
+	var firsts []int
+	for i := range domains {
+		d := &domains[i]
+		if !slices.ContainsFunc(firsts, func(f int) bool {
+			e := &domains[f]
+			se, sd := e.Status.Resp.Status, d.Status.Resp.Status
+			return se.Version == sd.Version && se.CurrentDigest == sd.CurrentDigest && historiesAgree(e.Records, d.Records)
+		}) {
+			firsts = append(firsts, i)
+		}
+	}
+	return firsts
+}
+
+// compareDomains records how two domains disagree: running different
+// code is a finding, and a proof only at one Version; diverging
+// histories are a finding, and a proof only when they fork.
+func (c *Client) compareDomains(report *Report, a, b *DomainAudit) {
+	sa, sb := a.Status.Resp.Status, b.Status.Resp.Status
+	if sa.CurrentDigest != sb.CurrentDigest || sa.Version != sb.Version {
+		// Statuses at two versions may straddle an honest update:
+		// a finding, but no conviction.
+		if sa.Version == sb.Version {
+			report.Proofs = append(report.Proofs, Misbehavior{
+				Kind:    MisbehaviorDigestDivergence,
+				Domain:  a.Info.Name,
+				DomainB: b.Info.Name,
+				StatusA: &a.Status,
+				StatusB: &b.Status,
+			})
+		}
+		report.Findings = append(report.Findings,
+			fmt.Sprintf("domains %s and %s run different code (digest %s... vs %s...)",
+				a.Info.Name, b.Info.Name, clip(sa.CurrentDigest), clip(sb.CurrentDigest)))
+		report.Consistent = false
+	}
+	if !historiesAgree(a.Records, b.Records) {
+		// A cached-delta audit holds suffix envelopes, which cannot
+		// serve as divergence evidence (VerifyMisbehavior requires
+		// full histories); refetch complete signed histories for the
+		// proof. A refetch failure still flags the finding — only the
+		// portable proof is dropped — and so does a history that only
+		// extends the other, which an honest update in flight explains.
+		if forked(a.Records, b.Records, sameRecord) {
+			if ha, hb, err := c.fullHistoryPair(&a.History, &b.History, a.Info.Name, b.Info.Name); err == nil {
+				report.Proofs = append(report.Proofs, Misbehavior{
+					Kind:     MisbehaviorHistoryDivergence,
+					Domain:   a.Info.Name,
+					DomainB:  b.Info.Name,
+					HistoryA: ha,
+					HistoryB: hb,
+				})
+			}
+		}
+		report.Findings = append(report.Findings,
+			fmt.Sprintf("domains %s and %s have diverging update histories", a.Info.Name, b.Info.Name))
+		report.Consistent = false
+	}
 }
 
 // checkAgainstLast compares a domain's verified status with the last one

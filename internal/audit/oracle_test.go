@@ -171,46 +171,65 @@ func (c *Client) auditSequential() (*Report, error) {
 	}
 
 	// Cross-domain agreement (§3.3: "check that the digests match across
-	// all n trust domains").
-	for i := 1; i < len(report.Domains); i++ {
-		a, b := &report.Domains[0], &report.Domains[i]
-		sa, sb := a.Status.Resp.Status, b.Status.Resp.Status
-		if sa.CurrentDigest != sb.CurrentDigest || sa.Version != sb.Version {
-			if sa.Version == sb.Version {
-				report.Proofs = append(report.Proofs, Misbehavior{
-					Kind:    MisbehaviorDigestDivergence,
-					Domain:  a.Info.Name,
-					DomainB: b.Info.Name,
-					StatusA: &a.Status,
-					StatusB: &b.Status,
-				})
+	// all n trust domains"), between the first members of every two
+	// groups of domains with one (Version, CurrentDigest) and one history.
+	var firsts []int
+	for i := range report.Domains {
+		d := &report.Domains[i]
+		grouped := false
+		for _, f := range firsts {
+			e := &report.Domains[f]
+			se, sd := e.Status.Resp.Status, d.Status.Resp.Status
+			if se.Version == sd.Version && se.CurrentDigest == sd.CurrentDigest && historiesAgree(e.Records, d.Records) {
+				grouped = true
+				break
 			}
-			report.Findings = append(report.Findings,
-				fmt.Sprintf("domains %s and %s run different code (digest %s... vs %s...)",
-					a.Info.Name, b.Info.Name, clip(sa.CurrentDigest), clip(sb.CurrentDigest)))
-			report.Consistent = false
 		}
-		if !historiesAgree(a.Records, b.Records) {
-			// A cached-delta audit holds suffix envelopes, which cannot
-			// serve as divergence evidence (VerifyMisbehavior requires
-			// full histories); refetch complete signed histories for the
-			// proof. A refetch failure still flags the finding — only the
-			// portable proof is dropped; a history that only extends the
-			// other convicts nobody.
-			if forked(a.Records, b.Records, sameRecord) {
-				if ha, hb, err := c.fullHistoryPair(&a.History, &b.History, a.Info.Name, b.Info.Name); err == nil {
+		if !grouped {
+			firsts = append(firsts, i)
+		}
+	}
+	for x := range firsts {
+		for _, y := range firsts[x+1:] {
+			a, b := &report.Domains[firsts[x]], &report.Domains[y]
+			sa, sb := a.Status.Resp.Status, b.Status.Resp.Status
+			if sa.CurrentDigest != sb.CurrentDigest || sa.Version != sb.Version {
+				if sa.Version == sb.Version {
 					report.Proofs = append(report.Proofs, Misbehavior{
-						Kind:     MisbehaviorHistoryDivergence,
-						Domain:   a.Info.Name,
-						DomainB:  b.Info.Name,
-						HistoryA: ha,
-						HistoryB: hb,
+						Kind:    MisbehaviorDigestDivergence,
+						Domain:  a.Info.Name,
+						DomainB: b.Info.Name,
+						StatusA: &a.Status,
+						StatusB: &b.Status,
 					})
 				}
+				report.Findings = append(report.Findings,
+					fmt.Sprintf("domains %s and %s run different code (digest %s... vs %s...)",
+						a.Info.Name, b.Info.Name, clip(sa.CurrentDigest), clip(sb.CurrentDigest)))
+				report.Consistent = false
 			}
-			report.Findings = append(report.Findings,
-				fmt.Sprintf("domains %s and %s have diverging update histories", a.Info.Name, b.Info.Name))
-			report.Consistent = false
+			if !historiesAgree(a.Records, b.Records) {
+				// A cached-delta audit holds suffix envelopes, which cannot
+				// serve as divergence evidence (VerifyMisbehavior requires
+				// full histories); refetch complete signed histories for the
+				// proof. A refetch failure still flags the finding — only the
+				// portable proof is dropped; a history that only extends the
+				// other convicts nobody.
+				if forked(a.Records, b.Records, sameRecord) {
+					if ha, hb, err := c.fullHistoryPair(&a.History, &b.History, a.Info.Name, b.Info.Name); err == nil {
+						report.Proofs = append(report.Proofs, Misbehavior{
+							Kind:     MisbehaviorHistoryDivergence,
+							Domain:   a.Info.Name,
+							DomainB:  b.Info.Name,
+							HistoryA: ha,
+							HistoryB: hb,
+						})
+					}
+				}
+				report.Findings = append(report.Findings,
+					fmt.Sprintf("domains %s and %s have diverging update histories", a.Info.Name, b.Info.Name))
+				report.Consistent = false
+			}
 		}
 	}
 	return report, nil

@@ -126,52 +126,3 @@ func VerifyAggregateSameMsg(pks []*PublicKey, msg []byte, sig *Signature) bool {
 	}
 	return Verify(apk, msg, sig)
 }
-
-// VerifyShareSignaturesBatch checks n signature shares on one message
-// against their share public keys in a single two-pairing check:
-// e(sum r_i*sig_i, -G2) * e(H(m), sum r_i*pk_i) == 1. This is what a
-// combiner pays per threshold signature instead of t sequential pairing
-// checks. Shares with out-of-range indexes reject the whole batch; a false
-// return says only that at least one share is invalid (fall back to
-// per-share VerifyShareSignature to attribute blame).
-func (tk *ThresholdKey) VerifyShareSignaturesBatch(msg []byte, shares []SignatureShare) bool {
-	start := time.Now()
-	obs.shareBatches.Inc()
-	defer func() { obs.shareLat.Observe(time.Since(start).Seconds()) }()
-	return tk.verifyShareSignaturesBatch(msg, shares)
-}
-
-func (tk *ThresholdKey) verifyShareSignaturesBatch(msg []byte, shares []SignatureShare) bool {
-	n := len(shares)
-	if n == 0 {
-		return false
-	}
-	if n == 1 {
-		return tk.VerifyShareSignature(msg, &shares[0])
-	}
-	sigPoints := make([]bls12381.G1Affine, n)
-	pkPoints := make([]bls12381.G2Affine, n)
-	coeffs := make([]ff.Fr, n)
-	for i := range shares {
-		ss := &shares[i]
-		if ss.Index == 0 || int(ss.Index) > tk.N || ss.Epoch != tk.Epoch || ss.Sig.p.IsInfinity() {
-			return false
-		}
-		r, err := batchCoeff()
-		if err != nil {
-			return false
-		}
-		sigPoints[i] = ss.Sig.p
-		pkPoints[i] = tk.ShareKeys[ss.Index-1].p
-		coeffs[i] = r
-	}
-	sigAcc := bls12381.G1MultiScalarMult(sigPoints, coeffs)
-	pkAcc := bls12381.G2MultiScalarMult(pkPoints, coeffs)
-	h := bls12381.HashToG1(msg, SignatureDST)
-	apk := pkAcc.Affine()
-	// apk folds fresh random coefficients: prepared for this call only.
-	return bls12381.PairingCheckPrepared(
-		[]bls12381.G1Affine{sigAcc.Affine(), h},
-		[]*bls12381.G2Prepared{negG2(), bls12381.PrepareG2(&apk)},
-	)
-}

@@ -11,9 +11,10 @@
 //
 // Verification hot paths are batched (see batch.go): VerifyBatch folds
 // many independent signatures into one multi-pairing via random linear
-// combination, VerifyAggregateSameMsg is the same-message aggregate fast
-// path, and VerifyShareSignaturesBatch checks all t shares of a threshold
-// signature in a single two-pairing check.
+// combination, and VerifyAggregateSameMsg is the same-message aggregate
+// fast path. A threshold signature is combined first and checked once
+// under the group key (ThresholdKey.Combine); its shares are checked one
+// by one only to name a bad one.
 package bls
 
 import (
@@ -269,9 +270,9 @@ type SignatureShare struct {
 
 // CombineShares interpolates at least t signature shares (with distinct
 // indexes, all from the same refresh epoch) into the group signature.
-// The caller should have verified each share against the corresponding
-// share public key, or must verify the combined signature against the
-// group key. Shares tagged with different epochs are rejected: they were
+// It checks no signature: ThresholdKey.Combine is the checked form,
+// which returns the result only if it verifies under the group key.
+// Shares tagged with different epochs are rejected: they were
 // produced under different sharings of the secret and interpolate to a
 // signature that verifies under no key.
 func CombineShares(shares []SignatureShare, t int) (*Signature, error) {

@@ -316,3 +316,21 @@ func BenchmarkCombineShares(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCombine is the client's work per threshold signature once t
+// shares are in, for the demo deployment's 2-of-3 key: combine, then
+// check once under the (memoized) group key.
+func BenchmarkCombine(b *testing.B) {
+	tk, shares, err := ThresholdKeyGen(2, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	msg := []byte("bench combine")
+	ss := []SignatureShare{shares[0].SignShare(msg), shares[1].SignShare(msg)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := tk.Combine(msg, ss); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -11,10 +11,7 @@ import (
 // once per point). Every check pairs against -G2, whose table is built
 // once on first use; the caller's keys get theirs from a bounded memo,
 // so a client verifying one monitor's heads, or a witness checking the
-// same quorum, walks each key once instead of on every check. Per-call
-// random combinations (VerifyShareSignaturesBatch's folded share key)
-// are prepared on the fly and never memoized: they would only evict
-// keys that recur.
+// same quorum, walks each key once instead of on every check.
 //
 // The memo lives here rather than in the key: preparing in SetBytes
 // would add a G2 walk to every key decode, most of which are never

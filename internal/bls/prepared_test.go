@@ -123,9 +123,10 @@ func TestMemoizedKeyRejectsTampering(t *testing.T) {
 	}
 }
 
-// TestShareBatchDoesNotMemoize: the folded share key of
-// VerifyShareSignaturesBatch is a fresh random combination per call,
-// so it must never enter the memo.
+// TestShareBatchDoesNotMemoize: combining a batch of good shares checks
+// one signature under the group key, so the group key's table is the
+// only one it leaves in the memo; no share key is walked, let alone
+// memoized.
 func TestShareBatchDoesNotMemoize(t *testing.T) {
 	tk, shares, err := ThresholdKeyGen(3, 5)
 	if err != nil {
@@ -135,15 +136,12 @@ func TestShareBatchDoesNotMemoize(t *testing.T) {
 	ss := []SignatureShare{shares[0].SignShare(msg), shares[2].SignShare(msg), shares[4].SignShare(msg)}
 	keyTables.reset()
 	for i := 0; i < 3; i++ {
-		if !tk.VerifyShareSignaturesBatch(msg, ss) {
-			t.Fatal("valid share batch rejected")
-		}
-		if tk.VerifyShareSignaturesBatch([]byte("other message"), ss) {
-			t.Fatal("share batch accepted on the wrong message")
+		if _, _, err := tk.Combine(msg, ss); err != nil {
+			t.Fatalf("valid share batch rejected: %v", err)
 		}
 	}
-	if n := keyTables.len(); n != 0 {
-		t.Fatalf("VerifyShareSignaturesBatch left %d tables in the memo, want 0", n)
+	if n := keyTables.len(); n != 1 || !keyTables.contains(&tk.GroupKey) {
+		t.Fatalf("Combine left %d tables in the memo, want the group key's alone", n)
 	}
 }
 

@@ -313,9 +313,9 @@ func TestRebuildThresholdKeyRecoversPublicDealing(t *testing.T) {
 	}
 }
 
-// VerifyShareSignaturesBatch must reject batches containing any share
-// tagged with a different epoch — even if the signature bytes would
-// otherwise verify — so no batch path can launder a cross-epoch share.
+// Combine must reject share batches containing any share tagged with a
+// different epoch — even if the signature bytes would otherwise verify —
+// so no batch path can launder a cross-epoch share.
 func TestShareSignatureBatchRejectsMixedEpochs(t *testing.T) {
 	tk, epoch0, err := ThresholdKeyGen(2, 3)
 	if err != nil {
@@ -328,13 +328,13 @@ func TestShareSignatureBatchRejectsMixedEpochs(t *testing.T) {
 	epoch1 := applyRefreshAll(t, epoch0, ref)
 	msg := []byte("batch epoch guard")
 	mixed := []SignatureShare{epoch0[0].SignShare(msg), epoch1[1].SignShare(msg)}
-	if tk.VerifyShareSignaturesBatch(msg, mixed) {
+	if sig, _, err := tk.Combine(msg, mixed); sig != nil || err == nil {
 		t.Fatal("old-key batch accepted a new-epoch share")
 	}
-	if ref.NewKey.VerifyShareSignaturesBatch(msg, mixed) {
+	if sig, _, err := ref.NewKey.Combine(msg, mixed); sig != nil || err == nil {
 		t.Fatal("new-key batch accepted an old-epoch share")
 	}
-	if !ref.NewKey.VerifyShareSignaturesBatch(msg, []SignatureShare{epoch1[0].SignShare(msg), epoch1[1].SignShare(msg)}) {
-		t.Fatal("same-epoch batch rejected")
+	if _, _, err := ref.NewKey.Combine(msg, []SignatureShare{epoch1[0].SignShare(msg), epoch1[1].SignShare(msg)}); err != nil {
+		t.Fatalf("same-epoch batch rejected: %v", err)
 	}
 }

@@ -116,8 +116,7 @@ func verifySoundnessTable(t *testing.T, warm bool) {
 			msgs: [][]byte{mA, mB},
 			sigs: []*Signature{skA.Sign(mA), skB.Sign(mB)},
 		}
-		// Two shares of a 2-of-3 threshold key on one message:
-		// VerifyShareSignaturesBatch.
+		// Two shares of a 2-of-3 threshold key on one message: Combine.
 		tk, shares, err := thresholdFromPolynomial([]ff.Fr{seededScalar(rng), seededScalar(rng)}, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -145,13 +144,18 @@ func verifySoundnessTable(t *testing.T, warm bool) {
 				agg, err := AggregateSignatures(tr.sigs...)
 				return err == nil && VerifyAggregate(tr.pks, tr.msgs, agg)
 			}},
-			{"VerifyShareSignaturesBatch", &thresh, func(tr *triples) bool {
+			{"Combine", &thresh, func(tr *triples) bool {
+				// A dealt key's group key is the one its share keys
+				// interpolate to (2*pk1 - pk2 at indexes 1 and 2), so
+				// tampered share keys move the group key with them.
 				tampered := *tk
 				tampered.ShareKeys = []PublicKey{*tr.pks[0], *tr.pks[1], tk.ShareKeys[2]}
-				return tampered.VerifyShareSignaturesBatch(tr.msgs[0], []SignatureShare{
+				tampered.GroupKey = interpolateKeys(tr.pks[0], tr.pks[1])
+				sig, _, err := tampered.Combine(tr.msgs[0], []SignatureShare{
 					{Index: 1, Epoch: tk.Epoch, Sig: *tr.sigs[0]},
 					{Index: 2, Epoch: tk.Epoch, Sig: *tr.sigs[1]},
 				})
+				return err == nil && sig != nil
 			}},
 		}
 		for _, e := range entries {
@@ -176,4 +180,15 @@ func verifySoundnessTable(t *testing.T, warm bool) {
 			}
 		}
 	}
+}
+
+// interpolateKeys is the group key that share keys pk1 and pk2 at
+// indexes 1 and 2 imply: 2*pk1 - pk2.
+func interpolateKeys(pk1, pk2 *PublicKey) PublicKey {
+	var two, minusOne ff.Fr
+	two.SetUint64(2)
+	minusOne.SetOne()
+	minusOne.Neg(&minusOne)
+	acc := bls12381.G2MultiScalarMult([]bls12381.G2Affine{pk1.p, pk2.p}, []ff.Fr{two, minusOne})
+	return PublicKey{p: acc.Affine()}
 }

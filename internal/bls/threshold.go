@@ -3,6 +3,7 @@ package bls
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bls12381"
 	"repro/internal/ff"
@@ -136,11 +137,69 @@ func (tk *ThresholdKey) VerifyShareSignature(msg []byte, ss *SignatureShare) boo
 	return Verify(&pk, msg, &ss.Sig)
 }
 
-// ThresholdSign is a convenience that signs msg with each of the provided
-// key shares and combines the first t valid shares into a group signature.
-// The happy path verifies all t shares in one batched two-pairing check
-// (VerifyShareSignaturesBatch); only when that fails does it fall back to
-// per-share verification to skip the invalid shares.
+// ErrShareKeysDisagree reports t signature shares that each verify
+// under their share keys but combine to a signature the group key
+// rejects: the threshold key's share keys and group key are not one
+// sharing, and no other choice of shares can help.
+var ErrShareKeysDisagree = errors.New("bls: shares that verify under their share keys combine to a signature the group key rejects")
+
+// Combine interpolates exactly tk.T signature shares on msg into the
+// group signature and returns it only if it verifies under tk.GroupKey,
+// whose line table is memoized: one pairing check per signature, and no
+// share key is walked when the shares are good. Shares out of the key's
+// index range, from another epoch or repeating an index are dropped
+// before combining. When the combined signature does not verify, each
+// share is checked under its share key, only to name the bad ones. On
+// any failure Combine returns the shares worth keeping, in order, and
+// an error naming the first one dropped, or ErrShareKeysDisagree when
+// none was. A signature is never returned unverified.
+func (tk *ThresholdKey) Combine(msg []byte, shares []SignatureShare) (*Signature, []SignatureShare, error) {
+	if len(shares) != tk.T {
+		return nil, nil, fmt.Errorf("bls: combining needs exactly %d shares, have %d", tk.T, len(shares))
+	}
+	kept := make([]SignatureShare, 0, len(shares))
+	var bad error
+	drop := func(err error) {
+		if bad == nil {
+			bad = err
+		}
+	}
+	for _, ss := range shares {
+		switch {
+		case ss.Index == 0 || int(ss.Index) > tk.N:
+			drop(fmt.Errorf("bls: share index %d is outside 1..%d", ss.Index, tk.N))
+		case ss.Epoch != tk.Epoch:
+			drop(fmt.Errorf("bls: share index %d is from epoch %d, the key is at epoch %d", ss.Index, ss.Epoch, tk.Epoch))
+		case slices.ContainsFunc(kept, func(k SignatureShare) bool { return k.Index == ss.Index }):
+			drop(fmt.Errorf("bls: duplicate share index %d", ss.Index))
+		default:
+			kept = append(kept, ss)
+		}
+	}
+	if bad != nil {
+		return nil, kept, bad
+	}
+	if sig, err := CombineShares(kept, tk.T); err == nil && Verify(&tk.GroupKey, msg, sig) {
+		return sig, nil, nil
+	}
+	valid := kept[:0]
+	for i := range kept {
+		if tk.VerifyShareSignature(msg, &kept[i]) {
+			valid = append(valid, kept[i])
+		} else {
+			drop(fmt.Errorf("bls: share index %d does not verify under its share key", kept[i].Index))
+		}
+	}
+	if bad == nil {
+		bad = ErrShareKeysDisagree
+	}
+	return nil, valid, bad
+}
+
+// ThresholdSign is a convenience that signs msg with the provided key
+// shares, t at a time, and combines them into a group signature
+// (Combine). A share that Combine drops is replaced by the next key
+// share's until t good ones are in hand.
 func ThresholdSign(tk *ThresholdKey, shares []KeyShare, msg []byte) (*Signature, error) {
 	// Shares from other epochs belong to different polynomials: they can
 	// never combine with tk's epoch, so they are dropped up front rather
@@ -151,35 +210,24 @@ func ThresholdSign(tk *ThresholdKey, shares []KeyShare, msg []byte) (*Signature,
 			sameEpoch = append(sameEpoch, ks)
 		}
 	}
-	shares = sameEpoch
-	if len(shares) < tk.T {
+	if len(sameEpoch) < tk.T {
 		return nil, errors.New("bls: not enough key shares at the key's epoch")
 	}
-	fast := make([]SignatureShare, 0, tk.T)
-	for i := 0; i < tk.T; i++ {
-		fast = append(fast, shares[i].SignShare(msg))
-	}
-	if tk.VerifyShareSignaturesBatch(msg, fast) {
-		return CombineShares(fast, tk.T)
-	}
-	// Fallback: keep the already-produced shares that verify, then sign
-	// with the remaining key shares until t valid ones are in hand.
-	valid := fast[:0]
-	for i := range fast {
-		if tk.VerifyShareSignature(msg, &fast[i]) {
-			valid = append(valid, fast[i])
+	sigShares := make([]SignatureShare, 0, tk.T)
+	next := 0
+	for {
+		for ; len(sigShares) < tk.T && next < len(sameEpoch); next++ {
+			sigShares = append(sigShares, sameEpoch[next].SignShare(msg))
 		}
-	}
-	for i := tk.T; i < len(shares) && len(valid) < tk.T; i++ {
-		ss := shares[i].SignShare(msg)
-		if tk.VerifyShareSignature(msg, &ss) {
-			valid = append(valid, ss)
+		if len(sigShares) < tk.T {
+			return nil, errors.New("bls: not enough valid signature shares")
 		}
+		sig, kept, err := tk.Combine(msg, sigShares)
+		if err == nil || errors.Is(err, ErrShareKeysDisagree) {
+			return sig, err
+		}
+		sigShares = kept
 	}
-	if len(valid) < tk.T {
-		return nil, errors.New("bls: not enough valid signature shares")
-	}
-	return CombineShares(valid, tk.T)
 }
 
 // RecoverSecret reconstructs the group secret from any t key shares.

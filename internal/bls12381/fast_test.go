@@ -249,6 +249,55 @@ func TestMSMMatchesNaiveG1(t *testing.T) {
 	}
 }
 
+// TestMSMSignedScalarsG1 pins the signed form: scalars on both sides
+// of r/2 (0, 1, 2, r-1, r-2, (r-1)/2, (r+1)/2) and random ones, in
+// every rotation against points with infinity mixed in, must give the
+// naive sum, and the caller's points must come back unchanged.
+func TestMSMSignedScalarsG1(t *testing.T) {
+	r := ff.FrModulus()
+	half := new(big.Int).Rsh(r, 1) // (r-1)/2
+	var edge []ff.Fr
+	for _, v := range []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(2),
+		new(big.Int).Sub(r, big.NewInt(1)), new(big.Int).Sub(r, big.NewInt(2)),
+		half, new(big.Int).Add(half, big.NewInt(1)),
+	} {
+		var s ff.Fr
+		s.SetBig(v)
+		edge = append(edge, s)
+	}
+	for i := 0; i < 5; i++ {
+		edge = append(edge, randFr(t))
+	}
+	points := make([]G1Affine, len(edge))
+	for i := range points {
+		if i%4 == 1 {
+			points[i] = G1Affine{Infinity: true}
+		} else {
+			points[i] = randG1(t)
+		}
+	}
+	for n := 1; n <= len(edge); n++ {
+		for rot := range edge {
+			scalars := make([]ff.Fr, n)
+			for i := range scalars {
+				scalars[i] = edge[(rot+i)%len(edge)]
+			}
+			pts := append([]G1Affine(nil), points[:n]...)
+			fast := G1MultiScalarMult(pts, scalars)
+			naive := msmNaiveG1(points[:n], scalars)
+			if !fast.Equal(&naive) {
+				t.Fatalf("n=%d rotation %d: signed Pippenger != naive sum", n, rot)
+			}
+			for i := range pts {
+				if !pts[i].Equal(&points[i]) {
+					t.Fatalf("n=%d rotation %d: point %d was modified", n, rot, i)
+				}
+			}
+		}
+	}
+}
+
 func TestMSMMatchesNaiveG2(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 33, 64} {
 		points := make([]G2Affine, n)

@@ -2,6 +2,7 @@ package bls12381
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/ff"
@@ -274,12 +275,33 @@ func scalarMaxBits(scalars [][4]uint64) int {
 	return top
 }
 
+// shorterNegation returns r-k and whether it is smaller than k, the
+// canonical scalar k < r: then k*P = (r-k)*(-P) is the shorter product.
+func shorterNegation(k *[4]uint64) ([4]uint64, bool) {
+	var d [4]uint64
+	var borrow uint64
+	for i := range d {
+		d[i], borrow = bits.Sub64(frModulusLimbs[i], k[i], borrow)
+	}
+	for i := 3; i >= 0; i-- {
+		if d[i] != k[i] {
+			return d, d[i] < k[i]
+		}
+	}
+	return d, false
+}
+
 // G1MultiScalarMult computes sum scalars[i] * points[i] with the
 // Pippenger bucket method. It is equivalent to (and pinned against) the
 // naive sum of individual multiplications; infinity points and zero
 // scalars contribute nothing. Both slices must have equal length, and
 // every point must be in the order-r subgroup (the single-point case
 // takes the GLV path, which assumes it — see G1Jac.ScalarMult).
+//
+// Each scalar is used in its shorter signed form: a scalar above r/2
+// multiplies the negated point by r minus it. Lagrange coefficients at
+// small share indexes are small integers of either sign (2 and -1 for
+// indexes 1 and 2), so their interpolation costs a few additions.
 func G1MultiScalarMult(points []G1Affine, scalars []ff.Fr) G1Jac {
 	if len(points) != len(scalars) {
 		panic("bls12381: G1MultiScalarMult length mismatch")
@@ -297,8 +319,16 @@ func G1MultiScalarMult(points []G1Affine, scalars []ff.Fr) G1Jac {
 		return acc
 	}
 	canon := make([][4]uint64, n)
+	negated := false // points is the caller's until a point is negated
 	for i := range scalars {
 		canon[i] = scalars[i].Canonical()
+		if d, shorter := shorterNegation(&canon[i]); shorter {
+			if !negated {
+				points, negated = slices.Clone(points), true
+			}
+			canon[i] = d
+			points[i].Neg(&points[i])
+		}
 	}
 	c := msmWindow(n)
 	maxBits := scalarMaxBits(canon)

@@ -556,32 +556,17 @@ func ThresholdSign(inv Invoker, tk *bls.ThresholdKey, msg []byte) (*bls.Signatur
 	return sigs[0], nil
 }
 
-// dropInvalidShares attributes a failed batch check, keeping the valid
-// shares and reporting the first invalid one.
-func dropInvalidShares(tk *bls.ThresholdKey, msg []byte, shares []bls.SignatureShare) ([]bls.SignatureShare, error) {
-	valid := shares[:0]
-	var err error
-	for i := range shares {
-		if tk.VerifyShareSignature(msg, &shares[i]) {
-			valid = append(valid, shares[i])
-			continue
-		}
-		if err == nil {
-			err = fmt.Errorf("blsapp: share index %d is invalid", shares[i].Index)
-		}
-	}
-	return valid, err
-}
-
 // ThresholdSignBatch signs every message in msgs, returning one group
 // signature per message. It ships requests to each domain in batched
 // invoke RPCs when the deployment supports them (chunked to the
-// transport's per-frame cap), asks each additional domain only for the
-// messages still missing shares, and verifies each message's t shares in
-// one batched two-pairing check, falling back to per-share checks only
-// to drop invalid shares and keep scanning domains. Shares are requested
-// and accepted only at tk's epoch; a refresh racing the batch surfaces
-// as a *StaleEpochError for the messages left short.
+// transport's per-frame cap) and asks each additional domain only for
+// the messages still unsigned. Once a message has t shares they are
+// combined and the result checked under the group key (bls Combine); a
+// bad share is named there and dropped, and the next domain's share
+// takes its place. Every signature returned verifies under tk.GroupKey.
+// Shares are requested and accepted only at tk's epoch; a refresh
+// racing the batch surfaces as a *StaleEpochError for the messages left
+// short.
 func ThresholdSignBatch(inv Invoker, tk *bls.ThresholdKey, msgs [][]byte) ([]*bls.Signature, error) {
 	if len(msgs) == 0 {
 		return nil, errors.New("blsapp: empty message batch")
@@ -590,14 +575,16 @@ func ThresholdSignBatch(inv Invoker, tk *bls.ThresholdKey, msgs [][]byte) ([]*bl
 	for i, m := range msgs {
 		reqs[i] = EncodeSignRequest(tk.Epoch, m)
 	}
+	sigs := make([]*bls.Signature, len(msgs))
 	shares := make([][]bls.SignatureShare, len(msgs))
+	dropped := make([]error, len(msgs)) // the first share Combine named, per message
 	var lastErr error
 	var stale *StaleEpochError
 	for i := 0; i < inv.NumDomains(); i++ {
-		// Only messages still missing shares go to this domain.
+		// Only messages still unsigned go to this domain.
 		var pending []int
 		for j := range msgs {
-			if len(shares[j]) < tk.T {
+			if sigs[j] == nil {
 				pending = append(pending, j)
 			}
 		}
@@ -624,27 +611,33 @@ func ThresholdSignBatch(inv Invoker, tk *bls.ThresholdKey, msgs [][]byte) ([]*bl
 				errors.As(err, &stale)
 				continue
 			}
-			if len(shares[j]) == tk.T && !tk.VerifyShareSignaturesBatch(msgs[j], shares[j]) {
-				shares[j], lastErr = dropInvalidShares(tk, msgs[j], shares[j])
+			if len(shares[j]) < tk.T {
+				continue
+			}
+			sigs[j], shares[j], err = tk.Combine(msgs[j], shares[j])
+			if errors.Is(err, bls.ErrShareKeysDisagree) {
+				return nil, fmt.Errorf("blsapp: message %d: %w", j, err)
+			}
+			if err != nil && dropped[j] == nil {
+				dropped[j] = err
 			}
 		}
 	}
-	out := make([]*bls.Signature, len(msgs))
 	for j := range msgs {
-		if len(shares[j]) < tk.T {
-			if stale != nil {
-				return nil, fmt.Errorf("blsapp: message %d collected %d of %d shares: %w", j, len(shares[j]), tk.T, stale)
-			}
-			return nil, fmt.Errorf("blsapp: message %d collected %d of %d shares (last error: %v)",
-				j, len(shares[j]), tk.T, lastErr)
+		if sigs[j] != nil {
+			continue
 		}
-		sig, err := bls.CombineShares(shares[j], tk.T)
-		if err != nil {
-			return nil, err
+		if stale != nil {
+			return nil, fmt.Errorf("blsapp: message %d collected %d of %d shares: %w", j, len(shares[j]), tk.T, stale)
 		}
-		out[j] = sig
+		if dropped[j] != nil {
+			return nil, fmt.Errorf("blsapp: message %d collected %d of %d shares (dropped: %v; last error: %v)",
+				j, len(shares[j]), tk.T, dropped[j], lastErr)
+		}
+		return nil, fmt.Errorf("blsapp: message %d collected %d of %d shares (last error: %v)",
+			j, len(shares[j]), tk.T, lastErr)
 	}
-	return out, nil
+	return sigs, nil
 }
 
 // invokeMany fetches one response per request from domain i: batched

@@ -3,6 +3,7 @@ package blsapp
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bls"
@@ -374,6 +375,65 @@ func TestThresholdSignBatchSurvivesTruncatedResponse(t *testing.T) {
 	// never gather shares, so the batch must fail cleanly — not panic.
 	if _, err := ThresholdSignBatch(&truncatingInvoker{mi}, tk, msgs); err == nil {
 		t.Fatal("batch succeeded despite truncated responses")
+	}
+}
+
+// corruptingInvoker wraps memInvoker: domain bad answers every sign
+// request with a well-formed share whose signature is another key's, and
+// calls counts the requests each domain receives.
+type corruptingInvoker struct {
+	*memInvoker
+	bad   int
+	wrong [48]byte
+	calls []int
+}
+
+func (ci *corruptingInvoker) Invoke(i int, req []byte) ([]byte, error) {
+	ci.calls[i]++
+	resp, err := ci.memInvoker.Invoke(i, req)
+	if err != nil || i != ci.bad {
+		return resp, err
+	}
+	out := append([]byte(nil), resp...)
+	copy(out[12:], ci.wrong[:])
+	return out, nil
+}
+
+// TestBadShareIsNamedAndReplaced: domain 0's share does not verify, so
+// the signature is combined from domains 1 and 2 and verifies under the
+// group key; with domain 2 down too, the error names share index 1.
+func TestBadShareIsNamedAndReplaced(t *testing.T) {
+	tk, shares, err := bls.ThresholdKeyGen(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mi := &memInvoker{fail: map[int]bool{}}
+	for i := range shares {
+		f, _ := newAppFramework(t, &shares[i])
+		mi.fws = append(mi.fws, f)
+	}
+	other, _, err := bls.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := &corruptingInvoker{memInvoker: mi, bad: 0, wrong: other.Sign([]byte("x")).Bytes(), calls: make([]int, 3)}
+	msgs := [][]byte{[]byte("bad share a"), []byte("bad share b")}
+	sigs, err := ThresholdSignBatch(inv, tk, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, sig := range sigs {
+		if !bls.Verify(&tk.GroupKey, msgs[j], sig) {
+			t.Fatalf("signature %d does not verify under the group key", j)
+		}
+	}
+	if inv.calls[2] != len(msgs) {
+		t.Fatalf("domain 2 was asked for %d shares, want %d (one per message)", inv.calls[2], len(msgs))
+	}
+	mi.fail[2] = true
+	_, err = ThresholdSign(inv, tk, msgs[0])
+	if err == nil || !strings.Contains(err.Error(), "share index 1 does not verify") {
+		t.Fatalf("sign with the bad share and one good one: error %v, want it to name share index 1", err)
 	}
 }
 

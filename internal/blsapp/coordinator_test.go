@@ -56,6 +56,7 @@ func TestRefreshCoordinatorDrive(t *testing.T) {
 		// none); floor and deal are Drive's arguments (deal: the
 		// fixture's epoch-0 key, or nil).
 		staged, floor uint64
+		foreign       bool // the staged package is dealt from another deployment's key
 		deal          bool
 		failFrame     int
 		failSign      bool
@@ -70,6 +71,8 @@ func TestRefreshCoordinatorDrive(t *testing.T) {
 			wantErr: true},
 		{name: "staged at the floor", staged: 1, floor: 1, failFrame: -1},
 		{name: "staged beyond floor+1", staged: 2, deal: true, failFrame: -1,
+			wantErr: true, wantStaged: true},
+		{name: "staged for another group key", staged: 1, foreign: true, deal: true, failFrame: -1,
 			wantErr: true, wantStaged: true},
 		{name: "staged at floor+1", staged: 1, deal: true, failFrame: -1,
 			wantFrames: true, wantResumed: true, wantCommit: true},
@@ -89,6 +92,13 @@ func TestRefreshCoordinatorDrive(t *testing.T) {
 			var staged *bls.Refresh
 			if tc.staged > 0 {
 				from := f.tk
+				if tc.foreign {
+					other, _, err := bls.ThresholdKeyGen(2, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					from = other
+				}
 				for e := uint64(1); e <= tc.staged; e++ {
 					var err error
 					if staged, err = bls.NewRefresh(from); err != nil {
@@ -104,7 +114,7 @@ func TestRefreshCoordinatorDrive(t *testing.T) {
 				failSign: tc.failSign, cids: map[[16]byte]bool{}}
 			var committed *bls.ThresholdKey
 			resumed := 0
-			c := RefreshCoordinator{Inv: inv, Signer: f.dev, Pending: pending,
+			c := RefreshCoordinator{Inv: inv, Signer: f.dev, GroupKey: f.tk.GroupKey, Pending: pending,
 				Commit: func(k *bls.ThresholdKey) error {
 					committed = k
 					// The package is removed only after the commit, and it
@@ -130,6 +140,9 @@ func TestRefreshCoordinatorDrive(t *testing.T) {
 
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("Drive error = %v, want error %v", err, tc.wantErr)
+			}
+			if errors.Is(err, ErrForeignRefresh) != tc.foreign {
+				t.Fatalf("Drive error = %v, want ErrForeignRefresh: %v", err, tc.foreign)
 			}
 			if (inv.frames > 0) != tc.wantFrames {
 				t.Fatalf("%d refresh frames sent, want a ceremony: %v", inv.frames, tc.wantFrames)

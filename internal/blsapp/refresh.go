@@ -233,18 +233,26 @@ func RunRefreshCeremony(inv Invoker, ref *bls.Refresh, signer RefreshSigner, dia
 // before any domain sees it, re-driven — never replaced — until it
 // commits, and removed only after the commit.
 type RefreshCoordinator struct {
-	Inv     Invoker
-	Signer  RefreshSigner
-	Diag    CeremonyDiagnostics
-	Pending string                        // the file the package is staged in
-	Commit  func(*bls.ThresholdKey) error // records the new key after the probe
-	Resumed func(*bls.Refresh)            // told before a staged package is re-driven
+	Inv      Invoker
+	Signer   RefreshSigner
+	Diag     CeremonyDiagnostics
+	GroupKey bls.PublicKey                 // the deployment's; a package for any other is refused
+	Pending  string                        // the file the package is staged in
+	Commit   func(*bls.ThresholdKey) error // records the new key after the probe
+	Resumed  func(*bls.Refresh)            // told before a staged package is re-driven
 }
+
+// ErrForeignRefresh reports a staged package dealt for another group
+// key, as one left by another deployment at the same path is: no domain
+// of this deployment would accept its frames. Drive refuses it before
+// contacting any domain and leaves it staged.
+var ErrForeignRefresh = errors.New("blsapp: the staged refresh package belongs to another group key")
 
 // Drive takes the staged package, or else one dealt from deal, through
 // the ceremony, a probe signature at the new epoch and Commit. floor is
 // the epoch every domain has reached and deal the public key at it (nil:
-// deal nothing). A staged package at or below floor was applied and is
+// deal nothing). A staged package for another group key is refused and
+// kept (ErrForeignRefresh); one at or below floor was applied and is
 // removed; one beyond floor+1 is refused and kept.
 func (c *RefreshCoordinator) Drive(floor uint64, deal *bls.ThresholdKey) error {
 	ref, err := deployfile.ReadRefresh(c.Pending)
@@ -252,6 +260,8 @@ func (c *RefreshCoordinator) Drive(floor uint64, deal *bls.ThresholdKey) error {
 		return err
 	}
 	switch {
+	case ref != nil && !ref.NewKey.GroupKey.Equal(&c.GroupKey):
+		return fmt.Errorf("%w (remove %s to deal a new one)", ErrForeignRefresh, c.Pending)
 	case ref != nil && ref.NewEpoch <= floor:
 		// The crash landed between the commit and the removal.
 		if err := deployfile.RemoveRefresh(c.Pending); err != nil {
@@ -280,13 +290,11 @@ func (c *RefreshCoordinator) Drive(floor uint64, deal *bls.ThresholdKey) error {
 	if err := RunRefreshCeremony(c.Inv, ref, c.Signer, c.Diag); err != nil {
 		return err
 	}
-	probe := []byte("refresh probe")
-	sig, err := ThresholdSign(c.Inv, ref.NewKey, probe)
-	if err != nil {
+	// ThresholdSign returns only a signature that verifies under the new
+	// key's group key, which is c.GroupKey: the probe checks the rotated
+	// shares still sign for the deployment.
+	if _, err := ThresholdSign(c.Inv, ref.NewKey, []byte("refresh probe")); err != nil {
 		return fmt.Errorf("blsapp: post-refresh probe signature: %w", err)
-	}
-	if !bls.Verify(&ref.NewKey.GroupKey, probe, sig) {
-		return errors.New("blsapp: post-refresh probe signature does not verify under the (unchanged) group key")
 	}
 	if err := c.Commit(ref.NewKey); err != nil {
 		return err

@@ -81,11 +81,15 @@ type HistoryResponse struct {
 }
 
 // AuditRequest asks for the status and the history from From in one
-// call, each bound to a nonce of its own.
+// call, each bound to a nonce of its own. Binary asks for the reply in
+// AuditResponse's binary form (binary.go), which the transport sends on
+// a wire-v2 connection. A server from before the form ignores the field
+// and a client from before it never sets it: both get JSON.
 type AuditRequest struct {
 	StatusNonce  []byte `json:"status_nonce"`
 	HistoryNonce []byte `json:"history_nonce"`
 	From         int    `json:"from,omitempty"`
+	Binary       bool   `json:"binary,omitempty"`
 }
 
 // AuditResponse is the status and the history from From, read from one
@@ -428,13 +432,9 @@ func (d *Domain) registerHandlers() {
 		}
 		return r.HistoryResponse(), nil
 	})
-	d.enclaveServer.Handle("audit", func(body json.RawMessage) (any, error) {
-		var req AuditRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return d.attest(&req, statusHalf|historyHalf)
-	})
+	d.enclaveServer.Handle("audit", auditHandler(func(req *AuditRequest) (*AuditResponse, error) {
+		return d.attest(req, statusHalf|historyHalf)
+	}))
 	d.enclaveServer.Handle("invoke", func(body json.RawMessage) (any, error) {
 		var req InvokeRequest
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -504,6 +504,24 @@ func (d *Domain) registerHandlers() {
 		}
 		return struct{}{}, nil
 	})
+}
+
+// auditHandler serves "audit" from attest. The reply is the response
+// itself when the client asked for the binary form, and otherwise a copy
+// by value, which has none of the pointer methods that make the
+// transport send binary: a client that did not ask gets JSON.
+func auditHandler(attest func(*AuditRequest) (*AuditResponse, error)) func(json.RawMessage) (any, error) {
+	return func(body json.RawMessage) (any, error) {
+		var req AuditRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, err
+		}
+		r, err := attest(&req)
+		if err != nil || req.Binary {
+			return r, err
+		}
+		return *r, nil
+	}
 }
 
 // The halves of the attested report data a reply carries.
