@@ -25,7 +25,8 @@
 // MUST NOT DO: know what any RPC kind means beyond the idempotency
 // table, or what any body's binary form looks like (a result says it has
 // one by implementing encoding.BinaryMarshaler, a request by
-// implementing AppendBinary; the forms live with their types); verify signatures, proofs or attestations; hold
+// implementing AppendBinary; the forms live with their types in aolog,
+// serve and domain); verify signatures, proofs or attestations; hold
 // process-wide mutable state (no package-level variable is written after
 // init); decide what to inject.
 //
