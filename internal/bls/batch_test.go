@@ -1,10 +1,7 @@
 package bls
 
 import (
-	"errors"
 	"fmt"
-	"slices"
-	"strings"
 	"testing"
 )
 
@@ -119,80 +116,5 @@ func TestVerifyAggregateSameMsg(t *testing.T) {
 	}
 	if VerifyAggregateSameMsg(pks[:4], msg, agg) {
 		t.Fatal("aggregate accepted with missing signer")
-	}
-}
-
-// TestCombine: t good shares give the group signature; a bad, an
-// out-of-range or a repeated share is named and dropped while the good
-// ones are kept; shares that are each good under share keys that do not
-// match the group key are ErrShareKeysDisagree; and no failure returns
-// a signature.
-func TestCombine(t *testing.T) {
-	tk, shares, err := ThresholdKeyGen(3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("threshold batch message")
-	var ss []SignatureShare
-	for i := 0; i < 3; i++ {
-		ss = append(ss, shares[i].SignShare(msg))
-	}
-	sig, kept, err := tk.Combine(msg, ss)
-	if err != nil || kept != nil || !Verify(&tk.GroupKey, msg, sig) {
-		t.Fatalf("honest shares: signature %v, kept %d, error %v", sig != nil, len(kept), err)
-	}
-	want, err := CombineShares(ss, 3)
-	if err != nil || !sig.Equal(want) {
-		t.Fatalf("Combine and CombineShares disagree (%v)", err)
-	}
-	// A share made by the wrong key share is named and dropped.
-	bad := shares[3].SignShare(msg)
-	bad.Index = shares[1].Index
-	oor := ss[0]
-	oor.Index = 99
-	stale := ss[0]
-	stale.Epoch = 7
-	cases := []struct {
-		name    string
-		in      []SignatureShare
-		keep    []uint32
-		wantErr string
-	}{
-		{"mismatched share", []SignatureShare{ss[0], bad, ss[2]}, []uint32{1, 3}, "share index 2 does not verify"},
-		{"out-of-range index", []SignatureShare{oor, ss[1], ss[2]}, []uint32{2, 3}, "share index 99 is outside"},
-		{"another epoch", []SignatureShare{stale, ss[1], ss[2]}, []uint32{2, 3}, "from epoch 7"},
-		{"repeated index", []SignatureShare{ss[0], ss[1], ss[1]}, []uint32{1, 2}, "duplicate share index 2"},
-		{"wrong message", ss, []uint32{}, "share index 1 does not verify"},
-	}
-	for _, c := range cases {
-		m := msg
-		if c.name == "wrong message" {
-			m = []byte("another message")
-		}
-		sig, kept, err := tk.Combine(m, c.in)
-		if sig != nil || err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Fatalf("%s: signature %v, error %v, want one containing %q", c.name, sig != nil, err, c.wantErr)
-		}
-		got := []uint32{}
-		for _, k := range kept {
-			got = append(got, k.Index)
-		}
-		if !slices.Equal(got, c.keep) {
-			t.Fatalf("%s: kept indexes %v, want %v", c.name, got, c.keep)
-		}
-	}
-	if _, _, err := tk.Combine(msg, ss[:2]); err == nil {
-		t.Fatal("combined fewer than t shares")
-	}
-	// Good shares under a group key they do not interpolate to.
-	mismatched := *tk
-	_, other, err := GenerateKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mismatched.GroupKey = *other
-	sig, kept, err = mismatched.Combine(msg, ss)
-	if sig != nil || !errors.Is(err, ErrShareKeysDisagree) || len(kept) != 3 {
-		t.Fatalf("share keys that disagree with the group key: signature %v, kept %d, error %v", sig != nil, len(kept), err)
 	}
 }
