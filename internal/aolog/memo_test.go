@@ -405,10 +405,15 @@ func TestShardProofsMatchOracle(t *testing.T) {
 	}
 }
 
-// proveInclusionAtAllocs bounds ShardedLog.ProveInclusionAt's
-// allocations on a warm memo: the proof, the shard roots, the super
-// tree's leaves and the two paths.
-const proveInclusionAtAllocs = 5
+// proveInclusionAtAllocs and proveConsistencyAllocs bound ShardedLog's
+// proof allocations on a warm memo. An inclusion proof is the proof and
+// one array for both paths. A consistency proof is the proof, one array
+// for both root lists and every path, the per-shard pointers and the
+// per-shard proofs.
+const (
+	proveInclusionAtAllocs = 2
+	proveConsistencyAllocs = 4
+)
 
 // TestHashAllocs: hashing and verifying allocate nothing, and a proof
 // allocates only what it returns.
@@ -469,6 +474,13 @@ func TestHashAllocs(t *testing.T) {
 	}); n > proveInclusionAtAllocs {
 		t.Errorf("ShardedLog.ProveInclusionAt allocates %v per call, want at most %d", n, proveInclusionAtAllocs)
 	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := s.ProveConsistencyBetween(321, 777); err != nil {
+			t.Fatal(err)
+		}
+	}); n > proveConsistencyAllocs {
+		t.Errorf("ShardedLog.ProveConsistencyBetween allocates %v per call, want at most %d", n, proveConsistencyAllocs)
+	}
 	// A monitor signs a head after every append: the memo must grow
 	// amortized, leaving the payload copy as the one allocation per
 	// append that does not amortize away.
@@ -504,6 +516,76 @@ func BenchmarkShardProofsAtPastSizes(b *testing.B) {
 		}
 		if _, err := s.ProveConsistencyBetween(size, n); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSuperLeafMemoMatchesRecompute grows sharded logs one entry at a
+// time and, at every size, checks each shard's memoized super-tree leaf
+// against shardLeaf's streaming reference over a root recomputed from
+// the payloads: at the new size as it is reached, and at every past size
+// in random order, so the memo is read both where it was filled and
+// where a past size fills it late.
+func TestSuperLeafMemoMatchesRecompute(t *testing.T) {
+	const total = 300
+	for _, k := range []int{1, 3, 4} {
+		rng := rand.New(rand.NewSource(int64(2000 + k)))
+		s, err := NewShardedLog(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &rootOracle{k: k}
+		check := func(n int) {
+			roots := o.shardRoots(n)
+			got := s.superLeavesAt(n)
+			for j := 0; j < k; j++ {
+				sz := shardLen(n, j, k)
+				if want := refShardLeaf(j, uint64(sz), roots[j]); got[j] != want {
+					t.Fatalf("k=%d n=%d shard %d: memoized leaf %x, recomputed %x", k, n, j, got[j], want)
+				}
+			}
+		}
+		for s.Len() < total {
+			p := []byte(fmt.Sprintf("leaf-memo-%d-%d", k, s.Len()))
+			o.append(p)
+			s.Append(p)
+			check(s.Len())
+			if s.Len()%50 == 0 {
+				for _, n := range rng.Perm(s.Len() + 1) {
+					check(n)
+				}
+			}
+		}
+	}
+}
+
+// TestEntryViewIsEntry: the payload a proof server passes on without a
+// copy is Entry's, byte for byte, at every index and across appends
+// that grow the log's storage under earlier views.
+func TestEntryViewIsEntry(t *testing.T) {
+	s, err := NewShardedLog(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var views [][]byte
+	for s.Len() < 500 {
+		p := []byte(fmt.Sprintf("view-%d", s.Len()))
+		s.Append(p)
+		p[0] = 'X' // Append copied it: the caller's buffer is its own
+		for g := range views {
+			if want, _ := s.Entry(g); !bytes.Equal(views[g], want) {
+				t.Fatalf("view of entry %d became %q at size %d, Entry says %q", g, views[g], s.Len(), want)
+			}
+		}
+		v, err := s.EntryView(s.Len() - 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, v)
+	}
+	for _, g := range []int{-1, s.Len()} {
+		if _, err := s.EntryView(g); err == nil {
+			t.Errorf("EntryView(%d) of a %d-entry log succeeded", g, s.Len())
 		}
 	}
 }

@@ -29,6 +29,9 @@ type MerkleLog struct {
 	raw    [][]byte
 	levels [][]Digest // levels[0] = leaf hashes; levels[h][i] covers leaves [i<<h, (i+1)<<h)
 	roots  []Digest   // roots[n-1] = root of the first n leaves; zero = not computed yet
+	// superLeaves[n-1] is, when this log is a ShardedLog's shard, its
+	// super-tree leaf at size n (superLeaf); zero = not computed yet.
+	superLeaves []Digest
 }
 
 // Len returns the number of leaves.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // ShardedLog stripes an append-only log across K independent MerkleLogs so
@@ -25,6 +26,7 @@ import (
 type ShardedLog struct {
 	shards []*MerkleLog
 	n      int
+	leaves []Digest // the K super-tree leaves being hashed or walked; reused
 }
 
 // NewShardedLog creates a sharded log with k >= 1 stripes.
@@ -32,7 +34,7 @@ func NewShardedLog(k int) (*ShardedLog, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("aolog: shard count %d out of range", k)
 	}
-	s := &ShardedLog{shards: make([]*MerkleLog, k)}
+	s := &ShardedLog{shards: make([]*MerkleLog, k), leaves: make([]Digest, k)}
 	for i := range s.shards {
 		s.shards[i] = &MerkleLog{}
 	}
@@ -122,13 +124,24 @@ func (s *ShardedLog) AppendBatch(payloads [][]byte) int {
 	return first
 }
 
-// Entry returns the payload at global index g.
+// Entry returns a copy of the payload at global index g.
 func (s *ShardedLog) Entry(g int) ([]byte, error) {
 	if g < 0 || g >= s.n {
 		return nil, fmt.Errorf("aolog: entry index %d out of range", g)
 	}
 	shard, local := s.shardOf(g)
 	return s.shards[shard].Entry(local)
+}
+
+// EntryView returns the payload at global index g without copying it.
+// The slice is the log's own: the caller may keep it but never writes
+// to it. A proof server passes it straight into its reply.
+func (s *ShardedLog) EntryView(g int) ([]byte, error) {
+	if g < 0 || g >= s.n {
+		return nil, fmt.Errorf("aolog: entry index %d out of range", g)
+	}
+	shard, local := s.shardOf(g)
+	return s.shards[shard].raw[local], nil
 }
 
 // shardLeaf is the super-tree leaf committing to one shard's state: the
@@ -141,6 +154,35 @@ func shardLeaf(j int, size uint64, root Digest) Digest {
 	binary.BigEndian.PutUint64(b[6:], size)
 	copy(b[14:], root[:])
 	return sha256.Sum256(b[:])
+}
+
+// superLeaf returns m's super-tree leaf at shard size n, m being shard j
+// of a ShardedLog, hashing it only the first time it is asked for: like
+// a prefix root, a leaf at a past size never changes. The memo sits
+// beside m.roots and grows the same way, one digest per leaf at most.
+func (m *MerkleLog) superLeaf(j, n int) Digest {
+	if n == 0 {
+		return shardLeaf(j, 0, leafEmptyRoot())
+	}
+	if n > len(m.superLeaves) {
+		m.superLeaves = slices.Grow(m.superLeaves, n-len(m.superLeaves))[:n]
+	}
+	if l := m.superLeaves[n-1]; l != (Digest{}) {
+		return l
+	}
+	l := shardLeaf(j, uint64(n), m.prefixRoot(n))
+	m.superLeaves[n-1] = l
+	return l
+}
+
+// superLeavesAt returns every shard's super-tree leaf at total size n
+// (n <= Len) in s.leaves, which the next call overwrites.
+func (s *ShardedLog) superLeavesAt(n int) []Digest {
+	k := len(s.shards)
+	for j, sh := range s.shards {
+		s.leaves[j] = sh.superLeaf(j, shardLen(n, j, k))
+	}
+	return s.leaves
 }
 
 // superRootOf computes the super-root for total size n from shard roots.
@@ -166,19 +208,15 @@ func (s *ShardedLog) SuperRootAt(n int) (Digest, error) {
 }
 
 func (s *ShardedLog) superRootAt(n int) Digest {
-	return superRootOf(n, len(s.shards), s.shardRootsAt(n))
+	return subtreeRoot(s.superLeavesAt(n))
 }
 
-// shardRootsAt returns every shard's root as of total size n (n <= Len).
-// Each is a lookup in its shard's prefix-root memo after the first call
-// at that size.
-func (s *ShardedLog) shardRootsAt(n int) []Digest {
-	k := len(s.shards)
-	roots := make([]Digest, k)
-	for j := 0; j < k; j++ {
-		roots[j] = s.shards[j].prefixRoot(shardLen(n, j, k))
+// pathBound is the longest RFC 6962 audit path in a tree of n leaves.
+func pathBound(n int) int {
+	if n <= 1 {
+		return 0
 	}
-	return roots
+	return bits.Len(uint(n - 1))
 }
 
 // ShardInclusionProof proves a payload is at global index GlobalIndex in
@@ -206,28 +244,25 @@ func (s *ShardedLog) ProveInclusionAt(g, n int) (*ShardInclusionProof, error) {
 	}
 	k := len(s.shards)
 	shard, local := s.shardOf(g)
-	roots := s.shardRootsAt(n)
-	leaves := make([]Digest, k)
-	for j := 0; j < k; j++ {
-		leaves[j] = shardLeaf(j, uint64(shardLen(n, j, k)), roots[j])
-	}
-	return &ShardInclusionProof{
+	sz := shardLen(n, shard, k)
+	leaves := s.superLeavesAt(n)
+	p := &ShardInclusionProof{
 		GlobalIndex: g,
 		TreeSize:    n,
 		NumShards:   k,
-		ShardRoot:   roots[shard],
-		Inner:       s.shards[shard].inclusionPath(shardLen(n, shard, k), local),
-		Super:       superPath(leaves, shard),
-	}, nil
-}
-
-// superPath is inclusionPath over an in-memory leaf slice (the K shard
-// leaves are always materialized, so no cache is needed).
-func superPath(leaves []Digest, i int) []Digest {
-	if len(leaves) <= 1 {
-		return nil
+		ShardRoot:   s.shards[shard].prefixRoot(sz),
 	}
-	return appendSuperPath(make([]Digest, 0, bits.Len(uint(len(leaves)-1))), leaves, i)
+	// Both paths share one array; each is capped at its own bound, and a
+	// path that is empty stays nil, as the binary form tells them apart.
+	ni, ns := pathBound(sz), pathBound(k)
+	buf := make([]Digest, ni+ns)
+	if ni > 0 {
+		p.Inner = s.shards[shard].appendInclusionPath(buf[:0:ni], 0, sz, local)
+	}
+	if ns > 0 {
+		p.Super = appendSuperPath(buf[ni:ni], leaves, shard)
+	}
+	return p, nil
 }
 
 func appendSuperPath(path, leaves []Digest, i int) []Digest {
@@ -310,24 +345,38 @@ func (s *ShardedLog) ProveConsistencyBetween(n0, n1 int) (*ShardConsistencyProof
 		return nil, fmt.Errorf("aolog: invalid sharded consistency range %d..%d", n0, n1)
 	}
 	k := len(s.shards)
+	// Both root lists and every grown shard's path share one array, each
+	// path capped at its bound: one digest per level of the RFC 6962
+	// recursion plus the base case's.
+	size, grown := 2*k, 0
+	for j := 0; j < k; j++ {
+		if oldLen, newLen := shardLen(n0, j, k), shardLen(n1, j, k); oldLen != 0 && oldLen != newLen {
+			size += pathBound(newLen) + 1
+			grown++
+		}
+	}
+	buf := make([]Digest, size)
+	paths := make([]ConsistencyProof, grown)
 	proof := &ShardConsistencyProof{
 		OldSize:   n0,
 		NewSize:   n1,
 		NumShards: k,
-		OldRoots:  s.shardRootsAt(n0),
-		NewRoots:  s.shardRootsAt(n1),
+		OldRoots:  buf[:k:k],
+		NewRoots:  buf[k : 2*k : 2*k],
 		Shards:    make([]*ConsistencyProof, k),
 	}
-	for j := 0; j < k; j++ {
+	off, next := 2*k, 0
+	for j, sh := range s.shards {
 		oldLen, newLen := shardLen(n0, j, k), shardLen(n1, j, k)
+		proof.OldRoots[j], proof.NewRoots[j] = sh.prefixRoot(oldLen), sh.prefixRoot(newLen)
 		if oldLen == 0 || oldLen == newLen {
 			continue // empty-prefix or unchanged: root equality suffices
 		}
-		p, err := s.shards[j].ProveConsistency(oldLen, newLen)
-		if err != nil {
-			return nil, err
-		}
+		end := off + pathBound(newLen) + 1
+		p := &paths[next]
+		*p = ConsistencyProof{OldSize: oldLen, NewSize: newLen, Path: sh.appendConsistencyPath(buf[off:off:end], 0, newLen, oldLen, true)}
 		proof.Shards[j] = p
+		off, next = end, next+1
 	}
 	return proof, nil
 }

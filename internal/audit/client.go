@@ -34,6 +34,13 @@ type DomainInfo struct {
 	Addr    string
 	HasTEE  bool
 	HostKey ed25519.PublicKey // pinned for non-TEE domains
+	// Vendor and PlatformID pin a TEE domain to one machine: when Vendor
+	// is set, its quotes must name this vendor and platform, so another
+	// domain's attested reply relabelled with this name does not verify.
+	// A TEE domain without a pin is checked against the vendor root set
+	// alone (DESIGN §5, "Known gaps").
+	Vendor     tee.VendorID
+	PlatformID string
 }
 
 // Params are the public verification parameters of a deployment; they are
@@ -99,7 +106,8 @@ func VerifyHistoryEnvelope(p *Params, env *AttestedHistoryEnvelope) error {
 }
 
 // verifyAttested authenticates one attestation — a quote rooted in a
-// pinned vendor key with the published measurement, or the pinned host
+// vendor key, from the domain's pinned platform if it has one, with the
+// published measurement, or the pinned host
 // key's signature over hostReport — and checks each half of the 64
 // report bytes it covers against the binding the caller recomputed: the
 // status in rd[0:32], the history in rd[32:64]; a nil binding leaves
@@ -117,6 +125,10 @@ func verifyAttested(p *Params, name string, quote *tee.Quote, hostKey, hostSig, 
 		}
 		if err := tee.VerifyQuote(p.Roots, quote); err != nil {
 			return fmt.Errorf("audit: domain %s quote: %w", info.Name, err)
+		}
+		if info.Vendor != "" && (quote.Vendor != info.Vendor || quote.PlatformID != info.PlatformID) {
+			return fmt.Errorf("audit: domain %s is pinned to %s platform %q, quote is from %s platform %q",
+				info.Name, info.Vendor, info.PlatformID, quote.Vendor, quote.PlatformID)
 		}
 		if quote.Measurement != p.Measurement {
 			return &MeasurementError{Domain: info.Name}

@@ -230,34 +230,47 @@ func (sig *Signature) Equal(other *Signature) bool { return sig.p.Equal(&other.p
 // Point returns a copy of the underlying G1 point.
 func (sig *Signature) Point() bls12381.G1Affine { return sig.p }
 
-// lagrangeCoefficient computes the Lagrange basis polynomial L_i(0) over
-// the share indexes in xs (all distinct, nonzero).
-func lagrangeCoefficient(i int, xs []uint32) (ff.Fr, error) {
-	var num, den ff.Fr
-	num.SetOne()
-	den.SetOne()
-	var xi ff.Fr
-	xi.SetUint64(uint64(xs[i]))
-	for j, xjv := range xs {
-		if j == i {
-			continue
+// lagrangeCoefficients computes the Lagrange basis polynomials L_i(0)
+// over the share indexes in xs (all distinct, nonzero), one per index:
+// L_i(0) = prod_{j != i} (0 - x_j) / (x_i - x_j). The t denominators are
+// inverted together (Montgomery's trick: one Fr inversion and 3(t-1)
+// multiplications), not one inversion each.
+func lagrangeCoefficients(xs []uint32) ([]ff.Fr, error) {
+	t := len(xs)
+	buf := make([]ff.Fr, 3*t)
+	coeffs, nums, dens := buf[:t:t], buf[t:2*t], buf[2*t:]
+	var acc ff.Fr
+	acc.SetOne()
+	for i, xiv := range xs {
+		var xi ff.Fr
+		xi.SetUint64(uint64(xiv))
+		nums[i].SetOne()
+		dens[i].SetOne()
+		for j, xjv := range xs {
+			if j == i {
+				continue
+			}
+			if xjv == xiv {
+				return nil, fmt.Errorf("bls: duplicate share index %d", xjv)
+			}
+			var xj, negXj, diff ff.Fr
+			xj.SetUint64(uint64(xjv))
+			negXj.Neg(&xj)
+			nums[i].Mul(&nums[i], &negXj)
+			diff.Sub(&xi, &xj)
+			dens[i].Mul(&dens[i], &diff)
 		}
-		if xjv == xs[i] {
-			return ff.Fr{}, fmt.Errorf("bls: duplicate share index %d", xjv)
-		}
-		var xj ff.Fr
-		xj.SetUint64(uint64(xjv))
-		// num *= (0 - xj) ; den *= (xi - xj)
-		var negXj, diff ff.Fr
-		negXj.Neg(&xj)
-		num.Mul(&num, &negXj)
-		diff.Sub(&xi, &xj)
-		den.Mul(&den, &diff)
+		coeffs[i] = acc // dens[0]*...*dens[i-1], until the walk below
+		acc.Mul(&acc, &dens[i])
 	}
-	den.Inverse(&den)
-	var out ff.Fr
-	out.Mul(&num, &den)
-	return out, nil
+	acc.Inverse(&acc) // 1 / (dens[0]*...*dens[t-1])
+	for i := t - 1; i >= 0; i-- {
+		var inv ff.Fr
+		inv.Mul(&acc, &coeffs[i]) // 1 / dens[i]
+		acc.Mul(&acc, &dens[i])   // 1 / (dens[0]*...*dens[i-1])
+		coeffs[i].Mul(&nums[i], &inv)
+	}
+	return coeffs, nil
 }
 
 // SignatureShare is a partial signature produced by share Index at a
@@ -296,15 +309,13 @@ func CombineShares(shares []SignatureShare, t int) (*Signature, error) {
 	}
 	// Interpolation in the exponent as one multi-scalar multiplication
 	// over the Lagrange coefficients.
+	coeffs, err := lagrangeCoefficients(xs)
+	if err != nil {
+		return nil, err
+	}
 	points := make([]bls12381.G1Affine, t)
-	coeffs := make([]ff.Fr, t)
 	for i, s := range use {
-		li, err := lagrangeCoefficient(i, xs)
-		if err != nil {
-			return nil, err
-		}
 		points[i] = s.Sig.p
-		coeffs[i] = li
 	}
 	acc := bls12381.G1MultiScalarMult(points, coeffs)
 	a := acc.Affine()

@@ -247,14 +247,14 @@ func RecoverSecret(shares []KeyShare, t int) (*SecretKey, error) {
 		}
 		xs[i] = shares[i].Index
 	}
+	coeffs, err := lagrangeCoefficients(xs)
+	if err != nil {
+		return nil, err
+	}
 	var acc ff.Fr
-	for i := 0; i < t; i++ {
-		li, err := lagrangeCoefficient(i, xs)
-		if err != nil {
-			return nil, err
-		}
+	for i := range coeffs {
 		var term ff.Fr
-		term.Mul(&li, &shares[i].Share)
+		term.Mul(&coeffs[i], &shares[i].Share)
 		acc.Add(&acc, &term)
 	}
 	return SecretKeyFromScalar(&acc)

@@ -120,11 +120,14 @@ func Deploy(cfg Config) (*Deployment, error) {
 			return nil, fmt.Errorf("core: installing app on %s: %w", name, err)
 		}
 		d.domains = append(d.domains, dom)
+		vendorID, platform := dom.Platform()
 		params.Domains = append(params.Domains, audit.DomainInfo{
-			Name:    dom.Name(),
-			Addr:    dom.Addr(),
-			HasTEE:  dom.HasTEE(),
-			HostKey: dom.HostKey(),
+			Name:       dom.Name(),
+			Addr:       dom.Addr(),
+			HasTEE:     dom.HasTEE(),
+			HostKey:    dom.HostKey(),
+			Vendor:     vendorID,
+			PlatformID: platform,
 		})
 	}
 	d.Client = NewClient(params, transport.ManagedOptions{Dial: cfg.Dial})

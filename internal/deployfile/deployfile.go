@@ -44,12 +44,17 @@ func (f *File) ValidateSLOs() error {
 	return nil
 }
 
-// DomainEntry describes one trust domain.
+// DomainEntry describes one trust domain. Vendor and PlatformID pin a
+// TEE domain to the machine its quotes must come from; a file written
+// before the pin existed has neither, and its TEE domains verify against
+// the vendor root set alone.
 type DomainEntry struct {
-	Name    string `json:"name"`
-	Addr    string `json:"addr"`
-	HasTEE  bool   `json:"has_tee"`
-	HostKey string `json:"host_key,omitempty"` // hex
+	Name       string `json:"name"`
+	Addr       string `json:"addr"`
+	HasTEE     bool   `json:"has_tee"`
+	HostKey    string `json:"host_key,omitempty"` // hex
+	Vendor     string `json:"vendor,omitempty"`
+	PlatformID string `json:"platform_id,omitempty"`
 }
 
 // ThresholdEntry carries the BLS threshold public key material. Epoch
@@ -78,7 +83,7 @@ func FromParams(p audit.Params, tk *bls.ThresholdKey) *File {
 		f.Roots[string(id)] = hex.EncodeToString(key)
 	}
 	for _, d := range p.Domains {
-		e := DomainEntry{Name: d.Name, Addr: d.Addr, HasTEE: d.HasTEE}
+		e := DomainEntry{Name: d.Name, Addr: d.Addr, HasTEE: d.HasTEE, Vendor: string(d.Vendor), PlatformID: d.PlatformID}
 		if len(d.HostKey) > 0 {
 			e.HostKey = hex.EncodeToString(d.HostKey)
 		}
@@ -124,7 +129,11 @@ func (f *File) Params() (audit.Params, error) {
 		p.Roots[tee.VendorID(id)] = ed25519.PublicKey(kb)
 	}
 	for _, d := range f.Domains {
-		info := audit.DomainInfo{Name: d.Name, Addr: d.Addr, HasTEE: d.HasTEE}
+		info := audit.DomainInfo{Name: d.Name, Addr: d.Addr, HasTEE: d.HasTEE,
+			Vendor: tee.VendorID(d.Vendor), PlatformID: d.PlatformID}
+		if (d.Vendor != "" || d.PlatformID != "") && (!d.HasTEE || d.Vendor == "") {
+			return p, fmt.Errorf("deployfile: bad platform pin for %s", d.Name)
+		}
 		if d.HostKey != "" {
 			kb, err := hex.DecodeString(d.HostKey)
 			if err != nil || len(kb) != ed25519.PublicKeySize {

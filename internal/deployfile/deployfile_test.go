@@ -1,8 +1,10 @@
 package deployfile
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
+	"encoding/json"
 	"path/filepath"
 	"testing"
 
@@ -216,5 +218,44 @@ func TestCorruptFileRejected(t *testing.T) {
 	bad.Threshold = &ThresholdEntry{T: 2, N: 3, GroupKey: "00"}
 	if _, err := bad.ThresholdKey(); err == nil {
 		t.Fatal("malformed point accepted")
+	}
+}
+
+// TestPlatformPinRoundTrip: a TEE domain's platform pin survives the
+// file; an unpinned domain is written as before, with no pin keys at
+// all; a pin on a non-TEE domain, or a platform without its vendor, is
+// refused.
+func TestPlatformPinRoundTrip(t *testing.T) {
+	params, tk := testParams(t)
+	params.Domains = append(params.Domains, audit.DomainInfo{Name: "domain-2", Addr: "127.0.0.1:1002", HasTEE: true})
+	params.Domains[1].Vendor, params.Domains[1].PlatformID = tee.VendorSimSGX, "host-domain-1"
+	file := FromParams(params, tk)
+	raw, err := json.Marshal(file.Domains[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte("vendor")) || bytes.Contains(raw, []byte("platform")) {
+		t.Fatalf("unpinned domain written with pin keys: %s", raw)
+	}
+	got, err := file.Params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := got.Domains[1]; d.Vendor != tee.VendorSimSGX || d.PlatformID != "host-domain-1" {
+		t.Fatalf("pin read back as %q/%q", d.Vendor, d.PlatformID)
+	}
+	if d := got.Domains[2]; d.Vendor != "" || d.PlatformID != "" {
+		t.Fatalf("unpinned domain read back pinned: %q/%q", d.Vendor, d.PlatformID)
+	}
+	for name, mutate := range map[string]func(*DomainEntry){
+		"pin on a host-key domain": func(d *DomainEntry) { *d = file.Domains[0]; d.Vendor, d.PlatformID = "sim-sgx", "h" },
+		"platform without vendor":  func(d *DomainEntry) { *d = file.Domains[2]; d.PlatformID = "h" },
+	} {
+		bad := *file
+		bad.Domains = append([]DomainEntry{}, file.Domains...)
+		mutate(&bad.Domains[0])
+		if _, err := bad.Params(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -577,6 +577,15 @@ func (d *Domain) Addr() string { return d.publicAd }
 // HasTEE reports whether the domain runs inside a simulated TEE.
 func (d *Domain) HasTEE() bool { return d.hasTEE }
 
+// Platform returns the vendor and platform of a TEE domain's enclave,
+// which clients pin at setup (both empty for a non-TEE domain).
+func (d *Domain) Platform() (tee.VendorID, string) {
+	if d.enclave == nil {
+		return "", ""
+	}
+	return d.enclave.Vendor(), d.enclave.PlatformID()
+}
+
 // HostKey returns the response-authentication key of a non-TEE domain
 // (nil for TEE domains); clients pin it at setup.
 func (d *Domain) HostKey() ed25519.PublicKey {

@@ -367,11 +367,12 @@ func (m *Monitor) Len() int {
 // proof against the super-root at tree size n (n <= current size). Proofs
 // against a FIXED past size are immutable facts about an append-only log,
 // which is what makes them cacheable by the serve tier: the proof for
-// (index, n) never changes as the log grows.
+// (index, n) never changes as the log grows. The payload is the log's own
+// stored bytes, not a copy: callers only read it.
 func (m *Monitor) ProveInclusionAt(index, n int) ([]byte, *aolog.ShardInclusionProof, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	payload, err := m.log.Entry(index)
+	payload, err := m.log.EntryView(index)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,7 +1,9 @@
 package monitor
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/aolog"
@@ -393,5 +395,53 @@ func TestMonitorBLSHeadsBatchAudited(t *testing.T) {
 	forged := aolog.SignHeadBLS(forger, heads[2].Size, heads[2].Head)
 	if aolog.VerifyHeadBLS(f.mon.BLSPublicKey(), &forged) {
 		t.Fatal("head forged by another key accepted")
+	}
+}
+
+// TestProofPayloadIsEntry: the payload ProveInclusionAt hands the serve
+// tier is the log's stored entry, not a copy, so it must equal Entry's
+// copy byte for byte at every index and size, and every payload handed
+// out earlier must still equal it after later appends advance the head.
+func TestProofPayloadIsEntry(t *testing.T) {
+	f := newFixture(t)
+	fw := f.newFramework(t, blsapp.ModuleBytes())
+	var handed [][]byte // handed[i]: a payload returned for index i
+	for round := 0; round < 4; round++ {
+		envs := make([]*audit.AttestedStatusEnvelope, 12)
+		for i := range envs {
+			envs[i] = envelope(fw, fmt.Sprintf("payload-%d-%d", round, i))
+		}
+		for _, o := range f.mon.SubmitBatch(envs) {
+			if o.Err != nil {
+				t.Fatal(o.Err)
+			}
+		}
+		size := f.mon.Len()
+		for n := 1; n <= size; n++ {
+			for i := 0; i < n; i++ {
+				payload, proof, err := f.mon.ProveInclusionAt(i, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := f.mon.log.Entry(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(payload, want) {
+					t.Fatalf("size %d: proof payload at %d differs from Entry", n, i)
+				}
+				if proof.GlobalIndex != i || proof.TreeSize != n {
+					t.Fatalf("proof for (%d,%d) asked (%d,%d)", proof.GlobalIndex, proof.TreeSize, i, n)
+				}
+				if i == len(handed) {
+					handed = append(handed, payload)
+				}
+			}
+		}
+		for i, p := range handed {
+			if want, _ := f.mon.log.Entry(i); !bytes.Equal(p, want) {
+				t.Fatalf("round %d: payload handed out for %d no longer equals Entry", round, i)
+			}
+		}
 	}
 }

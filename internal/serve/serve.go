@@ -10,6 +10,8 @@
 //     (old size, new size) — immutable facts about an append-only log —
 //     so a hot proof is computed once per head, not once per client, and
 //     concurrent requests for a cold key coalesce into one computation.
+//     An inclusion proof below the published head enters the cache on
+//     its second ask, so one-off catch-up reads do not churn it.
 //     Tree heads are signed once per SIZE, not once per "headbls" call.
 //
 //   - STH push/subscription (hub.go, client.go). A "subscribe" RPC turns
@@ -108,7 +110,9 @@ type ProofRequest struct {
 // everything a client audit needs. Overloaded=true means admission
 // refused fresh computation and the response was answered from the last
 // stale-but-verified head (StaleHead): Size/Payload/Proof then verify
-// against StaleHead, which still passes client-side audit.
+// against StaleHead, which still passes client-side audit. From the
+// in-process entry point (Tier.Proof) Payload and Proof are shared with
+// the cache and the log: read them, never write them.
 type ProofResponse struct {
 	Index      int                        `json:"index"`
 	Size       int                        `json:"size"`
@@ -145,6 +149,8 @@ type Backend interface {
 	// TreeHeadBLS signs the current head.
 	TreeHeadBLS() (aolog.BLSSignedHead, error)
 	// ProveInclusionAt returns payload+proof for index at tree size n.
+	// The payload may be the log's own stored bytes: the tier and its
+	// replies only read it.
 	ProveInclusionAt(index, n int) ([]byte, *aolog.ShardInclusionProof, error)
 	// ProveConsistencyBetween proves append-only growth old..new.
 	ProveConsistencyBetween(oldSize, newSize int) (*aolog.ShardConsistencyProof, error)
@@ -381,7 +387,9 @@ func (t *Tier) refreshHead() {
 	t.hub.Publish([]gossip.GossipHead{snap.gh})
 }
 
-// cachedProof is the cache value for inclusion keys; immutable.
+// cachedProof is the cache value for inclusion keys; immutable. payload
+// is the log's own stored bytes (Backend.ProveInclusionAt), shared by
+// every reply that carries it and never written.
 type cachedProof struct {
 	payload []byte
 	proof   *aolog.ShardInclusionProof
@@ -404,7 +412,7 @@ func (t *Tier) Proof(req *ProofRequest) (*ProofResponse, error) {
 		// publisher; clients retry after the next push.
 		return nil, fmt.Errorf("serve: no published head at size %d (current %d)", size, snap.size)
 	}
-	cp, err := t.inclusion(size, req.Index)
+	cp, err := t.inclusion(size, req.Index, size < snap.size)
 	if errors.Is(err, ErrOverloaded) {
 		t.refused("proof")
 		return t.degrade(req, snap)
@@ -421,8 +429,12 @@ func (t *Tier) Proof(req *ProofRequest) (*ProofResponse, error) {
 }
 
 // inclusion returns the cached proof for (size, index), computing it at
-// most once concurrently, behind the admission gate.
-func (t *Tier) inclusion(size, index int) (*cachedProof, error) {
+// most once concurrently, behind the admission gate. A proof below the
+// published head (past) is what a client catching up from its own last
+// head asks for, a key that rarely comes back: it enters the cache on its
+// second ask. A proof at the head enters on its first, which keeps the
+// flash-crowd single flight and the degraded path's stale-head proofs.
+func (t *Tier) inclusion(size, index int, past bool) (*cachedProof, error) {
 	compute := func() (any, error) {
 		release, ok := t.gate.enter()
 		if !ok {
@@ -435,7 +447,7 @@ func (t *Tier) inclusion(size, index int) (*cachedProof, error) {
 		}
 		return &cachedProof{payload: payload, proof: proof}, nil
 	}
-	v, err := t.cache.do(inclusionKey(size, index), compute)
+	v, err := t.cache.do(inclusionKey(size, index), past, compute)
 	if err != nil {
 		return nil, err
 	}
@@ -495,7 +507,7 @@ func (t *Tier) Consistency(oldSize, newSize int) (*aolog.ShardConsistencyProof, 
 		defer release()
 		return t.b.ProveConsistencyBetween(oldSize, newSize)
 	}
-	v, err := t.cache.do(consistencyKey(oldSize, newSize), compute)
+	v, err := t.cache.do(consistencyKey(oldSize, newSize), false, compute)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			t.refused("consistency")

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Batched RPC: a built-in request kind whose body is a list of ordinary
@@ -22,6 +23,10 @@ const BatchKind = "_batch"
 // MaxBatchCalls caps the sub-requests per batch so one frame cannot queue
 // unbounded handler work.
 const MaxBatchCalls = 4096
+
+// maxKeptBatch is the largest batch whose sub-request and reply slices a
+// connection keeps for its next batch.
+const maxKeptBatch = 64
 
 // BatchCall is one sub-request in a client-side batch.
 type BatchCall struct {
@@ -59,7 +64,7 @@ func (s *Server) dispatchBatch(ctx context.Context, req *Request, enc *replyEnco
 	var subs []Request
 	var err error
 	if req.container {
-		subs, err = parseSubRequests(req.Body)
+		subs, err = parseSubRequests(enc.subs, req.Body)
 	} else {
 		var list []Request // declared here, so only a JSON batch allocates it
 		err = json.Unmarshal(req.Body, &list)
@@ -76,7 +81,17 @@ func (s *Server) dispatchBatch(ctx context.Context, req *Request, enc *replyEnco
 	if obs != nil {
 		obs.batchSize.Observe(float64(len(subs)))
 	}
-	resps := make([]Response, len(subs))
+	resps := slices.Grow(enc.resps[:0], len(subs))[:len(subs)]
+	// Kept for the next batch on this connection unless oversized, like
+	// its frame buffers, and emptied so they do not hold this frame and
+	// these bodies until then.
+	defer func() {
+		if len(subs) <= maxKeptBatch {
+			clear(subs)
+			clear(resps)
+			enc.subs, enc.resps = subs, resps
+		}
+	}()
 	for i := range subs {
 		_, r := s.lookup(subs[i].Kind)
 		if subs[i].Kind == BatchKind || r.noBatch {

@@ -150,7 +150,7 @@ func FuzzDispatch(f *testing.F) {
 			t.Fatalf("%s answered a binary request body: %s", req.Kind, resp.Body)
 		}
 		if req.Kind == BatchKind && req.container && resp.OK {
-			subs, _ := parseSubRequests(req.Body)
+			subs, _ := parseSubRequests(nil, req.Body)
 			var resps []Response
 			if err := json.Unmarshal(resp.Body, &resps); err != nil || len(resps) != len(subs) {
 				t.Fatalf("batch of %d answered with %d entries (%v)", len(subs), len(resps), err)

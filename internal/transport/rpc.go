@@ -396,10 +396,14 @@ func (s *Server) dispatch(req *Request) *Response {
 // reply are appended to — a binary body, or a batch's bodies side by side
 // and then their container — so that answering a hot read allocates no
 // buffer at all. A piece stays valid when the buffer grows: it keeps the
-// array it was written to. The zero value encodes for v1.
+// array it was written to. The zero value encodes for v1. A _batch's
+// sub-requests and their replies are parsed and built in subs and resps,
+// also kept from one request to the next.
 type replyEncoding struct {
 	v2      bool
 	scratch []byte
+	subs    []Request
+	resps   []Response
 }
 
 // binaryAppender is how a result with a binary form is encoded without a
@@ -915,7 +919,7 @@ func (c *Client) route(frame []byte) error {
 	var subs []Request
 	var err error
 	if env.batch {
-		subs, err = parseSubRequests(env.Body)
+		subs, err = parseSubRequests(nil, env.Body)
 	} else {
 		err = json.Unmarshal(env.Body, &subs)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Wire v2: the second frame payload format. The frame around it — the
@@ -219,21 +220,35 @@ type entry struct {
 	body         []byte
 }
 
-// parseContainer decodes a container body. The count is checked against
-// MaxBatchCalls and against the bytes present (an entry is at least two)
-// before the slice is made, and trailing bytes are an error.
-func parseContainer(body []byte) ([]entry, error) {
+// openContainer starts reading a container body: its entry count,
+// checked against MaxBatchCalls and against the bytes present (an entry
+// is at least two) before anything is sized by it.
+func openContainer(body []byte) (v2Reader, int, error) {
 	r := v2Reader{b: body}
 	n := r.uvarint()
 	if r.bad || n > MaxBatchCalls || n > uint64(len(r.b)/2) {
-		return nil, fmt.Errorf("%w: batch of %d entries in %d bytes (limit %d)", errMalformedV2, n, len(r.b), MaxBatchCalls)
+		return r, 0, fmt.Errorf("%w: batch of %d entries in %d bytes (limit %d)", errMalformedV2, n, len(r.b), MaxBatchCalls)
+	}
+	return r, int(n), nil
+}
+
+// entry reads one container entry.
+func (r *v2Reader) entry() (e entry) {
+	e.flags = r.flags(entryFlags)
+	e.kind, e.errMsg = r.meta(e.flags)
+	e.body = r.bytes()
+	return e
+}
+
+// parseContainer decodes a container body. Trailing bytes are an error.
+func parseContainer(body []byte) ([]entry, error) {
+	r, n, err := openContainer(body)
+	if err != nil {
+		return nil, err
 	}
 	entries := make([]entry, n)
 	for i := range entries {
-		e := &entries[i]
-		e.flags = r.flags(entryFlags)
-		e.kind, e.errMsg = r.meta(e.flags)
-		e.body = r.bytes()
+		entries[i] = r.entry()
 	}
 	if r.bad || len(r.b) != 0 {
 		return nil, fmt.Errorf("%w: batch entries", errMalformedV2)
@@ -242,18 +257,23 @@ func parseContainer(body []byte) ([]entry, error) {
 }
 
 // parseSubRequests decodes the container of a _batch request or a push
-// into the sub-requests it stands for, IDs assigned by position.
-func parseSubRequests(body []byte) ([]Request, error) {
-	entries, err := parseContainer(body)
+// into the sub-requests it stands for, IDs assigned by position, in dst's
+// array when it is large enough.
+func parseSubRequests(dst []Request, body []byte) ([]Request, error) {
+	r, n, err := openContainer(body)
 	if err != nil {
 		return nil, err
 	}
-	subs := make([]Request, len(entries))
-	for i, e := range entries {
+	subs := slices.Grow(dst[:0], n)[:n]
+	for i := range subs {
+		e := r.entry()
 		if e.flags != 0 {
 			return nil, fmt.Errorf("%w: entry %d is not a plain request", errMalformedV2, i)
 		}
 		subs[i] = Request{ID: uint64(i + 1), Kind: e.kind, Body: e.body}
+	}
+	if r.bad || len(r.b) != 0 {
+		return nil, fmt.Errorf("%w: batch entries", errMalformedV2)
 	}
 	return subs, nil
 }

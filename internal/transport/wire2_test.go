@@ -79,7 +79,7 @@ func TestV2EnvelopeRoundTrip(t *testing.T) {
 func TestV2ContainerBounds(t *testing.T) {
 	subs := []Request{{Kind: "proof", Body: []byte(`{"index":1}`)}, {Kind: "consistency", Body: []byte(`{}`)}, {Kind: ""}}
 	enc := appendSubRequests(nil, subs)
-	got, err := parseSubRequests(enc)
+	got, err := parseSubRequests(nil, enc)
 	if err != nil || len(got) != len(subs) {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestV2ContainerBounds(t *testing.T) {
 		t.Fatal("an entry longer than the frame accepted")
 	}
 	// Sub-requests are plain: no reply, error or binary entries.
-	if _, err := parseSubRequests([]byte{1, flagReply, 0}); err == nil {
+	if _, err := parseSubRequests(nil, []byte{1, flagReply, 0}); err == nil {
 		t.Fatal("a reply entry accepted as a sub-request")
 	}
 	if _, err := parseContainer([]byte{1, flagBatch, 0, 0}); err == nil {
