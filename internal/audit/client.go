@@ -107,11 +107,10 @@ func VerifyHistoryEnvelope(p *Params, env *AttestedHistoryEnvelope) error {
 
 // verifyAttested authenticates one attestation — a quote rooted in a
 // vendor key, from the domain's pinned platform if it has one, with the
-// published measurement, or the pinned host
-// key's signature over hostReport — and checks each half of the 64
-// report bytes it covers against the binding the caller recomputed: the
-// status in rd[0:32], the history in rd[32:64]; a nil binding leaves
-// its half unchecked. A domain-0 reply without hostReport signed the
+// published measurement, or the pinned host key's signature over
+// hostReport — and checks each half of the 64 report bytes it covers
+// against the binding the caller recomputed: the status in rd[0:32],
+// the history in rd[32:64]; a nil binding leaves its half unchecked. A domain-0 reply without hostReport signed the
 // layout of the bindings given, zero for the missing half.
 func verifyAttested(p *Params, name string, quote *tee.Quote, hostKey, hostSig, hostReport, status, history []byte) error {
 	info, err := p.domainInfo(name)
