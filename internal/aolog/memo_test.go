@@ -525,7 +525,8 @@ func BenchmarkShardProofsAtPastSizes(b *testing.B) {
 // against shardLeaf's streaming reference over a root recomputed from
 // the payloads: at the new size as it is reached, and at every past size
 // in random order, so the memo is read both where it was filled and
-// where a past size fills it late.
+// where a past size fills it late. Leaves at the head are hashed afresh:
+// until a past size is asked for, the memo stays empty.
 func TestSuperLeafMemoMatchesRecompute(t *testing.T) {
 	const total = 300
 	for _, k := range []int{1, 3, 4} {
@@ -550,6 +551,13 @@ func TestSuperLeafMemoMatchesRecompute(t *testing.T) {
 			o.append(p)
 			s.Append(p)
 			check(s.Len())
+			if s.Len() < 50 {
+				for j, sh := range s.shards {
+					if len(sh.superLeaves) != 0 {
+						t.Fatalf("k=%d n=%d: shard %d memoized %d leaves with only head sizes asked", k, s.Len(), j, len(sh.superLeaves))
+					}
+				}
+			}
 			if s.Len()%50 == 0 {
 				for _, n := range rng.Perm(s.Len() + 1) {
 					check(n)

@@ -159,7 +159,8 @@ func shardLeaf(j int, size uint64, root Digest) Digest {
 // superLeaf returns m's super-tree leaf at shard size n, m being shard j
 // of a ShardedLog, hashing it only the first time it is asked for: like
 // a prefix root, a leaf at a past size never changes. The memo sits
-// beside m.roots and grows the same way, one digest per leaf at most.
+// beside m.roots, one digest per leaf at most; only proofs at past sizes
+// fill it (superLeavesAt).
 func (m *MerkleLog) superLeaf(j, n int) Digest {
 	if n == 0 {
 		return shardLeaf(j, 0, leafEmptyRoot())
@@ -176,11 +177,19 @@ func (m *MerkleLog) superLeaf(j, n int) Digest {
 }
 
 // superLeavesAt returns every shard's super-tree leaf at total size n
-// (n <= Len) in s.leaves, which the next call overwrites.
+// (n <= Len) in s.leaves, which the next call overwrites. Leaves at a
+// past size come from the memo; the head's are hashed afresh, so a log
+// whose heads are signed but whose past sizes are never proved keeps no
+// memo.
 func (s *ShardedLog) superLeavesAt(n int) []Digest {
 	k := len(s.shards)
 	for j, sh := range s.shards {
-		s.leaves[j] = sh.superLeaf(j, shardLen(n, j, k))
+		sz := shardLen(n, j, k)
+		if n == s.n {
+			s.leaves[j] = shardLeaf(j, uint64(sz), sh.prefixRoot(sz))
+		} else {
+			s.leaves[j] = sh.superLeaf(j, sz)
+		}
 	}
 	return s.leaves
 }

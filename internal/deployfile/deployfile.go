@@ -45,7 +45,8 @@ func (f *File) ValidateSLOs() error {
 }
 
 // DomainEntry describes one trust domain. Vendor and PlatformID pin a
-// TEE domain to the machine its quotes must come from; a file written
+// TEE domain to the machine its quotes must come from, and come as a
+// pair (Params refuses one without the other); a file written
 // before the pin existed has neither, and its TEE domains verify against
 // the vendor root set alone.
 type DomainEntry struct {
@@ -131,7 +132,7 @@ func (f *File) Params() (audit.Params, error) {
 	for _, d := range f.Domains {
 		info := audit.DomainInfo{Name: d.Name, Addr: d.Addr, HasTEE: d.HasTEE,
 			Vendor: tee.VendorID(d.Vendor), PlatformID: d.PlatformID}
-		if (d.Vendor != "" || d.PlatformID != "") && (!d.HasTEE || d.Vendor == "") {
+		if (d.Vendor != "" || d.PlatformID != "") && (!d.HasTEE || d.Vendor == "" || d.PlatformID == "") {
 			return p, fmt.Errorf("deployfile: bad platform pin for %s", d.Name)
 		}
 		if d.HostKey != "" {

@@ -250,6 +250,7 @@ func TestPlatformPinRoundTrip(t *testing.T) {
 	for name, mutate := range map[string]func(*DomainEntry){
 		"pin on a host-key domain": func(d *DomainEntry) { *d = file.Domains[0]; d.Vendor, d.PlatformID = "sim-sgx", "h" },
 		"platform without vendor":  func(d *DomainEntry) { *d = file.Domains[2]; d.PlatformID = "h" },
+		"vendor without platform":  func(d *DomainEntry) { *d = file.Domains[2]; d.Vendor = "sim-sgx" },
 	} {
 		bad := *file
 		bad.Domains = append([]DomainEntry{}, file.Domains...)

@@ -14,29 +14,19 @@ import (
 // correctness does not depend on eviction policy, only freshness of the
 // head under which a proof is SERVED (the tier's job, not the cache's).
 //
-// A key the caller marks as rarely repeated (a proof at a past size: a
-// client catching up from its own last head) enters only on its second
-// ask. The first ask computes and returns without touching the LRU or the
-// flight table, and leaves the key's fingerprint in asked; a fixed array,
-// so that remembering costs no allocation.
+// A key the caller does not fill (a proof at a past size: a client
+// catching up from its own last head, a key that rarely comes back) is
+// answered from the cache when it is there, and otherwise computed for
+// its caller alone, touching neither the LRU nor the flight table.
 type proofCache struct {
 	mu      sync.Mutex
 	max     int
 	entries map[cacheKey]*list.Element
 	lru     *list.List // front = most recent; values are *cacheEntry
 	flight  map[cacheKey]*flightCall
-	asked   [askedSlots]uint64 // fingerprints of keys asked once; 0 = empty
 
 	hits, misses, coalesced, evictions uint64
 }
-
-// askedSlots sizes the fingerprint table: 512 KiB, so a past-size key
-// asked again within about as many first asks as the cache holds entries
-// is admitted. A slot is picked by the fingerprint's top askedBits bits.
-const (
-	askedBits  = 16
-	askedSlots = 1 << askedBits
-)
 
 type cacheKey struct {
 	kind byte // 'i' inclusion, 'c' consistency
@@ -45,36 +35,6 @@ type cacheKey struct {
 
 func inclusionKey(size, index int) cacheKey { return cacheKey{kind: 'i', a: size, b: index} }
 func consistencyKey(old, new int) cacheKey  { return cacheKey{kind: 'c', a: old, b: new} }
-
-// fingerprint hashes a key to a nonzero 64-bit value (splitmix64's
-// finalizer over each field). Two keys that share one only admit each
-// other a request early.
-func (k cacheKey) fingerprint() uint64 {
-	h := mix64(uint64(k.kind)) ^ uint64(k.a)
-	h = mix64(h) ^ uint64(k.b)
-	return mix64(h) | 1
-}
-
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ x>>31
-}
-
-// askedBefore reports whether key's fingerprint is in the table, and
-// puts it there if not, displacing whatever held its slot. Called with
-// c.mu held.
-func (c *proofCache) askedBefore(key cacheKey) bool {
-	fp := key.fingerprint()
-	slot := &c.asked[fp>>(64-askedBits)]
-	if *slot == fp {
-		return true
-	}
-	*slot = fp
-	return false
-}
 
 type cacheEntry struct {
 	key cacheKey
@@ -116,11 +76,9 @@ func (c *proofCache) peek(key cacheKey) (any, bool) {
 // do returns the cached value for key, or computes it exactly once no
 // matter how many callers arrive concurrently. Errors are returned to
 // every waiter of the flight but never cached, so a transient failure
-// does not poison the key. With onRepeat set, a key not asked for before
-// is computed for this caller alone and not cached: concurrent first asks
-// of one key then compute it twice at most, since the second finds the
-// fingerprint and starts the flight the rest join.
-func (c *proofCache) do(key cacheKey, onRepeat bool, compute func() (any, error)) (any, error) {
+// does not poison the key. Without fill, a miss is computed for this
+// caller alone and not cached.
+func (c *proofCache) do(key cacheKey, fill bool, compute func() (any, error)) (any, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.hits++
@@ -129,6 +87,11 @@ func (c *proofCache) do(key cacheKey, onRepeat bool, compute func() (any, error)
 		c.mu.Unlock()
 		return v, nil
 	}
+	if !fill {
+		c.misses++
+		c.mu.Unlock()
+		return compute()
+	}
 	if fl, ok := c.flight[key]; ok {
 		c.coalesced++
 		c.mu.Unlock()
@@ -136,10 +99,6 @@ func (c *proofCache) do(key cacheKey, onRepeat bool, compute func() (any, error)
 		return fl.val, fl.err
 	}
 	c.misses++
-	if onRepeat && !c.askedBefore(key) {
-		c.mu.Unlock()
-		return compute()
-	}
 	fl := &flightCall{done: make(chan struct{})}
 	c.flight[key] = fl
 	c.mu.Unlock()

@@ -13,8 +13,8 @@ import (
 // catching up: an inclusion proof at a past size asked for the first
 // time, plus a consistency proof to the head that is already cached. The
 // miss allocates the proof (the proof struct and one array for its two
-// paths), the cache's value holding it beside the payload, and the
-// reply; it allocates no flight record, channel, or LRU element.
+// paths), the value holding it beside the payload, and the reply; it
+// allocates no flight record, channel, or LRU element.
 const catchUpAllocs = 4
 
 // TestCatchUpAllocs pins the allocations of the read path a client
@@ -50,13 +50,13 @@ func TestCatchUpAllocs(t *testing.T) {
 	}
 }
 
-// TestPastSizeProofsEnterOnSecondAsk pins the admission rule: a proof at
-// the published head is cached on its first request, a proof at a past
-// size is computed on its first two and served from cache from the
-// third, a consistency proof is cached on its first, and a proof cached
-// while its size was the head still answers a degraded request once a
-// newer head is published.
-func TestPastSizeProofsEnterOnSecondAsk(t *testing.T) {
+// TestPastSizeProofsAreNotCached pins the admission rule: a proof at the
+// published head is cached on its first request, a proof at a past size
+// is computed on every request and never cached, a consistency proof is
+// cached on its first, and a proof cached while its size was the head
+// still answers, from the cache, both a request at that size and a
+// degraded request once a newer head is published.
+func TestPastSizeProofsAreNotCached(t *testing.T) {
 	fb, _ := newFakeBackend(t, 4)
 	tier, err := Attach(fb, Options{Source: "fake"})
 	if err != nil {
@@ -83,7 +83,7 @@ func TestPastSizeProofsEnterOnSecondAsk(t *testing.T) {
 	ask(ProofRequest{Index: 3, Size: 4}, 2)
 
 	var past [3]*ProofResponse
-	for i, want := range []uint64{3, 4, 4} {
+	for i, want := range []uint64{3, 4, 5} {
 		past[i] = ask(ProofRequest{Index: 1, Size: 3}, want)
 	}
 	for _, r := range past[1:] {
@@ -122,6 +122,7 @@ func TestPastSizeProofsEnterOnSecondAsk(t *testing.T) {
 			t.Fatal("head never advanced")
 		}
 	}
+	ask(ProofRequest{Index: 2, Size: 4}, 5) // cached while 4 was the head
 	release, ok := tier.gate.enter()
 	if !ok {
 		t.Fatal("gate refused the only caller")

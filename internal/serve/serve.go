@@ -10,8 +10,9 @@
 //     (old size, new size) — immutable facts about an append-only log —
 //     so a hot proof is computed once per head, not once per client, and
 //     concurrent requests for a cold key coalesce into one computation.
-//     An inclusion proof below the published head enters the cache on
-//     its second ask, so one-off catch-up reads do not churn it.
+//     An inclusion proof below the published head is served from the
+//     cache when there, but a miss does not enter it, so one-off
+//     catch-up reads do not churn it.
 //     Tree heads are signed once per SIZE, not once per "headbls" call.
 //
 //   - STH push/subscription (hub.go, client.go). A "subscribe" RPC turns
@@ -412,7 +413,7 @@ func (t *Tier) Proof(req *ProofRequest) (*ProofResponse, error) {
 		// publisher; clients retry after the next push.
 		return nil, fmt.Errorf("serve: no published head at size %d (current %d)", size, snap.size)
 	}
-	cp, err := t.inclusion(size, req.Index, size < snap.size)
+	cp, err := t.inclusion(size, req.Index, size == snap.size)
 	if errors.Is(err, ErrOverloaded) {
 		t.refused("proof")
 		return t.degrade(req, snap)
@@ -429,12 +430,13 @@ func (t *Tier) Proof(req *ProofRequest) (*ProofResponse, error) {
 }
 
 // inclusion returns the cached proof for (size, index), computing it at
-// most once concurrently, behind the admission gate. A proof below the
-// published head (past) is what a client catching up from its own last
-// head asks for, a key that rarely comes back: it enters the cache on its
-// second ask. A proof at the head enters on its first, which keeps the
-// flash-crowd single flight and the degraded path's stale-head proofs.
-func (t *Tier) inclusion(size, index int, past bool) (*cachedProof, error) {
+// most once concurrently, behind the admission gate. Only a proof at the
+// published head (atHead) enters the cache on a miss, which keeps the
+// flash-crowd single flight and the degraded path's stale-head proofs. A
+// proof below it is what a client catching up from its own last head
+// asks for, a key that rarely comes back: a miss computes it for that
+// client alone.
+func (t *Tier) inclusion(size, index int, atHead bool) (*cachedProof, error) {
 	compute := func() (any, error) {
 		release, ok := t.gate.enter()
 		if !ok {
@@ -447,7 +449,7 @@ func (t *Tier) inclusion(size, index int, past bool) (*cachedProof, error) {
 		}
 		return &cachedProof{payload: payload, proof: proof}, nil
 	}
-	v, err := t.cache.do(inclusionKey(size, index), past, compute)
+	v, err := t.cache.do(inclusionKey(size, index), atHead, compute)
 	if err != nil {
 		return nil, err
 	}
@@ -507,7 +509,7 @@ func (t *Tier) Consistency(oldSize, newSize int) (*aolog.ShardConsistencyProof, 
 		defer release()
 		return t.b.ProveConsistencyBetween(oldSize, newSize)
 	}
-	v, err := t.cache.do(consistencyKey(oldSize, newSize), false, compute)
+	v, err := t.cache.do(consistencyKey(oldSize, newSize), true, compute)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			t.refused("consistency")
