@@ -541,7 +541,7 @@ func TestCeremonyCrashMidwayRecovers(t *testing.T) {
 // BenchmarkRefreshCeremony measures one full proactive refresh of a
 // 2-of-3 deployment through the sandboxed invoke path: dealer sampling,
 // three in-sandbox Feldman verifications + durable installs, and the
-// rotated-key derivation. Emitted as BENCH_refresh.json by CI.
+// rotated-key derivation. CI's epoch-refresh job runs it once as a smoke.
 func BenchmarkRefreshCeremony(b *testing.B) {
 	dir := b.TempDir()
 	f := newRefreshFixture(b, 2, 3, dir)

@@ -1,44 +1,28 @@
 package serve
 
-import (
-	"container/list"
-	"sync"
-)
+// The proof cache is the published heads. A Merkle proof is a pure
+// function of the log at a fixed size, so each head snapshot holds the
+// proofs pinned to its size — inclusion proofs at it, consistency proofs
+// ending at it — and they retire with it. The tier keeps two snapshots,
+// the head and the stale head, so nothing is evicted by recency and
+// nothing is invalidated: a new head starts empty, and proofs at the
+// retired size go with the snapshot. A proof pinned to any other size (a
+// client catching up from its own last head) is computed for its caller
+// alone. Concurrent misses of one pinned key coalesce into a single
+// computation: when a new head lands and ten thousand auditing clients
+// ask for the same proof, one walk runs and everyone else waits on it.
 
-// proofCache is the read-path amortizer: a bounded LRU keyed on immutable
-// facts about an append-only log — an inclusion proof at a FIXED tree
-// size, a consistency proof between two FIXED sizes — with single-flight
-// coalescing so that when a new head lands and ten thousand auditing
-// clients ask for the same hot proof, exactly one computation runs and
-// everyone else waits on it. Entries are never mutated after insertion;
-// correctness does not depend on eviction policy, only freshness of the
-// head under which a proof is SERVED (the tier's job, not the cache's).
-//
-// A key the caller does not fill (a proof at a past size: a client
-// catching up from its own last head, a key that rarely comes back) is
-// answered from the cache when it is there, and otherwise computed for
-// its caller alone, touching neither the LRU nor the flight table.
-type proofCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[cacheKey]*list.Element
-	lru     *list.List // front = most recent; values are *cacheEntry
-	flight  map[cacheKey]*flightCall
-
-	hits, misses, coalesced, evictions uint64
+// proofKey names a proof pinned to a snapshot's size.
+type proofKey struct {
+	kind byte // 'i' inclusion of leaf n, 'c' consistency from old size n
+	n    int
 }
 
-type cacheKey struct {
-	kind byte // 'i' inclusion, 'c' consistency
-	a, b int  // (tree size, index) or (old size, new size)
-}
-
-func inclusionKey(size, index int) cacheKey { return cacheKey{kind: 'i', a: size, b: index} }
-func consistencyKey(old, new int) cacheKey  { return cacheKey{kind: 'c', a: old, b: new} }
-
-type cacheEntry struct {
-	key cacheKey
+// pinned is one entry of a snapshot's proof map: a computed proof, or,
+// while fl is set, its computation in flight.
+type pinned struct {
 	val any
+	fl  *flightCall
 }
 
 type flightCall struct {
@@ -47,106 +31,94 @@ type flightCall struct {
 	err  error
 }
 
-func newProofCache(max int) *proofCache {
-	if max < 1 {
-		max = 1
+// snapProofs bounds the proofs one snapshot holds, computed or in flight;
+// past it a miss is computed for its caller alone. The tier's two
+// snapshots together hold at most cacheEntries.
+const snapProofs = cacheEntries / 2
+
+// snapAt returns the published snapshot of size n, the head or the stale
+// head, or nil when n is neither.
+func (t *Tier) snapAt(head *headSnap, n int) *headSnap {
+	if n == head.size {
+		return head
 	}
-	return &proofCache{
-		max:     max,
-		entries: make(map[cacheKey]*list.Element),
-		lru:     list.New(),
-		flight:  make(map[cacheKey]*flightCall),
+	if s := t.stale.Load(); s != nil && s.size == n {
+		return s
 	}
+	return nil
 }
 
-// peek returns a cached value without counting a miss and without
-// coalescing — the overload degradation path uses it to answer from
-// already-proven state only.
-func (c *proofCache) peek(key cacheKey) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
-}
-
-// do returns the cached value for key, or computes it exactly once no
-// matter how many callers arrive concurrently. Errors are returned to
-// every waiter of the flight but never cached, so a transient failure
-// does not poison the key. Without fill, a miss is computed for this
-// caller alone and not cached.
-func (c *proofCache) do(key cacheKey, fill bool, compute func() (any, error)) (any, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.lru.MoveToFront(el)
-		v := el.Value.(*cacheEntry).val
-		c.mu.Unlock()
-		return v, nil
-	}
-	if !fill {
-		c.misses++
-		c.mu.Unlock()
+// pinnedProof returns the proof k pinned to s, computing it at most once
+// however many callers arrive together. With s nil, retired or full, a
+// miss is computed for this caller alone. Errors reach every waiter of
+// the flight but are never kept, so a transient failure does not poison
+// the key.
+func (t *Tier) pinnedProof(s *headSnap, k proofKey, compute func() (any, error)) (any, error) {
+	if s == nil {
+		t.misses.Add(1)
 		return compute()
 	}
-	if fl, ok := c.flight[key]; ok {
-		c.coalesced++
-		c.mu.Unlock()
-		<-fl.done
-		return fl.val, fl.err
+	s.mu.Lock()
+	if e, ok := s.proofs[k]; ok {
+		s.mu.Unlock()
+		if e.fl == nil {
+			t.hits.Add(1)
+			return e.val, nil
+		}
+		t.coalesced.Add(1)
+		<-e.fl.done
+		return e.fl.val, e.fl.err
 	}
-	c.misses++
+	t.misses.Add(1)
+	if s.proofs == nil || len(s.proofs) >= snapProofs {
+		s.mu.Unlock()
+		return compute()
+	}
 	fl := &flightCall{done: make(chan struct{})}
-	c.flight[key] = fl
-	c.mu.Unlock()
+	s.proofs[k] = pinned{fl: fl}
+	s.mu.Unlock()
 
 	fl.val, fl.err = compute()
 
-	c.mu.Lock()
-	delete(c.flight, key)
-	if fl.err == nil {
-		c.insertLocked(key, fl.val)
+	s.mu.Lock()
+	if s.proofs != nil { // not retired meanwhile
+		if fl.err == nil {
+			s.proofs[k] = pinned{val: fl.val}
+		} else {
+			delete(s.proofs, k)
+		}
 	}
-	c.mu.Unlock()
+	s.mu.Unlock()
 	close(fl.done)
 	return fl.val, fl.err
 }
 
-// insertLocked adds a value and evicts from the cold end past capacity.
-func (c *proofCache) insertLocked(key cacheKey, val any) {
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, val: val})
-	for c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
+// lookup returns a computed proof pinned to s without counting or
+// coalescing: the degraded path answers from already-proven state only.
+func (s *headSnap) lookup(k proofKey) (any, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.proofs[k]
+	return e.val, ok && e.fl == nil
 }
 
-// cacheStats is a point-in-time counter snapshot.
-type cacheStats struct {
-	Entries   int
-	Hits      uint64
-	Misses    uint64
-	Coalesced uint64
-	Evictions uint64
+// held reports how many proofs s holds, computed or in flight (0 for nil).
+func (s *headSnap) held() int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.proofs)
 }
 
-func (c *proofCache) stats() cacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return cacheStats{
-		Entries:   c.lru.Len(),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Coalesced: c.coalesced,
-		Evictions: c.evictions,
-	}
+// retire drops the snapshot's proofs once no published head has its size
+// and returns how many went; a flight still running keeps its callers'
+// answer but is not kept.
+func (s *headSnap) retire() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.proofs)
+	s.proofs = nil
+	return n
 }

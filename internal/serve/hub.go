@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/gossip"
 	"repro/internal/transport"
@@ -40,8 +41,8 @@ type Hub struct {
 	subs   map[*transport.Pusher]*hubSub
 	closed bool
 
-	pushed  uint64 // heads enqueued across all subscribers
-	dropped uint64 // heads dropped (regressions + overflow)
+	pushed  atomic.Uint64 // heads enqueued across all subscribers
+	dropped atomic.Uint64 // heads dropped (regressions + overflow)
 }
 
 // maxPendingSources bounds one subscriber's coalesced queue; past it new
@@ -68,18 +69,11 @@ func NewHub(from string) *Hub {
 	return &Hub{from: from, subs: make(map[*transport.Pusher]*hubSub)}
 }
 
-// Subscribe registers a connection for pushes. Subscribing twice on one
-// connection is idempotent.
-func (h *Hub) Subscribe(p *transport.Pusher) error {
-	_, err := h.subscribe(p, nil)
-	return err
-}
-
-// subscribe registers p like Subscribe and returns the heads for its
-// ack: current's, read under the subscriber's write lock (so current
-// must not call into the hub). A push taken before then is written
-// first, and the guard rises to the ack's heads, so no later push
-// carries an older one.
+// subscribe registers a connection for pushes (idempotent per
+// connection) and returns the heads for its ack: current's, read under
+// the subscriber's write lock (so current must not call into the hub). A
+// push taken before then is written first, and the guard rises to the
+// ack's heads, so no later push carries an older one.
 func (h *Hub) subscribe(p *transport.Pusher, current func() []gossip.GossipHead) ([]gossip.GossipHead, error) {
 	if p == nil {
 		return nil, errors.New("serve: subscribe requires a connection")
@@ -135,23 +129,10 @@ func (h *Hub) Subscribers() int {
 	return len(h.subs)
 }
 
-// pushedCount and droppedCount read the hub's lifetime counters (bound
-// into the metric registry as serve_heads_pushed_total / _dropped_total).
-func (h *Hub) pushedCount() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.pushed
-}
-
-func (h *Hub) droppedCount() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dropped
-}
-
-// pendingTotal sums heads queued but not yet flushed across all
-// subscribers — the push-path backlog gauge.
-func (h *Hub) pendingTotal() int {
+// Pending reports the push backlog: heads queued but not yet flushed
+// across all subscribers. Exported for the serve-push-drain watchdog
+// probe, which needs the instantaneous value between scrapes.
+func (h *Hub) Pending() int {
 	h.mu.Lock()
 	subs := make([]*hubSub, 0, len(h.subs))
 	for _, s := range h.subs {
@@ -166,11 +147,6 @@ func (h *Hub) pendingTotal() int {
 	}
 	return total
 }
-
-// Pending reports the push backlog: heads queued but not yet flushed
-// across all subscribers. Exported for the serve-push-drain watchdog
-// probe, which needs the instantaneous value between scrapes.
-func (h *Hub) Pending() int { return h.pendingTotal() }
 
 // Close drops every subscription. Connections stay open (the transport
 // server owns them).
@@ -208,16 +184,11 @@ func (h *Hub) Publish(heads []gossip.GossipHead) {
 		subs = append(subs, s)
 	}
 	h.mu.Unlock()
-	var pushed, dropped uint64
 	for _, s := range subs {
 		p, d := s.enqueue(heads)
-		pushed += p
-		dropped += d
+		h.pushed.Add(p)
+		h.dropped.Add(d)
 	}
-	h.mu.Lock()
-	h.pushed += pushed
-	h.dropped += dropped
-	h.mu.Unlock()
 }
 
 // enqueue coalesces heads into the subscriber's pending set.

@@ -162,9 +162,9 @@ func TestSubscribeAckWaitsForPushInFlight(t *testing.T) {
 	}
 	mu.Unlock()
 
-	dropped := hub.droppedCount()
+	dropped := hub.dropped.Load()
 	hub.Publish([]gossip.GossipHead{hubHead(2)})
-	if hub.droppedCount() != dropped+1 {
+	if hub.dropped.Load() != dropped+1 {
 		t.Fatal("a head older than the ack was queued for push")
 	}
 	hub.Publish([]gossip.GossipHead{hubHead(4)})

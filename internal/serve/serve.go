@@ -5,15 +5,16 @@
 //
 // Three mechanisms, composed:
 //
-//   - Proof cache + single-flight coalescing (cache.go). Inclusion and
-//     consistency proofs are keyed on (tree size, leaf index) and
-//     (old size, new size) — immutable facts about an append-only log —
-//     so a hot proof is computed once per head, not once per client, and
-//     concurrent requests for a cold key coalesce into one computation.
-//     An inclusion proof below the published head is served from the
-//     cache when there, but a miss does not enter it, so one-off
-//     catch-up reads do not churn it.
-//     Tree heads are signed once per SIZE, not once per "headbls" call.
+//   - Proofs held by the published heads, with single-flight coalescing
+//     (cache.go). A proof at a fixed size is an immutable fact about an
+//     append-only log, so each published head snapshot keeps the
+//     inclusion proofs at its size and the consistency proofs ending at
+//     it: a hot proof is computed once per head, not once per client, and
+//     concurrent requests for it coalesce into one computation. The
+//     proofs retire with their head; a proof pinned to any other size (a
+//     client catching up from its own last head) is computed for its
+//     caller alone. Tree heads are signed once per SIZE, not once per
+//     "headbls" call.
 //
 //   - STH push/subscription (hub.go, client.go). A "subscribe" RPC turns
 //     the connection into a push channel: new BLS-signed heads go out to
@@ -33,11 +34,12 @@
 // backend whose log regresses or contradicts itself poisons the tier —
 // it fails closed rather than serve proofs from a forked head.
 //
-// OWNS: the proof cache and its single-flight table; the head pump, its
-// self-check and the poison state; admission and degradation; the Hub's
-// per-subscriber coalescing; the subscribe/unsubscribe/push_heads kinds
-// and, on the client side (Subscriber), the VerifyHead hook, the
-// per-source monotonicity guard and when to subscribe again.
+// OWNS: the proofs each published head holds and their single flights;
+// the head pump, its self-check and the poison state; admission and
+// degradation; the Hub's per-subscriber coalescing; the
+// subscribe/unsubscribe/push_heads kinds and, on the client side
+// (Subscriber), the VerifyHead hook, the per-source monotonicity guard
+// and when to subscribe again.
 //
 // MUST NOT DO: read or write a frame, keep a request-ID counter or a
 // table of calls in flight, or dial (a Subscriber rides a
@@ -179,8 +181,9 @@ type Options struct {
 // out from the machine as 2*GOMAXPROCS: a proof walk is CPU work, so
 // beyond two per core more in flight only means more queueing.
 const (
-	// cacheEntries bounds the proof cache. An entry is one proof plus its
-	// payload, a few kB, so a full cache is a few hundred MB at most.
+	// cacheEntries bounds the proofs the two published heads hold
+	// together, half each (snapProofs). An entry is one proof plus its
+	// payload, a few kB, so both full are a few hundred MB at most.
 	cacheEntries = 1 << 16
 	// maxWaiters bounds callers queued behind the in-flight computations;
 	// past it requests degrade or refuse. A proof walk takes microseconds,
@@ -188,12 +191,15 @@ const (
 	maxWaiters = 1024
 )
 
-// headSnap is one published head: the signature, the push form, and the
-// size they commit to.
+// headSnap is one published head: the signature, the push form, the
+// size they commit to, and the proofs pinned to that size (cache.go).
 type headSnap struct {
 	size int
 	bls  aolog.BLSSignedHead
 	gh   gossip.GossipHead
+
+	mu     sync.Mutex
+	proofs map[proofKey]pinned // nil once retired
 }
 
 // Tier is the serving tier for one backend. Create with Attach, install
@@ -203,9 +209,8 @@ type Tier struct {
 	opts Options
 	reg  *obsv.Registry
 
-	cache *proofCache
-	gate  *gate
-	hub   *Hub
+	gate *gate
+	hub  *Hub
 
 	head  atomic.Pointer[headSnap] // current published head
 	stale atomic.Pointer[headSnap] // previous published head
@@ -217,6 +222,10 @@ type Tier struct {
 	// refuses, and the ring must not become a wall of identical events.
 	flight      atomic.Pointer[obsv.FlightRecorder]
 	refuseLimit *obsv.FlightLimiter
+
+	// Proof requests answered from a snapshot, computed, or joined to a
+	// computation in flight; and proofs dropped with their retired head.
+	hits, misses, coalesced, evictions atomic.Uint64
 
 	degraded    atomic.Uint64
 	headsSigned atomic.Uint64
@@ -236,7 +245,6 @@ func Attach(b Backend, opts Options) (*Tier, error) {
 		b:           b,
 		opts:        opts,
 		reg:         opts.Metrics,
-		cache:       newProofCache(cacheEntries),
 		gate:        newGate(2*runtime.GOMAXPROCS(0), maxWaiters),
 		hub:         NewHub(opts.Source),
 		kick:        make(chan struct{}, 1),
@@ -323,6 +331,7 @@ func (t *Tier) sign() (*headSnap, error) {
 			SourcePK: t.opts.SourcePK,
 			Head:     bls,
 		},
+		proofs: make(map[proofKey]pinned),
 	}
 	if t.opts.Cosign != nil {
 		snap.gh.Cosigs = t.opts.Cosign(bls)
@@ -349,7 +358,8 @@ func (t *Tier) publisher() {
 // head is served or pushed, the tier PROVES to itself that it extends
 // the previous published head: a backend that rolled back or forked
 // (e.g. recovered from tampered storage behind the tier's back) poisons
-// the tier instead of reaching clients or the cache.
+// the tier instead of reaching clients. The head the new one pushes out
+// of the stale slot retires, and its proofs with it.
 func (t *Tier) refreshHead() {
 	if t.failed() != nil {
 		return
@@ -382,13 +392,15 @@ func (t *Tier) refreshHead() {
 		t.poison(fmt.Errorf("head at size %d contradicts published head at size %d", snap.size, cur.size))
 		return
 	}
-	t.stale.Store(cur)
+	if old := t.stale.Swap(cur); old != nil {
+		t.evictions.Add(uint64(old.retire()))
+	}
 	t.head.Store(snap)
 	t.flight.Load().Record("serve", "head_advance", "", uint64(snap.size), obsv.TraceContext{})
 	t.hub.Publish([]gossip.GossipHead{snap.gh})
 }
 
-// cachedProof is the cache value for inclusion keys; immutable. payload
+// cachedProof is the value of an inclusion key; immutable. payload
 // is the log's own stored bytes (Backend.ProveInclusionAt), shared by
 // every reply that carries it and never written.
 type cachedProof struct {
@@ -396,9 +408,9 @@ type cachedProof struct {
 	proof   *aolog.ShardInclusionProof
 }
 
-// Proof serves an inclusion proof through cache, coalescing, and
-// admission. This is the direct (in-process) entry point; the RPC
-// handler is a thin wrapper.
+// Proof serves an inclusion proof through the published heads' proofs,
+// coalescing, and admission. This is the direct (in-process) entry
+// point; the RPC handler is a thin wrapper.
 func (t *Tier) Proof(req *ProofRequest) (*ProofResponse, error) {
 	if err := t.failed(); err != nil {
 		return nil, err
@@ -413,10 +425,10 @@ func (t *Tier) Proof(req *ProofRequest) (*ProofResponse, error) {
 		// publisher; clients retry after the next push.
 		return nil, fmt.Errorf("serve: no published head at size %d (current %d)", size, snap.size)
 	}
-	cp, err := t.inclusion(size, req.Index, size == snap.size)
+	cp, err := t.inclusion(snap, size, req.Index)
 	if errors.Is(err, ErrOverloaded) {
 		t.refused("proof")
-		return t.degrade(req, snap)
+		return t.degrade(req)
 	}
 	if err != nil {
 		return nil, err
@@ -429,15 +441,11 @@ func (t *Tier) Proof(req *ProofRequest) (*ProofResponse, error) {
 	return resp, nil
 }
 
-// inclusion returns the cached proof for (size, index), computing it at
-// most once concurrently, behind the admission gate. Only a proof at the
-// published head (atHead) enters the cache on a miss, which keeps the
-// flash-crowd single flight and the degraded path's stale-head proofs. A
-// proof below it is what a client catching up from its own last head
-// asks for, a key that rarely comes back: a miss computes it for that
-// client alone.
-func (t *Tier) inclusion(size, index int, atHead bool) (*cachedProof, error) {
-	compute := func() (any, error) {
+// inclusion returns the proof of index at size, pinned to the published
+// snapshot of that size if there is one, computed behind the admission
+// gate on a miss.
+func (t *Tier) inclusion(head *headSnap, size, index int) (*cachedProof, error) {
+	v, err := t.pinnedProof(t.snapAt(head, size), proofKey{'i', index}, func() (any, error) {
 		release, ok := t.gate.enter()
 		if !ok {
 			return nil, ErrOverloaded
@@ -448,8 +456,7 @@ func (t *Tier) inclusion(size, index int, atHead bool) (*cachedProof, error) {
 			return nil, err
 		}
 		return &cachedProof{payload: payload, proof: proof}, nil
-	}
-	v, err := t.cache.do(inclusionKey(size, index), atHead, compute)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -457,20 +464,20 @@ func (t *Tier) inclusion(size, index int, atHead bool) (*cachedProof, error) {
 }
 
 // degrade answers an admission-refused proof request from the last
-// stale-but-verified head, if its proof is already cached. The client
-// still gets state it can fully audit — a signed head and a matching
-// proof — just one head older than the hottest one.
-func (t *Tier) degrade(req *ProofRequest, snap *headSnap) (*ProofResponse, error) {
+// stale-but-verified head, if that head already holds its proof. The
+// client still gets state it can fully audit — a signed head and a
+// matching proof — just one head older than the hottest one.
+func (t *Tier) degrade(req *ProofRequest) (*ProofResponse, error) {
 	if req.Size != 0 {
 		// An explicit fixed-size request pinned its tree size; answering
 		// at any other size would silently change what the client audits.
 		return nil, ErrOverloaded
 	}
 	stale := t.stale.Load()
-	if stale == nil || req.Index >= stale.size {
+	if stale == nil {
 		return nil, ErrOverloaded
 	}
-	v, ok := t.cache.peek(inclusionKey(stale.size, req.Index))
+	v, ok := stale.lookup(proofKey{'i', req.Index})
 	if !ok {
 		return nil, ErrOverloaded
 	}
@@ -487,8 +494,9 @@ func (t *Tier) degrade(req *ProofRequest, snap *headSnap) (*ProofResponse, error
 	}, nil
 }
 
-// Consistency serves a consistency proof through the same cache and
-// admission path. newSize 0 means the current head size. The response
+// Consistency serves a consistency proof through the same pinned proofs
+// and admission path: one ending at the head or the stale head is held by
+// that snapshot. newSize 0 means the current head size. The response
 // shape is the bare proof.
 func (t *Tier) Consistency(oldSize, newSize int) (*aolog.ShardConsistencyProof, error) {
 	if err := t.failed(); err != nil {
@@ -501,15 +509,14 @@ func (t *Tier) Consistency(oldSize, newSize int) (*aolog.ShardConsistencyProof, 
 	if newSize > snap.size {
 		return nil, fmt.Errorf("serve: no published head at size %d (current %d)", newSize, snap.size)
 	}
-	compute := func() (any, error) {
+	v, err := t.pinnedProof(t.snapAt(snap, newSize), proofKey{'c', oldSize}, func() (any, error) {
 		release, ok := t.gate.enter()
 		if !ok {
 			return nil, ErrOverloaded
 		}
 		defer release()
 		return t.b.ProveConsistencyBetween(oldSize, newSize)
-	}
-	v, err := t.cache.do(consistencyKey(oldSize, newSize), true, compute)
+	})
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			t.refused("consistency")
@@ -573,21 +580,13 @@ func (t *Tier) registerMetrics() {
 		}
 		return 0
 	}))
-	reg.Register("serve_cache_entries", "proofs resident in the LRU cache", obsv.GaugeFunc(func() float64 {
-		return float64(t.cache.stats().Entries)
+	reg.Register("serve_cache_entries", "proofs held by the head and the stale head", obsv.GaugeFunc(func() float64 {
+		return float64(t.head.Load().held() + t.stale.Load().held())
 	}))
-	reg.Register("serve_cache_hits_total", "proof requests answered from cache", obsv.CounterFunc(func() uint64 {
-		return t.cache.stats().Hits
-	}))
-	reg.Register("serve_cache_misses_total", "proof requests that computed fresh state", obsv.CounterFunc(func() uint64 {
-		return t.cache.stats().Misses
-	}))
-	reg.Register("serve_cache_coalesced_total", "proof requests that joined an in-flight computation", obsv.CounterFunc(func() uint64 {
-		return t.cache.stats().Coalesced
-	}))
-	reg.Register("serve_cache_evictions_total", "cache entries evicted at capacity", obsv.CounterFunc(func() uint64 {
-		return t.cache.stats().Evictions
-	}))
+	reg.Register("serve_cache_hits_total", "proof requests answered from cache", obsv.CounterFunc(t.hits.Load))
+	reg.Register("serve_cache_misses_total", "proof requests that computed fresh state", obsv.CounterFunc(t.misses.Load))
+	reg.Register("serve_cache_coalesced_total", "proof requests that joined an in-flight computation", obsv.CounterFunc(t.coalesced.Load))
+	reg.Register("serve_cache_evictions_total", "proofs dropped when their head retired", obsv.CounterFunc(t.evictions.Load))
 	reg.Register("serve_admission_refused_total", "proof computations refused by the admission gate", obsv.CounterFunc(func() uint64 {
 		return t.gate.refused.Load()
 	}))
@@ -596,10 +595,10 @@ func (t *Tier) registerMetrics() {
 	reg.Register("serve_subscribers", "live push subscriptions", obsv.GaugeFunc(func() float64 {
 		return float64(t.hub.Subscribers())
 	}))
-	reg.Register("serve_heads_pushed_total", "heads enqueued for push across all subscribers", obsv.CounterFunc(t.hub.pushedCount))
-	reg.Register("serve_heads_dropped_total", "heads dropped at enqueue (regressions and overflow)", obsv.CounterFunc(t.hub.droppedCount))
+	reg.Register("serve_heads_pushed_total", "heads enqueued for push across all subscribers", obsv.CounterFunc(t.hub.pushed.Load))
+	reg.Register("serve_heads_dropped_total", "heads dropped at enqueue (regressions and overflow)", obsv.CounterFunc(t.hub.dropped.Load))
 	reg.Register("serve_push_pending", "heads currently queued for push across all subscribers", obsv.GaugeFunc(func() float64 {
-		return float64(t.hub.pendingTotal())
+		return float64(t.hub.Pending())
 	}))
 }
 

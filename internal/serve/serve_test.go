@@ -262,7 +262,8 @@ type fakeBackend struct {
 	logs    []*aolog.ShardedLog // active log is the last entry
 	signBLS func(size uint64, head aolog.Digest) aolog.BLSSignedHead
 
-	proofDelay atomic.Int64 // nanoseconds added to ProveInclusionAt
+	proofDelay atomic.Int64  // nanoseconds added to ProveInclusionAt
+	hold       chan struct{} // when set (before any caller starts), ProveInclusionAt waits for it to close
 	inclusions atomic.Uint64
 }
 
@@ -305,6 +306,9 @@ func (b *fakeBackend) TreeHeadBLS() (aolog.BLSSignedHead, error) {
 }
 
 func (b *fakeBackend) ProveInclusionAt(index, n int) ([]byte, *aolog.ShardInclusionProof, error) {
+	if b.hold != nil {
+		<-b.hold
+	}
 	if d := b.proofDelay.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
@@ -318,6 +322,18 @@ func (b *fakeBackend) ProveInclusionAt(index, n int) ([]byte, *aolog.ShardInclus
 
 func (b *fakeBackend) ProveConsistencyBetween(oldSize, newSize int) (*aolog.ShardConsistencyProof, error) {
 	return b.active().ProveConsistencyBetween(oldSize, newSize)
+}
+
+// grow appends leaves to the active log up to size n and waits for the
+// tier to publish the head at n.
+func (b *fakeBackend) grow(t *testing.T, tier *Tier, n int) {
+	t.Helper()
+	log := b.active()
+	for i := log.Len(); i < n; i++ {
+		log.Append([]byte(fmt.Sprintf("leaf-%d", i)))
+	}
+	tier.Kick()
+	waitHeadSize(t, tier, n)
 }
 
 // TestTierPoisonsOnRollback: a backend whose log shrinks below the
@@ -684,7 +700,8 @@ func percentileDur(ds []time.Duration, p float64) time.Duration {
 }
 
 // TestCoalescingSingleFlight: many concurrent requests for one cold key
-// run the backend computation exactly once.
+// run the backend computation exactly once, also when the head they asked
+// at retires before it finishes.
 func TestCoalescingSingleFlight(t *testing.T) {
 	fb, _ := newFakeBackend(t, 8)
 	fb.proofDelay.Store(int64(5 * time.Millisecond))
@@ -730,5 +747,57 @@ func TestCoalescingSingleFlight(t *testing.T) {
 	}
 	if after := tier.Metrics().Value("serve_cache_entries"); after != before {
 		t.Fatal("failed computation was cached")
+	}
+
+	// A flight that outlives its head: callers at head 8 join one held
+	// computation, and the head advances twice, retiring 8, while it
+	// runs. Every caller still gets the one proof, under head 8.
+	head8, err := tier.HeadBLS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	computed := fb.inclusions.Load()
+	joined := tier.Metrics().Value("serve_cache_coalesced_total") + callers - 1
+	fb.hold = make(chan struct{})
+	resps := make(chan *ProofResponse, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := tier.Proof(&ProofRequest{Index: 6})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resps <- resp
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); tier.Metrics().Value("serve_cache_coalesced_total") < joined; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("callers never joined one flight")
+		}
+	}
+	fb.grow(t, tier, 10)
+	fb.grow(t, tier, 12)
+	close(fb.hold)
+	wg.Wait()
+	close(resps)
+	var first *ProofResponse
+	for resp := range resps {
+		if first == nil {
+			first = resp
+		}
+		if resp.Proof != first.Proof || resp.Size != 8 || resp.Head == nil || string(resp.Head.Signature) != string(head8.Signature) {
+			t.Fatalf("caller got %+v, want the one proof under head 8", resp)
+		}
+		if !aolog.VerifyShardInclusion(resp.Payload, resp.Proof, head8.Head) {
+			t.Fatal("proof does not verify against head 8")
+		}
+	}
+	if first == nil {
+		t.FailNow() // every caller errored
+	}
+	if n := fb.inclusions.Load() - computed; n != 1 {
+		t.Fatalf("computation ran %d times for callers at a retiring head, want 1", n)
 	}
 }
