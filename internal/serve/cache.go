@@ -31,11 +31,6 @@ type flightCall struct {
 	err  error
 }
 
-// snapProofs bounds the proofs one snapshot holds, computed or in flight;
-// past it a miss is computed for its caller alone. The tier's two
-// snapshots together hold at most cacheEntries.
-const snapProofs = cacheEntries / 2
-
 // snapAt returns the published snapshot of size n, the head or the stale
 // head, or nil when n is neither.
 func (t *Tier) snapAt(head *headSnap, n int) *headSnap {

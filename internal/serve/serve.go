@@ -181,10 +181,11 @@ type Options struct {
 // out from the machine as 2*GOMAXPROCS: a proof walk is CPU work, so
 // beyond two per core more in flight only means more queueing.
 const (
-	// cacheEntries bounds the proofs the two published heads hold
-	// together, half each (snapProofs). An entry is one proof plus its
-	// payload, a few kB, so both full are a few hundred MB at most.
-	cacheEntries = 1 << 16
+	// snapProofs bounds the proofs one published head holds, computed or
+	// in flight; past it a miss is computed for its caller alone. An
+	// entry is one proof plus its payload, a few kB, so the two heads
+	// full are a few hundred MB at most.
+	snapProofs = 1 << 15
 	// maxWaiters bounds callers queued behind the in-flight computations;
 	// past it requests degrade or refuse. A proof walk takes microseconds,
 	// so a full queue drains long before a client's call deadline.
