@@ -96,9 +96,6 @@ func (h *Hub) subscribe(p *transport.Pusher, current func() []gossip.GossipHead)
 		go h.run(s)
 	}
 	h.mu.Unlock()
-	if current == nil {
-		return nil, nil
-	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	heads := current()

@@ -627,10 +627,9 @@ func (t *Tier) Register(srv *transport.Server) {
 	RegisterHub(srv, t.hub, t.CurrentHeads)
 }
 
-// RegisterHub installs subscribe/unsubscribe kinds for a hub. current,
-// when non-nil, primes each new subscriber's ack with the present heads;
-// it runs under the subscriber's write lock and must not call into the
-// hub.
+// RegisterHub installs subscribe/unsubscribe kinds for a hub. current
+// primes each new subscriber's ack with the present heads; it runs under
+// the subscriber's write lock and must not call into the hub.
 // Exposed separately so daemons that are not a single-log Tier (the
 // witness) can serve the same subscription protocol.
 func RegisterHub(srv *transport.Server, hub *Hub, current func() []gossip.GossipHead) {
