@@ -349,9 +349,12 @@ func TestChaosMonitorCrashRecovery(t *testing.T) {
 	}
 
 	// Crash hard (no clean shutdown) and restart on the same address
-	// from the same data directory.
+	// from the same data directory. The copy keeps the WAL the crash
+	// left, which the restart replaces.
 	d.cmd.Process.Signal(syscall.SIGKILL)
 	d.cmd.Wait()
+	crashed := filepath.Join(tmp, "mon-data-crashed")
+	copyTree(t, dataDir, crashed)
 	startDaemon(t, filepath.Join(tmp, "monitord-2.log"), monitordBin, args...)
 	waitReady(t, monMetrics)
 	saveFlightOnFailure(t, "monitord", monMetrics)
@@ -389,6 +392,7 @@ func TestChaosMonitorCrashRecovery(t *testing.T) {
 	if v, ok := metricValue(body, "gossip_equivocation_proofs_total"); ok && v != 0 {
 		t.Errorf("crash recovery produced %v equivocation convictions, want 0", v)
 	}
+	checkWALHeads(t, crashed, dataDir)
 }
 
 // TestChaosWALFaults drives the disk hooks: an injected fsync stall
@@ -396,7 +400,9 @@ func TestChaosMonitorCrashRecovery(t *testing.T) {
 // poisons the WAL fail-stop — the failing append and everything after
 // it error out while reads keep serving the last durable head. Signed
 // heads ride the WAL, so the first fsync is the initial head's, at
-// startup, and every append is followed by its head's.
+// startup; after it, each append is one fsync, covering its leaves and
+// the head signed over them. Each drill ends by checking the WAL's
+// heads (checkWALHeads).
 func TestChaosWALFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots real daemon processes")
@@ -411,6 +417,8 @@ func TestChaosWALFaults(t *testing.T) {
 		os.MkdirAll(dir, 0o755)
 		paramsPath := filepath.Join(dir, "deployment.json")
 		mint.writeParams(t, paramsPath)
+		// The initial head's fsync runs clean; the first two appends'
+		// fsyncs stall.
 		sched := writeSchedule(t, dir, "stall.sched", fmt.Sprintf(
 			"seed %d\nfault disk-stall target=monitord delay=300ms skip=1 count=2\n", seed))
 		monRPC, monMetrics := freePort(t), freePort(t)
@@ -436,6 +444,7 @@ func TestChaosWALFaults(t *testing.T) {
 		if !flightContains(t, monMetrics, "disk-stall wal-fsync") {
 			t.Error("monitord flight recorder holds no injected disk-stall event")
 		}
+		checkWALHeads(t, filepath.Join(dir, "data"))
 	})
 
 	t.Run("error", func(t *testing.T) {
@@ -444,10 +453,10 @@ func TestChaosWALFaults(t *testing.T) {
 		os.MkdirAll(dir, 0o755)
 		paramsPath := filepath.Join(dir, "deployment.json")
 		mint.writeParams(t, paramsPath)
-		// The initial head, the first append and its head fsync clean;
-		// the second append hits the injected error and poisons the WAL.
+		// The initial head's fsync and the first append's run clean; the
+		// second append's hits the injected error and poisons the WAL.
 		sched := writeSchedule(t, dir, "error.sched", fmt.Sprintf(
-			"seed %d\nfault disk-error target=monitord skip=3 count=1\n", seed))
+			"seed %d\nfault disk-error target=monitord skip=2 count=1\n", seed))
 		monRPC, monMetrics := freePort(t), freePort(t)
 		startDaemon(t, filepath.Join(dir, "monitord.log"), monitordBin,
 			"-params", paramsPath, "-listen", monRPC, "-metrics", monMetrics,
@@ -504,6 +513,7 @@ func TestChaosWALFaults(t *testing.T) {
 		if !flightContains(t, monMetrics, "disk-error wal-fsync") {
 			t.Error("monitord flight recorder holds no injected disk-error event")
 		}
+		checkWALHeads(t, filepath.Join(dir, "data"))
 	})
 }
 

@@ -50,10 +50,8 @@ var (
 	// fpSqrtExp = (p+1)/4; p = 3 mod 4, so a^fpSqrtExp is a square root of a
 	// whenever a is a quadratic residue.
 	fpSqrtExp = new(big.Int).Rsh(new(big.Int).Add(fpP, big.NewInt(1)), 2)
-	// fpInvExp = p-2, the inversion exponent (Fermat).
-	fpInvExp = new(big.Int).Sub(fpP, big.NewInt(2))
-	// fpLegendreExp = (p-1)/2.
-	fpLegendreExp = new(big.Int).Rsh(new(big.Int).Sub(fpP, big.NewInt(1)), 1)
+	// fpSqrtDigits is fpSqrtExp as window digits, for expDigits.
+	fpSqrtDigits = windowDigits(fpSqrtExp)
 )
 
 // montInv computes -m^-1 mod 2^64 by Newton iteration.
@@ -401,18 +399,174 @@ func (z *Fp) Exp(a *Fp, e *big.Int) *Fp {
 }
 
 // Inverse sets z = a^-1 and returns z. Inverting zero yields zero.
+//
+// It is Kaliski's almost Montgomery inverse, a binary extended GCD on
+// the limbs: on the Montgomery representative x = aR it finds
+// x^-1 * 2^k for some k in [381, 762] with shifts, additions and
+// subtractions only, and one multiplication by 2^(768-k) turns that
+// into (a^-1)R. It allocates nothing and is variable-time (its steps
+// follow a's bits), like the wNAF scalar multiplication before it.
 func (z *Fp) Inverse(a *Fp) *Fp {
 	if a.IsZero() {
 		return z.SetZero()
 	}
-	return z.Exp(a, fpInvExp)
+	// Invariants: p = u*s + v*r, x*s = v*2^k and x*r = -u*2^k (mod p).
+	// While u, v >= 1 the first bounds r and s by p, so they fit the
+	// limbs; each step halves u or v at least once, and k counts halvings.
+	u, v := fpModulus, *a
+	var r, s Fp
+	s[0] = 1
+	k := fpShrOdd(&v) // r = 0: its matching doubling is a no-op
+	for {
+		if fpGreater(&u, &v) { // both odd: u - v is even and positive
+			fpSubRaw(&u, &v)
+			fpAddRaw(&r, &s)
+			t := fpShrOdd(&u)
+			fpShl(&s, t)
+			k += t
+			continue
+		}
+		fpSubRaw(&v, &u)
+		fpAddRaw(&s, &r)
+		if v.IsZero() { // u = v = gcd = 1
+			fpShl(&r, 1) // r < 2p < 2^382
+			k++
+			break
+		}
+		t := fpShrOdd(&v)
+		fpShl(&r, t)
+		k += t
+	}
+	fpReduce(&r)
+	r.Neg(&r) // x^-1 * 2^k
+	// Times 2^e, e = 768-k in [6, 387], as a product with 2^e in
+	// Montgomery form: 2^e itself when it is below p, else 2^380 doubled.
+	e, doublings := 2*64*fpLimbs-k, 0
+	if e > 380 {
+		e, doublings = 380, e-380
+	}
+	var c Fp
+	c[e/64] = 1 << (e % 64)
+	c.toMont()
+	for ; doublings > 0; doublings-- {
+		c.Double(&c)
+	}
+	return z.Mul(&r, &c)
+}
+
+// fpGreater reports whether a > b as integers.
+func fpGreater(a, b *Fp) bool {
+	for i := fpLimbs - 1; i >= 0; i-- {
+		if a[i] != b[i] {
+			return a[i] > b[i]
+		}
+	}
+	return false
+}
+
+// fpSubRaw sets a = a - b as integers; a >= b.
+func fpSubRaw(a, b *Fp) {
+	var br uint64
+	a[0], br = bits.Sub64(a[0], b[0], 0)
+	a[1], br = bits.Sub64(a[1], b[1], br)
+	a[2], br = bits.Sub64(a[2], b[2], br)
+	a[3], br = bits.Sub64(a[3], b[3], br)
+	a[4], br = bits.Sub64(a[4], b[4], br)
+	a[5], _ = bits.Sub64(a[5], b[5], br)
+}
+
+// fpAddRaw sets a = a + b as integers; the sum fits 384 bits.
+func fpAddRaw(a, b *Fp) {
+	var c uint64
+	a[0], c = bits.Add64(a[0], b[0], 0)
+	a[1], c = bits.Add64(a[1], b[1], c)
+	a[2], c = bits.Add64(a[2], b[2], c)
+	a[3], c = bits.Add64(a[3], b[3], c)
+	a[4], c = bits.Add64(a[4], b[4], c)
+	a[5], _ = bits.Add64(a[5], b[5], c)
+}
+
+// fpShrOdd shifts a nonzero a right until it is odd and returns the
+// shift.
+func fpShrOdd(a *Fp) int {
+	t := 0
+	for a[0] == 0 {
+		a[0], a[1], a[2], a[3], a[4], a[5] = a[1], a[2], a[3], a[4], a[5], 0
+		t += 64
+	}
+	n := uint(bits.TrailingZeros64(a[0]))
+	a[0] = a[0]>>n | a[1]<<(64-n)
+	a[1] = a[1]>>n | a[2]<<(64-n)
+	a[2] = a[2]>>n | a[3]<<(64-n)
+	a[3] = a[3]>>n | a[4]<<(64-n)
+	a[4] = a[4]>>n | a[5]<<(64-n)
+	a[5] >>= n
+	return t + int(n)
+}
+
+// fpShl shifts a left by t bits; the result fits 384 bits.
+func fpShl(a *Fp, t int) {
+	for ; t >= 64; t -= 64 {
+		a[0], a[1], a[2], a[3], a[4], a[5] = 0, a[0], a[1], a[2], a[3], a[4]
+	}
+	n := uint(t)
+	a[5] = a[5]<<n | a[4]>>(64-n)
+	a[4] = a[4]<<n | a[3]>>(64-n)
+	a[3] = a[3]<<n | a[2]>>(64-n)
+	a[2] = a[2]<<n | a[1]>>(64-n)
+	a[1] = a[1]<<n | a[0]>>(64-n)
+	a[0] <<= n
+}
+
+// window is the digit width of the fixed-exponent ladders.
+const window = 4
+
+// windowDigits returns e's base-2^window digits, most significant
+// first (e > 0).
+func windowDigits(e *big.Int) []uint8 {
+	n := (e.BitLen() + window - 1) / window
+	d := make([]uint8, n)
+	for i := range d {
+		for b := window - 1; b >= 0; b-- {
+			d[n-1-i] = d[n-1-i]<<1 | uint8(e.Bit(i*window+b))
+		}
+	}
+	return d
+}
+
+// expDigits sets z = a^e for an exponent given by windowDigits: one
+// table of a^0..a^15, then window squarings and at most one
+// multiplication per digit, against one multiplication per set bit of
+// Exp's loop. It allocates nothing.
+func (z *Fp) expDigits(a *Fp, digits []uint8) *Fp {
+	var tab [1 << window]Fp
+	tab[0], tab[1] = fpOne, *a
+	for i := 2; i < len(tab); i++ {
+		tab[i].Mul(&tab[i-1], a)
+	}
+	out := tab[digits[0]]
+	for _, d := range digits[1:] {
+		for j := 0; j < window; j++ {
+			out.Square(&out)
+		}
+		if d != 0 {
+			out.Mul(&out, &tab[d])
+		}
+	}
+	*z = out
+	return z
 }
 
 // Sqrt sets z to a square root of a and returns (z, true) if a is a
-// quadratic residue, or (z unchanged, false) otherwise.
+// quadratic residue, or (z unchanged, false) otherwise. A non-residue
+// costs one Legendre symbol, not an exponentiation: hash to G1 tries
+// about two candidates per point, and half of them fail.
 func (z *Fp) Sqrt(a *Fp) (*Fp, bool) {
+	if a.legendre() < 0 {
+		return z, false
+	}
 	var s Fp
-	s.Exp(a, fpSqrtExp)
+	s.expDigits(a, fpSqrtDigits)
 	var chk Fp
 	chk.Square(&s)
 	if !chk.Equal(a) {
@@ -423,13 +577,31 @@ func (z *Fp) Sqrt(a *Fp) (*Fp, bool) {
 }
 
 // IsQuadraticResidue reports whether a is a square in Fp (0 counts as one).
-func (z *Fp) IsQuadraticResidue() bool {
-	if z.IsZero() {
-		return true
+func (z *Fp) IsQuadraticResidue() bool { return z.legendre() >= 0 }
+
+// legendre returns the Legendre symbol (a/p): 0, 1 or -1. It is the
+// binary Jacobi algorithm on the limbs, Inverse's loop without the
+// cofactors: shifting out 2^t flips the sign when t is odd and the
+// modulus is 3 or 5 mod 8, and swapping two odd values flips it when
+// both are 3 mod 4 (reciprocity). The Montgomery representative aR has
+// a's symbol, since R = 2^384 is a square. Variable-time, like Inverse.
+func (a *Fp) legendre() int {
+	u, v := *a, fpModulus
+	x, n := &u, &v   // the symbol is (x/n); swapping them is a pointer swap
+	var flips uint64 // bit 0: the sign so far; n is odd throughout
+	for !x.IsZero() {
+		// n = 3 or 5 mod 8 exactly when its bits 1 and 2 differ.
+		flips ^= uint64(fpShrOdd(x)) & (n[0]>>1 ^ n[0]>>2)
+		if fpGreater(n, x) {
+			x, n = n, x
+			flips ^= x[0] >> 1 & (n[0] >> 1) // both 3 mod 4
+		}
+		fpSubRaw(x, n) // both odd, x >= n: even, or zero when x = n
 	}
-	var l Fp
-	l.Exp(z, fpLegendreExp)
-	return l.IsOne()
+	if *n != (Fp{1}) { // gcd(a, p) = p: a = 0
+		return 0
+	}
+	return 1 - 2*int(flips&1)
 }
 
 // Sign returns the "sign" of z defined as the parity of the canonical value,

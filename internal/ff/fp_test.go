@@ -136,6 +136,53 @@ func TestFpAddSubNegBoundaries(t *testing.T) {
 	}
 }
 
+var (
+	// fpInvExp = p-2, the Fermat inversion exponent.
+	fpInvExp = new(big.Int).Sub(fpP, big.NewInt(2))
+	// fpLegendreExp = (p-1)/2, Euler's criterion.
+	fpLegendreExp = new(big.Int).Rsh(new(big.Int).Sub(fpP, big.NewInt(1)), 1)
+)
+
+// fpInverseFermat is the inversion Fp.Inverse replaced, a^(p-2) over
+// Exp's bit loop: the oracle the binary GCD is checked against.
+func fpInverseFermat(z, a *Fp) {
+	if a.IsZero() {
+		z.SetZero()
+		return
+	}
+	z.Exp(a, fpInvExp)
+}
+
+// fpLadderCases is the inputs the fixed-exponent paths are pinned on:
+// the boundary residues (0, 1, p-1, p-2, R, R^2, one-limb and near-p
+// patterns) as limbs and as canonical values, every power of two
+// below p both ways, and n random residues.
+func fpLadderCases(t *testing.T, n int) []Fp {
+	t.Helper()
+	var out []Fp
+	for _, raw := range fpBoundaryResidues() {
+		var canon Fp
+		canon.SetBig(limbsToBig(raw[:]))
+		out = append(out, raw, canon)
+	}
+	for i := 0; i < 381; i++ {
+		var raw, canon Fp
+		raw[i/64] = 1 << (i % 64)
+		canon.SetBig(new(big.Int).Lsh(big.NewInt(1), uint(i)))
+		out = append(out, raw, canon)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < n; i++ {
+		var w [6]uint64
+		for j := range w {
+			w[j] = rng.Uint64()
+		}
+		a, _ := fpFromWords(w)
+		out = append(out, a)
+	}
+	return out
+}
+
 func TestFpInverse(t *testing.T) {
 	f := func(aw [6]uint64) bool {
 		a, av := fpFromWords(aw)
@@ -155,6 +202,99 @@ func TestFpInverse(t *testing.T) {
 	if !z.IsZero() {
 		t.Fatal("Inverse(0) should be 0")
 	}
+	for _, a := range fpLadderCases(t, 200) {
+		var got, want Fp
+		got.Inverse(&a)
+		fpInverseFermat(&want, &a)
+		if got != want {
+			t.Fatalf("Inverse(%s) = %s, Fermat ladder %s", a.String(), got.String(), want.String())
+		}
+		// In place, as Fp12's and the batch normalizations call it.
+		got = a
+		got.Inverse(&got)
+		if got != want {
+			t.Fatalf("Inverse in place of %s = %s, want %s", a.String(), got.String(), want.String())
+		}
+	}
+}
+
+// TestFpSqrtAndResidueMatchLadder pins the windowed Sqrt to Exp's bit
+// loop over the same exponent, and the binary Legendre symbol (Sqrt's
+// early refusal, IsQuadraticResidue) to Euler's criterion.
+func TestFpSqrtAndResidueMatchLadder(t *testing.T) {
+	minusOne := FpOne()
+	minusOne.Neg(&minusOne)
+	for _, a := range fpLadderCases(t, 200) {
+		var want, got Fp
+		want.Exp(&a, fpSqrtExp)
+		var chk Fp
+		chk.Square(&want)
+		wantOK := chk.Equal(&a)
+		_, ok := got.Sqrt(&a)
+		if ok != wantOK || (ok && got != want) {
+			t.Fatalf("Sqrt(%s) = %s %v, ladder %s %v", a.String(), got.String(), ok, want.String(), wantOK)
+		}
+		var l Fp
+		l.Exp(&a, fpLegendreExp)
+		var sym int
+		switch {
+		case a.IsZero():
+		case l.IsOne():
+			sym = 1
+		case l.Equal(&minusOne):
+			sym = -1
+		default:
+			t.Fatalf("Euler's criterion of %s = %s", a.String(), l.String())
+		}
+		if got := a.legendre(); got != sym {
+			t.Fatalf("legendre(%s) = %d, Euler's criterion %d", a.String(), got, sym)
+		}
+		if qr := a.IsQuadraticResidue(); qr != (sym >= 0) {
+			t.Fatalf("IsQuadraticResidue(%s) = %v, Euler's criterion %d", a.String(), qr, sym)
+		}
+		if a.IsQuadraticResidue() != wantOK {
+			t.Fatalf("IsQuadraticResidue(%s) = %v but Sqrt found a root: %v", a.String(), !wantOK, wantOK)
+		}
+	}
+}
+
+// TestFpInverseAllocs: the inversion, the square root and the residue
+// test allocate nothing.
+func TestFpInverseAllocs(t *testing.T) {
+	a, _ := RandFp()
+	var z Fp
+	if n := testing.AllocsPerRun(100, func() {
+		z.Inverse(&a)
+		z.Sqrt(&a)
+		_ = a.IsQuadraticResidue()
+	}); n != 0 {
+		t.Fatalf("Inverse, Sqrt and IsQuadraticResidue allocate %v times per run, want 0", n)
+	}
+}
+
+// FuzzFpInverse cross-checks Inverse against the Fermat ladder, and
+// a * a^-1 = 1, on any 48-byte value reduced mod p and taken as limbs.
+func FuzzFpInverse(f *testing.F) {
+	for _, b := range fpBoundaryResidues() {
+		seed := make([]byte, 48)
+		limbsToBig(b[:]).FillBytes(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) != 48 {
+			return
+		}
+		a := bigToFpRaw(new(big.Int).Mod(new(big.Int).SetBytes(data), fpP))
+		var got, want, prod Fp
+		got.Inverse(&a)
+		fpInverseFermat(&want, &a)
+		if got != want {
+			t.Fatalf("Inverse(%x) = %s, Fermat ladder %s", data, got.String(), want.String())
+		}
+		if prod.Mul(&a, &got); !a.IsZero() && !prod.IsOne() {
+			t.Fatalf("a * Inverse(a) = %s for %x", prod.String(), data)
+		}
+	})
 }
 
 func TestFpSqrt(t *testing.T) {
@@ -353,6 +493,29 @@ func BenchmarkFpInverse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.Inverse(&x)
+	}
+}
+
+// BenchmarkFpInverseFermat is the Fermat ladder Inverse replaced, on
+// BenchmarkFpInverse's shape; CI's curve-perf job gates the binary GCD
+// at >= 3x it.
+func BenchmarkFpInverseFermat(b *testing.B) {
+	x, _ := RandFp()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fpInverseFermat(&x, &x)
+	}
+}
+
+// BenchmarkFpSqrt is one square root of a residue: the Legendre symbol,
+// then the windowed exponentiation.
+func BenchmarkFpSqrt(b *testing.B) {
+	x, _ := RandFp()
+	x.Square(&x)
+	var z Fp
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Sqrt(&x)
 	}
 }
 

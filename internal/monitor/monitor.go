@@ -31,19 +31,20 @@
 // log.
 //
 // OWNS: the one tree-head key (keys/bls.key in a persistent directory)
-// and every signature over a tree head — TreeHeadBLS is the only signer
-// of heads in the repository; the public log and the order in which a
-// leaf becomes durable, then visible, then covered by a head; the
+// and every signature over a tree head — the commit path and
+// TreeHeadBLS are the only signers of heads in the repository; the
+// public log and the order in which a batch is staged, signed over,
+// made durable with its head in one commit, and only then visible; the
 // per-domain observation timelines, the alert list and the slashing
 // ledger; the recovery check that the reopened log reproduces the last
 // signed head.
 //
 // MUST NOT DO: serve reads itself — no cache, no published-head state,
 // no subscriptions, no RPC kinds: that is internal/serve, which reads a
-// monitor through serve.Backend; sign a head it has not first recorded
-// in the store, or hand out a head before the store says it is durable;
-// advance the in-memory log before the WAL append is durable; keep a
-// second copy of an observed envelope beside the log leaf.
+// monitor through serve.Backend; hand out a head before the store says
+// it is durable; let a length, proof, observation, alert or append hook
+// see a staged batch before its commit is durable; keep a second copy
+// of an observed envelope beside the log leaf.
 //
 // MUST NOT import: any repro/internal package except aolog, audit, bls,
 // gossip, obsv and store.
@@ -54,6 +55,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,6 +83,10 @@ type Monitor struct {
 	slashed    map[string]int  // equivocation-proof fingerprint -> log index
 	logSources map[string]bool // hex BLS keys slashing reports may accuse
 	appendHook func()          // see SetAppendHook; called with mu held
+	// head is the signed head at the log's current size, when one has
+	// been signed there: by the commit that reached the size, or by
+	// TreeHeadBLS. Nil until then.
+	head *aolog.BLSSignedHead
 
 	// Persistence (nil/zero for in-memory monitors; see Open).
 	store         *store.Store
@@ -89,6 +95,7 @@ type Monitor struct {
 	snapWriting   bool       // a background snapshot write is in flight
 	snapDone      *sync.Cond // on mu; signaled when snapWriting clears
 	persistErr    error      // sticky best-effort failure; see Err
+	commitErr     error      // sticky: the first failed commit; see commitLocked
 
 	obs monitorObs // internal instruments; see RegisterMetrics
 
@@ -150,11 +157,12 @@ func (m *Monitor) RegisterLogSource(pk *bls.PublicKey) error {
 }
 
 // SetAppendHook registers fn to run whenever the public log grows (one
-// call per accepted batch, not per leaf). The serve tier uses it as a
-// level trigger to re-sign and push heads once per append batch instead
-// of once per client. fn runs with the monitor lock held and MUST NOT
-// block or call back into the monitor — a non-blocking channel send is
-// the intended shape.
+// call per accepted batch, not per leaf), after the batch's commit is
+// durable. The serve tier uses it as a level trigger to publish and
+// push the committed head once per append batch instead of once per
+// client. fn runs with the monitor lock held and MUST NOT block or call
+// back into the monitor — a non-blocking channel send is the intended
+// shape.
 func (m *Monitor) SetAppendHook(fn func()) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -237,16 +245,17 @@ func (m *Monitor) SubmitBatch(envs []*audit.AttestedStatusEnvelope) []BatchOutco
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Durability before acknowledgment: the WAL append (group-committed
-	// fsync) happens before the in-memory log advances, so a signed head
-	// can never cover a leaf a crash could lose.
-	if err := m.appendDurable(payloads); err != nil {
+	// Durability before acknowledgment: the batch and the head signed
+	// over it become durable in one commit (one WAL write, one fsync)
+	// before any outcome, observation, alert or hook sees the batch, so
+	// a head can never cover a leaf a crash could lose.
+	first, err := m.commitLocked(payloads)
+	if err != nil {
 		for _, a := range acc {
 			out[a.pos] = BatchOutcome{LogIndex: -1, Err: fmt.Errorf("monitor: persisting submission: %w", err)}
 		}
 		return out
 	}
-	first := m.log.AppendBatch(payloads)
 	for k, a := range acc {
 		idx := first + k
 		proof, err := m.observeLocked(a.env, idx, a.proof)
@@ -305,10 +314,10 @@ func (m *Monitor) RecordLogEquivocation(p *gossip.EquivocationProof) (int, error
 	if idx, ok := m.slashed[fp]; ok { // raced with another reporter
 		return idx, nil
 	}
-	if err := m.appendDurable([][]byte{payload}); err != nil {
+	idx, err := m.commitLocked([][]byte{payload})
+	if err != nil {
 		return -1, fmt.Errorf("monitor: persisting equivocation report: %w", err)
 	}
-	idx := m.log.Append(payload)
 	m.slashed[fp] = idx
 	m.alerts = append(m.alerts, audit.Misbehavior{
 		Kind:   audit.MisbehaviorLogEquivocation,
@@ -331,21 +340,40 @@ func (m *Monitor) Alerts() []audit.Misbehavior {
 	return append([]audit.Misbehavior{}, m.alerts...)
 }
 
-// TreeHeadBLS signs the current head of the monitor's public log: (total
-// size, super-root). The head is recorded in the store before it is
-// returned, so recovery can check the durable log against it; a head that
-// cannot be recorded is not handed out.
+// TreeHeadBLS returns the signed head of the monitor's public log at
+// its current size: (total size, super-root). A persistent monitor
+// signed it inside the commit that reached this size, so this is a
+// lookup. Where no head was signed at the current size — an empty log,
+// the first call after Open, a WAL that ends in leaves journaled before
+// commits carried heads, any new size of a monitor without a store — it
+// signs one and records it in the store before returning it, so
+// recovery can check the durable log against it; a head that cannot be
+// recorded is not handed out.
 func (m *Monitor) TreeHeadBLS() (aolog.BLSSignedHead, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.head == nil || int(m.head.Size) != m.log.Len() {
+		h := m.signHeadLocked()
+		if m.store != nil {
+			if err := m.store.PutHead(headRecord(&h)); err != nil {
+				return aolog.BLSSignedHead{}, err
+			}
+		}
+		m.head = &h
+	}
+	h := *m.head
+	h.Signature = slices.Clone(h.Signature)
+	return h, nil
+}
+
+// signHeadLocked signs (size, super-root) of the log as it stands.
+// Caller holds m.mu.
+func (m *Monitor) signHeadLocked() aolog.BLSSignedHead {
 	start := time.Now()
 	h := aolog.SignHeadBLS(m.blsKey, uint64(m.log.Len()), m.log.SuperRoot())
 	m.obs.headSign.ObserveDuration(time.Since(start))
-	if err := m.persistHeadLocked(h.Size, h.Head, h.Signature); err != nil {
-		return aolog.BLSSignedHead{}, err
-	}
 	m.obs.headsSignedBLS.Inc()
-	return h, nil
+	return h
 }
 
 // NumShards reports the public log's stripe count (proof verifiers need

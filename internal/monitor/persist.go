@@ -121,10 +121,11 @@ func Open(dir string, params audit.Params, opts *OpenOptions) (*Monitor, error) 
 	}
 
 	// Recovery invariant: everything this monitor ever signed a head
-	// for must be in the recovered log, bit for bit. Leaves are WAL'd
-	// before the in-memory log advances, so an honest crash can never
-	// trip this; tripping it means the directory lost or changed data
-	// and serving would fork the log.
+	// for must be in the recovered log, bit for bit. A head record is
+	// written after the leaves it covers, in the same commit and under
+	// the same fsync, so an honest crash can never trip this; tripping
+	// it means the directory lost or changed data and serving would
+	// fork the log.
 	if h, ok := st.LastHead(); ok {
 		if int(h.Size) > log.Len() {
 			return nil, fmt.Errorf("monitor: recovered log has %d leaves but the last signed head covers %d — refusing to fork", log.Len(), h.Size)
@@ -244,14 +245,50 @@ func (m *Monitor) replayLeaf(idx int, payload []byte) error {
 	}
 }
 
-// appendDurable journals payloads before the in-memory log advances, so
-// anything the monitor acknowledges (and anything a signed head covers)
-// is already on disk. Caller holds m.mu.
-func (m *Monitor) appendDurable(payloads [][]byte) error {
-	if m.store == nil {
-		return nil
+// commitLocked is the one write path. It stages payloads in the
+// in-memory log, signs the head over the new size, and hands the leaf
+// records and the head record to one store commit: one WAL write, one
+// fsync. Nothing may see the batch until it returns nil. A failed
+// commit drops the staged leaves, so the length, proofs and head stay
+// at the last durable size; it is sticky, as the store's poison is, so
+// later commits fail here without staging or signing. A monitor without
+// a store stages and returns: its heads are signed when asked for.
+// Returns the first leaf's index. Caller holds m.mu.
+func (m *Monitor) commitLocked(payloads [][]byte) (int, error) {
+	if m.commitErr != nil {
+		return -1, m.commitErr
 	}
-	return m.store.AppendLeaves(payloads)
+	first := m.log.AppendBatch(payloads)
+	if m.store == nil {
+		return first, nil
+	}
+	h := m.signHeadLocked()
+	rec := headRecord(&h)
+	if err := m.store.Commit(payloads, &rec); err != nil {
+		m.commitErr = err
+		m.dropStagedLocked(first)
+		return -1, err
+	}
+	m.head = &h
+	return first, nil
+}
+
+// dropStagedLocked rebuilds the log at its first n leaves from the
+// payloads and leaf digests it already holds. It is O(n), but it runs
+// at most once per process: only a failed commit calls it, and that
+// failure is sticky. Caller holds m.mu.
+func (m *Monitor) dropStagedLocked(n int) {
+	leaves := make([][]byte, n)
+	for g := range leaves {
+		leaves[g], _ = m.log.EntryView(g)
+	}
+	digests, err := m.log.LeafDigests(n)
+	if err == nil {
+		m.log, err = aolog.OpenShardedLog(m.log.NumShards(), leaves, digests)
+	}
+	if err != nil {
+		panic("monitor: rebuilding the log at its durable size: " + err.Error())
+	}
 }
 
 // maybeSnapshotLocked schedules a derived-state snapshot every
@@ -344,13 +381,9 @@ func (m *Monitor) writeSnapshotLocked() error {
 	return encodeAndWriteSnapshot(m.store, ms, digests)
 }
 
-// persistHeadLocked records a just-signed head before it is served, so
-// recovery can verify the durable log against it. Caller holds m.mu.
-func (m *Monitor) persistHeadLocked(size uint64, root aolog.Digest, sig []byte) error {
-	if m.store == nil {
-		return nil
-	}
-	return m.store.PutHead(store.HeadRecord{Size: size, Root: root[:], Sig: sig})
+// headRecord is h as the store journals it.
+func headRecord(h *aolog.BLSSignedHead) store.HeadRecord {
+	return store.HeadRecord{Size: h.Size, Root: h.Head[:], Sig: h.Signature}
 }
 
 // RecoveryInfo reports what Open reconstructed (zero value for an

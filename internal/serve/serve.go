@@ -13,8 +13,8 @@
 //     concurrent requests for it coalesce into one computation. The
 //     proofs retire with their head; a proof pinned to any other size (a
 //     client catching up from its own last head) is computed for its
-//     caller alone. Tree heads are signed once per SIZE, not once per
-//     "headbls" call.
+//     caller alone. Tree heads are signed once per SIZE, inside the
+//     backend's commit, not once per "headbls" call.
 //
 //   - STH push/subscription (hub.go, client.go). A "subscribe" RPC turns
 //     the connection into a push channel: new BLS-signed heads go out to
@@ -149,7 +149,9 @@ type SubscribeResponse struct {
 type Backend interface {
 	// Len is the current total log size (cheap; called per append hook).
 	Len() int
-	// TreeHeadBLS signs the current head.
+	// TreeHeadBLS returns the signed head at the current size. A
+	// monitor signs it inside the commit that reached the size, so the
+	// tier's pump reads it rather than paying for a signature.
 	TreeHeadBLS() (aolog.BLSSignedHead, error)
 	// ProveInclusionAt returns payload+proof for index at tree size n.
 	// The payload may be the log's own stored bytes: the tier and its
@@ -228,8 +230,8 @@ type Tier struct {
 	// computation in flight; and proofs dropped with their retired head.
 	hits, misses, coalesced, evictions atomic.Uint64
 
-	degraded    atomic.Uint64
-	headsSigned atomic.Uint64
+	degraded       atomic.Uint64
+	headsPublished atomic.Uint64
 
 	kick   chan struct{}
 	closed chan struct{}
@@ -237,7 +239,7 @@ type Tier struct {
 }
 
 // Attach builds a tier over a backend and publishes its current head.
-// It fails if the backend cannot sign (or durably record) that head.
+// It fails if the backend cannot produce (or durably record) that head.
 func Attach(b Backend, opts Options) (*Tier, error) {
 	if opts.Metrics == nil {
 		opts.Metrics = obsv.NewRegistry()
@@ -253,9 +255,9 @@ func Attach(b Backend, opts Options) (*Tier, error) {
 		refuseLimit: obsv.NewFlightLimiter(100 * time.Millisecond),
 	}
 	t.registerMetrics()
-	snap, err := t.sign()
+	snap, err := t.snapshot()
 	if err != nil {
-		return nil, fmt.Errorf("serve: signing initial head: %w", err)
+		return nil, fmt.Errorf("serve: reading initial head: %w", err)
 	}
 	t.head.Store(snap)
 	t.wg.Add(1)
@@ -317,13 +319,15 @@ func (t *Tier) refused(detail string) {
 	}
 }
 
-// sign produces a head snapshot at the backend's current size.
-func (t *Tier) sign() (*headSnap, error) {
+// snapshot reads the backend's signed head at its current size into a
+// head snapshot. The backend signed that head inside the commit that
+// reached the size, so publishing it signs and syncs nothing.
+func (t *Tier) snapshot() (*headSnap, error) {
 	bls, err := t.b.TreeHeadBLS()
 	if err != nil {
 		return nil, err
 	}
-	t.headsSigned.Add(1)
+	t.headsPublished.Add(1)
 	snap := &headSnap{
 		size: int(bls.Size),
 		bls:  bls,
@@ -341,8 +345,8 @@ func (t *Tier) sign() (*headSnap, error) {
 }
 
 // publisher is the head pump: one goroutine that, per append batch (not
-// per client), signs the new head, self-checks it against the previous
-// one, and pushes it to every subscriber.
+// per client), reads the new committed head, self-checks it against the
+// previous one, and pushes it to every subscriber.
 func (t *Tier) publisher() {
 	defer t.wg.Done()
 	for {
@@ -374,9 +378,9 @@ func (t *Tier) refreshHead() {
 		t.poison(fmt.Errorf("backend log rolled back from %d to %d leaves", cur.size, n))
 		return
 	}
-	snap, err := t.sign()
+	snap, err := t.snapshot()
 	if err != nil {
-		t.poison(fmt.Errorf("signing head at size %d: %w", n, err))
+		t.poison(fmt.Errorf("reading head at size %d: %w", n, err))
 		return
 	}
 	if snap.size < n {
@@ -592,7 +596,7 @@ func (t *Tier) registerMetrics() {
 		return t.gate.refused.Load()
 	}))
 	reg.Register("serve_degraded_total", "refused requests answered from the stale-but-verified head", obsv.CounterFunc(t.degraded.Load))
-	reg.Register("serve_heads_signed_total", "tree heads signed (once per size, not per client)", obsv.CounterFunc(t.headsSigned.Load))
+	reg.Register("serve_heads_signed_total", "tree heads read from the backend and published, once per size, not per client (the backend signs each inside its commit)", obsv.CounterFunc(t.headsPublished.Load))
 	reg.Register("serve_subscribers", "live push subscriptions", obsv.GaugeFunc(func() float64 {
 		return float64(t.hub.Subscribers())
 	}))

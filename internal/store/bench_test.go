@@ -46,7 +46,7 @@ func BenchmarkPersistentAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payloads := benchPayloads(i * benchBatchLeaves)
-		if err := s.AppendLeaves(payloads); err != nil {
+		if err := s.Commit(payloads, nil); err != nil {
 			b.Fatal(err)
 		}
 		log.AppendBatch(payloads)
@@ -84,7 +84,7 @@ func BenchmarkStoreRecovery(b *testing.B) {
 		if i+n > total {
 			n = total - i
 		}
-		if err := s.AppendLeaves(benchPayloads(i)[:n]); err != nil {
+		if err := s.Commit(benchPayloads(i)[:n], nil); err != nil {
 			b.Fatal(err)
 		}
 	}

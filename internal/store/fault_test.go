@@ -29,10 +29,10 @@ func TestDiskFaultPoisonsWAL(t *testing.T) {
 	}
 	defer s.Close()
 
-	if err := s.AppendLeaves(leafBatch(0, 3)); err != nil {
+	if err := s.Commit(leafBatch(0, 3), nil); err != nil {
 		t.Fatalf("append before the fault: %v", err)
 	}
-	err = s.AppendLeaves(leafBatch(3, 3))
+	err = s.Commit(leafBatch(3, 3), nil)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("append under injected disk error = %v, want wrapped %v", err, boom)
 	}
@@ -40,7 +40,7 @@ func TestDiskFaultPoisonsWAL(t *testing.T) {
 		t.Fatalf("injected error did not take the fsync-failure path: %v", err)
 	}
 	after := calls.Load()
-	if err := s.AppendLeaves(leafBatch(6, 3)); err == nil {
+	if err := s.Commit(leafBatch(6, 3), nil); err == nil {
 		t.Fatal("append after WAL poison succeeded")
 	}
 	if calls.Load() != after {
@@ -61,7 +61,7 @@ func TestDiskFaultStallDelays(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := s.AppendLeaves(leafBatch(0, 2)); err != nil {
+	if err := s.Commit(leafBatch(0, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < stall {

@@ -32,11 +32,11 @@ func TestHeadTornWALAtEveryOffset(t *testing.T) {
 	s := openTest(t, dir, 3)
 	h1, h2 := testHead(5, 1), testHead(10, 2)
 	steps := []func() error{
-		func() error { return s.AppendLeaves(leafBatch(0, 5)) },
+		func() error { return s.Commit(leafBatch(0, 5), nil) },
 		func() error { return s.PutHead(h1) },
-		func() error { return s.AppendLeaves(leafBatch(5, 5)) },
+		func() error { return s.Commit(leafBatch(5, 5), nil) },
 		func() error { return s.PutHead(h2) },
-		func() error { return s.AppendLeaves(leafBatch(10, 2)) },
+		func() error { return s.Commit(leafBatch(10, 2), nil) },
 	}
 	for _, step := range steps {
 		if err := step(); err != nil {
@@ -92,7 +92,7 @@ func TestHeadSurvivesCheckpointRotationAndClose(t *testing.T) {
 	t.Run("checkpoint", func(t *testing.T) {
 		dir := t.TempDir()
 		s := openTest(t, dir, 2)
-		if err := s.AppendLeaves(leafBatch(0, 4)); err != nil {
+		if err := s.Commit(leafBatch(0, 4), nil); err != nil {
 			t.Fatal(err)
 		}
 		h := testHead(4, 4)
@@ -117,7 +117,7 @@ func TestHeadSurvivesCheckpointRotationAndClose(t *testing.T) {
 		}
 		var last HeadRecord
 		for i := 0; i < 40; i++ {
-			if err := s.AppendLeaves(leafBatch(i, 1)); err != nil {
+			if err := s.Commit(leafBatch(i, 1), nil); err != nil {
 				t.Fatal(err)
 			}
 			last = testHead(uint64(i+1), byte(i))
@@ -138,7 +138,7 @@ func TestHeadSurvivesCheckpointRotationAndClose(t *testing.T) {
 	t.Run("close", func(t *testing.T) {
 		dir := t.TempDir()
 		s := openTest(t, dir, 2)
-		if err := s.AppendLeaves(leafBatch(0, 3)); err != nil {
+		if err := s.Commit(leafBatch(0, 3), nil); err != nil {
 			t.Fatal(err)
 		}
 		h := testHead(3, 3)
@@ -166,7 +166,7 @@ func TestHeadSurvivesCheckpointRotationAndClose(t *testing.T) {
 func TestHeadFromParentHeadJSON(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, 2)
-	if err := s.AppendLeaves(leafBatch(0, 6)); err != nil {
+	if err := s.Commit(leafBatch(0, 6), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -194,7 +194,7 @@ func TestHeadFromParentHeadJSON(t *testing.T) {
 	if err := os.Rename(headPath+".bak", headPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := s3.AppendLeaves(leafBatch(6, 2)); err != nil {
+	if err := s3.Commit(leafBatch(6, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	newer := testHead(8, 8)
@@ -220,7 +220,7 @@ func TestHeadDedupWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.AppendLeaves(leafBatch(0, 2)); err != nil {
+	if err := s.Commit(leafBatch(0, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	h := testHead(2, 2)
@@ -245,7 +245,7 @@ func TestHeadFsyncsBookedApart(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 3; i++ {
-		if err := s.AppendLeaves(leafBatch(i, 1)); err != nil {
+		if err := s.Commit(leafBatch(i, 1), nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.PutHead(testHead(uint64(i+1), byte(i))); err != nil {
@@ -278,7 +278,7 @@ func TestHeadDiskFaultPoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.AppendLeaves(leafBatch(0, 2)); err != nil {
+	if err := s.Commit(leafBatch(0, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	err = s.PutHead(testHead(2, 2))
@@ -289,7 +289,7 @@ func TestHeadDiskFaultPoisons(t *testing.T) {
 	if err := s.PutHead(testHead(2, 3)); err == nil {
 		t.Fatal("PutHead after the poison succeeded")
 	}
-	if err := s.AppendLeaves(leafBatch(2, 1)); err == nil {
+	if err := s.Commit(leafBatch(2, 1), nil); err == nil {
 		t.Fatal("append after the poison succeeded")
 	}
 	if calls.Load() != after {
@@ -312,7 +312,7 @@ func TestHeadRacesCheckpoints(t *testing.T) {
 		go func(wk int) {
 			var err error
 			for i := 0; i < per && err == nil; i++ {
-				err = s.AppendLeaves(leafBatch(wk*1000+i, 1))
+				err = s.Commit(leafBatch(wk*1000+i, 1), nil)
 			}
 			done <- err
 		}(wk)

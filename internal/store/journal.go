@@ -21,9 +21,10 @@
 //	                             when no WAL holds a head record
 //
 // A head record follows, in the WAL, every leaf record it covers, so a
-// torn tail that keeps a head keeps its leaves. Opening and every
-// checkpoint re-journal the last head into the fresh WAL before the old
-// one is deleted. A build that predates head records refuses a WAL
+// torn tail that keeps a head keeps its leaves: Commit writes a batch's
+// leaf records and the head signed over them in one write, covered by
+// one fsync. Opening and every checkpoint re-journal the last head into
+// the fresh WAL before the old one is deleted. A build that predates head records refuses a WAL
 // holding them ("holds record kind 3"): downgrade fails closed.
 //
 // Every on-disk record — WAL, segments, and the witness journal — uses

@@ -16,10 +16,10 @@ type storeObs struct {
 	appendBatches  obsv.Counter
 	appendedLeaves obsv.Counter
 
-	fsyncs       obsv.Counter // WAL fsyncs led by a leaf append (group-commit leaders)
+	fsyncs       obsv.Counter // WAL fsyncs led by a leaf commit, its head included (group-commit leaders)
 	fsyncLatency *obsv.Histogram
 
-	headFsyncs       obsv.Counter // WAL fsyncs led by a signed-head record
+	headFsyncs       obsv.Counter // WAL fsyncs led by PutHead or a checkpoint carrying the head
 	headFsyncLatency *obsv.Histogram
 
 	walRotations  obsv.Counter
@@ -69,11 +69,11 @@ func (o *storeObs) record(kind, detail string, value uint64) {
 // names. Call once per registry; the store must outlive scrapes.
 func (s *Store) RegisterMetrics(reg *obsv.Registry) {
 	o := s.obs
-	reg.Register("store_append_batches_total", "AppendLeaves calls that reached the WAL", &o.appendBatches)
+	reg.Register("store_append_batches_total", "leaf commits (Commit calls) that reached the WAL", &o.appendBatches)
 	reg.Register("store_appended_leaves_total", "leaves made durable", &o.appendedLeaves)
-	reg.Register("store_wal_fsyncs_total", "WAL fsyncs led by a leaf append (group-commit leaders only)", &o.fsyncs)
+	reg.Register("store_wal_fsyncs_total", "WAL fsyncs led by a leaf commit, its head included (group-commit leaders only)", &o.fsyncs)
 	reg.Register("store_wal_fsync_seconds", "WAL fsync latency, leaf-led fsyncs", o.fsyncLatency)
-	reg.Register("store_head_fsyncs_total", "WAL fsyncs led by a signed-head record", &o.headFsyncs)
+	reg.Register("store_head_fsyncs_total", "WAL fsyncs led by a head over no new leaves (PutHead) or a checkpoint carrying the head", &o.headFsyncs)
 	reg.Register("store_head_fsync_seconds", "WAL fsync latency, head-led fsyncs", o.headFsyncLatency)
 	reg.Register("store_wal_rotations_total", "WAL files rotated at checkpoints", &o.walRotations)
 	reg.Register("store_segment_rolls_total", "segment files rolled at the size cap", &o.segmentRolls)

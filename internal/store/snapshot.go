@@ -116,9 +116,10 @@ func loadSnapshot(dir string) *Snapshot {
 	return decodeSnapshot(data)
 }
 
-// PutHead durably records a signed tree head before it is served to
-// anyone: a head record is appended to the WAL, after every leaf it can
-// cover, and PutHead returns once a (group-committed) fsync covers it.
+// PutHead durably records a signed tree head over no new leaves (a head
+// over new leaves rides their Commit) before it is served to anyone: a
+// head record is appended to the WAL, after every leaf it can cover,
+// and PutHead returns once a (group-committed) fsync covers it.
 // The head is the store's last head from the moment it is written, so a
 // checkpoint racing the fsync carries it into the next WAL. Re-signing
 // the same (size, root) — a head asked for again before the log grew —
@@ -155,7 +156,7 @@ func headRecord(h *HeadRecord) []byte {
 }
 
 // LastHead returns the most recently recorded signed head, if any: the
-// one Open recovered, or the last one passed to PutHead.
+// one Open recovered, or the last one passed to Commit or PutHead.
 func (s *Store) LastHead() (HeadRecord, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

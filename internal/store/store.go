@@ -86,10 +86,10 @@ type RecoveryInfo struct {
 // signed heads go to an fsync-batched WAL first (group commit), leaves
 // settle into per-shard segment files at checkpoints, and derived state
 // rides in snapshots.
-// Safe for concurrent use. The caller owns ordering: AppendLeaves
-// assigns global indexes in call order under the store lock, so callers
-// that also maintain an in-memory log must append to both under one
-// lock of their own (monitor.Monitor does).
+// Safe for concurrent use. The caller owns ordering: Commit assigns
+// global indexes in call order under the store lock, so callers that
+// also maintain an in-memory log must append to both under one lock of
+// their own (monitor.Monitor does).
 type Store struct {
 	dir  string
 	opts Options
@@ -347,11 +347,17 @@ func leafRecord(g int, payload []byte) []byte {
 	return buf
 }
 
-// AppendLeaves assigns consecutive global indexes to payloads (in call
-// order), journals them, and returns once they are durable. Concurrent
-// callers share fsyncs (group commit). The store retains the payload
-// slices until they settle into segments; callers must not mutate them.
-func (s *Store) AppendLeaves(payloads [][]byte) error {
+// Commit assigns consecutive global indexes to payloads (in call
+// order) and journals them, followed by h when it is non-nil, in one
+// WAL write, and returns once one fsync covers them all: a monitor
+// commits a batch and the head it signed over it together, so the head
+// is durable exactly when its leaves are, and a torn tail that keeps
+// the head keeps them. h must cover exactly the leaves durable after
+// the commit. Concurrent callers share fsyncs (group commit); the fsync
+// is booked as leaf-led. The store retains the payload slices until
+// they settle into segments; callers must not mutate them. A head with
+// no new leaves goes through PutHead.
+func (s *Store) Commit(payloads [][]byte, h *HeadRecord) error {
 	if len(payloads) == 0 {
 		return nil
 	}
@@ -360,9 +366,16 @@ func (s *Store) AppendLeaves(payloads [][]byte) error {
 		s.mu.Unlock()
 		return s.err
 	}
+	if h != nil && h.Size != uint64(s.total+len(payloads)) {
+		s.mu.Unlock()
+		return fmt.Errorf("store: head at size %d committed with leaves ending at %d", h.Size, s.total+len(payloads))
+	}
 	buf := make([]byte, 0, 1<<12)
 	for i, p := range payloads {
 		buf = appendRecord(buf, kindLeaf, leafRecord(s.total+i, p))
+	}
+	if h != nil {
+		buf = append(buf, headRecord(h)...)
 	}
 	end, err := s.wal.write(buf)
 	if err != nil {
@@ -373,6 +386,11 @@ func (s *Store) AppendLeaves(payloads [][]byte) error {
 	s.total += len(payloads)
 	s.pending = append(s.pending, payloads...)
 	s.walBytes += int64(len(buf))
+	if h != nil {
+		cp := *h
+		s.head = &cp
+		s.headWAL, s.headEnd = s.wal, end
+	}
 	s.obs.appendBatches.Inc()
 	s.obs.appendedLeaves.Add(uint64(len(payloads)))
 	needCheckpoint := s.walBytes >= s.opts.FlushThresholdBytes

@@ -29,10 +29,10 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, 4)
 	want := leafBatch(0, 100)
-	if err := s.AppendLeaves(want[:37]); err != nil {
+	if err := s.Commit(want[:37], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendLeaves(want[37:]); err != nil {
+	if err := s.Commit(want[37:], nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -67,7 +67,7 @@ func TestRecoverFromWALWithoutClose(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, 3)
 	want := leafBatch(0, 25)
-	if err := s.AppendLeaves(want); err != nil {
+	if err := s.Commit(want, nil); err != nil {
 		t.Fatal(err)
 	}
 	// No Close: reopen from the files as they are.
@@ -100,7 +100,7 @@ func TestCheckpointRotationAndSegmentRoll(t *testing.T) {
 		if end > len(want) {
 			end = len(want)
 		}
-		if err := s.AppendLeaves(want[i:end]); err != nil {
+		if err := s.Commit(want[i:end], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestTornWALTailDropped(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, 4)
 	want := leafBatch(0, 10)
-	if err := s.AppendLeaves(want); err != nil {
+	if err := s.Commit(want, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Crash without Close; find the live WAL and its record boundaries.
@@ -206,7 +206,7 @@ func TestCorruptWALRecordDropped(t *testing.T) {
 	// treated as torn tail.
 	dir := t.TempDir()
 	s := openTest(t, dir, 2)
-	if err := s.AppendLeaves(leafBatch(0, 5)); err != nil {
+	if err := s.Commit(leafBatch(0, 5), nil); err != nil {
 		t.Fatal(err)
 	}
 	walPath := findWAL(t, dir)
@@ -271,7 +271,7 @@ func TestSnapshotRoundTripAndCorruptionIgnored(t *testing.T) {
 		State:       []byte(`{"x":1}`),
 		LeafDigests: [][]byte{bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 32), bytes.Repeat([]byte{3}, 32)},
 	}
-	if err := s.AppendLeaves(leafBatch(0, 3)); err != nil {
+	if err := s.Commit(leafBatch(0, 3), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.WriteSnapshot(snap); err != nil {
@@ -312,7 +312,7 @@ func TestSnapshotFromFutureIgnored(t *testing.T) {
 	// raced a crash that lost WAL bytes under NoSync) must be dropped.
 	dir := t.TempDir()
 	s := openTest(t, dir, 2)
-	if err := s.AppendLeaves(leafBatch(0, 2)); err != nil {
+	if err := s.Commit(leafBatch(0, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.WriteSnapshot(&Snapshot{Size: 99, State: []byte(`{}`)}); err != nil {
@@ -365,7 +365,7 @@ func TestConcurrentAppendsRecoverInOrder(t *testing.T) {
 		go func(wk int) {
 			var err error
 			for i := 0; i < per && err == nil; i++ {
-				err = s.AppendLeaves(leafBatch(wk*1000+i, 1))
+				err = s.Commit(leafBatch(wk*1000+i, 1), nil)
 			}
 			done <- err
 		}(wk)
