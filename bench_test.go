@@ -263,8 +263,10 @@ func BenchmarkUpdateEndToEnd(b *testing.B) {
 		pad := make([]sandbox.Instr, i%32+1)
 		m.Functions[0].Code = append(append([]sandbox.Instr{}, base.Functions[0].Code...), pad...)
 		su := dev.PrepareUpdate(uint64(i+2), m.Encode())
-		if err := dep.PushUpdate(su); err != nil {
-			b.Fatal(err)
+		for d := 0; d < dep.NumDomains(); d++ {
+			if err := dep.PushUpdateTo(d, su, false); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -2,13 +2,18 @@ package repro
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -133,12 +138,11 @@ var daemonOnly = map[string][]string{
 	"time":      {"NewTicker", "Tick"},
 }
 
-// walkSource parses every .go file under the repo root and hands it to
-// visit with its slash-separated path. bench/ is its own module: the
-// contracts skip it (it may dial raw: that is what it measures), the
-// option scan reads it as one more caller. Dot-directories hold no
-// source of ours.
-func walkSource(t *testing.T, withBench bool, visit func(path string, file *ast.File)) {
+// walkSource parses every .go file under the repo root but bench/ and
+// hands it to visit with its slash-separated path. bench/ is its own
+// module, and the contracts skip it: it may dial raw, since that is what
+// it measures. Dot-directories hold no source of ours.
+func walkSource(t *testing.T, visit func(path string, file *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -146,7 +150,7 @@ func walkSource(t *testing.T, withBench bool, visit func(path string, file *ast.
 			return err
 		}
 		if d.IsDir() {
-			if path == "bench" && !withBench || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -167,7 +171,7 @@ func walkSource(t *testing.T, withBench bool, visit func(path string, file *ast.
 }
 
 func TestPackageContracts(t *testing.T) {
-	walkSource(t, false, func(path string, file *ast.File) { checkFile(t, path, file) })
+	walkSource(t, func(path string, file *ast.File) { checkFile(t, path, file) })
 }
 
 func checkFile(t *testing.T, path string, file *ast.File) {
@@ -244,6 +248,413 @@ func checkFile(t *testing.T, path string, file *ast.File) {
 	})
 }
 
+// sourcePkg is one of our packages, type-checked with everything its
+// non-test files use recorded.
+type sourcePkg struct {
+	dir   string // slash-separated, relative to the repo root
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// program is every non-test package of the module and of bench/ (module
+// repro/bench, whose import paths map onto directories the same way),
+// type-checked from source. ff's !amd64 file is checked too, as a second
+// view of ff built for arm64: it is the only build-constrained source.
+type program struct {
+	fset     *token.FileSet
+	pkgs     []*sourcePkg
+	implicit *types.Info // implicitCalls, checked against the same standard library
+}
+
+func (p *program) position(pos token.Pos) string {
+	at := p.fset.Position(pos)
+	return filepath.ToSlash(at.Filename) + ":" + strconv.Itoa(at.Line)
+}
+
+// loader imports our packages with full type information and the
+// standard library's from GOROOT without function bodies, each once.
+type loader struct {
+	fset *token.FileSet
+	ctxt build.Context
+	std  map[string]*types.Package
+	ours map[string]*sourcePkg
+	prog *program
+	errs []error
+}
+
+func (l *loader) Import(path string) (*types.Package, error) { return l.ImportFrom(path, ".", 0) }
+
+func (l *loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
+	}
+	if dir, ok := strings.CutPrefix(path, "repro/"); ok {
+		p, err := l.load(&l.ctxt, path, dir)
+		if err != nil {
+			return nil, err
+		}
+		return p.types, nil
+	}
+	bp, err := l.ctxt.Import(path, srcDir, 0)
+	if err != nil {
+		return nil, err
+	}
+	if pkg, ok := l.std[bp.ImportPath]; ok {
+		return pkg, nil
+	}
+	files, err := l.parse(bp.Dir, bp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: l, IgnoreFuncBodies: true, Error: func(err error) { l.errs = append(l.errs, err) }}
+	pkg, _ := conf.Check(bp.ImportPath, l.fset, files, nil)
+	l.std[bp.ImportPath] = pkg
+	return pkg, nil
+}
+
+func (l *loader) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// load type-checks the package in dir under ctxt's build constraints.
+// A package built for the host is cached under its import path; another
+// view is checked afresh and imported by nothing.
+func (l *loader) load(ctxt *build.Context, path, dir string) (*sourcePkg, error) {
+	host := ctxt == &l.ctxt
+	if p, ok := l.ours[path]; ok && host {
+		return p, nil
+	}
+	bp, err := ctxt.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	files, err := l.parse(dir, bp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	p := &sourcePkg{dir: filepath.ToSlash(dir), files: files, info: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}}
+	conf := types.Config{Importer: l, Error: func(err error) { l.errs = append(l.errs, err) }}
+	p.types, _ = conf.Check(path, l.fset, files, p.info)
+	if host {
+		l.ours[path] = p
+	}
+	l.prog.pkgs = append(l.prog.pkgs, p)
+	return p, nil
+}
+
+var (
+	loadOnce sync.Once
+	loaded   *program
+	loadErrs []error
+)
+
+// loadProgram type-checks the whole program once for every caller check.
+func loadProgram(t *testing.T) *program {
+	t.Helper()
+	loadOnce.Do(func() {
+		fset := token.NewFileSet()
+		l := &loader{fset: fset, ctxt: build.Default, std: map[string]*types.Package{},
+			ours: map[string]*sourcePkg{}, prog: &program{fset: fset}}
+		l.ctxt.CgoEnabled = false
+		err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			_, err = l.load(&l.ctxt, "repro/"+filepath.ToSlash(path), path)
+			if _, none := err.(*build.NoGoError); none {
+				return nil
+			}
+			return err
+		})
+		if err == nil {
+			arm := l.ctxt
+			arm.GOARCH = "arm64"
+			_, err = l.load(&arm, "repro/internal/ff", "internal/ff")
+		}
+		if err == nil {
+			var implicit *ast.File
+			implicit, err = parser.ParseFile(fset, "implicit.go", implicitCalls, 0)
+			l.prog.implicit = &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+			if err == nil {
+				_, err = (&types.Config{Importer: l}).Check("implicit", fset, []*ast.File{implicit}, l.prog.implicit)
+			}
+		}
+		if err != nil {
+			l.errs = append(l.errs, err)
+		}
+		loaded, loadErrs = l.prog, l.errs
+	})
+	for _, err := range loadErrs {
+		t.Error(err)
+	}
+	if len(loadErrs) > 0 {
+		t.FailNow()
+	}
+	return loaded
+}
+
+// funcKey names a declared function as the caller checks report it:
+// pkg.Func or pkg.Type.Method, with pkg relative to internal/.
+func funcKey(fn *types.Func) string {
+	fn = fn.Origin()
+	if fn.Pkg() == nil { // error.Error
+		return ""
+	}
+	key := strings.TrimPrefix(strings.TrimPrefix(fn.Pkg().Path(), "repro/"), "internal/")
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		typ := recv.Type()
+		if ptr, ok := typ.(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		named, ok := typ.(*types.Named)
+		if !ok {
+			return ""
+		}
+		key += "." + named.Obj().Name()
+	}
+	return key + "." + fn.Name()
+}
+
+// implicitCalls declares, as values, the standard-library interfaces
+// whose methods the standard library calls without the program naming
+// them: fmt's verbs, errors.Is/As/Unwrap, net's error and address
+// reports, and the encoders.
+const implicitCalls = `package implicit
+
+import (
+	"encoding"
+	"encoding/json"
+	"fmt"
+	"net"
+)
+
+var _ = []any{
+	fmt.Stringer(nil), error(nil), net.Error(nil), net.Addr(nil),
+	interface{ Unwrap() error }(nil), interface{ Unwrap() []error }(nil),
+	encoding.TextMarshaler(nil), encoding.TextUnmarshaler(nil),
+	encoding.BinaryMarshaler(nil), encoding.BinaryUnmarshaler(nil),
+	json.Marshaler(nil), json.Unmarshaler(nil),
+}
+`
+
+// exportException is a group of exported functions under internal/ that
+// stay without a production caller, why, and when the row goes.
+type exportException struct {
+	funcs  []string
+	reason string
+	until  string
+}
+
+// exportExceptions can only shrink: a named function that gains a
+// caller, or no longer exists, fails the test.
+var exportExceptions = []exportException{
+	{
+		funcs: []string{"bls.AggregateSignatures", "bls.VerifyAggregate", "bls.VerifyAggregateSameMsg",
+			"bls.SecretKey.ProvePossession", "bls.VerifyPossession"},
+		reason: "the aggregation API: one pairing check for a quorum's cosignatures, with proofs of possession against rogue keys",
+		until:  "the witnessed read (ROADMAP P) verifies cosigned heads through it, or decides it will not and deletes it",
+	},
+	{
+		funcs: []string{"hwnext.New", "hwnext.HardwareFramework.RegisterBinary", "hwnext.HardwareFramework.Install",
+			"hwnext.HardwareFramework.Invoke", "hwnext.HardwareFramework.AttestedStatus", "hwnext.HardwareFramework.History",
+			"blsapp.DecodeSignRequestForNative", "blsapp.EncodeSignResponseForNative", "blsapp.EncodeStaleResponseForNative",
+			"aolog.LeafDigest", "aolog.RootOfLeaves"},
+		reason: "only the root bench_test.go ablations call them: Table 3's next-generation TEE row and the recompute-every-root baseline",
+		until:  "those ablations move into bench/ or are dropped (ROADMAP G)",
+	},
+	{
+		funcs:  []string{"fault.Schedule.Format"},
+		reason: "prints a schedule as the file -fault-schedule reads; the parser's fuzz target round-trips it",
+		until:  "the simulated host prints each failing seed's schedule with it (ROADMAP F), or that plan is dropped",
+	},
+	{
+		funcs: []string{"transport.Dial", "transport.NewMemListener", "transport.MemListener.Dial",
+			"transport.Server.ListenAndServe", "transport.Server.ActiveConns", "transport.ManagedClient.Stats"},
+		reason: "test seams: other packages' tests serve over a raw or in-memory connection and read connection and retry counts",
+		until:  "those tests share a test-support package, or production code calls them",
+	},
+	{
+		funcs:  []string{"bls12381.Pair", "bls12381.G1ScalarBaseMult", "bls12381.HashToFr", "ff.Fp12.Equal", "obsv.Registry.Histogram"},
+		reason: "TestKnownAnswerVectors, TestPairingMatchesAffineOracle and TestGoldenExposition call them, and those pinned tests stay as they are",
+		until:  "those goldens are next regenerated on a trusted commit, with the tests moved off these entry points",
+	},
+}
+
+// TestEveryExportHasACaller: every exported function or method declared
+// in a non-test file under internal/ is used by a non-test file
+// somewhere in the program (bench/, cmd/ and examples/ included, and
+// ff's !amd64 kernels), not counting its own body, or is a named
+// exception. A method also counts as called when its type satisfies an
+// interface whose method the program calls, or a standard-library
+// interface the program uses or the standard library calls implicitly.
+// Code no production path reaches is surface no workload covers.
+func TestEveryExportHasACaller(t *testing.T) {
+	prog := loadProgram(t)
+
+	declared := map[string]token.Pos{}
+	used := map[string]bool{}        // funcKey -> used by a non-test file
+	called := map[*types.Func]bool{} // interface methods the program calls
+	var named []*types.Named         // non-generic types declared under internal/
+	var ifaces []types.Type          // interface types the program names or passes
+	seenIface := map[types.Type]bool{}
+	var addIfaces func(types.Type)
+	addIfaces = func(typ types.Type) {
+		switch u := typ.(type) {
+		case *types.Pointer:
+			addIfaces(u.Elem())
+		case *types.Slice:
+			addIfaces(u.Elem())
+		case *types.Array:
+			addIfaces(u.Elem())
+		case *types.Map:
+			addIfaces(u.Key())
+			addIfaces(u.Elem())
+		case *types.Chan:
+			addIfaces(u.Elem())
+		case *types.Signature:
+			for _, tuple := range []*types.Tuple{u.Params(), u.Results()} {
+				for i := 0; i < tuple.Len(); i++ {
+					addIfaces(tuple.At(i).Type())
+				}
+			}
+		default:
+			if iface, ok := typ.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 && !seenIface[typ] {
+				seenIface[typ] = true
+				ifaces = append(ifaces, typ)
+			}
+		}
+	}
+	collectIfaces := func(info *types.Info) {
+		for _, tv := range info.Types {
+			addIfaces(tv.Type)
+		}
+		for _, objs := range []map[*ast.Ident]types.Object{info.Defs, info.Uses} {
+			for _, obj := range objs {
+				if obj != nil {
+					addIfaces(obj.Type())
+				}
+			}
+		}
+	}
+
+	for _, p := range prog.pkgs {
+		internal := strings.HasPrefix(p.dir, "internal/")
+		for _, file := range p.files {
+			for _, decl := range file.Decls {
+				self := ""
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					self = funcKey(p.info.Defs[fd.Name].(*types.Func))
+					if internal && fd.Name.IsExported() && self != "" {
+						declared[self] = fd.Pos()
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if fn, ok := p.info.Uses[id].(*types.Func); ok {
+						called[fn.Origin()] = true
+						if key := funcKey(fn); key != self {
+							used[key] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+		collectIfaces(p.info)
+		if internal {
+			scope := p.types.Scope()
+			for _, name := range scope.Names() {
+				if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+					if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+						named = append(named, n)
+					}
+				}
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("the scan found no exported function under internal/")
+	}
+
+	collectIfaces(prog.implicit)
+
+	// A type's method is called through an interface it satisfies when
+	// the method is the standard library's to call, or ours and called.
+	byMethod := map[string][]*types.Named{}
+	for _, n := range named {
+		mset := types.NewMethodSet(types.NewPointer(n))
+		for i := 0; i < mset.Len(); i++ {
+			name := mset.At(i).Obj().Name()
+			byMethod[name] = append(byMethod[name], n)
+		}
+	}
+	for _, typ := range ifaces {
+		iface := typ.Underlying().(*types.Interface)
+		for _, n := range byMethod[iface.Method(0).Name()] {
+			ptr := types.NewPointer(n)
+			if !types.Implements(ptr, iface) {
+				continue
+			}
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i)
+				if ours := m.Pkg() != nil && strings.HasPrefix(m.Pkg().Path(), "repro/"); ours && !called[m] {
+					continue
+				}
+				if obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name()); obj != nil {
+					used[funcKey(obj.(*types.Func))] = true
+				}
+			}
+		}
+	}
+
+	excepted := map[string]bool{}
+	for _, row := range exportExceptions {
+		if row.reason == "" || row.until == "" {
+			t.Errorf("exception %v needs a reason and a deletion condition", row.funcs)
+		}
+		for _, fn := range row.funcs {
+			excepted[fn] = true
+			if _, ok := declared[fn]; !ok {
+				t.Errorf("exception %s names no exported function under internal/; drop it", fn)
+			} else if used[fn] {
+				t.Errorf("%s now has a caller; drop it from its exception (%q)", fn, row.reason)
+			}
+		}
+	}
+	if len(exportExceptions) > 10 {
+		t.Errorf("%d export exceptions; at most 10", len(exportExceptions))
+	}
+	var dead []string
+	for fn, pos := range declared {
+		if !used[fn] && !excepted[fn] {
+			dead = append(dead, prog.position(pos)+": "+fn)
+		}
+	}
+	slices.Sort(dead)
+	for _, d := range dead {
+		t.Errorf("%s has no caller in a non-test file: delete it, unexport it, or move it into a _test.go file", d)
+	}
+}
+
 // optionExceptions are the exported Options/Config fields that no
 // non-test caller outside their package sets, each with why it stays.
 // All are test seams. An entry the scan no longer needs fails the test,
@@ -260,138 +671,77 @@ var optionExceptions = map[string]string{
 
 // TestEveryOptionHasACaller: every exported field of an exported struct
 // in internal/ whose name ends in Options or Config is set — by a keyed
-// composite literal, or by an assignment through a variable defined from
-// one — in a non-test file outside its package (bench/ counts), or is a
-// named exception. A configuration no caller selects is unmeasured
-// surface, not a feature.
+// composite literal or by an assignment, through any expression — in a
+// non-test file outside its package (bench/ counts), or is a named
+// exception. A configuration no caller selects is unmeasured surface,
+// not a feature.
 func TestEveryOptionHasACaller(t *testing.T) {
-	type source struct {
-		path string
-		file *ast.File
-	}
-	var files []source
-	fields := map[string]bool{} // "pkg.Type.Field" -> set by some caller
-	mark := func(field string) {
-		if _, scanned := fields[field]; scanned {
-			fields[field] = true
+	prog := loadProgram(t)
+	fields := map[*types.Var]string{} // option field -> "pkg.Type.Field"
+	set := map[string]bool{}
+	for _, p := range prog.pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
 		}
-	}
-	walkSource(t, true, func(path string, file *ast.File) {
-		if strings.HasSuffix(path, "_test.go") {
-			return
-		}
-		files = append(files, source{path, file})
-		dir, ok := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
-		if !ok {
-			return
-		}
-		for _, decl := range file.Decls {
-			gen, ok := decl.(*ast.GenDecl)
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
 			if !ok {
 				continue
 			}
-			for _, spec := range gen.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(ts.Name.Name, "Options") || strings.HasSuffix(ts.Name.Name, "Config")) {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, f := range st.Fields.List {
-					for _, name := range f.Names {
-						if name.IsExported() {
-							fields[dir+"."+ts.Name.Name+"."+name.Name] = false
-						}
-					}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					fields[f] = strings.TrimPrefix(p.dir, "internal/") + "." + name + "." + f.Name()
+					set[fields[f]] = false
 				}
 			}
 		}
-	})
-
-	for _, src := range files {
-		// local import name -> internal package, for every package but the file's own
-		imports := map[string]string{}
-		own, _ := strings.CutPrefix(filepath.ToSlash(filepath.Dir(src.path)), "internal/")
-		for _, imp := range src.file.Imports {
-			ipath, _ := strconv.Unquote(imp.Path.Value)
-			if pkg, ok := strings.CutPrefix(ipath, internalPrefix); ok && pkg != own {
-				local := pkg[strings.LastIndex(pkg, "/")+1:]
-				if imp.Name != nil {
-					local = imp.Name.Name
+	}
+	for _, p := range prog.pkgs {
+		mark := func(id *ast.Ident) {
+			if f, ok := p.info.Uses[id].(*types.Var); ok && f.Pkg() != p.types {
+				if field, ok := fields[f]; ok {
+					set[field] = true
 				}
-				imports[local] = pkg
 			}
 		}
-		// optionType resolves pkg.Type{...} and &pkg.Type{...} to
-		// "pkg.Type" for an imported internal package.
-		optionType := func(e ast.Expr) string {
-			for {
-				switch x := e.(type) {
-				case *ast.UnaryExpr:
-					e = x.X
-					continue
-				case *ast.CompositeLit:
-					e = x.Type
-					continue
-				case *ast.SelectorExpr:
-					if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
-						return imports[id.Name] + "." + x.Sel.Name
+		for _, file := range p.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if key, ok := n.Key.(*ast.Ident); ok {
+						mark(key)
 					}
-				}
-				return ""
-			}
-		}
-		vars := map[string]string{} // variable defined from a literal -> "pkg.Type"
-		ast.Inspect(src.file, func(n ast.Node) bool {
-			if def, ok := n.(*ast.AssignStmt); ok && def.Tok == token.DEFINE && len(def.Lhs) == len(def.Rhs) {
-				for i := range def.Lhs {
-					if id, ok := def.Lhs[i].(*ast.Ident); ok && optionType(def.Rhs[i]) != "" {
-						vars[id.Name] = optionType(def.Rhs[i])
-					}
-				}
-			}
-			return true
-		})
-		ast.Inspect(src.file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				typ := optionType(n)
-				for _, el := range n.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok {
-							mark(typ + "." + key.Name)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							mark(sel.Sel)
 						}
 					}
 				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						if id, ok := sel.X.(*ast.Ident); ok {
-							mark(vars[id.Name] + "." + sel.Sel.Name)
-						}
-					}
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 
 	if len(fields) == 0 {
 		t.Fatal("the scan found no Options or Config struct under internal/")
 	}
-	for field, set := range fields {
+	for field, isSet := range set {
 		reason, excepted := optionExceptions[field]
 		switch {
-		case !set && !excepted:
+		case !isSet && !excepted:
 			t.Errorf("%s is set by no non-test caller outside its package: make it a constant, work it out, or delete it", field)
-		case set && excepted:
+		case isSet && excepted:
 			t.Errorf("%s now has a caller; drop its exception (%q)", field, reason)
 		}
 	}
 	for field := range optionExceptions {
-		if _, ok := fields[field]; !ok {
+		if _, ok := set[field]; !ok {
 			t.Errorf("exception %s names no scanned field; drop it", field)
 		}
 	}
@@ -460,4 +810,150 @@ func TestOneKernelDispatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ciFlagValues are the go test flags whose value is the next word.
+var ciFlagValues = map[string]bool{"-run": true, "-bench": true, "-benchtime": true, "-count": true,
+	"-timeout": true, "-cpu": true, "-C": true, "-o": true, "-outputdir": true, "-tags": true}
+
+// TestCIPatternsMatch: every alternative of every -run and -bench
+// pattern in the CI workflow matches at least one test, fuzz target or
+// benchmark in the packages its go test line names. A pattern that
+// matches nothing runs nothing and passes, so a renamed or deleted test
+// would silently drop out of its CI step. -run xxx beside -bench is the
+// idiom for "no tests" and is exempt.
+func TestCIPatternsMatch(t *testing.T) {
+	raw, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.ReplaceAll(string(raw), "\\\n", " ")
+	lines := 0
+	for _, line := range strings.Split(text, "\n") {
+		_, cmd, ok := strings.Cut(line, "go test ")
+		if !ok {
+			continue
+		}
+		lines++
+		dir, flags, pkgs := ".", map[string]string{}, []string(nil)
+		words := strings.Fields(cmd)
+		for i := 0; i < len(words); i++ {
+			w := strings.Trim(words[i], `'"`)
+			if w == "|" || w == "}" || w == ";" {
+				break
+			}
+			if !strings.HasPrefix(w, "-") {
+				pkgs = append(pkgs, w)
+				continue
+			}
+			name, value, inline := strings.Cut(w, "=")
+			if !inline && ciFlagValues[name] && i+1 < len(words) {
+				i++
+				value = strings.Trim(words[i], `'"`)
+			}
+			flags[name] = value
+			if name == "-C" {
+				dir = value
+			}
+		}
+		patterns := map[string][]string{} // pattern -> the function prefixes it selects
+		if run, ok := flags["-run"]; ok && !(run == "xxx" && flags["-bench"] != "") {
+			patterns[run] = []string{"Test", "Fuzz", "Example"}
+		}
+		if bench, ok := flags["-bench"]; ok {
+			patterns[bench] = []string{"Benchmark"}
+		}
+		if len(patterns) == 0 {
+			continue
+		}
+		names := ciTestNames(t, dir, pkgs)
+		for pattern, prefixes := range patterns {
+			for _, alt := range topLevelAlternatives(pattern) {
+				re, err := regexp.Compile(strings.Split(alt, "/")[0])
+				if err != nil {
+					t.Errorf("ci.yml: go test %s: pattern %q: %v", strings.TrimSpace(cmd), alt, err)
+					continue
+				}
+				if !slices.ContainsFunc(names, func(name string) bool {
+					return re.MatchString(name) && slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(name, p) })
+				}) {
+					t.Errorf("ci.yml: go test %s: %q matches no %v function in %v", strings.TrimSpace(cmd), alt, prefixes, pkgs)
+				}
+			}
+		}
+	}
+	if lines == 0 {
+		t.Fatal("no go test line in ci.yml: the scan is reading the wrong file")
+	}
+}
+
+// topLevelAlternatives splits a regexp at the | outside any group or
+// class.
+func topLevelAlternatives(pattern string) []string {
+	var alts []string
+	depth, start := 0, 0
+	for i := 0; i < len(pattern); i++ {
+		switch pattern[i] {
+		case '\\':
+			i++
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case '|':
+			if depth == 0 {
+				alts = append(alts, pattern[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(alts, pattern[start:])
+}
+
+// ciTestNames lists the top-level functions of the _test.go files in the
+// packages a go test line names, relative to dir ("./..." is every
+// package under it).
+func ciTestNames(t *testing.T, dir string, pkgs []string) []string {
+	t.Helper()
+	var dirs []string
+	for _, pkg := range pkgs {
+		root, recursive := strings.CutSuffix(pkg, "/...")
+		root = filepath.Join(dir, root)
+		if !recursive {
+			dirs = append(dirs, root)
+			continue
+		}
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && d.IsDir() {
+				if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+					return filepath.SkipDir
+				}
+				dirs = append(dirs, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var names []string
+	fset := token.NewFileSet()
+	for _, d := range dirs {
+		files, err := filepath.Glob(filepath.Join(d, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+					names = append(names, fd.Name.Name)
+				}
+			}
+		}
+	}
+	return names
 }

@@ -25,11 +25,11 @@
 // OWNS: every hash a log commits to (leaf, node, chain and shard-leaf
 // hashes) and the byte layout of heads and proofs, JSON and binary; the
 // complete-subtree cache and the prefix-root memo (MerkleLog.roots: the
-// root at every size Root or RootAt has computed, one digest per leaf
+// root at every size Root has computed, one digest per leaf
 // at most, never evicted); the sharded geometry and its super-root.
 //
 // MUST NOT DO: lock anything. A MerkleLog or ShardedLog is not safe for
-// concurrent use, its read methods included (Root, RootAt, SuperRoot,
+// concurrent use, its read methods included (Root, SuperRoot,
 // SuperRootAt and ShardedLog's Prove* write the prefix-root memo), so a
 // caller holds an exclusive lock around every call, never a shared read
 // lock (monitor under its mu, pkidir under its mu). Also: persist or do
@@ -43,7 +43,6 @@ package aolog
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -108,17 +107,6 @@ func (c *HashChain) Head() Digest {
 	return c.heads[len(c.heads)-1]
 }
 
-// HeadAt returns the head after n entries (n in 0..Len).
-func (c *HashChain) HeadAt(n int) (Digest, error) {
-	if n < 0 || n > len(c.heads) {
-		return Digest{}, fmt.Errorf("aolog: head index %d out of range [0,%d]", n, len(c.heads))
-	}
-	if n == 0 {
-		return Digest{}, nil
-	}
-	return c.heads[n-1], nil
-}
-
 // Append adds an entry and returns the new head.
 func (c *HashChain) Append(payload []byte) Digest {
 	cp := append([]byte{}, payload...)
@@ -168,14 +156,4 @@ func VerifyExtension(oldHead Digest, oldLen int, suffix [][]byte, newHead Digest
 		head = chainHash(head, uint64(oldLen+i), leafHash(p))
 	}
 	return head == newHead
-}
-
-var errEmptyChain = errors.New("aolog: chain is empty")
-
-// LatestPayload returns the most recent entry payload.
-func (c *HashChain) LatestPayload() ([]byte, error) {
-	if len(c.entries) == 0 {
-		return nil, errEmptyChain
-	}
-	return append([]byte{}, c.entries[len(c.entries)-1].Payload...), nil
 }

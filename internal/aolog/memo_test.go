@@ -85,7 +85,7 @@ func TestHashesMatchStreamingReference(t *testing.T) {
 
 // TestRootAtMemoMatchesRecompute interleaves appends with root queries in
 // random order, so the prefix-root memo is filled in no particular
-// order: every RootAt (and every shard's root inside SuperRootAt) must
+// order: every prefix root (and every shard's root inside SuperRootAt) must
 // equal the root recomputed from the payloads with no cache at all, at
 // every size, 0, 1 and the powers of two included, on the first query
 // and on every later one.
@@ -102,12 +102,8 @@ func TestRootAtMemoMatchesRecompute(t *testing.T) {
 			want := o.shardRoots(n)
 			for j := 0; j < k; j++ {
 				sz := shardLen(n, j, k)
-				got, err := s.shards[j].RootAt(sz)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want[j] {
-					t.Fatalf("k=%d n=%d shard %d: RootAt(%d) = %x, recomputed %x", k, n, j, sz, got, want[j])
+				if got := s.shards[j].prefixRoot(sz); got != want[j] {
+					t.Fatalf("k=%d n=%d shard %d: prefixRoot(%d) = %x, recomputed %x", k, n, j, sz, got, want[j])
 				}
 			}
 			got, err := s.SuperRootAt(n)
@@ -191,7 +187,7 @@ func (o *rootOracle) superRoot(n int) Digest {
 	for j := range leaves {
 		leaves[j] = refShardLeaf(j, uint64(shardLen(n, j, o.k)), roots[j])
 	}
-	return RootOfLeaves(leaves)
+	return subtreeRoot(leaves)
 }
 
 // proofOracle rebuilds sharded proofs from the leaf digests alone, by
@@ -443,7 +439,7 @@ func TestHashAllocs(t *testing.T) {
 		s.Append(shardedPayload(i))
 	}
 	leaf := shardedPayload(321)
-	root, _ := m.RootAt(777)
+	root := m.prefixRoot(777)
 	ip, err := m.ProveInclusion(321, 777)
 	if err != nil {
 		t.Fatal(err)
@@ -596,4 +592,14 @@ func TestEntryViewIsEntry(t *testing.T) {
 			t.Errorf("EntryView(%d) of a %d-entry log succeeded", g, s.Len())
 		}
 	}
+}
+
+// RecomputeRoot is the O(n) reference: the RFC 6962 tree hash computed
+// directly from the payloads with no caching.
+func RecomputeRoot(payloads [][]byte) Digest {
+	leaves := make([]Digest, len(payloads))
+	for i, p := range payloads {
+		leaves[i] = leafHash(p)
+	}
+	return subtreeRoot(leaves)
 }

@@ -13,18 +13,18 @@ import (
 // size m is a prefix of the tree of size n"). The zero value is an empty
 // log.
 //
-// Not safe for concurrent use, read methods included: Root and RootAt
-// write the prefix-root memo below, so callers hold an exclusive lock
-// around every call, never a shared read lock.
+// Not safe for concurrent use, read methods included: Root and the
+// proofs write the prefix-root memo below, so callers hold an exclusive
+// lock around every call, never a shared read lock.
 //
 // The tree is stored incrementally: levels[h][i] caches the root of the
 // complete subtree over leaves [i*2^h, (i+1)*2^h), so Append does O(1)
-// amortized hashing and Root/RootAt/proof generation cost O(log n) instead
+// amortized hashing and root and proof generation cost O(log n) instead
 // of rehashing all n leaves (the seed behavior, preserved as RecomputeRoot
-// for tests and benchmarks). On top of that, roots[n-1] remembers the root
-// of the first n leaves once Root or RootAt has computed it: a log is
-// append-only, so a root at a past size never changes, and every later
-// call at that size is one lookup.
+// for tests). On top of that, roots[n-1] remembers the root of the first
+// n leaves once it has been computed: a log is append-only, so a root at
+// a past size never changes, and every later call at that size is one
+// lookup.
 type MerkleLog struct {
 	raw    [][]byte
 	levels [][]Digest // levels[0] = leaf hashes; levels[h][i] covers leaves [i<<h, (i+1)<<h)
@@ -66,15 +66,6 @@ func (m *MerkleLog) leafDigest(i int) Digest {
 	return m.levels[0][i]
 }
 
-// AppendBatch appends payloads in order and returns the index of the first.
-func (m *MerkleLog) AppendBatch(payloads [][]byte) int {
-	first := m.Len()
-	for _, p := range payloads {
-		m.Append(p)
-	}
-	return first
-}
-
 // push inserts a node at level h, pairing complete siblings upward.
 func (m *MerkleLog) push(h int, d Digest) {
 	if h == len(m.levels) {
@@ -90,14 +81,6 @@ func (m *MerkleLog) push(h int, d Digest) {
 // hash of the empty string as root (RFC 6962 §2.1).
 func (m *MerkleLog) Root() Digest {
 	return m.prefixRoot(m.Len())
-}
-
-// RootAt returns the root of the first n leaves.
-func (m *MerkleLog) RootAt(n int) (Digest, error) {
-	if n < 0 || n > m.Len() {
-		return Digest{}, fmt.Errorf("aolog: tree size %d out of range", n)
-	}
-	return m.prefixRoot(n), nil
 }
 
 // prefixRoot returns the root of the first n leaves (0 <= n <= Len),
@@ -143,17 +126,6 @@ func (m *MerkleLog) rangeRoot(lo, hi int) Digest {
 	}
 	k := largestPowerOfTwoBelow(size)
 	return nodeHash(m.rangeRoot(lo, lo+k), m.rangeRoot(lo+k, hi))
-}
-
-// RecomputeRoot is the O(n) reference: the RFC 6962 tree hash computed
-// directly from the payloads with no caching. It is the seed's per-Root
-// cost, kept for equivalence tests and as the benchmark baseline.
-func RecomputeRoot(payloads [][]byte) Digest {
-	leaves := make([]Digest, len(payloads))
-	for i, p := range payloads {
-		leaves[i] = leafHash(p)
-	}
-	return subtreeRoot(leaves)
 }
 
 // LeafDigest returns the RFC 6962 leaf hash of a payload.
@@ -282,19 +254,6 @@ func inclusionRoot(h Digest, idx, size int, path []Digest) (Digest, bool) {
 type ConsistencyProof struct {
 	OldSize, NewSize int
 	Path             []Digest
-}
-
-// ProveConsistency builds a consistency proof between sizes m0 and n.
-func (m *MerkleLog) ProveConsistency(m0, n int) (*ConsistencyProof, error) {
-	if m0 < 1 || n < m0 || n > m.Len() {
-		return nil, fmt.Errorf("aolog: invalid consistency range %d..%d", m0, n)
-	}
-	var path []Digest
-	if m0 < n {
-		// One digest per level of the recursion, plus the base case's.
-		path = m.appendConsistencyPath(make([]Digest, 0, bits.Len(uint(n-1))+1), 0, n, m0, true)
-	}
-	return &ConsistencyProof{OldSize: m0, NewSize: n, Path: path}, nil
 }
 
 // appendConsistencyPath follows RFC 6962 §2.1.2 over the range [lo, hi),

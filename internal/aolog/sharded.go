@@ -340,14 +340,6 @@ func (p *ShardConsistencyProof) OldSuperRoot() (Digest, error) {
 	return superRootOf(p.OldSize, p.NumShards, p.OldRoots), nil
 }
 
-// NewSuperRoot reconstructs the new super-root the proof commits to.
-func (p *ShardConsistencyProof) NewSuperRoot() (Digest, error) {
-	if !p.wellFormed() {
-		return Digest{}, errors.New("aolog: malformed sharded consistency proof")
-	}
-	return superRootOf(p.NewSize, p.NumShards, p.NewRoots), nil
-}
-
 // ProveConsistencyBetween builds a consistency proof between total sizes.
 func (s *ShardedLog) ProveConsistencyBetween(n0, n1 int) (*ShardConsistencyProof, error) {
 	if n0 < 0 || n1 < n0 || n1 > s.n {

@@ -33,8 +33,8 @@ func TestShardedConsistencyAcrossShardGrowth(t *testing.T) {
 				if old, err := proof.OldSuperRoot(); err != nil || old != supers[n0] {
 					t.Fatalf("k=%d OldSuperRoot(%d,%d) = %v, %v", k, n0, n1, old, err)
 				}
-				if nu, err := proof.NewSuperRoot(); err != nil || nu != supers[n1] {
-					t.Fatalf("k=%d NewSuperRoot(%d,%d) = %v, %v", k, n0, n1, nu, err)
+				if nu := superRootOf(n1, k, proof.NewRoots); nu != supers[n1] {
+					t.Fatalf("k=%d new super-root (%d,%d) = %v", k, n0, n1, nu)
 				}
 				// Tampering with an empty-prefix shard root must not pass:
 				// the verifier pins empty shards to the empty tree root.
@@ -129,7 +129,7 @@ func TestSuperRootHelpersRejectMalformed(t *testing.T) {
 	}
 	bad = *proof
 	bad.NumShards = 0
-	if _, err := bad.NewSuperRoot(); err == nil {
+	if _, err := bad.OldSuperRoot(); err == nil {
 		t.Fatal("zero shards accepted")
 	}
 	bad = *proof

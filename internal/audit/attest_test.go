@@ -172,9 +172,10 @@ func newLayoutFixture(t *testing.T) *layoutFixture {
 // returns the two envelopes sharing it.
 func (x *layoutFixture) pair(d string, fw, histFw *framework.Framework, layout func(s, h []byte) [64]byte) (*AttestedStatusEnvelope, *AttestedHistoryEnvelope) {
 	st := &AttestedStatusEnvelope{Nonce: []byte("status nonce"), Resp: domain.StatusResponse{Domain: d, Status: fw.Status()}}
-	h := &AttestedHistoryEnvelope{Nonce: []byte("history nonce"), Resp: domain.HistoryResponse{Domain: d, Records: histFw.History()}}
+	_, records, _ := histFw.Snapshot(0)
+	h := &AttestedHistoryEnvelope{Nonce: []byte("history nonce"), Resp: domain.HistoryResponse{Domain: d, Records: records}}
 	srd := framework.StatusReportData(st.Nonce, &st.Resp.Status)
-	rd := layout(srd[:32], domain.HistoryBinding(h.Resp.Records, h.Nonce))
+	rd := layout(srd[:32], domain.HistoryBindingFrom(0, h.Resp.Records, h.Nonce))
 	if d == "tee" {
 		q := x.enclave.GenerateQuote(rd)
 		st.Resp.Quote, h.Resp.Quote = q, q

@@ -229,9 +229,6 @@ func NewClient(params Params) *Client {
 	}
 }
 
-// Params returns the public verification parameters.
-func (c *Client) Params() Params { return c.params }
-
 // SetTrace makes every RPC this client issues carry tc (each call gets
 // a fresh child span id), so one sampled audit is followable across
 // every daemon it touches.

@@ -77,11 +77,11 @@ func startEvilDomain(t *testing.T) (*evilDomain, Params) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		records := ed.historyFramework().History()
+		_, records, _ := ed.historyFramework().Snapshot(0)
 		return domain.HistoryResponse{
 			Domain:  ed.name,
 			Records: records,
-			Quote:   enclave.GenerateQuote(domain.ReportData(nil, domain.HistoryBinding(records, req.Nonce))),
+			Quote:   enclave.GenerateQuote(domain.ReportData(nil, domain.HistoryBindingFrom(0, records, req.Nonce))),
 		}, nil
 	})
 	// audit is status and history in one reply under one quote, even
@@ -92,9 +92,9 @@ func startEvilDomain(t *testing.T) (*evilDomain, Params) {
 			return nil, err
 		}
 		st := ed.statusFramework().Status()
-		records := ed.historyFramework().History()
+		_, records, _ := ed.historyFramework().Snapshot(0)
 		srd := framework.StatusReportData(req.StatusNonce, &st)
-		rd := domain.ReportData(srd[:32], domain.HistoryBinding(records, req.HistoryNonce))
+		rd := domain.ReportData(srd[:32], domain.HistoryBindingFrom(0, records, req.HistoryNonce))
 		return domain.AuditResponse{Domain: ed.name, Status: st, Records: records, Quote: enclave.GenerateQuote(rd)}, nil
 	})
 	addr, err := ed.server.ListenAndServe()

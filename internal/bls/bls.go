@@ -68,9 +68,6 @@ func SecretKeyFromScalar(s *ff.Fr) (*SecretKey, error) {
 	return &SecretKey{s: cp}, nil
 }
 
-// Scalar returns a copy of the underlying scalar.
-func (sk *SecretKey) Scalar() ff.Fr { return sk.s }
-
 // Bytes returns the canonical 32-byte encoding of the secret key — the
 // format persistent deployments write to key files.
 func (sk *SecretKey) Bytes() []byte {
@@ -98,7 +95,18 @@ func (sk *SecretKey) Sign(msg []byte) *Signature {
 	h := bls12381.HashToG1Jac(msg, SignatureDST)
 	var out bls12381.G1Jac
 	out.ScalarMult(&h, &sk.s)
-	return &Signature{p: out.Affine()}
+	return &Signature{p: secretAffine(&out)}
+}
+
+// secretAffine normalizes a point computed from a secret scalar with the
+// inversion blinded. A failed random read panics rather than fall back
+// to the unblinded inversion; crypto/rand treats it as fatal too.
+func secretAffine(p *bls12381.G1Jac) bls12381.G1Affine {
+	a, err := p.AffineBlinded()
+	if err != nil {
+		panic("bls: blinding a secret-scalar normalization: " + err.Error())
+	}
+	return a
 }
 
 // ProvePossession returns a proof of possession: a signature over the
@@ -109,7 +117,7 @@ func (sk *SecretKey) ProvePossession() *Signature {
 	h := bls12381.HashToG1Jac(pkb[:], PopDST)
 	var out bls12381.G1Jac
 	out.ScalarMult(&h, &sk.s)
-	return &Signature{p: out.Affine()}
+	return &Signature{p: secretAffine(&out)}
 }
 
 // VerifyPossession checks a proof of possession for pk.
@@ -215,20 +223,11 @@ func (pk *PublicKey) SetBytes(in []byte) error { return pk.p.SetBytes(in) }
 // Equal reports whether pk == other.
 func (pk *PublicKey) Equal(other *PublicKey) bool { return pk.p.Equal(&other.p) }
 
-// Point returns a copy of the underlying G2 point.
-func (pk *PublicKey) Point() bls12381.G2Affine { return pk.p }
-
 // Bytes returns the 48-byte compressed encoding of sig.
 func (sig *Signature) Bytes() [bls12381.G1CompressedSize]byte { return sig.p.Bytes() }
 
 // SetBytes decodes a signature, rejecting off-curve or non-subgroup points.
 func (sig *Signature) SetBytes(in []byte) error { return sig.p.SetBytes(in) }
-
-// Equal reports whether sig == other.
-func (sig *Signature) Equal(other *Signature) bool { return sig.p.Equal(&other.p) }
-
-// Point returns a copy of the underlying G1 point.
-func (sig *Signature) Point() bls12381.G1Affine { return sig.p }
 
 // lagrangeCoefficients computes the Lagrange basis polynomials L_i(0)
 // over the share indexes in xs (all distinct, nonzero), one per index:

@@ -32,7 +32,7 @@ func TestSignDeterministic(t *testing.T) {
 	sk, _, _ := GenerateKey()
 	a := sk.Sign([]byte("m"))
 	b := sk.Sign([]byte("m"))
-	if !a.Equal(b) {
+	if a.Bytes() != b.Bytes() {
 		t.Fatal("BLS signing must be deterministic")
 	}
 }
@@ -174,7 +174,7 @@ func TestThresholdLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sig.Equal(sig2) {
+	if sig.Bytes() != sig2.Bytes() {
 		t.Fatal("different share subsets produced different signatures")
 	}
 
@@ -274,7 +274,7 @@ func TestCombine(t *testing.T) {
 		t.Fatalf("honest shares: signature %v, kept %d, error %v", sig != nil, len(kept), err)
 	}
 	want, err := CombineShares(ss, 3)
-	if err != nil || !sig.Equal(want) {
+	if err != nil || sig.Bytes() != want.Bytes() {
 		t.Fatalf("Combine and CombineShares disagree (%v)", err)
 	}
 	// A share made by the wrong key share is named and dropped.

@@ -1,7 +1,11 @@
 package bls
 
 import (
+	"errors"
+	"fmt"
 	"testing"
+
+	"repro/internal/ff"
 )
 
 // applyRefreshAll moves every share through ref, failing the test on any
@@ -73,7 +77,7 @@ func TestRefreshRotatesKeysButNotGroupKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oldSec.Scalar() != newSec.Scalar() {
+	if oldSec.s != newSec.s {
 		t.Fatal("refresh changed the shared secret")
 	}
 }
@@ -194,7 +198,7 @@ func TestRefreshPreservesSignatureBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s0.Equal(s1) {
+	if s0.Bytes() != s1.Bytes() {
 		t.Fatal("epoch 0 and epoch 1 signatures differ")
 	}
 }
@@ -337,4 +341,34 @@ func TestShareSignatureBatchRejectsMixedEpochs(t *testing.T) {
 	if _, _, err := ref.NewKey.Combine(msg, []SignatureShare{epoch1[0].SignShare(msg), epoch1[1].SignShare(msg)}); err != nil {
 		t.Fatalf("same-epoch batch rejected: %v", err)
 	}
+}
+
+// RecoverSecret reconstructs the group secret from any t key shares: the
+// oracle the refresh tests compare secrets with. Signing deployments
+// never reassemble the key.
+func RecoverSecret(shares []KeyShare, t int) (*SecretKey, error) {
+	if len(shares) < t {
+		return nil, fmt.Errorf("bls: need %d shares to recover, have %d", t, len(shares))
+	}
+	xs := make([]uint32, t)
+	for i := 0; i < t; i++ {
+		if shares[i].Index == 0 {
+			return nil, errors.New("bls: share index 0 is reserved")
+		}
+		if shares[i].Epoch != shares[0].Epoch {
+			return nil, fmt.Errorf("bls: key shares from mixed epochs (%d and %d) do not reconstruct the secret", shares[0].Epoch, shares[i].Epoch)
+		}
+		xs[i] = shares[i].Index
+	}
+	coeffs, err := lagrangeCoefficients(xs)
+	if err != nil {
+		return nil, err
+	}
+	var acc ff.Fr
+	for i := range coeffs {
+		var term ff.Fr
+		term.Mul(&coeffs[i], &shares[i].Share)
+		acc.Add(&acc, &term)
+	}
+	return SecretKeyFromScalar(&acc)
 }

@@ -123,7 +123,7 @@ func (ks *KeyShare) SignShare(msg []byte) SignatureShare {
 	var j, out bls12381.G1Jac
 	j.FromAffine(&h)
 	out.ScalarMult(&j, &ks.Share)
-	return SignatureShare{Index: ks.Index, Epoch: ks.Epoch, Sig: Signature{p: out.Affine()}}
+	return SignatureShare{Index: ks.Index, Epoch: ks.Epoch, Sig: Signature{p: secretAffine(&out)}}
 }
 
 // VerifyShareSignature checks a signature share against the matching share
@@ -228,34 +228,4 @@ func ThresholdSign(tk *ThresholdKey, shares []KeyShare, msg []byte) (*Signature,
 		}
 		sigShares = kept
 	}
-}
-
-// RecoverSecret reconstructs the group secret from any t key shares.
-// Provided for the key-backup application; signing deployments never need
-// to reassemble the key.
-func RecoverSecret(shares []KeyShare, t int) (*SecretKey, error) {
-	if len(shares) < t {
-		return nil, fmt.Errorf("bls: need %d shares to recover, have %d", t, len(shares))
-	}
-	xs := make([]uint32, t)
-	for i := 0; i < t; i++ {
-		if shares[i].Index == 0 {
-			return nil, errors.New("bls: share index 0 is reserved")
-		}
-		if shares[i].Epoch != shares[0].Epoch {
-			return nil, fmt.Errorf("bls: key shares from mixed epochs (%d and %d) do not reconstruct the secret", shares[0].Epoch, shares[i].Epoch)
-		}
-		xs[i] = shares[i].Index
-	}
-	coeffs, err := lagrangeCoefficients(xs)
-	if err != nil {
-		return nil, err
-	}
-	var acc ff.Fr
-	for i := range coeffs {
-		var term ff.Fr
-		term.Mul(&coeffs[i], &shares[i].Share)
-		acc.Add(&acc, &term)
-	}
-	return SecretKeyFromScalar(&acc)
 }

@@ -154,7 +154,7 @@ func TestPairingBilinearity(t *testing.T) {
 	}
 	// GT element must have order dividing r: e^r == 1.
 	var er ff.Fp12
-	er.Exp(&e, ff.FrModulus())
+	fp12Exp(&er, &e, ff.FrModulus())
 	if !er.IsOne() {
 		t.Fatal("e(G1,G2)^r != 1")
 	}
@@ -168,14 +168,14 @@ func TestPairingBilinearity(t *testing.T) {
 	var ab ff.Fr
 	ab.Mul(&a, &b)
 	var rhs ff.Fp12
-	rhs.Exp(&e, ab.Big())
-	if !lhs.Equal(&rhs) {
+	fp12Exp(&rhs, &e, ab.Big())
+	if lhs != rhs {
 		t.Fatal("e(aP, bQ) != e(P, Q)^(ab)")
 	}
 
 	abP := G1ScalarBaseMult(&ab)
 	viaG1 := Pair(&abP, &g2)
-	if !viaG1.Equal(&rhs) {
+	if viaG1 != rhs {
 		t.Fatal("e(abP, Q) != e(P, Q)^(ab)")
 	}
 }
@@ -269,7 +269,8 @@ func TestG1RejectsNonSubgroupEncoding(t *testing.T) {
 	// most random curve points are outside it), encode, and expect reject.
 	var x ff.Fp
 	x.SetUint64(1)
-	one := ff.FpOne()
+	var one ff.Fp
+	one.SetOne()
 	for i := 0; i < 1000; i++ {
 		var y2, y ff.Fp
 		y2.Square(&x)
@@ -337,5 +338,104 @@ func BenchmarkMillerLoopAffineOracle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MillerLoop(&g1, &g2)
+	}
+}
+
+// G1ClearCofactor multiplies p by the G1 cofactor, mapping any curve
+// point into the order-r subgroup: the [h]P reference
+// g1ClearCofactorFast is checked against.
+func G1ClearCofactor(p *G1Affine) G1Affine {
+	var j, out G1Jac
+	j.FromAffine(p)
+	out.ScalarMultBig(&j, g1Cofactor)
+	return out.Affine()
+}
+
+// ScalarMultBig sets p = k*q for a non-negative big integer k and returns p.
+func (p *G2Jac) ScalarMultBig(q *G2Jac, k *big.Int) *G2Jac {
+	if k.Sign() < 0 {
+		var negQ G2Jac
+		negQ.Neg(q)
+		return p.ScalarMultBig(&negQ, new(big.Int).Neg(k))
+	}
+	var acc G2Jac
+	acc.SetInfinity()
+	base := *q
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		acc.Double(&acc)
+		if k.Bit(i) == 1 {
+			acc.Add(&acc, &base)
+		}
+	}
+	return p.Set(&acc)
+}
+
+// ScalarMult sets p = k*q by the width-5 wNAF path, for tests that pin
+// it against ScalarMultBig.
+func (p *G2Jac) ScalarMult(q *G2Jac, k *ff.Fr) *G2Jac {
+	limbs := k.Canonical()
+	return g2WnafMult(p, q, limbs[:])
+}
+
+// Equal reports whether p and q represent the same point.
+func (p *G2Jac) Equal(q *G2Jac) bool {
+	pa, qa := p.Affine(), q.Affine()
+	return pa.Equal(&qa)
+}
+
+// PairingCheck reports whether prod e(Pi, Qi) == 1, preparing each Q on
+// the fly: PairingCheckPrepared without the line-table memo, which tests
+// and the lockstep benchmark use.
+func PairingCheck(ps []G1Affine, qs []G2Affine) bool {
+	if len(ps) != len(qs) {
+		return false
+	}
+	return pairingCheck(len(ps), func(lo, hi int) ff.Fp12 {
+		return MillerLoopBatch(ps[lo:hi], qs[lo:hi])
+	})
+}
+
+// g1Cofactor is h1 = (x-1)^2 / 3.
+var g1Cofactor, _ = new(big.Int).SetString("396c8c005555e1568c00aaab0000aaab", 16)
+
+// fp12Exp sets z = a^e for non-negative e by square-and-multiply: GT
+// exponentiation, which the pairing tests compare against.
+func fp12Exp(z, a *ff.Fp12, e *big.Int) {
+	out := ff.Fp12One()
+	for i := e.BitLen() - 1; i >= 0; i-- {
+		out.Square(&out)
+		if e.Bit(i) == 1 {
+			out.Mul(&out, a)
+		}
+	}
+	*z = out
+}
+
+// TestAffineBlindedMatchesAffine: the blinded normalization the signing
+// paths use gives the same point as Affine, for random Jacobian points
+// (Z != 1) and for infinity.
+func TestAffineBlindedMatchesAffine(t *testing.T) {
+	g := G1Generator()
+	var gj G1Jac
+	gj.FromAffine(&g)
+	points := []G1Jac{{}}
+	points[0].SetInfinity()
+	for i := 0; i < 32; i++ {
+		k, err := ff.RandFrNonZero()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p G1Jac
+		p.ScalarMult(&gj, &k)
+		points = append(points, p)
+	}
+	for i := range points {
+		got, err := points[i].AffineBlinded()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := points[i].Affine(); !got.Equal(&want) {
+			t.Fatalf("point %d: blinded %v, Affine %v", i, got, want)
+		}
 	}
 }

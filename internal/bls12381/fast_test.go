@@ -447,11 +447,11 @@ func TestMillerLoopBatchMatchesProduct(t *testing.T) {
 		oracle := millerProductOracle(ps, qs, &br)
 		got := FinalExponentiation(&batched)
 		want := FinalExponentiation(&oracle)
-		if !got.Equal(&want) {
+		if got != want {
 			t.Fatalf("n=%d: lockstep Miller loop != product of per-pair oracle loops after final exponentiation", n)
 		}
 		if n <= 3 {
-			if plain := finalExpPlainCubed(&oracle); !got.Equal(&plain) {
+			if plain := finalExpPlainCubed(&oracle); got != plain {
 				t.Fatalf("n=%d: production pairing product != all-oracle value", n)
 			}
 		}

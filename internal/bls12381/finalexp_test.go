@@ -53,7 +53,7 @@ func TestFastFinalExpMatchesPlain(t *testing.T) {
 		f := MillerLoop(&P, &Q)
 		fast := FinalExponentiation(&f)
 		plainCubed := finalExpPlainCubed(&f)
-		if !fast.Equal(&plainCubed) {
+		if fast != plainCubed {
 			t.Fatalf("fast final exponentiation != plain^3 (round %d)", i)
 		}
 	}
@@ -69,9 +69,9 @@ func TestCycExpNegXMatchesExp(t *testing.T) {
 	fast := cycExpNegX(&c)
 	// Generic: c^|x| then invert (full inversion, not conjugation).
 	var slow ff.Fp12
-	slow.Exp(&c, new(big.Int).SetUint64(blsX))
+	fp12Exp(&slow, &c, new(big.Int).SetUint64(blsX))
 	slow.Inverse(&slow)
-	if !fast.Equal(&slow) {
+	if fast != slow {
 		t.Fatal("cyclotomic x-exponentiation mismatch")
 	}
 }

@@ -34,9 +34,6 @@ const blsXIsNegative = true
 // g1B is the curve coefficient b = 4 in y^2 = x^3 + b.
 var g1B = mustFp("4")
 
-// g1Cofactor is h1 = (x-1)^2 / 3.
-var g1Cofactor, _ = new(big.Int).SetString("396c8c005555e1568c00aaab0000aaab", 16)
-
 // mustFp parses a decimal or 0x-prefixed hex string into an Fp element.
 func mustFp(s string) ff.Fp {
 	v, ok := new(big.Int).SetString(s, 0)
@@ -166,10 +163,39 @@ func (p *G1Jac) Affine() G1Affine {
 	if p.Z.IsOne() {
 		return G1Affine{X: p.X, Y: p.Y}
 	}
-	var zInv, zInv2, zInv3 ff.Fp
+	var zInv ff.Fp
 	zInv.Inverse(&p.Z)
-	zInv2.Square(&zInv)
-	zInv3.Mul(&zInv2, &zInv)
+	return p.scaleBy(&zInv)
+}
+
+// AffineBlinded is Affine for a point whose Z depends on a secret
+// scalar. Fp.Inverse is a variable-time binary GCD, so it inverts Z*b
+// for a fresh random nonzero b and multiplies the result by b: the
+// inversion's path depends on b, not on the secret. It fails only when
+// the random source does.
+func (p *G1Jac) AffineBlinded() (G1Affine, error) {
+	if p.IsInfinity() {
+		return G1Affine{Infinity: true}, nil
+	}
+	var b ff.Fp
+	for b.IsZero() {
+		var err error
+		if b, err = ff.RandFp(); err != nil {
+			return G1Affine{}, err
+		}
+	}
+	var zInv ff.Fp
+	zInv.Mul(&p.Z, &b)
+	zInv.Inverse(&zInv)
+	zInv.Mul(&zInv, &b)
+	return p.scaleBy(&zInv), nil
+}
+
+// scaleBy returns (X*zInv^2, Y*zInv^3): the affine point when zInv = 1/Z.
+func (p *G1Jac) scaleBy(zInv *ff.Fp) G1Affine {
+	var zInv2, zInv3 ff.Fp
+	zInv2.Square(zInv)
+	zInv3.Mul(&zInv2, zInv)
 	var out G1Affine
 	out.X.Mul(&p.X, &zInv2)
 	out.Y.Mul(&p.Y, &zInv3)
@@ -276,13 +302,6 @@ func (p *G1Jac) Add(a, b *G1Jac) *G1Jac {
 	return p
 }
 
-// AddAffine sets p = a + b where b is affine, and returns p.
-func (p *G1Jac) AddAffine(a *G1Jac, b *G1Affine) *G1Jac {
-	var bj G1Jac
-	bj.FromAffine(b)
-	return p.Add(a, &bj)
-}
-
 // ScalarMultBig sets p = k*q for a non-negative big integer k and returns p.
 func (p *G1Jac) ScalarMultBig(q *G1Jac, k *big.Int) *G1Jac {
 	if k.Sign() < 0 {
@@ -328,14 +347,5 @@ func (p *G1Jac) Equal(q *G1Jac) bool {
 func G1ScalarBaseMult(k *ff.Fr) G1Affine {
 	var out G1Jac
 	g1FixedMult(&out, g1GenTable(), k)
-	return out.Affine()
-}
-
-// G1ClearCofactor multiplies p by the G1 cofactor, mapping any curve point
-// into the order-r subgroup.
-func G1ClearCofactor(p *G1Affine) G1Affine {
-	var j, out G1Jac
-	j.FromAffine(p)
-	out.ScalarMultBig(&j, g1Cofactor)
 	return out.Affine()
 }

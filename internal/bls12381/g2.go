@@ -2,7 +2,6 @@ package bls12381
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/ff"
 )
@@ -231,39 +230,6 @@ func (p *G2Jac) Add(a, b *G2Jac) *G2Jac {
 
 	p.X, p.Y, p.Z = x3, y3, z3
 	return p
-}
-
-// ScalarMultBig sets p = k*q for a non-negative big integer k and returns p.
-func (p *G2Jac) ScalarMultBig(q *G2Jac, k *big.Int) *G2Jac {
-	if k.Sign() < 0 {
-		var negQ G2Jac
-		negQ.Neg(q)
-		return p.ScalarMultBig(&negQ, new(big.Int).Neg(k))
-	}
-	var acc G2Jac
-	acc.SetInfinity()
-	base := *q
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc.Double(&acc)
-		if k.Bit(i) == 1 {
-			acc.Add(&acc, &base)
-		}
-	}
-	return p.Set(&acc)
-}
-
-// ScalarMult sets p = k*q for a scalar field element k and returns p.
-// It runs the width-5 wNAF fast path; ScalarMultBig is the retained
-// naive reference the equivalence tests pin this against.
-func (p *G2Jac) ScalarMult(q *G2Jac, k *ff.Fr) *G2Jac {
-	limbs := k.Canonical()
-	return g2WnafMult(p, q, limbs[:])
-}
-
-// Equal reports whether p and q represent the same point.
-func (p *G2Jac) Equal(q *G2Jac) bool {
-	pa, qa := p.Affine(), q.Affine()
-	return pa.Equal(&qa)
 }
 
 // G2ScalarBaseMult returns k*G for the subgroup generator G of G2,

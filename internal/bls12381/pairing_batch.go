@@ -264,18 +264,6 @@ func pairingWorkers(pairs int) int {
 	return w
 }
 
-// PairingCheck reports whether prod e(Pi, Qi) == 1. Each Q is prepared
-// on the fly; the Miller loops run as lockstep batches sharded across
-// cores, and all partial products share ONE final exponentiation.
-func PairingCheck(ps []G1Affine, qs []G2Affine) bool {
-	if len(ps) != len(qs) {
-		return false
-	}
-	return pairingCheck(len(ps), func(lo, hi int) ff.Fp12 {
-		return MillerLoopBatch(ps[lo:hi], qs[lo:hi])
-	})
-}
-
 // PairingCheckPrepared is PairingCheck with every Q given as its line
 // table (PrepareG2), so no G2 walk is repeated for a Q the caller has
 // seen before.

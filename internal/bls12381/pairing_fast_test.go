@@ -104,7 +104,7 @@ func FuzzPairMatchesOracle(f *testing.F) {
 		g1, g2 := G1Generator(), G2Generator()
 		base := Pair(&g1, &g2)
 		var pow ff.Fp12
-		pow.Exp(&base, ab.Big())
+		fp12Exp(&pow, &base, ab.Big())
 		if !got.Equal(&pow) {
 			t.Fatalf("e(aG1, bG2) != e(G1, G2)^(ab) for %x", data)
 		}

@@ -118,7 +118,7 @@ func TestPairingLinearInBothArguments(t *testing.T) {
 	e2 := Pair(&g1, &Q2)
 	var rhs ff.Fp12
 	rhs.Mul(&e1, &e2)
-	if !lhs.Equal(&rhs) {
+	if lhs != rhs {
 		t.Fatal("pairing not linear in G2 argument")
 	}
 }

@@ -62,7 +62,7 @@ func TestSignShareThroughSandbox(t *testing.T) {
 	}
 	// Must match a native share signature bit for bit (BLS determinism).
 	native := shares[0].SignShare(msg)
-	if !ss.Sig.Equal(&native.Sig) {
+	if ss.Sig.Bytes() != native.Sig.Bytes() {
 		t.Fatal("sandboxed and native shares differ")
 	}
 }
@@ -146,7 +146,7 @@ func TestThresholdSignAcrossSandboxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sig.Equal(sig2) {
+	if sig.Bytes() != sig2.Bytes() {
 		t.Fatal("threshold signature not unique across share subsets")
 	}
 	// Two domains down: fails.
@@ -188,7 +188,7 @@ func TestThresholdSignBatchAcrossSandboxes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sig.Equal(single) {
+		if sig.Bytes() != single.Bytes() {
 			t.Fatalf("batch signature %d differs from single-path signature", i)
 		}
 	}

@@ -47,6 +47,8 @@ func TestCeremonyDiagnosticsAreAnArgument(t *testing.T) {
 	frA, frB := obsv.NewFlightRecorder(64), obsv.NewFlightRecorder(64)
 	dogs := obsv.NewWatchdogSet("test", t.TempDir(), frA)
 	dog := dogs.Add("refresh-ceremony", 20*time.Millisecond)
+	reg := obsv.NewRegistry()
+	dogs.Register(reg)
 	tickLate := func() { dogs.Tick(time.Now().Add(time.Minute)) }
 
 	// Coordinator A: held in the invoke phase past the deadline, so the
@@ -93,8 +95,8 @@ func TestCeremonyDiagnosticsAreAnArgument(t *testing.T) {
 	if dog.Stalled() {
 		t.Fatal("the watchdog is still stalled after the ceremony returned")
 	}
-	if got := dog.Trips(); got != 1 {
-		t.Fatalf("watchdog tripped %d times, want 1", got)
+	if got := reg.Value(`watchdog_trips_total{watchdog="refresh-ceremony"}`); got != 1 {
+		t.Fatalf("watchdog tripped %v times, want 1", got)
 	}
 
 	wantA := "ceremony_phase:frames ceremony_phase:invoke share_refresh share_refresh share_refresh ceremony_phase:acks ceremony_done"

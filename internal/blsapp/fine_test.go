@@ -49,7 +49,7 @@ func TestFineVariantMatchesNative(t *testing.T) {
 				t.Fatal(err)
 			}
 			native := shares[round%3].SignShare(msg)
-			if !ss.Sig.Equal(&native.Sig) {
+			if ss.Sig.Bytes() != native.Sig.Bytes() {
 				t.Fatalf("round %d: fine-grained share differs from native", round)
 			}
 			if !tk.VerifyShareSignature(msg, ss) {

@@ -132,7 +132,7 @@ func TestRefreshCeremonyThroughSandboxes(t *testing.T) {
 	if !bls.Verify(&f.tk.GroupKey, msg, sig1) {
 		t.Fatal("post-refresh signature invalid under the original group key")
 	}
-	if !sig0.Equal(sig1) {
+	if sig0.Bytes() != sig1.Bytes() {
 		t.Fatal("refresh changed the threshold signature bits")
 	}
 

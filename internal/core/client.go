@@ -76,20 +76,6 @@ func (c *Client) InvokeBatch(i int, requests [][]byte) ([][]byte, []string, erro
 	return resp.Responses, resp.Errors, nil
 }
 
-// PushUpdate distributes a signed update to every domain (stage and
-// activate). It returns the first error but attempts all domains, so a
-// partially updated deployment — which the audit protocol will surface —
-// is possible, exactly as in a real deployment.
-func (c *Client) PushUpdate(su framework.SignedUpdate) error {
-	var firstErr error
-	for i := range c.conns {
-		if err := c.PushUpdateTo(i, su, false); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // PushUpdateTo updates a single domain; stageOnly leaves it pending.
 func (c *Client) PushUpdateTo(i int, su framework.SignedUpdate, stageOnly bool) error {
 	req := domain.UpdateRequest{
@@ -100,14 +86,6 @@ func (c *Client) PushUpdateTo(i int, su framework.SignedUpdate, stageOnly bool) 
 	}
 	if err := c.call(i, "update", req, nil); err != nil {
 		return fmt.Errorf("core: updating domain %d: %w", i, err)
-	}
-	return nil
-}
-
-// Activate activates a previously staged update on domain i.
-func (c *Client) Activate(i int) error {
-	if err := c.call(i, "activate", struct{}{}, nil); err != nil {
-		return fmt.Errorf("core: activating on domain %d: %w", i, err)
 	}
 	return nil
 }

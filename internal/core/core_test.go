@@ -147,8 +147,10 @@ func TestUpdateEverywhereStaysConsistent(t *testing.T) {
 	m2 := blsapp.Module()
 	m2.Functions[0].Code = append(m2.Functions[0].Code, sandbox.Instr{Op: sandbox.OpNop})
 	su := dev.PrepareUpdate(2, m2.Encode())
-	if err := dep.PushUpdate(su); err != nil {
-		t.Fatal(err)
+	for i := 0; i < dep.NumDomains(); i++ {
+		if err := dep.PushUpdateTo(i, su, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c := dep.AuditClient()
 	defer c.Close()
@@ -252,7 +254,7 @@ func TestStagedUpdateVisibleToClients(t *testing.T) {
 		t.Fatal("clients cannot see the pending update")
 	}
 	for i := 0; i < dep.NumDomains(); i++ {
-		if err := dep.Activate(i); err != nil {
+		if err := dep.call(i, "activate", struct{}{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,7 +272,7 @@ func TestFrozenDeploymentRejectsUpdates(t *testing.T) {
 	m2 := blsapp.Module()
 	m2.Functions[0].Code = append(m2.Functions[0].Code, sandbox.Instr{Op: sandbox.OpNop})
 	su := dev.PrepareUpdate(2, m2.Encode())
-	if err := dep.PushUpdate(su); err == nil {
+	if err := dep.PushUpdateTo(0, su, false); err == nil {
 		t.Fatal("frozen deployment accepted an update")
 	}
 }

@@ -31,7 +31,7 @@ func TestThresholdSurvivesDomainFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("signing failed with 2 of 3 domains alive: %v", err)
 	}
-	if !sigBefore.Equal(sigAfter) {
+	if sigBefore.Bytes() != sigAfter.Bytes() {
 		t.Fatal("signature changed across domain failure (uniqueness violated)")
 	}
 	if !bls.Verify(&tk.GroupKey, msg, sigAfter) {

@@ -44,7 +44,7 @@ func TestRefreshCeremonyOverDeployment(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if !sig.Equal(sig0) {
+		if sig.Bytes() != sig0.Bytes() {
 			t.Fatalf("round %d: refresh changed the signature bits", round)
 		}
 		sigs, err := blsapp.ThresholdSignBatch(dep, cur, [][]byte{msg, []byte("second")})

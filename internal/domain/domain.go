@@ -152,12 +152,6 @@ type UpdateRequest struct {
 	StageOnly   bool   `json:"stage_only"`
 }
 
-// HistoryBinding hashes (records, nonce) into the signed/attested value
-// for a full-history response (From == 0).
-func HistoryBinding(records [][]byte, nonce []byte) []byte {
-	return HistoryBindingFrom(0, records, nonce)
-}
-
 // HistoryBindingFrom is the signed/attested value for a history
 // response starting at `from`. From == 0 keeps the v1 full-history
 // binding; a suffix binds its offset under a distinct domain-separation
@@ -591,10 +585,6 @@ func (d *Domain) Platform() (tee.VendorID, string) {
 func (d *Domain) HostKey() ed25519.PublicKey {
 	return append(ed25519.PublicKey{}, d.hostPub...)
 }
-
-// Framework exposes the underlying framework for in-process deployments
-// (examples, benchmarks measuring the sandbox-only path).
-func (d *Domain) Framework() *framework.Framework { return d.fw }
 
 // Install provisions the initial application directly (developer-side
 // convenience used at deployment setup).

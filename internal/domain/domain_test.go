@@ -189,7 +189,7 @@ func TestHistoryOverNetwork(t *testing.T) {
 	if err := tee.VerifyQuote(roots, resp.Quote); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Quote.ReportData != ReportData(nil, HistoryBinding(resp.Records, nonce)) {
+	if resp.Quote.ReportData != ReportData(nil, HistoryBindingFrom(0, resp.Records, nonce)) {
 		t.Fatal("history binding mismatch")
 	}
 }

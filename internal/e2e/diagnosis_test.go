@@ -1,6 +1,7 @@
 package e2e
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -106,7 +107,7 @@ func TestDiagnosisSmoke(t *testing.T) {
 	}
 	defer mc.Close()
 	trace := obsv.NewTrace()
-	mc.SetTrace(trace)
+	tctx := obsv.ContextWithTrace(context.Background(), trace)
 	submitDone := make(chan error, 1)
 	go func() {
 		for i := 0; i < 3; i++ {
@@ -114,7 +115,7 @@ func TestDiagnosisSmoke(t *testing.T) {
 			var resp struct {
 				LogIndex int `json:"log_index"`
 			}
-			if err := mc.Call("submit", env, &resp); err != nil {
+			if err := mc.CallCtx(tctx, "submit", env, &resp); err != nil {
 				submitDone <- fmt.Errorf("submit %d: %w", i, err)
 				return
 			}

@@ -6,6 +6,7 @@
 package e2e
 
 import (
+	"context"
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/json"
@@ -19,6 +20,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -27,6 +29,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/bls"
 	"repro/internal/deployfile"
+	"repro/internal/gossip"
 	"repro/internal/obsv"
 	"repro/internal/serve"
 	"repro/internal/tee"
@@ -234,10 +237,10 @@ func TestObservabilitySmoke(t *testing.T) {
 	}
 	defer mc.Close()
 	trace := obsv.NewTrace()
-	mc.SetTrace(trace)
+	tctx := obsv.ContextWithTrace(context.Background(), trace)
 	var head aolog.BLSSignedHead
 	for i := 0; i < 3; i++ {
-		if err := mc.Call("headbls", struct{}{}, &head); err != nil {
+		if err := mc.CallCtx(tctx, "headbls", struct{}{}, &head); err != nil {
 			t.Fatalf("headbls: %v", err)
 		}
 	}
@@ -296,7 +299,7 @@ func TestObservabilitySmoke(t *testing.T) {
 	// Poison the serve tier: /readyz must flip to 503 while /metrics
 	// reports serve_poisoned 1 — fail-closed made operationally visible.
 	var poisoned map[string]bool
-	if err := mc.Call("_poison", struct{}{}, &poisoned); err != nil {
+	if err := mc.CallCtx(tctx, "_poison", struct{}{}, &poisoned); err != nil {
 		t.Fatalf("_poison: %v", err)
 	}
 	code, readyBody := httpGet(t, "http://"+monMetrics+"/readyz")
@@ -434,16 +437,20 @@ func TestMonitordReadSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	var headsMu sync.Mutex
+	var latest []gossip.GossipHead
+	sub.OnHeads = func(_ string, hs []gossip.GossipHead) { headsMu.Lock(); latest = hs; headsMu.Unlock() }
+	heads := func() []gossip.GossipHead { headsMu.Lock(); defer headsMu.Unlock(); return latest }
 	if err := sub.Subscribe("probe"); err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}
-	if acked := sub.Heads(); len(acked) != 1 || acked[0].Head.Size != head.Size || acked[0].Head.Head != head.Head {
+	if acked := heads(); len(acked) != 1 || acked[0].Head.Size != head.Size || acked[0].Head.Head != head.Head {
 		t.Errorf("subscribe acked %+v, want the published head at size %d", acked, size)
 	}
 	// One more append is pushed, and verifies against the head before it.
 	next := waitHead(mint.submit(t, mc, 1))
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if pushed := sub.Heads(); len(pushed) == 1 && pushed[0].Head.Size == next.Size {
+		if pushed := heads(); len(pushed) == 1 && pushed[0].Head.Size == next.Size {
 			if !aolog.VerifyHeadBLS(pk, &pushed[0].Head) {
 				t.Error("pushed head does not verify under info's bls_key")
 			}

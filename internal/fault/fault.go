@@ -165,7 +165,6 @@ type Injector struct {
 	start  time.Time
 	rules  []*ruleState
 	flight atomic.Pointer[obsv.FlightRecorder]
-	count  atomic.Uint64
 }
 
 // Activate instantiates sched for the process named target. The
@@ -194,14 +193,6 @@ func (in *Injector) SetFlightRecorder(fr *obsv.FlightRecorder) {
 		return
 	}
 	in.flight.Store(fr)
-}
-
-// Injected reports how many faults this injector has injected.
-func (in *Injector) Injected() uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.count.Load()
 }
 
 // elapsed is the schedule-relative clock.
@@ -263,10 +254,9 @@ func (in *Injector) match(class opClass, dir Dir) *ruleState {
 	return nil
 }
 
-// record logs one injection to the flight recorder and the injector's
-// counter. detail identifies the fault and site, e.g. "reset out write".
+// record logs one injection to the flight recorder. detail identifies
+// the fault and site, e.g. "reset out write".
 func (in *Injector) record(rs *ruleState, detail string) {
-	in.count.Add(1)
 	in.flight.Load().Record("fault", "injected", detail, uint64(rs.idx), obsv.TraceContext{})
 }
 

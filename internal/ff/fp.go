@@ -91,12 +91,6 @@ func bigToFpRaw(v *big.Int) Fp {
 	return z
 }
 
-// FpZero returns the additive identity.
-func FpZero() Fp { return Fp{} }
-
-// FpOne returns the multiplicative identity.
-func FpOne() Fp { return fpOne }
-
 // FpModulus returns a copy of the field modulus.
 func FpModulus() *big.Int { return new(big.Int).Set(fpP) }
 
@@ -105,9 +99,6 @@ func (z *Fp) SetZero() *Fp { *z = Fp{}; return z }
 
 // SetOne sets z to 1 and returns it.
 func (z *Fp) SetOne() *Fp { *z = fpOne; return z }
-
-// Set copies a into z and returns z.
-func (z *Fp) Set(a *Fp) *Fp { *z = *a; return z }
 
 // IsZero reports whether z is the zero element.
 func (z *Fp) IsZero() bool {
@@ -306,49 +297,6 @@ func fpReduce(t *Fp) {
 	t[5] = s5 ^ ((s5 ^ t[5]) & keep)
 }
 
-// fpMontMulGeneric sets z = a*b*R^-1 mod p (CIOS Montgomery multiplication).
-func fpMontMulGeneric(z, a, b *Fp) {
-	var t [fpLimbs + 2]uint64
-	for i := 0; i < fpLimbs; i++ {
-		// t += a * b[i]
-		var carry uint64
-		for j := 0; j < fpLimbs; j++ {
-			hi, lo := bits.Mul64(a[j], b[i])
-			var c uint64
-			lo, c = bits.Add64(lo, t[j], 0)
-			hi += c
-			lo, c = bits.Add64(lo, carry, 0)
-			hi += c
-			t[j] = lo
-			carry = hi
-		}
-		var c uint64
-		t[fpLimbs], c = bits.Add64(t[fpLimbs], carry, 0)
-		t[fpLimbs+1] = c
-
-		// Montgomery reduction step.
-		m := t[0] * fpInv
-		hi, lo := bits.Mul64(m, fpModulus[0])
-		_, c = bits.Add64(lo, t[0], 0)
-		carry = hi + c
-		for j := 1; j < fpLimbs; j++ {
-			hi, lo = bits.Mul64(m, fpModulus[j])
-			var c2 uint64
-			lo, c2 = bits.Add64(lo, t[j], 0)
-			hi += c2
-			lo, c2 = bits.Add64(lo, carry, 0)
-			hi += c2
-			t[j-1] = lo
-			carry = hi
-		}
-		t[fpLimbs-1], c = bits.Add64(t[fpLimbs], carry, 0)
-		t[fpLimbs] = t[fpLimbs+1] + c
-	}
-	copy(z[:], t[:fpLimbs])
-	// Result < 2p, and 2p < 2^384, so t[fpLimbs] == 0 here; reduce once.
-	fpReduce(z)
-}
-
 // fpMulADX selects the MULX/ADX assembly multiply (fp_amd64.s) for
 // Fp.Mul. It is set once, at init, from CPUID: no flag, option or
 // environment variable reaches it. Without it Fp.Mul runs fpMontMul.
@@ -372,13 +320,6 @@ func (z *Fp) Mul(a, b *Fp) *Fp {
 
 // Square sets z = a^2 and returns z.
 func (z *Fp) Square(a *Fp) *Fp { return z.Mul(a, a) }
-
-// MulUint64 sets z = a * v for a small scalar v.
-func (z *Fp) MulUint64(a *Fp, v uint64) *Fp {
-	var s Fp
-	s.SetUint64(v)
-	return z.Mul(a, &s)
-}
 
 // Exp sets z = a^e for a non-negative exponent e and returns z.
 func (z *Fp) Exp(a *Fp, e *big.Int) *Fp {
@@ -576,9 +517,6 @@ func (z *Fp) Sqrt(a *Fp) (*Fp, bool) {
 	return z, true
 }
 
-// IsQuadraticResidue reports whether a is a square in Fp (0 counts as one).
-func (z *Fp) IsQuadraticResidue() bool { return z.legendre() >= 0 }
-
 // legendre returns the Legendre symbol (a/p): 0, 1 or -1. It is the
 // binary Jacobi algorithm on the limbs, Inverse's loop without the
 // cofactors: shifting out 2^t flips the sign when t is odd and the
@@ -609,18 +547,4 @@ func (a *Fp) legendre() int {
 func (z *Fp) Sign() int {
 	n := z.fromMont()
 	return int(n[0] & 1)
-}
-
-// Cmp compares the canonical values of z and a, returning -1, 0 or 1.
-func (z *Fp) Cmp(a *Fp) int {
-	zn, an := z.fromMont(), a.fromMont()
-	for i := fpLimbs - 1; i >= 0; i-- {
-		if zn[i] < an[i] {
-			return -1
-		}
-		if zn[i] > an[i] {
-			return 1
-		}
-	}
-	return 0
 }

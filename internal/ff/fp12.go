@@ -13,23 +13,8 @@ type Fp12 struct {
 	C0, C1 Fp6
 }
 
-// Fp12Zero returns the additive identity.
-func Fp12Zero() Fp12 { return Fp12{} }
-
 // Fp12One returns the multiplicative identity.
 func Fp12One() Fp12 { return Fp12{C0: Fp6One()} }
-
-// SetZero sets z to 0 and returns z.
-func (z *Fp12) SetZero() *Fp12 { *z = Fp12{}; return z }
-
-// SetOne sets z to 1 and returns z.
-func (z *Fp12) SetOne() *Fp12 { *z = Fp12One(); return z }
-
-// Set copies a into z and returns z.
-func (z *Fp12) Set(a *Fp12) *Fp12 { *z = *a; return z }
-
-// IsZero reports whether z is zero.
-func (z *Fp12) IsZero() bool { return z.C0.IsZero() && z.C1.IsZero() }
 
 // IsOne reports whether z is one.
 func (z *Fp12) IsOne() bool { return z.C0.IsOne() && z.C1.IsZero() }
@@ -40,27 +25,6 @@ func (z *Fp12) Equal(a *Fp12) bool { return z.C0.Equal(&a.C0) && z.C1.Equal(&a.C
 // String implements fmt.Stringer.
 func (z *Fp12) String() string {
 	return fmt.Sprintf("(%s + %s*w)", z.C0.String(), z.C1.String())
-}
-
-// Add sets z = a + b and returns z.
-func (z *Fp12) Add(a, b *Fp12) *Fp12 {
-	z.C0.Add(&a.C0, &b.C0)
-	z.C1.Add(&a.C1, &b.C1)
-	return z
-}
-
-// Sub sets z = a - b and returns z.
-func (z *Fp12) Sub(a, b *Fp12) *Fp12 {
-	z.C0.Sub(&a.C0, &b.C0)
-	z.C1.Sub(&a.C1, &b.C1)
-	return z
-}
-
-// Neg sets z = -a and returns z.
-func (z *Fp12) Neg(a *Fp12) *Fp12 {
-	z.C0.Neg(&a.C0)
-	z.C1.Neg(&a.C1)
-	return z
 }
 
 // Conjugate sets z = C0 - C1*w and returns z. For elements of the
@@ -147,24 +111,6 @@ func (z *Fp12) Inverse(a *Fp12) *Fp12 {
 	z.C0.Mul(&a.C0, &t0)
 	t0.Neg(&t0)
 	z.C1.Mul(&a.C1, &t0)
-	return z
-}
-
-// Exp sets z = a^e for non-negative e and returns z.
-func (z *Fp12) Exp(a *Fp12, e *big.Int) *Fp12 {
-	if e.Sign() < 0 {
-		panic("ff: negative exponent")
-	}
-	base := *a
-	var out Fp12
-	out.SetOne()
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		out.Square(&out)
-		if e.Bit(i) == 1 {
-			out.Mul(&out, &base)
-		}
-	}
-	*z = out
 	return z
 }
 

@@ -39,9 +39,10 @@ func toCyclotomic(a *Fp12) Fp12 {
 // coordinate would hide behind zeros elsewhere: each basis power of W
 // alone, plus 0, 1 and -1.
 func fp12EdgeCases() []Fp12 {
-	cases := []Fp12{Fp12Zero(), Fp12One()}
+	cases := []Fp12{Fp12{}, Fp12One()}
 	var m1 Fp12
-	m1.Neg(&cases[1])
+	m1.C0.Neg(&cases[1].C0)
+	m1.C1.Neg(&cases[1].C1)
 	cases = append(cases, m1)
 	for i := 0; i < 6; i++ {
 		var e Fp12
@@ -60,13 +61,13 @@ func TestFp12SquareMatchesDense(t *testing.T) {
 		var fast, dense Fp12
 		fast.Square(&cases[i])
 		dense.squareDense(&cases[i])
-		if !fast.Equal(&dense) {
+		if fast != dense {
 			t.Fatalf("case %d: complex-method Square != dense Mul(a, a)", i)
 		}
 		// In-place use is how the Miller loop calls it.
 		alias := cases[i]
 		alias.Square(&alias)
-		if !alias.Equal(&dense) {
+		if alias != dense {
 			t.Fatalf("case %d: aliased Square != dense", i)
 		}
 	}
@@ -77,7 +78,7 @@ func TestFp12MulBySparse035MatchesDense(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		as = append(as, randFp12(t))
 	}
-	zero, one := Fp2Zero(), Fp2One()
+	zero, one := Fp2{}, Fp2One()
 	coeffs := [][3]Fp2{
 		{zero, zero, zero}, {one, zero, zero}, {zero, one, zero}, {zero, zero, one},
 	}
@@ -91,12 +92,12 @@ func TestFp12MulBySparse035MatchesDense(t *testing.T) {
 			var fast, dense Fp12
 			fast.MulBySparse035(&as[i], &c[0], &c[1], &c[2])
 			dense.Mul(&as[i], &l)
-			if !fast.Equal(&dense) {
+			if fast != dense {
 				t.Fatalf("a=%d line=%d: MulBySparse035 != dense Mul", i, j)
 			}
 			alias := as[i]
 			alias.MulBySparse035(&alias, &c[0], &c[1], &c[2])
-			if !alias.Equal(&dense) {
+			if alias != dense {
 				t.Fatalf("a=%d line=%d: aliased MulBySparse035 != dense", i, j)
 			}
 		}
@@ -136,7 +137,7 @@ func FuzzFp12MulBySparse035(f *testing.F) {
 		var fast, dense Fp12
 		fast.MulBySparse035(&a, &c0, &c3, &c5)
 		dense.Mul(&a, &l)
-		if !fast.Equal(&dense) {
+		if fast != dense {
 			t.Fatalf("sparse != dense for %x", data)
 		}
 	})
@@ -156,11 +157,11 @@ func TestCyclotomicSquareMatchesSquare(t *testing.T) {
 			var fast, want Fp12
 			fast.CyclotomicSquare(&c)
 			want.Square(&c)
-			if !fast.Equal(&want) {
+			if fast != want {
 				t.Fatalf("element %d step %d: Granger-Scott square != Square", i, step)
 			}
 			c.CyclotomicSquare(&c) // aliased, as cycExpNegX calls it
-			if !c.Equal(&want) {
+			if c != want {
 				t.Fatalf("element %d step %d: aliased CyclotomicSquare != Square", i, step)
 			}
 		}
@@ -178,7 +179,7 @@ func TestCyclotomicSquareOffSubgroup(t *testing.T) {
 		var fast, want Fp12
 		fast.CyclotomicSquare(&a)
 		want.Square(&a)
-		if fast.Equal(&want) {
+		if fast == want {
 			agree++
 		}
 	}

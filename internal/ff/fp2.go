@@ -14,9 +14,6 @@ type Fp2 struct {
 // Fp2Bytes is the size of a serialized Fp2 element.
 const Fp2Bytes = 2 * FpBytes
 
-// Fp2Zero returns the additive identity.
-func Fp2Zero() Fp2 { return Fp2{} }
-
 // Fp2One returns the multiplicative identity.
 func Fp2One() Fp2 { return Fp2{C0: fpOne} }
 
@@ -32,13 +29,6 @@ func (z *Fp2) SetOne() *Fp2 { *z = Fp2One(); return z }
 
 // Set copies a into z and returns z.
 func (z *Fp2) Set(a *Fp2) *Fp2 { *z = *a; return z }
-
-// SetFp sets z to the base-field element a (embedding Fp into Fp2).
-func (z *Fp2) SetFp(a *Fp) *Fp2 {
-	z.C0 = *a
-	z.C1 = Fp{}
-	return z
-}
 
 // IsZero reports whether z is zero.
 func (z *Fp2) IsZero() bool { return z.C0.IsZero() && z.C1.IsZero() }

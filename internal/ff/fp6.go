@@ -8,20 +8,8 @@ type Fp6 struct {
 	C0, C1, C2 Fp2
 }
 
-// Fp6Zero returns the additive identity.
-func Fp6Zero() Fp6 { return Fp6{} }
-
 // Fp6One returns the multiplicative identity.
 func Fp6One() Fp6 { return Fp6{C0: Fp2One()} }
-
-// SetZero sets z to 0 and returns z.
-func (z *Fp6) SetZero() *Fp6 { *z = Fp6{}; return z }
-
-// SetOne sets z to 1 and returns z.
-func (z *Fp6) SetOne() *Fp6 { *z = Fp6One(); return z }
-
-// Set copies a into z and returns z.
-func (z *Fp6) Set(a *Fp6) *Fp6 { *z = *a; return z }
 
 // IsZero reports whether z is zero.
 func (z *Fp6) IsZero() bool { return z.C0.IsZero() && z.C1.IsZero() && z.C2.IsZero() }

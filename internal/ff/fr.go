@@ -41,12 +41,6 @@ func bigToFrRaw(v *big.Int) Fr {
 	return z
 }
 
-// FrZero returns the additive identity.
-func FrZero() Fr { return Fr{} }
-
-// FrOne returns the multiplicative identity.
-func FrOne() Fr { return frOne }
-
 // FrModulus returns a copy of the scalar field modulus r.
 func FrModulus() *big.Int { return new(big.Int).Set(frR) }
 
@@ -61,9 +55,6 @@ func (z *Fr) Set(a *Fr) *Fr { *z = *a; return z }
 
 // IsZero reports whether z is the zero element.
 func (z *Fr) IsZero() bool { return z[0]|z[1]|z[2]|z[3] == 0 }
-
-// IsOne reports whether z is the one element.
-func (z *Fr) IsOne() bool { return *z == frOne }
 
 // Equal reports whether z == a.
 func (z *Fr) Equal(a *Fr) bool { return *z == *a }
@@ -172,9 +163,6 @@ func (z *Fr) Add(a, b *Fr) *Fr {
 	return z
 }
 
-// Double sets z = 2a and returns z.
-func (z *Fr) Double(a *Fr) *Fr { return z.Add(a, a) }
-
 // Sub sets z = a - b and returns z.
 func (z *Fr) Sub(a, b *Fr) *Fr {
 	var t Fr
@@ -216,46 +204,6 @@ func frReduce(t *Fr) {
 	if borrow == 0 {
 		*t = s
 	}
-}
-
-// frMontMulGeneric sets z = a*b*R^-1 mod r (CIOS Montgomery multiplication).
-func frMontMulGeneric(z, a, b *Fr) {
-	var t [frLimbs + 2]uint64
-	for i := 0; i < frLimbs; i++ {
-		var carry uint64
-		for j := 0; j < frLimbs; j++ {
-			hi, lo := bits.Mul64(a[j], b[i])
-			var c uint64
-			lo, c = bits.Add64(lo, t[j], 0)
-			hi += c
-			lo, c = bits.Add64(lo, carry, 0)
-			hi += c
-			t[j] = lo
-			carry = hi
-		}
-		var c uint64
-		t[frLimbs], c = bits.Add64(t[frLimbs], carry, 0)
-		t[frLimbs+1] = c
-
-		m := t[0] * frInv
-		hi, lo := bits.Mul64(m, frModulus[0])
-		_, c = bits.Add64(lo, t[0], 0)
-		carry = hi + c
-		for j := 1; j < frLimbs; j++ {
-			hi, lo = bits.Mul64(m, frModulus[j])
-			var c2 uint64
-			lo, c2 = bits.Add64(lo, t[j], 0)
-			hi += c2
-			lo, c2 = bits.Add64(lo, carry, 0)
-			hi += c2
-			t[j-1] = lo
-			carry = hi
-		}
-		t[frLimbs-1], c = bits.Add64(t[frLimbs], carry, 0)
-		t[frLimbs] = t[frLimbs+1] + c
-	}
-	copy(z[:], t[:frLimbs])
-	frReduce(z)
 }
 
 // Mul sets z = a * b and returns z.

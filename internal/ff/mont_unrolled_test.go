@@ -2,6 +2,7 @@ package ff
 
 import (
 	"math/big"
+	"math/bits"
 	"testing"
 )
 
@@ -54,13 +55,13 @@ func TestFpMontMulUnrolledMatchesGeneric(t *testing.T) {
 			var fast, slow Fp
 			fpMontMul(&fast, &cases[i], &cases[j])
 			fpMontMulGeneric(&slow, &cases[i], &cases[j])
-			if !fast.Equal(&slow) {
+			if fast != slow {
 				t.Fatalf("fpMontMul(%d, %d): unrolled != generic", i, j)
 			}
 			// In place, as Fp.Mul calls it.
 			alias := cases[i]
 			fpMontMul(&alias, &alias, &cases[j])
-			if !alias.Equal(&slow) {
+			if alias != slow {
 				t.Fatalf("fpMontMul(%d, %d): aliased result != generic", i, j)
 			}
 		}
@@ -85,7 +86,7 @@ func TestFrMontMulUnrolledMatchesGeneric(t *testing.T) {
 			var fast, slow Fr
 			frMontMul(&fast, &cases[i], &cases[j])
 			frMontMulGeneric(&slow, &cases[i], &cases[j])
-			if !fast.Equal(&slow) {
+			if fast != slow {
 				t.Fatalf("frMontMul(%d, %d): unrolled != generic", i, j)
 			}
 		}
@@ -107,11 +108,94 @@ func FuzzFpMontMul(f *testing.F) {
 		asm.Mul(&a, &b)
 		fpMontMul(&fast, &a, &b)
 		fpMontMulGeneric(&slow, &a, &b)
-		if !fast.Equal(&slow) {
+		if fast != slow {
 			t.Fatalf("unrolled != generic for %x", data)
 		}
-		if !asm.Equal(&slow) {
+		if asm != slow {
 			t.Fatalf("Fp.Mul != generic for %x", data)
 		}
 	})
+}
+
+// fpMontMulGeneric sets z = a*b*R^-1 mod p (CIOS Montgomery multiplication).
+func fpMontMulGeneric(z, a, b *Fp) {
+	var t [fpLimbs + 2]uint64
+	for i := 0; i < fpLimbs; i++ {
+		// t += a * b[i]
+		var carry uint64
+		for j := 0; j < fpLimbs; j++ {
+			hi, lo := bits.Mul64(a[j], b[i])
+			var c uint64
+			lo, c = bits.Add64(lo, t[j], 0)
+			hi += c
+			lo, c = bits.Add64(lo, carry, 0)
+			hi += c
+			t[j] = lo
+			carry = hi
+		}
+		var c uint64
+		t[fpLimbs], c = bits.Add64(t[fpLimbs], carry, 0)
+		t[fpLimbs+1] = c
+
+		// Montgomery reduction step.
+		m := t[0] * fpInv
+		hi, lo := bits.Mul64(m, fpModulus[0])
+		_, c = bits.Add64(lo, t[0], 0)
+		carry = hi + c
+		for j := 1; j < fpLimbs; j++ {
+			hi, lo = bits.Mul64(m, fpModulus[j])
+			var c2 uint64
+			lo, c2 = bits.Add64(lo, t[j], 0)
+			hi += c2
+			lo, c2 = bits.Add64(lo, carry, 0)
+			hi += c2
+			t[j-1] = lo
+			carry = hi
+		}
+		t[fpLimbs-1], c = bits.Add64(t[fpLimbs], carry, 0)
+		t[fpLimbs] = t[fpLimbs+1] + c
+	}
+	copy(z[:], t[:fpLimbs])
+	// Result < 2p, and 2p < 2^384, so t[fpLimbs] == 0 here; reduce once.
+	fpReduce(z)
+}
+
+// frMontMulGeneric sets z = a*b*R^-1 mod r (CIOS Montgomery multiplication).
+func frMontMulGeneric(z, a, b *Fr) {
+	var t [frLimbs + 2]uint64
+	for i := 0; i < frLimbs; i++ {
+		var carry uint64
+		for j := 0; j < frLimbs; j++ {
+			hi, lo := bits.Mul64(a[j], b[i])
+			var c uint64
+			lo, c = bits.Add64(lo, t[j], 0)
+			hi += c
+			lo, c = bits.Add64(lo, carry, 0)
+			hi += c
+			t[j] = lo
+			carry = hi
+		}
+		var c uint64
+		t[frLimbs], c = bits.Add64(t[frLimbs], carry, 0)
+		t[frLimbs+1] = c
+
+		m := t[0] * frInv
+		hi, lo := bits.Mul64(m, frModulus[0])
+		_, c = bits.Add64(lo, t[0], 0)
+		carry = hi + c
+		for j := 1; j < frLimbs; j++ {
+			hi, lo = bits.Mul64(m, frModulus[j])
+			var c2 uint64
+			lo, c2 = bits.Add64(lo, t[j], 0)
+			hi += c2
+			lo, c2 = bits.Add64(lo, carry, 0)
+			hi += c2
+			t[j-1] = lo
+			carry = hi
+		}
+		t[frLimbs-1], c = bits.Add64(t[frLimbs], carry, 0)
+		t[frLimbs] = t[frLimbs+1] + c
+	}
+	copy(z[:], t[:frLimbs])
+	frReduce(z)
 }

@@ -36,7 +36,7 @@ func TestFp2FieldAxioms(t *testing.T) {
 		// associativity of multiplication
 		l.Mul(ab.Mul(&a, &b), &c)
 		r.Mul(&a, bc.Mul(&b, &c))
-		if !l.Equal(&r) {
+		if l != r {
 			t.Fatal("Fp2 mul not associative")
 		}
 		// distributivity
@@ -44,7 +44,7 @@ func TestFp2FieldAxioms(t *testing.T) {
 		s.Add(&b, &c)
 		l.Mul(&a, &s)
 		r.Add(d1.Mul(&a, &b), d2.Mul(&a, &c))
-		if !l.Equal(&r) {
+		if l != r {
 			t.Fatal("Fp2 mul not distributive")
 		}
 		// inverse
@@ -60,20 +60,20 @@ func TestFp2FieldAxioms(t *testing.T) {
 		var sq, mm Fp2
 		sq.Square(&a)
 		mm.Mul(&a, &a)
-		if !sq.Equal(&mm) {
+		if sq != mm {
 			t.Fatal("Fp2 square != mul")
 		}
 	}
 }
 
 func TestFp2USquaredIsMinusOne(t *testing.T) {
-	u := Fp2{C1: FpOne()}
+	u := Fp2{C1: fpOne}
 	var sq Fp2
 	sq.Square(&u)
 	var minusOne Fp2
 	minusOne.SetOne()
 	minusOne.Neg(&minusOne)
-	if !sq.Equal(&minusOne) {
+	if sq != minusOne {
 		t.Fatal("u^2 != -1")
 	}
 }
@@ -87,7 +87,7 @@ func TestFp2MulByNonResidue(t *testing.T) {
 		var viaMul, viaFast Fp2
 		viaMul.Mul(&a, &xi)
 		viaFast.MulByNonResidue(&a)
-		return viaMul.Equal(&viaFast)
+		return viaMul == viaFast
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestFp2Sqrt(t *testing.T) {
 		}
 		var chk Fp2
 		chk.Square(&root)
-		if !chk.Equal(&sq) {
+		if chk != sq {
 			t.Fatal("sqrt does not square back")
 		}
 	}
@@ -117,14 +117,14 @@ func TestFp6FieldAxioms(t *testing.T) {
 		var ab, bc, l, r Fp6
 		l.Mul(ab.Mul(&a, &b), &c)
 		r.Mul(&a, bc.Mul(&b, &c))
-		if !l.Equal(&r) {
+		if l != r {
 			t.Fatal("Fp6 mul not associative")
 		}
 		var s, d1, d2 Fp6
 		s.Add(&b, &c)
 		l.Mul(&a, &s)
 		r.Add(d1.Mul(&a, &b), d2.Mul(&a, &c))
-		if !l.Equal(&r) {
+		if l != r {
 			t.Fatal("Fp6 mul not distributive")
 		}
 		if !a.IsZero() {
@@ -144,7 +144,7 @@ func TestFp6VCubedIsXi(t *testing.T) {
 	v2.Mul(&v, &v)
 	v3.Mul(&v2, &v)
 	want := Fp6{C0: Fp2NonResidue()}
-	if !v3.Equal(&want) {
+	if v3 != want {
 		t.Fatal("v^3 != xi")
 	}
 	// MulByV must agree with multiplication by v.
@@ -152,7 +152,7 @@ func TestFp6VCubedIsXi(t *testing.T) {
 	var fast, slow Fp6
 	fast.MulByV(&a)
 	slow.Mul(&a, &v)
-	if !fast.Equal(&slow) {
+	if fast != slow {
 		t.Fatal("MulByV mismatch")
 	}
 }
@@ -163,10 +163,10 @@ func TestFp12FieldAxioms(t *testing.T) {
 		var ab, bc, l, r Fp12
 		l.Mul(ab.Mul(&a, &b), &c)
 		r.Mul(&a, bc.Mul(&b, &c))
-		if !l.Equal(&r) {
+		if l != r {
 			t.Fatal("Fp12 mul not associative")
 		}
-		if !a.IsZero() {
+		if a != (Fp12{}) {
 			var inv, prod Fp12
 			inv.Inverse(&a)
 			prod.Mul(&a, &inv)
@@ -182,7 +182,7 @@ func TestFp12WSquaredIsV(t *testing.T) {
 	var sq Fp12
 	sq.Square(&w)
 	want := Fp12{C0: Fp6{C1: Fp2One()}}
-	if !sq.Equal(&want) {
+	if sq != want {
 		t.Fatal("w^2 != v")
 	}
 }
@@ -197,7 +197,7 @@ func TestFp12FrobeniusMatchesExp(t *testing.T) {
 		var viaExp, viaFrob Fp12
 		viaExp.Exp(&a, pk)
 		viaFrob.Frobenius(&a, k)
-		if !viaExp.Equal(&viaFrob) {
+		if viaExp != viaFrob {
 			t.Fatalf("Frobenius(%d) != a^(p^%d)", k, k)
 		}
 	}
@@ -210,13 +210,13 @@ func TestFp12ConjugateIsPow6(t *testing.T) {
 	var viaExp, viaConj Fp12
 	viaExp.Exp(&a, p6)
 	viaConj.Conjugate(&a)
-	if !viaExp.Equal(&viaConj) {
+	if viaExp != viaConj {
 		t.Fatal("conjugate != a^(p^6)")
 	}
 }
 
 func BenchmarkFp2Mul(b *testing.B) {
-	x := Fp2{C0: FpOne(), C1: FpOne()}
+	x := Fp2{C0: fpOne, C1: fpOne}
 	y := x
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -231,4 +231,22 @@ func BenchmarkFp12Mul(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x.Mul(&x, &y)
 	}
+}
+
+// Exp sets z = a^e for non-negative e by square-and-multiply and
+// returns z: the oracle the Frobenius tests compare against.
+func (z *Fp12) Exp(a *Fp12, e *big.Int) *Fp12 {
+	if e.Sign() < 0 {
+		panic("ff: negative exponent")
+	}
+	base := *a
+	out := Fp12One()
+	for i := e.BitLen() - 1; i >= 0; i-- {
+		out.Square(&out)
+		if e.Bit(i) == 1 {
+			out.Mul(&out, &base)
+		}
+	}
+	*z = out
+	return z
 }

@@ -155,11 +155,6 @@ type stagedUpdate struct {
 // Option configures a Framework.
 type Option func(*Framework)
 
-// WithGasLimit overrides the per-invocation gas limit.
-func WithGasLimit(gas uint64) Option {
-	return func(f *Framework) { f.gas = gas }
-}
-
 // WithFrozen disables updates entirely: §3.3's recommendation for highly
 // sensitive applications whose developers disable their own update path.
 func WithFrozen() Option {
@@ -359,21 +354,6 @@ func (f *Framework) statusLocked() Status {
 		}
 	}
 	return st
-}
-
-// History returns all logged update records (the code digest history the
-// client audits).
-func (f *Framework) History() [][]byte {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.log.Entries()
-}
-
-// LogHead returns the current hash-chain head and length.
-func (f *Framework) LogHead() (aolog.Digest, int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.log.Head(), f.log.Len()
 }
 
 // AttestedStatus binds a status snapshot to the TEE: the quote's report

@@ -193,12 +193,11 @@ func TestPendingUpdateVisibleBeforeActivation(t *testing.T) {
 		t.Fatalf("post-activation status wrong: %+v", st)
 	}
 	// The log history contains both digests, in order, and verifies.
-	hist := f.History()
-	if len(hist) != 2 {
+	snap, hist, err := f.Snapshot(0)
+	if err != nil || len(hist) != 2 {
 		t.Fatal("history length wrong")
 	}
-	head, _ := f.LogHead()
-	if !aolog.VerifyChain(hist, head) {
+	if !aolog.VerifyChain(hist, aolog.Digest(snap.LogHead)) {
 		t.Fatal("history does not verify against head")
 	}
 	r0, err := DecodeRecord(hist[0])
@@ -386,15 +385,15 @@ func TestManyUpdatesLogGrowth(t *testing.T) {
 			t.Fatalf("update %d: %v", v, err)
 		}
 	}
-	head, n := f.LogHead()
-	if n != 10 {
-		t.Fatalf("log length %d, want 10", n)
+	snap, hist, err := f.Snapshot(0)
+	if err != nil || snap.LogLen != 10 {
+		t.Fatalf("log length %d (%v), want 10", snap.LogLen, err)
 	}
-	if !aolog.VerifyChain(f.History(), head) {
+	if !aolog.VerifyChain(hist, aolog.Digest(snap.LogHead)) {
 		t.Fatal("long history does not verify")
 	}
 	// Every version appears in order.
-	for i, e := range f.History() {
+	for i, e := range hist {
 		r, err := DecodeRecord(e)
 		if err != nil {
 			t.Fatal(err)

@@ -212,17 +212,6 @@ func (w *Witness) AddWitness(pk *bls.PublicKey) error {
 	return nil
 }
 
-// WitnessKeys returns the accepted cosigner set.
-func (w *Witness) WitnessKeys() []*bls.PublicKey {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]*bls.PublicKey, 0, len(w.witnesses))
-	for _, pk := range w.witnesses {
-		out = append(out, pk)
-	}
-	return out
-}
-
 // SourceNames lists the watched sources.
 func (w *Witness) SourceNames() []string {
 	w.mu.Lock()
@@ -602,30 +591,6 @@ func (w *Witness) AddProof(p *EquivocationProof) error {
 	w.recordProofLocked(p)
 	w.syncJournalLocked()
 	return nil
-}
-
-// CosignedHead returns the witness's cosigned frontier head for a source,
-// with every accumulated cosignature.
-func (w *Witness) CosignedHead(source string) (*CosignedHead, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	st, ok := w.sources[source]
-	if !ok {
-		return nil, fmt.Errorf("gossip: unknown source %q", source)
-	}
-	if !st.hasFrontier {
-		return nil, fmt.Errorf("gossip: no frontier yet for source %q", source)
-	}
-	head := st.heads[st.frontier]
-	ch := &CosignedHead{
-		Source:   st.name,
-		SourcePK: append([]byte{}, st.pkb...),
-		Head:     head,
-	}
-	for _, co := range st.cosigs[st.frontier] {
-		ch.Cosigs = append(ch.Cosigs, co)
-	}
-	return ch, nil
 }
 
 // Frontier returns the cosigned frontier head for a source, or false when

@@ -430,3 +430,27 @@ func TestIngestBatchMixedOutcomes(t *testing.T) {
 		t.Fatal("unknown source accepted in batch")
 	}
 }
+
+// CosignedHead returns the witness's cosigned frontier head for a source,
+// with every accumulated cosignature.
+func (w *Witness) CosignedHead(source string) (*CosignedHead, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	st, ok := w.sources[source]
+	if !ok {
+		return nil, fmt.Errorf("gossip: unknown source %q", source)
+	}
+	if !st.hasFrontier {
+		return nil, fmt.Errorf("gossip: no frontier yet for source %q", source)
+	}
+	head := st.heads[st.frontier]
+	ch := &CosignedHead{
+		Source:   st.name,
+		SourcePK: append([]byte{}, st.pkb...),
+		Head:     head,
+	}
+	for _, co := range st.cosigs[st.frontier] {
+		ch.Cosigs = append(ch.Cosigs, co)
+	}
+	return ch, nil
+}

@@ -72,7 +72,7 @@ func OpenWitness(dir string, cfg Config) (*Witness, *WitnessRecovery, error) {
 		return nil, nil, err
 	}
 	if cfg.Key == nil {
-		raw, _, err := store.LoadOrCreateKeyFile(filepath.Join(dir, witnessKeyFile), true, func() ([]byte, error) {
+		raw, _, err := store.LoadOrCreateKeyFile(filepath.Join(dir, witnessKeyFile), func() ([]byte, error) {
 			sk, _, err := bls.GenerateKey()
 			if err != nil {
 				return nil, err

@@ -14,8 +14,6 @@ const (
 	// observed heads (with cosignatures); the response is the responder's
 	// cosigned frontier plus any equivocation proofs it holds.
 	KindGossipHeads = "gossip_heads"
-	// KindCosign asks a witness to verify and countersign one head.
-	KindCosign = "cosign"
 	// KindPollinate is the client path: an audit client submits the heads
 	// it has seen and receives the witnessed frontier and proofs.
 	KindPollinate = "pollinate"
@@ -49,22 +47,6 @@ type HeadsResponse struct {
 	Witness string              `json:"witness"`
 	Heads   []GossipHead        `json:"heads,omitempty"`
 	Proofs  []EquivocationProof `json:"proofs,omitempty"`
-}
-
-// CosignRequest asks for a countersignature on one head.
-type CosignRequest struct {
-	Source      string                       `json:"source"`
-	Head        aolog.BLSSignedHead          `json:"head"`
-	Consistency *aolog.ShardConsistencyProof `json:"consistency,omitempty"`
-}
-
-// CosignResponse reports the ingest outcome for a cosign request.
-type CosignResponse struct {
-	Accepted bool               `json:"accepted"`
-	Recorded bool               `json:"recorded"`
-	Cosig    *Cosignature       `json:"cosig,omitempty"`
-	Proof    *EquivocationProof `json:"proof,omitempty"`
-	Error    string             `json:"error,omitempty"`
 }
 
 // WitnessInfo is the public identity of a witness.
@@ -112,23 +94,6 @@ func (w *Witness) Register(srv *transport.Server) {
 	// so operators can firewall or rate-limit the client path on its own.
 	srv.Handle(KindGossipHeads, headsHandler)
 	srv.Handle(KindPollinate, headsHandler)
-	srv.Handle(KindCosign, func(body json.RawMessage) (any, error) {
-		var req CosignRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		res := w.Ingest(req.Source, req.Head, req.Consistency)
-		resp := CosignResponse{
-			Accepted: res.Accepted,
-			Recorded: res.Recorded,
-			Cosig:    res.Cosig,
-			Proof:    res.Proof,
-		}
-		if res.Err != nil {
-			resp.Error = res.Err.Error()
-		}
-		return resp, nil
-	})
 	srv.Handle(KindWitnessInfo, func(json.RawMessage) (any, error) {
 		return w.Info(), nil
 	})
@@ -148,31 +113,10 @@ func DialPeer(addr string, opts transport.ManagedOptions) *Peer {
 	return &Peer{c: transport.DialManaged(addr, opts)}
 }
 
-// Close closes the connection.
-func (p *Peer) Close() error { return p.c.Close() }
-
 // GossipHeads exchanges frontier frames with the peer.
 func (p *Peer) GossipHeads(msg *HeadsMessage) (*HeadsResponse, error) {
 	var resp HeadsResponse
 	if err := p.c.Call(KindGossipHeads, msg, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// Pollinate submits observed heads over the client path.
-func (p *Peer) Pollinate(msg *HeadsMessage) (*HeadsResponse, error) {
-	var resp HeadsResponse
-	if err := p.c.Call(KindPollinate, msg, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// Cosign asks the peer to countersign one head.
-func (p *Peer) Cosign(req *CosignRequest) (*CosignResponse, error) {
-	var resp CosignResponse
-	if err := p.c.Call(KindCosign, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

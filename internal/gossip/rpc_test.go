@@ -27,7 +27,7 @@ func startWitness(t *testing.T, w *Witness) string {
 func dialPeer(t *testing.T, addr string) *Peer {
 	t.Helper()
 	p := DialPeer(addr, transport.ManagedOptions{})
-	t.Cleanup(func() { p.Close() })
+	t.Cleanup(func() { p.c.Close() })
 	return p
 }
 
@@ -81,26 +81,6 @@ func TestGossipRoundConvergence(t *testing.T) {
 		if err := VerifyCosignedHead(src.pk, keys, 3, ch); err != nil {
 			t.Fatalf("%s frontier below full quorum: %v", w.Name(), err)
 		}
-	}
-}
-
-// TestCosignRPC drives the cosign kind over transport.
-func TestCosignRPC(t *testing.T) {
-	src := newSourceLog(t, "mon", 4, 5)
-	w := newTestWitness(t, "w", []*sourceLog{src})
-	p := dialPeer(t, startWitness(t, w))
-
-	resp, err := p.Cosign(&CosignRequest{Source: "mon", Head: src.head()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Accepted || resp.Cosig == nil {
-		t.Fatalf("cosign refused: %+v", resp)
-	}
-	if resp2, err := p.Cosign(&CosignRequest{Source: "nope", Head: src.head()}); err != nil {
-		t.Fatal(err)
-	} else if resp2.Error == "" || resp2.Accepted {
-		t.Fatalf("unknown source cosigned: %+v", resp2)
 	}
 }
 

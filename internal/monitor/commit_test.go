@@ -247,3 +247,13 @@ func TestParentFormatWALSignsOnce(t *testing.T) {
 			h.Size, reg.Value("monitor_heads_signed_bls_total"), reg.Value("store_head_fsyncs_total"))
 	}
 }
+
+// Observations returns the recorded observation count for a domain.
+func (m *Monitor) Observations(domain string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t := m.perDom[domain]; t != nil {
+		return len(t.keys)
+	}
+	return 0
+}

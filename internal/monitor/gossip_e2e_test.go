@@ -160,7 +160,6 @@ func TestGossipConvictsForkedMonitor(t *testing.T) {
 	var peers []*gossip.Peer
 	for _, w := range []*gossip.Witness{w2, w3} {
 		p := gossip.DialPeer(srvAddrs[w], transport.ManagedOptions{})
-		defer p.Close()
 		peers = append(peers, p)
 	}
 	sum, err := w1.Round(peers)

@@ -419,13 +419,3 @@ func (m *Monitor) ProveConsistencyBetween(oldSize, newSize int) (*aolog.ShardCon
 	defer m.mu.Unlock()
 	return m.log.ProveConsistencyBetween(oldSize, newSize)
 }
-
-// Observations returns the recorded observation count for a domain.
-func (m *Monitor) Observations(domain string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t := m.perDom[domain]; t != nil {
-		return len(t.keys)
-	}
-	return 0
-}

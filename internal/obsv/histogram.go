@@ -137,9 +137,6 @@ func (h *Histogram) Exemplars() []Exemplar {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Since records the time elapsed since t0, in seconds.
-func (h *Histogram) Since(t0 time.Time) { h.ObserveDuration(time.Since(t0)) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

@@ -80,9 +80,6 @@ func NewGauge() *Gauge { return &Gauge{} }
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -217,24 +217,6 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span
 	return ContextWithTrace(ctx, tc), sp
 }
 
-// StartRemote begins a server-side span for a request that arrived with
-// an encoded trace context. Unsampled or absent contexts return nil.
-func (t *Tracer) StartRemote(tc TraceContext, name string) *Span {
-	if t == nil || !tc.Valid() || !tc.Sampled() {
-		return nil
-	}
-	t.started.Inc()
-	return &Span{t: t, tc: tc, name: name, start: time.Now()}
-}
-
-// Context returns the span's trace context (zero for nil spans).
-func (s *Span) Context() TraceContext {
-	if s == nil {
-		return TraceContext{}
-	}
-	return s.tc
-}
-
 // End finishes the span, recording its duration and outcome.
 func (s *Span) End(err error) {
 	if s == nil {

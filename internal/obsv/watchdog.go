@@ -89,22 +89,6 @@ func (w *Watchdog) Done() {
 // Stalled reports whether the watchdog is currently past its deadline.
 func (w *Watchdog) Stalled() bool { return w != nil && w.stalled.Load() }
 
-// Trips returns how many distinct stall episodes have tripped.
-func (w *Watchdog) Trips() uint64 {
-	if w == nil {
-		return 0
-	}
-	return w.trips.Value()
-}
-
-// Name returns the watchdog's name.
-func (w *Watchdog) Name() string {
-	if w == nil {
-		return ""
-	}
-	return w.name
-}
-
 // evaluate inspects progress at tick time and reports whether the
 // watchdog is stalled past its deadline, for how long, and whether this
 // is the first tick of a new stall episode (=> trip).

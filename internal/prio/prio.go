@@ -150,9 +150,6 @@ func (a *Aggregator) Absorb(s *Submission) error {
 	return nil
 }
 
-// Count returns the number of absorbed submissions.
-func (a *Aggregator) Count() int { return a.count }
-
 // Share is an aggregator's published epoch output.
 type Share struct {
 	Count   int
@@ -175,15 +172,6 @@ func (a *Aggregator) Share() Share {
 // plaintext aggregate vector, verifying the 0/1 validity invariant:
 // for 0/1 measurements, sum(x) == sum(x^2) element-wise.
 func Aggregate(shares []Share) ([]uint64, error) {
-	return aggregate(shares, true)
-}
-
-// AggregateUnchecked skips the 0/1 validity check.
-func AggregateUnchecked(shares []Share) ([]uint64, error) {
-	return aggregate(shares, false)
-}
-
-func aggregate(shares []Share, check01 bool) ([]uint64, error) {
 	if len(shares) < 2 {
 		return nil, errors.New("prio: need shares from at least 2 domains")
 	}
@@ -205,7 +193,7 @@ func aggregate(shares []Share, check01 bool) ([]uint64, error) {
 			sumV.Add(&sumV, &s.Values[j])
 			sumS.Add(&sumS, &s.Squares[j])
 		}
-		if check01 && !sumV.Equal(&sumS) {
+		if !sumV.Equal(&sumS) {
 			return nil, fmt.Errorf("prio: validity check failed at index %d (some client submitted non-0/1 data)", j)
 		}
 		v := sumV.Big()

@@ -94,14 +94,6 @@ func TestValidityCheckCatchesOutOfRange(t *testing.T) {
 	if _, err := Aggregate([]Share{aggs[0].Share(), aggs[1].Share()}); err == nil {
 		t.Fatal("0/1 validity check missed an out-of-range submission")
 	}
-	// Unchecked aggregation still works for trusted inputs.
-	got, err := AggregateUnchecked([]Share{aggs[0].Share(), aggs[1].Share()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 2 {
-		t.Fatalf("unchecked aggregate = %d, want 2", got[0])
-	}
 }
 
 func mustAgg(t *testing.T, dim int) *Aggregator {

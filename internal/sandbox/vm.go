@@ -76,12 +76,6 @@ func NewInstance(m *Module, hostRegistry map[string]*HostFunc) (*Instance, error
 	return inst, nil
 }
 
-// Module returns the instance's module.
-func (inst *Instance) Module() *Module { return inst.module }
-
-// MemSize returns the linear memory size.
-func (inst *Instance) MemSize() int { return len(inst.mem) }
-
 // ReadMemory copies n bytes at off out of guest memory.
 func (inst *Instance) ReadMemory(off, n int) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > len(inst.mem) {
@@ -100,9 +94,6 @@ func (inst *Instance) WriteMemory(off int, b []byte) error {
 	copy(inst.mem[off:], b)
 	return nil
 }
-
-// GasUsed reports gas consumed by the last Run.
-func (inst *Instance) GasUsed() uint64 { return inst.gasUsed }
 
 // Run invokes the named function with the given arguments under a gas
 // limit, returning the function's results.

@@ -44,7 +44,7 @@ func TestCatchUpAllocs(t *testing.T) {
 	if n > catchUpAllocs && !raceDetector {
 		t.Errorf("a past-size proof plus a cached consistency proof allocate %v, want at most %d", n, catchUpAllocs)
 	}
-	if n := tier.Metrics().Value("serve_cache_entries"); n != 64-lo {
+	if n := tier.reg.Value("serve_cache_entries"); n != 64-lo {
 		t.Errorf("cache holds %v entries after one-off past-size proofs, want only the %d consistency proofs", n, 64-lo)
 	}
 }
@@ -80,7 +80,7 @@ func TestHitAllocs(t *testing.T) {
 		if err := c.ask(); err != nil { // computes and caches
 			t.Fatal(err)
 		}
-		misses := tier.Metrics().Value("serve_cache_misses_total")
+		misses := tier.reg.Value("serve_cache_misses_total")
 		var err error
 		n := testing.AllocsPerRun(200, func() {
 			if e := c.ask(); e != nil {
@@ -90,7 +90,7 @@ func TestHitAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if m := tier.Metrics().Value("serve_cache_misses_total"); m != misses {
+		if m := tier.reg.Value("serve_cache_misses_total"); m != misses {
 			t.Fatalf("%s: %v misses after the first ask, want every ask a hit", c.name, m-misses)
 		}
 		if n > c.want && !raceDetector {
@@ -144,13 +144,13 @@ func TestPastSizeProofsAreNotCached(t *testing.T) {
 		}
 	}
 
-	hits := tier.Metrics().Value("serve_cache_hits_total")
+	hits := tier.reg.Value("serve_cache_hits_total")
 	for i := 0; i < 2; i++ {
 		if _, err := tier.Consistency(2, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := tier.Metrics().Value("serve_cache_hits_total") - hits; got != 1 {
+	if got := tier.reg.Value("serve_cache_hits_total") - hits; got != 1 {
 		t.Fatalf("two asks of one consistency proof hit the cache %v times, want 1", got)
 	}
 
@@ -181,7 +181,7 @@ func TestPastSizeProofsAreNotCached(t *testing.T) {
 
 	// A consistency proof ending at 5, neither the head (6) nor the stale
 	// head (4), is computed for each caller and held by neither.
-	series := func(name string) float64 { return tier.Metrics().Value(name) }
+	series := func(name string) float64 { return tier.reg.Value(name) }
 	hits, misses, entries := series("serve_cache_hits_total"), series("serve_cache_misses_total"), series("serve_cache_entries")
 	for i := 0; i < 2; i++ {
 		if _, err := tier.Consistency(2, 5); err != nil {

@@ -121,24 +121,6 @@ func (s *Subscriber) Close() error {
 	return nil
 }
 
-// Stats snapshots the subscriber's counters.
-func (s *Subscriber) Stats() SubStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// Heads returns the latest accepted head per source, in no set order.
-func (s *Subscriber) Heads() []gossip.GossipHead {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]gossip.GossipHead, 0, len(s.latest))
-	for _, gh := range s.latest {
-		out = append(out, gh)
-	}
-	return out
-}
-
 // Call performs an ordinary request/response RPC over the subscribed
 // connection, concurrently with pushes. Between connections it fails at
 // once rather than block: callers have their own retry cadence.
@@ -174,12 +156,6 @@ func (s *Subscriber) subscribe(c *transport.Client, from string) error {
 	}
 	s.ingest("", resp.Heads, false)
 	return nil
-}
-
-// Unsubscribe deregisters from pushes (the connection stays usable). A
-// Redial subscriber subscribes again on its next connection; Close it.
-func (s *Subscriber) Unsubscribe() error {
-	return s.Call(KindUnsubscribe, struct{}{}, nil)
 }
 
 // run is a Redial subscriber's background loop.

@@ -260,3 +260,21 @@ func TestSubscriberResumeFloorPrimesGuard(t *testing.T) {
 		t.Fatalf("stats = %+v, want Duplicate=1", st)
 	}
 }
+
+// Stats snapshots the subscriber's counters.
+func (s *Subscriber) Stats() SubStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
+
+// Heads returns the latest accepted head per source, in no set order.
+func (s *Subscriber) Heads() []gossip.GossipHead {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]gossip.GossipHead, 0, len(s.latest))
+	for _, gh := range s.latest {
+		out = append(out, gh)
+	}
+	return out
+}

@@ -142,7 +142,7 @@ func TestSubscriberHammer(t *testing.T) {
 			// resubscribe — racing the publisher's pushes.
 			if i%3 == 0 {
 				for round := 0; round < 3; round++ {
-					if err := s.Unsubscribe(); err != nil {
+					if err := s.Call(KindUnsubscribe, struct{}{}, nil); err != nil {
 						errs <- fmt.Errorf("client %d unsubscribe: %w", i, err)
 						return
 					}
@@ -234,7 +234,7 @@ func TestSubscriberHammer(t *testing.T) {
 	if received == 0 {
 		t.Fatal("no heads were pushed at all")
 	}
-	signed := tier.Metrics().Value("serve_heads_signed_total")
+	signed := tier.reg.Value("serve_heads_signed_total")
 	if signed > float64(appendBatches)+2 {
 		t.Fatalf("signed %v heads for %d append batches: per-client signing leaked back in", signed, appendBatches)
 	}
@@ -242,5 +242,5 @@ func TestSubscriberHammer(t *testing.T) {
 		s.Close()
 	}
 	t.Logf("hammer: %d subscribers, %d heads received, %v signed, %v pushed",
-		subs, received, signed, tier.Metrics().Value("serve_heads_pushed_total"))
+		subs, received, signed, tier.reg.Value("serve_heads_pushed_total"))
 }

@@ -88,19 +88,6 @@ const (
 // stale-but-verified answer exists for the request.
 var ErrOverloaded = errors.New("serve: overloaded")
 
-// IsOverloaded reports whether an error (local or remote) is the typed
-// overload refusal.
-func IsOverloaded(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrOverloaded) {
-		return true
-	}
-	var remote *transport.ErrRemote
-	return errors.As(err, &remote) && remote.Msg == ErrOverloaded.Error()
-}
-
 // ProofRequest asks for the payload at Index plus an inclusion proof
 // against the super-root at tree size Size (0 = the current head size).
 type ProofRequest struct {
@@ -547,10 +534,6 @@ func (t *Tier) CurrentHeads() []gossip.GossipHead {
 	}
 	return []gossip.GossipHead{t.head.Load().gh}
 }
-
-// Metrics returns the registry carrying the tier's serve_* series (the
-// one from Options.Metrics, or the private default).
-func (t *Tier) Metrics() *obsv.Registry { return t.reg }
 
 // Unhealthy returns the poison error once the tier has failed closed,
 // nil while healthy. Daemons wire it into their readiness probes so a

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -224,8 +225,8 @@ func TestCachedProofsMatchFreshAcrossHeads(t *testing.T) {
 		}
 	}
 
-	hits := tier.Metrics().Value("serve_cache_hits_total")
-	misses := tier.Metrics().Value("serve_cache_misses_total")
+	hits := tier.reg.Value("serve_cache_hits_total")
+	misses := tier.reg.Value("serve_cache_misses_total")
 	if hits == 0 || misses == 0 || hits < misses {
 		t.Fatalf("cache did not amortize: hits=%v misses=%v", hits, misses)
 	}
@@ -654,7 +655,7 @@ func TestBackpressureDegradesToStaleVerifiedHead(t *testing.T) {
 
 	// An explicit fixed-size request must NOT silently degrade: it gets
 	// the typed overload error instead.
-	if _, err := tier.Proof(&ProofRequest{Index: 2, Size: 6}); !IsOverloaded(err) {
+	if _, err := tier.Proof(&ProofRequest{Index: 2, Size: 6}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("fixed-size overload: got %v, want ErrOverloaded", err)
 	}
 
@@ -678,8 +679,8 @@ func TestBackpressureDegradesToStaleVerifiedHead(t *testing.T) {
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow client errored: %v", err)
 	}
-	refused := tier.Metrics().Value("serve_admission_refused_total")
-	degraded := tier.Metrics().Value("serve_degraded_total")
+	refused := tier.reg.Value("serve_admission_refused_total")
+	degraded := tier.reg.Value("serve_degraded_total")
 	if refused == 0 || degraded == 0 {
 		t.Fatalf("admission counters never moved: refused=%v degraded=%v", refused, degraded)
 	}
@@ -732,7 +733,7 @@ func TestCoalescingSingleFlight(t *testing.T) {
 	if n := fb.inclusions.Load(); n != 1 {
 		t.Fatalf("computation ran %d times for one key, want 1", n)
 	}
-	if coalesced := tier.Metrics().Value("serve_cache_coalesced_total"); coalesced != callers-1 {
+	if coalesced := tier.reg.Value("serve_cache_coalesced_total"); coalesced != callers-1 {
 		t.Fatalf("coalesced = %v, want %d", coalesced, callers-1)
 	}
 
@@ -741,11 +742,11 @@ func TestCoalescingSingleFlight(t *testing.T) {
 	if _, err := tier.Proof(&ProofRequest{Index: 99}); err == nil {
 		t.Fatal("out-of-range proof succeeded")
 	}
-	before := tier.Metrics().Value("serve_cache_entries")
+	before := tier.reg.Value("serve_cache_entries")
 	if _, err := tier.Proof(&ProofRequest{Index: 99}); err == nil {
 		t.Fatal("out-of-range proof succeeded on retry")
 	}
-	if after := tier.Metrics().Value("serve_cache_entries"); after != before {
+	if after := tier.reg.Value("serve_cache_entries"); after != before {
 		t.Fatal("failed computation was cached")
 	}
 
@@ -757,7 +758,7 @@ func TestCoalescingSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	computed := fb.inclusions.Load()
-	joined := tier.Metrics().Value("serve_cache_coalesced_total") + callers - 1
+	joined := tier.reg.Value("serve_cache_coalesced_total") + callers - 1
 	fb.hold = make(chan struct{})
 	resps := make(chan *ProofResponse, callers)
 	for i := 0; i < callers; i++ {
@@ -772,7 +773,7 @@ func TestCoalescingSingleFlight(t *testing.T) {
 			resps <- resp
 		}()
 	}
-	for deadline := time.Now().Add(10 * time.Second); tier.Metrics().Value("serve_cache_coalesced_total") < joined; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); tier.reg.Value("serve_cache_coalesced_total") < joined; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("callers never joined one flight")
 		}

@@ -55,14 +55,6 @@ func gfMul(a, b byte) byte {
 	return gfExp[int(gfLog[a])+int(gfLog[b])]
 }
 
-// gfInv returns the multiplicative inverse; gfInv(0) panics.
-func gfInv(a byte) byte {
-	if a == 0 {
-		panic("shamir: inverse of zero in GF(256)")
-	}
-	return gfExp[255-int(gfLog[a])]
-}
-
 // gfDiv divides a by b; division by zero panics.
 func gfDiv(a, b byte) byte {
 	if b == 0 {

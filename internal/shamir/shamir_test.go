@@ -236,3 +236,11 @@ func BenchmarkCombine32B(b *testing.B) {
 		}
 	}
 }
+
+// gfInv returns the multiplicative inverse; gfInv(0) panics.
+func gfInv(a byte) byte {
+	if a == 0 {
+		panic("shamir: inverse of zero in GF(256)")
+	}
+	return gfExp[255-int(gfLog[a])]
+}

@@ -184,14 +184,15 @@ func loadHead(dir string) *HeadRecord {
 // LoadOrCreateKey returns the contents of keys/<name>.key, generating
 // and durably writing it via gen on first use. created reports whether
 // this call minted the key. This is how a node's tree-head identity
-// survives restarts.
+// survives restarts. A key file is fsynced even under NoSync: losing it
+// loses the identity.
 func (s *Store) LoadOrCreateKey(name string, gen func() ([]byte, error)) (data []byte, created bool, err error) {
-	return LoadOrCreateKeyFile(filepath.Join(s.dir, "keys", name+".key"), !s.opts.NoSync, gen)
+	return LoadOrCreateKeyFile(filepath.Join(s.dir, "keys", name+".key"), gen)
 }
 
 // LoadOrCreateKeyFile is the standalone form for consumers without a
 // full Store (the gossip witness keeps only a journal plus a key file).
-func LoadOrCreateKeyFile(path string, sync bool, gen func() ([]byte, error)) ([]byte, bool, error) {
+func LoadOrCreateKeyFile(path string, gen func() ([]byte, error)) ([]byte, bool, error) {
 	if data, err := os.ReadFile(path); err == nil {
 		if len(data) == 0 {
 			return nil, false, fmt.Errorf("store: key file %s is empty", path)
@@ -207,7 +208,7 @@ func LoadOrCreateKeyFile(path string, sync bool, gen func() ([]byte, error)) ([]
 	if err != nil {
 		return nil, false, err
 	}
-	if err := writeFileAtomic(path, data, 0o600, sync); err != nil {
+	if err := WriteFileAtomic(path, data, 0o600); err != nil {
 		return nil, false, fmt.Errorf("store: writing key %s: %w", path, err)
 	}
 	return data, true, nil

@@ -337,9 +337,6 @@ func (s *Store) Len() int {
 	return s.total
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func leafRecord(g int, payload []byte) []byte {
 	buf := make([]byte, 8+len(payload))
 	binary.BigEndian.PutUint64(buf[:8], uint64(g))

@@ -59,9 +59,6 @@ func NewVendor(id VendorID) (*Vendor, error) {
 	return &Vendor{id: id, priv: priv, pub: pub}, nil
 }
 
-// ID returns the vendor identifier.
-func (v *Vendor) ID() VendorID { return v.id }
-
 // RootKey returns the vendor's root public key, which verifiers pin.
 func (v *Vendor) RootKey() ed25519.PublicKey {
 	return append(ed25519.PublicKey{}, v.pub...)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/aolog"
+	"repro/internal/gossip"
 	"repro/internal/serve"
 	"repro/internal/transport"
 )
@@ -294,14 +295,18 @@ func TestCompatNewClientNewServer(t *testing.T) {
 	raw := &tap{Conn: conn}
 	sub := serve.NewSubscriber(raw)
 	defer sub.Close()
+	var headsMu sync.Mutex
+	var latest []gossip.GossipHead
+	sub.OnHeads = func(_ string, hs []gossip.GossipHead) { headsMu.Lock(); latest = hs; headsMu.Unlock() }
+	heads := func() []gossip.GossipHead { headsMu.Lock(); defer headsMu.Unlock(); return latest }
 	if err := sub.Subscribe("compat"); err != nil { // first contact, and the upgrade
 		t.Fatal(err)
 	}
 	backend.grow()
 	tier.Kick()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if heads := sub.Heads(); len(heads) == 1 && heads[0].Head.Size == goldenLeaves+1 {
-			if !aolog.VerifyHeadBLS(backend.sk.PublicKey(), &heads[0].Head) {
+		if got := heads(); len(got) == 1 && got[0].Head.Size == goldenLeaves+1 {
+			if !aolog.VerifyHeadBLS(backend.sk.PublicKey(), &got[0].Head) {
 				t.Fatal("the head pushed over v2 does not verify")
 			}
 			break

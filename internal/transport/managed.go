@@ -72,11 +72,10 @@ func DefaultIdempotent() map[string]bool {
 		"proof": true, "proofs": true, "alerts": true, "pull": true,
 		// domain read path
 		"status": true, "history": true, "audit": true,
-		// witness read/exchange path: gossip_heads, pollinate, and cosign
-		// are ingest-style merges — re-delivering the same heads is a
+		// witness read/exchange path: gossip_heads and pollinate are
+		// ingest-style merges — re-delivering the same heads is a
 		// no-op by construction (the witness keeps its frontier maximum).
 		"witness_info": true, "gossip_heads": true, "pollinate": true,
-		"cosign": true,
 	}
 }
 
@@ -296,24 +295,6 @@ func (m *ManagedClient) CallCtx(ctx context.Context, kind string, in, out any) e
 	return m.retry(ctx, kind, m.idempotent[kind], func(c *Client) error {
 		return c.CallCtx(ctx, kind, in, out)
 	})
-}
-
-// CallBatch sends calls as one _batch frame under CallCtx's policy, re-sent
-// after a post-send failure only if every kind in it is idempotent.
-func (m *ManagedClient) CallBatch(ctx context.Context, calls []BatchCall) ([]BatchResult, error) {
-	if err := checkBatchLen(len(calls)); err != nil {
-		return nil, err
-	}
-	idempotent := true
-	for _, call := range calls {
-		idempotent = idempotent && m.idempotent[call.Kind]
-	}
-	var results []BatchResult
-	err := m.retry(ctx, BatchKind, idempotent, func(c *Client) (err error) {
-		results, err = c.CallBatchCtx(ctx, calls)
-		return err
-	})
-	return results, err
 }
 
 // retry runs call under CallCtx's policy; idempotent permits a re-send.

@@ -164,83 +164,6 @@ func TestManagedNeverResendsNonIdempotent(t *testing.T) {
 	}
 }
 
-// TestManagedBatchRetriedOnlyIfAllIdempotent: a batch whose response is
-// lost is re-sent on a fresh connection only when every kind in it is
-// idempotent; one non-idempotent kind makes the whole frame non-resendable.
-func TestManagedBatchRetriedOnlyIfAllIdempotent(t *testing.T) {
-	for _, tc := range []struct {
-		kinds   []string
-		retried bool
-	}{
-		{[]string{"status", "history"}, true},
-		{[]string{"status", "invoke"}, false},
-	} {
-		fs := newFlakyServer(t, 1)
-		m := dialManagedFast(fs.addr())
-		calls := make([]BatchCall, len(tc.kinds))
-		for i, k := range tc.kinds {
-			calls[i] = BatchCall{Kind: k, In: struct{}{}}
-		}
-		results, err := m.CallBatch(context.Background(), calls)
-		seen := fs.seenKinds()
-		_, retries, _ := m.Stats()
-		m.Close()
-		if tc.retried {
-			if err != nil || len(results) != len(calls) {
-				t.Fatalf("%v: %d results, err %v; want the retried batch to succeed", tc.kinds, len(results), err)
-			}
-			for i := range results {
-				if err := results[i].Decode(nil); err != nil {
-					t.Fatalf("%v: result %d: %v", tc.kinds, i, err)
-				}
-			}
-			if len(seen) != 2 || retries != 1 {
-				t.Fatalf("%v: server read %v with %d retries, want two batches and one retry", tc.kinds, seen, retries)
-			}
-			continue
-		}
-		var remote *ErrRemote
-		if err == nil || errors.As(err, &remote) {
-			t.Fatalf("%v: err = %v, want the transport failure", tc.kinds, err)
-		}
-		if len(seen) != 1 || seen[0] != BatchKind || retries != 0 {
-			t.Fatalf("%v: server read %v with %d retries, want exactly one batch", tc.kinds, seen, retries)
-		}
-	}
-}
-
-// TestManagedBatchSubCallErrorKeepsBreakerClosed: a sub-call the server
-// answers with an error is that call's result, not an endpoint failure.
-func TestManagedBatchSubCallErrorKeepsBreakerClosed(t *testing.T) {
-	srv := NewServer()
-	srv.Handle("status", func(json.RawMessage) (any, error) { return struct{}{}, nil })
-	srv.Handle("history", func(json.RawMessage) (any, error) { return nil, errors.New("nope") })
-	addr, err := srv.ListenAndServe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	m := dialManagedFast(addr)
-	m.brk.threshold = 1
-	defer m.Close()
-	for i := 0; i < 3; i++ {
-		results, err := m.CallBatch(context.Background(), []BatchCall{{Kind: "status"}, {Kind: "history"}})
-		if err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-		var remote *ErrRemote
-		if results[0].Err != nil || !errors.As(results[1].Err, &remote) || remote.Msg != "nope" {
-			t.Fatalf("batch %d: results %v / %v, want ok / ErrRemote{nope}", i, results[0].Err, results[1].Err)
-		}
-	}
-	if got := m.brk.state(); got != "closed" {
-		t.Fatalf("breaker %s after answered sub-call errors, want closed", got)
-	}
-	if dials, retries, rejected := m.Stats(); dials != 1 || retries != 0 || rejected != 0 {
-		t.Fatalf("dials=%d retries=%d rejected=%d, want 1/0/0", dials, retries, rejected)
-	}
-}
-
 // TestManagedRemoteErrorNotRetried: a server-answered error comes back
 // verbatim with no retry (the RPC completed).
 func TestManagedRemoteErrorNotRetried(t *testing.T) {

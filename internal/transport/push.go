@@ -110,10 +110,6 @@ func (p *Pusher) Push(subs []Request) error {
 // Pusher use it to drop dead subscribers without polling.
 func (p *Pusher) Done() <-chan struct{} { return p.done }
 
-// Close drops the underlying connection (the serve loop then exits and
-// Done closes).
-func (p *Pusher) Close() error { return p.conn.Close() }
-
 // HandlePush registers a handler that may retain the connection's Pusher
 // for server-initiated frames (subscription kinds). Push kinds are
 // refused inside client _batch frames: a subscription is a property of

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -123,4 +124,9 @@ func TestPushHandlerDirectDispatchGetsNilPusher(t *testing.T) {
 	if resp := srv.dispatch(&Request{ID: 1, Kind: "sub"}); !resp.OK {
 		t.Fatalf("direct dispatch failed: %s", resp.Error)
 	}
+}
+
+// dispatch serves one request outside any connection, as a v1 reply.
+func (s *Server) dispatch(req *Request) *Response {
+	return s.dispatchConn(context.Background(), req, nil, new(replyEncoding))
 }

@@ -387,10 +387,6 @@ func appendReplyFrame(b []byte, resp *Response, v2 bool) ([]byte, error) {
 	return b, endFrame(b, at)
 }
 
-func (s *Server) dispatch(req *Request) *Response {
-	return s.dispatchConn(context.Background(), req, nil, new(replyEncoding))
-}
-
 // replyEncoding is how replies are encoded for one connection: its wire
 // version and, for v2, the scratch buffer the pieces of one request's
 // reply are appended to — a binary body, or a batch's bodies side by side
@@ -541,8 +537,6 @@ type Client struct {
 	nextID  uint64
 	pending map[uint64]chan *envelope // calls awaiting a reply, by request ID
 	err     error                     // why the connection ended; nil while it is up
-	trace   obsv.TraceContext         // connection-level trace (SetTrace)
-	tracer  *obsv.Tracer              // client-side spans (SetTracer)
 	timeout time.Duration             // default per-call deadline (SetTimeout)
 }
 
@@ -628,24 +622,6 @@ func (c *Client) Err() error {
 	return c.err
 }
 
-// SetTrace pins a connection-level trace context: every subsequent Call
-// made without its own context trace sends a child span of tc in the
-// frame header. Only enable toward peers that understand frame headers
-// (a pre-header peer closes the connection on the first traced frame);
-// within one deployment all daemons upgrade together.
-func (c *Client) SetTrace(tc obsv.TraceContext) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.trace = tc
-}
-
-// SetTracer records one client-side span per traced call.
-func (c *Client) SetTracer(t *obsv.Tracer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tracer = t
-}
-
 // SetTimeout installs a default per-call deadline: every Call/CallCtx
 // without an earlier context deadline gives up after d. Zero disables
 // (context deadlines still apply).
@@ -723,10 +699,8 @@ func (c *Client) Call(kind string, in any, out any) error {
 
 // CallCtx is Call under ctx: it gives up when ctx ends or the connection
 // default (SetTimeout) runs out, and a deadline error satisfies
-// net.Error with Timeout() true. When ctx (or the connection's SetTrace
-// default) carries a sampled trace, the request frame carries a child
-// trace context in its header and, with SetTracer, a client span is
-// recorded.
+// net.Error with Timeout() true. When ctx carries a sampled trace, the
+// request frame carries a child trace context in its header.
 func (c *Client) CallCtx(ctx context.Context, kind string, in any, out any) error {
 	bodies := c.bodies.Load()
 	body, err := appendRequestBody(nil, in, bodies)
@@ -758,20 +732,12 @@ func (c *Client) roundTrip(ctx context.Context, kind string, body []byte, v2 boo
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = reply
-	tc, tracer, timeout := c.trace, c.tracer, c.timeout
+	timeout := c.timeout
 	c.mu.Unlock()
 
-	if t := obsv.TraceFrom(ctx); t.Valid() {
-		tc = t
-	}
 	var header []byte
-	if tc.Valid() && tc.Sampled() {
-		child := tc.Child()
-		header = child.Encode()
-		if tracer != nil {
-			span := tracer.StartRemote(child, "call."+kind)
-			defer func() { span.End(err) }()
-		}
+	if tc := obsv.TraceFrom(ctx); tc.Valid() && tc.Sampled() {
+		header = tc.Child().Encode()
 	}
 	if timeout > 0 {
 		var cancel context.CancelFunc

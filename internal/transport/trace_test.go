@@ -141,9 +141,7 @@ func TestTracePropagatesClientToHandler(t *testing.T) {
 	}
 	defer c.Close()
 	root := obsv.NewTrace()
-	c.SetTrace(root)
-	c.SetTracer(tracer)
-	if err := c.Call("probe", nil, nil); err != nil {
+	if err := c.CallCtx(obsv.ContextWithTrace(context.Background(), root), "probe", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := <-seen
@@ -186,8 +184,7 @@ func TestTracePropagatesThroughBatch(t *testing.T) {
 	}
 	defer c.Close()
 	root := obsv.NewTrace()
-	c.SetTrace(root)
-	res, err := c.CallBatch([]BatchCall{{Kind: "probe"}, {Kind: "probe"}})
+	res, err := c.CallBatchCtx(obsv.ContextWithTrace(context.Background(), root), []BatchCall{{Kind: "probe"}, {Kind: "probe"}})
 	if err != nil {
 		t.Fatal(err)
 	}
