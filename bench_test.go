@@ -90,9 +90,10 @@ func BenchmarkTable3SandboxCoarse(b *testing.B) {
 }
 
 // BenchmarkTable3TEESandbox is Table 3 row 3: the sandboxed application
-// inside a simulated TEE deployment, which adds the host proxy socket and
-// the in-enclave framework<->application socket (the two extra sockets
-// §5 attributes the TEE overhead to).
+// inside a simulated TEE deployment, which adds the host→enclave socket
+// and the in-enclave framework<->application socket (AF_UNIX socketpairs,
+// the vsock analogue: the two extra sockets §5 attributes the TEE
+// overhead to).
 func BenchmarkTable3TEESandbox(b *testing.B) {
 	_, shares, err := bls.ThresholdKeyGen(2, 3)
 	if err != nil {

@@ -11,8 +11,10 @@
 // multiplication). Sandbox routes the request through the framework's
 // bytecode sandbox (interpreted request handling, copy-in/copy-out,
 // gas accounting). TEE + Sandbox additionally crosses the two extra
-// loopback sockets of the simulated-enclave deployment, the same cost
-// source the paper names for its +8.8 percentage points. Absolute times
+// kernel sockets of the simulated-enclave deployment, AF_UNIX stream
+// socketpairs standing in for the Nitro prototype's vsock: host proxy to
+// enclave RPC server, and framework to application executor. They are
+// the cost source the paper names for its +8.8 percentage points. Absolute times
 // differ from the paper's c5.4xlarge/libBLS numbers; the ordering and
 // rough shape are the reproduction target (see EXPERIMENTS.md).
 package main
@@ -71,8 +73,8 @@ func main() {
 		}
 	})
 
-	// --- Row 3: TEE + Sandbox (simulated enclave; adds the host proxy
-	// socket and the in-enclave framework<->application socket).
+	// --- Row 3: TEE + Sandbox (simulated enclave; adds the host→enclave
+	// and framework→executor AF_UNIX hops, the vsock analogue).
 	vendor, err := tee.NewVendor(tee.VendorSimNitro)
 	if err != nil {
 		log.Fatalf("benchtable3: %v", err)

@@ -3,12 +3,14 @@
 // simulated TEE, and serves the audit/update/invoke protocol to clients.
 //
 // Topology for a TEE-backed domain (mirrors the paper's AWS Nitro
-// prototype, §5): the public endpoint is a host-side proxy that forwards
-// raw frames over a second loopback TCP connection to the in-enclave RPC
-// server, and application invocations cross a third loopback connection
-// between the framework and the sandboxed application executor. Those two
-// additional kernel sockets are exactly the overhead the paper attributes
-// the TEE+Sandbox row of Table 3 to.
+// prototype, §5, where the host reaches its enclave over vsock): the
+// public endpoint is a host-side proxy that forwards raw frames to the
+// in-enclave RPC server over a connected AF_UNIX stream socketpair, one
+// per client, and application invocations cross a second socketpair
+// between the framework and the sandboxed application executor. Like
+// vsock, these hops have no handshake, no port and no name on any file
+// system. Those two additional kernel sockets are exactly the overhead
+// the paper attributes the TEE+Sandbox row of Table 3 to.
 //
 // Trust domain 0 (the developer's own, no secure hardware) serves the RPC
 // endpoint directly and authenticates its responses with a plain host key
@@ -204,8 +206,10 @@ type Config struct {
 	Hosts map[string]*sandbox.HostFunc
 	// FrameworkOptions are passed through to framework.New.
 	FrameworkOptions []framework.Option
-	// WrapListener, when set, wraps the domain's RPC listener (the chaos
-	// plane passes fault.Injector.Listener); nil serves plain TCP.
+	// WrapListener, when set, wraps the listener the domain's RPC server
+	// accepts from: domain 0's TCP endpoint, or a TEE domain's
+	// host→enclave hop, which sees every proxied client (the chaos plane
+	// passes fault.Injector.Listener).
 	WrapListener func(net.Listener) net.Listener
 }
 
@@ -221,15 +225,15 @@ type Domain struct {
 	publicAd string
 
 	enclaveServer *transport.Server
+	hop           *hopListener // TEE: the enclave end of each client's host→enclave hop
 	proxyLn       net.Listener
 	proxyWG       sync.WaitGroup
 	proxyClosed   chan struct{}
 
-	appLn     net.Listener // in-enclave framework<->app socket
-	appWG     sync.WaitGroup
-	appClosed chan struct{}
 	appMu     sync.Mutex
-	appConn   net.Conn
+	appConn   net.Conn // framework end of the framework→executor hop
+	appClosed bool
+	appWG     sync.WaitGroup
 }
 
 // Start provisions and launches a trust domain.
@@ -240,7 +244,6 @@ func Start(cfg Config) (*Domain, error) {
 	d := &Domain{
 		name:        cfg.Name,
 		proxyClosed: make(chan struct{}),
-		appClosed:   make(chan struct{}),
 	}
 
 	if cfg.Vendor != nil {
@@ -264,62 +267,61 @@ func Start(cfg Config) (*Domain, error) {
 	}
 	d.fw = fw
 
-	if d.hasTEE {
-		if err := d.startAppSocket(); err != nil {
-			return nil, err
-		}
-	}
-
-	d.enclaveServer = transport.NewServer()
-	d.registerHandlers()
-	enclaveLn, err := net.Listen("tcp", "127.0.0.1:0")
+	// The public endpoint: the host-side proxy of a TEE domain, or
+	// domain 0's RPC server itself.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("domain %s: enclave server: %w", cfg.Name, err)
+		return nil, fmt.Errorf("domain %s: listen: %w", cfg.Name, err)
 	}
-	enclaveAddr := enclaveLn.Addr().String()
+	d.publicAd = ln.Addr().String()
+	enclaveLn := ln
+	if d.hasTEE {
+		d.proxyLn = ln
+		d.hop = newHopListener()
+		enclaveLn = d.hop
+	}
 	if cfg.WrapListener != nil {
 		enclaveLn = cfg.WrapListener(enclaveLn)
 	}
+	d.enclaveServer = transport.NewServer()
+	d.registerHandlers()
 	d.enclaveServer.Serve(enclaveLn)
-
 	if d.hasTEE {
-		// Host-side proxy: the first additional socket hop.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("domain %s: proxy listen: %w", cfg.Name, err)
-		}
-		d.proxyLn = ln
-		d.publicAd = ln.Addr().String()
 		d.proxyWG.Add(1)
-		go d.runProxy(enclaveAddr)
-	} else {
-		d.publicAd = enclaveAddr
+		go d.runProxy()
 	}
 	return d, nil
 }
 
 // runProxy forwards raw bytes between public clients and the enclave RPC
-// server, one upstream connection per client.
-func (d *Domain) runProxy(upstreamAddr string) {
+// server, over one fresh socketpair per client: the first additional
+// socket hop.
+func (d *Domain) runProxy() {
 	defer d.proxyWG.Done()
 	for {
 		conn, err := d.proxyLn.Accept()
 		if err != nil {
 			return
 		}
-		upstream, err := net.Dial("tcp", upstreamAddr)
-		if err != nil {
-			conn.Close()
-			continue
-		}
 		d.proxyWG.Add(1)
 		go func() {
 			defer d.proxyWG.Done()
 			defer conn.Close()
-			defer upstream.Close()
+			host, enclave, err := socketPair()
+			if err != nil {
+				return
+			}
+			defer host.Close()
+			if !d.hop.hand(enclave) {
+				enclave.Close()
+				return
+			}
+			// The copies end once either side closes: the deferred closes
+			// unblock the other, and Close waits for both.
 			done := make(chan struct{}, 2)
-			go func() { _, _ = io.Copy(upstream, conn); done <- struct{}{} }()
-			go func() { _, _ = io.Copy(conn, upstream); done <- struct{}{} }()
+			d.proxyWG.Add(2)
+			go func() { defer d.proxyWG.Done(); _, _ = io.Copy(host, conn); done <- struct{}{} }()
+			go func() { defer d.proxyWG.Done(); _, _ = io.Copy(conn, host); done <- struct{}{} }()
 			select {
 			case <-done:
 			case <-d.proxyClosed:
@@ -328,60 +330,46 @@ func (d *Domain) runProxy(upstreamAddr string) {
 	}
 }
 
-// startAppSocket launches the in-enclave application executor: a loopback
-// TCP server whose only job is to run framework.Invoke for each frame.
-// This is the second additional socket hop of the TEE deployment.
-func (d *Domain) startAppSocket() error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fmt.Errorf("domain %s: app socket: %w", d.name, err)
-	}
-	d.appLn = ln
-	d.appWG.Add(1)
-	go func() {
-		defer d.appWG.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			d.appWG.Add(1)
-			go func() {
-				defer d.appWG.Done()
-				defer conn.Close()
-				for {
-					req, err := transport.ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					resp, err := d.fw.Invoke(req)
-					if err != nil {
-						// In-band error marker: 0xff prefix.
-						resp = append([]byte{0xff}, []byte(err.Error())...)
-					} else {
-						resp = append([]byte{0x00}, resp...)
-					}
-					if err := transport.WriteFrame(conn, resp); err != nil {
-						return
-					}
-				}
-			}()
+// runApp is the in-enclave application executor: it runs framework.Invoke
+// for each frame arriving on its end of the framework→executor hop, the
+// second additional socket hop of the TEE deployment.
+func (d *Domain) runApp(conn net.Conn) {
+	defer d.appWG.Done()
+	defer conn.Close()
+	for {
+		req, err := transport.ReadFrame(conn)
+		if err != nil {
+			return
 		}
-	}()
-	return nil
+		resp, err := d.fw.Invoke(req)
+		if err != nil {
+			// In-band error marker: 0xff prefix.
+			resp = append([]byte{0xff}, []byte(err.Error())...)
+		} else {
+			resp = append([]byte{0x00}, resp...)
+		}
+		if err := transport.WriteFrame(conn, resp); err != nil {
+			return
+		}
+	}
 }
 
 // invokeViaAppSocket routes an application request through the in-enclave
-// socket (TEE domains), lazily establishing the framework-side connection.
+// hop (TEE domains), lazily starting the executor on a fresh socketpair.
 func (d *Domain) invokeViaAppSocket(request []byte) ([]byte, error) {
 	d.appMu.Lock()
 	defer d.appMu.Unlock()
 	if d.appConn == nil {
-		conn, err := net.Dial("tcp", d.appLn.Addr().String())
-		if err != nil {
-			return nil, fmt.Errorf("domain %s: dialing app socket: %w", d.name, err)
+		if d.appClosed {
+			return nil, fmt.Errorf("domain %s: %w", d.name, net.ErrClosed)
 		}
-		d.appConn = conn
+		fwEnd, appEnd, err := socketPair()
+		if err != nil {
+			return nil, fmt.Errorf("domain %s: app socket: %w", d.name, err)
+		}
+		d.appWG.Add(1)
+		go d.runApp(appEnd)
+		d.appConn = fwEnd
 	}
 	if err := transport.WriteFrame(d.appConn, request); err != nil {
 		d.appConn.Close()
@@ -592,7 +580,8 @@ func (d *Domain) Install(version uint64, moduleBytes, devSig []byte) error {
 	return d.fw.Install(version, moduleBytes, devSig)
 }
 
-// Close shuts down all listeners and connections.
+// Close shuts down all listeners and connections and waits for every
+// goroutine of the domain to end.
 func (d *Domain) Close() error {
 	select {
 	case <-d.proxyClosed:
@@ -602,19 +591,16 @@ func (d *Domain) Close() error {
 	if d.proxyLn != nil {
 		d.proxyLn.Close()
 	}
-	var firstErr error
-	if err := d.enclaveServer.Close(); err != nil {
-		firstErr = err
-	}
+	// Closes the hop listener too: a proxy goroutine still handing over
+	// its enclave end gives up.
+	firstErr := d.enclaveServer.Close()
 	d.appMu.Lock()
+	d.appClosed = true
 	if d.appConn != nil {
 		d.appConn.Close()
 		d.appConn = nil
 	}
 	d.appMu.Unlock()
-	if d.appLn != nil {
-		d.appLn.Close()
-	}
 	d.proxyWG.Wait()
 	d.appWG.Wait()
 	return firstErr

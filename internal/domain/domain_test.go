@@ -2,6 +2,7 @@ package domain
 
 import (
 	"bytes"
+	"net"
 	"testing"
 
 	"repro/internal/framework"
@@ -39,7 +40,14 @@ done:
 end
 `
 
-func startDomain(t *testing.T, withTEE bool) (*Domain, *framework.Developer, tee.RootSet) {
+func startDomain(t testing.TB, withTEE bool) (*Domain, *framework.Developer, tee.RootSet) {
+	t.Helper()
+	return startWrapped(t, withTEE, nil)
+}
+
+// startWrapped starts a domain whose RPC listener is wrapped by wrap
+// (nil: unwrapped) and installs the echo application.
+func startWrapped(t testing.TB, withTEE bool, wrap func(net.Listener) net.Listener) (*Domain, *framework.Developer, tee.RootSet) {
 	t.Helper()
 	dev, err := framework.NewDeveloper()
 	if err != nil {
@@ -58,6 +66,7 @@ func startDomain(t *testing.T, withTEE bool) (*Domain, *framework.Developer, tee
 		Name:         "test-domain",
 		Vendor:       vendor,
 		DeveloperKey: dev.PublicKey(),
+		WrapListener: wrap,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -253,7 +253,7 @@ func (m *Monitor) Observations(domain string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if t := m.perDom[domain]; t != nil {
-		return len(t.keys)
+		return len(t.logIndexes)
 	}
 	return 0
 }

@@ -352,9 +352,11 @@ func TestContradictionNilAndEmptyHead(t *testing.T) {
 }
 
 // BenchmarkSubmitAtDepth times one honest Submit against a domain that
-// already has depth observations (an honest progression, so the scan
-// walks all of them). The slope between depths is the per-observation
-// cost of the linear scan.
+// already has depth observations. The counter moves at every one of
+// them, so each is a distinct state and the scan walks all of them: the
+// worst case of the distinct-state scan, whose slope between depths is
+// the per-state cost. A real domain moves its counter only when it
+// activates an update.
 func BenchmarkSubmitAtDepth(b *testing.B) {
 	s := newStatusMint(b)
 	head := func(logLen int) []byte { return bytes.Repeat([]byte{byte(logLen)}, 32) }
@@ -374,7 +376,7 @@ func BenchmarkSubmitAtDepth(b *testing.B) {
 				if _, alert, err := m.Submit(env); err != nil || alert != nil {
 					b.Fatalf("honest submit: %v %v", err, alert)
 				}
-				tl.keys = tl.keys[:depth]
+				tl.logIndexes = tl.logIndexes[:depth]
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/aolog"
@@ -171,7 +172,7 @@ func Open(dir string, params audit.Params, opts *OpenOptions) (*Monitor, error) 
 // alerts already hold every verdict, so the keys are recorded unscanned.
 func (m *Monitor) restoreState(ms *monitorState, leaves [][]byte) error {
 	for name, idxs := range ms.PerDom {
-		t := &timeline{keys: make([]obsKey, 0, len(idxs))}
+		t := &timeline{logIndexes: make([]int, 0, len(idxs))}
 		for _, idx := range idxs {
 			if idx < 0 || idx >= len(leaves) {
 				return fmt.Errorf("monitor: snapshot observation index %d out of range", idx)
@@ -338,11 +339,7 @@ func (m *Monitor) buildSnapshotLocked() (*monitorState, []aolog.Digest, error) {
 		Slashed: make(map[string]int, len(m.slashed)),
 	}
 	for name, t := range m.perDom {
-		idxs := make([]int, len(t.keys))
-		for i := range t.keys {
-			idxs[i] = t.keys[i].logIndex
-		}
-		ms.PerDom[name] = idxs
+		ms.PerDom[name] = slices.Clone(t.logIndexes)
 	}
 	for fp, idx := range m.slashed {
 		ms.Slashed[fp] = idx

@@ -9,49 +9,68 @@ import (
 )
 
 // obsKey is one observed attested status reduced to the fields the
-// contradiction relation compares, plus where its envelope sits in the
-// public log. It holds no pointers, so a domain's timeline is one flat
-// slice the garbage collector never scans; the envelope itself is a log
-// leaf and is re-read only when a proof has to be built.
+// contradiction relation compares. It holds no pointers, so neither the
+// slice nor the map of a timeline is ever scanned by the garbage
+// collector; the envelope itself is a log leaf and is re-read only when
+// a proof has to be built.
 type obsKey struct {
-	logLen   int
-	version  uint64
-	counter  uint64
-	head     uint32 // the domain's interned LogHead: equal ids iff bytes.Equal heads
+	logLen  int
+	version uint64
+	counter uint64
+	head    uint32 // the domain's interned LogHead: equal ids iff bytes.Equal heads
+}
+
+// firstSeen is a distinct state of a domain and the log index of its
+// first observation.
+type firstSeen struct {
+	key      obsKey
 	logIndex int
 }
 
-// timeline is one domain's observations in arrival order.
+// timeline is one domain's observations. conflict reads only the state
+// in obsKey, which an honest domain changes only when it activates an
+// update, so a new observation is compared with each distinct state
+// once, not with every earlier observation.
 type timeline struct {
-	keys  []obsKey
-	heads map[string]uint32 // LogHead -> id; nil and empty share one id
+	logIndexes []int               // every observation, in arrival order
+	states     []firstSeen         // the distinct states, in order of first observation
+	seen       map[obsKey]struct{} // the keys of states
+	heads      map[string]uint32   // LogHead -> id; nil and empty share one id
 }
 
-// observe appends the key of env's status (logged at logIndex) and
-// returns the index of the earliest earlier observation it contradicts,
-// or -1. A status whose verdict is already known (a wrong measurement)
-// is recorded with scan false, as the full-envelope loop recorded it.
+// observe records env's status (logged at logIndex) and returns the log
+// index of the earliest earlier observation it contradicts, or -1. The
+// earliest conflicting observation is the first sighting of the
+// earliest-seen conflicting state, so scanning the distinct states in
+// order finds what a scan of every observation would. A status whose
+// verdict is already known (a wrong measurement) is recorded with scan
+// false, as the full-envelope loop recorded it.
 func (t *timeline) observe(env *audit.AttestedStatusEnvelope, logIndex int, scan bool) int {
 	st := &env.Resp.Status
 	if t.heads == nil {
 		t.heads = make(map[string]uint32)
+		t.seen = make(map[obsKey]struct{})
 	}
 	id, ok := t.heads[string(st.LogHead)]
 	if !ok {
 		id = uint32(len(t.heads))
 		t.heads[string(st.LogHead)] = id
 	}
-	k := obsKey{logLen: st.LogLen, version: st.Version, counter: st.Counter, head: id, logIndex: logIndex}
+	k := obsKey{logLen: st.LogLen, version: st.Version, counter: st.Counter, head: id}
 	hit := -1
 	if scan {
-		for i := range t.keys {
-			if kind, _ := conflict(&t.keys[i], &k); kind != "" {
-				hit = i
+		for i := range t.states {
+			if kind, _ := conflict(&t.states[i].key, &k); kind != "" {
+				hit = t.states[i].logIndex
 				break
 			}
 		}
 	}
-	t.keys = append(t.keys, k)
+	t.logIndexes = append(t.logIndexes, logIndex)
+	if _, ok := t.seen[k]; !ok {
+		t.seen[k] = struct{}{}
+		t.states = append(t.states, firstSeen{key: k, logIndex: logIndex})
+	}
 	return hit
 }
 
@@ -114,11 +133,10 @@ func (m *Monitor) observeLocked(env *audit.AttestedStatusEnvelope, idx int, proo
 		t = new(timeline)
 		m.perDom[name] = t
 	}
-	hit := t.observe(env, idx, proof == nil)
-	if hit < 0 {
+	g := t.observe(env, idx, proof == nil)
+	if g < 0 {
 		return proof, nil
 	}
-	g := t.keys[hit].logIndex
 	payload, err := m.log.Entry(g)
 	if err != nil {
 		return nil, err
