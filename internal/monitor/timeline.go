@@ -9,10 +9,10 @@ import (
 )
 
 // obsKey is one observed attested status reduced to the fields the
-// contradiction relation compares. It holds no pointers, so neither the
-// slice nor the map of a timeline is ever scanned by the garbage
-// collector; the envelope itself is a log leaf and is re-read only when
-// a proof has to be built.
+// contradiction relation compares. It holds no pointers, so a
+// timeline's slices are never scanned by the garbage collector; the
+// envelope itself is a log leaf and is re-read only when a proof has to
+// be built.
 type obsKey struct {
 	logLen  int
 	version uint64
@@ -32,10 +32,9 @@ type firstSeen struct {
 // update, so a new observation is compared with each distinct state
 // once, not with every earlier observation.
 type timeline struct {
-	logIndexes []int               // every observation, in arrival order
-	states     []firstSeen         // the distinct states, in order of first observation
-	seen       map[obsKey]struct{} // the keys of states
-	heads      map[string]uint32   // LogHead -> id; nil and empty share one id
+	logIndexes []int             // every observation, in arrival order
+	states     []firstSeen       // the distinct states, in order of first observation
+	heads      map[string]uint32 // LogHead -> id; nil and empty share one id
 }
 
 // observe records env's status (logged at logIndex) and returns the log
@@ -49,7 +48,6 @@ func (t *timeline) observe(env *audit.AttestedStatusEnvelope, logIndex int, scan
 	st := &env.Resp.Status
 	if t.heads == nil {
 		t.heads = make(map[string]uint32)
-		t.seen = make(map[obsKey]struct{})
 	}
 	id, ok := t.heads[string(st.LogHead)]
 	if !ok {
@@ -57,18 +55,19 @@ func (t *timeline) observe(env *audit.AttestedStatusEnvelope, logIndex int, scan
 		t.heads[string(st.LogHead)] = id
 	}
 	k := obsKey{logLen: st.LogLen, version: st.Version, counter: st.Counter, head: id}
-	hit := -1
-	if scan {
-		for i := range t.states {
-			if kind, _ := conflict(&t.states[i].key, &k); kind != "" {
-				hit = t.states[i].logIndex
-				break
+	hit, seen := -1, false
+	for i := range t.states {
+		s := &t.states[i]
+		if s.key == k {
+			seen = true // a state never conflicts with itself
+		} else if scan && hit < 0 {
+			if kind, _ := conflict(&s.key, &k); kind != "" {
+				hit = s.logIndex
 			}
 		}
 	}
 	t.logIndexes = append(t.logIndexes, logIndex)
-	if _, ok := t.seen[k]; !ok {
-		t.seen[k] = struct{}{}
+	if !seen {
 		t.states = append(t.states, firstSeen{key: k, logIndex: logIndex})
 	}
 	return hit
