@@ -24,6 +24,12 @@ type acceptLog struct {
 	conns []net.Conn
 }
 
+// wrap is a Config.WrapListener that logs into l.
+func (l *acceptLog) wrap(ln net.Listener) net.Listener {
+	l.Listener = ln
+	return l
+}
+
 func (l *acceptLog) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
 	if err == nil {
@@ -65,8 +71,7 @@ func isUnixStream(t *testing.T, c net.Conn) bool {
 // domain 0's stay TCP.
 func TestTEEHopsAreUnixStreams(t *testing.T) {
 	log := new(acceptLog)
-	wrap := func(ln net.Listener) net.Listener { log.Listener = ln; return log }
-	d, _, _ := startWrapped(t, true, wrap)
+	d, _, _ := startWrapped(t, true, log.wrap)
 	if n := d.proxyLn.Addr().Network(); n != "tcp" {
 		t.Fatalf("public endpoint on %q, want tcp", n)
 	}
@@ -87,7 +92,7 @@ func TestTEEHopsAreUnixStreams(t *testing.T) {
 	}
 
 	log0 := new(acceptLog)
-	d0, _, _ := startWrapped(t, false, func(ln net.Listener) net.Listener { log0.Listener = ln; return log0 })
+	d0, _, _ := startWrapped(t, false, log0.wrap)
 	c0 := dial(t, d0)
 	if err := c0.Call("invoke", InvokeRequest{Request: []byte("direct")}, &resp); err != nil {
 		t.Fatal(err)
