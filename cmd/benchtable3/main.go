@@ -17,12 +17,17 @@
 // the cost source the paper names for its +8.8 percentage points. Absolute times
 // differ from the paper's c5.4xlarge/libBLS numbers; the ordering and
 // rough shape are the reproduction target (see EXPERIMENTS.md).
+//
+// The three rows run interleaved, one measurement of each per round, so
+// that a slow spell of a shared machine falls on every row alike; each
+// row prints the median and quartiles of its rounds' mean times.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"repro/internal/bls"
@@ -36,7 +41,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		iters  = flag.Int("iters", 200, "iterations per row")
+		iters  = flag.Int("iters", 200, "iterations per row in each round")
 		warmup = flag.Int("warmup", 20, "warmup iterations per row")
 	)
 	flag.Parse()
@@ -49,9 +54,9 @@ func main() {
 	ks := &shares[0]
 
 	// --- Row 1: Baseline (native share signing).
-	baseline := measure(*warmup, *iters, func() {
+	baseline := func() {
 		ks.SignShare(msg)
-	})
+	}
 
 	// --- Row 2: Sandbox (framework + bytecode VM, no TEE).
 	dev, err := framework.NewDeveloper()
@@ -67,11 +72,11 @@ func main() {
 		log.Fatalf("benchtable3: %v", err)
 	}
 	req := blsapp.EncodeSignRequest(0, msg)
-	sandbox := measure(*warmup, *iters, func() {
+	sandbox := func() {
 		if _, err := fw.Invoke(req); err != nil {
 			log.Fatalf("benchtable3: sandbox invoke: %v", err)
 		}
-	})
+	}
 
 	// --- Row 3: TEE + Sandbox (simulated enclave; adds the host→enclave
 	// and framework→executor AF_UNIX hops, the vsock analogue).
@@ -94,33 +99,66 @@ func main() {
 	}
 	client := transport.DialManaged(dom.Addr(), transport.ManagedOptions{})
 	defer client.Close()
-	teeSandbox := measure(*warmup, *iters, func() {
+	teeSandbox := func() {
 		var resp domain.InvokeResponse
 		if err := client.Call("invoke", domain.InvokeRequest{Request: req}, &resp); err != nil {
 			log.Fatalf("benchtable3: tee invoke: %v", err)
 		}
-	})
+	}
 
-	fmt.Printf("Table 3 — BLS threshold signature share processing time (%d iterations)\n\n", *iters)
-	fmt.Printf("%-24s %-18s %s\n", "Execution Environment", "Processing Time", "Increase")
-	fmt.Printf("%-24s %-18s %s\n", "Baseline", fmtDur(baseline), "—")
-	fmt.Printf("%-24s %-18s %.1f%%\n", "Sandbox", fmtDur(sandbox), pct(sandbox, baseline))
-	fmt.Printf("%-24s %-18s %.1f%%\n", "TEE + Sandbox", fmtDur(teeSandbox), pct(teeSandbox, baseline))
+	rows := []struct {
+		name string
+		fn   func()
+		mean []time.Duration // one per round
+	}{{name: "Baseline", fn: baseline}, {name: "Sandbox", fn: sandbox}, {name: "TEE + Sandbox", fn: teeSandbox}}
+	for _, r := range rows {
+		for i := 0; i < *warmup; i++ {
+			r.fn()
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		for i := range rows {
+			rows[i].mean = append(rows[i].mean, measure(*iters, rows[i].fn))
+		}
+	}
+
+	fmt.Printf("Table 3 — BLS threshold signature share processing time (%d rounds of %d iterations per row; median and quartiles of the round means)\n\n", rounds, *iters)
+	fmt.Printf("%-24s %-18s %-20s %s\n", "Execution Environment", "Processing Time", "Quartiles", "Increase")
+	base := quartiles(rows[0].mean)[1]
+	for i, r := range rows {
+		q := quartiles(r.mean)
+		increase := "—"
+		if i > 0 {
+			increase = fmt.Sprintf("%.1f%%", pct(q[1], base))
+		}
+		fmt.Printf("%-24s %-18s %-20s %s\n", r.name, fmtDur(q[1]), fmtDur(q[0])+" .. "+fmtDur(q[2]), increase)
+	}
 	fmt.Println()
 	fmt.Printf("paper (c5.4xlarge, libBLS/Wasm/Nitro): 10.2ms / 14.9ms (+46.1%%) / 15.8ms (+54.9%%)\n")
 	fmt.Printf("reproduction target: Baseline < Sandbox < TEE+Sandbox; TEE delta caused by 2 extra sockets\n")
 }
 
+// rounds is how many times each row is measured, interleaved with the
+// others.
+const rounds = 9
+
 // measure returns the mean wall time of fn over iters runs.
-func measure(warmup, iters int, fn func()) time.Duration {
-	for i := 0; i < warmup; i++ {
-		fn()
-	}
+func measure(iters int, fn func()) time.Duration {
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		fn()
 	}
 	return time.Since(start) / time.Duration(iters)
+}
+
+// quartiles returns the lower quartile, median and upper quartile of ds:
+// the elements a quarter, half and three quarters of the way along them
+// sorted, rounding down.
+func quartiles(ds []time.Duration) [3]time.Duration {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	n := len(s)
+	return [3]time.Duration{s[(n-1)/4], s[(n-1)/2], s[(3*(n-1))/4]}
 }
 
 func pct(d, base time.Duration) float64 {

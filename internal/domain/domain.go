@@ -10,7 +10,10 @@
 // between the framework and the sandboxed application executor. Like
 // vsock, these hops have no handshake, no port and no name on any file
 // system. Those two additional kernel sockets are exactly the overhead
-// the paper attributes the TEE+Sandbox row of Table 3 to.
+// the paper attributes the TEE+Sandbox row of Table 3 to. Each end of a
+// pair is its descriptor itself, made nonblocking and close-on-exec and
+// polled by the runtime, and the proxy moves a client's bytes with two
+// plain read/write pumps, one per direction.
 //
 // Trust domain 0 (the developer's own, no secure hardware) serves the RPC
 // endpoint directly and authenticates its responses with a plain host key
@@ -25,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 
@@ -228,7 +230,8 @@ type Domain struct {
 	hop           *hopListener // TEE: the enclave end of each client's host→enclave hop
 	proxyLn       net.Listener
 	proxyWG       sync.WaitGroup
-	proxyClosed   chan struct{}
+	proxyMu       sync.Mutex
+	proxied       map[net.Conn]struct{} // TEE: public connections in the proxy; nil once Close began
 
 	appMu     sync.Mutex
 	appConn   net.Conn // framework end of the framework→executor hop
@@ -241,10 +244,7 @@ func Start(cfg Config) (*Domain, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("domain: name required")
 	}
-	d := &Domain{
-		name:        cfg.Name,
-		proxyClosed: make(chan struct{}),
-	}
+	d := &Domain{name: cfg.Name}
 
 	if cfg.Vendor != nil {
 		enclave, err := cfg.Vendor.Provision("host-"+cfg.Name, framework.Measure(cfg.DeveloperKey))
@@ -277,6 +277,7 @@ func Start(cfg Config) (*Domain, error) {
 	enclaveLn := ln
 	if d.hasTEE {
 		d.proxyLn = ln
+		d.proxied = make(map[net.Conn]struct{})
 		d.hop = newHopListener()
 		enclaveLn = d.hop
 	}
@@ -304,30 +305,75 @@ func (d *Domain) runProxy() {
 			return
 		}
 		d.proxyWG.Add(1)
-		go func() {
-			defer d.proxyWG.Done()
-			defer conn.Close()
-			host, enclave, err := socketPair()
-			if err != nil {
-				return
-			}
-			defer host.Close()
-			if !d.hop.hand(enclave) {
-				enclave.Close()
-				return
-			}
-			// The copies end once either side closes: the deferred closes
-			// unblock the other, and Close waits for both.
-			done := make(chan struct{}, 2)
-			d.proxyWG.Add(2)
-			go func() { defer d.proxyWG.Done(); _, _ = io.Copy(host, conn); done <- struct{}{} }()
-			go func() { defer d.proxyWG.Done(); _, _ = io.Copy(conn, host); done <- struct{}{} }()
-			select {
-			case <-done:
-			case <-d.proxyClosed:
-			}
-		}()
+		go d.proxy(conn)
 	}
+}
+
+// proxy hands the enclave server one end of a fresh socketpair for conn
+// and pumps bytes between conn and the other end: requests here, replies
+// on one more goroutine. Whichever pump stops first closes both
+// connections, which stops the other. Close closes conn, which stops
+// both even when the reply pump is stuck writing to a client that reads
+// nothing, and waits for them.
+func (d *Domain) proxy(conn net.Conn) {
+	defer d.proxyWG.Done()
+	d.proxyMu.Lock()
+	if d.proxied == nil {
+		d.proxyMu.Unlock()
+		conn.Close()
+		return
+	}
+	d.proxied[conn] = struct{}{}
+	d.proxyMu.Unlock()
+	defer func() {
+		d.proxyMu.Lock()
+		delete(d.proxied, conn)
+		d.proxyMu.Unlock()
+	}()
+	host, enclave, err := socketPair()
+	if err != nil {
+		conn.Close()
+		return
+	}
+	if !d.hop.hand(enclave) {
+		enclave.Close()
+		host.Close()
+		conn.Close()
+		return
+	}
+	d.proxyWG.Add(1)
+	go func() {
+		defer d.proxyWG.Done()
+		pump(conn, host)
+	}()
+	pump(host, conn)
+}
+
+// pumpBuffers holds the pumps' copy buffers between connections.
+var pumpBuffers = sync.Pool{New: func() any { return new([pumpBufferSize]byte) }}
+
+// pumpBufferSize is the most one Read of a pump moves; a larger frame
+// crosses in pieces.
+const pumpBufferSize = 16 << 10
+
+// pump writes everything it reads from src to dst, one Read and one
+// Write at a time, until either fails; then it closes both.
+func pump(dst, src net.Conn) {
+	buf := pumpBuffers.Get().(*[pumpBufferSize]byte)
+	for {
+		n, err := src.Read(buf[:])
+		if n > 0 {
+			if _, werr := dst.Write(buf[:n]); werr != nil {
+				break
+			}
+		}
+		if err != nil {
+			break
+		}
+	}
+	pumpBuffers.Put(buf)
+	dst.Close()
+	src.Close()
 }
 
 // runApp is the in-enclave application executor: it runs framework.Invoke
@@ -583,17 +629,18 @@ func (d *Domain) Install(version uint64, moduleBytes, devSig []byte) error {
 // Close shuts down all listeners and connections and waits for every
 // goroutine of the domain to end.
 func (d *Domain) Close() error {
-	select {
-	case <-d.proxyClosed:
-	default:
-		close(d.proxyClosed)
-	}
 	if d.proxyLn != nil {
 		d.proxyLn.Close()
 	}
 	// Closes the hop listener too: a proxy goroutine still handing over
 	// its enclave end gives up.
 	firstErr := d.enclaveServer.Close()
+	d.proxyMu.Lock()
+	for conn := range d.proxied {
+		conn.Close()
+	}
+	d.proxied = nil
+	d.proxyMu.Unlock()
 	d.appMu.Lock()
 	d.appClosed = true
 	if d.appConn != nil {

@@ -45,4 +45,6 @@ func (l *hopListener) Close() error {
 }
 
 // Addr is the unnamed address a socketpair's ends report.
-func (l *hopListener) Addr() net.Addr { return &net.UnixAddr{Net: "unix"} }
+func (l *hopListener) Addr() net.Addr { return unnamedAddr() }
+
+func unnamedAddr() net.Addr { return &net.UnixAddr{Net: "unix"} }

@@ -4,6 +4,7 @@ package domain
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
 	"os"
 	"runtime"
@@ -46,23 +47,29 @@ func (l *acceptLog) accepted() []net.Conn {
 	return append([]net.Conn(nil), l.conns...)
 }
 
-// isUnixStream reports whether c is a connected AF_UNIX stream socket.
+// isUnixStream reports whether c's descriptor is a connected AF_UNIX
+// stream socket, whatever Go type wraps it.
 func isUnixStream(t *testing.T, c net.Conn) bool {
 	t.Helper()
-	uc, ok := c.(*net.UnixConn)
-	if !ok || uc.LocalAddr().Network() != "unix" {
+	sc, ok := c.(syscall.Conn)
+	if !ok {
 		return false
 	}
-	raw, err := uc.SyscallConn()
+	raw, err := sc.SyscallConn()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var local syscall.Sockaddr
 	var typ int
-	var serr error
-	if err := raw.Control(func(fd uintptr) { typ, serr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_TYPE) }); err != nil || serr != nil {
-		t.Fatal(err, serr)
+	var lerr, terr error
+	if err := raw.Control(func(fd uintptr) {
+		local, lerr = syscall.Getsockname(int(fd))
+		typ, terr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_TYPE)
+	}); err != nil || lerr != nil || terr != nil {
+		t.Fatal(err, lerr, terr)
 	}
-	return typ == syscall.SOCK_STREAM
+	_, unix := local.(*syscall.SockaddrUnix)
+	return unix && typ == syscall.SOCK_STREAM
 }
 
 // TestTEEHopsAreUnixStreams: the enclave server of a TEE domain accepts
@@ -97,7 +104,7 @@ func TestTEEHopsAreUnixStreams(t *testing.T) {
 	if err := c0.Call("invoke", InvokeRequest{Request: []byte("direct")}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if got := log0.accepted(); len(got) != 1 || got[0].LocalAddr().Network() != "tcp" {
+	if got := log0.accepted(); len(got) != 1 || got[0].LocalAddr().Network() != "tcp" || isUnixStream(t, got[0]) {
 		t.Fatalf("domain 0 accepted %v, want one TCP connection", got)
 	}
 }
@@ -116,21 +123,15 @@ func hopGoroutines() []string {
 	return out
 }
 
-// openSockets counts the process's open socket descriptors. A leaked
-// socket stays open until its finalizer runs, so nothing here collects.
-func openSockets(t *testing.T) int {
+// openFDs counts the process's open descriptors of every kind. A leaked
+// one stays open until its finalizer runs, so nothing here collects.
+func openFDs(t *testing.T) int {
 	t.Helper()
 	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
 		t.Skip("no /proc/self/fd:", err)
 	}
-	n := 0
-	for _, fd := range fds {
-		if to, err := os.Readlink("/proc/self/fd/" + fd.Name()); err == nil && strings.HasPrefix(to, "socket:") {
-			n++
-		}
-	}
-	return n
+	return len(fds)
 }
 
 func tempEntries(t *testing.T) []string {
@@ -149,13 +150,13 @@ func tempEntries(t *testing.T) []string {
 // TestCloseLeavesNoHop: once Close returns, no goroutine of the proxy,
 // the hops or the enclave server runs, even with a client still
 // connected; once that client is gone too, the process holds as many
-// sockets as before the domain started, and the temp dir holds nothing
-// new.
+// descriptors as before the domain started, and the temp dir holds
+// nothing new.
 func TestCloseLeavesNoHop(t *testing.T) {
 	// The first domain of the process sets up the runtime's poller.
 	warm, _, _ := startDomain(t, true)
 	warm.Close()
-	socks, temp := openSockets(t), tempEntries(t)
+	fds, temp := openFDs(t), tempEntries(t)
 
 	d, _, _ := startDomain(t, true)
 	for i := 0; i < 3; i++ {
@@ -184,11 +185,112 @@ func TestCloseLeavesNoHop(t *testing.T) {
 		t.Fatalf("%d goroutines outlive Close:\n%s", len(gs), strings.Join(gs, "\n\n"))
 	}
 	live.Close()
-	if n := openSockets(t); n != socks {
-		t.Fatalf("%d sockets open after Close, %d before Start", n, socks)
+	if n := openFDs(t); n != fds {
+		t.Fatalf("%d descriptors open after Close, %d before Start", n, fds)
 	}
 	if now := tempEntries(t); strings.Join(now, "\n") != strings.Join(temp, "\n") {
 		t.Fatalf("temp dir changed: %v before, %v after", temp, now)
+	}
+}
+
+// hopStates reports what the proxy's two pumps and the enclave server's
+// connection wait for: "read", "write", or "" while running or gone.
+func hopStates() (request, server, reply string) {
+	for _, g := range hopGoroutines() {
+		state := ""
+		if strings.Contains(g, "waitRead") {
+			state = "read"
+		} else if strings.Contains(g, "waitWrite") {
+			state = "write"
+		}
+		switch {
+		case strings.Contains(g, "internal/domain.(*Domain).proxy.func"):
+			reply = state
+		case strings.Contains(g, "internal/domain.(*Domain).proxy("):
+			request = state
+		case strings.Contains(g, "internal/transport.(*Server).serveConn("):
+			server = state
+		}
+	}
+	return request, server, reply
+}
+
+// waitHop polls hopStates until cond holds, for at most five seconds.
+func waitHop(cond func(request, server, reply string) bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if cond(hopStates()) {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+}
+
+// TestCloseWithAStalledClient: a client that sends requests and never
+// reads a reply leaves the proxy's reply pump blocked writing to it and
+// its request pump waiting to read from it, and nothing the enclave
+// server closes reaches either. Close must still end both.
+func TestCloseWithAStalledClient(t *testing.T) {
+	d, _, _ := startDomain(t, true)
+	conn, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A small receive buffer fills after fewer replies.
+	if err := conn.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	// One _batch of statuses: a short request, a long reply.
+	subs := make([]transport.Request, 256)
+	for i := range subs {
+		subs[i] = transport.Request{ID: uint64(i), Kind: "status", Body: json.RawMessage(`{"nonce":"bg=="}`)}
+	}
+	body, err := json.Marshal(subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := json.Marshal(transport.Request{ID: 1, Kind: transport.BatchKind, Body: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Send a batch whenever the last one's replies have left the proxy,
+	// until they fill every buffer on their way to the client. A batch
+	// sent early waits in the socketpair, which holds many.
+	for i := 0; ; i++ {
+		if i == 1000 {
+			t.Fatal("the reply pump never blocked")
+		}
+		conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		if err := transport.WriteFrame(conn, frame); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		var blocked bool
+		if !waitHop(func(request, server, reply string) bool {
+			blocked = reply == "write"
+			return blocked || request == "read" && server == "read" && reply == "read"
+		}) {
+			request, server, reply := hopStates()
+			t.Fatalf("batch %d: hop waits to %q, %q, %q", i, request, server, reply)
+		}
+		if blocked {
+			break
+		}
+	}
+	if !waitHop(func(request, _, reply string) bool { return request == "read" && reply == "write" }) {
+		request, _, reply := hopStates()
+		t.Fatalf("pumps wait to %q (request) and %q (reply), want read and write", request, reply)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- d.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close blocked by a client that reads nothing")
 	}
 }
 

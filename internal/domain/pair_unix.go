@@ -5,39 +5,26 @@ package domain
 import (
 	"net"
 	"os"
-	"syscall"
 )
 
 // socketPair returns the two ends of a fresh connected AF_UNIX stream
 // socketpair. It has no name: nothing of it outlives the process.
 func socketPair() (net.Conn, net.Conn, error) {
-	syscall.ForkLock.RLock()
-	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
-	if err == nil {
-		syscall.CloseOnExec(fds[0])
-		syscall.CloseOnExec(fds[1])
-	}
-	syscall.ForkLock.RUnlock()
+	fds, err := socketpairFDs()
 	if err != nil {
 		return nil, nil, os.NewSyscallError("socketpair", err)
 	}
-	a, err := fdConn(fds[0])
-	if err != nil {
-		syscall.Close(fds[1])
-		return nil, nil, err
-	}
-	b, err := fdConn(fds[1])
-	if err != nil {
-		a.Close()
-		return nil, nil, err
-	}
-	return a, b, nil
+	return pairConn{os.NewFile(uintptr(fds[0]), "socketpair")},
+		pairConn{os.NewFile(uintptr(fds[1]), "socketpair")}, nil
 }
 
-// fdConn wraps fd in a net.Conn. net.FileConn works on a duplicate, so
-// fd itself is closed here.
-func fdConn(fd int) (net.Conn, error) {
-	f := os.NewFile(uintptr(fd), "socketpair")
-	defer f.Close()
-	return net.FileConn(f)
-}
+// pairConn is one end of a socketpair. Its descriptor is nonblocking, so
+// the file is registered with the runtime's poller: reads, writes,
+// deadlines and a Close that wakes a blocked Read all work as on a
+// net.Conn.
+type pairConn struct{ *os.File }
+
+// LocalAddr and RemoteAddr are the unnamed addresses of a socketpair's
+// ends.
+func (pairConn) LocalAddr() net.Addr  { return unnamedAddr() }
+func (pairConn) RemoteAddr() net.Addr { return unnamedAddr() }

@@ -83,6 +83,11 @@ type Server struct {
 	closed chan struct{}
 	conns  map[net.Conn]struct{}
 
+	// handoff passes an accepted connection to a serving goroutine that
+	// waits for one; idle counts those waiting, at most maxIdleServers.
+	handoff chan net.Conn
+	idle    atomic.Int32
+
 	obs *serverObs // nil until Instrument; set before Serve
 
 	// flight records dispatch failures (with the request's trace id, so
@@ -119,6 +124,10 @@ func (s *Server) register(kind string, r route) {
 	s.routes[kind] = r
 }
 
+// maxIdleServers caps the serving goroutines that wait for the next
+// connection once theirs has ended; any more exit.
+const maxIdleServers = 16
+
 // Accept-error backoff bounds (the net/http values).
 const (
 	acceptBackoffMin = 5 * time.Millisecond
@@ -147,6 +156,7 @@ func NewServer() *Server {
 		routes:      make(map[string]route),
 		closed:      make(chan struct{}),
 		conns:       make(map[net.Conn]struct{}),
+		handoff:     make(chan net.Conn),
 		errLimit:    obsv.NewFlightLimiter(100 * time.Millisecond),
 		acceptLimit: obsv.NewFlightLimiter(time.Second),
 	}
@@ -230,13 +240,37 @@ func (s *Server) Serve(ln net.Listener) {
 				continue
 			}
 			delay = 0
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serveConn(conn)
-			}()
+			select {
+			case s.handoff <- conn:
+			default:
+				s.wg.Add(1)
+				go s.serve(conn)
+			}
 		}
 	}()
+}
+
+// serve serves conn, then each connection the accept loop hands over
+// while it waits, so a connection is served on a stack that has already
+// grown, with buffers that are already allocated. It exits when
+// maxIdleServers others wait already, or on Close.
+func (s *Server) serve(conn net.Conn) {
+	defer s.wg.Done()
+	var bufs connBuffers
+	for {
+		s.serveConn(conn, &bufs)
+		if s.idle.Add(1) > maxIdleServers {
+			s.idle.Add(-1)
+			return
+		}
+		select {
+		case conn = <-s.handoff:
+			s.idle.Add(-1)
+		case <-s.closed:
+			s.idle.Add(-1)
+			return
+		}
+	}
 }
 
 // ListenAndServe listens on a fresh loopback TCP port and serves on it,
@@ -251,7 +285,8 @@ func (s *Server) ListenAndServe() (string, error) {
 }
 
 // Close stops the listener, closes every active connection, and waits
-// for in-flight handler goroutines.
+// for in-flight handler goroutines and the serving goroutines that wait
+// for a connection.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	select {
@@ -281,7 +316,17 @@ func (s *Server) ActiveConns() int {
 	return len(s.conns)
 }
 
-func (s *Server) serveConn(conn net.Conn) {
+// connBuffers is what a serving goroutine keeps from one connection to
+// the next: the reader requests are read through, and the two buffers a
+// reply's pieces and its frame are built in (a reply is written before
+// the next request is read).
+type connBuffers struct {
+	br  *bufio.Reader
+	enc replyEncoding
+	out []byte
+}
+
+func (s *Server) serveConn(conn net.Conn, bufs *connBuffers) {
 	s.mu.Lock()
 	select {
 	case <-s.closed:
@@ -302,11 +347,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	br := bufio.NewReaderSize(conn, readBufferSize)
-	// The reply's pieces and its frame are built in two buffers the
-	// connection reuses: a reply is written before the next request is read.
-	var enc replyEncoding
-	var out []byte
+	if bufs.br == nil {
+		bufs.br = bufio.NewReaderSize(conn, readBufferSize)
+	} else {
+		bufs.br.Reset(conn)
+	}
+	br, enc := bufs.br, &bufs.enc
+	// Drops the reader's hold on conn, keeping its buffer.
+	defer br.Reset(nil)
 	for {
 		header, frame, err := ReadFrameHeader(br)
 		if err != nil {
@@ -335,18 +383,19 @@ func (s *Server) serveConn(conn net.Conn) {
 				ctx = obsv.ContextWithTrace(ctx, tc)
 			}
 		}
-		resp := s.dispatchConn(ctx, req, pusher, &enc)
+		resp := s.dispatchConn(ctx, req, pusher, enc)
 		resp.readsBodies = offer >= offerBodies
-		if out, err = appendReplyFrame(out[:0], resp, enc.v2); err != nil {
+		out, err := appendReplyFrame(bufs.out[:0], resp, enc.v2)
+		if err != nil {
 			return
 		}
+		bufs.out = keepBuffer(out)
 		if obs != nil {
 			obs.tx.Add(uint64(len(out)))
 		}
 		if err := pusher.write(out); err != nil {
 			return
 		}
-		out = keepBuffer(out)
 	}
 }
 
