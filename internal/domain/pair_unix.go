@@ -5,6 +5,7 @@ package domain
 import (
 	"net"
 	"os"
+	"syscall"
 )
 
 // socketPair returns the two ends of a fresh connected AF_UNIX stream
@@ -28,3 +29,24 @@ type pairConn struct{ *os.File }
 // ends.
 func (pairConn) LocalAddr() net.Addr  { return unnamedAddr() }
 func (pairConn) RemoteAddr() net.Addr { return unnamedAddr() }
+
+// socketpairFDs makes a nonblocking, close-on-exec AF_UNIX stream pair.
+// Close-on-exec is set under ForkLock, so no exec in between inherits
+// the ends.
+func socketpairFDs() ([2]int, error) {
+	syscall.ForkLock.RLock()
+	defer syscall.ForkLock.RUnlock()
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		return fds, err
+	}
+	for _, fd := range fds {
+		syscall.CloseOnExec(fd)
+		if err := syscall.SetNonblock(fd, true); err != nil {
+			syscall.Close(fds[0])
+			syscall.Close(fds[1])
+			return fds, err
+		}
+	}
+	return fds, nil
+}
