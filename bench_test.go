@@ -79,8 +79,12 @@ func BenchmarkTable3Sandbox(b *testing.B) {
 }
 
 // BenchmarkTable3SandboxCoarse is Ablation G's other granularity point:
-// the double-and-add loop in the VM with whole curve-group operations as
-// host calls. Lower sandbox tax; same architecture.
+// the signing loop in the VM with whole curve-group operations as host
+// calls. It differs from BenchmarkTable3Sandbox in schedule as well as
+// granularity: this is the module trust domains sign with, a regular GLV
+// window loop (124 doublings and 64 mixed additions), while the fine
+// module keeps the seed's 256-bit double-and-add (255 doublings and one
+// general addition per set bit). Lower sandbox tax; same architecture.
 func BenchmarkTable3SandboxCoarse(b *testing.B) {
 	_, shares, err := bls.ThresholdKeyGen(2, 3)
 	if err != nil {

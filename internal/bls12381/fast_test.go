@@ -103,7 +103,7 @@ func TestGLVSplitRecombines(t *testing.T) {
 
 	check := func(k ff.Fr) {
 		t.Helper()
-		k1, k2 := glvSplit(&k)
+		k1, k2 := GLVSplit(&k)
 		b1 := new(big.Int).SetUint64(k1[1])
 		b1.Lsh(b1, 64)
 		b1.Or(b1, new(big.Int).SetUint64(k1[0]))
@@ -616,7 +616,7 @@ func FuzzGLVSplit(f *testing.F) {
 		}
 		var k ff.Fr
 		k.SetBytesWide(data)
-		k1, k2 := glvSplit(&k)
+		k1, k2 := GLVSplit(&k)
 		lambda := new(big.Int).SetUint64(glvLambda[1])
 		lambda.Lsh(lambda, 64)
 		lambda.Or(lambda, new(big.Int).SetUint64(glvLambda[0]))

@@ -143,7 +143,7 @@ func g1GLVMult(p *G1Jac, base *G1Jac, k *ff.Fr) *G1Jac {
 	if base.IsInfinity() || k.IsZero() {
 		return p.SetInfinity()
 	}
-	k1, k2 := glvSplit(k)
+	k1, k2 := GLVSplit(k)
 	// phi acts coordinate-wise in Jacobian form too: x = X/Z^2, so
 	// scaling X by beta scales x by beta.
 	glvOnce.Do(glvInit)

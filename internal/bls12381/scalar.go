@@ -171,11 +171,14 @@ func g1Phi(p *G1Affine) G1Affine {
 	return out
 }
 
-// glvSplit decomposes a scalar as k = k1 + k2*lambda with k1 < lambda
+// GLVSplit decomposes a scalar as k = k1 + k2*lambda with k1 < lambda
 // and k2 <= lambda+1 (both non-negative, both < 2^128), using a Barrett
-// division by lambda on canonical limbs. FuzzGLVSplit and
-// TestGLVSplitRecombines pin the recombination property.
-func glvSplit(k *ff.Fr) (k1, k2 [2]uint64) {
+// division by lambda on canonical limbs. The quotient estimate is at
+// most two short, and both corrections always run, each keeping or
+// dropping its subtraction by a mask, so no branch depends on k.
+// FuzzGLVSplit and TestGLVSplitRecombines pin the recombination
+// property.
+func GLVSplit(k *ff.Fr) (k1, k2 [2]uint64) {
 	glvOnce.Do(glvInit)
 	kl := k.Canonical()
 
@@ -198,42 +201,41 @@ func glvSplit(k *ff.Fr) (k1, k2 [2]uint64) {
 	}
 	q := [2]uint64{prod[4], prod[5]}
 
-	// rem = k - q*lambda, corrected by at most two subtractions.
+	// rem = k - q*lambda, then at most two subtractions of lambda.
 	rem := kl
-	subQLambda := func(r *[4]uint64, q [2]uint64) {
-		var ql [4]uint64
-		var carry uint64
-		for i := 0; i < 2; i++ {
-			var c uint64
-			hi, lo := bits.Mul64(q[i], glvLambda[0])
-			lo, c = bits.Add64(lo, ql[i], 0)
-			hi += c
-			ql[i] = lo
-			carry = hi
-			hi, lo = bits.Mul64(q[i], glvLambda[1])
-			lo, c = bits.Add64(lo, ql[i+1], 0)
-			hi += c
-			lo, c = bits.Add64(lo, carry, 0)
-			hi += c
-			ql[i+1] = lo
-			ql[i+2] += hi
-		}
-		var borrow uint64
-		for i := 0; i < 4; i++ {
-			r[i], borrow = bits.Sub64(r[i], ql[i], borrow)
-		}
+	var ql [4]uint64
+	for i := 0; i < 2; i++ {
+		var c, carry uint64
+		hi, lo := bits.Mul64(q[i], glvLambda[0])
+		lo, c = bits.Add64(lo, ql[i], 0)
+		hi += c
+		ql[i] = lo
+		carry = hi
+		hi, lo = bits.Mul64(q[i], glvLambda[1])
+		lo, c = bits.Add64(lo, ql[i+1], 0)
+		hi += c
+		lo, c = bits.Add64(lo, carry, 0)
+		hi += c
+		ql[i+1] = lo
+		ql[i+2] += hi
 	}
-	subQLambda(&rem, q)
-	// while rem >= lambda: rem -= lambda; q++
-	for rem[3] != 0 || rem[2] != 0 || rem[1] > glvLambda[1] ||
-		(rem[1] == glvLambda[1] && rem[0] >= glvLambda[0]) {
-		var borrow uint64
-		rem[0], borrow = bits.Sub64(rem[0], glvLambda[0], borrow)
-		rem[1], borrow = bits.Sub64(rem[1], glvLambda[1], borrow)
-		rem[2], borrow = bits.Sub64(rem[2], 0, borrow)
-		rem[3], _ = bits.Sub64(rem[3], 0, borrow)
+	var borrow uint64
+	for i := 0; i < 4; i++ {
+		rem[i], borrow = bits.Sub64(rem[i], ql[i], borrow)
+	}
+	for range 2 {
+		// d = rem - lambda; keep it (and bump q) unless it borrowed.
+		var d [4]uint64
+		d[0], borrow = bits.Sub64(rem[0], glvLambda[0], 0)
+		d[1], borrow = bits.Sub64(rem[1], glvLambda[1], borrow)
+		d[2], borrow = bits.Sub64(rem[2], 0, borrow)
+		d[3], borrow = bits.Sub64(rem[3], 0, borrow)
+		take := borrow - 1 // all ones when rem >= lambda
+		for i := range rem {
+			rem[i] ^= (rem[i] ^ d[i]) & take
+		}
 		var carry uint64
-		q[0], carry = bits.Add64(q[0], 1, 0)
+		q[0], carry = bits.Add64(q[0], take&1, 0)
 		q[1] += carry
 	}
 	k1 = [2]uint64{rem[0], rem[1]}

@@ -3,11 +3,14 @@
 //
 //   - a sandbox module ("the application code") that implements the
 //     share-signing algorithm — request parsing, the epoch guard, and
-//     the full double-and-add scalar-multiplication control flow — as
-//     interpreted bytecode;
-//   - host functions exposing the curve primitives (hash-to-point, point
-//     double/add, result emission) and the domain's key share, which is
-//     the application state that lives behind the sandbox boundary; and
+//     the full scalar-multiplication control flow, a regular GLV window
+//     loop whose digits are recoded in the guest — as interpreted
+//     bytecode;
+//   - host functions exposing the curve primitives (hash to odd-multiple
+//     tables, doubling, a constant-time table read and mixed addition,
+//     the even-half correction, blinded result emission) and the
+//     domain's key share as its two GLV halves, the application state
+//     that lives behind the sandbox boundary; and
 //   - client-side request/response codecs and a threshold-signing client
 //     that collects shares from t domains and combines them.
 //
@@ -28,10 +31,11 @@
 // bytecode interpreter is 50-100x slower per instruction, so running the
 // 381-bit field arithmetic itself in the VM would destroy Table 3's
 // shape. Instead the same layering is applied one level up: the signing
-// algorithm (bit loop, conditional adds, data movement) executes inside
+// algorithm (window loop, digit recoding, data movement) executes inside
 // the sandbox, and the primitive unit is a curve group operation provided
-// by the host, crossed via the host-call boundary ~400 times per
-// signature. DESIGN.md records this substitution.
+// by the host, crossed via the host-call boundary 194 times per
+// signature, the same calls in the same order for every share.
+// DESIGN.md records this substitution.
 package blsapp
 
 import (
@@ -49,12 +53,12 @@ import (
 
 // Host-function import names.
 const (
-	HostShareScalar  = "bls_share_scalar"     // write the key-share scalar into guest memory
-	HostHashToPoint  = "bls_hash_to_point"    // hash message bytes into a point slot
-	HostSetInfinity  = "bls_set_infinity"     // reset a point slot to the identity
-	HostDouble       = "bls_g1_double"        // double a point slot in place
-	HostAdd          = "bls_g1_add"           // add src slot into dst slot
-	HostEmitShare    = "bls_emit_share"       // write (index, epoch, compressed point) to guest memory
+	HostShareGLV     = "bls_share_glv"        // write the key share's two GLV halves into guest memory
+	HostHashToTables = "bls_hash_to_tables"   // hash message bytes, build the odd-multiple tables, reset the accumulator
+	HostDouble       = "bls_g1_double"        // double the accumulator
+	HostAddDigit     = "bls_g1_add_digit"     // add an odd digit's multiple of a table's base, read in constant time
+	HostSubIfEven    = "bls_g1_sub_if_even"   // subtract a table's base when a half was even, by a mask
+	HostEmitShare    = "bls_emit_share"       // write (index, epoch, compressed accumulator) to guest memory
 	HostEpochGuard   = "bls_epoch_guard"      // compare the request's expected epoch to the share's
 	HostApplyRefresh = "bls_apply_refresh"    // validate + durably apply a refresh frame
 	HostEmitStale    = "bls_emit_stale"       // write the stale-epoch marker + current epoch
@@ -83,23 +87,40 @@ const signReqHeaderLen = 1 + 8
 // markerRespLen is the length of stale/ack marker responses.
 const markerRespLen = 1 + 8
 
-// scratchScalar is the guest-memory offset where the module asks the host
-// to place the 32-byte big-endian key-share scalar.
-const scratchScalar = 1024
+// scratchGLV is the guest-memory offset where the module asks the host
+// to place the share's GLV halves k1, k2 (16 bytes each, little-endian).
+// The module's 64-bit digit loads reach up to 7 bytes past k2; what
+// they read there is masked off.
+const scratchGLV = 1024
 
 // moduleSrc implements the application: opcode 2 signs sig = share *
-// H(msg) with the 256-bit MSB-first double-and-add loop running as
-// interpreted bytecode, after an epoch guard that refuses requests for
-// any epoch but the share's; opcode 3 hands a refresh frame to the host
-// for validation and durable installation, moving the domain to the
-// next epoch.
+// H(msg), after an epoch guard that refuses requests for any epoch but
+// the share's; opcode 3 hands a refresh frame to the host for validation
+// and durable installation, moving the domain to the next epoch.
+//
+// Signing is a regular GLV window loop run as interpreted bytecode. The
+// share is k = k1 + k2*lambda with k1, k2 < 2^128 (bls12381.GLVSplit), so
+// k*H = k1*H + k2*phi(H). Each half k is signed as k|1, recoded into 32
+// odd digits in [-15, 15]:
+//
+//	d_i  = 2*((k >> (4i+1)) & 15) - 15   for i < 31
+//	d_31 = 2*(k >> 125) + 1
+//
+// which sum to (k|1) with weights 16^i; the digits are shifts and masks
+// of the half's bits, with no branch. From the top window down the loop
+// doubles the accumulator four times (not before the first window) and
+// adds the two halves' digit multiples, each a table read that scans
+// every entry. Then it subtracts H or phi(H) for each half that was
+// even, by a mask. Every invocation makes the same host calls in the
+// same order, whatever the share: 124 doublings, 64 digit additions and
+// 2 corrections.
 const moduleSrc = `
 module memory=135168
-import bls_share_scalar
-import bls_hash_to_point
-import bls_set_infinity
+import bls_share_glv
+import bls_hash_to_tables
 import bls_g1_double
-import bls_g1_add
+import bls_g1_add_digit
+import bls_g1_sub_if_even
 import bls_emit_share
 import bls_epoch_guard
 import bls_apply_refresh
@@ -140,62 +161,86 @@ sign:
     eqz
     brif stale
 
-    ; key-share scalar -> mem[1024..1056), big-endian
+    ; k1 -> mem[1024..1040), k2 -> mem[1040..1056), little-endian
     push 1024
-    hostcall bls_share_scalar
+    hostcall bls_share_glv
     drop
 
-    ; slot 0 = H(msg) ; slot 1 = identity (accumulator)
+    ; tables of H(msg) and phi(H(msg)); accumulator = identity
     localget 0
     push 9
     add
     localget 1
     push 9
     sub
-    push 0
-    hostcall bls_hash_to_point
-    push 1
-    hostcall bls_set_infinity
+    hostcall bls_hash_to_tables
 
-    ; MSB-first double-and-add over all 256 scalar bits
+    ; top window: d_31 = 2*(byte 15 >> 5) + 1 for each half
     push 0
-    localset 3           ; i = 0
-bits:
-    localget 3
-    push 256
-    ges
-    brif emit
-    push 1
-    hostcall bls_g1_double
-    ; bit = (mem[1024 + i/8] >> (7 - i%8)) & 1
-    localget 3
-    push 3
-    shru
-    push 1024
-    add
+    push 1039
     load8
-    push 7
-    localget 3
-    push 7
-    and
-    sub
+    push 5
     shru
+    push 1
+    shl
+    push 1
+    or
+    hostcall bls_g1_add_digit
+    push 1
+    push 1055
+    load8
+    push 5
+    shru
+    push 1
+    shl
+    push 1
+    or
+    hostcall bls_g1_add_digit
+
+    push 30
+    localset 3           ; i = 30
+windows:
+    localget 3
+    push 0
+    lts
+    brif correct
+    hostcall bls_g1_double
+    hostcall bls_g1_double
+    hostcall bls_g1_double
+    hostcall bls_g1_double
+    push 0
+    push 1024
+    localget 3
+    call digit
+    hostcall bls_g1_add_digit
+    push 1
+    push 1040
+    localget 3
+    call digit
+    hostcall bls_g1_add_digit
+    localget 3
+    push 1
+    sub
+    localset 3
+    br windows
+
+correct:
+    ; subtract H (phi(H)) when k1 (k2) was even
+    push 0
+    push 1024
+    load8
     push 1
     and
     eqz
-    brif next
+    hostcall bls_g1_sub_if_even
     push 1
-    push 0
-    hostcall bls_g1_add  ; acc += base
-next:
-    localget 3
+    push 1040
+    load8
     push 1
-    add
-    localset 3
-    br bits
+    and
+    eqz
+    hostcall bls_g1_sub_if_even
 
-emit:
-    push 1
     push 69632           ; framework.ResponseOffset
     hostcall bls_emit_share
     ret
@@ -228,6 +273,33 @@ bad:
     push 0
     ret
 end
+
+; digit(half, i) = 2*((k >> (4i+1)) & 15) - 15 for the half at mem[half]
+func digit params=2 locals=0 results=1
+    localget 1
+    push 2
+    shl
+    push 1
+    add
+    localset 1           ; bit = 4i+1
+    localget 0
+    localget 1
+    push 3
+    shru
+    add
+    load64
+    localget 1
+    push 7
+    and
+    shru
+    push 15
+    and
+    push 1
+    shl
+    push 15
+    sub
+    ret
+end
 `
 
 // Module assembles the application module. The result is deterministic,
@@ -243,9 +315,6 @@ func ModuleBytes() []byte { return Module().Encode() }
 // compressed G1 signature.
 const responseLen = 4 + 8 + 48
 
-// numPointSlots bounds the host-side point table.
-const numPointSlots = 8
-
 // writeMarker writes a [marker][epoch:8] response into guest memory.
 func writeMarker(inst *sandbox.Instance, outPtr int64, marker byte, epoch uint64) ([]int64, error) {
 	out := make([]byte, markerRespLen)
@@ -257,28 +326,42 @@ func writeMarker(inst *sandbox.Instance, outPtr int64, marker byte, epoch uint64
 	return []int64{markerRespLen}, nil
 }
 
+// encodeShareResponse builds the wire response for a share signature.
+func encodeShareResponse(index uint32, epoch uint64, sig [bls12381.G1CompressedSize]byte) []byte {
+	out := make([]byte, 0, responseLen)
+	out = binary.BigEndian.AppendUint32(out, index)
+	out = binary.BigEndian.AppendUint64(out, epoch)
+	return append(out, sig[:]...)
+}
+
 // Hosts builds the host-function registry for a trust domain holding the
-// given share state. The point-slot table is host-side state scoped to
-// this registry (one per domain), guarded for the framework's serialized
-// invocations; the share state carries its own lock because refresh
-// ceremonies mutate it.
+// given share state. The odd-multiple tables and the accumulator are
+// host-side state scoped to this registry (one per domain), guarded for
+// the framework's serialized invocations; the share state carries its
+// own lock because refresh ceremonies mutate it.
 func Hosts(st *ShareState) map[string]*sandbox.HostFunc {
 	var mu sync.Mutex
-	var slots [numPointSlots]bls12381.G1Jac
+	var tables [2]bls12381.G1OddTable // H(msg) and phi(H(msg))
+	var acc bls12381.G1Jac
 
-	slotArg := func(v int64) (int, error) {
-		if v < 0 || v >= numPointSlots {
-			return 0, fmt.Errorf("blsapp: point slot %d out of range", v)
+	tableArg := func(v int64) (*bls12381.G1OddTable, error) {
+		if v != 0 && v != 1 {
+			return nil, fmt.Errorf("blsapp: table %d out of range", v)
 		}
-		return int(v), nil
+		return &tables[v], nil
 	}
 
 	return map[string]*sandbox.HostFunc{
-		HostShareScalar: {
-			Name: HostShareScalar, Arity: 1, Results: 1, Gas: 50,
+		HostShareGLV: {
+			Name: HostShareGLV, Arity: 1, Results: 1, Gas: 50,
 			Fn: func(inst *sandbox.Instance, args []int64) ([]int64, error) {
 				ks := st.Current()
-				b := ks.Share.Bytes()
+				k1, k2 := bls12381.GLVSplit(&ks.Share)
+				var b [32]byte
+				binary.LittleEndian.PutUint64(b[0:], k1[0])
+				binary.LittleEndian.PutUint64(b[8:], k1[1])
+				binary.LittleEndian.PutUint64(b[16:], k2[0])
+				binary.LittleEndian.PutUint64(b[24:], k2[1])
 				if err := inst.WriteMemory(int(args[0]), b[:]); err != nil {
 					return nil, err
 				}
@@ -330,14 +413,10 @@ func Hosts(st *ShareState) map[string]*sandbox.HostFunc {
 				return writeMarker(inst, args[0], respRefreshAck, st.Epoch())
 			},
 		},
-		HostHashToPoint: {
-			Name: HostHashToPoint, Arity: 3, Results: 0, Gas: 500,
+		HostHashToTables: {
+			Name: HostHashToTables, Arity: 2, Results: 0, Gas: 800,
 			Fn: func(inst *sandbox.Instance, args []int64) ([]int64, error) {
 				msgPtr, msgLen := args[0], args[1]
-				slot, err := slotArg(args[2])
-				if err != nil {
-					return nil, err
-				}
 				if msgLen <= 0 || msgLen > framework.MaxRequestLen {
 					return nil, fmt.Errorf("blsapp: bad message length %d", msgLen)
 				}
@@ -346,77 +425,69 @@ func Hosts(st *ShareState) map[string]*sandbox.HostFunc {
 					return nil, err
 				}
 				p := bls12381.HashToG1(msg, bls.SignatureDST)
+				t, phiT := bls12381.G1GLVTables(&p)
 				mu.Lock()
-				slots[slot].FromAffine(&p)
-				mu.Unlock()
-				return nil, nil
-			},
-		},
-		HostSetInfinity: {
-			Name: HostSetInfinity, Arity: 1, Results: 0, Gas: 10,
-			Fn: func(_ *sandbox.Instance, args []int64) ([]int64, error) {
-				slot, err := slotArg(args[0])
-				if err != nil {
-					return nil, err
-				}
-				mu.Lock()
-				slots[slot].SetInfinity()
+				tables[0], tables[1] = t, phiT
+				acc.SetInfinity()
 				mu.Unlock()
 				return nil, nil
 			},
 		},
 		HostDouble: {
-			Name: HostDouble, Arity: 1, Results: 0, Gas: 30,
-			Fn: func(_ *sandbox.Instance, args []int64) ([]int64, error) {
-				slot, err := slotArg(args[0])
-				if err != nil {
-					return nil, err
-				}
+			Name: HostDouble, Arity: 0, Results: 0, Gas: 30,
+			Fn: func(_ *sandbox.Instance, _ []int64) ([]int64, error) {
 				mu.Lock()
-				slots[slot].Double(&slots[slot])
+				acc.Double(&acc)
 				mu.Unlock()
 				return nil, nil
 			},
 		},
-		HostAdd: {
-			Name: HostAdd, Arity: 2, Results: 0, Gas: 30,
+		HostAddDigit: {
+			Name: HostAddDigit, Arity: 2, Results: 0, Gas: 30,
 			Fn: func(_ *sandbox.Instance, args []int64) ([]int64, error) {
-				dst, err := slotArg(args[0])
+				tbl, err := tableArg(args[0])
 				if err != nil {
 					return nil, err
 				}
-				src, err := slotArg(args[1])
-				if err != nil {
-					return nil, err
+				if d := args[1]; d&1 == 0 || d < -15 || d > 15 {
+					return nil, fmt.Errorf("blsapp: digit %d is not odd in [-15, 15]", d)
 				}
 				mu.Lock()
-				slots[dst].Add(&slots[dst], &slots[src])
+				acc.AddOddDigit(&acc, tbl, args[1])
+				mu.Unlock()
+				return nil, nil
+			},
+		},
+		HostSubIfEven: {
+			Name: HostSubIfEven, Arity: 2, Results: 0, Gas: 30,
+			Fn: func(_ *sandbox.Instance, args []int64) ([]int64, error) {
+				tbl, err := tableArg(args[0])
+				if err != nil {
+					return nil, err
+				}
+				if args[1] != 0 && args[1] != 1 {
+					return nil, fmt.Errorf("blsapp: evenness %d is not 0 or 1", args[1])
+				}
+				mu.Lock()
+				acc.SubFirstIf(&acc, tbl, uint64(args[1]))
 				mu.Unlock()
 				return nil, nil
 			},
 		},
 		HostEmitShare: {
-			Name: HostEmitShare, Arity: 2, Results: 1, Gas: 100,
+			Name: HostEmitShare, Arity: 1, Results: 1, Gas: 100,
 			Fn: func(inst *sandbox.Instance, args []int64) ([]int64, error) {
-				slot, err := slotArg(args[0])
+				mu.Lock()
+				sig := acc
+				mu.Unlock()
+				// The accumulator's Z follows the share: normalize blinded.
+				aff, err := sig.AffineBlinded()
 				if err != nil {
 					return nil, err
 				}
-				outPtr := args[1]
-				mu.Lock()
-				aff := slots[slot].Affine()
-				mu.Unlock()
 				ks := st.Current()
-				out := make([]byte, 0, responseLen)
-				var idx [4]byte
-				binary.BigEndian.PutUint32(idx[:], ks.Index)
-				out = append(out, idx[:]...)
-				var ep [8]byte
-				binary.BigEndian.PutUint64(ep[:], ks.Epoch)
-				out = append(out, ep[:]...)
-				enc := aff.Bytes()
-				out = append(out, enc[:]...)
-				if err := inst.WriteMemory(int(outPtr), out); err != nil {
+				out := encodeShareResponse(ks.Index, ks.Epoch, aff.Bytes())
+				if err := inst.WriteMemory(int(args[0]), out); err != nil {
 					return nil, err
 				}
 				return []int64{int64(len(out))}, nil
@@ -449,15 +520,7 @@ func DecodeSignRequestForNative(req []byte) (uint64, []byte, error) {
 // EncodeSignResponseForNative builds the wire response for a natively
 // produced signature share.
 func EncodeSignResponseForNative(share *bls.SignatureShare) []byte {
-	out := make([]byte, 0, responseLen)
-	var idx [4]byte
-	binary.BigEndian.PutUint32(idx[:], share.Index)
-	out = append(out, idx[:]...)
-	var ep [8]byte
-	binary.BigEndian.PutUint64(ep[:], share.Epoch)
-	out = append(out, ep[:]...)
-	sig := share.Sig.Bytes()
-	return append(out, sig[:]...)
+	return encodeShareResponse(share.Index, share.Epoch, share.Sig.Bytes())
 }
 
 // EncodeStaleResponseForNative builds the stale-epoch marker a native

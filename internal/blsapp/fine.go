@@ -18,7 +18,13 @@ import (
 // (curve-op granularity, blsapp.Module) this brackets the paper's
 // compiled-Wasm sandbox overhead from both sides — the host-call
 // granularity is the reproduction's analog of Wasm's per-instruction
-// slowdown, and EXPERIMENTS.md reports both points (Ablation G).
+// slowdown, and DESIGN.md §4.8 reports both points (Ablation G).
+//
+// The fine variant keeps the seed's 256-bit MSB-first double-and-add,
+// because it is Table 3's canonical Sandbox row: it adds once per set
+// share bit, so unlike the coarse module its host-call sequence follows
+// the share. It is a benchmark, never what a trust domain signs with;
+// only its final normalization is blinded.
 //
 // Fp slot layout (host-side table):
 //
@@ -576,17 +582,13 @@ func FineHosts(st *ShareState) map[string]*sandbox.HostFunc {
 				mu.Lock()
 				acc := bls12381.G1Jac{X: slots[0], Y: slots[1], Z: slots[2]}
 				mu.Unlock()
-				aff := acc.Affine()
+				// The accumulator's Z follows the share: normalize blinded.
+				aff, err := acc.AffineBlinded()
+				if err != nil {
+					return nil, err
+				}
 				ks := st.Current()
-				out := make([]byte, 0, responseLen)
-				var idx [4]byte
-				binary.BigEndian.PutUint32(idx[:], ks.Index)
-				out = append(out, idx[:]...)
-				var ep [8]byte
-				binary.BigEndian.PutUint64(ep[:], ks.Epoch)
-				out = append(out, ep[:]...)
-				enc := aff.Bytes()
-				out = append(out, enc[:]...)
+				out := encodeShareResponse(ks.Index, ks.Epoch, aff.Bytes())
 				if err := inst.WriteMemory(int(args[0]), out); err != nil {
 					return nil, err
 				}

@@ -21,6 +21,7 @@
 package domain
 
 import (
+	"context"
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
@@ -268,8 +269,10 @@ func Start(cfg Config) (*Domain, error) {
 	d.fw = fw
 
 	// The public endpoint: the host-side proxy of a TEE domain, or
-	// domain 0's RPC server itself.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// domain 0's RPC server itself. It is loopback only, so accepted
+	// connections skip TCP keepalive and the setsockopt calls it costs.
+	lc := net.ListenConfig{KeepAlive: -1}
+	ln, err := lc.Listen(context.Background(), "tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("domain %s: listen: %w", cfg.Name, err)
 	}

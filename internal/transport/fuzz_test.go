@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -212,6 +213,75 @@ func FuzzSubscribeFrame(f *testing.F) {
 			if env := <-reply; env.ID != 1 || env.Kind != "" {
 				t.Fatalf("pending call 1 received a frame not addressed to it: %+v", env)
 			}
+		}
+	})
+}
+
+// FuzzParseRequestV1 is the differential check on parseRequest's v1
+// scanner: on every frame it must accept and reject exactly what
+// json.Unmarshal does and decode the same id, kind, body and offer. Every
+// frame the client's encoder could have written must take the scanner,
+// not the fallback, unless its kind needs escaping or a number is out of
+// the scanner's range.
+func FuzzParseRequestV1(f *testing.F) {
+	for _, s := range []string{
+		`{"id":1,"kind":"audit","body":{"nonce":"AAAA"},"v":2}`,
+		`{"id":18446744073709551615,"kind":"k","v":1}`,
+		`{"id":0,"kind":""}`,
+		`{"id":7,"kind":"x","body":null}`,
+		`{"id":7,"kind":"x","body":"a,\"v\":3","v":2}`,
+		`{"id":7,"kind":"x","body":{"a":1,"v":2}}`,
+		`{"id":7,"kind":"x","body":{"a":{"b":1,"v":7}}`,
+		`{"id":7,"kind":"x","body":{"b":1,"v":7}`,
+		`{"id":7,"kind":"x","body":[1, 2] ,"v":2}`,
+		`{"id":07,"kind":"x"}`,
+		`{"id":7,"kind":"xA","v":2}`,
+		`{"ID":7,"kind":"x"}`,
+		`{"id":7,"kind":"x","v":2,"v":3}`,
+		`{"id":7,"kind":"x","v":-2}`,
+		`{"id":7,"kind":"x","v":99999999999}`,
+		`{"id":7,"kind":"x"} `,
+		`{"id":7,"kind":"x","body":1e3}`,
+	} {
+		f.Add([]byte(s))
+	}
+	for _, req := range []Request{
+		{ID: 1, Kind: "audit", Body: json.RawMessage(`{"nonce":"3q2+7w==","history":true}`)},
+		{ID: 2, Kind: "invoke", Body: json.RawMessage(`{"request":"AgAAAAAAAAAAaGk="}`)},
+		{ID: 3, Kind: "status"},
+		{ID: 4, Kind: "k<&>", Body: json.RawMessage(`"<a&b>"`)},
+	} {
+		raw, err := json.Marshal(&requestV1{Request: req, V: offerBodies})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if isV2(data) {
+			return
+		}
+		req, offer, err := parseRequest(data)
+		var want requestV1
+		wantErr := json.Unmarshal(data, &want)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%q: parseRequest error %v, json.Unmarshal error %v", data, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if req.ID != want.ID || req.Kind != want.Kind || !bytes.Equal(req.Body, want.Body) || offer != want.V {
+			t.Fatalf("%q: parseRequest gave (%d, %q, %q, v %d), json.Unmarshal (%d, %q, %q, v %d)",
+				data, req.ID, req.Kind, req.Body, offer, want.ID, want.Kind, want.Body, want.V)
+		}
+		client, err := json.Marshal(&want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := want.ID < 1e19 && want.V >= 0 && want.V < 1e9 &&
+			!strings.ContainsFunc(want.Kind, func(r rune) bool { return r < 0x20 || r >= 0x80 || strings.ContainsRune(`"\<>&`, r) })
+		if _, _, ok := scanRequestV1(data); plain && bytes.Equal(client, data) && !ok {
+			t.Fatalf("%q: the client's own encoding fell back to json.Unmarshal", data)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding"
 	"encoding/json"
@@ -404,6 +405,9 @@ func (s *Server) serveConn(conn net.Conn, bufs *connBuffers) {
 // nothing), offerV2 for a frame in v2.
 func parseRequest(frame []byte) (req *Request, offer int, err error) {
 	if !isV2(frame) {
+		if req, v, ok := scanRequestV1(frame); ok {
+			return req, v, nil
+		}
 		var wire requestV1
 		if err := json.Unmarshal(frame, &wire); err != nil {
 			return nil, 0, err
@@ -419,6 +423,77 @@ func parseRequest(frame []byte) (req *Request, offer int, err error) {
 	}
 	return &Request{ID: env.ID, Kind: env.Kind, Body: env.Body, container: env.batch}, offerV2, nil
 }
+
+// scanRequestV1 decodes the one v1 request shape a client writes,
+// json.Marshal of a requestV1 without whitespace:
+//
+//	{"id":N,"kind":"K"[,"body":B][,"v":V]}
+//
+// with N and V plain decimal integers (N below 10^19, V below 10^9), K
+// printable ASCII without escapes, and B one JSON value. ok is false for
+// any other frame, which json.Unmarshal then decodes or rejects; when ok
+// is true the result is what json.Unmarshal would have decoded
+// (FuzzParseRequestV1). Body aliases the frame, which ReadFrameHeader
+// allocates for this request alone.
+func scanRequestV1(frame []byte) (req *Request, v int, ok bool) {
+	rest, found := bytes.CutPrefix(frame, []byte(`{"id":`))
+	if !found {
+		return nil, 0, false
+	}
+	id, rest, ok := scanUint(rest, 19)
+	if !ok {
+		return nil, 0, false
+	}
+	if rest, found = bytes.CutPrefix(rest, []byte(`,"kind":"`)); !found {
+		return nil, 0, false
+	}
+	end := 0
+	for end < len(rest) && rest[end] >= 0x20 && rest[end] < 0x80 && rest[end] != '"' && rest[end] != '\\' {
+		end++
+	}
+	if end == len(rest) || rest[end] != '"' {
+		return nil, 0, false
+	}
+	req = &Request{ID: id, Kind: string(rest[:end])}
+	rest = rest[end+1:]
+	if rest, found = bytes.CutSuffix(rest, []byte("}")); !found {
+		return nil, 0, false
+	}
+	// The offer, if any, closes the object: split it off the end, so
+	// what is left is the body whatever bytes it holds.
+	if i := bytes.LastIndex(rest, []byte(`,"v":`)); i >= 0 {
+		n, tail, ok := scanUint(rest[i+len(`,"v":`):], 9)
+		if ok && len(tail) == 0 {
+			v, rest = int(n), rest[:i]
+		}
+	}
+	if len(rest) == 0 {
+		return req, v, true
+	}
+	body, found := bytes.CutPrefix(rest, []byte(`,"body":`))
+	if !found || len(body) == 0 || isJSONSpace(body[0]) || isJSONSpace(body[len(body)-1]) || !json.Valid(body) {
+		return nil, 0, false
+	}
+	req.Body = body
+	return req, v, true
+}
+
+// scanUint reads a JSON unsigned integer of at most maxDigits digits
+// (no leading zero) off the front of b.
+func scanUint(b []byte, maxDigits int) (n uint64, rest []byte, ok bool) {
+	i := 0
+	for i < len(b) && i <= maxDigits && b[i] >= '0' && b[i] <= '9' {
+		n = n*10 + uint64(b[i]-'0')
+		i++
+	}
+	if i == 0 || i > maxDigits || (b[0] == '0' && i > 1) {
+		return 0, nil, false
+	}
+	return n, b[i:], true
+}
+
+// isJSONSpace reports whether c is JSON insignificant whitespace.
+func isJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // appendReplyFrame appends resp as one whole frame, in the wire version
 // of the connection it was dispatched for.
