@@ -14,17 +14,17 @@
 // Protocol (framed JSON, see internal/transport and internal/gossip):
 //
 //	gossip_heads {from, heads}  -> witness-to-witness frontier exchange
-//	cosign       {source, head, consistency?} -> countersign one head
 //	pollinate    {heads}        -> client path: submit seen heads, get the
 //	                               cosigned frontier + equivocation proofs
 //	witness_info {}             -> witness identity (name, cosigning key)
-//	pull         {}             -> fetch head+consistency from every source
-//	round        {}             -> pull, then gossip with every peer
-//	proofs       {}             -> all equivocation proofs held
 //	subscribe    {from?}        -> register this connection for pushes of
 //	                               the witness's cosigned frontier (one
 //	                               "_batch" frame of push_heads per flush)
-//	unsubscribe  {}             -> deregister the connection
+//	                               until the connection closes
+//	pull         {}             -> with -debug-hooks only: fetch
+//	                               head+consistency from every source now
+//
+// The -interval tick pulls, gossips with every peer and publishes.
 //
 // With -subscribe the witness additionally opens a push channel TO each
 // source: monitors push each new BLS-signed head the moment it exists,
@@ -90,11 +90,6 @@ type monitorInfo struct {
 type pullResponse struct {
 	Heads  []gossip.GossipHead `json:"heads"`
 	Errors []string            `json:"errors,omitempty"`
-}
-
-type roundResponse struct {
-	gossip.RoundSummary
-	PullErrors []string `json:"pull_errors,omitempty"`
 }
 
 // node is the running witness with what its RPC handlers and background
@@ -217,23 +212,15 @@ func main() {
 
 	srv := transport.NewServer()
 	w.Register(srv)
-	srv.Handle("pull", func(json.RawMessage) (any, error) {
-		errs := n.pull()
-		n.publishFrontier()
-		return pullResponse{Heads: w.FrontierHeads(), Errors: errs}, nil
-	})
-	srv.Handle("round", func(json.RawMessage) (any, error) {
-		errs := n.pull()
-		sum, err := w.Round(n.peers)
-		if err != nil {
-			return nil, err
-		}
-		n.publishFrontier()
-		return roundResponse{RoundSummary: *sum, PullErrors: errs}, nil
-	})
-	srv.Handle("proofs", func(json.RawMessage) (any, error) {
-		return w.Proofs(), nil
-	})
+	if h.DebugHooks {
+		// Test-only: the e2e drills pull on demand instead of waiting
+		// for the -interval tick.
+		srv.Handle("pull", func(json.RawMessage) (any, error) {
+			errs := n.pull()
+			n.publishFrontier()
+			return pullResponse{Heads: w.FrontierHeads(), Errors: errs}, nil
+		})
+	}
 	serve.RegisterHub(srv, n.hub, w.FrontierHeads)
 
 	// With -subscribe, open a push channel from every source: pushed

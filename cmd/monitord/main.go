@@ -11,9 +11,6 @@
 //
 //	submit      {envelope}        -> {log_index, alert?}
 //	submitbatch {envelopes: [..]} -> [{log_index, alert?, error?}, ...]
-//	alerts      {}                -> all accumulated misbehavior proofs
-//	poll        {}                -> monitor fetches statuses itself from
-//	                                 every domain and ingests them
 //	info        {}                -> monitor identity: name, BLS tree-head
 //	                                 key, shard count, current log size
 //	                                 (signs nothing)
@@ -44,8 +41,8 @@
 //	subscribe   {from?}           -> registers this connection for pushed
 //	                                 heads: each new BLS-signed head
 //	                                 arrives as one server-initiated
-//	                                 "_batch" frame of push_heads calls
-//	unsubscribe {}                -> deregisters the connection
+//	                                 "_batch" frame of push_heads calls;
+//	                                 closing the connection ends it
 //
 // The server also accepts transport-level "_batch" frames bundling any of
 // the above, so gossiping clients pay one round trip per flush. The public
@@ -85,7 +82,6 @@ var (
 	slashable  = flag.String("slashable", "", "comma-separated hex BLS keys of peer monitors whose equivocation proofs this monitor records")
 
 	fsyncDeadline = flag.Duration("fsync-deadline", 2*time.Second, "WAL-fsync stall watchdog deadline (0 disables)")
-	rpcTimeout    = flag.Duration("rpc-timeout", 10*time.Second, "per-call deadline on outbound RPCs this monitor issues (poll path); 0 disables")
 )
 
 func main() {
@@ -163,12 +159,6 @@ func main() {
 			}
 		}
 	}
-	// The poll path dials through the injector like every other connection.
-	auditClient := audit.NewClient(params)
-	auditClient.SetCallTimeout(*rpcTimeout)
-	auditClient.SetDial(h.Inj.Dial)
-	defer auditClient.Close()
-
 	srv := transport.NewServer()
 	srv.Handle("submit", func(body json.RawMessage) (any, error) {
 		var env audit.AttestedStatusEnvelope
@@ -202,9 +192,6 @@ func main() {
 		}
 		return out, nil
 	})
-	srv.Handle("alerts", func(json.RawMessage) (any, error) {
-		return mon.Alerts(), nil
-	})
 	srv.Handle("info", func(json.RawMessage) (any, error) {
 		return infoResponse{
 			Name:   *name,
@@ -224,24 +211,9 @@ func main() {
 		}
 		return submitResponse{LogIndex: idx}, nil
 	})
-	srv.Handle("poll", func(json.RawMessage) (any, error) {
-		var out []submitResponse
-		for _, d := range params.Domains {
-			env, err := auditClient.FetchStatus(d.Name)
-			if err != nil {
-				return nil, fmt.Errorf("fetching %s: %w", d.Name, err)
-			}
-			idx, proof, err := mon.Submit(env)
-			if err != nil {
-				return nil, fmt.Errorf("ingesting %s: %w", d.Name, err)
-			}
-			out = append(out, submitResponse{LogIndex: idx, Alert: proof})
-		}
-		return out, nil
-	})
 
 	// The serving tier is the read path: it registers headbls, consistency,
-	// proof, subscribe and unsubscribe. Appends kick its head pump, which
+	// proof and subscribe. Appends kick its head pump, which
 	// signs the new head once, checks it against the previous one and
 	// pushes it to every subscriber.
 	tier, err := serve.Attach(mon, serve.Options{Source: *name, SourcePK: headKey[:], Metrics: h.Reg})

@@ -17,7 +17,7 @@ func TestFlagSurface(t *testing.T) {
 		"data": "", "debug-hooks": "false",
 		"fault-schedule": "", "fault-target": "monitord", "fsync-deadline": "2s",
 		"listen": "127.0.0.1:0", "metrics": "", "name": "monitor",
-		"params": "deployment.json", "rpc-timeout": "10s", "shards": "4",
+		"params": "deployment.json", "shards": "4",
 		"slashable": "", "slo-interval": "10s", "trace": "64",
 	}
 	got := map[string]string{}

@@ -1,8 +1,10 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -15,6 +17,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/transport"
 )
 
 // The package contracts DESIGN.md states in prose, enforced on the
@@ -265,6 +269,7 @@ type program struct {
 	fset     *token.FileSet
 	pkgs     []*sourcePkg
 	implicit *types.Info // implicitCalls, checked against the same standard library
+	loader   *loader     // imports for a fixture checked against the program
 }
 
 func (p *program) position(pos token.Pos) string {
@@ -337,7 +342,20 @@ func (l *loader) load(ctxt *build.Context, path, dir string) (*sourcePkg, error)
 	if err != nil {
 		return nil, err
 	}
-	files, err := l.parse(dir, bp.GoFiles)
+	p, err := l.check(path, dir, bp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	if host {
+		l.ours[path] = p
+	}
+	l.prog.pkgs = append(l.prog.pkgs, p)
+	return p, nil
+}
+
+// check parses and type-checks the named files of dir as package path.
+func (l *loader) check(path, dir string, names []string) (*sourcePkg, error) {
+	files, err := l.parse(dir, names)
 	if err != nil {
 		return nil, err
 	}
@@ -348,10 +366,6 @@ func (l *loader) load(ctxt *build.Context, path, dir string) (*sourcePkg, error)
 	}}
 	conf := types.Config{Importer: l, Error: func(err error) { l.errs = append(l.errs, err) }}
 	p.types, _ = conf.Check(path, l.fset, files, p.info)
-	if host {
-		l.ours[path] = p
-	}
-	l.prog.pkgs = append(l.prog.pkgs, p)
 	return p, nil
 }
 
@@ -368,6 +382,7 @@ func loadProgram(t *testing.T) *program {
 		fset := token.NewFileSet()
 		l := &loader{fset: fset, ctxt: build.Default, std: map[string]*types.Package{},
 			ours: map[string]*sourcePkg{}, prog: &program{fset: fset}}
+		l.prog.loader = l
 		l.ctxt.CgoEnabled = false
 		err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 			if err != nil || !d.IsDir() {
@@ -665,8 +680,6 @@ var optionExceptions = map[string]string{
 	"store.Options.SegmentMaxBytes":     "store tests force segment rolls with a small cap",
 	"monitor.OpenOptions.SnapshotEvery": "restart tests snapshot mid-run, or switch snapshots off",
 	"monitor.OpenOptions.NoSync":        "tests and benchmarks skip fsyncs",
-	"gossip.Config.Sources":             "tests seed a witness's sources at construction; auditord adds them with AddSource",
-	"gossip.Config.Witnesses":           "tests seed the cosigner set at construction; auditord adds them with AddWitness",
 }
 
 // TestEveryOptionHasACaller: every exported field of an exported struct
@@ -745,6 +758,276 @@ func TestEveryOptionHasACaller(t *testing.T) {
 			t.Errorf("exception %s names no scanned field; drop it", field)
 		}
 	}
+}
+
+// kindException is a handled request kind that stays without a
+// production sender, why, and when the row goes.
+type kindException struct {
+	kind   string
+	reason string
+	until  string
+}
+
+// kindExceptions can only shrink: a kind that gains a sender, or that no
+// server handles any more, fails the test, and so does a fifth row.
+var kindExceptions = []kindException{
+	{
+		kind:   "_poison",
+		reason: "a debug hook, registered only under -debug-hooks: the e2e smoke poisons monitord's serve tier and watches /readyz flip",
+		until:  "the smoke poisons the tier through a -fault-schedule rule instead",
+	},
+	{
+		kind:   "pull",
+		reason: "a debug hook, registered only under -debug-hooks: the e2e smoke and chaos drills make auditord pull now instead of on its -interval tick",
+		until:  "those drills drive the witness through -interval and wait for its frontier",
+	},
+	{
+		kind:   "activate",
+		reason: "the paper's update path: a domain activates a staged update, and no client drives that step yet",
+		until:  "ROADMAP R decides: dtclient drives stage, notice and activate, or staging goes",
+	},
+	{
+		kind:   "gossipreport",
+		reason: "the slashing path: monitord records a portable equivocation proof, and no witness reports one yet",
+		until:  "ROADMAP A-(1a) decides whether witnesses report convictions to a monitor's slashing ledger",
+	},
+}
+
+// The transport functions that every registration and every request goes
+// through, and the position of their kind parameter.
+var kindRoots = map[string]kindParam{
+	"transport.Server.register": {handles: true, index: 0},
+	"transport.Client.CallCtx":  {handles: false, index: 1},
+}
+
+// kindParam marks a function whose kind parameter, at index, names a
+// request kind that it registers a handler for (handles) or sends.
+type kindParam struct {
+	handles bool
+	index   int
+}
+
+// kindSurface is what a program handles and sends, by request kind.
+type kindSurface struct {
+	handled, sent map[string][]token.Pos
+	problems      []string // kind arguments the scan could not resolve
+}
+
+// scanKinds collects the request kinds that pkgs register handlers for
+// and send. A function that passes its own kind parameter on to a
+// registration or a send (Server.Handle, ManagedClient.Call,
+// audit.Client.call, bench's conn.call) registers or sends at its call
+// sites instead, found to a fixpoint from kindRoots; a call through a
+// func value of Client.Call's type sends, and so does a BatchCall
+// literal. Any other kind argument is a problem, so that no sender goes
+// uncounted.
+func scanKinds(prog *program, pkgs []*sourcePkg) kindSurface {
+	type owner struct {
+		fn    *types.Func
+		index int
+	}
+	roles := map[*types.Func]kindParam{}
+	kindParams := map[types.Object]owner{} // every parameter named kind of a declared function
+	var callSig types.Type                 // transport.Client.Call's
+	for _, p := range pkgs {
+		for _, file := range p.files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				sig := fn.Type().(*types.Signature)
+				for i := 0; i < sig.Params().Len(); i++ {
+					if v := sig.Params().At(i); v.Name() == "kind" {
+						kindParams[v] = owner{fn, i}
+					}
+				}
+				key := funcKey(fn)
+				if root, ok := kindRoots[key]; ok {
+					roles[fn] = root
+				}
+				if key == "transport.Client.Call" {
+					callSig = sig
+				}
+			}
+		}
+	}
+
+	for {
+		s := kindSurface{handled: map[string][]token.Pos{}, sent: map[string][]token.Pos{}}
+		grew := false
+		record := func(info *types.Info, handles bool, arg ast.Expr) {
+			if tv := info.Types[arg]; tv.Value != nil && tv.Value.Kind() == constant.String {
+				kinds := s.sent
+				if handles {
+					kinds = s.handled
+				}
+				kind := constant.StringVal(tv.Value)
+				kinds[kind] = append(kinds[kind], arg.Pos())
+				return
+			}
+			if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
+				if o, ok := kindParams[info.Uses[id]]; ok {
+					if _, known := roles[o.fn]; !known {
+						roles[o.fn] = kindParam{handles: handles, index: o.index}
+						grew = true
+					}
+					return
+				}
+			}
+			s.problems = append(s.problems, prog.position(arg.Pos())+": kind argument is neither a constant nor a forwarded kind parameter")
+		}
+		for _, p := range pkgs {
+			for _, file := range p.files {
+				ast.Inspect(file, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						var id *ast.Ident
+						switch fun := ast.Unparen(n.Fun).(type) {
+						case *ast.Ident:
+							id = fun
+						case *ast.SelectorExpr:
+							id = fun.Sel
+						default:
+							return true
+						}
+						role, ok := kindParam{}, false
+						switch obj := p.info.Uses[id].(type) {
+						case *types.Func:
+							role, ok = roles[obj.Origin()]
+						case *types.Var:
+							ok = callSig != nil && types.Identical(obj.Type(), callSig)
+						}
+						if ok && role.index < len(n.Args) {
+							record(p.info, role.handles, n.Args[role.index])
+						}
+					case *ast.CompositeLit:
+						named, ok := p.info.Types[n].Type.(*types.Named)
+						if !ok || named.Obj().Name() != "BatchCall" || named.Obj().Pkg().Path() != internalPrefix+"transport" {
+							return true
+						}
+						for i, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Kind" {
+									record(p.info, false, kv.Value)
+								}
+							} else if i == 0 {
+								record(p.info, false, elt)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+		if !grew {
+			return s
+		}
+	}
+}
+
+// kindFindings checks pkgs' request kinds against each other, against
+// kindExceptions and against the retry table idempotent.
+func kindFindings(prog *program, pkgs []*sourcePkg, idempotent map[string]bool) []string {
+	s := scanKinds(prog, pkgs)
+	out := s.problems
+	if len(s.handled) == 0 || len(s.sent) == 0 {
+		out = append(out, fmt.Sprintf("the scan found %d handled and %d sent kinds", len(s.handled), len(s.sent)))
+	}
+	if len(kindExceptions) > 4 {
+		out = append(out, fmt.Sprintf("%d kind exceptions; at most 4", len(kindExceptions)))
+	}
+	excepted := map[string]bool{}
+	for _, row := range kindExceptions {
+		excepted[row.kind] = true
+		switch {
+		case row.reason == "" || row.until == "":
+			out = append(out, fmt.Sprintf("kind exception %q needs a reason and a deletion condition", row.kind))
+		case len(s.handled[row.kind]) == 0:
+			out = append(out, fmt.Sprintf("kind exception %q names a kind no server handles; drop it", row.kind))
+		case len(s.sent[row.kind]) > 0:
+			out = append(out, fmt.Sprintf("%s: kind %q now has a sender; drop its exception (%q)", prog.position(s.sent[row.kind][0]), row.kind, row.reason))
+		}
+	}
+	for kind, at := range s.handled {
+		if len(s.sent[kind]) == 0 && !excepted[kind] {
+			out = append(out, fmt.Sprintf("%s: kind %q is handled but sent by no non-test code: give it a sender or delete the handler", prog.position(at[0]), kind))
+		}
+	}
+	for kind, at := range s.sent {
+		if len(s.handled[kind]) == 0 {
+			out = append(out, fmt.Sprintf("%s: kind %q is sent but no server handles it", prog.position(at[0]), kind))
+		}
+	}
+	for kind := range idempotent {
+		if len(s.handled[kind]) == 0 {
+			out = append(out, fmt.Sprintf("transport.DefaultIdempotent lists %q, which no server handles", kind))
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestEveryKindHasASender: every request kind a server registers in a
+// non-test file is sent by a non-test file somewhere in the program
+// (bench/, cmd/ and examples/ included), or is a named exception; every
+// kind sent is handled; and so is every kind the retry table names. A
+// handler is a closure under a string, which the export check cannot
+// see: a kind nothing sends is surface an auditor reads and no workload
+// covers.
+func TestEveryKindHasASender(t *testing.T) {
+	prog := loadProgram(t)
+	for _, f := range kindFindings(prog, prog.pkgs, transport.DefaultIdempotent()) {
+		t.Error(f)
+	}
+}
+
+// TestKindScanCatchesFixtures: each direction of the kind check catches
+// a committed mutant. testdata/kinds/unsent registers a handler that
+// nothing sends; testdata/kinds/unhandled sends, through a wrapper, a
+// kind that no server handles. Checked beside the program, each adds
+// exactly its one finding to the program's own.
+func TestKindScanCatchesFixtures(t *testing.T) {
+	prog := loadProgram(t)
+	idempotent := transport.DefaultIdempotent()
+	base := kindFindings(prog, prog.pkgs, idempotent)
+	for dir, want := range map[string]string{
+		"testdata/kinds/unsent":    `kind "unsent-fixture" is handled but sent by no non-test code`,
+		"testdata/kinds/unhandled": `kind "unhandled-fixture" is sent but no server handles it`,
+	} {
+		pkgs := append(slices.Clip(prog.pkgs), prog.fixture(t, dir))
+		var added []string
+		for _, f := range kindFindings(prog, pkgs, idempotent) {
+			if !slices.Contains(base, f) {
+				added = append(added, f)
+			}
+		}
+		if len(added) != 1 || !strings.Contains(added[0], want) {
+			t.Errorf("%s: added findings %q, want exactly one containing %q", dir, added, want)
+		}
+	}
+}
+
+// fixture type-checks the package in dir against the program without
+// adding it to the program.
+func (p *program) fixture(t *testing.T, dir string) *sourcePkg {
+	t.Helper()
+	l := p.loader
+	bp, err := l.ctxt.ImportDir(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(l.errs)
+	pkg, err := l.check("repro/"+dir, dir, bp.GoFiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range l.errs[n:] {
+		t.Error(err)
+	}
+	l.errs = l.errs[:n]
+	return pkg
 }
 
 // kernelImports are what a non-test file in internal/ff may not import:

@@ -38,11 +38,11 @@ func newWitnessFixture(t *testing.T, n, quorum int) *witnessFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := gossip.NewWitness(gossip.Config{
-			Name: fmt.Sprintf("w%d", i), Key: sk,
-			Sources: []gossip.Source{{Name: "mon", Key: srcPK}},
-		})
+		w, err := gossip.NewWitness(gossip.Config{Name: fmt.Sprintf("w%d", i), Key: sk})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AddSource(gossip.Source{Name: "mon", Key: srcPK}); err != nil {
 			t.Fatal(err)
 		}
 		f.ws = append(f.ws, w)

@@ -220,7 +220,7 @@ func TestObservabilitySmoke(t *testing.T) {
 	waitReady(t, monMetrics)
 	startDaemon(t, filepath.Join(tmp, "auditord.log"), auditordBin,
 		"-sources", "mon="+monRPC, "-listen", audRPC, "-metrics", audMetrics,
-		"-name", "w1", "-trace", "1")
+		"-name", "w1", "-trace", "1", "-debug-hooks")
 	waitReady(t, audMetrics)
 	tdMetrics := freePort(t)
 	startDaemon(t, filepath.Join(tmp, "trustdomaind.log"), trustdomaindBin,
@@ -289,6 +289,15 @@ func TestObservabilitySmoke(t *testing.T) {
 	assertSeriesSet(t, "auditord", audMetrics)
 	assertSeriesSet(t, "trustdomaind", tdMetrics)
 
+	// Refused kinds move the _unknown series, so they come after the
+	// series check.
+	for _, kind := range []string{"round", "proofs"} {
+		err := ac.Call(kind, struct{}{}, nil)
+		if err == nil || !strings.Contains(err.Error(), "unknown request kind") {
+			t.Errorf("auditord answered %s with %v, want unknown request kind", kind, err)
+		}
+	}
+
 	// The sampled client trace must be visible on the monitor's /traces.
 	_, traces := httpGet(t, "http://"+monMetrics+"/traces")
 	traceHex := fmt.Sprintf("%x", trace.TraceID[:])
@@ -323,9 +332,9 @@ func TestObservabilitySmoke(t *testing.T) {
 // signs nothing: after an append has settled, twenty calls move neither
 // serve_heads_signed_total nor any monitor_heads_signed_* series nor
 // store_head_fsyncs_total, the count of head records made durable.
-// "head" and "servestats" are unknown kinds; "info" carries
-// bls_key and no public_key; headbls, consistency, proof and subscribe
-// answer as before.
+// "head", "servestats", "alerts" and "poll" are unknown kinds; "info"
+// carries bls_key and no public_key; headbls, consistency, proof and
+// subscribe answer as before.
 func TestMonitordReadSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots real daemon processes")
@@ -415,7 +424,7 @@ func TestMonitordReadSurface(t *testing.T) {
 	if !aolog.VerifyHeadBLS(pk, &head) {
 		t.Error("headbls does not verify under info's bls_key")
 	}
-	for _, kind := range []string{"head", "servestats"} {
+	for _, kind := range []string{"head", "servestats", "alerts", "poll"} {
 		err := mc.Call(kind, struct{}{}, nil)
 		if err == nil || !strings.Contains(err.Error(), "unknown request kind") {
 			t.Errorf("%s answered %v, want unknown request kind", kind, err)

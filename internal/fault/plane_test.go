@@ -99,12 +99,12 @@ func TestInjectorIsAnArgument(t *testing.T) {
 }
 
 // TestAuditPathDialsThroughInjector: the audit client takes its dialer
-// as a value too, so the two paths that used to dial plain TCP — a
-// monitor's "poll" handler and core.Deployment.AuditClient — are
-// partitioned with the rest of their process. A "monitord" node whose
-// schedule cuts its outbound side fails poll with an injected error and
-// an injected flight event of its own, while the same poll over a plain
-// dialer, against the same domains, succeeds.
+// as a value (audit.Client.SetDial), so the audits a process makes — a
+// handler's here, core.Deployment.AuditClient's in the examples — are
+// partitioned with the rest of that process. A "monitord" node whose
+// schedule cuts its outbound side fails a handler's status fetches with
+// an injected error and an injected flight event of its own, while the
+// same fetches over a plain dialer, against the same domains, succeed.
 func TestAuditPathDialsThroughInjector(t *testing.T) {
 	cut := func(target string) (*fault.Injector, *obsv.FlightRecorder) {
 		inj := fault.Activate(&fault.Schedule{Seed: 1, Rules: []fault.Rule{
@@ -155,7 +155,7 @@ func TestAuditPathDialsThroughInjector(t *testing.T) {
 	defer dep.Close()
 	params := dep.Params()
 
-	// poll is monitord's handler: fetch every domain's attested status.
+	// poll is a handler that fetches every domain's attested status.
 	poll := func(c *audit.Client) func(json.RawMessage) (any, error) {
 		return func(json.RawMessage) (any, error) {
 			for _, d := range params.Domains {

@@ -14,7 +14,7 @@ import (
 // witness at fan-in 32.
 func BenchmarkWitnessIngest(b *testing.B) {
 	const sources = 32
-	var cfgSources []Source
+	var srcs []Source
 	frame := make([]GossipHead, sources)
 	for i := 0; i < sources; i++ {
 		sk, pk, err := bls.GenerateKey()
@@ -26,7 +26,7 @@ func BenchmarkWitnessIngest(b *testing.B) {
 			l.Append([]byte(fmt.Sprintf("src%d-entry%d", i, j)))
 		}
 		name := fmt.Sprintf("src%d", i)
-		cfgSources = append(cfgSources, Source{Name: name, Key: pk})
+		srcs = append(srcs, Source{Name: name, Key: pk})
 		frame[i] = GossipHead{
 			Source: name,
 			Head:   aolog.SignHeadBLS(sk, uint64(l.Len()), l.SuperRoot()),
@@ -38,9 +38,14 @@ func BenchmarkWitnessIngest(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, err := NewWitness(Config{Name: "bench", Key: wk, Sources: cfgSources})
+		w, err := NewWitness(Config{Name: "bench", Key: wk})
 		if err != nil {
 			b.Fatal(err)
+		}
+		for _, s := range srcs {
+			if err := w.AddSource(s); err != nil {
+				b.Fatal(err)
+			}
 		}
 		out := w.IngestBatch(frame)
 		for j := range out {

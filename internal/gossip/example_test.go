@@ -32,16 +32,15 @@ func Example() {
 		if err != nil {
 			panic(err)
 		}
-		cfg := gossip.Config{Name: name, Key: sk,
-			Sources: []gossip.Source{{Name: "mon", Key: srcPK}}}
-		for _, p := range peers {
-			cfg.Witnesses = append(cfg.Witnesses, p.PublicKey())
-		}
-		w, err := gossip.NewWitness(cfg)
+		w, err := gossip.NewWitness(gossip.Config{Name: name, Key: sk})
 		if err != nil {
 			panic(err)
 		}
+		if err := w.AddSource(gossip.Source{Name: "mon", Key: srcPK}); err != nil {
+			panic(err)
+		}
 		for _, p := range peers {
+			w.AddWitness(p.PublicKey())
 			p.AddWitness(w.PublicKey())
 		}
 		return w

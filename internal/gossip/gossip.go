@@ -50,18 +50,14 @@ type Source struct {
 	Key  *bls.PublicKey
 }
 
-// Config describes one witness's identity and its view of the deployment.
+// Config describes one witness's identity. The sources it watches and
+// the cosigners it accepts besides itself are added once it exists
+// (AddSource, AddWitness).
 type Config struct {
 	// Name is the witness's label in gossip messages (informative).
 	Name string
 	// Key is the witness's BLS cosigning identity.
 	Key *bls.SecretKey
-	// Sources are the log operators this witness watches.
-	Sources []Source
-	// Witnesses is the accepted cosigner set (usually including this
-	// witness's own key). Cosignatures from keys outside the set are
-	// ignored everywhere.
-	Witnesses []*bls.PublicKey
 }
 
 // sourceState is a witness's memory of one log source.
@@ -115,8 +111,8 @@ type Witness struct {
 	flight atomic.Pointer[obsv.FlightRecorder]
 }
 
-// NewWitness creates a witness from a config. The config's own key is
-// always part of the accepted cosigner set.
+// NewWitness creates a witness from a config, watching no source yet.
+// Its own key is always part of the accepted cosigner set.
 func NewWitness(cfg Config) (*Witness, error) {
 	if cfg.Key == nil {
 		return nil, errors.New("gossip: witness needs a BLS key")
@@ -136,18 +132,6 @@ func NewWitness(cfg Config) (*Witness, error) {
 		obs:         newGossipObs(),
 	}
 	w.witnesses[hex.EncodeToString(pkb[:])] = pk
-	for _, wk := range cfg.Witnesses {
-		if wk == nil {
-			return nil, errors.New("gossip: nil witness key")
-		}
-		kb := wk.Bytes()
-		w.witnesses[hex.EncodeToString(kb[:])] = wk
-	}
-	for _, s := range cfg.Sources {
-		if err := w.AddSource(s); err != nil {
-			return nil, err
-		}
-	}
 	return w, nil
 }
 

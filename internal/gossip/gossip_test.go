@@ -50,18 +50,19 @@ func newTestWitness(t *testing.T, name string, srcs []*sourceLog, others ...*Wit
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Name: name, Key: sk}
-	for _, s := range srcs {
-		cfg.Sources = append(cfg.Sources, s.source())
-	}
-	for _, o := range others {
-		cfg.Witnesses = append(cfg.Witnesses, o.PublicKey())
-	}
-	w, err := NewWitness(cfg)
+	w, err := NewWitness(Config{Name: name, Key: sk})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, s := range srcs {
+		if err := w.AddSource(s.source()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, o := range others {
+		if err := w.AddWitness(o.PublicKey()); err != nil {
+			t.Fatal(err)
+		}
 		if err := o.AddWitness(w.PublicKey()); err != nil {
 			t.Fatal(err)
 		}
@@ -350,12 +351,14 @@ func TestGossipAcrossDifferentLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := NewWitness(Config{Name: "w2", Key: sk2,
-		Sources:   []Source{{Name: "mon-as-w2-knows-it", Key: src.pk}},
-		Witnesses: []*bls.PublicKey{w1.PublicKey()}})
+	w2, err := NewWitness(Config{Name: "w2", Key: sk2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := w2.AddSource(Source{Name: "mon-as-w2-knows-it", Key: src.pk}); err != nil {
+		t.Fatal(err)
+	}
+	w2.AddWitness(w1.PublicKey())
 	w1.AddWitness(w2.PublicKey())
 
 	// w1 sees the honest view; w2 sees a same-identity fork.

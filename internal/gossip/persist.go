@@ -23,10 +23,10 @@ import (
 // were instead of re-bootstrapping trust-on-first-use (which is exactly
 // the window an equivocating source needs).
 //
-// Events reference sources by their BLS key. A deployment registers
-// sources at startup (auditord fetches them before gossiping), so
-// replayed events for a not-yet-registered key are parked and applied
-// when AddSource introduces that key.
+// Events reference sources by their BLS key. A witness opens knowing no
+// source (auditord fetches them after opening, before gossiping), so
+// every replayed head and cosignature event is parked and applied when
+// AddSource introduces its key.
 const (
 	witnessKeyFile      = "witness-bls.key"
 	witnessJournal      = "witness.journal"
@@ -56,10 +56,10 @@ type pendingEvent struct {
 
 // WitnessRecovery reports what OpenWitness replayed from the journal.
 type WitnessRecovery struct {
-	Heads   int // head events applied or parked
-	Cosigs  int // cosignature events applied or parked
+	Heads   int // head events parked
+	Cosigs  int // cosignature events parked
 	Proofs  int // equivocation proofs restored
-	Pending int // events parked for sources not yet registered
+	Pending int // events parked until AddSource: every head and cosignature event
 }
 
 // OpenWitness creates or recovers a persistent witness rooted at dir.
@@ -114,24 +114,14 @@ func (w *Witness) replayEvent(kind byte, payload []byte, stats *WitnessRecovery)
 			return fmt.Errorf("head event: %w", err)
 		}
 		stats.Heads++
-		st, ok := w.sourcesByPK[hex.EncodeToString(ev.SourcePK)]
-		if !ok {
-			w.parkEvent(ev.SourcePK, kind, payload, stats)
-			return nil
-		}
-		applyHeadEvent(st, &ev)
+		w.parkEvent(ev.SourcePK, kind, payload, stats)
 	case evCosig:
 		var ev cosigEvent
 		if err := json.Unmarshal(payload, &ev); err != nil {
 			return fmt.Errorf("cosig event: %w", err)
 		}
 		stats.Cosigs++
-		st, ok := w.sourcesByPK[hex.EncodeToString(ev.SourcePK)]
-		if !ok {
-			w.parkEvent(ev.SourcePK, kind, payload, stats)
-			return nil
-		}
-		applyCosigEvent(st, &ev)
+		w.parkEvent(ev.SourcePK, kind, payload, stats)
 	case evProof:
 		var p EquivocationProof
 		if err := json.Unmarshal(payload, &p); err != nil {

@@ -8,6 +8,22 @@ import (
 	"repro/internal/aolog"
 )
 
+// openWitness opens the persistent witness in dir and then adds its
+// sources, as auditord does.
+func openWitness(t *testing.T, dir string, srcs ...*sourceLog) (*Witness, *WitnessRecovery) {
+	t.Helper()
+	w, rec, err := OpenWitness(dir, Config{Name: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range srcs {
+		if err := w.AddSource(src.source()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w, rec
+}
+
 // TestWitnessRestartKeepsIdentityAndFrontier: a persistent witness
 // reopened from its directory has the same cosigning key, the same
 // cosigned frontier, and advances over fresh heads with a consistency
@@ -16,10 +32,7 @@ func TestWitnessRestartKeepsIdentityAndFrontier(t *testing.T) {
 	dir := t.TempDir()
 	src := newSourceLog(t, "mon", 4, 5)
 
-	w1, rec, err := OpenWitness(dir, Config{Name: "w", Sources: []Source{src.source()}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w1, rec := openWitness(t, dir, src)
 	if rec.Heads != 0 || rec.Proofs != 0 {
 		t.Fatalf("fresh witness recovered state: %+v", rec)
 	}
@@ -91,10 +104,7 @@ func TestWitnessRestartKeepsIdentityAndFrontier(t *testing.T) {
 func TestWitnessRestartKeepsProofs(t *testing.T) {
 	dir := t.TempDir()
 	src := newSourceLog(t, "mon", 2, 3)
-	w1, _, err := OpenWitness(dir, Config{Name: "w", Sources: []Source{src.source()}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w1, _ := openWitness(t, dir, src)
 	if res := w1.Ingest("mon", src.head(), nil); !res.Accepted {
 		t.Fatalf("head not accepted: %+v", res)
 	}
@@ -108,10 +118,7 @@ func TestWitnessRestartKeepsProofs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, rec, err := OpenWitness(dir, Config{Name: "w", Sources: []Source{src.source()}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2, rec := openWitness(t, dir, src)
 	defer w2.Close()
 	if rec.Proofs != 1 {
 		t.Fatalf("recovered %d proofs, want 1", rec.Proofs)
@@ -138,10 +145,7 @@ func TestWitnessRestartKeepsProofs(t *testing.T) {
 func TestWitnessJournalTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	src := newSourceLog(t, "mon", 2, 2)
-	w1, _, err := OpenWitness(dir, Config{Name: "w", Sources: []Source{src.source()}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w1, _ := openWitness(t, dir, src)
 	w1.Ingest("mon", src.head(), nil)
 	src.grow(1)
 	cons, err := src.log.ProveConsistencyBetween(2, 3)
@@ -161,10 +165,7 @@ func TestWitnessJournalTornTailTolerated(t *testing.T) {
 	if err := os.Truncate(jp, fi.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	w2, rec, err := OpenWitness(dir, Config{Name: "w", Sources: []Source{src.source()}})
-	if err != nil {
-		t.Fatalf("torn journal tail bricked the witness: %v", err)
-	}
+	w2, rec := openWitness(t, dir, src)
 	defer w2.Close()
 	// The first frontier (size 2) must at minimum have survived.
 	front, ok := w2.Frontier("mon")

@@ -116,16 +116,17 @@ func TestGossipConvictsForkedMonitor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := gossip.Config{Name: name, Key: sk,
-			Sources: []gossip.Source{{Name: "mon", Key: forkPub}}}
-		for _, o := range others {
-			cfg.Witnesses = append(cfg.Witnesses, o.PublicKey())
-		}
-		w, err := gossip.NewWitness(cfg)
+		w, err := gossip.NewWitness(gossip.Config{Name: name, Key: sk})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := w.AddSource(gossip.Source{Name: "mon", Key: forkPub}); err != nil {
+			t.Fatal(err)
+		}
 		for _, o := range others {
+			if err := w.AddWitness(o.PublicKey()); err != nil {
+				t.Fatal(err)
+			}
 			if err := o.AddWitness(w.PublicKey()); err != nil {
 				t.Fatal(err)
 			}

@@ -333,13 +333,6 @@ func (m *Monitor) RecordLogEquivocation(p *gossip.EquivocationProof) (int, error
 	return idx, nil
 }
 
-// Alerts returns all misbehavior proofs accumulated so far.
-func (m *Monitor) Alerts() []audit.Misbehavior {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]audit.Misbehavior{}, m.alerts...)
-}
-
 // TreeHeadBLS returns the signed head of the monitor's public log at
 // its current size: (total size, super-root). A persistent monitor
 // signed it inside the commit that reached this size, so this is a

@@ -16,6 +16,15 @@ import (
 	"repro/internal/tee"
 )
 
+// Alerts returns all misbehavior proofs accumulated so far. No daemon
+// serves them: a submit reply carries its own alert, and the tests read
+// the rest here.
+func (m *Monitor) Alerts() []audit.Misbehavior {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]audit.Misbehavior{}, m.alerts...)
+}
+
 // fixture builds an enclave-backed framework whose attested statuses can
 // be fed to the monitor, plus matching params. The threshold key and
 // share state of the most recent newFramework call are kept so tests

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"strconv"
 	"sync"
@@ -64,9 +65,9 @@ func (v *memoVerifier) verify(gh *gossip.GossipHead) error {
 }
 
 // TestSubscriberHammer is the concurrency acceptance test: a large
-// population of subscribers churning subscribe/unsubscribe over real
-// (in-memory) connections while the monitor appends and a proactive
-// share refresh runs in the enclave. Every pushed head must carry a
+// population of subscribers over real (in-memory) connections, a third
+// of them dropping their connection and subscribing again, while the
+// monitor appends and a proactive share refresh runs in the enclave. Every pushed head must carry a
 // verifying witness-cosigned quorum, and no subscriber may ever observe
 // an out-of-order head. Run it under -race.
 func TestSubscriberHammer(t *testing.T) {
@@ -120,38 +121,66 @@ func TestSubscriberHammer(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			conn, err := ln.Dial()
-			if err != nil {
-				errs <- err
-				return
-			}
-			s := NewSubscriber(conn)
-			s.VerifyHead = func(gh *gossip.GossipHead) error {
+			verify := func(gh *gossip.GossipHead) error {
 				if err := verifier.verify(gh); err != nil {
 					verifyFailures.Add(1)
 					return err
 				}
 				return nil
 			}
+			if i%3 != 0 {
+				conn, err := ln.Dial()
+				if err != nil {
+					errs <- err
+					return
+				}
+				s := NewSubscriber(conn)
+				s.VerifyHead = verify
+				clients[i] = s
+				if err := s.Subscribe(fmt.Sprintf("client-%d", i)); err != nil {
+					errs <- fmt.Errorf("client %d subscribe: %w", i, err)
+				}
+				return
+			}
+			// A third of the population churns: drop the connection,
+			// linger, and let the subscriber dial and subscribe again —
+			// racing the publisher's pushes, with one guard across its
+			// connections.
+			var live atomic.Pointer[net.Conn]
+			up := make(chan struct{}, 1)
+			s := Redial(func() (net.Conn, error) {
+				conn, err := ln.Dial()
+				if err == nil {
+					live.Store(&conn)
+				}
+				return conn, err
+			}, 0)
+			s.VerifyHead = verify
+			s.OnState = func(event string, _ error) {
+				if event == "connected" {
+					select {
+					case up <- struct{}{}:
+					default:
+					}
+				}
+			}
 			clients[i] = s
 			if err := s.Subscribe(fmt.Sprintf("client-%d", i)); err != nil {
 				errs <- fmt.Errorf("client %d subscribe: %w", i, err)
 				return
 			}
-			// A third of the population churns: unsubscribe, linger,
-			// resubscribe — racing the publisher's pushes.
-			if i%3 == 0 {
-				for round := 0; round < 3; round++ {
-					if err := s.Call(KindUnsubscribe, struct{}{}, nil); err != nil {
-						errs <- fmt.Errorf("client %d unsubscribe: %w", i, err)
-						return
-					}
-					time.Sleep(time.Duration(i%5) * time.Millisecond)
-					if err := s.Subscribe(fmt.Sprintf("client-%d", i)); err != nil {
-						errs <- fmt.Errorf("client %d resubscribe: %w", i, err)
-						return
-					}
+			for round := 0; round <= 3; round++ {
+				select {
+				case <-up:
+				case <-time.After(30 * time.Second):
+					errs <- fmt.Errorf("client %d: not subscribed again after %d drops", i, round)
+					return
 				}
+				if round == 3 {
+					return
+				}
+				(*live.Load()).Close()
+				time.Sleep(time.Duration(i%5) * time.Millisecond)
 			}
 		}(i)
 	}

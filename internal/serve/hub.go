@@ -32,7 +32,7 @@ import (
 //     written under the subscriber's write lock from the moment it is
 //     taken, and the ack's heads are read under that lock, which then
 //     raises the guard to them and drops older pending heads; likewise
-//     Unsubscribe returns only once a push in flight has been written,
+//     unsubscribe returns only once a push in flight has been written,
 //     and none starts after it.
 type Hub struct {
 	from string // label stamped on pushed HeadsMessages
@@ -53,7 +53,7 @@ type hubSub struct {
 	p *transport.Pusher
 
 	// wmu is held from taking a batch until its frame is written, while
-	// a subscribe ack is built, and by Unsubscribe: see Hub.
+	// a subscribe ack is built, and by unsubscribe: see Hub.
 	wmu sync.Mutex
 
 	mu       sync.Mutex
@@ -103,9 +103,9 @@ func (h *Hub) subscribe(p *transport.Pusher, current func() []gossip.GossipHead)
 	return heads, nil
 }
 
-// Unsubscribe removes a connection's subscription (no-op when absent).
+// unsubscribe removes a connection's subscription (no-op when absent).
 // A push in flight is written before it returns; none starts after.
-func (h *Hub) Unsubscribe(p *transport.Pusher) {
+func (h *Hub) unsubscribe(p *transport.Pusher) {
 	h.mu.Lock()
 	s, ok := h.subs[p]
 	if ok {
@@ -257,7 +257,7 @@ func (h *Hub) run(s *hubSub) {
 		case <-s.stop:
 			return
 		case <-s.p.Done():
-			h.Unsubscribe(s.p)
+			h.unsubscribe(s.p)
 			return
 		}
 		stopped, err := h.flush(s)
@@ -265,7 +265,7 @@ func (h *Hub) run(s *hubSub) {
 			return
 		}
 		if err != nil {
-			h.Unsubscribe(s.p)
+			h.unsubscribe(s.p)
 			return
 		}
 	}

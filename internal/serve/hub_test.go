@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -186,5 +187,44 @@ func TestSubscribeAckWaitsForPushInFlight(t *testing.T) {
 	defer pmu.Unlock()
 	if len(pushed) != 2 || pushed[0] != 2 || pushed[1] != 4 {
 		t.Fatalf("pushed sizes %v, want [2 4]", pushed)
+	}
+}
+
+// TestSubscriptionEndsWithItsConnection: there is no unsubscribe kind.
+// A subscription lasts as long as its connection, and the hub drops it
+// once that connection closes.
+func TestSubscriptionEndsWithItsConnection(t *testing.T) {
+	hub := NewHub("test")
+	defer hub.Close()
+	srv := transport.NewServer()
+	RegisterHub(srv, hub, func() []gossip.GossipHead { return []gossip.GossipHead{hubHead(1)} })
+	ln := transport.NewMemListener()
+	defer ln.Close()
+	go srv.Serve(ln)
+
+	conn, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := NewSubscriber(conn)
+	if err := sub.Subscribe("t"); err != nil {
+		t.Fatal(err)
+	}
+	subscribed := func() int {
+		hub.mu.Lock()
+		defer hub.mu.Unlock()
+		return len(hub.subs)
+	}
+	if n := subscribed(); n != 1 {
+		t.Fatalf("%d subscriptions after subscribe, want 1", n)
+	}
+	if err := sub.Call("unsubscribe", struct{}{}, nil); err == nil || !strings.Contains(err.Error(), "unknown request kind") {
+		t.Fatalf("unsubscribe answered %v, want unknown request kind", err)
+	}
+	sub.Close()
+	for deadline := time.Now().Add(10 * time.Second); subscribed() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the subscription outlived its connection")
+		}
 	}
 }

@@ -37,7 +37,7 @@
 // OWNS: the proofs each published head holds and their single flights;
 // the head pump, its self-check and the poison state; admission and
 // degradation; the Hub's per-subscriber coalescing; the
-// subscribe/unsubscribe/push_heads kinds and, on the client side
+// subscribe/push_heads kinds and, on the client side
 // (Subscriber), the VerifyHead hook, the per-source monotonicity guard
 // and when to subscribe again.
 //
@@ -75,10 +75,9 @@ const (
 	KindProof = "proof"
 	// KindSubscribe registers the connection for head pushes:
 	// SubscribeRequest -> SubscribeResponse (current heads), then
-	// server-initiated _batch frames of KindPushHeads sub-requests.
+	// server-initiated _batch frames of KindPushHeads sub-requests,
+	// until the connection closes.
 	KindSubscribe = "subscribe"
-	// KindUnsubscribe removes the connection's subscription.
-	KindUnsubscribe = "unsubscribe"
 	// KindPushHeads is the server-initiated sub-request kind inside
 	// pushed _batch frames; its body is a gossip.HeadsMessage.
 	KindPushHeads = "push_heads"
@@ -591,7 +590,7 @@ func (t *Tier) registerMetrics() {
 }
 
 // Register installs the tier's RPC kinds on a transport server:
-// "headbls", "consistency", "proof", "subscribe" and "unsubscribe". They
+// "headbls", "consistency", "proof" and "subscribe". They
 // are the daemon's whole read path; nothing else answers these kinds.
 func (t *Tier) Register(srv *transport.Server) {
 	srv.Handle("headbls", func(json.RawMessage) (any, error) {
@@ -614,7 +613,7 @@ func (t *Tier) Register(srv *transport.Server) {
 	RegisterHub(srv, t.hub, t.CurrentHeads)
 }
 
-// RegisterHub installs subscribe/unsubscribe kinds for a hub. current
+// RegisterHub installs the subscribe kind for a hub. current
 // primes each new subscriber's ack with the present heads; it runs under
 // the subscriber's write lock and must not call into the hub.
 // Exposed separately so daemons that are not a single-log Tier (the
@@ -635,12 +634,5 @@ func RegisterHub(srv *transport.Server, hub *Hub, current func() []gossip.Gossip
 			return nil, err
 		}
 		return SubscribeResponse{Heads: heads}, nil
-	})
-	srv.HandlePush(KindUnsubscribe, func(_ json.RawMessage, p *transport.Pusher) (any, error) {
-		if p == nil {
-			return nil, errors.New("serve: unsubscribe requires a connection")
-		}
-		hub.Unsubscribe(p)
-		return struct{}{}, nil
 	})
 }

@@ -63,13 +63,14 @@ const (
 // DefaultIdempotent is the repo-wide idempotency table: read-only RPC
 // kinds across transport, serve, gossip, domain, and blsapp surfaces.
 // Everything absent — submit, submitbatch, invoke, invokebatch,
-// gossipreport, subscribe/unsubscribe (connection-scoped state), and
-// any future kind — is NOT retried after a post-send failure.
+// gossipreport, subscribe (connection-scoped state), and any future
+// kind — is NOT retried after a post-send failure. Every kind listed is
+// one a server handles (TestEveryKindHasASender).
 func DefaultIdempotent() map[string]bool {
 	return map[string]bool{
 		// log / monitor read path
 		"headbls": true, "info": true, "consistency": true,
-		"proof": true, "proofs": true, "alerts": true, "pull": true,
+		"proof": true, "pull": true,
 		// domain read path
 		"status": true, "history": true, "audit": true,
 		// witness read/exchange path: gossip_heads and pollinate are
