@@ -165,8 +165,14 @@ func TestWitnessJournalTornTailTolerated(t *testing.T) {
 	if err := os.Truncate(jp, fi.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	w2, rec := openWitness(t, dir, src)
+	w2, rec, err := OpenWitness(dir, Config{Name: "w"})
+	if err != nil {
+		t.Fatalf("torn journal tail bricked the witness: %v", err)
+	}
 	defer w2.Close()
+	if err := w2.AddSource(src.source()); err != nil {
+		t.Fatal(err)
+	}
 	// The first frontier (size 2) must at minimum have survived.
 	front, ok := w2.Frontier("mon")
 	if !ok || front.Size < 2 {

@@ -67,9 +67,10 @@ func (v *memoVerifier) verify(gh *gossip.GossipHead) error {
 // TestSubscriberHammer is the concurrency acceptance test: a large
 // population of subscribers over real (in-memory) connections, a third
 // of them dropping their connection and subscribing again, while the
-// monitor appends and a proactive share refresh runs in the enclave. Every pushed head must carry a
-// verifying witness-cosigned quorum, and no subscriber may ever observe
-// an out-of-order head. Run it under -race.
+// monitor appends and a proactive share refresh runs in the enclave.
+// Every pushed head must carry a verifying witness-cosigned quorum, and
+// no subscriber may ever observe an out-of-order head. Run it under
+// -race.
 func TestSubscriberHammer(t *testing.T) {
 	f := newFixture(t)
 	f.append(t, 2)
@@ -169,14 +170,14 @@ func TestSubscriberHammer(t *testing.T) {
 				errs <- fmt.Errorf("client %d subscribe: %w", i, err)
 				return
 			}
-			for round := 0; round <= 3; round++ {
+			for drops := 0; ; drops++ {
 				select {
 				case <-up:
 				case <-time.After(30 * time.Second):
-					errs <- fmt.Errorf("client %d: not subscribed again after %d drops", i, round)
+					errs <- fmt.Errorf("client %d: not subscribed after %d drops", i, drops)
 					return
 				}
-				if round == 3 {
+				if drops == 3 {
 					return
 				}
 				(*live.Load()).Close()
