@@ -66,26 +66,10 @@ func benchmarkSandboxRow(b *testing.B, moduleBytes []byte, hosts map[string]*san
 }
 
 // BenchmarkTable3Sandbox is Table 3 row 2: the signing algorithm running
-// as interpreted bytecode inside the framework's sandbox. The canonical
-// row uses the fine-grained variant (Jacobian formulas in the VM, one
-// host call per base-field operation), whose overhead lands closest to
-// the paper's compiled-Wasm measurement.
+// as interpreted bytecode inside the framework's sandbox. It is the
+// module trust domains sign with (DESIGN.md §2): a regular GLV window loop
+// in the VM, with whole curve-group operations as host calls.
 func BenchmarkTable3Sandbox(b *testing.B) {
-	_, shares, err := bls.ThresholdKeyGen(2, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchmarkSandboxRow(b, blsapp.FineModuleBytes(), blsapp.FineHosts(blsapp.NewShareState(shares[0])))
-}
-
-// BenchmarkTable3SandboxCoarse is Ablation G's other granularity point:
-// the signing loop in the VM with whole curve-group operations as host
-// calls. It differs from BenchmarkTable3Sandbox in schedule as well as
-// granularity: this is the module trust domains sign with, a regular GLV
-// window loop (124 doublings and 64 mixed additions), while the fine
-// module keeps the seed's 256-bit double-and-add (255 doublings and one
-// general addition per set bit). Lower sandbox tax; same architecture.
-func BenchmarkTable3SandboxCoarse(b *testing.B) {
 	_, shares, err := bls.ThresholdKeyGen(2, 3)
 	if err != nil {
 		b.Fatal(err)
@@ -93,8 +77,8 @@ func BenchmarkTable3SandboxCoarse(b *testing.B) {
 	benchmarkSandboxRow(b, blsapp.ModuleBytes(), blsapp.Hosts(blsapp.NewShareState(shares[0])))
 }
 
-// BenchmarkTable3TEESandbox is Table 3 row 3: the sandboxed application
-// inside a simulated TEE deployment, which adds the host→enclave socket
+// BenchmarkTable3TEESandbox is Table 3 row 3: the same module inside a
+// simulated TEE deployment, which adds the host→enclave socket
 // and the in-enclave framework<->application socket (AF_UNIX socketpairs,
 // the vsock analogue: the two extra sockets §5 attributes the TEE
 // overhead to).
@@ -115,13 +99,13 @@ func BenchmarkTable3TEESandbox(b *testing.B) {
 		Name:         "bench-tee",
 		Vendor:       vendor,
 		DeveloperKey: dev.PublicKey(),
-		Hosts:        blsapp.FineHosts(blsapp.NewShareState(shares[0])),
+		Hosts:        blsapp.Hosts(blsapp.NewShareState(shares[0])),
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer dom.Close()
-	mb := blsapp.FineModuleBytes()
+	mb := blsapp.ModuleBytes()
 	if err := dom.Install(1, mb, dev.SignUpdate(1, mb)); err != nil {
 		b.Fatal(err)
 	}

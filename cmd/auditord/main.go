@@ -134,8 +134,7 @@ func main() {
 			h.Fatal("opening witness journal", "err", err, "data", h.DataDir)
 		}
 		w = witness
-		logger.Info("recovered evidence", "heads", rec.Heads, "cosigs", rec.Cosigs,
-			"proofs", rec.Proofs, "pending", rec.Pending)
+		logger.Info("recovered evidence", "heads", rec.Heads, "cosigs", rec.Cosigs, "proofs", rec.Proofs)
 	} else {
 		key, _, err := bls.GenerateKey()
 		if err != nil {

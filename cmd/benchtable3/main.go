@@ -10,13 +10,15 @@
 // Baseline is the native share-signing operation (hash-to-G1 + scalar
 // multiplication). Sandbox routes the request through the framework's
 // bytecode sandbox (interpreted request handling, copy-in/copy-out,
-// gas accounting). TEE + Sandbox additionally crosses the two extra
+// gas accounting) to the module trust domains sign with: blsapp's
+// regular GLV window loop, with curve-group operations as host calls
+// (DESIGN.md §2). TEE + Sandbox additionally crosses the two extra
 // kernel sockets of the simulated-enclave deployment, AF_UNIX stream
 // socketpairs standing in for the Nitro prototype's vsock: host proxy to
 // enclave RPC server, and framework to application executor. They are
 // the cost source the paper names for its +8.8 percentage points. Absolute times
 // differ from the paper's c5.4xlarge/libBLS numbers; the ordering and
-// rough shape are the reproduction target (see EXPERIMENTS.md).
+// rough shape are the reproduction target (see DESIGN.md §4.8).
 //
 // The three rows run interleaved, one measurement of each per round, so
 // that a slow spell of a shared machine falls on every row alike; each
@@ -63,11 +65,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("benchtable3: %v", err)
 	}
-	fw, err := framework.New(dev.PublicKey(), nil, blsapp.FineHosts(blsapp.NewShareState(*ks)))
+	fw, err := framework.New(dev.PublicKey(), nil, blsapp.Hosts(blsapp.NewShareState(*ks)))
 	if err != nil {
 		log.Fatalf("benchtable3: %v", err)
 	}
-	mb := blsapp.FineModuleBytes()
+	mb := blsapp.ModuleBytes()
 	if err := fw.Install(1, mb, dev.SignUpdate(1, mb)); err != nil {
 		log.Fatalf("benchtable3: %v", err)
 	}
@@ -88,7 +90,7 @@ func main() {
 		Name:         "bench-tee",
 		Vendor:       vendor,
 		DeveloperKey: dev.PublicKey(),
-		Hosts:        blsapp.FineHosts(blsapp.NewShareState(*ks)),
+		Hosts:        blsapp.Hosts(blsapp.NewShareState(*ks)),
 	})
 	if err != nil {
 		log.Fatalf("benchtable3: %v", err)

@@ -56,10 +56,9 @@ type pendingEvent struct {
 
 // WitnessRecovery reports what OpenWitness replayed from the journal.
 type WitnessRecovery struct {
-	Heads   int // head events parked
-	Cosigs  int // cosignature events parked
-	Proofs  int // equivocation proofs restored
-	Pending int // events parked until AddSource: every head and cosignature event
+	Heads  int // head events parked until AddSource
+	Cosigs int // cosignature events parked until AddSource
+	Proofs int // equivocation proofs restored
 }
 
 // OpenWitness creates or recovers a persistent witness rooted at dir.
@@ -114,14 +113,14 @@ func (w *Witness) replayEvent(kind byte, payload []byte, stats *WitnessRecovery)
 			return fmt.Errorf("head event: %w", err)
 		}
 		stats.Heads++
-		w.parkEvent(ev.SourcePK, kind, payload, stats)
+		w.parkEvent(ev.SourcePK, kind, payload)
 	case evCosig:
 		var ev cosigEvent
 		if err := json.Unmarshal(payload, &ev); err != nil {
 			return fmt.Errorf("cosig event: %w", err)
 		}
 		stats.Cosigs++
-		w.parkEvent(ev.SourcePK, kind, payload, stats)
+		w.parkEvent(ev.SourcePK, kind, payload)
 	case evProof:
 		var p EquivocationProof
 		if err := json.Unmarshal(payload, &p); err != nil {
@@ -141,13 +140,12 @@ func (w *Witness) replayEvent(kind byte, payload []byte, stats *WitnessRecovery)
 	return nil
 }
 
-func (w *Witness) parkEvent(sourcePK []byte, kind byte, payload []byte, stats *WitnessRecovery) {
+func (w *Witness) parkEvent(sourcePK []byte, kind byte, payload []byte) {
 	if w.pendingEv == nil {
 		w.pendingEv = make(map[string][]pendingEvent)
 	}
 	key := hex.EncodeToString(sourcePK)
 	w.pendingEv[key] = append(w.pendingEv[key], pendingEvent{kind: kind, payload: append([]byte(nil), payload...)})
-	stats.Pending++
 }
 
 // applyPendingLocked replays parked events once their source appears.

@@ -56,7 +56,7 @@ func TestWitnessRestartKeepsIdentityAndFrontier(t *testing.T) {
 	if !pk1.Equal(w2.PublicKey()) {
 		t.Fatal("cosigning identity changed across restart")
 	}
-	if rec2.Heads != 1 || rec2.Cosigs != 1 || rec2.Pending != 2 {
+	if rec2.Heads != 1 || rec2.Cosigs != 1 {
 		t.Fatalf("recovery stats = %+v, want 1 head + 1 cosig parked", rec2)
 	}
 	// The source arrives after open (as auditord does): parked evidence

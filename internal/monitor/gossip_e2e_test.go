@@ -13,7 +13,7 @@ import (
 )
 
 // serveMonitor exposes the subset of monitord's RPC surface the gossip
-// layer uses (headbls, consistency, gossipreport) over real transport.
+// layer pulls (headbls, consistency) over real transport.
 func serveMonitor(t *testing.T, m *Monitor) string {
 	t.Helper()
 	srv := transport.NewServer()
@@ -28,17 +28,6 @@ func serveMonitor(t *testing.T, m *Monitor) string {
 			return nil, err
 		}
 		return m.ProveConsistencyBetween(req.OldSize, m.Len())
-	})
-	srv.Handle("gossipreport", func(body json.RawMessage) (any, error) {
-		var proof gossip.EquivocationProof
-		if err := json.Unmarshal(body, &proof); err != nil {
-			return nil, err
-		}
-		idx, err := m.RecordLogEquivocation(&proof)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]int{"log_index": idx}, nil
 	})
 	addr, err := srv.ListenAndServe()
 	if err != nil {
@@ -200,25 +189,20 @@ func TestGossipConvictsForkedMonitor(t *testing.T) {
 	}
 
 	// Slashing path: an honest monitor records the conviction in its own
-	// public, Merkle-logged state (over transport, like monitord does).
+	// public, Merkle-logged state (monitord's gossipreport kind; its wire
+	// form is internal/e2e's TestMonitordGossipReport).
 	honest := New(f.params, mustKey(t))
-	addrH := serveMonitor(t, honest)
-	conn, err := transport.Dial(addrH)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var rec map[string]int
 	// Before the forked monitor's key is registered as slashable, the
 	// report is rejected — a proof for an arbitrary self-generated key
 	// is spam, not evidence.
-	if err := conn.Call("gossipreport", &standalone, &rec); err == nil {
+	if _, err := honest.RecordLogEquivocation(&standalone); err == nil {
 		t.Fatal("slashing path accepted a proof for an unregistered key")
 	}
 	if err := honest.RegisterLogSource(forkPub); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Call("gossipreport", &standalone, &rec); err != nil {
+	idx, err := honest.RecordLogEquivocation(&standalone)
+	if err != nil {
 		t.Fatalf("slashing path rejected the proof: %v", err)
 	}
 	alerts := honest.Alerts()
@@ -230,7 +214,7 @@ func TestGossipConvictsForkedMonitor(t *testing.T) {
 	}
 	// The conviction is itself transparency-logged and provable.
 	head := signedHead(t, honest)
-	payload, incl, err := honest.ProveInclusionAt(rec["log_index"], int(head.Size))
+	payload, incl, err := honest.ProveInclusionAt(idx, int(head.Size))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +233,8 @@ func TestGossipConvictsForkedMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx2 != rec["log_index"] {
-		t.Fatalf("replay recorded at %d, original at %d", idx2, rec["log_index"])
+	if idx2 != idx {
+		t.Fatalf("replay recorded at %d, original at %d", idx2, idx)
 	}
 	// The swapped-heads variant of a same-size proof is the same
 	// conviction and must hit the same ledger entry.
@@ -261,8 +245,8 @@ func TestGossipConvictsForkedMonitor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if idx3 != rec["log_index"] {
-			t.Fatalf("swapped replay recorded at %d, original at %d", idx3, rec["log_index"])
+		if idx3 != idx {
+			t.Fatalf("swapped replay recorded at %d, original at %d", idx3, idx)
 		}
 	}
 	if got := honest.Alerts(); len(got) != 1 {

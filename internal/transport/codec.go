@@ -127,7 +127,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // WriteFrameHeader writes one frame with an optional header section.
 // An empty header produces a classic frame. Header and payload go out
 // in a single Write so each frame is one segment on the wire (loopback
-// round trips dominate the TEE deployment's cost; see EXPERIMENTS.md).
+// round trips dominate the TEE deployment's cost; see DESIGN.md §4.8).
 func WriteFrameHeader(w io.Writer, header, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
