@@ -676,8 +676,6 @@ func TestEveryExportHasACaller(t *testing.T) {
 // so the list can only shrink: it is the work list for the next knob PR.
 var optionExceptions = map[string]string{
 	"serve.Options.Cosign":              "the subscriber hammer's only way to push cosigned heads through a real tier",
-	"store.Options.FlushThresholdBytes": "store tests force checkpoints and WAL rotations with a small threshold",
-	"store.Options.SegmentMaxBytes":     "store tests force segment rolls with a small cap",
 	"monitor.OpenOptions.SnapshotEvery": "restart tests snapshot mid-run, or switch snapshots off",
 	"monitor.OpenOptions.NoSync":        "tests and benchmarks skip fsyncs",
 }

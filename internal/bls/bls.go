@@ -89,24 +89,26 @@ func (sk *SecretKey) PublicKey() *PublicKey {
 	return &PublicKey{p: bls12381.G2ScalarBaseMult(&sk.s)}
 }
 
-// Sign produces a signature on msg: sk * H(msg). The hash point stays
-// Jacobian into the scalar multiplication, so signing normalizes once.
+// Sign produces a signature on msg: sk * H(msg).
 func (sk *SecretKey) Sign(msg []byte) *Signature {
-	h := bls12381.HashToG1Jac(msg, SignatureDST)
-	var out bls12381.G1Jac
-	out.ScalarMult(&h, &sk.s)
-	return &Signature{p: secretAffine(&out)}
+	return signWithDST(&sk.s, msg, SignatureDST)
 }
 
-// secretAffine normalizes a point computed from a secret scalar with the
-// inversion blinded. A failed random read panics rather than fall back
-// to the unblinded inversion; crypto/rand treats it as fatal too.
-func secretAffine(p *bls12381.G1Jac) bls12381.G1Affine {
-	a, err := p.AffineBlinded()
+// signWithDST returns s * H(msg) under the domain tag dst, the one path
+// every secret scalar signs through. The hash point stays Jacobian into
+// the regular scalar multiplication, and the one normalization blinds
+// its inversion, since Z follows the secret. A failed random read
+// panics rather than fall back to the unblinded inversion; crypto/rand
+// treats it as fatal too.
+func signWithDST(s *ff.Fr, msg, dst []byte) *Signature {
+	h := bls12381.HashToG1Jac(msg, dst)
+	var out bls12381.G1Jac
+	out.ScalarMult(&h, s)
+	p, err := out.AffineBlinded()
 	if err != nil {
 		panic("bls: blinding a secret-scalar normalization: " + err.Error())
 	}
-	return a
+	return &Signature{p: p}
 }
 
 // ProvePossession returns a proof of possession: a signature over the
@@ -114,10 +116,7 @@ func secretAffine(p *bls12381.G1Jac) bls12381.G1Affine {
 // keys to prevent rogue-key attacks.
 func (sk *SecretKey) ProvePossession() *Signature {
 	pkb := sk.PublicKey().Bytes()
-	h := bls12381.HashToG1Jac(pkb[:], PopDST)
-	var out bls12381.G1Jac
-	out.ScalarMult(&h, &sk.s)
-	return &Signature{p: secretAffine(&out)}
+	return signWithDST(&sk.s, pkb[:], PopDST)
 }
 
 // VerifyPossession checks a proof of possession for pk.

@@ -119,11 +119,7 @@ func (tk *ThresholdKey) VerifyShare(ks *KeyShare) bool {
 // SignShare produces share index's partial signature on msg. This is the
 // exact operation Table 3 of the paper times.
 func (ks *KeyShare) SignShare(msg []byte) SignatureShare {
-	h := bls12381.HashToG1(msg, SignatureDST)
-	var j, out bls12381.G1Jac
-	j.FromAffine(&h)
-	out.ScalarMult(&j, &ks.Share)
-	return SignatureShare{Index: ks.Index, Epoch: ks.Epoch, Sig: Signature{p: secretAffine(&out)}}
+	return SignatureShare{Index: ks.Index, Epoch: ks.Epoch, Sig: *signWithDST(&ks.Share, msg, SignatureDST)}
 }
 
 // VerifyShareSignature checks a signature share against the matching share

@@ -292,18 +292,6 @@ func TestG1RejectsNonSubgroupEncoding(t *testing.T) {
 	t.Skip("no non-subgroup point found in range (unexpected)")
 }
 
-func BenchmarkG1ScalarMult(b *testing.B) {
-	k, _ := ff.RandFrNonZero()
-	g := G1Generator()
-	var j G1Jac
-	j.FromAffine(&g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var out G1Jac
-		out.ScalarMult(&j, &k)
-	}
-}
-
 func BenchmarkHashToG1(b *testing.B) {
 	msg := []byte("benchmark message for hashing")
 	b.ResetTimer()

@@ -33,7 +33,7 @@ func BenchmarkScalarMultG1(b *testing.B) {
 			out.ScalarMultBig(&base, kb)
 		}
 	})
-	b.Run("wnaf-glv", func(b *testing.B) {
+	b.Run("regular", func(b *testing.B) {
 		var out G1Jac
 		for i := 0; i < b.N; i++ {
 			out.ScalarMult(&base, &k)

@@ -9,7 +9,7 @@ import (
 
 // Equivalence and property tests pinning every fast path of the scalar
 // arithmetic engine to the retained naive implementations:
-// wNAF/GLV ScalarMult vs ScalarMultBig, fixed-base tables vs naive base
+// the regular GLV ScalarMult vs ScalarMultBig, fixed-base tables vs naive base
 // multiplication, Pippenger MSM vs the naive sum, the endomorphism
 // subgroup check vs [r]P, fast cofactor clearing vs subgroup
 // membership, and the lockstep batched Miller loop vs the per-pair
@@ -51,28 +51,55 @@ func edgeScalars() []ff.Fr {
 }
 
 func TestG1ScalarMultMatchesNaive(t *testing.T) {
+	glvOnce.Do(glvInit)
+	r := ff.FrModulus()
+	lam := new(big.Int).SetUint64(glvLambda[1])
+	lam.Lsh(lam, 64).Or(lam, new(big.Int).SetUint64(glvLambda[0]))
 	scalars := edgeScalars()
+	for _, v := range []*big.Int{
+		new(big.Int).Sub(r, big.NewInt(2)),
+		new(big.Int).Sub(lam, big.NewInt(1)),
+		new(big.Int).Add(lam, big.NewInt(1)),
+		new(big.Int).Lsh(big.NewInt(1), 127),
+	} {
+		var k ff.Fr
+		k.SetBig(v)
+		scalars = append(scalars, k)
+	}
+	// k1 + k2*lambda with k1, k2 < lambda is below r, so GLVSplit
+	// returns exactly (k1, k2): one scalar for each parity pair of the
+	// halves, the corrections the regular loop makes or skips.
+	for parity := range 4 {
+		a, b := randFr(t), randFr(t)
+		k1 := new(big.Int).Mod(a.Big(), lam)
+		k2 := new(big.Int).Mod(b.Big(), lam)
+		k1.SetBit(k1, 0, uint(parity&1))
+		k2.SetBit(k2, 0, uint(parity>>1))
+		var k ff.Fr
+		k.SetBig(k1.Add(k1, k2.Mul(k2, lam)))
+		h1, h2 := GLVSplit(&k)
+		if int(h1[0]&1|h2[0]&1<<1) != parity {
+			t.Fatalf("parity pair %d: GLVSplit gave halves of parity %d, %d", parity, h1[0]&1, h2[0]&1)
+		}
+		scalars = append(scalars, k)
+	}
 	for i := 0; i < 20; i++ {
 		scalars = append(scalars, randFr(t))
 	}
 	p := randG1(t)
-	var base G1Jac
+	var base, inf G1Jac
 	base.FromAffine(&p)
+	inf.SetInfinity()
 	for i, k := range scalars {
-		var fast, naive G1Jac
+		var fast, naive, out G1Jac
 		fast.ScalarMult(&base, &k)
 		naive.ScalarMultBig(&base, k.Big())
 		if !fast.Equal(&naive) {
-			t.Fatalf("scalar %d (%s): wNAF+GLV != double-and-add", i, k.String())
+			t.Fatalf("scalar %d (%s): regular GLV loop != double-and-add", i, k.String())
 		}
-	}
-	// Infinity base.
-	var inf, out G1Jac
-	inf.SetInfinity()
-	k := randFr(t)
-	out.ScalarMult(&inf, &k)
-	if !out.IsInfinity() {
-		t.Fatal("k * infinity != infinity")
+		if !out.ScalarMult(&inf, &k).IsInfinity() {
+			t.Fatalf("scalar %d (%s): k * infinity != infinity", i, k.String())
+		}
 	}
 }
 

@@ -4,8 +4,8 @@
 //
 // It is built entirely on repro/internal/ff and the standard library,
 // and carries a scalar arithmetic engine (DESIGN.md §8) on its hot
-// paths: width-5 wNAF variable-base multiplication with GLV
-// endomorphism decomposition on G1, precomputed fixed-base tables for
+// paths: a regular GLV window loop for variable-base multiplication
+// on G1 and width-5 wNAF on G2, precomputed fixed-base tables for
 // both generators, Pippenger bucket-method multi-scalar multiplication
 // (G1MultiScalarMult / G2MultiScalarMult), batch-hashed and
 // batch-normalized hash-to-curve (HashToG1Batch), and a lockstep
@@ -319,20 +319,6 @@ func (p *G1Jac) ScalarMultBig(q *G1Jac, k *big.Int) *G1Jac {
 		}
 	}
 	return p.Set(&acc)
-}
-
-// ScalarMult sets p = k*q for a scalar field element k and returns p.
-// It runs the wNAF + GLV fast path (two half-length NAF loops over one
-// shared doubling chain); ScalarMultBig is the retained naive reference
-// the equivalence tests pin this against.
-//
-// q MUST be in the order-r subgroup: the GLV identity phi(q) =
-// [lambda]q holds only there, so for an on-curve point outside the
-// subgroup the result differs from ScalarMultBig. Every point this
-// package hands out (decoded via SetBytes, hashed, or derived from the
-// generator) satisfies this; raw curve points must use ScalarMultBig.
-func (p *G1Jac) ScalarMult(q *G1Jac, k *ff.Fr) *G1Jac {
-	return g1GLVMult(p, q, k)
 }
 
 // Equal reports whether p and q represent the same point.

@@ -8,9 +8,9 @@ import (
 	"repro/internal/ff"
 )
 
-// Fast G1 arithmetic: mixed Jacobian+affine addition, wNAF + GLV
-// variable-base multiplication, a precomputed fixed-base table for the
-// generator, Pippenger multi-scalar multiplication, and the
+// Fast G1 arithmetic: mixed Jacobian+affine addition, wNAF
+// multiplication for public scalars, a precomputed fixed-base table for
+// the generator, Pippenger multi-scalar multiplication, and the
 // endomorphism subgroup check. Every routine here is pinned against the
 // naive double-and-add paths by the tests in fast_test.go.
 
@@ -136,52 +136,6 @@ func g1WnafMult(p *G1Jac, base *G1Jac, k []uint64) *G1Jac {
 	return p.Set(&acc)
 }
 
-// g1GLVMult computes k*base via the GLV split: two half-length wNAF
-// loops share one doubling chain, so a 255-bit scalar costs ~128
-// doublings instead of ~255.
-func g1GLVMult(p *G1Jac, base *G1Jac, k *ff.Fr) *G1Jac {
-	if base.IsInfinity() || k.IsZero() {
-		return p.SetInfinity()
-	}
-	k1, k2 := GLVSplit(k)
-	// phi acts coordinate-wise in Jacobian form too: x = X/Z^2, so
-	// scaling X by beta scales x by beta.
-	glvOnce.Do(glvInit)
-	phiBase := *base
-	phiBase.X.Mul(&phiBase.X, &glvBeta)
-
-	var tbl1, tbl2 [1 << (scalarWindow - 2)]G1Jac
-	g1OddMultiples(base, tbl1[:])
-	g1OddMultiples(&phiBase, tbl2[:])
-
-	d1 := wnafDigits(k1[:], scalarWindow)
-	d2 := wnafDigits(k2[:], scalarWindow)
-	n := len(d1)
-	if len(d2) > n {
-		n = len(d2)
-	}
-	var acc, negEntry G1Jac
-	acc.SetInfinity()
-	step := func(digits []int8, i int, tbl []G1Jac) {
-		if i >= len(digits) {
-			return
-		}
-		d := digits[i]
-		if d > 0 {
-			acc.Add(&acc, &tbl[d>>1])
-		} else if d < 0 {
-			negEntry.Neg(&tbl[(-d)>>1])
-			acc.Add(&acc, &negEntry)
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		acc.Double(&acc)
-		step(d1, i, tbl1[:])
-		step(d2, i, tbl2[:])
-	}
-	return p.Set(&acc)
-}
-
 // g1FixedWindow is the radix width of the generator table: 32 windows
 // of 255 precomputed multiples each, so a base multiplication is at
 // most 32 mixed additions and zero doublings.
@@ -294,9 +248,7 @@ func shorterNegation(k *[4]uint64) ([4]uint64, bool) {
 // G1MultiScalarMult computes sum scalars[i] * points[i] with the
 // Pippenger bucket method. It is equivalent to (and pinned against) the
 // naive sum of individual multiplications; infinity points and zero
-// scalars contribute nothing. Both slices must have equal length, and
-// every point must be in the order-r subgroup (the single-point case
-// takes the GLV path, which assumes it — see G1Jac.ScalarMult).
+// scalars contribute nothing. Both slices must have equal length.
 //
 // Each scalar is used in its shorter signed form: a scalar above r/2
 // multiplies the negated point by r minus it. Lagrange coefficients at
@@ -313,9 +265,16 @@ func G1MultiScalarMult(points []G1Affine, scalars []ff.Fr) G1Jac {
 	case 0:
 		return acc
 	case 1:
+		// One point, a public scalar: the wNAF loop on its shorter
+		// signed form (VerifyBatch's 128-bit coefficients).
+		k := scalars[0].Canonical()
 		var base G1Jac
 		base.FromAffine(&points[0])
-		g1GLVMult(&acc, &base, &scalars[0])
+		if d, shorter := shorterNegation(&k); shorter {
+			k = d
+			base.Neg(&base)
+		}
+		g1WnafMult(&acc, &base, k[:])
 		return acc
 	}
 	canon := make([][4]uint64, n)

@@ -17,7 +17,7 @@ func TestGLVTablesMatchNaive(t *testing.T) {
 	var pj, acc G1Jac
 	pj.FromAffine(&p)
 	acc.Double(&pj) // a start that is neither the identity nor a table entry
-	tbl, phiTbl := G1GLVTables(&p)
+	tbl, phiTbl := G1GLVTables(&pj)
 	for ti, tb := range []*G1OddTable{&tbl, &phiTbl} {
 		mult := big.NewInt(1)
 		if ti == 1 {

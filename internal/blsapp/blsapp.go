@@ -98,9 +98,9 @@ const scratchGLV = 1024
 // the share's; opcode 3 hands a refresh frame to the host for validation
 // and durable installation, moving the domain to the next epoch.
 //
-// Signing is a regular GLV window loop run as interpreted bytecode. The
-// share is k = k1 + k2*lambda with k1, k2 < 2^128 (bls12381.GLVSplit), so
-// k*H = k1*H + k2*phi(H). Each half k is signed as k|1, recoded into 32
+// Signing is the regular GLV window loop of G1Jac.ScalarMult, run as
+// interpreted bytecode. The share is k = k1 + k2*lambda with k1, k2 <
+// 2^128 (bls12381.GLVSplit), so k*H = k1*H + k2*phi(H). Each half k is signed as k|1, recoded into 32
 // odd digits in [-15, 15]:
 //
 //	d_i  = 2*((k >> (4i+1)) & 15) - 15   for i < 31
@@ -424,7 +424,7 @@ func Hosts(st *ShareState) map[string]*sandbox.HostFunc {
 				if err != nil {
 					return nil, err
 				}
-				p := bls12381.HashToG1(msg, bls.SignatureDST)
+				p := bls12381.HashToG1Jac(msg, bls.SignatureDST)
 				t, phiT := bls12381.G1GLVTables(&p)
 				mu.Lock()
 				tables[0], tables[1] = t, phiT

@@ -346,7 +346,7 @@ func (z *Fp) Exp(a *Fp, e *big.Int) *Fp {
 // x^-1 * 2^k for some k in [381, 762] with shifts, additions and
 // subtractions only, and one multiplication by 2^(768-k) turns that
 // into (a^-1)R. It allocates nothing and is variable-time (its steps
-// follow a's bits), like the wNAF scalar multiplication before it.
+// follow a's bits), like wNAF scalar multiplication.
 func (z *Fp) Inverse(a *Fp) *Fp {
 	if a.IsZero() {
 		return z.SetZero()

@@ -111,7 +111,7 @@ func TestHeadSurvivesCheckpointRotationAndClose(t *testing.T) {
 	})
 	t.Run("rotation", func(t *testing.T) {
 		dir := t.TempDir()
-		s, err := Open(dir, Options{Shards: 2, NoSync: true, FlushThresholdBytes: 200})
+		s, err := Open(dir, Options{Shards: 2, NoSync: true, flushThresholdBytes: 200})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestHeadDiskFaultPoisons(t *testing.T) {
 // last put is the one a crash recovers, and it covers recovered leaves.
 func TestHeadRacesCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Shards: 4, NoSync: true, FlushThresholdBytes: 512})
+	s, err := Open(dir, Options{Shards: 4, NoSync: true, flushThresholdBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

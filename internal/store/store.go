@@ -38,12 +38,12 @@ type Options struct {
 	// NoSync skips every fsync. Tests and benchmarks only: a crash can
 	// then lose arbitrarily much, but the file formats are unchanged.
 	NoSync bool
-	// FlushThresholdBytes is how large the WAL may grow before leaves
+	// flushThresholdBytes is how large the WAL may grow before leaves
 	// are checkpointed into segment files and the WAL is rotated.
 	// Default 4 MiB.
-	FlushThresholdBytes int64
-	// SegmentMaxBytes caps one segment file. Default 64 MiB.
-	SegmentMaxBytes int64
+	flushThresholdBytes int64
+	// segmentMaxBytes caps one segment file. Default 64 MiB.
+	segmentMaxBytes int64
 	// DiskFault, when set, is consulted before every WAL fsync with the
 	// operation name ("wal-fsync"). A returned error is treated exactly
 	// like a real fsync failure — sticky WAL poison, fail-stop — and a
@@ -56,11 +56,11 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.FlushThresholdBytes <= 0 {
-		out.FlushThresholdBytes = 4 << 20
+	if out.flushThresholdBytes <= 0 {
+		out.flushThresholdBytes = 4 << 20
 	}
-	if out.SegmentMaxBytes <= 0 {
-		out.SegmentMaxBytes = 64 << 20
+	if out.segmentMaxBytes <= 0 {
+		out.segmentMaxBytes = 64 << 20
 	}
 	return out
 }
@@ -162,7 +162,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	fromSegments := 0
 	for j := 0; j < k; j++ {
 		shardDir := filepath.Join(dir, "segments", fmt.Sprintf("shard-%03d", j))
-		sh, shardLeaves, err := openSegmentShard(shardDir, o.SegmentMaxBytes, o.NoSync)
+		sh, shardLeaves, err := openSegmentShard(shardDir, o.segmentMaxBytes, o.NoSync)
 		if err != nil {
 			return nil, err
 		}
@@ -390,7 +390,7 @@ func (s *Store) Commit(payloads [][]byte, h *HeadRecord) error {
 	}
 	s.obs.appendBatches.Inc()
 	s.obs.appendedLeaves.Add(uint64(len(payloads)))
-	needCheckpoint := s.walBytes >= s.opts.FlushThresholdBytes
+	needCheckpoint := s.walBytes >= s.opts.flushThresholdBytes
 	w := s.wal // a concurrent checkpoint may rotate s.wal; sync OUR file
 	s.mu.Unlock()
 

@@ -90,7 +90,7 @@ func TestRecoverFromWALWithoutClose(t *testing.T) {
 func TestCheckpointRotationAndSegmentRoll(t *testing.T) {
 	// Tiny thresholds force many checkpoints and segment rolls.
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Shards: 2, NoSync: true, FlushThresholdBytes: 256, SegmentMaxBytes: 300})
+	s, err := Open(dir, Options{Shards: 2, NoSync: true, flushThresholdBytes: 256, segmentMaxBytes: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestLoadOrCreateKeyStable(t *testing.T) {
 
 func TestConcurrentAppendsRecoverInOrder(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Shards: 4, NoSync: true, FlushThresholdBytes: 1 << 10})
+	s, err := Open(dir, Options{Shards: 4, NoSync: true, flushThresholdBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
