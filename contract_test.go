@@ -33,7 +33,6 @@ var allowedInternalImports = map[string][]string{
 	"obsv":      nil,
 	"ff":        nil,
 	"sandbox":   nil,
-	"shamir":    nil,
 	"tee":       nil,
 	"transport": {"obsv"},
 	"store":     {"obsv"},
@@ -675,7 +674,6 @@ func TestEveryExportHasACaller(t *testing.T) {
 // All are test seams. An entry the scan no longer needs fails the test,
 // so the list can only shrink: it is the work list for the next knob PR.
 var optionExceptions = map[string]string{
-	"serve.Options.Cosign":              "the subscriber hammer's only way to push cosigned heads through a real tier",
 	"monitor.OpenOptions.SnapshotEvery": "restart tests snapshot mid-run, or switch snapshots off",
 	"monitor.OpenOptions.NoSync":        "tests and benchmarks skip fsyncs",
 }

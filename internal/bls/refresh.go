@@ -62,10 +62,10 @@ func NewRefresh(tk *ThresholdKey) (*Refresh, error) {
 		return nil, fmt.Errorf("bls: refresh: threshold key carries %d share keys, want %d", len(tk.ShareKeys), tk.N)
 	}
 
-	// g(X) = 0 + g1 X + ... + g_{t-1} X^{t-1}. The top coefficient is
-	// resampled to nonzero so g has degree exactly t-1 — a lower-degree
-	// refresh would add less cross-epoch randomness than the threshold
-	// promises (mirrors Split's exact-degree rule in internal/shamir).
+	// g(X) = 0 + g1 X + ... + g_{t-1} X^{t-1}, every coefficient sampled
+	// nonzero so g has degree exactly t-1: a lower-degree g is pinned
+	// down by fewer leaked share differences than the threshold allows,
+	// and so adds less cross-epoch randomness than it promises.
 	coeffs := make([]ff.Fr, tk.T)
 	for j := 1; j < tk.T; j++ {
 		c, err := ff.RandFrNonZero()

@@ -87,7 +87,7 @@ func TestSubscriberHammer(t *testing.T) {
 	pkb := f.mon.BLSPublicKey().Bytes()
 	tier := f.attach(t, Options{
 		SourcePK: pkb[:],
-		Cosign: func(h aolog.BLSSignedHead) []gossip.Cosignature {
+		cosign: func(h aolog.BLSSignedHead) []gossip.Cosignature {
 			msg := gossip.CosignMessage(pkb[:], h.Size, h.Head)
 			cosigs := make([]gossip.Cosignature, len(witSKs))
 			for i, sk := range witSKs {

@@ -153,15 +153,15 @@ type Options struct {
 	// monitor's name and compressed BLS tree-head key).
 	Source   string
 	SourcePK []byte
-	// Cosign, when set, attaches witness cosignatures to each newly
-	// published head (deployments where the monitor accumulates
-	// cosignatures locally; the witness tier pushes its frontier's
-	// cosignatures instead).
-	Cosign func(aolog.BLSSignedHead) []gossip.Cosignature
 	// Metrics is the registry the tier publishes its serve_* series on
 	// (nil: a private registry, reachable via Tier.Metrics). One tier
 	// per registry — the serve_* names are unqualified.
 	Metrics *obsv.Registry
+	// cosign, when set, attaches witness cosignatures to each newly
+	// published head. No deployment sets it (the witness tier pushes its
+	// frontier's cosignatures instead); the subscriber hammer uses it to
+	// push cosigned heads through a real tier.
+	cosign func(aolog.BLSSignedHead) []gossip.Cosignature
 }
 
 // The tier's sizes. They are constants because no caller has ever needed
@@ -324,8 +324,8 @@ func (t *Tier) snapshot() (*headSnap, error) {
 		},
 		proofs: make(map[proofKey]pinned),
 	}
-	if t.opts.Cosign != nil {
-		snap.gh.Cosigs = t.opts.Cosign(bls)
+	if t.opts.cosign != nil {
+		snap.gh.Cosigs = t.opts.cosign(bls)
 	}
 	return snap, nil
 }

@@ -1,8 +1,6 @@
 package tee
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
@@ -13,7 +11,7 @@ import (
 
 // Measurement is the code identity of an enclave: in real TEEs, a hash of
 // the initial memory contents; here, a SHA-256 over whatever the caller
-// seals in (the framework binary plus the developer public key, per §4.1).
+// binds in (the framework binary plus the developer public key, per §4.1).
 type Measurement = [sha256.Size]byte
 
 // MeasureCode computes the measurement of a code blob plus provisioning
@@ -41,7 +39,7 @@ func writeLP(h interface{ Write([]byte) (int, error) }, b []byte) {
 }
 
 // Enclave is a provisioned simulated TEE instance. It holds an attestation
-// key endorsed by its vendor, a sealing key, and a monotonic counter.
+// key endorsed by its vendor and a monotonic counter.
 // Enclave methods are safe for concurrent use.
 type Enclave struct {
 	vendor      VendorID
@@ -51,8 +49,6 @@ type Enclave struct {
 	attPriv     ed25519.PrivateKey
 	attPub      ed25519.PublicKey
 	endorsement []byte
-
-	sealKey [32]byte
 
 	mu      sync.Mutex
 	counter uint64
@@ -65,10 +61,6 @@ func (v *Vendor) Provision(platformID string, measurement Measurement) (*Enclave
 	if err != nil {
 		return nil, fmt.Errorf("tee: generating attestation key: %w", err)
 	}
-	var sealKey [32]byte
-	if _, err := rand.Read(sealKey[:]); err != nil {
-		return nil, fmt.Errorf("tee: generating sealing key: %w", err)
-	}
 	v.mu.Lock()
 	v.provisioned++
 	v.mu.Unlock()
@@ -79,7 +71,6 @@ func (v *Vendor) Provision(platformID string, measurement Measurement) (*Enclave
 		attPriv:     attPriv,
 		attPub:      attPub,
 		endorsement: v.endorse(platformID, attPub),
-		sealKey:     sealKey,
 	}, nil
 }
 
@@ -202,47 +193,6 @@ func VerifyQuote(roots RootSet, q *Quote) error {
 		return errors.New("tee: quote signature invalid")
 	}
 	return nil
-}
-
-// Seal encrypts data so only this enclave instance can recover it
-// (AES-256-GCM under the enclave's sealing key, bound to the measurement
-// via additional data). Real TEEs derive sealing keys from the
-// measurement; the binding here is equivalent for the simulation.
-func (e *Enclave) Seal(plaintext []byte) ([]byte, error) {
-	block, err := aes.NewCipher(e.sealKey[:])
-	if err != nil {
-		return nil, fmt.Errorf("tee: seal cipher: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("tee: seal gcm: %w", err)
-	}
-	nonce := make([]byte, gcm.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, fmt.Errorf("tee: seal nonce: %w", err)
-	}
-	ct := gcm.Seal(nil, nonce, plaintext, e.measurement[:])
-	return append(nonce, ct...), nil
-}
-
-// Unseal decrypts data sealed by this enclave.
-func (e *Enclave) Unseal(sealed []byte) ([]byte, error) {
-	block, err := aes.NewCipher(e.sealKey[:])
-	if err != nil {
-		return nil, fmt.Errorf("tee: unseal cipher: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("tee: unseal gcm: %w", err)
-	}
-	if len(sealed) < gcm.NonceSize() {
-		return nil, errors.New("tee: sealed blob too short")
-	}
-	pt, err := gcm.Open(nil, sealed[:gcm.NonceSize()], sealed[gcm.NonceSize():], e.measurement[:])
-	if err != nil {
-		return nil, fmt.Errorf("tee: unseal: %w", err)
-	}
-	return pt, nil
 }
 
 // IncrementCounter advances and returns the enclave's monotonic counter,

@@ -1,7 +1,6 @@
 package tee
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"sync"
@@ -106,41 +105,6 @@ func TestCrossVendorQuoteRejected(t *testing.T) {
 	roots := RootSet{VendorSimNitro: vA.RootKey()}
 	if err := VerifyQuote(roots, q); err == nil {
 		t.Fatal("impostor vendor accepted")
-	}
-}
-
-func TestSealUnseal(t *testing.T) {
-	v, e, _ := newTestEnclave(t)
-	secret := []byte("key share bytes")
-	sealed, err := e.Seal(secret)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(sealed, secret) {
-		t.Fatal("sealed blob contains plaintext")
-	}
-	got, err := e.Unseal(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, secret) {
-		t.Fatal("unseal round trip failed")
-	}
-	// Another enclave (even same vendor+measurement) cannot unseal.
-	e2, err := v.Provision("machine-1", e.Measurement())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.Unseal(sealed); err == nil {
-		t.Fatal("foreign enclave unsealed the blob")
-	}
-	// Corrupted blob rejected.
-	sealed[len(sealed)-1] ^= 1
-	if _, err := e.Unseal(sealed); err == nil {
-		t.Fatal("corrupted blob unsealed")
-	}
-	if _, err := e.Unseal([]byte{1, 2}); err == nil {
-		t.Fatal("short blob unsealed")
 	}
 }
 
