@@ -365,7 +365,7 @@ func (c *Client) fetchDomain(info *DomainInfo, from int) (f domainFetch) {
 		return f
 	}
 	var resp domain.AuditResponse
-	req := domain.AuditRequest{StatusNonce: stNonce, HistoryNonce: histNonce, From: from, Binary: true}
+	req := domain.AuditRequest{StatusNonce: stNonce, HistoryNonce: histNonce, From: from}
 	if err := c.call(info.Addr, "audit", req, &resp); err != nil {
 		f.err = fmt.Errorf("audit: status from %s: %w", info.Name, err)
 		return f

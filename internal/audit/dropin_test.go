@@ -203,10 +203,9 @@ func TestAuditRetriesAfterPostSendReset(t *testing.T) {
 				defer conn.Close()
 				if first {
 					_, frame, err := transport.ReadFrameHeader(conn)
-					var req transport.Request
-					if err == nil && json.Unmarshal(frame, &req) == nil {
+					if _, kind, ok := parseRequest(frame); err == nil && ok {
 						mu.Lock()
-						dropped = append(dropped, req.Kind)
+						dropped = append(dropped, kind)
 						mu.Unlock()
 					}
 					return // close mid-call: transport failure after the send

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"crypto/ed25519"
+	"encoding/binary"
 	"encoding/json"
 	"net"
 	"strings"
@@ -43,6 +44,34 @@ func startDropThenErrServer(t *testing.T) *dropThenErrServer {
 	return s
 }
 
+// parseRequest reads the ID and kind off the front of a request frame in
+// the transport's wire format (internal/transport/wire2.go): the 0xB2
+// marker, a flags byte without the reply bit, the uvarint ID, the kind
+// as a uvarint length and its bytes.
+func parseRequest(frame []byte) (id uint64, kind string, ok bool) {
+	if len(frame) < 2 || frame[0] != 0xB2 || frame[1]&1 != 0 {
+		return 0, "", false
+	}
+	id, n := binary.Uvarint(frame[2:])
+	if n <= 0 {
+		return 0, "", false
+	}
+	rest := frame[2+n:]
+	size, m := binary.Uvarint(rest)
+	if m <= 0 || size > uint64(len(rest)-m) {
+		return 0, "", false
+	}
+	return id, string(rest[m : m+int(size)]), true
+}
+
+// errorReply is a failed reply in the same format: the marker, the reply
+// and error flags, the uvarint ID, the message as a uvarint length and
+// its bytes.
+func errorReply(id uint64, msg string) []byte {
+	b := binary.AppendUvarint([]byte{0xB2, 1 | 2}, id)
+	return append(binary.AppendUvarint(b, uint64(len(msg))), msg...)
+}
+
 func (s *dropThenErrServer) dials() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -75,18 +104,17 @@ func (s *dropThenErrServer) loop() {
 				if err != nil {
 					return
 				}
-				var req transport.Request
-				if err := json.Unmarshal(frame, &req); err != nil {
+				id, kind, ok := parseRequest(frame)
+				if !ok {
 					return
 				}
 				s.mu.Lock()
-				s.kinds = append(s.kinds, req.Kind)
+				s.kinds = append(s.kinds, kind)
 				s.mu.Unlock()
 				if dropIt {
 					return // close mid-call: transport failure
 				}
-				out, _ := json.Marshal(&transport.Response{ID: req.ID, OK: false, Error: "always refused"})
-				if err := transport.WriteFrame(c, out); err != nil {
+				if err := transport.WriteFrame(c, errorReply(id, "always refused")); err != nil {
 					return
 				}
 			}

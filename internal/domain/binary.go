@@ -10,8 +10,7 @@ import (
 	"repro/internal/tee"
 )
 
-// AuditResponse's binary form, what an "audit" reply is on a wire-v2
-// connection when the request set Binary:
+// AuditResponse's binary form, what every "audit" reply is:
 //
 //	flags byte | str Domain | Status | int From | records | [Quote] |
 //	bytes HostKey | bytes HostSig | bytes HostReport

@@ -86,15 +86,12 @@ type HistoryResponse struct {
 }
 
 // AuditRequest asks for the status and the history from From in one
-// call, each bound to a nonce of its own. Binary asks for the reply in
-// AuditResponse's binary form (binary.go), which the transport sends on
-// a wire-v2 connection. A server from before the form ignores the field
-// and a client from before it never sets it: both get JSON.
+// call, each bound to a nonce of its own. The reply is an AuditResponse
+// in its binary form (binary.go).
 type AuditRequest struct {
 	StatusNonce  []byte `json:"status_nonce"`
 	HistoryNonce []byte `json:"history_nonce"`
 	From         int    `json:"from,omitempty"`
-	Binary       bool   `json:"binary,omitempty"`
 }
 
 // AuditResponse is the status and the history from From, read from one
@@ -537,21 +534,16 @@ func (d *Domain) registerHandlers() {
 	})
 }
 
-// auditHandler serves "audit" from attest. The reply is the response
-// itself when the client asked for the binary form, and otherwise a copy
-// by value, which has none of the pointer methods that make the
-// transport send binary: a client that did not ask gets JSON.
+// auditHandler serves "audit" from attest. The reply is the
+// *AuditResponse itself, whose pointer methods make the transport send
+// its binary form.
 func auditHandler(attest func(*AuditRequest) (*AuditResponse, error)) func(json.RawMessage) (any, error) {
 	return func(body json.RawMessage) (any, error) {
 		var req AuditRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		r, err := attest(&req)
-		if err != nil || req.Binary {
-			return r, err
-		}
-		return *r, nil
+		return attest(&req)
 	}
 }
 

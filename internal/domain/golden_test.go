@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -18,20 +20,19 @@ import (
 	"repro/internal/transport"
 )
 
-// The audit reply goldens: what a client that offers wire v2 writes for
-// an "audit" call and what the server answers, for a fixed reply of each
-// attestation kind. testdata/audit_json_<name>.hex is a request without
-// Binary and its JSON reply, recorded on the commit before the binary
-// form existed, so it pins that old clients keep receiving the same
-// bytes; testdata/audit_binary_<name>.hex is a request with Binary and
-// its binary reply. Each file holds two lines, the request frame and
-// the reply frame, length words included. Regenerate the binary ones
-// with
+// The audit reply goldens: what a client writes for an "audit" call and
+// what the server answers, for a fixed reply of each attestation kind.
+// testdata/audit_binary_<name>.hex holds two lines, the request frame and
+// the reply frame, length words included. The reply lines were recorded
+// on the commit that introduced the binary form, as the answer to a
+// wire-v1 request carrying the offer of v2, and are never rewritten;
 //
 //	UPDATE_GOLDEN=1 go test -run TestAuditReplyGoldens ./internal/domain/
 //
-// and the JSON ones only on a clone of a commit whose replies are
-// trusted, never on the commit under test.
+// rewrites only the request lines, with what this commit's client
+// writes. testdata/audit_json_<name>.hex holds the request and the JSON
+// reply of the commit before the binary form; its request line, a
+// wire-v1 frame, is now the refusal golden.
 
 // seq is n bytes counting up from first.
 func seq(n int, first byte) []byte {
@@ -114,10 +115,12 @@ func (c *tap) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// recordAuditGolden makes one call through a tapped client and writes
-// the request and reply frames to testdata/audit_<name>.hex.
-func recordAuditGolden(t *testing.T, name string, req AuditRequest, resp *AuditResponse) {
+// recordAuditRequest makes one call through a tapped client and writes
+// the request frame it sent as the first line of
+// testdata/audit_binary_<name>.hex, keeping the recorded reply line.
+func recordAuditRequest(t *testing.T, name string, req AuditRequest, resp *AuditResponse) {
 	t.Helper()
+	_, reply := readAuditGolden(t, "binary_"+name)
 	conn, err := serveGoldenAudit(t, resp).Dial()
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +134,9 @@ func recordAuditGolden(t *testing.T, name string, req AuditRequest, resp *AuditR
 		t.Fatal(err)
 	}
 	wire.mu.Lock()
-	text := hex.EncodeToString(wire.out.Bytes()) + "\n" + hex.EncodeToString(wire.in.Bytes()) + "\n"
+	text := hex.EncodeToString(wire.out.Bytes()) + "\n" + hex.EncodeToString(reply) + "\n"
 	wire.mu.Unlock()
-	if err := os.WriteFile(filepath.Join("testdata", "audit_"+name+".hex"), []byte(text), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join("testdata", "audit_binary_"+name+".hex"), []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -172,46 +175,47 @@ func jsonRoundTrip(t *testing.T, r *AuditResponse) AuditResponse {
 	return out
 }
 
-// TestAuditReplyGoldens: a recorded request without Binary gets exactly
-// the recorded JSON reply, and this commit writes that request byte for
-// byte; a request with Binary gets exactly the recorded binary reply,
-// which decodes to the reply served. This commit's client, asking for
-// binary from a server that ignores the field (one that answers with
-// the recorded JSON reply), decodes the same reply.
+// TestAuditReplyGoldens: this commit's client writes the recorded
+// request byte for byte, and the server answers it with the recorded
+// binary reply, which decodes to the reply served. The reply differs
+// from the recording in one bit: flag bit 4 of its envelope, with which
+// the server acknowledged the v2 offer that request carried, and which
+// no longer exists. The recorded wire-v1 request of the JSON golden
+// ends its connection without a reply.
 func TestAuditReplyGoldens(t *testing.T) {
 	for _, g := range goldenReplies() {
-		binReq := g.req
-		binReq.Binary = true
 		if os.Getenv("UPDATE_GOLDEN") == "1" {
-			recordAuditGolden(t, "binary_"+g.name, binReq, g.resp)
+			recordAuditRequest(t, g.name, g.req, g.resp)
 		}
-		for _, form := range []string{"json", "binary"} {
-			request, reply := readAuditGolden(t, form+"_"+g.name)
-			conn, err := serveGoldenAudit(t, g.resp).Dial()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := conn.Write(request); err != nil {
-				t.Fatal(err)
-			}
-			payload, err := transport.ReadFrame(conn)
-			conn.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Wire v2 envelope: 0xB2, then flags, where 4 marks a binary body.
-			if binaryBody := len(payload) > 1 && payload[0] == 0xB2 && payload[1]&4 != 0; binaryBody != (form == "binary") {
-				t.Errorf("%s %s: reply body binary = %v", form, g.name, binaryBody)
-			}
-			var got bytes.Buffer
-			transport.WriteFrame(&got, payload)
-			if !bytes.Equal(got.Bytes(), reply) {
-				t.Errorf("%s %s: the reply differs from the recorded one\n got  %x\n want %x", form, g.name, got.Bytes(), reply)
-			}
+		request, reply := readAuditGolden(t, "binary_"+g.name)
+		// Length word, marker, then the flags byte: reply, binary, and
+		// the acknowledgement.
+		if len(reply) < 6 || reply[4] != 0xB2 || reply[5] != 0x15 {
+			t.Fatalf("%s: the recorded reply does not open with the acknowledging flags: %x", g.name, reply[:min(len(reply), 6)])
+		}
+		want := bytes.Clone(reply)
+		want[5] &^= 1 << 4
+
+		conn, err := serveGoldenAudit(t, g.resp).Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(request); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := transport.ReadFrame(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		transport.WriteFrame(&got, payload)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: the reply differs from the recorded one\n got  %x\n want %x", g.name, got.Bytes(), want)
 		}
 
-		// The request this commit writes without Binary is the recorded one.
-		request, jsonReply := readAuditGolden(t, "json_"+g.name)
+		// The request this commit writes is the recorded one, and the
+		// reply decodes to the reply served.
 		cli, srv := net.Pipe()
 		sent := make(chan []byte, 1)
 		go func() {
@@ -224,56 +228,36 @@ func TestAuditReplyGoldens(t *testing.T) {
 			var frame bytes.Buffer
 			transport.WriteFrame(&frame, payload)
 			sent <- frame.Bytes()
-			srv.Write(jsonReply)
+			srv.Write(want)
 		}()
 		c := transport.NewClient(cli)
 		c.SetTimeout(5 * time.Second)
-		var viaJSON AuditResponse
-		if err := c.Call("audit", g.req, &viaJSON); err != nil {
+		var viaBinary AuditResponse
+		if err := c.Call("audit", g.req, &viaBinary); err != nil {
 			t.Fatal(err)
 		}
 		c.Close()
 		if got := <-sent; !bytes.Equal(got, request) {
-			t.Errorf("%s: the request without Binary differs from the recorded one\n got  %x\n want %x", g.name, got, request)
+			t.Errorf("%s: the request differs from the recorded one\n got  %x\n want %x", g.name, got, request)
 		}
-		want := jsonRoundTrip(t, g.resp)
-		if !reflect.DeepEqual(viaJSON, want) {
-			t.Errorf("%s: the recorded JSON reply decodes to %+v, want %+v", g.name, viaJSON, want)
-		}
-
-		// Asking for binary from a server that ignores the field.
-		cli, srv = net.Pipe()
-		go func() {
-			defer srv.Close()
-			if _, err := transport.ReadFrame(srv); err == nil {
-				srv.Write(jsonReply)
-			}
-		}()
-		c = transport.NewClient(cli)
-		c.SetTimeout(5 * time.Second)
-		var fromOld AuditResponse
-		if err := c.Call("audit", binReq, &fromOld); err != nil {
-			t.Fatal(err)
-		}
-		c.Close()
-		if !reflect.DeepEqual(fromOld, want) {
-			t.Errorf("%s: a server that ignores Binary answered %+v, want %+v", g.name, fromOld, want)
+		if want := jsonRoundTrip(t, g.resp); !reflect.DeepEqual(viaBinary, want) {
+			t.Errorf("%s: the binary reply decodes to %+v, want %+v", g.name, viaBinary, want)
 		}
 
-		// The binary reply decodes to the reply served.
-		conn, err := serveGoldenAudit(t, g.resp).Dial()
+		// A request from before wire v2 is refused: no reply, the
+		// connection ends.
+		v1Request, _ := readAuditGolden(t, "json_"+g.name)
+		conn, err = serveGoldenAudit(t, g.resp).Dial()
 		if err != nil {
 			t.Fatal(err)
 		}
-		c = transport.NewClient(conn)
-		c.SetTimeout(5 * time.Second)
-		var viaBinary AuditResponse
-		if err := c.Call("audit", binReq, &viaBinary); err != nil {
+		if _, err := conn.Write(v1Request); err != nil {
 			t.Fatal(err)
 		}
-		c.Close()
-		if !reflect.DeepEqual(viaBinary, want) {
-			t.Errorf("%s: the binary reply decodes to %+v, want %+v", g.name, viaBinary, want)
+		payload, err = transport.ReadFrame(conn)
+		conn.Close()
+		if !errors.Is(err, io.EOF) {
+			t.Errorf("%s: a wire-v1 audit request was answered %.60q (%v), want the connection closed", g.name, payload, err)
 		}
 	}
 }

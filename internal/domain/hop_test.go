@@ -4,7 +4,6 @@ package domain
 
 import (
 	"bytes"
-	"encoding/json"
 	"net"
 	"os"
 	"runtime"
@@ -242,16 +241,16 @@ func TestCloseWithAStalledClient(t *testing.T) {
 	if err := conn.(*net.TCPConn).SetReadBuffer(4096); err != nil {
 		t.Fatal(err)
 	}
-	// One _batch of statuses: a short request, a long reply.
-	subs := make([]transport.Request, 256)
-	for i := range subs {
-		subs[i] = transport.Request{ID: uint64(i), Kind: "status", Body: json.RawMessage(`{"nonce":"bg=="}`)}
+	// One _batch of statuses: a short request, a long reply. The frame is
+	// the one a Client writes, taken off a pipe nobody answers on.
+	calls := make([]transport.BatchCall, 256)
+	for i := range calls {
+		calls[i] = transport.BatchCall{Kind: "status", In: StatusRequest{Nonce: []byte("n")}}
 	}
-	body, err := json.Marshal(subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := json.Marshal(transport.Request{ID: 1, Kind: transport.BatchKind, Body: body})
+	cli, srv := net.Pipe()
+	go transport.NewClient(cli).CallBatch(calls)
+	frame, err := transport.ReadFrame(srv)
+	srv.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,21 +272,21 @@ func TestTamperedV2ProofReplyFails(t *testing.T) {
 	srv.Serve(ln)
 	defer srv.Close()
 
-	// Capture: one request carrying the offer, answered in v2.
+	// Capture: one request with a JSON body, answered in binary.
 	conn, err := ln.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := transport.WriteFrame(conn, []byte(`{"id":1,"kind":"proof","body":{"index":17},"v":2}`)); err != nil {
+	if err := transport.WriteFrame(conn, v2Request(1, KindProof, []byte(`{"index":17}`))); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := transport.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if payload[0] == '{' {
-		t.Fatalf("the reply to a request offering v2 is JSON: %.60s", payload)
+	if payload[0] != 0xB2 || payload[1] != flagReply|4 {
+		t.Fatalf("the reply is not a binary body in a reply envelope: %.60q", payload)
 	}
 	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
 	frame = append(frame, payload...)
@@ -345,11 +345,9 @@ func TestTamperedV2ProofReplyFails(t *testing.T) {
 func v2Request(id uint64, kind string, body []byte) []byte {
 	var flags byte
 	if kind == transport.BatchKind {
-		flags = 1 << 3
+		flags = flagBatch
 	}
-	b := binary.AppendUvarint([]byte{0xB2, flags}, id)
-	b = append(binary.AppendUvarint(b, uint64(len(kind))), kind...)
-	return append(b, body...)
+	return envelope(flags, id, kind, "", body)
 }
 
 // v2Container is the body of a _batch request: a count, then per entry

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"net"
 	"sync"
@@ -61,17 +62,39 @@ func checkMonotone(t *testing.T, s *Subscriber, d *deliveries) {
 	}
 }
 
-func pushFrame(t *testing.T, subs []transport.Request) []byte {
-	t.Helper()
-	body, err := json.Marshal(subs)
-	if err != nil {
-		t.Fatal(err)
+// Frames in the transport's wire format (internal/transport/wire2.go),
+// built by hand. An envelope is the 0xB2 marker, a flags byte, the
+// uvarint ID, the kind unless it is a reply, the error if it is one, and
+// the body; a container (v2Container in binary_test.go) is a _batch's or
+// a push's body.
+const (
+	flagReply = 1 << 0
+	flagError = 1 << 1
+	flagBatch = 1 << 3
+)
+
+func envelope(flags byte, id uint64, kind, errMsg string, body []byte) []byte {
+	b := binary.AppendUvarint([]byte{0xB2, flags}, id)
+	if flags&flagReply == 0 {
+		b = append(binary.AppendUvarint(b, uint64(len(kind))), kind...)
 	}
-	frame, err := json.Marshal(&transport.Request{ID: 0, Kind: transport.BatchKind, Body: body})
-	if err != nil {
-		t.Fatal(err)
+	if flags&flagError != 0 {
+		b = append(binary.AppendUvarint(b, uint64(len(errMsg))), errMsg...)
 	}
-	return frame
+	return append(b, body...)
+}
+
+func container(subs ...transport.Request) []byte {
+	kinds, bodies := make([]string, len(subs)), make([][]byte, len(subs))
+	for i := range subs {
+		kinds[i], bodies[i] = subs[i].Kind, subs[i].Body
+	}
+	return v2Container(kinds, bodies)
+}
+
+// pushFrame is a pushed _batch of subs.
+func pushFrame(subs ...transport.Request) []byte {
+	return envelope(flagBatch, 0, transport.BatchKind, "", container(subs...))
 }
 
 func headsBody(t *testing.T, from string, heads ...gossip.GossipHead) json.RawMessage {
@@ -97,25 +120,22 @@ func FuzzSubscribeFrame(f *testing.F) {
 
 	// Well-formed subscription ack (a Response frame).
 	ackBody, _ := json.Marshal(&SubscribeResponse{Heads: []gossip.GossipHead{gh}})
-	ack, _ := json.Marshal(&transport.Response{ID: 1, OK: true, Body: ackBody})
+	ack := envelope(flagReply, 1, "", "", ackBody)
 	f.Add(ack)
 	// Truncated ack.
 	f.Add(ack[:len(ack)/2])
 	// Error ack.
-	errAck, _ := json.Marshal(&transport.Response{ID: 2, OK: false, Error: "denied"})
-	f.Add(errAck)
+	f.Add(envelope(flagReply|flagError, 2, "", "denied", nil))
 	// Push frame carrying two heads, one a regression.
-	f.Add(pushFrame(t, []transport.Request{{Kind: KindPushHeads, Body: headsBody(t, "mon", gh, gh2)}}))
+	f.Add(pushFrame(transport.Request{Kind: KindPushHeads, Body: headsBody(t, "mon", gh, gh2)}))
 	// Nested _batch push frame (batch inside a batch).
-	inner := pushFrame(t, []transport.Request{{Kind: KindPushHeads, Body: headsBody(t, "mon", gh)}})
-	nested, _ := json.Marshal([]transport.Request{{Kind: transport.BatchKind, Body: inner}})
-	outer, _ := json.Marshal(&transport.Request{ID: 0, Kind: transport.BatchKind, Body: nested})
-	f.Add(outer)
-	// Non-batch push kind, empty frame, raw garbage.
-	stray, _ := json.Marshal(&transport.Request{ID: 9, Kind: KindPushHeads, Body: headsBody(t, "x", gh)})
-	f.Add(stray)
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"ok":true`))
+	inner := pushFrame(transport.Request{Kind: KindPushHeads, Body: headsBody(t, "mon", gh)})
+	f.Add(pushFrame(transport.Request{Kind: transport.BatchKind, Body: inner}))
+	// Non-batch push kind, a bare marker, a reply cut off after its
+	// flags, raw garbage.
+	f.Add(envelope(0, 9, KindPushHeads, "", headsBody(t, "x", gh)))
+	f.Add([]byte{0xB2})
+	f.Add([]byte{0xB2, flagReply})
 	f.Add([]byte{0xff, 0x00, 0x42})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -141,37 +161,36 @@ func FuzzSubscribeFrame(f *testing.F) {
 }
 
 // FuzzPushBatch fuzzes the pushed-_batch body specifically: the
-// push_heads decoder must survive arbitrary sub-request lists (nested
-// batches, truncated bodies, hostile sizes) without panicking, and
-// accepted heads must stay monotone per source. The body is split into
-// sub-requests the way the transport client does before its callback.
+// container a real transport.Client splits into sub-requests for the
+// push_heads decoder must survive arbitrary contents (nested batches,
+// truncated bodies, hostile sizes) without panicking, and accepted heads
+// must stay monotone per source. Every body arrives twice.
 func FuzzPushBatch(f *testing.F) {
 	t := &testing.T{}
 	gh := gossip.GossipHead{Source: "mon", SourcePK: []byte{1, 2, 3}, Head: aolog.BLSSignedHead{Size: 10}}
 	gh2 := gossip.GossipHead{Source: "mon", SourcePK: []byte{1, 2, 3}, Head: aolog.BLSSignedHead{Size: 4}}
 
-	ok, _ := json.Marshal([]transport.Request{{Kind: KindPushHeads, Body: headsBody(t, "mon", gh)}})
+	ok := container(transport.Request{Kind: KindPushHeads, Body: headsBody(t, "mon", gh)})
 	f.Add(ok)
-	two, _ := json.Marshal([]transport.Request{
-		{Kind: KindPushHeads, Body: headsBody(t, "mon", gh)},
-		{Kind: KindPushHeads, Body: headsBody(t, "mon", gh2)}, // duplicate source, regressed
-	})
-	f.Add(two)
-	nestedBody, _ := json.Marshal([]transport.Request{{Kind: transport.BatchKind, Body: ok}})
-	f.Add(nestedBody)
-	f.Add([]byte(`[`))
-	f.Add([]byte(`[{"kind":"push_heads","body":{"heads":[{"head":{"Size":18446744073709551615}}]}}]`))
-	f.Add([]byte(`null`))
+	f.Add(container(
+		transport.Request{Kind: KindPushHeads, Body: headsBody(t, "mon", gh)},
+		transport.Request{Kind: KindPushHeads, Body: headsBody(t, "mon", gh2)}, // duplicate source, regressed
+	))
+	f.Add(container(transport.Request{Kind: transport.BatchKind, Body: ok}))
+	f.Add(ok[:len(ok)/2])
+	f.Add(container(transport.Request{Kind: KindPushHeads, Body: []byte(`{"heads":[{"head":{"Size":18446744073709551615}}]}`)}))
+	f.Add(container())
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var subs []transport.Request
-		if json.Unmarshal(body, &subs) != nil {
-			return // the client drops a push whose body is not a request list
-		}
-		s := newSubscriber()
+		cli, srv := net.Pipe()
+		s := NewSubscriber(cli)
 		d := recordDeliveries(s)
-		s.handlePush(subs)
-		s.handlePush(subs)
+		push := envelope(flagBatch, 0, transport.BatchKind, "", body)
+		_ = transport.WriteFrame(srv, push)
+		_ = transport.WriteFrame(srv, push) // duplicated delivery
+		srv.Close()
+		<-s.client.Load().Done()
+		s.Close()
 		checkMonotone(t, s, d)
 	})
 }

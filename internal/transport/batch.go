@@ -3,8 +3,6 @@ package transport
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"slices"
 )
@@ -40,7 +38,7 @@ type BatchResult struct {
 	Err    error
 	kind   string // the call's kind, for Decode's errors
 	body   []byte
-	binary bool // body is the result's binary form (wire v2 only)
+	binary bool // body is the result's binary form
 }
 
 // Decode unpacks a successful result's body into out (nil to discard).
@@ -54,28 +52,14 @@ func (r *BatchResult) Decode(out any) error {
 	return nil
 }
 
-// dispatchBatch unpacks a batch envelope and runs each sub-request through
-// the ordinary dispatch path (so per-kind metrics and spans cover batched
-// sub-requests too, under the same trace as the enclosing frame). The
-// sub-requests are a container when the request came in wire v2 and a
-// JSON list otherwise; the sub-responses are a container when the reply
-// leaves in v2. The two differ on the exchange that carries the offer.
+// dispatchBatch unpacks a batch's container and runs each sub-request
+// through the ordinary dispatch path (so per-kind metrics and spans cover
+// batched sub-requests too, under the same trace as the enclosing frame);
+// the sub-responses go back as a container.
 func (s *Server) dispatchBatch(ctx context.Context, req *Request, enc *replyEncoding, obs *serverObs, resp *Response) {
-	var subs []Request
-	var err error
-	if req.container {
-		subs, err = parseSubRequests(enc.subs, req.Body)
-	} else {
-		var list []Request // declared here, so only a JSON batch allocates it
-		err = json.Unmarshal(req.Body, &list)
-		subs = list
-	}
+	subs, err := parseSubRequests(enc.subs, req.Body)
 	if err != nil {
 		*resp = Response{ID: req.ID, OK: false, Error: fmt.Sprintf("malformed batch body: %v", err)}
-		return
-	}
-	if len(subs) > MaxBatchCalls {
-		*resp = Response{ID: req.ID, OK: false, Error: fmt.Sprintf("batch of %d exceeds limit %d", len(subs), MaxBatchCalls)}
 		return
 	}
 	if obs != nil {
@@ -100,22 +84,13 @@ func (s *Server) dispatchBatch(ctx context.Context, req *Request, enc *replyEnco
 		}
 		s.run(ctx, &subs[i], nil, enc, obs, r, &resps[i])
 	}
-	if enc.v2 {
-		start := len(enc.scratch)
-		b := binary.AppendUvarint(enc.scratch, uint64(len(resps)))
-		for i := range resps {
-			b = appendEntry(b, resps[i].flags(), "", resps[i].Error, resps[i].Body)
-		}
-		enc.scratch = b
-		*resp = Response{ID: req.ID, OK: true, Body: b[start:len(b):len(b)], container: true}
-		return
+	start := len(enc.scratch)
+	b := binary.AppendUvarint(enc.scratch, uint64(len(resps)))
+	for i := range resps {
+		b = appendEntry(b, resps[i].flags(), "", resps[i].Error, resps[i].Body)
 	}
-	body, err := json.Marshal(resps)
-	if err != nil {
-		*resp = Response{ID: req.ID, OK: false, Error: fmt.Sprintf("encoding batch response: %v", err)}
-		return
-	}
-	*resp = Response{ID: req.ID, OK: true, Body: body}
+	enc.scratch = b
+	*resp = Response{ID: req.ID, OK: true, Body: b[start:len(b):len(b)], container: true}
 }
 
 // checkBatchLen rejects, before sending, a batch no server would run.
@@ -138,8 +113,6 @@ func (c *Client) CallBatchCtx(ctx context.Context, calls []BatchCall) ([]BatchRe
 	if err := checkBatchLen(len(calls)); err != nil {
 		return nil, err
 	}
-	bodies := c.bodies.Load()
-	v2 := bodies || c.v2.Load()
 	// The bodies are appended side by side to one buffer; each keeps the
 	// array it was written to when the buffer grows.
 	var scratch []byte
@@ -147,38 +120,24 @@ func (c *Client) CallBatchCtx(ctx context.Context, calls []BatchCall) ([]BatchRe
 	for i, call := range calls {
 		start := len(scratch)
 		var err error
-		if scratch, err = appendRequestBody(scratch, call.In, bodies); err != nil {
+		if scratch, err = appendRequestBody(scratch, call.In); err != nil {
 			return nil, fmt.Errorf("transport: encoding batch call %d: %w", i, err)
 		}
 		subs[i] = Request{ID: uint64(i + 1), Kind: call.Kind, Body: scratch[start:len(scratch):len(scratch)]}
 	}
-	var body []byte
-	if v2 {
-		body = appendSubRequests(nil, subs)
-	} else {
-		var err error
-		if body, err = json.Marshal(subs); err != nil {
-			return nil, fmt.Errorf("transport: encoding request: %w", err)
-		}
-	}
-	env, err := c.roundTrip(ctx, BatchKind, body, v2)
+	env, err := c.roundTrip(ctx, BatchKind, appendSubRequests(nil, subs))
 	if err != nil {
 		return nil, err
 	}
-	// The reply's format is the server's choice, not the request's: the
-	// exchange that carried the offer is answered in v2.
-	var entries []entry
-	var resps []Response
-	if env.batch {
-		entries, err = parseContainer(env.Body)
-	} else {
-		err = json.Unmarshal(env.Body, &resps)
+	if !env.batch {
+		return nil, fmt.Errorf("transport: decoding response body: %w: the batch reply is not a container", errMalformedV2)
 	}
+	entries, err := parseContainer(env.Body)
 	if err != nil {
 		return nil, fmt.Errorf("transport: decoding response body: %w", err)
 	}
-	if n := len(entries) + len(resps); n != len(calls) {
-		return nil, fmt.Errorf("transport: batch returned %d results for %d calls", n, len(calls))
+	if len(entries) != len(calls) {
+		return nil, fmt.Errorf("transport: batch returned %d results for %d calls", len(entries), len(calls))
 	}
 	results := make([]BatchResult, len(calls))
 	for i, e := range entries {
@@ -189,16 +148,6 @@ func (c *Client) CallBatchCtx(ctx context.Context, calls []BatchCall) ([]BatchRe
 			results[i].Err = &ErrRemote{Msg: e.errMsg}
 		default:
 			results[i] = BatchResult{kind: calls[i].Kind, body: e.body, binary: e.flags&flagBinary != 0}
-		}
-	}
-	for i := range resps {
-		switch {
-		case resps[i].ID != uint64(i+1):
-			return nil, errors.New("transport: batch response ID mismatch")
-		case !resps[i].OK:
-			results[i].Err = &ErrRemote{Msg: resps[i].Error}
-		default:
-			results[i] = BatchResult{kind: calls[i].Kind, body: resps[i].Body}
 		}
 	}
 	return results, nil

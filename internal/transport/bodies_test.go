@@ -106,14 +106,14 @@ func splitFrames(stream []byte) (payloads [][]byte) {
 	}
 }
 
-// TestBinaryRequestBodiesNegotiated: the first request offers 3 with a
-// JSON body and its reply, in v2, carries flagReadsBodies; from then on
-// an In with a binary form goes out as the marker and that form, alone
-// and inside a _batch, while an In without one, and a typed nil, stay
-// JSON. The handler decodes both forms to the same value. A binary body
-// sent to a kind that reads only JSON is an error reply naming the
-// problem, and the connection carries on.
-func TestBinaryRequestBodiesNegotiated(t *testing.T) {
+// TestBinaryRequestBodiesFromFirstFrame: from a fresh connection's
+// first request on, every frame either way is wire v2, and an In with a
+// binary form goes out as the marker and that form, alone and inside a
+// _batch, while an In without one, and a typed nil, stay JSON. The
+// handler decodes both forms to the same value. A binary body sent to a
+// kind that reads only JSON is an error reply naming the problem, and
+// the connection carries on.
+func TestBinaryRequestBodiesFromFirstFrame(t *testing.T) {
 	ln, seen := bodiesServer(t)
 	conn, err := ln.Dial()
 	if err != nil {
@@ -132,14 +132,14 @@ func TestBinaryRequestBodiesNegotiated(t *testing.T) {
 		}
 		return n
 	}
-	if got := sum(pair{A: 2, B: 3}); got != 5 || !c.bodies.Load() {
-		t.Fatalf("first contact: sum %d, reads-bodies bit %v", got, c.bodies.Load())
+	if got := sum(pair{A: 2, B: 3}); got != 5 {
+		t.Fatalf("first contact: sum %d", got)
 	}
 	if got := sum(pair{A: -7, B: 1 << 40}); got != 1<<40-7 {
 		t.Fatalf("binary body decoded to the sum %d", got)
 	}
 	if got := sum(map[string]int{"a": 4, "b": 5}); got != 9 {
-		t.Fatalf("JSON body on an upgraded connection: %d", got)
+		t.Fatalf("JSON body: %d", got)
 	}
 	if got := sum((*pair)(nil)); got != 0 {
 		t.Fatalf("typed nil: %d", got)
@@ -162,79 +162,20 @@ func TestBinaryRequestBodiesNegotiated(t *testing.T) {
 		t.Fatalf("the call after a refused body: %d", got)
 	}
 
-	if got, want := fmt.Sprint(seen()), "[false true false false true true true]"; got != want {
+	if got, want := fmt.Sprint(seen()), "[true true false false true true true]"; got != want {
 		t.Fatalf("handler saw binary bodies %s, want %s", got, want)
 	}
 	written, read := wire.frames()
 	if len(written) != 7 || len(read) != 7 {
 		t.Fatalf("%d requests and %d replies, want 7 and 7", len(written), len(read))
 	}
-	if !bytes.HasSuffix(written[0], []byte(`,"v":3}`)) {
-		t.Fatalf("first contact does not offer 3: %q", written[0])
-	}
-	for i, payload := range read {
-		env, err := parseEnvelope(payload)
-		if err != nil {
-			t.Fatalf("reply %d is not v2: %v", i, err)
+	for i := range written {
+		if _, err := parseRequest(written[i]); err != nil {
+			t.Fatalf("request %d is not a v2 request: %v (%q)", i, err, written[i])
 		}
-		if env.readsBodies != (i == 0) {
-			t.Fatalf("reply %d: flagReadsBodies %v; only the answer to the offer carries it", i, env.readsBodies)
+		if env, err := parseEnvelope(read[i]); err != nil || !env.reply {
+			t.Fatalf("reply %d is not a v2 reply: %+v, %v", i, env, err)
 		}
-	}
-}
-
-// TestServerAcksBodiesOnlyToOffer3: a request offering 2 is answered in
-// v2 without flagReadsBodies, one offering 3 with it, and a v2 request
-// (which offers nothing) without it.
-func TestServerAcksBodiesOnlyToOffer3(t *testing.T) {
-	ln, _ := bodiesServer(t)
-	conn, err := ln.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	for i, c := range []struct {
-		payload []byte
-		ack     bool
-	}{
-		{[]byte(`{"id":1,"kind":"sum","body":{"a":1},"v":2}`), false},
-		{[]byte(`{"id":2,"kind":"sum","body":{"a":1},"v":3}`), true},
-		{[]byte(`{"id":3,"kind":"sum","body":{"a":1},"v":4}`), true},
-		{append(appendEnvelope(nil, 0, 4, "sum", ""), `{"a":1}`...), false},
-		{append(appendEnvelope(nil, 0, 5, "sum", ""), markerV2, 1, 2), false},
-	} {
-		if err := WriteFrame(conn, c.payload); err != nil {
-			t.Fatal(err)
-		}
-		payload, err := ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env, err := parseEnvelope(payload)
-		if err != nil || !env.OK || env.readsBodies != c.ack {
-			t.Fatalf("request %d: reply %+v (%v), want flagReadsBodies %v", i+1, env, err, c.ack)
-		}
-	}
-}
-
-// TestReadsBodiesFlagIsReplyOnly: flagReadsBodies on a request or a push
-// envelope, or on a container entry, is malformed, as flagBinary on a
-// request is.
-func TestReadsBodiesFlagIsReplyOnly(t *testing.T) {
-	if _, err := parseEnvelope(appendEnvelope(nil, flagReadsBodies, 1, "sum", "")); err == nil {
-		t.Fatal("flagReadsBodies accepted on a request envelope")
-	}
-	if _, err := parseEnvelope(appendEnvelope(nil, flagBatch|flagReadsBodies, 0, BatchKind, "")); err == nil {
-		t.Fatal("flagReadsBodies accepted on a push envelope")
-	}
-	if _, _, err := parseRequest(appendEnvelope(nil, flagReadsBodies, 1, "sum", "")); err == nil {
-		t.Fatal("the server accepted a request carrying flagReadsBodies")
-	}
-	if _, err := parseContainer([]byte{1, flagReply | flagReadsBodies, 0}); err == nil {
-		t.Fatal("flagReadsBodies accepted on a container entry")
-	}
-	if env, err := parseEnvelope(appendEnvelope(nil, flagReply|flagReadsBodies, 1, "", "")); err != nil || !env.readsBodies {
-		t.Fatalf("a reply carrying flagReadsBodies: %+v, %v", env, err)
 	}
 }
 

@@ -32,18 +32,17 @@ func readRequest(t *testing.T, conn net.Conn) Request {
 	if err != nil {
 		t.Fatalf("fake server read: %v", err)
 	}
-	var req Request
-	if err := json.Unmarshal(frame, &req); err != nil {
+	req, err := parseRequest(frame)
+	if err != nil {
 		t.Fatalf("fake server decode: %v", err)
 	}
-	return req
+	return *req
 }
 
 func writeReply(t *testing.T, conn net.Conn, id uint64, text string) {
 	t.Helper()
 	body, _ := json.Marshal(echoResp{Text: text})
-	out, _ := json.Marshal(&Response{ID: id, OK: true, Body: body})
-	if err := WriteFrame(conn, out); err != nil {
+	if err := WriteFrame(conn, append(appendEnvelope(nil, flagReply, id, "", ""), body...)); err != nil {
 		t.Fatalf("fake server write: %v", err)
 	}
 }
@@ -162,7 +161,7 @@ func TestClientCloseStopsReader(t *testing.T) {
 // construction with its sub-requests decoded, and a client built
 // without one drops the frame and keeps working.
 func TestClientPushDelivery(t *testing.T) {
-	push, _ := json.Marshal(&Request{ID: 0, Kind: BatchKind, Body: json.RawMessage(`[{"id":1,"kind":"notify","body":{"seq":7}}]`)})
+	push := appendSubRequests(appendEnvelope(nil, flagBatch, 0, BatchKind, ""), []Request{{Kind: "notify", Body: []byte(`{"seq":7}`)}})
 	for _, withCallback := range []bool{true, false} {
 		got := make(chan []Request, 1)
 		var onPush func([]Request)
@@ -189,10 +188,10 @@ func TestClientPushDelivery(t *testing.T) {
 	}
 }
 
-// TestClientRequestBytes pins what a Client puts on the wire toward a
-// peer that has not shown wire v2: for a sequence of calls, exactly the
-// frames the lock-step client wrote — a classic length-prefixed frame
-// holding Request{ID: 1, 2, 3...} — plus the one field that offers v2,
+// TestClientRequestBytes pins what a fresh Client puts on the wire from
+// its first call on: for a sequence of calls, a classic length-prefixed
+// frame holding a wire-v2 request envelope — the marker, no flags, ID 1,
+// 2, 3..., the kind — and the JSON body of an In without a binary form,
 // and nothing else (no header section without a trace).
 func TestClientRequestBytes(t *testing.T) {
 	c, srv := pipeClient(t, nil)
@@ -200,8 +199,7 @@ func TestClientRequestBytes(t *testing.T) {
 	for id, text := range []string{"", "a", `needs "escaping" <&>`} {
 		call := echoAsync(c, text)
 		body, _ := json.Marshal(echoReq{Text: text})
-		payload, _ := json.Marshal(&Request{ID: uint64(id + 1), Kind: "echo", Body: body})
-		want := frame(append(payload[:len(payload)-1], `,"v":3}`...))
+		want := frame(append(append([]byte{0xB2, 0, byte(id + 1), 4}, "echo"...), body...))
 		got := make([]byte, len(want))
 		if _, err := io.ReadFull(srv, got); err != nil {
 			t.Fatal(err)

@@ -1,26 +1,23 @@
 // Package transport provides the wire protocol used between clients,
 // trust-domain hosts, and in-enclave frameworks: length-prefixed frames
-// over net.Conn carrying envelopes — JSON (wire v1) on first contact and
-// toward old peers, binary (wire v2, wire2.go) once both ends have shown
-// they speak it — and both ends of the RPC built on them: a Server that
-// dispatches requests and may push, and a Client whose one reader
-// goroutine routes replies to concurrent callers by ID and pushed frames
-// to a callback.
+// over net.Conn carrying binary envelopes (wire v2, wire2.go) from a
+// connection's first frame, and both ends of the RPC built on them: a
+// Server that dispatches requests and may push, and a Client whose one
+// reader goroutine routes replies to concurrent callers by ID and pushed
+// frames to a callback.
 //
 // The framing is deliberately simple (4-byte big-endian length + payload,
 // hard size cap) so a malformed or malicious peer can at worst cause a
 // closed connection, never unbounded allocation.
 //
-// OWNS: the frame codec and its size limits; both wire versions of the
-// envelope, both forms of a request body, and their negotiation (the
-// offer a v1 request carries, the sticky bits per connection — v2 on each
-// side, binary request bodies on the client — never v2 toward a peer that
-// has not shown it, never a binary request body toward a server that has
-// not acknowledged it); both halves of the request/response, _batch and
-// push framing; call routing by request ID and push delivery (Client) as
-// well as dispatch (Server) with its RPC metrics, spans and flight
-// events; per-call deadlines; the managed client's retry, idempotency
-// and breaker policy; MemListener.
+// OWNS: the frame codec and its size limits; the envelope and the
+// container, and both forms of a body (JSON, or the binary form a type
+// supplies), with the rule that anything else on the wire — a wire-v1
+// JSON envelope included — ends the connection; both halves of the
+// request/response, _batch and push framing; call routing by request ID
+// and push delivery (Client) as well as dispatch (Server) with its RPC
+// metrics, spans and flight events; per-call deadlines; the managed
+// client's retry, idempotency and breaker policy; MemListener.
 //
 // MUST NOT DO: know what any RPC kind means beyond the idempotency
 // table, or what any body's binary form looks like (a result says it has

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"strings"
 	"testing"
 )
 
@@ -70,33 +69,42 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDispatch runs raw request payloads of either wire version —
-// including nested _batch bodies, the gossip kinds and binary request
-// bodies — through the server's request parser and dispatch path. The
-// server must answer every request the parser accepts (serveConn drops
-// the connection only on a frame it rejects) without panicking, and a
-// binary body sent to a kind that reads only JSON is an error reply.
+// request is a v2 request envelope with the given body: a container of
+// subs when kind is _batch.
+func request(id uint64, kind string, body []byte, subs ...Request) []byte {
+	if kind == BatchKind {
+		return appendSubRequests(appendEnvelope(nil, flagBatch, id, kind, ""), subs)
+	}
+	return append(appendEnvelope(nil, 0, id, kind, ""), body...)
+}
+
+// FuzzDispatch runs raw request payloads — including nested _batch
+// containers, the gossip kinds and binary request bodies — through the
+// server's request parser and dispatch path. The server must answer
+// every request the parser accepts (serveConn drops the connection only
+// on a frame it rejects) without panicking, and a binary body sent to a
+// kind that reads only JSON is an error reply. Every seed is a request
+// the parser accepts.
 func FuzzDispatch(f *testing.F) {
-	f.Add([]byte(`{"id":1,"kind":"echo","body":{"x":1}}`))
-	f.Add([]byte(`{"id":2,"kind":"_batch","body":[{"id":1,"kind":"echo","body":null},{"id":2,"kind":"missing"}]}`))
-	f.Add([]byte(`{"id":3,"kind":"_batch","body":[{"id":1,"kind":"_batch","body":[]}]}`))
-	f.Add([]byte(`{"id":4,"kind":"_batch","body":"not-a-list"}`))
-	f.Add([]byte(`{"id":5,"kind":"gossip_heads","body":{"heads":[{"source":"mon","head":{"size":18446744073709551615}}]}}`))
-	f.Add([]byte(`{"id":6,"kind":"pollinate","body":{"heads":[{"cosigs":[{"witness":"AA","sig":null}]}]}}`))
-	f.Add([]byte(`{"id":7,"kind":"nobatch","body":{}}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"id":8,"kind":"echo","body":`))
+	f.Add(request(1, "echo", []byte(`{"x":1}`)))
+	f.Add(request(2, BatchKind, nil, Request{Kind: "echo", Body: []byte("null")}, Request{Kind: "missing"}))
+	f.Add(request(3, BatchKind, nil, Request{Kind: BatchKind, Body: appendSubRequests(nil, nil)}))
+	f.Add(append(appendEnvelope(nil, flagBatch, 4, BatchKind, ""), `"not-a-list"`...))
+	f.Add(request(5, "gossip_heads", []byte(`{"heads":[{"source":"mon","head":{"size":18446744073709551615}}]}`)))
+	f.Add(request(6, "pollinate", []byte(`{"heads":[{"cosigs":[{"witness":"AA","sig":null}]}]}`)))
+	f.Add(request(7, "nobatch", []byte(`{}`)))
+	f.Add(request(8, "echo", []byte(`not json at all`)))
+	f.Add(request(8, "echo", []byte(`{"x":`)))
 	// Binary request bodies (the marker, then a form) to JSON-only kinds,
 	// alone and inside a _batch.
 	binaryBody := []byte{markerV2, 0x05, 0xAC, 0x02}
-	f.Add(append(appendEnvelope(nil, 0, 9, "gossip_heads", ""), binaryBody...))
-	f.Add(append(appendEnvelope(nil, 0, 10, "decoded", ""), binaryBody...))
-	f.Add(append(appendEnvelope(nil, 0, 11, "echo", ""), binaryBody...))
-	f.Add(append(appendEnvelope(nil, 0, 12, "decoded", ""), markerV2))
-	f.Add(append(appendEnvelope(nil, flagBatch, 13, BatchKind, ""), appendSubRequests(nil, []Request{
-		{Kind: "decoded", Body: binaryBody}, {Kind: "gossip_heads", Body: binaryBody}, {Kind: "pollinate", Body: []byte{markerV2}},
-	})...))
-	f.Add([]byte(`{"id":14,"kind":"decoded","body":{"heads":[]},"v":3}`))
+	f.Add(request(9, "gossip_heads", binaryBody))
+	f.Add(request(10, "decoded", binaryBody))
+	f.Add(request(11, "echo", binaryBody))
+	f.Add(request(12, "decoded", []byte{markerV2}))
+	f.Add(request(13, BatchKind, nil,
+		Request{Kind: "decoded", Body: binaryBody}, Request{Kind: "gossip_heads", Body: binaryBody}, Request{Kind: "pollinate", Body: []byte{markerV2}}))
+	f.Add(request(14, "decoded", []byte(`{"heads":[]}`)))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		srv := NewServer()
@@ -130,7 +138,7 @@ func FuzzDispatch(f *testing.F) {
 			return len(msg.Heads), nil
 		})
 
-		req, _, err := parseRequest(raw)
+		req, err := parseRequest(raw)
 		if err != nil {
 			return // serveConn drops what it cannot parse; nothing to check
 		}
@@ -141,8 +149,8 @@ func FuzzDispatch(f *testing.F) {
 		if resp.ID != req.ID {
 			t.Fatalf("response ID %d for request %d", resp.ID, req.ID)
 		}
-		if _, err := json.Marshal(resp); err != nil {
-			t.Fatalf("response does not re-encode: %v", err)
+		if _, err := appendReplyFrame(nil, resp); err != nil {
+			t.Fatalf("response does not frame: %v", err)
 		}
 		// The kinds that read their body must refuse a binary one, alone
 		// or as a _batch entry.
@@ -150,14 +158,14 @@ func FuzzDispatch(f *testing.F) {
 		if readsBody[req.Kind] && isV2(req.Body) && resp.OK {
 			t.Fatalf("%s answered a binary request body: %s", req.Kind, resp.Body)
 		}
-		if req.Kind == BatchKind && req.container && resp.OK {
+		if req.Kind == BatchKind && resp.OK {
 			subs, _ := parseSubRequests(nil, req.Body)
-			var resps []Response
-			if err := json.Unmarshal(resp.Body, &resps); err != nil || len(resps) != len(subs) {
-				t.Fatalf("batch of %d answered with %d entries (%v)", len(subs), len(resps), err)
+			entries, err := parseContainer(resp.Body)
+			if err != nil || !resp.container || len(entries) != len(subs) {
+				t.Fatalf("batch of %d answered with %d entries (%v)", len(subs), len(entries), err)
 			}
 			for i := range subs {
-				if readsBody[subs[i].Kind] && isV2(subs[i].Body) && resps[i].OK {
+				if readsBody[subs[i].Kind] && isV2(subs[i].Body) && entries[i].flags&flagError == 0 {
 					t.Fatalf("batch entry %d: %s answered a binary request body", i, subs[i].Kind)
 				}
 			}
@@ -174,20 +182,22 @@ func FuzzDispatch(f *testing.F) {
 func FuzzSubscribeFrame(f *testing.F) {
 	const head7 = `{"source":"mon","head":{"size":7,"head":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"signature":null}}`
 	const head3 = `{"source":"mon","head":{"size":3,"head":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"signature":null}}`
-	const pushOne = `{"id":0,"kind":"_batch","body":[{"id":0,"kind":"push_heads","body":{"from":"mon","heads":[` + head7 + `]}}]}`
+	push := func(subs ...Request) []byte { return request(0, BatchKind, nil, subs...) }
+	pushOne := push(Request{Kind: "push_heads", Body: []byte(`{"from":"mon","heads":[` + head7 + `]}`)})
 	// Well-formed subscription ack, the same ack truncated, an error ack.
-	ack := []byte(`{"id":1,"ok":true,"body":{"heads":[` + head7 + `]}}`)
+	ack := append(appendEnvelope(nil, flagReply, 1, "", ""), `{"heads":[`+head7+`]}`...)
 	f.Add(ack)
 	f.Add(ack[:len(ack)/2])
-	f.Add([]byte(`{"id":2,"ok":false,"error":"denied"}`))
+	f.Add(appendEnvelope(nil, flagReply|flagError, 2, "", "denied"))
 	// Push frame carrying two heads, one a regression.
-	f.Add([]byte(`{"id":0,"kind":"_batch","body":[{"id":0,"kind":"push_heads","body":{"from":"mon","heads":[` + head7 + `,` + head3 + `]}}]}`))
+	f.Add(push(Request{Kind: "push_heads", Body: []byte(`{"from":"mon","heads":[` + head7 + `,` + head3 + `]}`)}))
 	// Nested _batch push frame (batch inside a batch).
-	f.Add([]byte(`{"id":0,"kind":"_batch","body":[{"id":0,"kind":"_batch","body":` + pushOne + `}]}`))
-	// Non-batch push kind, empty frame, raw garbage.
-	f.Add([]byte(`{"id":9,"kind":"push_heads","body":{"from":"x","heads":[` + head7 + `]}}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"ok":true`))
+	f.Add(push(Request{Kind: BatchKind, Body: pushOne}))
+	// Non-batch push kind, an envelope with nothing after the marker, a
+	// reply cut off after its flags, raw garbage.
+	f.Add(request(9, "push_heads", []byte(`{"from":"x","heads":[`+head7+`]}`)))
+	f.Add([]byte{markerV2})
+	f.Add([]byte{markerV2, flagReply})
 	f.Add([]byte{0xff, 0x00, 0x42})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -217,12 +227,12 @@ func FuzzSubscribeFrame(f *testing.F) {
 	})
 }
 
-// FuzzParseRequestV1 is the differential check on parseRequest's v1
-// scanner: on every frame it must accept and reject exactly what
-// json.Unmarshal does and decode the same id, kind, body and offer. Every
-// frame the client's encoder could have written must take the scanner,
-// not the fallback, unless its kind needs escaping or a number is out of
-// the scanner's range.
+// FuzzParseRequestV1 checks the refusal that replaced the v1 request
+// scanner. Its seeds are the request shapes a wire-v1 client wrote, the
+// ones that scanner was differentially fuzzed on; mutated from them,
+// every frame that does not begin with markerV2 must be refused by
+// parseRequest (serveConn then drops the connection), and one that does
+// must be accepted exactly when it is a well-formed request envelope.
 func FuzzParseRequestV1(f *testing.F) {
 	for _, s := range []string{
 		`{"id":1,"kind":"audit","body":{"nonce":"AAAA"},"v":2}`,
@@ -251,37 +261,24 @@ func FuzzParseRequestV1(f *testing.F) {
 		{ID: 3, Kind: "status"},
 		{ID: 4, Kind: "k<&>", Body: json.RawMessage(`"<a&b>"`)},
 	} {
-		raw, err := json.Marshal(&requestV1{Request: req, V: offerBodies})
+		raw, err := json.Marshal(&req)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(raw)
+		f.Add(append(raw[:len(raw)-1], `,"v":3}`...)) // with the offer a v2-capable client carried
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if isV2(data) {
+		req, err := parseRequest(data)
+		if !isV2(data) {
+			if err == nil {
+				t.Fatalf("%q: a frame without the v2 marker parsed as %+v", data, req)
+			}
 			return
 		}
-		req, offer, err := parseRequest(data)
-		var want requestV1
-		wantErr := json.Unmarshal(data, &want)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("%q: parseRequest error %v, json.Unmarshal error %v", data, err, wantErr)
-		}
-		if err != nil {
-			return
-		}
-		if req.ID != want.ID || req.Kind != want.Kind || !bytes.Equal(req.Body, want.Body) || offer != want.V {
-			t.Fatalf("%q: parseRequest gave (%d, %q, %q, v %d), json.Unmarshal (%d, %q, %q, v %d)",
-				data, req.ID, req.Kind, req.Body, offer, want.ID, want.Kind, want.Body, want.V)
-		}
-		client, err := json.Marshal(&want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain := want.ID < 1e19 && want.V >= 0 && want.V < 1e9 &&
-			!strings.ContainsFunc(want.Kind, func(r rune) bool { return r < 0x20 || r >= 0x80 || strings.ContainsRune(`"\<>&`, r) })
-		if _, _, ok := scanRequestV1(data); plain && bytes.Equal(client, data) && !ok {
-			t.Fatalf("%q: the client's own encoding fell back to json.Unmarshal", data)
+		env, envErr := parseEnvelope(data)
+		plain := envErr == nil && !env.reply && !env.binary && env.OK && env.batch == (env.Kind == BatchKind)
+		if (err == nil) != plain {
+			t.Fatalf("%q: parseRequest error %v, envelope %+v (error %v)", data, err, env, envErr)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -72,26 +73,27 @@ func (fs *flakyServer) loop() {
 				if err != nil {
 					return
 				}
-				var req Request
-				if json.Unmarshal(frame, &req) == nil {
-					fs.mu.Lock()
-					fs.kinds = append(fs.kinds, req.Kind)
-					fs.mu.Unlock()
+				req, err := parseRequest(frame)
+				if err != nil {
+					return
 				}
+				fs.mu.Lock()
+				fs.kinds = append(fs.kinds, req.Kind)
+				fs.mu.Unlock()
 				if failThis {
 					return // close without answering: lost response
 				}
-				body := json.RawMessage("{}")
+				out := appendEnvelope(nil, flagReply, req.ID, "", "")
 				if req.Kind == BatchKind {
-					var subs []Request
-					_ = json.Unmarshal(req.Body, &subs)
-					resps := make([]Response, len(subs))
-					for i := range subs {
-						resps[i] = Response{ID: subs[i].ID, OK: true, Body: body}
+					subs, _ := parseSubRequests(nil, req.Body)
+					out[1] |= flagBatch
+					out = binary.AppendUvarint(out, uint64(len(subs)))
+					for range subs {
+						out = appendEntry(out, flagReply, "", "", []byte("{}"))
 					}
-					body, _ = json.Marshal(resps)
+				} else {
+					out = append(out, "{}"...)
 				}
-				out, _ := json.Marshal(&Response{ID: req.ID, OK: true, Body: body})
 				if err := WriteFrame(c, out); err != nil {
 					return
 				}

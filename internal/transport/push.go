@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 )
 
 // Server-initiated push. The base protocol is strictly request/response:
@@ -17,12 +16,10 @@ import (
 // later write server-initiated frames to that client.
 //
 // A pushed frame is a Request envelope with ID 0 and Kind "_batch" whose
-// body is a list of ordinary sub-requests — the same batch framing clients
-// send, so one flush of accumulated notifications costs one frame. Peers
-// tell pushes apart from responses structurally: in v1 responses carry
-// "ok" and pushes carry "kind"; in v2 responses have flagReply set. A
-// push goes out in v2 once the connection's client has shown it speaks
-// v2, and in v1 until then.
+// body is a container of ordinary sub-requests — the same batch framing
+// clients send, so one flush of accumulated notifications costs one
+// frame. Peers tell pushes apart from responses by flagReply, which only
+// a response carries.
 
 // ErrPushClosed is returned by Pusher.Push after the connection is gone.
 var ErrPushClosed = errors.New("transport: push connection closed")
@@ -41,11 +38,6 @@ type Pusher struct {
 	mu   sync.Mutex
 	done chan struct{}
 	obs  *serverObs // owning server's instruments; nil when uninstrumented
-
-	// v2 is the server side's one sticky bit for this connection: the
-	// client has offered or spoken wire v2, so replies and pushes leave
-	// in v2 from now on (wire2.go). Set by the serve loop only.
-	v2 atomic.Bool
 }
 
 func newPusher(conn net.Conn) *Pusher {
@@ -77,19 +69,7 @@ func (p *Pusher) Push(subs []Request) error {
 		subs[i].ID = uint64(i + 1)
 	}
 	frame, at, _ := beginFrame(nil, nil)
-	if p.v2.Load() {
-		frame = appendSubRequests(appendEnvelope(frame, flagBatch, 0, BatchKind, ""), subs)
-	} else {
-		body, err := json.Marshal(subs)
-		if err != nil {
-			return fmt.Errorf("transport: encoding push: %w", err)
-		}
-		payload, err := json.Marshal(&Request{ID: 0, Kind: BatchKind, Body: body})
-		if err != nil {
-			return fmt.Errorf("transport: encoding push envelope: %w", err)
-		}
-		frame = append(frame, payload...)
-	}
+	frame = appendSubRequests(appendEnvelope(frame, flagBatch, 0, BatchKind, ""), subs)
 	if err := endFrame(frame, at); err != nil {
 		return err
 	}

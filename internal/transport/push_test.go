@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -31,16 +32,14 @@ func TestPushFramesReachClient(t *testing.T) {
 	defer conn.Close()
 
 	// Subscribe.
-	req, _ := json.Marshal(&Request{ID: 7, Kind: "sub"})
-	if err := WriteFrame(conn, req); err != nil {
+	if err := WriteFrame(conn, appendEnvelope(nil, 0, 7, "sub", "")); err != nil {
 		t.Fatal(err)
 	}
 	frame, err := ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := json.Unmarshal(frame, &resp); err != nil || !resp.OK || resp.ID != 7 {
+	if resp, err := parseEnvelope(frame); err != nil || !resp.reply || !resp.OK || resp.ID != 7 {
 		t.Fatalf("subscribe ack: %v %+v", err, resp)
 	}
 
@@ -63,15 +62,15 @@ func TestPushFramesReachClient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var push Request
-		if err := json.Unmarshal(frame, &push); err != nil {
+		push, err := parseEnvelope(frame)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if push.Kind != BatchKind {
-			t.Fatalf("push frame kind %q, want %q", push.Kind, BatchKind)
+		if push.reply || !push.batch || push.ID != 0 || push.Kind != BatchKind {
+			t.Fatalf("push frame %+v, want a %q container with ID 0", push, BatchKind)
 		}
-		var subs []Request
-		if err := json.Unmarshal(push.Body, &subs); err != nil || len(subs) != 1 || subs[0].Kind != "notify" {
+		subs, err := parseSubRequests(nil, push.Body)
+		if err != nil || len(subs) != 1 || subs[0].Kind != "notify" || string(subs[0].Body) != fmt.Sprintf(`{"seq":%d}`, i) {
 			t.Fatalf("push body: %v %+v", err, subs)
 		}
 	}
@@ -98,16 +97,16 @@ func TestPushKindRefusedInsideBatch(t *testing.T) {
 	srv.HandlePush("sub", func(json.RawMessage, *Pusher) (any, error) {
 		return struct{}{}, nil
 	})
-	sub, _ := json.Marshal([]Request{{ID: 1, Kind: "sub"}})
+	sub := appendSubRequests(nil, []Request{{Kind: "sub"}})
 	resp := srv.dispatch(&Request{ID: 1, Kind: BatchKind, Body: sub})
 	if !resp.OK {
 		t.Fatalf("batch envelope failed: %s", resp.Error)
 	}
-	var resps []Response
-	if err := json.Unmarshal(resp.Body, &resps); err != nil || len(resps) != 1 {
+	entries, err := parseContainer(resp.Body)
+	if err != nil || len(entries) != 1 {
 		t.Fatal(err)
 	}
-	if resps[0].OK {
+	if entries[0].flags&flagError == 0 {
 		t.Fatal("push kind accepted inside a batch")
 	}
 }
@@ -126,7 +125,7 @@ func TestPushHandlerDirectDispatchGetsNilPusher(t *testing.T) {
 	}
 }
 
-// dispatch serves one request outside any connection, as a v1 reply.
+// dispatch serves one request outside any connection.
 func (s *Server) dispatch(req *Request) *Response {
 	return s.dispatchConn(context.Background(), req, nil, new(replyEncoding))
 }

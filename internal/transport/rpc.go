@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding"
 	"encoding/json"
@@ -17,29 +16,27 @@ import (
 	"repro/internal/obsv"
 )
 
-// Request is the client->server envelope, and in wire v1 its JSON form.
+// Request is the client->server envelope (wire2.go has its form on the
+// wire). The JSON tags are for callers that log or price an envelope;
+// no frame carries it as JSON.
 type Request struct {
 	ID   uint64          `json:"id"`
 	Kind string          `json:"kind"`
 	Body json.RawMessage `json:"body,omitempty"`
-
-	container bool // Body is a wire-v2 batch container, not a JSON list
 }
 
-// Response is the server->client envelope, and in wire v1 its JSON form.
+// Response is the server->client envelope, tagged as Request is.
 type Response struct {
 	ID    uint64          `json:"id"`
 	OK    bool            `json:"ok"`
 	Error string          `json:"error,omitempty"`
 	Body  json.RawMessage `json:"body,omitempty"`
 
-	// Set only on replies bound for a wire-v2 connection.
-	binary      bool // Body is the result's binary form, not JSON
-	container   bool // Body is a batch container, not a JSON list
-	readsBodies bool // the envelope acknowledges binary request bodies
+	binary    bool // Body is the result's binary form, not JSON
+	container bool // Body is a batch container
 }
 
-// flags is the response's wire-v2 flags byte, as an envelope or an entry.
+// flags is the response's flags byte, as an envelope or an entry.
 func (r *Response) flags() byte {
 	flags := byte(flagReply)
 	if !r.OK {
@@ -51,18 +48,7 @@ func (r *Response) flags() byte {
 	if r.container {
 		flags |= flagBatch
 	}
-	if r.readsBodies {
-		flags |= flagReadsBodies
-	}
 	return flags
-}
-
-// requestV1 is a v1 request frame as a v2-capable peer writes and reads
-// it: today's three fields, and the offer (offerBodies) that a v1-only
-// server's decoder ignores.
-type requestV1 struct {
-	Request
-	V int `json:"v,omitempty"`
 }
 
 // Handler processes one request body and returns a response body.
@@ -364,7 +350,7 @@ func (s *Server) serveConn(conn net.Conn, bufs *connBuffers) {
 		if obs != nil {
 			obs.rx.Add(uint64(4 + len(header) + len(frame)))
 		}
-		req, offer, err := parseRequest(frame)
+		req, err := parseRequest(frame)
 		if err != nil {
 			// Protocol violation: drop the connection.
 			if obs != nil {
@@ -372,10 +358,7 @@ func (s *Server) serveConn(conn net.Conn, bufs *connBuffers) {
 			}
 			return
 		}
-		if offer >= offerV2 && !pusher.v2.Load() {
-			pusher.v2.Store(true)
-		}
-		enc.v2, enc.scratch = pusher.v2.Load(), keepBuffer(enc.scratch)[:0]
+		enc.scratch = keepBuffer(enc.scratch)[:0]
 		ctx := context.Background()
 		if len(header) > 0 {
 			// A malformed trace header is ignored, never fatal: the
@@ -385,8 +368,7 @@ func (s *Server) serveConn(conn net.Conn, bufs *connBuffers) {
 			}
 		}
 		resp := s.dispatchConn(ctx, req, pusher, enc)
-		resp.readsBodies = offer >= offerBodies
-		out, err := appendReplyFrame(bufs.out[:0], resp, enc.v2)
+		out, err := appendReplyFrame(bufs.out[:0], resp)
 		if err != nil {
 			return
 		}
@@ -400,127 +382,35 @@ func (s *Server) serveConn(conn net.Conn, bufs *connBuffers) {
 	}
 }
 
-// parseRequest decodes one request frame of either wire version. offer is
-// what the peer has shown it speaks: a v1 frame's "v" (0 when it offers
-// nothing), offerV2 for a frame in v2.
-func parseRequest(frame []byte) (req *Request, offer int, err error) {
-	if !isV2(frame) {
-		if req, v, ok := scanRequestV1(frame); ok {
-			return req, v, nil
-		}
-		var wire requestV1
-		if err := json.Unmarshal(frame, &wire); err != nil {
-			return nil, 0, err
-		}
-		return &wire.Request, wire.V, nil
-	}
+// parseRequest decodes one request frame. Anything but a v2 request
+// envelope is an error, a frame from a wire-v1 peer among them; so is a
+// batch flag that does not go with the _batch kind.
+func parseRequest(frame []byte) (*Request, error) {
 	var env envelope
 	if err := env.parse(frame); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if env.reply || env.binary || !env.OK {
-		return nil, 0, errMalformedV2
+	if env.reply || env.binary || !env.OK || env.batch != (env.Kind == BatchKind) {
+		return nil, errMalformedV2
 	}
-	return &Request{ID: env.ID, Kind: env.Kind, Body: env.Body, container: env.batch}, offerV2, nil
+	return &Request{ID: env.ID, Kind: env.Kind, Body: env.Body}, nil
 }
 
-// scanRequestV1 decodes the one v1 request shape a client writes,
-// json.Marshal of a requestV1 without whitespace:
-//
-//	{"id":N,"kind":"K"[,"body":B][,"v":V]}
-//
-// with N and V plain decimal integers (N below 10^19, V below 10^9), K
-// printable ASCII without escapes, and B one JSON value. ok is false for
-// any other frame, which json.Unmarshal then decodes or rejects; when ok
-// is true the result is what json.Unmarshal would have decoded
-// (FuzzParseRequestV1). Body aliases the frame, which ReadFrameHeader
-// allocates for this request alone.
-func scanRequestV1(frame []byte) (req *Request, v int, ok bool) {
-	rest, found := bytes.CutPrefix(frame, []byte(`{"id":`))
-	if !found {
-		return nil, 0, false
-	}
-	id, rest, ok := scanUint(rest, 19)
-	if !ok {
-		return nil, 0, false
-	}
-	if rest, found = bytes.CutPrefix(rest, []byte(`,"kind":"`)); !found {
-		return nil, 0, false
-	}
-	end := 0
-	for end < len(rest) && rest[end] >= 0x20 && rest[end] < 0x80 && rest[end] != '"' && rest[end] != '\\' {
-		end++
-	}
-	if end == len(rest) || rest[end] != '"' {
-		return nil, 0, false
-	}
-	req = &Request{ID: id, Kind: string(rest[:end])}
-	rest = rest[end+1:]
-	if rest, found = bytes.CutSuffix(rest, []byte("}")); !found {
-		return nil, 0, false
-	}
-	// The offer, if any, closes the object: split it off the end, so
-	// what is left is the body whatever bytes it holds.
-	if i := bytes.LastIndex(rest, []byte(`,"v":`)); i >= 0 {
-		n, tail, ok := scanUint(rest[i+len(`,"v":`):], 9)
-		if ok && len(tail) == 0 {
-			v, rest = int(n), rest[:i]
-		}
-	}
-	if len(rest) == 0 {
-		return req, v, true
-	}
-	body, found := bytes.CutPrefix(rest, []byte(`,"body":`))
-	if !found || len(body) == 0 || isJSONSpace(body[0]) || isJSONSpace(body[len(body)-1]) || !json.Valid(body) {
-		return nil, 0, false
-	}
-	req.Body = body
-	return req, v, true
-}
-
-// scanUint reads a JSON unsigned integer of at most maxDigits digits
-// (no leading zero) off the front of b.
-func scanUint(b []byte, maxDigits int) (n uint64, rest []byte, ok bool) {
-	i := 0
-	for i < len(b) && i <= maxDigits && b[i] >= '0' && b[i] <= '9' {
-		n = n*10 + uint64(b[i]-'0')
-		i++
-	}
-	if i == 0 || i > maxDigits || (b[0] == '0' && i > 1) {
-		return 0, nil, false
-	}
-	return n, b[i:], true
-}
-
-// isJSONSpace reports whether c is JSON insignificant whitespace.
-func isJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
-
-// appendReplyFrame appends resp as one whole frame, in the wire version
-// of the connection it was dispatched for.
-func appendReplyFrame(b []byte, resp *Response, v2 bool) ([]byte, error) {
+// appendReplyFrame appends resp as one whole frame.
+func appendReplyFrame(b []byte, resp *Response) ([]byte, error) {
 	b, at, _ := beginFrame(b, nil)
-	if v2 {
-		b = append(appendEnvelope(b, resp.flags(), resp.ID, "", resp.Error), resp.Body...)
-	} else {
-		payload, err := json.Marshal(resp)
-		if err != nil {
-			return b, err
-		}
-		b = append(b, payload...)
-	}
+	b = append(appendEnvelope(b, resp.flags(), resp.ID, "", resp.Error), resp.Body...)
 	return b, endFrame(b, at)
 }
 
-// replyEncoding is how replies are encoded for one connection: its wire
-// version and, for v2, the scratch buffer the pieces of one request's
-// reply are appended to — a binary body, or a batch's bodies side by side
-// and then their container — so that answering a hot read allocates no
-// buffer at all. A piece stays valid when the buffer grows: it keeps the
-// array it was written to. The zero value encodes for v1. A _batch's
-// sub-requests and their replies are parsed and built in subs and resps,
-// also kept from one request to the next.
+// replyEncoding is what one connection keeps for encoding replies: the
+// scratch buffer the pieces of one request's reply are appended to — a
+// binary body, or a batch's bodies side by side and then their container
+// — so that answering a hot read allocates no buffer at all. A piece
+// stays valid when the buffer grows: it keeps the array it was written
+// to. A _batch's sub-requests and their replies are parsed and built in
+// subs and resps, also kept from one request to the next.
 type replyEncoding struct {
-	v2      bool
 	scratch []byte
 	subs    []Request
 	resps   []Response
@@ -598,18 +488,17 @@ func (s *Server) run(ctx context.Context, req *Request, p *Pusher, enc *replyEnc
 	}
 }
 
-// respond encodes what a handler returned into resp. On a wire-v2
-// connection a result that implements encoding.BinaryMarshaler travels in
-// that form; everything else, and everything on v1, is JSON. Encoding
-// happens here, inside the span and the latency histogram, as it always
-// has.
+// respond encodes what a handler returned into resp. A result that
+// implements encoding.BinaryMarshaler travels in that form; everything
+// else is JSON. Encoding happens here, inside the span and the latency
+// histogram, as it always has.
 func (enc *replyEncoding) respond(resp *Response, id uint64, result any, err error) {
 	if err != nil {
 		*resp = Response{ID: id, OK: false, Error: err.Error()}
 		return
 	}
 	*resp = Response{ID: id, OK: true}
-	if bm, ok := result.(encoding.BinaryMarshaler); ok && enc.v2 && !isNilPointer(result) {
+	if bm, ok := result.(encoding.BinaryMarshaler); ok && !isNilPointer(result) {
 		resp.binary = true
 		start := len(enc.scratch)
 		if ba, ok := result.(binaryAppender); ok {
@@ -647,13 +536,6 @@ type Client struct {
 	onPush func(subs []Request) // nil: pushed frames are dropped
 	done   chan struct{}        // closed when the reader has exited
 
-	// v2 is the connection's sticky bit for the envelope: the peer has
-	// sent a wire-v2 frame, so requests go out in v2 from now on. Until
-	// then they are v1 JSON carrying the offer (wire2.go). bodies is the
-	// one for request bodies: a reply has carried flagReadsBodies, so an
-	// In with a binary form is sent in it. route sets v2 before bodies.
-	v2, bodies atomic.Bool
-
 	wmu  sync.Mutex // serializes frame writes
 	wbuf []byte     // the frame being written; guarded by wmu
 
@@ -664,22 +546,20 @@ type Client struct {
 	timeout time.Duration             // default per-call deadline (SetTimeout)
 }
 
-// envelope is any frame a client can receive, decoded once from either
-// wire version: a Response, or a server-initiated Request (a v1 frame
-// with Kind set, a v2 frame without flagReply). err is set only on the
-// envelope that tells a pending call its connection ended.
+// envelope is any frame, decoded once: a Response (flagReply set), or a
+// Request, server-initiated when a client receives it. err is set only
+// on the envelope that tells a pending call its connection ended.
 type envelope struct {
-	ID    uint64          `json:"id"`
-	OK    bool            `json:"ok"`
-	Kind  string          `json:"kind"`
-	Error string          `json:"error"`
-	Body  json.RawMessage `json:"body"`
+	ID    uint64
+	OK    bool
+	Kind  string
+	Error string
+	Body  []byte
 
-	reply       bool // a Response: v1 without a Kind, v2 with flagReply
-	binary      bool // v2 flagBinary: Body is the result's binary form
-	batch       bool // v2 flagBatch: Body is a container
-	readsBodies bool // v2 flagReadsBodies: the server reads binary request bodies
-	err         error
+	reply  bool // flagReply: a Response
+	binary bool // flagBinary: Body is the result's binary form
+	batch  bool // flagBatch: Body is a container
+	err    error
 }
 
 // DefaultDialTimeout bounds connection establishment for Dial. A dial
@@ -790,10 +670,10 @@ func DecodeBody(body []byte, out any) error {
 }
 
 // appendRequestBody appends in as a request body: markerV2 and its
-// binary form when the server reads binary bodies and in has one (a
-// typed nil has none: it is JSON null), JSON otherwise.
-func appendRequestBody(b []byte, in any, bodies bool) ([]byte, error) {
-	if ba, ok := in.(binaryAppender); ok && bodies && !isNilPointer(in) {
+// binary form when in has one (a typed nil has none: it is JSON null),
+// JSON otherwise.
+func appendRequestBody(b []byte, in any) ([]byte, error) {
+	if ba, ok := in.(binaryAppender); ok && !isNilPointer(in) {
 		return ba.AppendBinary(append(b, markerV2))
 	}
 	js, err := json.Marshal(in)
@@ -826,12 +706,11 @@ func (c *Client) Call(kind string, in any, out any) error {
 // net.Error with Timeout() true. When ctx carries a sampled trace, the
 // request frame carries a child trace context in its header.
 func (c *Client) CallCtx(ctx context.Context, kind string, in any, out any) error {
-	bodies := c.bodies.Load()
-	body, err := appendRequestBody(nil, in, bodies)
+	body, err := appendRequestBody(nil, in)
 	if err != nil {
 		return fmt.Errorf("transport: encoding request: %w", err)
 	}
-	env, err := c.roundTrip(ctx, kind, body, bodies || c.v2.Load())
+	env, err := c.roundTrip(ctx, kind, body)
 	if err != nil {
 		return err
 	}
@@ -841,12 +720,11 @@ func (c *Client) CallCtx(ctx context.Context, kind string, in any, out any) erro
 	return nil
 }
 
-// roundTrip sends one request — body under a v2 envelope when v2 is set
-// (a _batch body must then be a container: CallBatch's business, a JSON
-// list sent by hand through Call is answered "malformed batch body"),
-// under the v1 JSON envelope with the offer otherwise — and waits for its
-// reply, which it returns only if the server answered OK.
-func (c *Client) roundTrip(ctx context.Context, kind string, body []byte, v2 bool) (_ *envelope, err error) {
+// roundTrip sends one request — a _batch body must be a container:
+// CallBatch's business, a JSON list sent by hand through Call is answered
+// "malformed batch body" — and waits for its reply, which it returns only
+// if the server answered OK.
+func (c *Client) roundTrip(ctx context.Context, kind string, body []byte) (_ *envelope, err error) {
 	reply := make(chan *envelope, 1)
 	c.mu.Lock()
 	if c.err != nil {
@@ -868,7 +746,7 @@ func (c *Client) roundTrip(ctx context.Context, kind string, body []byte, v2 boo
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	if err = c.send(ctx, header, &Request{ID: id, Kind: kind, Body: body}, v2); err == nil {
+	if err = c.send(ctx, header, &Request{ID: id, Kind: kind, Body: body}); err == nil {
 		select {
 		case env := <-reply:
 			switch {
@@ -893,26 +771,18 @@ func (c *Client) roundTrip(ctx context.Context, kind string, body []byte, v2 boo
 // send frames and writes one request, bounded by ctx's deadline when it
 // has one. A request that cannot be encoded fails alone; a failed write
 // may have left part of a frame on the socket, so it ends the connection.
-func (c *Client) send(ctx context.Context, header []byte, req *Request, v2 bool) error {
+func (c *Client) send(ctx context.Context, header []byte, req *Request) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	buf, at, err := beginFrame(c.wbuf[:0], header)
 	if err != nil {
 		return err
 	}
-	if v2 {
-		var flags byte
-		if req.Kind == BatchKind {
-			flags = flagBatch
-		}
-		buf = append(appendEnvelope(buf, flags, req.ID, req.Kind, ""), req.Body...)
-	} else {
-		payload, err := json.Marshal(&requestV1{Request: *req, V: offerBodies})
-		if err != nil {
-			return fmt.Errorf("transport: encoding envelope: %w", err)
-		}
-		buf = append(buf, payload...)
+	var flags byte
+	if req.Kind == BatchKind {
+		flags = flagBatch
 	}
+	buf = append(appendEnvelope(buf, flags, req.ID, req.Kind, ""), req.Body...)
 	if err := endFrame(buf, at); err != nil {
 		return err
 	}
@@ -967,31 +837,15 @@ func (c *Client) readLoop() {
 	}
 }
 
-// route delivers one received frame of either wire version: a reply to
-// the pending call that owns its ID, a pushed _batch to onPush. A reply
-// nobody waits for (its caller gave up) and a malformed push are dropped;
-// an undecodable envelope is fatal to the connection, as it is on the
-// server side. The first v2 frame flips the connection to v2, the first
-// reply carrying flagReadsBodies to binary request bodies.
+// route delivers one received frame: a reply to the pending call that
+// owns its ID, a pushed _batch to onPush. A reply nobody waits for (its
+// caller gave up) and a malformed push are dropped; an undecodable
+// envelope — a wire-v1 frame among them — is fatal to the connection, as
+// it is on the server side.
 func (c *Client) route(frame []byte) error {
-	var env *envelope
-	if isV2(frame) {
-		var err error
-		if env, err = parseEnvelope(frame); err != nil {
-			return fmt.Errorf("transport: decoding response: %w", err)
-		}
-		if !c.v2.Load() {
-			c.v2.Store(true)
-		}
-		if env.readsBodies && !c.bodies.Load() {
-			c.bodies.Store(true)
-		}
-	} else {
-		env = new(envelope)
-		if err := json.Unmarshal(frame, env); err != nil {
-			return fmt.Errorf("transport: decoding response: %w", err)
-		}
-		env.reply = env.Kind == ""
+	env, err := parseEnvelope(frame)
+	if err != nil {
+		return fmt.Errorf("transport: decoding response: %w", err)
 	}
 	if env.reply {
 		c.mu.Lock()
@@ -1003,17 +857,10 @@ func (c *Client) route(frame []byte) error {
 		}
 		return nil
 	}
-	if c.onPush == nil || env.Kind != BatchKind {
+	if c.onPush == nil || env.Kind != BatchKind || !env.batch {
 		return nil
 	}
-	var subs []Request
-	var err error
-	if env.batch {
-		subs, err = parseSubRequests(nil, env.Body)
-	} else {
-		err = json.Unmarshal(env.Body, &subs)
-	}
-	if err == nil && len(subs) <= MaxBatchCalls {
+	if subs, err := parseSubRequests(nil, env.Body); err == nil {
 		c.onPush(subs)
 	}
 	return nil

@@ -7,9 +7,9 @@ import (
 	"slices"
 )
 
-// Wire v2: the second frame payload format. The frame around it — the
-// 4-byte length word, the optional 0xEE header section — is untouched;
-// only the payload changes, from a JSON envelope to this:
+// Wire v2, the one frame payload format. The frame around it — the
+// 4-byte length word, the optional 0xEE header section — is codec.go's;
+// the payload is this:
 //
 //	envelope   0xB2 | flags | uvarint id | [kind] | [error] | body…
 //	container  uvarint count | count × entry
@@ -19,12 +19,11 @@ import (
 //	              flagReply is set (requests and pushes carry one);
 //	              error is present when flagError is set.
 //	body          an envelope's body runs to the end of the frame. It is
-//	              JSON unless a flag says otherwise.
+//	              JSON unless a flag or the marker says otherwise.
 //
 // A _batch request, its reply and a push have flagBatch set and a
-// container for a body; the entries take the places of the JSON lists of
-// sub-requests and sub-responses (IDs are positional), so a body is
-// never wrapped, validated or copied a second time on its way through.
+// container for a body; IDs inside it are positional, so a body is never
+// wrapped, validated or copied a second time on its way through.
 //
 // Which bodies are binary is not this package's business: a reply's
 // body is marked flagBinary when the handler's result implements
@@ -32,39 +31,19 @@ import (
 // encoding.BinaryUnmarshaler may receive it (ErrBinaryBody otherwise).
 // A request body is binary when it begins with markerV2, which no JSON
 // text can: the marker, then the binary form of an In implementing
-// AppendBinary, written only to a server that has acknowledged it reads
-// such bodies. Handlers read either form through DecodeBody. Pushes
-// always carry JSON bodies.
+// AppendBinary. Handlers read either form through DecodeBody, so a
+// client that writes JSON bodies is still served. Pushes always carry
+// JSON bodies.
 //
-// Negotiation costs no round trip and one sticky bit per side per
-// step. A Client's v1 requests carry "v":3; a v1-only server ignores the
-// field and the connection stays v1 for good. A Server that reads an
-// offer of at least 2 — or any v2 frame — answers that request, and
-// writes every later reply and push on that connection, in v2; when the
-// offer is at least 3 its answer also carries flagReadsBodies. A Client
-// that has received a v2 frame writes v2 requests from then on, and one
-// that has received flagReadsBodies writes binary request bodies. A
-// server from before binary request bodies takes 3 for 2 and never sets
-// the bit; a client from before them offers 2 and is never sent it.
-// Invariants: neither side emits v2 toward a peer that has not shown
-// it, and no binary request body goes to a server that has not
-// acknowledged it; every reader accepts both formats at any time and
-// tells them apart by the first payload byte, which JSON can never
-// begin with; a new connection (a ManagedClient reconnect included)
-// starts over at v1. No flag, option or build tag selects a format: the
-// only way to see v1 or JSON request bodies is to talk to an older peer.
+// Both ends write this format from a connection's first frame, and
+// nothing selects another: a payload that does not begin with markerV2 —
+// the JSON envelope of wire v1, which this package no longer speaks — is
+// a malformed frame, and the reader drops the connection.
 
-const (
-	// markerV2 opens every v2 payload. A JSON text begins with
-	// whitespace, a quote, a digit, '-', '{', '[' or a letter — never
-	// with a byte above 0x7F.
-	markerV2 = 0xB2
-	// offerV2 is the least "v" a server takes as the offer of v2.
-	offerV2 = 2
-	// offerBodies is the "v" a Client's v1 request carries: the offer of
-	// v2, and the question whether the server reads binary request bodies.
-	offerBodies = 3
-)
+// markerV2 opens every payload, and a binary request body. A JSON text
+// begins with whitespace, a quote, a digit, '-', '{', '[' or a letter —
+// never with a byte above 0x7F.
+const markerV2 = 0xB2
 
 // Envelope and entry flags.
 const (
@@ -72,17 +51,14 @@ const (
 	flagError  = 1 << 1 // a failed reply: an error string follows, the body is empty
 	flagBinary = 1 << 2 // the body is its type's binary form, not JSON
 	flagBatch  = 1 << 3 // the body is a container (envelopes only)
-	// flagReadsBodies, on a reply envelope only, says the server reads
-	// binary request bodies: it answers a request that offered 3.
-	flagReadsBodies = 1 << 4
 
-	envelopeFlags = flagReply | flagError | flagBinary | flagBatch | flagReadsBodies
+	envelopeFlags = flagReply | flagError | flagBinary | flagBatch
 	entryFlags    = flagReply | flagError | flagBinary
 )
 
 var errMalformedV2 = errors.New("transport: malformed v2 frame")
 
-// isV2 reports whether a frame payload is in wire v2.
+// isV2 reports whether a payload or a request body begins with markerV2.
 func isV2(frame []byte) bool { return len(frame) > 0 && frame[0] == markerV2 }
 
 func appendString(b []byte, s string) []byte {
@@ -198,15 +174,14 @@ func (env *envelope) parse(frame []byte) error {
 	}
 	flags := r.flags(envelopeFlags)
 	*env = envelope{
-		ID:          r.uvarint(),
-		OK:          flags&flagError == 0,
-		reply:       flags&flagReply != 0,
-		binary:      flags&flagBinary != 0,
-		batch:       flags&flagBatch != 0,
-		readsBodies: flags&flagReadsBodies != 0,
+		ID:     r.uvarint(),
+		OK:     flags&flagError == 0,
+		reply:  flags&flagReply != 0,
+		binary: flags&flagBinary != 0,
+		batch:  flags&flagBatch != 0,
 	}
 	env.Kind, env.Error = r.meta(flags)
-	if r.bad || env.readsBodies && !env.reply {
+	if r.bad {
 		return errMalformedV2
 	}
 	env.Body = r.b

@@ -119,8 +119,7 @@ func TestV2ContainerBounds(t *testing.T) {
 }
 
 // v2Pair is a Server (instrumented on reg, when given) with a JSON echo,
-// a binary blob and a failing kind, and a Client on a connection already
-// upgraded to v2.
+// a binary blob and a failing kind, and a Client connected to it.
 func v2Pair(t *testing.T, reg *obsv.Registry) *Client {
 	t.Helper()
 	srv := NewServer()
@@ -147,16 +146,13 @@ func v2Pair(t *testing.T, reg *obsv.Registry) *Client {
 	c := NewClient(conn)
 	t.Cleanup(func() { c.Close() })
 	c.SetTimeout(5 * time.Second)
-	if err := c.Call("echo", 1, nil); err != nil || !c.v2.Load() {
-		t.Fatalf("connection did not upgrade on first contact (err %v)", err)
-	}
 	return c
 }
 
-// TestV2BinaryBodies: on an upgraded connection a result with a binary
-// form travels in it, alone and inside a batch, next to JSON bodies and
-// errors; an out that cannot read it gets ErrBinaryBody naming the kind;
-// a typed nil pointer is JSON null, as it is on v1.
+// TestV2BinaryBodies: a result with a binary form travels in it, alone
+// and inside a batch, next to JSON bodies and errors; an out that cannot
+// read it gets ErrBinaryBody naming the kind; a typed nil pointer is JSON
+// null.
 func TestV2BinaryBodies(t *testing.T) {
 	c := v2Pair(t, nil)
 	var got blob
@@ -165,11 +161,11 @@ func TestV2BinaryBodies(t *testing.T) {
 	}
 	var n int
 	if err := c.Call("echo", 42, &n); err != nil || n != 42 {
-		t.Fatalf("JSON body on a v2 connection: %d, %v", n, err)
+		t.Fatalf("JSON body: %d, %v", n, err)
 	}
 	var remote *ErrRemote
 	if err := c.Call("fail", nil, nil); !errors.As(err, &remote) || remote.Msg != "deliberate failure" {
-		t.Fatalf("error reply on a v2 connection: %v", err)
+		t.Fatalf("error reply: %v", err)
 	}
 	var typed *ErrBinaryBody
 	var wrong struct{ Data []byte }
@@ -206,7 +202,7 @@ func TestV2BinaryBodies(t *testing.T) {
 	// A JSON list sent by hand through Call is not a container: refused
 	// by the server, in words, never mis-decoded.
 	if err := c.Call(BatchKind, []Request{{ID: 1, Kind: "echo"}}, nil); !errors.As(err, &remote) || !strings.Contains(remote.Msg, "malformed batch body") {
-		t.Fatalf("hand-rolled JSON batch on a v2 connection: %v", err)
+		t.Fatalf("hand-rolled JSON batch: %v", err)
 	}
 }
 
@@ -214,44 +210,26 @@ func TestV2BinaryBodies(t *testing.T) {
 // of readBufferSize. Frames that end just short of it, on it and past it,
 // and one far larger (whose remainder is read straight into its own
 // slice), arrive intact in both directions, pipelined back to back, on
-// first contact (v1) and once upgraded.
+// a connection's first calls.
 func TestFramesAroundTheReadBuffer(t *testing.T) {
 	sizes := []int{readBufferSize - 64, readBufferSize - 5, readBufferSize - 4, readBufferSize, readBufferSize + 1, 3*readBufferSize + 17, 1 << 20}
-	for _, upgraded := range []bool{false, true} {
-		for _, size := range sizes {
-			var c *Client
-			if upgraded {
-				c = v2Pair(t, nil)
-			} else {
-				srv := NewServer()
-				srv.Handle("echo", func(body json.RawMessage) (any, error) { return body, nil })
-				ln := NewMemListener()
-				srv.Serve(ln)
-				t.Cleanup(func() { srv.Close() })
-				conn, err := ln.Dial()
-				if err != nil {
-					t.Fatal(err)
+	for _, size := range sizes {
+		c := v2Pair(t, nil)
+		want := strings.Repeat("x", size)
+		results := make(chan error, 3)
+		for i := 0; i < 3; i++ { // three in flight: frames share reads
+			go func() {
+				var got string
+				err := c.Call("echo", want, &got)
+				if err == nil && got != want {
+					err = fmt.Errorf("echo of %d bytes came back as %d", len(want), len(got))
 				}
-				c = NewClient(conn)
-				t.Cleanup(func() { c.Close() })
-				c.SetTimeout(5 * time.Second)
-			}
-			want := strings.Repeat("x", size)
-			results := make(chan error, 3)
-			for i := 0; i < 3; i++ { // three in flight: frames share reads
-				go func() {
-					var got string
-					err := c.Call("echo", want, &got)
-					if err == nil && got != want {
-						err = fmt.Errorf("echo of %d bytes came back as %d", len(want), len(got))
-					}
-					results <- err
-				}()
-			}
-			for i := 0; i < 3; i++ {
-				if err := <-results; err != nil {
-					t.Fatalf("upgraded=%v size=%d: %v", upgraded, size, err)
-				}
+				results <- err
+			}()
+		}
+		for i := 0; i < 3; i++ {
+			if err := <-results; err != nil {
+				t.Fatalf("size=%d: %v", size, err)
 			}
 		}
 	}
@@ -332,25 +310,21 @@ func FuzzFrameV2(f *testing.F) {
 		}
 
 		// Server end.
-		if req, _, err := parseRequest(data); err == nil {
-			for _, v2 := range []bool{false, true} {
-				resp := srv.dispatchConn(context.Background(), req, nil, &replyEncoding{v2: v2})
-				if resp == nil || resp.ID != req.ID {
-					t.Fatalf("dispatch answered %+v to request %d", resp, req.ID)
-				}
-				frame, err := appendReplyFrame(nil, resp, v2)
-				if err != nil {
-					continue // v1 only: a body the JSON envelope cannot wrap
-				}
-				payload, err := ReadFrame(bytes.NewReader(frame))
-				if err != nil {
-					t.Fatalf("reply frame does not read back: %v", err)
-				}
-				if v2 {
-					if env, err := parseEnvelope(payload); err != nil || !env.reply || env.ID != req.ID {
-						t.Fatalf("v2 reply does not decode: %+v, %v", env, err)
-					}
-				}
+		if req, err := parseRequest(data); err == nil {
+			resp := srv.dispatchConn(context.Background(), req, nil, &replyEncoding{})
+			if resp == nil || resp.ID != req.ID {
+				t.Fatalf("dispatch answered %+v to request %d", resp, req.ID)
+			}
+			frame, err := appendReplyFrame(nil, resp)
+			if err != nil {
+				t.Fatalf("reply does not frame: %v", err)
+			}
+			payload, err := ReadFrame(bytes.NewReader(frame))
+			if err != nil {
+				t.Fatalf("reply frame does not read back: %v", err)
+			}
+			if env, err := parseEnvelope(payload); err != nil || !env.reply || env.ID != req.ID {
+				t.Fatalf("reply does not decode: %+v, %v", env, err)
 			}
 		}
 
