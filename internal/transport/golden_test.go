@@ -415,11 +415,9 @@ func TestCompatNewClientParentV2Server(t *testing.T) {
 // TestCompatNewClientNewServer: this commit's ManagedClient against this
 // commit's Server and serving tier writes wire v2 from its first frame,
 // on its first connection and on the one it redials, and every reply is
-// v2; so does a raw Client whose first frame is a _batch. Plain calls and
-// the _batch decode into the same Go types as ever and verify; a push
-// kind inside the _batch is a per-entry refusal; and a caller's wrong
-// out is an ErrBinaryBody naming the kind, which costs a managed client
-// no retry or redial.
+// v2. Plain calls decode into the same Go types as ever and verify, and a
+// caller's wrong out is an ErrBinaryBody naming the kind, which costs a
+// managed client no retry or redial.
 func TestCompatNewClientNewServer(t *testing.T) {
 	ln, backend := startGoldenServer(t, nil)
 	var mu sync.Mutex
@@ -510,42 +508,73 @@ func TestCompatNewClientNewServer(t *testing.T) {
 	}
 	v2("the redialled connection", reconnected, 1)
 
-	// A _batch as a raw connection's first frame.
+}
+
+// TestCompatBatchAcrossTheUpgrade: a _batch as a raw connection's first
+// frame, and the same batch again on that connection, are both v2 out
+// and v2 back and decode to the same verified values. (The name dates
+// from when the first _batch also upgraded the connection from v1;
+// there is no upgrade now, and the first frame is as v2 as the second.)
+// A push kind inside the _batch is a per-entry refusal, and a binary
+// result offered to an out that cannot read one is an ErrBinaryBody
+// naming the kind, not a zero value.
+func TestCompatBatchAcrossTheUpgrade(t *testing.T) {
+	ln, backend := startGoldenServer(t, nil)
 	conn, err := ln.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := &tap{Conn: conn}
-	c := transport.NewClient(raw)
+	wire := &tap{Conn: conn}
+	c := transport.NewClient(wire)
 	defer c.Close()
 	c.SetTimeout(5 * time.Second)
-	res, err := c.CallBatch([]transport.BatchCall{
-		{Kind: serve.KindProof, In: serve.ProofRequest{Index: 3, Size: 64}},
-		{Kind: "consistency", In: serve.ConsistencyRequest{OldSize: 64}},
-		{Kind: "subscribe"},
-	})
+	head, err := backend.TreeHeadBLS()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batched serve.ProofResponse
-	var batchedCons aolog.ShardConsistencyProof
-	if err := res[0].Decode(&batched); err != nil {
-		t.Fatal(err)
+	for round := 0; round < 2; round++ {
+		res, err := c.CallBatch([]transport.BatchCall{
+			{Kind: serve.KindProof, In: serve.ProofRequest{Index: 3, Size: 64}},
+			{Kind: "consistency", In: serve.ConsistencyRequest{OldSize: 64}},
+			{Kind: "subscribe"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp serve.ProofResponse
+		var cons aolog.ShardConsistencyProof
+		if err := res[0].Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if err := res[1].Decode(&cons); err != nil {
+			t.Fatal(err)
+		}
+		oldRoot, err := cons.OldSuperRoot()
+		if err != nil || !aolog.VerifyShardConsistency(oldRoot, head.Head, &cons) ||
+			!aolog.VerifyShardInclusion(resp.Payload, resp.Proof, oldRoot) {
+			t.Fatalf("round %d: the batch's proofs do not verify (%v)", round, err)
+		}
+		var remote *transport.ErrRemote
+		if !errors.As(res[2].Err, &remote) || !strings.Contains(remote.Msg, "not allowed inside a batch") {
+			t.Fatalf("round %d: per-entry refusal came back as %v", round, res[2].Err)
+		}
+		var adHoc struct{ Index int }
+		var typed *transport.ErrBinaryBody
+		if err := res[0].Decode(&adHoc); !errors.As(err, &typed) || typed.Kind != serve.KindProof {
+			t.Fatalf("round %d: decoding a binary proof into an ad-hoc struct: %v", round, err)
+		}
 	}
-	if err := res[1].Decode(&batchedCons); err != nil {
-		t.Fatal(err)
+	written, read := wire.frames()
+	if len(written) != 2 || len(read) != 2 {
+		t.Fatalf("%d requests and %d replies, want 2 and 2", len(written), len(read))
 	}
-	if oldRoot, err := batchedCons.OldSuperRoot(); err != nil || !aolog.VerifyShardConsistency(oldRoot, head.Head, &batchedCons) ||
-		!aolog.VerifyShardInclusion(batched.Payload, batched.Proof, oldRoot) {
-		t.Fatalf("the batch's proofs do not verify (%v)", err)
+	for i := range written {
+		req, err := transport.ParseRequest(written[i])
+		if err != nil || req.Kind != "_batch" {
+			t.Fatalf("request %d is not a v2 _batch: %+v (%v)", i, req, err)
+		}
+		if read[i][0] != 0xB2 {
+			t.Fatalf("reply %d is not v2: %.60q", i, read[i])
+		}
 	}
-	var remote *transport.ErrRemote
-	if !errors.As(res[2].Err, &remote) || !strings.Contains(remote.Msg, "not allowed inside a batch") {
-		t.Fatalf("per-entry refusal came back as %v", res[2].Err)
-	}
-	var adHocIndex struct{ Index int }
-	if err := res[0].Decode(&adHocIndex); !errors.As(err, &wrongOut) || wrongOut.Kind != serve.KindProof {
-		t.Fatalf("decoding a binary batch result into an ad-hoc struct: %v", err)
-	}
-	v2("a raw connection", raw, 1)
 }
